@@ -32,7 +32,6 @@ from .codec import (
     GeneratorMatrix,
     UnrecoverableGeneration,
     build_generator,
-    build_random_generator,
     decode_generation,
     encode_generation,
     reassemble_message,
@@ -51,7 +50,6 @@ from .onion import (
     peel_layer,
     run_transfer,
     transmit,
-    validate_variant_params,
     wrap_layers,
 )
 

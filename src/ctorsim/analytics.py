@@ -17,20 +17,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .codec import CodeParams
 from .onion import Variant
 
 ORACLE_SUBSET_LIMIT = 10**7
 
 DEFAULT_UNKNOWN = 25
 DEFAULT_KNOWN_RANGE = range(0, 26)
-DEFAULT_CONFIGS: tuple[tuple[Variant, int, int], ...] = (
-    (Variant.OTOR, 1, 0),
-    (Variant.MTOR, 4, 0),
-    (Variant.MTOR, 5, 0),
-    (Variant.MTOR, 8, 0),
-    (Variant.MTOR, 10, 0),
-    (Variant.CTOR, 5, 2),
-    (Variant.CTOR, 10, 4),
+# otor, mtor:4, mtor:5, mtor:8, mtor:10, ctor:5:2, ctor:10:4
+DEFAULT_CONFIGS: tuple[CodeParams, ...] = (
+    CodeParams(1, 1, 0),
+    CodeParams(4, 4, 0),
+    CodeParams(5, 5, 0),
+    CodeParams(8, 8, 0),
+    CodeParams(10, 10, 0),
+    CodeParams(5, 3, 2),
+    CodeParams(10, 6, 4),
 )
 
 
@@ -73,10 +75,7 @@ def p_block_plain(unknown: int, known: int, circuits: int) -> Fraction:
     single blocked circuit already kills the transfer.
     """
     _check_pool(unknown, known, circuits)
-    p = _blocked_tail(unknown, known, circuits, absorbable=0)
-    # complement identity: same event as "not every bridge drawn unknown"
-    assert p == 1 - Fraction(binomial(unknown, circuits), binomial(unknown + known, circuits))
-    return p
+    return _blocked_tail(unknown, known, circuits, absorbable=0)
 
 
 def p_block_lnc(unknown: int, known: int, circuits: int, redundancy: int) -> Fraction:
@@ -119,38 +118,21 @@ def enumerate_oracle(unknown: int, known: int, circuits: int, threshold: int) ->
 @dataclass(frozen=True)
 class SweepRow:
     m_known: int
-    variant: Variant
-    n: int
-    r: int
+    params: CodeParams
     probability: Fraction
-
-
-def _validate_config(variant: Variant, n: int, r: int) -> None:
-    if variant is Variant.OTOR and (n, r) != (1, 0):
-        raise ValueError("otor rows are n=1, r=0")
-    if variant is Variant.MTOR and r != 0:
-        raise ValueError("mtor rows carry r=0")
-    if variant is Variant.CTOR and not 1 <= r < n:
-        raise ValueError(f"ctor rows need 1 <= r < n, got n={n}, r={r}")
 
 
 def sweep(
     unknown: int,
     known_range: Iterable[int],
-    configs: Sequence[tuple[Variant | str, int, int]] = DEFAULT_CONFIGS,
+    configs: Sequence[CodeParams] = DEFAULT_CONFIGS,
 ) -> list[SweepRow]:
-    """Exact probability grid over known-bridge counts and variant configs,
+    """Exact probability grid over known-bridge counts and code shapes,
     sorted by (m_known, variant, n)."""
-    rows = []
-    for m_known in known_range:
-        for variant, n, r in configs:
-            variant = Variant(variant)
-            _validate_config(variant, n, r)
-            p = (
-                p_block_plain(unknown, m_known, n)
-                if r == 0
-                else p_block_lnc(unknown, m_known, n, r)
-            )
-            rows.append(SweepRow(m_known, variant, n, r, p))
-    rows.sort(key=lambda row: (row.m_known, row.variant.value, row.n))
+    rows = [
+        SweepRow(m_known, params, p_block_lnc(unknown, m_known, params.n, params.r))
+        for m_known in known_range
+        for params in configs
+    ]
+    rows.sort(key=lambda row: (row.m_known, Variant.of(row.params).value, row.params.n))
     return rows

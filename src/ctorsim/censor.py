@@ -22,13 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .codec import CodeParams
-from .onion import (
-    RouterRegistry,
-    Variant,
-    build_circuits,
-    run_transfer,
-    validate_variant_params,
-)
+from .onion import RouterRegistry, Variant, build_circuits, run_transfer
 
 DEFAULT_FULL_PIPELINE_FRACTION = 0.01
 
@@ -73,37 +67,20 @@ class BridgePool:
 
 @dataclass(frozen=True)
 class CensorScenario:
-    """One experiment point: a bridge pool plus a variant and its code shape."""
+    """One experiment point: a bridge pool plus the code shape the client runs."""
 
     pool: BridgePool
-    variant: Variant
     params: CodeParams
 
     def __post_init__(self):
-        validate_variant_params(self.variant, self.params)
         if self.params.n > len(self.pool):
             raise ValueError(
                 f"cannot select {self.params.n} bridges from a pool of {len(self.pool)}"
             )
 
     @property
-    def n(self) -> int:
-        return self.params.n
-
-    @classmethod
-    def for_variant(cls, pool: BridgePool, variant: Variant | str, n: int, r: int = 0) -> "CensorScenario":
-        variant = Variant(variant)
-        if variant is Variant.OTOR:
-            if n != 1 or r != 0:
-                raise ValueError("otor is a single uncoded circuit: n=1, r=0")
-            params = CodeParams(1, 1, 0)
-        elif variant is Variant.MTOR:
-            if r != 0:
-                raise ValueError("mtor carries no redundancy: r=0")
-            params = CodeParams(n, n, 0)
-        else:
-            params = CodeParams(n, n - r, r)
-        return cls(pool, variant, params)
+    def variant(self) -> Variant:
+        return Variant.of(self.params)
 
 
 @dataclass(frozen=True)
@@ -169,12 +146,11 @@ def run_trial(
         circuit_rng = rng
     if registry is None:
         registry = default_registry()
-    chosen = select_bridges(scenario.pool, scenario.n, rng)
-    blocked_count = sum(1 for b in chosen if b in scenario.pool.known)
+    chosen = select_bridges(scenario.pool, scenario.params.n, rng)
+    blocked = {i for i, b in enumerate(chosen) if b in scenario.pool.known}
+    blocked_count = len(blocked)
     circuits = build_circuits(chosen, registry, circuit_rng)
-    for circuit in circuits:
-        circuit.blocked = circuit.entry.router_id in scenario.pool.known
-    result = run_transfer(scenario.variant, scenario.params, message, circuits)
+    result = run_transfer(circuits, scenario.params, message, blocked)
     interrupted = not result.success
     if interrupted != interrupted_by_rule(blocked_count, scenario.params):
         raise ConsistencyError(
@@ -196,9 +172,10 @@ def run_campaign(
     """Estimate the interruption probability over many independent trials.
 
     Most trials take the fast path (bridge selection and the blocked-count
-    rule only); a deterministic stride of them additionally runs the full
-    encode/transmit/decode pipeline, which cross-checks the rule on every
-    such trial. The empirical fraction comes with a 95% binomial
+    rule only); round(trials * full_pipeline_fraction) of them, at least one
+    when the fraction is positive, spread evenly over the campaign, run the
+    full encode/transmit/decode pipeline instead, which cross-checks the
+    rule on every such trial. The empirical fraction comes with a 95% binomial
     confidence half-width.
     """
     if trials < 1:
@@ -207,16 +184,18 @@ def run_campaign(
         raise ValueError("full_pipeline_fraction must be in [0, 1]")
     select_rng = derive_rng(seed, "bridge-selection")
     circuit_rng = derive_rng(seed, "circuit-construction")
-    stride = round(1 / full_pipeline_fraction) if full_pipeline_fraction > 0 else 0
+    quota = round(trials * full_pipeline_fraction)
+    if full_pipeline_fraction > 0:
+        quota = max(quota, 1)
 
     ordered = scenario.pool.ordered
     known = scenario.pool.known
-    n = scenario.n
+    n = scenario.params.n
     absorbable = scenario.params.r
     sample = select_rng.sample
     interruptions = 0
     for i in range(trials):
-        if stride and i % stride == 0:
+        if (i + 1) * quota // trials > i * quota // trials:
             outcome = run_trial(
                 scenario, message, select_rng, circuit_rng=circuit_rng, registry=registry
             )

@@ -26,8 +26,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence, TextIO
 
-from .analytics import ResourceLimitError, SweepRow, sweep
+from .analytics import (
+    DEFAULT_CONFIGS,
+    DEFAULT_KNOWN_RANGE,
+    DEFAULT_UNKNOWN,
+    ResourceLimitError,
+    SweepRow,
+    sweep,
+)
 from .censor import (
+    DEFAULT_FULL_PIPELINE_FRACTION,
     BridgePool,
     CensorScenario,
     derive_rng,
@@ -36,7 +44,14 @@ from .censor import (
     select_bridges,
 )
 from .codec import CodeParams
-from .onion import RouterRegistry, Variant, build_circuits, run_transfer
+from .onion import (
+    DEFAULT_EXIT_POOL,
+    DEFAULT_MIDDLE_POOL,
+    RouterRegistry,
+    Variant,
+    build_circuits,
+    run_transfer,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -44,15 +59,15 @@ EXIT_INTERRUPTED = 2
 EXIT_RESOURCE = 3
 
 _DEFAULTS = {
-    "mb": 25,
-    "mknown": "0..25",
-    "variant": ("otor", "mtor:4", "mtor:5", "mtor:8", "mtor:10", "ctor:5:2", "ctor:10:4"),
+    "mb": DEFAULT_UNKNOWN,
+    "mknown": DEFAULT_KNOWN_RANGE,
+    "variant": DEFAULT_CONFIGS,
     "trials": 10000,
     "seed": 0,
     "out": "-",
-    "full_pipeline_fraction": 0.01,
-    "middles": 50,
-    "exits": 10,
+    "full_pipeline_fraction": DEFAULT_FULL_PIPELINE_FRACTION,
+    "middles": DEFAULT_MIDDLE_POOL,
+    "exits": DEFAULT_EXIT_POOL,
 }
 
 
@@ -60,7 +75,7 @@ _DEFAULTS = {
 class ExperimentConfig:
     mb: int
     mknown: tuple[int, ...]
-    variants: tuple[tuple[Variant, int, int], ...]
+    variants: tuple[CodeParams, ...]
     trials: int
     seed: int
     out: str
@@ -69,22 +84,23 @@ class ExperimentConfig:
     exits: int
 
 
-def parse_variant_spec(text: str) -> tuple[Variant, int, int]:
-    """Parse 'otor', 'mtor:<n>', or 'ctor:<n>:<r>'."""
+def parse_variant_spec(text: str) -> CodeParams:
+    """Parse 'otor', 'mtor:<n>', or 'ctor:<n>:<r>' into the code shape it names.
+
+    'mtor:1' is the same shape as 'otor', and Variant.of names it otor.
+    """
     parts = text.strip().lower().split(":")
     try:
-        if parts[0] == "otor" and len(parts) == 1:
-            return (Variant.OTOR, 1, 0)
+        if parts == ["otor"]:
+            return CodeParams(1, 1, 0)
         if parts[0] == "mtor" and len(parts) == 2:
             n = int(parts[1])
-            if n < 1:
-                raise ValueError
-            return (Variant.MTOR, n, 0)
+            return CodeParams(n, n, 0)
         if parts[0] == "ctor" and len(parts) == 3:
             n, r = int(parts[1]), int(parts[2])
             if not 1 <= r < n:
                 raise ValueError
-            return (Variant.CTOR, n, r)
+            return CodeParams(n, n - r, r)
         raise ValueError
     except ValueError:
         raise ValueError(
@@ -136,16 +152,18 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             return value
         return file_values.get(name, _DEFAULTS[name])
 
-    variants_raw = raw("variant")
-    if isinstance(variants_raw, str):
-        variants_raw = tuple(s.strip() for s in variants_raw.split(",") if s.strip())
-    variants = tuple(parse_variant_spec(s) for s in variants_raw)
+    # flags and file values are text; the defaults are already parsed
+    mknown = raw("mknown")
+    variants = raw("variant")
+    if isinstance(variants, str):
+        variants = [s for s in variants.split(",") if s.strip()]
+    variants = tuple(parse_variant_spec(s) if isinstance(s, str) else s for s in variants)
     if not variants:
         raise ValueError("at least one variant is required")
 
     cfg = ExperimentConfig(
         mb=int(raw("mb")),
-        mknown=_parse_mknown(str(raw("mknown"))),
+        mknown=_parse_mknown(mknown) if isinstance(mknown, str) else tuple(mknown),
         variants=variants,
         trials=int(raw("trials")),
         seed=int(raw("seed")),
@@ -168,10 +186,10 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     if cfg.middles < 1 or cfg.exits < 1:
         raise ValueError("--middles and --exits must be >= 1")
     smallest_pool = cfg.mb + min(cfg.mknown)
-    for _, n, _ in cfg.variants:
-        if n > smallest_pool:
+    for params in cfg.variants:
+        if params.n > smallest_pool:
             raise ValueError(
-                f"n={n} circuits cannot select from the smallest grid pool of {smallest_pool} bridges"
+                f"n={params.n} circuits cannot select from the smallest grid pool of {smallest_pool} bridges"
             )
 
 
@@ -188,32 +206,28 @@ def _write_analytic_csv(rows: Sequence[SweepRow], fh: TextIO) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["m_known", "variant", "n", "r", "p_exact_num", "p_exact_den", "p_float"])
     for row in rows:
-        p = row.probability
+        p, params = row.probability, row.params
         writer.writerow(
-            [row.m_known, row.variant.value, row.n, row.r, p.numerator, p.denominator, repr(float(p))]
+            [row.m_known, Variant.of(params).value, params.n, params.r, p.numerator, p.denominator, repr(float(p))]
         )
 
 
-def _grid_points(cfg: ExperimentConfig) -> list[tuple[int, Variant, int, int]]:
-    points = [
-        (m_known, variant, n, r)
-        for m_known in cfg.mknown
-        for variant, n, r in cfg.variants
-    ]
-    points.sort(key=lambda t: (t[0], t[1].value, t[2]))
+def _grid_points(cfg: ExperimentConfig) -> list[tuple[int, CodeParams]]:
+    points = [(m_known, params) for m_known in cfg.mknown for params in cfg.variants]
+    points.sort(key=lambda t: (t[0], Variant.of(t[1]).value, t[1].n))
     return points
 
 
 def _write_simulated_csv(cfg: ExperimentConfig, fh: TextIO) -> None:
-    if max(n for _, n, _ in cfg.variants) > cfg.middles:
+    if max(params.n for params in cfg.variants) > cfg.middles:
         raise ValueError("--middles must cover the largest n in the variant list")
     registry = RouterRegistry.build(cfg.middles, cfg.exits)
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["m_known", "variant", "n", "r", "p_empirical", "ci95", "trials", "seed"])
-    for m_known, variant, n, r in _grid_points(cfg):
-        pool = BridgePool.build(cfg.mb, m_known)
-        scenario = CensorScenario.for_variant(pool, variant, n, r)
-        point_seed = derive_seed(cfg.seed, f"point:{m_known}:{variant.value}:{n}:{r}")
+    for m_known, params in _grid_points(cfg):
+        scenario = CensorScenario(BridgePool.build(cfg.mb, m_known), params)
+        variant, n, r = scenario.variant.value, params.n, params.r
+        point_seed = derive_seed(cfg.seed, f"point:{m_known}:{variant}:{n}:{r}")
         result = run_campaign(
             scenario,
             cfg.trials,
@@ -222,7 +236,7 @@ def _write_simulated_csv(cfg: ExperimentConfig, fh: TextIO) -> None:
             registry=registry,
         )
         writer.writerow(
-            [m_known, variant.value, n, r, repr(result.p_empirical), repr(result.ci95), cfg.trials, cfg.seed]
+            [m_known, variant, n, r, repr(result.p_empirical), repr(result.ci95), cfg.trials, cfg.seed]
         )
 
 
@@ -257,15 +271,7 @@ def cmd_fig2(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _params_for(variant: Variant, n: int, r: int) -> CodeParams:
-    if variant is Variant.OTOR:
-        return CodeParams(1, 1, 0)
-    if variant is Variant.MTOR:
-        return CodeParams(n, n, 0)
-    return CodeParams(n, n - r, r)
-
-
-def _parse_block_list(text: str | None, n: int) -> tuple[int, ...]:
+def _parse_block_list(text: str | None, n: int) -> list[int]:
     if not text:
         return ()
     try:
@@ -275,15 +281,14 @@ def _parse_block_list(text: str | None, n: int) -> tuple[int, ...]:
     for i in indices:
         if not 0 <= i < n:
             raise ValueError(f"--block index {i} outside 0..{n - 1}")
-    return tuple(indices)
+    return indices
 
 
 def cmd_e2e(args: argparse.Namespace) -> int:
     specs = args.variant or ["ctor:4:1"]
     if len(specs) != 1:
         raise ValueError("e2e takes exactly one --variant")
-    variant, n, r = parse_variant_spec(specs[0])
-    params = _params_for(variant, n, r)
+    params = parse_variant_spec(specs[0])
     seed = args.seed if args.seed is not None else _DEFAULTS["seed"]
     middles = args.middles if args.middles is not None else _DEFAULTS["middles"]
     exits = args.exits if args.exits is not None else _DEFAULTS["exits"]
@@ -305,7 +310,6 @@ def cmd_e2e(args: argparse.Namespace) -> int:
     if args.block is not None and args.scenario_seed is not None:
         raise ValueError("--block and --scenario-seed are mutually exclusive")
 
-    sampled = None
     if args.scenario_seed is not None:
         mb = args.mb if args.mb is not None else _DEFAULTS["mb"]
         if args.mknown is None:
@@ -315,26 +319,21 @@ def cmd_e2e(args: argparse.Namespace) -> int:
             raise ValueError("--scenario-seed needs a single --mknown value, not a range")
         pool = BridgePool.build(mb, mknown_values[0])
         bridges = select_bridges(pool, params.n, derive_rng(args.scenario_seed, "bridge-selection"))
-        blocked_ids = {b for b in bridges if b in pool.known}
-        sampled = (bridges, blocked_ids)
+        blocked = [i for i, b in enumerate(bridges) if b in pool.known]
     else:
         bridges = [f"bridge-{i:02d}" for i in range(params.n)]
-        blocked_ids = {bridges[i] for i in _parse_block_list(args.block, params.n)}
+        blocked = _parse_block_list(args.block, params.n)
 
     registry = RouterRegistry.build(middles, exits)
     circuits = build_circuits(bridges, registry, derive_rng(seed, "circuit-construction"))
-    for circuit in circuits:
-        circuit.blocked = circuit.entry.router_id in blocked_ids
+    result = run_transfer(circuits, params, message, blocked)
 
-    result = run_transfer(variant, params, message, circuits)
-
-    blocked_indices = [i for i, c in enumerate(circuits) if c.blocked]
-    print(f"variant: {variant.value} (n={params.n}, k={params.k}, r={params.r})")
-    if sampled is not None:
-        chosen, known_chosen = sampled
-        print(f"bridges: {', '.join(chosen)}")
-        print(f"censor-known among them: {sorted(known_chosen) if known_chosen else 'none'}")
-    print(f"blocked circuits: {blocked_indices if blocked_indices else 'none'}")
+    print(f"variant: {Variant.of(params).value} (n={params.n}, k={params.k}, r={params.r})")
+    if args.scenario_seed is not None:
+        known_chosen = sorted(bridges[i] for i in blocked)
+        print(f"bridges: {', '.join(bridges)}")
+        print(f"censor-known among them: {known_chosen if known_chosen else 'none'}")
+    print(f"blocked circuits: {list(blocked) if blocked else 'none'}")
     print(f"message: {len(message)} bytes in {len(result.delivered_counts)} generation(s)")
     for gid, delivered in enumerate(result.delivered_counts):
         status = "unrecoverable" if gid in result.failed_generations else "decoded"
@@ -355,19 +354,27 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    known = DEFAULT_KNOWN_RANGE
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="FILE", help="key = value config file; explicit flags win")
-    common.add_argument("--mb", type=int, help="bridges unknown to the censor (default 25)")
-    common.add_argument("--mknown", metavar="N|A..B", help="censor-known bridge count, single or range (default 0..25)")
+    common.add_argument("--mb", type=int, help=f"bridges unknown to the censor (default {DEFAULT_UNKNOWN})")
+    common.add_argument(
+        "--mknown",
+        metavar="N|A..B",
+        help=f"censor-known bridge count, single or range (default {known.start}..{known.stop - 1})",
+    )
     common.add_argument(
         "--variant",
         action="append",
         metavar="SPEC",
         help="otor | mtor:<n> | ctor:<n>:<r>, repeatable (default: the standard curve set)",
     )
-    common.add_argument("--out", metavar="PATH", help="output file, '-' for stdout (fig2: output directory)")
-    common.add_argument("--middles", type=int, help="middle relay pool size (default 50)")
-    common.add_argument("--exits", type=int, help="exit relay pool size (default 10)")
+    common.add_argument("--middles", type=int, help=f"middle relay pool size (default {DEFAULT_MIDDLE_POOL})")
+    common.add_argument("--exits", type=int, help=f"exit relay pool size (default {DEFAULT_EXIT_POOL})")
+
+    # the grid commands only; e2e rejects both
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--config", metavar="FILE", help="key = value config file; explicit flags win")
+    grid.add_argument("--out", metavar="PATH", help="output file, '-' for stdout (fig2: output directory)")
 
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, help="master seed (default 0)")
@@ -378,17 +385,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "--full-pipeline-fraction",
         type=float,
         dest="full_pipeline_fraction",
-        help="fraction of trials running the byte pipeline (default 0.01)",
+        help=f"fraction of trials running the byte pipeline (default {DEFAULT_FULL_PIPELINE_FRACTION})",
     )
 
     parser = _Parser(prog="ctorsim", description="bridge-blocking resilience experiments")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("analytic", parents=[common], help="exact probability grid as CSV")
+    p = sub.add_parser("analytic", parents=[common, grid], help="exact probability grid as CSV")
     p.set_defaults(handler=cmd_analytic)
-    p = sub.add_parser("simulate", parents=[common, seeded, monte], help="Monte Carlo grid as CSV")
+    p = sub.add_parser("simulate", parents=[common, grid, seeded, monte], help="Monte Carlo grid as CSV")
     p.set_defaults(handler=cmd_simulate)
-    p = sub.add_parser("fig2", parents=[common, seeded, monte], help="emit analytic and simulated CSVs together")
+    p = sub.add_parser("fig2", parents=[common, grid, seeded, monte], help="emit analytic and simulated CSVs together")
     p.set_defaults(handler=cmd_fig2)
     p = sub.add_parser("e2e", parents=[common, seeded], help="run one transfer end to end")
     p.add_argument("--message-file", metavar="FILE", help="payload to send")

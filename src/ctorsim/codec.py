@@ -13,7 +13,6 @@ be processed independently and concurrently.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -154,19 +153,6 @@ def build_generator(params: CodeParams) -> GeneratorMatrix:
             for i in range(r):
                 block[i][j] = gf256.mul(block[i][j], s)
         rows.extend(bytes(row) for row in block)
-    return GeneratorMatrix(params, tuple(rows))
-
-
-def build_random_generator(params: CodeParams, rng: random.Random) -> GeneratorMatrix:
-    """Systematic generator with uniformly random parity coefficients.
-
-    Experimental mode without the any-k guarantee: a k-subset touching the
-    random rows may be singular, in which case decoding reports the
-    generation as unrecoverable rather than silently mis-decoding.
-    """
-    k, r = params.k, params.r
-    rows = [_unit_row(k, i) for i in range(k)]
-    rows.extend(bytes(rng.randrange(256) for _ in range(k)) for _ in range(r))
     return GeneratorMatrix(params, tuple(rows))
 
 

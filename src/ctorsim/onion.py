@@ -17,13 +17,12 @@ import hashlib
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Collection, Iterator, Sequence
 
 from .codec import (
     CodeParams,
     CodedCell,
     Generation,
-    GeneratorMatrix,
     UnrecoverableGeneration,
     build_generator,
     decode_generation,
@@ -41,6 +40,13 @@ class Variant(str, Enum):
     OTOR = "otor"
     MTOR = "mtor"
     CTOR = "ctor"
+
+    @classmethod
+    def of(cls, params: CodeParams) -> "Variant":
+        """Name a code shape: one circuit is otor, no redundancy is mtor, else ctor."""
+        if params.n == 1:
+            return cls.OTOR
+        return cls.MTOR if params.r == 0 else cls.CTOR
 
 
 class RouterKind(str, Enum):
@@ -90,14 +96,13 @@ class RouterRegistry:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Circuit:
-    """entry -> middle -> exit relay chain; blocked when its entry is censored."""
+    """entry -> middle -> exit relay chain."""
 
     entry: OnionRouter
     middle: OnionRouter
     exit: OnionRouter
-    blocked: bool = False
 
     @property
     def circuit_id(self) -> str:
@@ -206,15 +211,20 @@ def peel_layer(cell: LayeredCell, router: OnionRouter) -> LayeredCell:
 
 
 def transmit(
-    circuits: CircuitSet, coded_generations: Sequence[Sequence[CodedCell]]
+    circuits: CircuitSet,
+    coded_generations: Sequence[Sequence[CodedCell]],
+    blocked: Collection[int] = frozenset(),
 ) -> list[CodedCell]:
     """Carry every generation across the circuit set; sub-flow i rides circuit i.
 
-    Blocked circuits drop their whole sub-flow silently. Surviving cells are
-    wrapped, peeled hop by hop, and reparsed from wire bytes, so the returned
-    cells are exactly what the exit relay can see.
+    The circuits whose indices are in `blocked` drop their whole sub-flow
+    silently. Surviving cells are wrapped, peeled hop by hop, and reparsed
+    from wire bytes, so the returned cells are exactly what the exit relay
+    can see.
     """
     n = len(circuits)
+    if not all(0 <= i < n for i in blocked):
+        raise ValueError(f"blocked circuit indices {sorted(blocked)} outside 0..{n - 1}")
     delivered: list[CodedCell] = []
     for gen_cells in coded_generations:
         if len(gen_cells) != n:
@@ -224,7 +234,7 @@ def transmit(
                 raise ValueError(
                     f"sub-flow {cell.subflow_index} offered to circuit {idx}; order mismatch"
                 )
-            if circuit.blocked:
+            if idx in blocked:
                 continue
             layered = wrap_layers(cell.to_wire(), circuit, seq=cell.generation_id)
             for router in (circuit.entry, circuit.middle, circuit.exit):
@@ -241,40 +251,24 @@ class TransferResult:
     delivered_counts: tuple[int, ...]
 
 
-def validate_variant_params(variant: Variant, params: CodeParams) -> None:
-    """Reject CodeParams that do not fit the variant's shape."""
-    variant = Variant(variant)
-    if variant is Variant.OTOR and (params.n, params.k, params.r) != (1, 1, 0):
-        raise ValueError(f"otor runs one uncoded circuit (n=1, k=1, r=0), got {params}")
-    if variant is Variant.MTOR and params.r != 0:
-        raise ValueError(f"mtor carries no redundancy (r=0), got {params}")
-    if variant is Variant.CTOR and params.r < 1:
-        raise ValueError(f"ctor needs redundancy (r >= 1), got {params}")
-
-
 def run_transfer(
-    variant: Variant,
+    circuits: CircuitSet,
     params: CodeParams,
     message: bytes,
-    circuits: CircuitSet,
-    matrix: GeneratorMatrix | None = None,
+    blocked: Collection[int] = frozenset(),
 ) -> TransferResult:
     """One full client-to-exit transfer of a message over a circuit set.
 
     Success means every generation decoded and the reassembled bytes equal
-    the message; for otor and mtor that reduces to no circuit being blocked.
+    the message; for otor and mtor that reduces to no circuit in `blocked`.
     """
-    validate_variant_params(variant, params)
     if len(circuits) != params.n:
         raise ValueError(f"{len(circuits)} circuits for code with n={params.n}")
-    if matrix is None:
-        matrix = build_generator(params)
-    elif matrix.params != params:
-        raise ValueError("generator matrix was built for different code parameters")
+    matrix = build_generator(params)
 
     generations = split_message(message, params.k)
     coded = [encode_generation(g, matrix) for g in generations]
-    arrived = transmit(circuits, coded)
+    arrived = transmit(circuits, coded, blocked)
 
     by_generation: dict[int, list[CodedCell]] = {}
     for cell in arrived:

@@ -135,7 +135,7 @@ def test_criterion_4_monte_carlo_convergence():
         exact = float(
             p_block_lnc(25, m_known, n, r) if r else p_block_plain(25, m_known, n)
         )
-        scenario = CensorScenario.for_variant(BridgePool.build(25, m_known), variant, n, r)
+        scenario = CensorScenario(BridgePool.build(25, m_known), CodeParams(n, n - r, r))
         seed = derive_seed(0, f"acceptance-4:{m_known}:{variant}:{n}:{r}")
         result = run_campaign(scenario, trials, seed)
         sigma = math.sqrt(exact * (1.0 - exact) / trials)
@@ -148,11 +148,11 @@ def test_criterion_4_monte_carlo_convergence():
 def test_criterion_5_pipeline_combinatorics_consistency():
     """Transport success equals the blocked-count rule on every single trial."""
     scenarios = [
-        CensorScenario.for_variant(BridgePool.build(25, 5), "otor", 1),
-        CensorScenario.for_variant(BridgePool.build(25, 5), "mtor", 4),
-        CensorScenario.for_variant(BridgePool.build(25, 5), "ctor", 4, 1),
-        CensorScenario.for_variant(BridgePool.build(25, 8), "ctor", 5, 2),
-        CensorScenario.for_variant(BridgePool.build(25, 12), "ctor", 10, 4),
+        CensorScenario(BridgePool.build(25, 5), CodeParams(1, 1, 0)),
+        CensorScenario(BridgePool.build(25, 5), CodeParams(4, 4, 0)),
+        CensorScenario(BridgePool.build(25, 5), CodeParams(4, 3, 1)),
+        CensorScenario(BridgePool.build(25, 8), CodeParams(5, 3, 2)),
+        CensorScenario(BridgePool.build(25, 12), CodeParams(10, 6, 4)),
     ]
     message = b"consistency-check-payload!" * 40
     per_scenario = 10_000 // len(scenarios)

@@ -15,6 +15,7 @@ from ctorsim.analytics import (
     p_block_plain,
     sweep,
 )
+from ctorsim.codec import CodeParams
 from ctorsim.onion import Variant
 
 
@@ -134,24 +135,25 @@ class TestSweep:
     def test_default_grid_shape_and_order(self):
         rows = sweep(DEFAULT_UNKNOWN, DEFAULT_KNOWN_RANGE, DEFAULT_CONFIGS)
         assert len(rows) == 26 * len(DEFAULT_CONFIGS)
-        keys = [(r.m_known, r.variant.value, r.n) for r in rows]
+        keys = [(r.m_known, Variant.of(r.params).value, r.params.n) for r in rows]
         assert keys == sorted(keys)
 
     def test_single_point_matches_point_operation(self):
-        [row] = sweep(25, [5], [(Variant.MTOR, 4, 0)])
+        [row] = sweep(25, [5], [CodeParams(4, 4, 0)])
         assert row.probability == p_block_plain(25, 5, 4)
-        [row] = sweep(25, [5], [(Variant.CTOR, 4, 1)])
+        [row] = sweep(25, [5], [CodeParams(4, 3, 1)])
         assert row.probability == p_block_lnc(25, 5, 4, 1)
 
     def test_coded_rows_never_exceed_uncoded_rows(self):
         rows = sweep(DEFAULT_UNKNOWN, DEFAULT_KNOWN_RANGE, DEFAULT_CONFIGS)
-        table = {(r.m_known, r.variant, r.n): r.probability for r in rows}
+        table = {(r.m_known, Variant.of(r.params), r.params.n): r.probability for r in rows}
         for m_known in DEFAULT_KNOWN_RANGE:
             for n in (5, 10):
                 assert table[(m_known, Variant.CTOR, n)] <= table[(m_known, Variant.MTOR, n)]
 
     def test_bad_config_rejected(self):
+        # the shape itself is checked by CodeParams; sweep checks it against the pool
         with pytest.raises(ValueError):
-            sweep(25, [5], [(Variant.CTOR, 4, 0)])
+            sweep(2, [1], [CodeParams(4, 3, 1)])
         with pytest.raises(ValueError):
-            sweep(25, [5], [(Variant.OTOR, 2, 0)])
+            sweep(25, [-1], [CodeParams(1, 1, 0)])

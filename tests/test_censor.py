@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from ctorsim import censor
 from ctorsim.analytics import p_block_plain
 from ctorsim.censor import (
     BridgePool,
@@ -22,8 +23,8 @@ from ctorsim.codec import CodeParams
 from ctorsim.onion import Variant
 
 
-def scenario(num_unknown, num_known, variant, n, r=0) -> CensorScenario:
-    return CensorScenario.for_variant(BridgePool.build(num_unknown, num_known), variant, n, r)
+def scenario(num_unknown, num_known, n, r=0) -> CensorScenario:
+    return CensorScenario(BridgePool.build(num_unknown, num_known), CodeParams(n, n - r, r))
 
 
 class TestBridgePool:
@@ -72,22 +73,14 @@ class TestSelectBridges:
 
 
 class TestScenario:
-    def test_for_variant_shapes(self):
-        assert scenario(25, 5, "otor", 1).params == CodeParams(1, 1, 0)
-        assert scenario(25, 5, "mtor", 4).params == CodeParams(4, 4, 0)
-        assert scenario(25, 5, "ctor", 4, 1).params == CodeParams(4, 3, 1)
+    def test_variant_named_from_params(self):
+        assert scenario(25, 5, 1).variant is Variant.OTOR
+        assert scenario(25, 5, 4).variant is Variant.MTOR
+        assert scenario(25, 5, 4, 1).variant is Variant.CTOR
 
     def test_pool_too_small_rejected(self):
         with pytest.raises(ValueError):
-            scenario(2, 1, "mtor", 4)
-
-    def test_variant_shape_mismatches_rejected(self):
-        with pytest.raises(ValueError):
-            scenario(25, 5, "otor", 2)
-        with pytest.raises(ValueError):
-            scenario(25, 5, "mtor", 4, r=1)
-        with pytest.raises(ValueError):
-            scenario(25, 5, "ctor", 4, r=0)
+            scenario(2, 1, 4)
 
     def test_rule(self):
         params = CodeParams(4, 3, 1)
@@ -98,19 +91,19 @@ class TestScenario:
 
 class TestRunTrial:
     def test_no_known_bridges_never_interrupts(self):
-        s = scenario(10, 0, "mtor", 4)
+        s = scenario(10, 0, 4)
         for i in range(20):
             assert not run_trial(s, None, derive_rng(i, "t")).interrupted
 
     def test_all_known_bridges_always_interrupt(self):
-        s = scenario(0, 10, "mtor", 4)
+        s = scenario(0, 10, 4)
         for i in range(20):
             outcome = run_trial(s, None, derive_rng(i, "t"))
             assert outcome.interrupted
             assert outcome.blocked_count == 4
 
     def test_ctor_tolerates_exactly_one_known_bridge(self):
-        s = scenario(25, 5, "ctor", 4, 1)
+        s = scenario(25, 5, 4, 1)
         rng = derive_rng(1, "hunt")
         seen_single = 0
         for _ in range(200):
@@ -121,7 +114,7 @@ class TestRunTrial:
         assert seen_single > 0  # the hunt actually exercised the case
 
     def test_outcome_fields(self):
-        s = scenario(25, 5, "mtor", 4)
+        s = scenario(25, 5, 4)
         outcome = run_trial(s, b"payload-bytes", derive_rng(3, "t"))
         assert isinstance(outcome, TrialOutcome)
         assert len(outcome.chosen_bridges) == 4
@@ -133,22 +126,22 @@ class TestRunTrial:
 
 class TestRunCampaign:
     def test_impossible_event_is_exactly_zero(self):
-        result = run_campaign(scenario(10, 0, "mtor", 4), 2000, seed=0)
+        result = run_campaign(scenario(10, 0, 4), 2000, seed=0)
         assert result.p_empirical == 0.0
         assert result.interruptions == 0
 
     def test_certain_event_is_exactly_one(self):
-        result = run_campaign(scenario(0, 10, "mtor", 4), 2000, seed=0)
+        result = run_campaign(scenario(0, 10, 4), 2000, seed=0)
         assert result.p_empirical == 1.0
 
     def test_deterministic_for_fixed_seed(self):
-        s = scenario(25, 5, "mtor", 4)
+        s = scenario(25, 5, 4)
         assert run_campaign(s, 5000, seed=11) == run_campaign(s, 5000, seed=11)
 
     def test_selection_stream_independent_of_pipeline_fraction(self):
         # substreams are derived separately, so the estimate must not move
         # when the cross-check fraction changes
-        s = scenario(25, 5, "mtor", 4)
+        s = scenario(25, 5, 4)
         a = run_campaign(s, 4000, seed=2, full_pipeline_fraction=0.0)
         b = run_campaign(s, 4000, seed=2, full_pipeline_fraction=0.05)
         assert a.interruptions == b.interruptions
@@ -156,27 +149,42 @@ class TestRunCampaign:
     def test_matches_exact_value_within_three_sigma(self):
         exact = float(p_block_plain(25, 5, 4))
         assert abs(exact - 0.53841) < 5e-6  # frozen from exhaustive enumeration
-        result = run_campaign(scenario(25, 5, "mtor", 4), 100_000, seed=0)
+        result = run_campaign(scenario(25, 5, 4), 100_000, seed=0)
         sigma = math.sqrt(exact * (1 - exact) / result.trials)
         assert abs(result.p_empirical - exact) <= 3 * sigma
 
     def test_ci_formula(self):
-        result = run_campaign(scenario(25, 5, "mtor", 4), 1000, seed=5)
+        result = run_campaign(scenario(25, 5, 4), 1000, seed=5)
         p = result.p_empirical
         assert result.ci95 == pytest.approx(1.96 * math.sqrt(p * (1 - p) / 1000))
 
     def test_empirical_monotonicity_in_known_bridges(self):
         # coarse check: widely separated knowledge levels, generous margin
-        lo = run_campaign(scenario(25, 2, "mtor", 4), 20_000, seed=4)
-        hi = run_campaign(scenario(25, 12, "mtor", 4), 20_000, seed=4)
+        lo = run_campaign(scenario(25, 2, 4), 20_000, seed=4)
+        hi = run_campaign(scenario(25, 12, 4), 20_000, seed=4)
         assert hi.p_empirical > lo.p_empirical
 
     def test_rejects_bad_arguments(self):
-        s = scenario(25, 5, "mtor", 4)
+        s = scenario(25, 5, 4)
         with pytest.raises(ValueError):
             run_campaign(s, 0, seed=0)
         with pytest.raises(ValueError):
             run_campaign(s, 10, seed=0, full_pipeline_fraction=1.5)
+
+    @pytest.mark.parametrize(
+        "trials,fraction,expected",
+        [(1000, 0.6, 600), (1000, 0.7, 700), (100, 0.29, 29), (10, 0.01, 1), (100, 0, 0), (3, 1, 3)],
+    )
+    def test_pipeline_runs_the_fraction_it_names(self, monkeypatch, trials, fraction, expected):
+        calls = []
+
+        def counting_run_trial(*args, **kwargs):
+            calls.append(1)
+            return run_trial(*args, **kwargs)
+
+        monkeypatch.setattr(censor, "run_trial", counting_run_trial)
+        run_campaign(scenario(25, 5, 1), trials, seed=1, full_pipeline_fraction=fraction)
+        assert len(calls) == expected
 
 
 class TestSeedDerivation:

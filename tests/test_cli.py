@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from ctorsim.analytics import DEFAULT_CONFIGS, DEFAULT_KNOWN_RANGE, DEFAULT_UNKNOWN, sweep
 from ctorsim.cli import (
     EXIT_INTERRUPTED,
     EXIT_OK,
@@ -12,6 +13,7 @@ from ctorsim.cli import (
     main,
     parse_variant_spec,
 )
+from ctorsim.codec import CodeParams
 from ctorsim.onion import Variant
 
 
@@ -22,9 +24,16 @@ def read_csv(path):
 
 class TestVariantSpecs:
     def test_parses_all_forms(self):
-        assert parse_variant_spec("otor") == (Variant.OTOR, 1, 0)
-        assert parse_variant_spec("mtor:4") == (Variant.MTOR, 4, 0)
-        assert parse_variant_spec("ctor:10:4") == (Variant.CTOR, 10, 4)
+        assert parse_variant_spec("otor") == CodeParams(1, 1, 0)
+        assert parse_variant_spec("mtor:4") == CodeParams(4, 4, 0)
+        assert parse_variant_spec("ctor:10:4") == CodeParams(10, 6, 4)
+
+    def test_mtor_one_is_otor(self, capsys):
+        assert parse_variant_spec("mtor:1") == parse_variant_spec("otor")
+        assert Variant.of(parse_variant_spec("mtor:1")) is Variant.OTOR
+        assert main(["analytic", "--mknown", "3", "--variant", "mtor:1"]) == EXIT_OK
+        [_, row] = capsys.readouterr().out.strip().splitlines()
+        assert row.split(",")[1:4] == ["otor", "1", "0"]
 
     @pytest.mark.parametrize("bad", ["", "tor", "otor:2", "mtor", "ctor:4", "ctor:4:4", "ctor:4:0", "mtor:x"])
     def test_rejects_malformed(self, bad):
@@ -41,6 +50,16 @@ class TestAnalytic:
         assert len(rows) == 1 + 26 * 7
         keys = [(int(r[0]), r[1], int(r[2])) for r in rows[1:]]
         assert keys == sorted(keys)
+
+    def test_no_flags_writes_the_library_default_grid(self, capsys):
+        assert main(["analytic"]) == EXIT_OK
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
+        expected = [
+            [str(row.m_known), Variant.of(row.params).value, str(row.params.n), str(row.params.r),
+             str(row.probability.numerator), str(row.probability.denominator), repr(float(row.probability))]
+            for row in sweep(DEFAULT_UNKNOWN, DEFAULT_KNOWN_RANGE, DEFAULT_CONFIGS)
+        ]
+        assert rows == expected
 
     def test_known_row_value(self, tmp_path):
         out = tmp_path / "one.csv"
@@ -170,6 +189,13 @@ class TestE2E:
 
     def test_block_and_scenario_seed_conflict(self):
         assert main(["e2e", "--block", "0", "--scenario-seed", "1", "--mknown", "5"]) == EXIT_USAGE
+
+    def test_grid_only_flags_rejected(self, tmp_path):
+        # --config and --out shape the grid commands; e2e must not accept and ignore them
+        assert main(["e2e", "--config", str(tmp_path / "none.cfg")]) == EXIT_USAGE
+        out = tmp_path / "report.txt"
+        assert main(["e2e", "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
 
     def test_scenario_seed_requires_single_mknown(self):
         assert main(["e2e", "--scenario-seed", "1"]) == EXIT_USAGE

@@ -1,5 +1,6 @@
 """Transport model: circuit construction, layering, delivery, transfers."""
 
+import dataclasses
 import itertools
 import random
 
@@ -19,7 +20,6 @@ from ctorsim.onion import (
     peel_layer,
     run_transfer,
     transmit,
-    validate_variant_params,
     wrap_layers,
 )
 
@@ -62,6 +62,11 @@ class TestBuildCircuits:
     def test_shared_exit(self, registry):
         cs = circuits_for(6, registry)
         assert len({c.exit.router_id for c in cs}) == 1
+
+    def test_circuits_are_frozen(self, registry):
+        circuit = circuits_for(1, registry)[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            circuit.entry = bridge_router("other")
 
     def test_disjointness_enforced_by_circuit_set(self, registry):
         c = circuits_for(2, registry)[0]
@@ -145,19 +150,20 @@ class TestTransmit:
     def test_blocked_circuit_drops_whole_subflow(self, registry):
         params = CodeParams(4, 3, 1)
         coded = self.make_coded(params, bytes(3000))
-        circuits = circuits_for(4, registry)
-        circuits[2].blocked = True
-        delivered = transmit(circuits, coded)
+        delivered = transmit(circuits_for(4, registry), coded, {2})
         assert len(delivered) == 3 * len(coded)
         assert all(cell.subflow_index != 2 for cell in delivered)
 
     def test_total_blocking_delivers_nothing(self, registry):
         params = CodeParams(2, 1, 1)
         coded = self.make_coded(params, bytes(100))
-        circuits = circuits_for(2, registry)
-        for c in circuits:
-            c.blocked = True
-        assert transmit(circuits, coded) == []
+        assert transmit(circuits_for(2, registry), coded, {0, 1}) == []
+
+    def test_blocked_index_outside_circuit_set_rejected(self, registry):
+        params = CodeParams(2, 2, 0)
+        coded = self.make_coded(params, bytes(100))
+        with pytest.raises(ValueError):
+            transmit(circuits_for(2, registry), coded, {2})
 
     def test_subflow_circuit_order_mismatch_rejected(self, registry):
         params = CodeParams(2, 2, 0)
@@ -174,6 +180,8 @@ class TestTransmit:
 
 
 class TestVariantValidation:
+    """Variant.of is the one place a code shape gets its name."""
+
     @pytest.mark.parametrize(
         "variant,params",
         [
@@ -183,7 +191,7 @@ class TestVariantValidation:
         ],
     )
     def test_accepts_consistent(self, variant, params):
-        validate_variant_params(variant, params)
+        assert Variant.of(params) is variant
 
     @pytest.mark.parametrize(
         "variant,params",
@@ -195,58 +203,36 @@ class TestVariantValidation:
         ],
     )
     def test_rejects_mismatch(self, variant, params):
-        with pytest.raises(ValueError):
-            validate_variant_params(variant, params)
+        assert Variant.of(params) is not variant
 
 
 class TestRunTransfer:
     def test_ctor_survives_single_blocked_circuit(self, registry):
         message = random.Random(20).randbytes(4000)
-        circuits = circuits_for(4, registry)
-        circuits[2].blocked = True
-        result = run_transfer(Variant.CTOR, CodeParams(4, 3, 1), message, circuits)
+        result = run_transfer(circuits_for(4, registry), CodeParams(4, 3, 1), message, {2})
         assert result.success
         assert result.data == message
         assert result.failed_generations == ()
         assert all(count == 3 for count in result.delivered_counts)
 
     def test_mtor_fails_on_single_blocked_circuit(self, registry):
-        circuits = circuits_for(4, registry)
-        circuits[2].blocked = True
-        result = run_transfer(Variant.MTOR, CodeParams(4, 4, 0), bytes(1000), circuits)
+        result = run_transfer(circuits_for(4, registry), CodeParams(4, 4, 0), bytes(1000), {2})
         assert not result.success
         assert result.data is None
         assert len(result.failed_generations) == len(result.delivered_counts)
 
     def test_ctor_fails_beyond_redundancy(self, registry):
-        circuits = circuits_for(4, registry)
-        circuits[1].blocked = True
-        circuits[2].blocked = True
-        result = run_transfer(Variant.CTOR, CodeParams(4, 3, 1), bytes(1000), circuits)
+        result = run_transfer(circuits_for(4, registry), CodeParams(4, 3, 1), bytes(1000), {1, 2})
         assert not result.success
 
     def test_otor_round_trip(self, registry):
         message = random.Random(21).randbytes(600)
-        result = run_transfer(Variant.OTOR, CodeParams(1, 1, 0), message, circuits_for(1, registry))
+        result = run_transfer(circuits_for(1, registry), CodeParams(1, 1, 0), message)
         assert result.success and result.data == message
 
     def test_circuit_count_must_match_params(self, registry):
         with pytest.raises(ValueError):
-            run_transfer(Variant.MTOR, CodeParams(4, 4, 0), bytes(10), circuits_for(3, registry))
-
-    def test_variant_mismatch_rejected(self, registry):
-        with pytest.raises(ValueError):
-            run_transfer(Variant.OTOR, CodeParams(4, 4, 0), bytes(10), circuits_for(4, registry))
-
-    def test_foreign_matrix_rejected(self, registry):
-        with pytest.raises(ValueError):
-            run_transfer(
-                Variant.MTOR,
-                CodeParams(2, 2, 0),
-                bytes(10),
-                circuits_for(2, registry),
-                matrix=build_generator(CodeParams(3, 2, 1)),
-            )
+            run_transfer(circuits_for(3, registry), CodeParams(4, 4, 0), bytes(10))
 
     @pytest.mark.parametrize(
         "variant,params",
@@ -259,10 +245,10 @@ class TestRunTransfer:
     )
     def test_success_iff_blocking_within_redundancy(self, registry, variant, params):
         # every blocked-subset pattern, not just single losses
+        assert Variant.of(params) is variant
         message = random.Random(22).randbytes(1500)
-        for pattern in itertools.product([False, True], repeat=params.n):
-            circuits = circuits_for(params.n, registry)
-            for circuit, blocked in zip(circuits, pattern):
-                circuit.blocked = blocked
-            result = run_transfer(variant, params, message, circuits)
-            assert result.success == (sum(pattern) <= params.r), pattern
+        circuits = circuits_for(params.n, registry)
+        for size in range(params.n + 1):
+            for blocked in itertools.combinations(range(params.n), size):
+                result = run_transfer(circuits, params, message, blocked)
+                assert result.success == (size <= params.r), blocked
