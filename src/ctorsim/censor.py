@@ -97,6 +97,7 @@ class CampaignResult:
     p_empirical: float
     ci95: float
     seed: int
+    pipeline_trials: int  # trials that ran the full byte pipeline
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -188,21 +189,24 @@ def run_campaign(
     if full_pipeline_fraction > 0:
         quota = max(quota, 1)
 
-    ordered = scenario.pool.ordered
+    # sample() picks positions whatever the population holds, so drawing known
+    # flags consumes the RNG exactly as drawing the bridge ids would
     known = scenario.pool.known
+    flags = tuple(int(b in known) for b in scenario.pool.ordered)
     n = scenario.params.n
     absorbable = scenario.params.r
     sample = select_rng.sample
     interruptions = 0
+    pipeline_trials = 0
     for i in range(trials):
         if (i + 1) * quota // trials > i * quota // trials:
             outcome = run_trial(
                 scenario, message, select_rng, circuit_rng=circuit_rng, registry=registry
             )
             interruptions += outcome.interrupted
+            pipeline_trials += 1
         else:
-            blocked = sum(1 for b in sample(ordered, n) if b in known)
-            interruptions += blocked > absorbable
+            interruptions += sum(sample(flags, n)) > absorbable
     p = interruptions / trials
     ci95 = 1.96 * math.sqrt(p * (1.0 - p) / trials)
-    return CampaignResult(trials, interruptions, p, ci95, seed)
+    return CampaignResult(trials, interruptions, p, ci95, seed, pipeline_trials)

@@ -13,6 +13,7 @@ be processed independently and concurrently.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -135,6 +136,9 @@ def _unit_row(k: int, i: int) -> bytes:
     return bytes(row)
 
 
+# GeneratorMatrix is frozen and its rows are bytes, so every caller can share
+# one instance per code shape.
+@functools.lru_cache(maxsize=64)
 def build_generator(params: CodeParams) -> GeneratorMatrix:
     """Deterministic systematic generator whose every k-row subset is invertible.
 

@@ -13,6 +13,7 @@ peeling detectable; bare XOR layers would commute.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from dataclasses import dataclass
@@ -62,6 +63,7 @@ class OnionRouter:
     layer_key: bytes
 
 
+@functools.lru_cache(maxsize=1024)
 def derive_layer_key(router_id: str) -> bytes:
     """Deterministic per-router key material; stands in for real key exchange."""
     return hashlib.shake_256(b"layer-key:" + router_id.encode()).digest(16)
@@ -176,27 +178,34 @@ class LayeredCell:
     seq: int
 
 
+# The three layer streams of a cell are derived in wrap_layers and consumed
+# again, in reverse order, by the three peel_layer calls that follow it, so a
+# cache of three streams makes that one SHAKE call per (cell, hop).
+@functools.lru_cache(maxsize=3)
 def _keystream(key: bytes, circuit_id: str, seq: int, depth: int, size: int) -> bytes:
     if not key:
         raise ValueError("router layer key must be non-empty")
-    h = hashlib.shake_256()
-    h.update(len(key).to_bytes(2, "big"))
-    h.update(key)
     cid = circuit_id.encode()
-    h.update(len(cid).to_bytes(2, "big"))
-    h.update(cid)
-    h.update(seq.to_bytes(8, "big"))
-    h.update(bytes([depth]))
-    return h.digest(size)
+    return hashlib.shake_256(
+        b"".join((
+            len(key).to_bytes(2, "big"),
+            key,
+            len(cid).to_bytes(2, "big"),
+            cid,
+            seq.to_bytes(8, "big"),
+            bytes([depth]),
+        ))
+    ).digest(size)
 
 
 def wrap_layers(cell_bytes: bytes, circuit: Circuit, seq: int = 0) -> LayeredCell:
     """Apply the exit, middle, and entry stream layers, in that order, so that
     peeling proceeds entry -> middle -> exit."""
-    data = bytes(cell_bytes)
+    size = len(cell_bytes)
+    acc = int.from_bytes(cell_bytes, "big")
     for depth, router in ((1, circuit.exit), (2, circuit.middle), (3, circuit.entry)):
-        data = xor_bytes(data, _keystream(router.layer_key, circuit.circuit_id, seq, depth, len(data)))
-    return LayeredCell(data, 3, circuit.circuit_id, seq)
+        acc ^= int.from_bytes(_keystream(router.layer_key, circuit.circuit_id, seq, depth, size), "big")
+    return LayeredCell(acc.to_bytes(size, "big"), 3, circuit.circuit_id, seq)
 
 
 def peel_layer(cell: LayeredCell, router: OnionRouter) -> LayeredCell:

@@ -183,8 +183,43 @@ class TestRunCampaign:
             return run_trial(*args, **kwargs)
 
         monkeypatch.setattr(censor, "run_trial", counting_run_trial)
-        run_campaign(scenario(25, 5, 1), trials, seed=1, full_pipeline_fraction=fraction)
+        result = run_campaign(scenario(25, 5, 1), trials, seed=1, full_pipeline_fraction=fraction)
         assert len(calls) == expected
+        assert result.pipeline_trials == len(calls)
+
+
+def reference_fast_path(s: CensorScenario, trials: int, seed: int) -> int:
+    """The fast path as a set lookup per drawn bridge id: interruptions counted."""
+    sample = derive_rng(seed, "bridge-selection").sample
+    interruptions = 0
+    for _ in range(trials):
+        blocked = sum(1 for b in sample(s.pool.ordered, s.params.n) if b in s.pool.known)
+        interruptions += blocked > s.params.r
+    return interruptions
+
+
+POOLS = [(25, 5, 4), (25, 0, 1), (0, 10, 4), (25, 25, 10), (3, 2, 5), (40, 7, 9)]
+
+
+class TestFlagSumFastPath:
+    """Summing known-bridge flags must count exactly what the set lookups count."""
+
+    @pytest.mark.parametrize("num_unknown,num_known,n", POOLS)
+    def test_flag_sum_equals_set_lookup_count(self, num_unknown, num_known, n):
+        pool = BridgePool.build(num_unknown, num_known)
+        flags = tuple(int(b in pool.known) for b in pool.ordered)
+        by_flag, by_id = random.Random(n), random.Random(n)
+        for _ in range(20_000):
+            expected = sum(1 for b in by_id.sample(pool.ordered, n) if b in pool.known)
+            assert sum(by_flag.sample(flags, n)) == expected
+        assert by_flag.getstate() == by_id.getstate()
+
+    @pytest.mark.parametrize("num_unknown,num_known,n", POOLS)
+    def test_campaign_matches_reference_fast_path(self, num_unknown, num_known, n):
+        s = scenario(num_unknown, num_known, n, r=n // 3)
+        result = run_campaign(s, 3000, seed=8, full_pipeline_fraction=0)
+        assert result.interruptions == reference_fast_path(s, 3000, 8)
+        assert result.pipeline_trials == 0
 
 
 class TestSeedDerivation:

@@ -68,6 +68,21 @@ class TestBuildGenerator:
         p = CodeParams(10, 6, 4)
         assert build_generator(p) == build_generator(p)
 
+    def test_one_shared_instance_per_shape(self):
+        p = CodeParams(10, 6, 4)
+        assert build_generator(p) is build_generator(p)
+        assert build_generator(p) == build_generator.__wrapped__(p)
+
+    def test_rebuilt_after_eviction_equals_the_first(self):
+        p = CodeParams(10, 6, 4)
+        first = build_generator(p)
+        maxsize = build_generator.cache_info().maxsize
+        for k in range(1, maxsize + 2):
+            build_generator(CodeParams(k + 1, k, 1))
+        again = build_generator(p)
+        assert again is not first  # the cache is bounded and p was evicted
+        assert again == first
+
     @pytest.mark.parametrize("n,k", [(4, 3), (5, 3), (10, 6), (9, 4)])
     def test_every_k_row_subset_invertible(self, n, k):
         m = build_generator(CodeParams(n, k, n - k))

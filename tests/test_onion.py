@@ -1,13 +1,16 @@
 """Transport model: circuit construction, layering, delivery, transfers."""
 
 import dataclasses
+import hashlib
 import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ctorsim import onion
 from ctorsim.codec import CodeParams, UnrecoverableGeneration, build_generator, encode_generation, split_message
+from ctorsim.gf256 import xor_bytes
 from ctorsim.onion import (
     CircuitSet,
     Circuit,
@@ -17,6 +20,7 @@ from ctorsim.onion import (
     Variant,
     build_circuits,
     bridge_router,
+    derive_layer_key,
     peel_layer,
     run_transfer,
     transmit,
@@ -132,6 +136,114 @@ class TestLayering:
         )
         with pytest.raises(ValueError):
             wrap_layers(b"\x00" * 16, bad)
+
+
+def reference_keystream(key: bytes, circuit_id: str, seq: int, depth: int, size: int) -> bytes:
+    """Uncached layer stream, absorbed field by field."""
+    h = hashlib.shake_256()
+    h.update(len(key).to_bytes(2, "big"))
+    h.update(key)
+    cid = circuit_id.encode()
+    h.update(len(cid).to_bytes(2, "big"))
+    h.update(cid)
+    h.update(seq.to_bytes(8, "big"))
+    h.update(bytes([depth]))
+    return h.digest(size)
+
+
+def reference_wrap(cell_bytes: bytes, circuit: Circuit, seq: int) -> bytes:
+    """wrap_layers as three bytes-domain XORs over uncached streams."""
+    data = bytes(cell_bytes)
+    for depth, router in ((1, circuit.exit), (2, circuit.middle), (3, circuit.entry)):
+        data = xor_bytes(data, reference_keystream(router.layer_key, circuit.circuit_id, seq, depth, len(data)))
+    return data
+
+
+REGISTRY = RouterRegistry.build()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    cell=st.binary(max_size=700),
+    seq=st.integers(0, 2**64 - 1),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 10),
+    data=st.data(),
+)
+def test_wrap_matches_reference(cell, seq, seed, n, data):
+    circuits = build_circuits([f"b{i}" for i in range(n)], REGISTRY, random.Random(seed))
+    circuit = circuits[data.draw(st.integers(0, n - 1))]
+    layered = wrap_layers(cell, circuit, seq=seq)
+    assert layered.payload == reference_wrap(cell, circuit, seq)
+    assert (layered.layers_remaining, layered.circuit_id, layered.seq) == (3, circuit.circuit_id, seq)
+
+
+class TestKeystreamCache:
+    """The stream cache saves SHAKE calls and must never change a byte."""
+
+    def test_circuits_sharing_an_exit_get_distinct_streams(self, registry):
+        first, second = circuits_for(2, registry)
+        assert first.exit == second.exit
+        wire = random.Random(4).randbytes(520)
+        a = wrap_layers(wire, first, seq=7)
+        b = wrap_layers(wire, second, seq=7)
+        assert a.payload != b.payload
+        assert a.payload == reference_wrap(wire, first, 7)
+        assert b.payload == reference_wrap(wire, second, 7)
+
+    def test_peeling_with_the_other_circuits_routers_garbles(self, registry):
+        first, second = circuits_for(2, registry)
+        wire = random.Random(5).randbytes(520)
+        wrap_layers(wire, second, seq=7)  # leave the other circuit's streams cached
+        cell = wrap_layers(wire, first, seq=7)
+        for router in (second.entry, second.middle, second.exit):
+            cell = peel_layer(cell, router)
+        assert cell.payload != wire
+
+    def test_out_of_order_and_wrong_key_peels_garble_right_after_wrap(self, registry):
+        circuit = circuits_for(1, registry)[0]
+        wire = random.Random(6).randbytes(520)
+        cell = wrap_layers(wire, circuit, seq=1)
+        for router in (circuit.exit, circuit.middle, circuit.entry):  # reversed
+            cell = peel_layer(cell, router)
+        assert cell.payload != wire
+        cell = wrap_layers(wire, circuit, seq=1)
+        cell = peel_layer(cell, bridge_router("someone-else"))
+        for router in (circuit.middle, circuit.exit):
+            cell = peel_layer(cell, router)
+        assert cell.payload != wire
+
+    def test_peel_streams_match_reference(self, registry):
+        circuit = circuits_for(1, registry)[0]
+        wire = random.Random(7).randbytes(520)
+        cell = wrap_layers(wire, circuit, seq=2)
+        expected = cell.payload
+        for depth, router in ((3, circuit.entry), (2, circuit.middle), (1, circuit.exit)):
+            expected = xor_bytes(expected, reference_keystream(router.layer_key, circuit.circuit_id, 2, depth, 520))
+            cell = peel_layer(cell, router)
+            assert cell.payload == expected
+        assert cell.payload == wire
+
+    def test_results_survive_cache_clear(self, registry):
+        params = CodeParams(4, 3, 1)
+        matrix = build_generator(params)
+        coded = [encode_generation(g, matrix) for g in split_message(bytes(range(256)) * 9, params.k)]
+        circuits = circuits_for(4, registry)
+        warm = transmit(circuits, coded, {1})
+        wrapped = wrap_layers(b"cell", circuits[0], seq=3)
+        onion._keystream.cache_clear()
+        assert transmit(circuits, coded, {1}) == warm
+        onion._keystream.cache_clear()
+        assert wrap_layers(b"cell", circuits[0], seq=3) == wrapped
+
+    def test_layer_key_is_derived_once_per_router(self):
+        assert derive_layer_key("b0") is derive_layer_key("b0")
+        assert derive_layer_key("b0") == hashlib.shake_256(b"layer-key:b0").digest(16)
+        assert derive_layer_key("b0") != derive_layer_key("b1")
+
+    def test_caches_are_bounded(self):
+        assert onion._keystream.cache_info().maxsize == 3
+        assert derive_layer_key.cache_info().maxsize is not None
 
 
 class TestTransmit:

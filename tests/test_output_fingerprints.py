@@ -1,0 +1,48 @@
+"""Golden output fingerprints: fixed-seed CLI runs must reproduce these bytes.
+
+A change that moves an RNG stream, a CSV byte or a report line fails here,
+not only in the benchmark's cross-run hash check. The hashes are SHA-256 of
+the output files (and of the e2e report on stdout). A change that alters an
+output on purpose updates the hash and says why.
+"""
+
+import hashlib
+
+from ctorsim.cli import EXIT_INTERRUPTED, EXIT_OK, main
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_fig2_csvs(tmp_path, capsys):
+    assert main(["fig2", "--trials", "200", "--seed", "7", "--out", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    assert sha256((tmp_path / "fig2_analytic.csv").read_bytes()) == (
+        "8a6056addea74c1c3a827b8a627e7165ada69192fdbeb03797c9c088370dfdc6"
+    )
+    assert sha256((tmp_path / "fig2_simulated.csv").read_bytes()) == (
+        "13c0ce60bb61763a63b18dd6387c517d9776f32692971a9bf6b6713ee90acd04"
+    )
+
+
+def test_simulate_full_pipeline_csv(tmp_path):
+    out = tmp_path / "sim.csv"
+    argv = ["simulate", "--mknown", "0..4", "--trials", "3", "--seed", "3",
+            "--full-pipeline-fraction", "1", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert sha256(out.read_bytes()) == "19f7037e25db756d32640fef768a18545963bbe613cb5b877373de804e87b61b"
+
+
+def run_e2e(block, capsys):
+    code = main(["e2e", "--variant", "ctor:10:4", "--message-size", "20000", "--seed", "5",
+                 "--block", block])
+    return code, sha256(capsys.readouterr().out.encode())
+
+
+def test_e2e_report_with_blocking_absorbed(capsys):
+    assert run_e2e("1,4,7", capsys) == (EXIT_OK, "94731167324e875a2d864fb991a3a1e97a6a61bdb8843376c684f3ece25b7b87")
+
+
+def test_e2e_report_with_blocking_beyond_redundancy(capsys):
+    assert run_e2e("0,1,2,3,4", capsys) == (EXIT_INTERRUPTED, "4fc934ef7a8fd99f2b21b502ada2d77955db7172a1c829701644f938688b8f07")
