@@ -97,7 +97,6 @@ class CampaignResult:
     p_empirical: float
     ci95: float
     seed: int
-    pipeline_trials: int  # trials that ran the full byte pipeline
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -197,16 +196,14 @@ def run_campaign(
     absorbable = scenario.params.r
     sample = select_rng.sample
     interruptions = 0
-    pipeline_trials = 0
     for i in range(trials):
         if (i + 1) * quota // trials > i * quota // trials:
             outcome = run_trial(
                 scenario, message, select_rng, circuit_rng=circuit_rng, registry=registry
             )
             interruptions += outcome.interrupted
-            pipeline_trials += 1
         else:
             interruptions += sum(sample(flags, n)) > absorbable
     p = interruptions / trials
     ci95 = 1.96 * math.sqrt(p * (1.0 - p) / trials)
-    return CampaignResult(trials, interruptions, p, ci95, seed, pipeline_trials)
+    return CampaignResult(trials, interruptions, p, ci95, seed)

@@ -63,7 +63,6 @@ class OnionRouter:
     layer_key: bytes
 
 
-@functools.lru_cache(maxsize=1024)
 def derive_layer_key(router_id: str) -> bytes:
     """Deterministic per-router key material; stands in for real key exchange."""
     return hashlib.shake_256(b"layer-key:" + router_id.encode()).digest(16)

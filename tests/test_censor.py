@@ -183,9 +183,8 @@ class TestRunCampaign:
             return run_trial(*args, **kwargs)
 
         monkeypatch.setattr(censor, "run_trial", counting_run_trial)
-        result = run_campaign(scenario(25, 5, 1), trials, seed=1, full_pipeline_fraction=fraction)
+        run_campaign(scenario(25, 5, 1), trials, seed=1, full_pipeline_fraction=fraction)
         assert len(calls) == expected
-        assert result.pipeline_trials == len(calls)
 
 
 def reference_fast_path(s: CensorScenario, trials: int, seed: int) -> int:
@@ -219,7 +218,6 @@ class TestFlagSumFastPath:
         s = scenario(num_unknown, num_known, n, r=n // 3)
         result = run_campaign(s, 3000, seed=8, full_pipeline_fraction=0)
         assert result.interruptions == reference_fast_path(s, 3000, 8)
-        assert result.pipeline_trials == 0
 
 
 class TestSeedDerivation:
