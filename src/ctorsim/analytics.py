@@ -122,17 +122,21 @@ class SweepRow:
     probability: Fraction
 
 
+def grid_points(known_range: Iterable[int], configs: Sequence[CodeParams]) -> list[tuple[int, CodeParams]]:
+    """The (m_known, params) grid every CSV walks, sorted by (m_known, variant, n)."""
+    points = [(m_known, params) for m_known in known_range for params in configs]
+    points.sort(key=lambda point: (point[0], Variant.of(point[1]).value, point[1].n))
+    return points
+
+
 def sweep(
     unknown: int,
     known_range: Iterable[int],
     configs: Sequence[CodeParams] = DEFAULT_CONFIGS,
 ) -> list[SweepRow]:
-    """Exact probability grid over known-bridge counts and code shapes,
-    sorted by (m_known, variant, n)."""
-    rows = [
+    """Exact probability grid over known-bridge counts and code shapes, in
+    grid_points order."""
+    return [
         SweepRow(m_known, params, p_block_lnc(unknown, m_known, params.n, params.r))
-        for m_known in known_range
-        for params in configs
+        for m_known, params in grid_points(known_range, configs)
     ]
-    rows.sort(key=lambda row: (row.m_known, Variant.of(row.params).value, row.params.n))
-    return rows

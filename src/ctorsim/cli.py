@@ -7,7 +7,11 @@ Subcommands:
   fig2       preset emitting both grid CSVs in one invocation
 
 Configuration comes from defaults, an optional `key = value` file, and
-command-line flags, in increasing precedence. All CSV output is plain
+command-line flags, in increasing precedence. Each option has one default
+and one parser (ExperimentConfig), which reads flag and file text alike.
+Every check runs before any output is opened, so a rejected run leaves
+existing outputs alone. e2e takes --mb and --mknown only with
+--scenario-seed. All CSV output is plain
 comma-separated text with a header row and newline line endings, ordered
 deterministically, so identical (config, seed) runs are byte-identical.
 
@@ -22,7 +26,7 @@ import csv
 import hashlib
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import Field, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterator, Sequence, TextIO
 
@@ -32,6 +36,7 @@ from .analytics import (
     DEFAULT_UNKNOWN,
     ResourceLimitError,
     SweepRow,
+    grid_points,
     sweep,
 )
 from .censor import (
@@ -58,30 +63,7 @@ EXIT_USAGE = 1
 EXIT_INTERRUPTED = 2
 EXIT_RESOURCE = 3
 
-_DEFAULTS = {
-    "mb": DEFAULT_UNKNOWN,
-    "mknown": DEFAULT_KNOWN_RANGE,
-    "variant": DEFAULT_CONFIGS,
-    "trials": 10000,
-    "seed": 0,
-    "out": "-",
-    "full_pipeline_fraction": DEFAULT_FULL_PIPELINE_FRACTION,
-    "middles": DEFAULT_MIDDLE_POOL,
-    "exits": DEFAULT_EXIT_POOL,
-}
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    mb: int
-    mknown: tuple[int, ...]
-    variants: tuple[CodeParams, ...]
-    trials: int
-    seed: int
-    out: str
-    full_pipeline_fraction: float
-    middles: int
-    exits: int
+_VARIANT_FORMS = "otor | mtor:<n> | ctor:<n>:<r> with 1 <= r < n"
 
 
 def parse_variant_spec(text: str) -> CodeParams:
@@ -103,32 +85,49 @@ def parse_variant_spec(text: str) -> CodeParams:
             return CodeParams(n, n - r, r)
         raise ValueError
     except ValueError:
-        raise ValueError(
-            f"bad variant spec {text!r}: expected otor | mtor:<n> | ctor:<n>:<r> with 1 <= r < n"
-        ) from None
+        raise ValueError(f"bad variant spec {text!r}: expected {_VARIANT_FORMS}") from None
 
 
 def _parse_mknown(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    try:
-        if ".." in text:
-            lo_s, _, hi_s = text.partition("..")
-            lo, hi = int(lo_s), int(hi_s)
-            if lo < 0 or hi < lo:
-                raise ValueError
-            return tuple(range(lo, hi + 1))
-        value = int(text)
-        if value < 0:
-            raise ValueError
-        return (value,)
-    except ValueError:
-        raise ValueError(f"bad --mknown {text!r}: expected N or A..B with 0 <= A <= B") from None
+    lo_s, dots, hi_s = text.partition("..")
+    lo, hi = int(lo_s), int(hi_s if dots else lo_s)
+    if not 0 <= lo <= hi:
+        raise ValueError
+    return tuple(range(lo, hi + 1))
 
 
-def _load_config_file(path: Path) -> dict[str, str]:
+def _option(default, parse, expects: str = "", *, repeatable: bool = False):
+    """A field with its default and the parser of its flag and file text. A repeatable
+    option is a repeated flag or a comma list in the file; its value is the parsed items."""
+    return field(default=default, metadata={"parse": parse, "expects": expects, "repeatable": repeatable})
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """The options of every command, by config-file key (the flag is --key with '-' for '_')."""
+
+    mb: int = _option(DEFAULT_UNKNOWN, int, "an integer")
+    mknown: tuple[int, ...] = _option(tuple(DEFAULT_KNOWN_RANGE), _parse_mknown, "N or A..B with 0 <= A <= B")
+    variant: tuple[CodeParams, ...] = _option(DEFAULT_CONFIGS, parse_variant_spec, _VARIANT_FORMS, repeatable=True)
+    trials: int = _option(10000, int, "an integer")
+    seed: int = _option(0, int, "an integer")
+    out: str = _option("-", str)
+    full_pipeline_fraction: float = _option(DEFAULT_FULL_PIPELINE_FRACTION, float, "a number")
+    middles: int = _option(DEFAULT_MIDDLE_POOL, int, "an integer")
+    exits: int = _option(DEFAULT_EXIT_POOL, int, "an integer")
+
+
+_OPTIONS = {opt.name: opt for opt in fields(ExperimentConfig)}
+# e2e runs one transfer, so its default is one variant rather than the curve set
+_E2E_DEFAULTS = ExperimentConfig(variant=(CodeParams(4, 3, 1),))
+
+
+def _load_config_file(path: Path) -> dict[str, str | list[str]]:
+    """Option texts by key, shaped as the flags give them: a list of items for
+    a repeatable option, one string otherwise."""
     if not path.is_file():
         raise ValueError(f"config file not found: {path}")
-    values: dict[str, str] = {}
+    values: dict[str, str | list[str]] = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -137,60 +136,72 @@ def _load_config_file(path: Path) -> dict[str, str]:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         values[key.strip().replace("-", "_")] = value.strip()
-    unknown = set(values) - set(_DEFAULTS)
+    unknown = set(values) - set(_OPTIONS)
     if unknown:
         raise ValueError(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
+    for key in values:
+        if _OPTIONS[key].metadata["repeatable"]:
+            values[key] = [item for item in values[key].split(",") if item.strip()]
     return values
 
 
-def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    file_values = _load_config_file(Path(args.config)) if getattr(args, "config", None) else {}
-
-    def raw(name: str):
-        value = getattr(args, name, None)
-        if value is not None:
-            return value
-        return file_values.get(name, _DEFAULTS[name])
-
-    # flags and file values are text; the defaults are already parsed
-    mknown = raw("mknown")
-    variants = raw("variant")
-    if isinstance(variants, str):
-        variants = [s for s in variants.split(",") if s.strip()]
-    variants = tuple(parse_variant_spec(s) if isinstance(s, str) else s for s in variants)
-    if not variants:
-        raise ValueError("at least one variant is required")
-
-    cfg = ExperimentConfig(
-        mb=int(raw("mb")),
-        mknown=_parse_mknown(mknown) if isinstance(mknown, str) else tuple(mknown),
-        variants=variants,
-        trials=int(raw("trials")),
-        seed=int(raw("seed")),
-        out=str(raw("out")),
-        full_pipeline_fraction=float(raw("full_pipeline_fraction")),
-        middles=int(raw("middles")),
-        exits=int(raw("exits")),
-    )
-    _validate_config(cfg)
-    return cfg
+def _parse_option(opt: Field, text: str, where: str):
+    try:
+        return opt.metadata["parse"](text)
+    except ValueError:
+        raise ValueError(f"{where} {text!r}: expected {opt.metadata['expects']}") from None
 
 
-def _validate_config(cfg: ExperimentConfig) -> None:
+def _resolve_config(args: argparse.Namespace, defaults: ExperimentConfig = ExperimentConfig()) -> ExperimentConfig:
+    """Flags win over the config file and the file over `defaults`; the scalar checks run here."""
+    path = getattr(args, "config", None)
+    file_values = _load_config_file(Path(path)) if path else {}
+    values = {}
+    for name, opt in _OPTIONS.items():
+        if getattr(args, name, None) is not None:
+            text, where = getattr(args, name), "bad --" + name.replace("_", "-")
+        elif name in file_values:
+            text, where = file_values[name], f"{path}: bad {name}"
+        else:
+            continue
+        if opt.metadata["repeatable"]:
+            values[name] = tuple(_parse_option(opt, item, where) for item in text)
+        else:
+            values[name] = _parse_option(opt, text, where)
+    cfg = replace(defaults, **values)
     if cfg.mb < 0:
         raise ValueError("--mb must be non-negative")
+    if not cfg.variant:
+        raise ValueError("at least one variant is required")
     if cfg.trials < 1:
         raise ValueError("--trials must be >= 1")
     if not 0.0 <= cfg.full_pipeline_fraction <= 1.0:
         raise ValueError("--full-pipeline-fraction must be in [0, 1]")
     if cfg.middles < 1 or cfg.exits < 1:
         raise ValueError("--middles and --exits must be >= 1")
+    return cfg
+
+
+def _grid_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The resolved config of a grid command, whose every point must be able to select its n bridges."""
+    cfg = _resolve_config(args)
+    largest_n = max(params.n for params in cfg.variant)
     smallest_pool = cfg.mb + min(cfg.mknown)
-    for params in cfg.variants:
-        if params.n > smallest_pool:
-            raise ValueError(
-                f"n={params.n} circuits cannot select from the smallest grid pool of {smallest_pool} bridges"
-            )
+    if largest_n > smallest_pool:
+        raise ValueError(
+            f"n={largest_n} circuits cannot select from the smallest grid pool of {smallest_pool} bridges"
+        )
+    return cfg
+
+
+def _registry(cfg: ExperimentConfig) -> RouterRegistry:
+    """The relay pools for circuit sets of every configured variant, which need n distinct middles each."""
+    largest_n = max(params.n for params in cfg.variant)
+    if largest_n > cfg.middles:
+        raise ValueError(
+            f"n={largest_n} circuits need at least {largest_n} middle relays, got --middles {cfg.middles}"
+        )
+    return RouterRegistry.build(cfg.middles, cfg.exits)
 
 
 @contextmanager
@@ -212,19 +223,10 @@ def _write_analytic_csv(rows: Sequence[SweepRow], fh: TextIO) -> None:
         )
 
 
-def _grid_points(cfg: ExperimentConfig) -> list[tuple[int, CodeParams]]:
-    points = [(m_known, params) for m_known in cfg.mknown for params in cfg.variants]
-    points.sort(key=lambda t: (t[0], Variant.of(t[1]).value, t[1].n))
-    return points
-
-
-def _write_simulated_csv(cfg: ExperimentConfig, fh: TextIO) -> None:
-    if max(params.n for params in cfg.variants) > cfg.middles:
-        raise ValueError("--middles must cover the largest n in the variant list")
-    registry = RouterRegistry.build(cfg.middles, cfg.exits)
+def _write_simulated_csv(cfg: ExperimentConfig, registry: RouterRegistry, fh: TextIO) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["m_known", "variant", "n", "r", "p_empirical", "ci95", "trials", "seed"])
-    for m_known, params in _grid_points(cfg):
+    for m_known, params in grid_points(cfg.mknown, cfg.variant):
         scenario = CensorScenario(BridgePool.build(cfg.mb, m_known), params)
         variant, n, r = scenario.variant.value, params.n, params.r
         point_seed = derive_seed(cfg.seed, f"point:{m_known}:{variant}:{n}:{r}")
@@ -241,41 +243,43 @@ def _write_simulated_csv(cfg: ExperimentConfig, fh: TextIO) -> None:
 
 
 def cmd_analytic(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    rows = sweep(cfg.mb, cfg.mknown, cfg.variants)
+    cfg = _grid_config(args)
+    rows = sweep(cfg.mb, cfg.mknown, cfg.variant)
     with _open_out(cfg.out) as fh:
         _write_analytic_csv(rows, fh)
     return EXIT_OK
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+    cfg = _grid_config(args)
+    registry = _registry(cfg)
     with _open_out(cfg.out) as fh:
-        _write_simulated_csv(cfg, fh)
+        _write_simulated_csv(cfg, registry, fh)
     return EXIT_OK
 
 
 def cmd_fig2(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+    cfg = _grid_config(args)
+    registry = _registry(cfg)
+    rows = sweep(cfg.mb, cfg.mknown, cfg.variant)
     out_dir = Path("." if cfg.out == "-" else cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     analytic_path = out_dir / "fig2_analytic.csv"
     simulated_path = out_dir / "fig2_simulated.csv"
-    rows = sweep(cfg.mb, cfg.mknown, cfg.variants)
     with open(analytic_path, "w", newline="") as fh:
         _write_analytic_csv(rows, fh)
     with open(simulated_path, "w", newline="") as fh:
-        _write_simulated_csv(cfg, fh)
+        _write_simulated_csv(cfg, registry, fh)
     print(f"wrote {analytic_path}")
     print(f"wrote {simulated_path}")
     return EXIT_OK
 
 
-def _parse_block_list(text: str | None, n: int) -> list[int]:
+def _parse_block_list(text: str | None, n: int) -> tuple[int, ...]:
     if not text:
         return ()
     try:
-        indices = sorted({int(part) for part in text.split(",")})
+        indices = tuple(sorted({int(part) for part in text.split(",")}))
     except ValueError:
         raise ValueError(f"bad --block {text!r}: expected comma-separated circuit indices") from None
     for i in indices:
@@ -285,47 +289,33 @@ def _parse_block_list(text: str | None, n: int) -> list[int]:
 
 
 def cmd_e2e(args: argparse.Namespace) -> int:
-    specs = args.variant or ["ctor:4:1"]
-    if len(specs) != 1:
+    cfg = _resolve_config(args, _E2E_DEFAULTS)
+    if len(cfg.variant) != 1:
         raise ValueError("e2e takes exactly one --variant")
-    params = parse_variant_spec(specs[0])
-    seed = args.seed if args.seed is not None else _DEFAULTS["seed"]
-    middles = args.middles if args.middles is not None else _DEFAULTS["middles"]
-    exits = args.exits if args.exits is not None else _DEFAULTS["exits"]
-    if params.n > middles:
-        raise ValueError(f"n={params.n} circuits need at least {params.n} middle relays")
+    [params] = cfg.variant
+    registry = _registry(cfg)
+    if args.scenario_seed is None:
+        if args.mb is not None or args.mknown is not None:
+            raise ValueError("--mb and --mknown apply only with --scenario-seed")
+        bridges = [f"bridge-{i:02d}" for i in range(params.n)]
+        blocked = _parse_block_list(args.block, params.n)
+    else:
+        if args.mknown is None or len(cfg.mknown) != 1:
+            raise ValueError("--scenario-seed needs a single --mknown value")
+        pool = BridgePool.build(cfg.mb, cfg.mknown[0])
+        bridges = select_bridges(pool, params.n, derive_rng(args.scenario_seed, "bridge-selection"))
+        blocked = tuple(i for i, b in enumerate(bridges) if b in pool.known)
 
-    if args.message_file is not None and args.message_size is not None:
-        raise ValueError("--message-file and --message-size are mutually exclusive")
     if args.message_file is not None:
         message = Path(args.message_file).read_bytes()
         if not message:
             raise ValueError(f"{args.message_file} is empty")
     else:
-        size = args.message_size if args.message_size is not None else 4096
-        if size < 1:
+        if args.message_size < 1:
             raise ValueError("--message-size must be >= 1")
-        message = hashlib.shake_256(f"e2e-message:{seed}".encode()).digest(size)
+        message = hashlib.shake_256(f"e2e-message:{cfg.seed}".encode()).digest(args.message_size)
 
-    if args.block is not None and args.scenario_seed is not None:
-        raise ValueError("--block and --scenario-seed are mutually exclusive")
-
-    if args.scenario_seed is not None:
-        mb = args.mb if args.mb is not None else _DEFAULTS["mb"]
-        if args.mknown is None:
-            raise ValueError("--scenario-seed needs a single --mknown value")
-        mknown_values = _parse_mknown(args.mknown)
-        if len(mknown_values) != 1:
-            raise ValueError("--scenario-seed needs a single --mknown value, not a range")
-        pool = BridgePool.build(mb, mknown_values[0])
-        bridges = select_bridges(pool, params.n, derive_rng(args.scenario_seed, "bridge-selection"))
-        blocked = [i for i, b in enumerate(bridges) if b in pool.known]
-    else:
-        bridges = [f"bridge-{i:02d}" for i in range(params.n)]
-        blocked = _parse_block_list(args.block, params.n)
-
-    registry = RouterRegistry.build(middles, exits)
-    circuits = build_circuits(bridges, registry, derive_rng(seed, "circuit-construction"))
+    circuits = build_circuits(bridges, registry, derive_rng(cfg.seed, "circuit-construction"))
     result = run_transfer(circuits, params, message, blocked)
 
     print(f"variant: {Variant.of(params).value} (n={params.n}, k={params.k}, r={params.r})")
@@ -354,13 +344,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    known = DEFAULT_KNOWN_RANGE
+    # option flags keep their text; _resolve_config parses it and fills in the defaults
+    defaults = ExperimentConfig()
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--mb", type=int, help=f"bridges unknown to the censor (default {DEFAULT_UNKNOWN})")
+    common.add_argument("--mb", help=f"bridges unknown to the censor (default {defaults.mb})")
     common.add_argument(
         "--mknown",
         metavar="N|A..B",
-        help=f"censor-known bridge count, single or range (default {known.start}..{known.stop - 1})",
+        help=f"censor-known bridge count, single or range (default {defaults.mknown[0]}..{defaults.mknown[-1]})",
     )
     common.add_argument(
         "--variant",
@@ -368,8 +359,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help="otor | mtor:<n> | ctor:<n>:<r>, repeatable (default: the standard curve set)",
     )
-    common.add_argument("--middles", type=int, help=f"middle relay pool size (default {DEFAULT_MIDDLE_POOL})")
-    common.add_argument("--exits", type=int, help=f"exit relay pool size (default {DEFAULT_EXIT_POOL})")
+    common.add_argument("--middles", help=f"middle relay pool size (default {defaults.middles})")
+    common.add_argument("--exits", help=f"exit relay pool size (default {defaults.exits})")
 
     # the grid commands only; e2e rejects both
     grid = argparse.ArgumentParser(add_help=False)
@@ -377,15 +368,13 @@ def _build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--out", metavar="PATH", help="output file, '-' for stdout (fig2: output directory)")
 
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, help="master seed (default 0)")
+    seeded.add_argument("--seed", help=f"master seed (default {defaults.seed})")
 
     monte = argparse.ArgumentParser(add_help=False)
-    monte.add_argument("--trials", type=int, help="Monte Carlo trials per grid point (default 10000)")
+    monte.add_argument("--trials", help=f"Monte Carlo trials per grid point (default {defaults.trials})")
     monte.add_argument(
         "--full-pipeline-fraction",
-        type=float,
-        dest="full_pipeline_fraction",
-        help=f"fraction of trials running the byte pipeline (default {DEFAULT_FULL_PIPELINE_FRACTION})",
+        help=f"fraction of trials running the byte pipeline (default {defaults.full_pipeline_fraction})",
     )
 
     parser = _Parser(prog="ctorsim", description="bridge-blocking resilience experiments")
@@ -398,10 +387,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fig2", parents=[common, grid, seeded, monte], help="emit analytic and simulated CSVs together")
     p.set_defaults(handler=cmd_fig2)
     p = sub.add_parser("e2e", parents=[common, seeded], help="run one transfer end to end")
-    p.add_argument("--message-file", metavar="FILE", help="payload to send")
-    p.add_argument("--message-size", type=int, metavar="N", help="generate an N-byte payload (default 4096)")
-    p.add_argument("--block", metavar="I,J,...", help="circuit indices to block explicitly")
-    p.add_argument("--scenario-seed", type=int, dest="scenario_seed", help="sample bridges from a pool instead of --block")
+    message = p.add_mutually_exclusive_group()
+    message.add_argument("--message-file", metavar="FILE", help="payload to send")
+    message.add_argument(
+        "--message-size", type=int, default=4096, metavar="N", help="generate an N-byte payload (default %(default)s)"
+    )
+    blocking = p.add_mutually_exclusive_group()
+    blocking.add_argument("--block", metavar="I,J,...", help="circuit indices to block explicitly")
+    blocking.add_argument("--scenario-seed", type=int, help="sample bridges from a pool instead of --block")
     p.set_defaults(handler=cmd_e2e)
     return parser
 

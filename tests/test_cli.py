@@ -1,6 +1,7 @@
 """CLI behavior: CSV schemas, determinism, config handling, exit codes."""
 
 import csv
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from ctorsim.cli import (
     EXIT_INTERRUPTED,
     EXIT_OK,
     EXIT_USAGE,
+    ExperimentConfig,
     main,
     parse_variant_spec,
 )
@@ -151,6 +153,54 @@ class TestConfigFile:
     def test_missing_file_rejected(self, tmp_path):
         assert main(["analytic", "--config", str(tmp_path / "nope.cfg")]) == EXIT_USAGE
 
+    # one non-default value per option key; `out` is the output path itself
+    KEY_VALUES = {
+        "mb": "12",
+        "mknown": "1..2",
+        "variant": "mtor:5, ctor:5:2",
+        "trials": "30",
+        "seed": "9",
+        "out": None,
+        "full_pipeline_fraction": "0.5",
+        "middles": "6",
+        "exits": "2",
+    }
+    # small grid flags for every run, minus the key under test
+    BASE = {
+        "mknown": ["--mknown", "3..4"],
+        "variant": ["--variant", "mtor:4", "--variant", "ctor:4:1"],
+        "trials": ["--trials", "20"],
+    }
+    MONTE_CARLO_KEYS = {"trials", "seed", "full_pipeline_fraction"}  # analytic takes no such flag
+    SHAPING_KEYS = {"analytic": {"mb", "mknown", "variant"}, "simulate": {"mb", "mknown", "variant", "trials", "seed"}}
+
+    def test_key_values_cover_every_option(self):
+        assert set(self.KEY_VALUES) == {opt.name for opt in fields(ExperimentConfig)}
+
+    @pytest.mark.parametrize("key", sorted(KEY_VALUES))
+    @pytest.mark.parametrize("command", ["analytic", "simulate"])
+    def test_file_key_matches_its_flags(self, tmp_path, command, key):
+        accepts = {k for k in self.KEY_VALUES if command == "simulate" or k not in self.MONTE_CARLO_KEYS}
+        base = [arg for k, args in self.BASE.items() if k != key and k in accepts for arg in args]
+        from_file, from_flags, from_base = tmp_path / "file.csv", tmp_path / "flags.csv", tmp_path / "base.csv"
+        cfg = tmp_path / "exp.cfg"
+        if key == "out":
+            cfg.write_text(f"out = {from_file}\n")
+            file_argv = [command, "--config", str(cfg), *base]
+            flag_argv = [command, *base, "--out", str(from_flags)]
+        else:
+            value = self.KEY_VALUES[key]
+            cfg.write_text(f"{key} = {value}\n")
+            file_argv = [command, "--config", str(cfg), *base, "--out", str(from_file)]
+            flags = [arg for item in value.split(",") for arg in ("--" + key.replace("_", "-"), item.strip())]
+            flag_argv = [command, *base, *(flags if key in accepts else []), "--out", str(from_flags)]
+        assert main(file_argv) == EXIT_OK
+        assert main(flag_argv) == EXIT_OK
+        assert from_file.read_bytes() == from_flags.read_bytes()
+        if key in self.SHAPING_KEYS[command]:
+            assert main([command, *base, "--out", str(from_base)]) == EXIT_OK
+            assert from_base.read_bytes() != from_file.read_bytes()
+
 
 class TestE2E:
     def test_tolerated_block_succeeds(self, capsys):
@@ -197,6 +247,17 @@ class TestE2E:
         assert main(["e2e", "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
 
+    def test_pool_flags_rejected_without_scenario_seed(self, capsys):
+        # --mb and --mknown describe the --scenario-seed pool; e2e must not accept and ignore them
+        assert main(["e2e", "--mb", "5"]) == EXIT_USAGE
+        assert main(["e2e", "--mknown", "5"]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+    def test_message_file_and_size_conflict(self, tmp_path):
+        payload = tmp_path / "msg.bin"
+        payload.write_bytes(b"x")
+        assert main(["e2e", "--message-file", str(payload), "--message-size", "10"]) == EXIT_USAGE
+
     def test_scenario_seed_requires_single_mknown(self):
         assert main(["e2e", "--scenario-seed", "1"]) == EXIT_USAGE
         assert main(["e2e", "--scenario-seed", "1", "--mknown", "2..5"]) == EXIT_USAGE
@@ -214,6 +275,41 @@ class TestFig2:
         simulated = out_dir / "fig2_simulated.csv"
         assert analytic.is_file() and simulated.is_file()
         assert len(read_csv(analytic)) == len(read_csv(simulated)) == 1 + 3 * 2
+
+
+class TestChecksBeforeOutput:
+    """A rejected grid run exits 1 before it opens any output."""
+
+    REJECTED = {
+        "middles-below-n": ["--middles", "3", "--variant", "mtor:4", "--mknown", "5"],
+        "n-above-smallest-pool": ["--mb", "1", "--mknown", "0..3", "--variant", "mtor:4"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(REJECTED))
+    def test_simulate_keeps_existing_out(self, tmp_path, case):
+        out = tmp_path / "earlier.csv"
+        out.write_bytes(b"earlier,results\n")
+        assert main(["simulate", *self.REJECTED[case], "--trials", "5", "--out", str(out)]) == EXIT_USAGE
+        assert out.read_bytes() == b"earlier,results\n"
+
+    @pytest.mark.parametrize("case", sorted(REJECTED))
+    def test_fig2_writes_no_csv(self, tmp_path, case):
+        out_dir = tmp_path / "fig2"
+        out_dir.mkdir()
+        assert main(["fig2", *self.REJECTED[case], "--trials", "5", "--out", str(out_dir)]) == EXIT_USAGE
+        assert list(out_dir.iterdir()) == []
+
+    def test_analytic_builds_no_circuits(self, tmp_path):
+        # the middle pool bounds circuit sets only, so analytic output ignores --middles
+        small, default = tmp_path / "small.csv", tmp_path / "default.csv"
+        grid = ["--variant", "mtor:4", "--mknown", "5"]
+        assert main(["analytic", *grid, "--middles", "3", "--out", str(small)]) == EXIT_OK
+        assert main(["analytic", *grid, "--out", str(default)]) == EXIT_OK
+        assert small.read_bytes() == default.read_bytes()
+
+    def test_e2e_middles_below_n(self, capsys):
+        assert main(["e2e", "--variant", "mtor:4", "--middles", "3"]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
 
 
 class TestUsageErrors:
