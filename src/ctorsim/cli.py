@@ -6,8 +6,8 @@ Subcommands:
   e2e        one full transfer with a report and outcome exit code
   fig2       preset emitting both grid CSVs in one invocation
 
-Configuration comes from defaults, an optional `key = value` file, and
-command-line flags, in increasing precedence. Each option has one default
+Configuration comes from defaults, an optional `key = value` file (each
+key at most once), and command-line flags, in increasing precedence. Each option has one default
 and one parser (ExperimentConfig), which reads flag and file text alike.
 Every check runs before any output is opened, so a rejected run leaves
 existing outputs alone. e2e takes --mb and --mknown only with
@@ -119,7 +119,8 @@ class ExperimentConfig:
 
 _OPTIONS = {opt.name: opt for opt in fields(ExperimentConfig)}
 # e2e runs one transfer, so its default is one variant rather than the curve set
-_E2E_DEFAULTS = ExperimentConfig(variant=(CodeParams(4, 3, 1),))
+_E2E_VARIANT = "ctor:4:1"
+_E2E_DEFAULTS = ExperimentConfig(variant=(parse_variant_spec(_E2E_VARIANT),))
 
 
 def _load_config_file(path: Path) -> dict[str, str | list[str]]:
@@ -135,7 +136,10 @@ def _load_config_file(path: Path) -> dict[str, str | list[str]]:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+        values[key] = value.strip()
     unknown = set(values) - set(_OPTIONS)
     if unknown:
         raise ValueError(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
@@ -343,24 +347,34 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _common_options(*, mb_help: str, mknown_metavar: str, mknown_help: str, variant_help: str) -> argparse.ArgumentParser:
+    """The pool, variant and relay flags, with the help text of one command family."""
+    defaults = ExperimentConfig()
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--mb", help=mb_help)
+    common.add_argument("--mknown", metavar=mknown_metavar, help=mknown_help)
+    common.add_argument("--variant", action="append", metavar="SPEC", help=variant_help)
+    common.add_argument("--middles", help=f"middle relay pool size (default {defaults.middles})")
+    common.add_argument("--exits", help=f"exit relay pool size (default {defaults.exits})")
+    return common
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # option flags keep their text; _resolve_config parses it and fills in the defaults
     defaults = ExperimentConfig()
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--mb", help=f"bridges unknown to the censor (default {defaults.mb})")
-    common.add_argument(
-        "--mknown",
-        metavar="N|A..B",
-        help=f"censor-known bridge count, single or range (default {defaults.mknown[0]}..{defaults.mknown[-1]})",
+    common = _common_options(
+        mb_help=f"bridges unknown to the censor (default {defaults.mb})",
+        mknown_metavar="N|A..B",
+        mknown_help=f"censor-known bridge count, single or range (default {defaults.mknown[0]}..{defaults.mknown[-1]})",
+        variant_help="otor | mtor:<n> | ctor:<n>:<r>, repeatable (default: the standard curve set)",
     )
-    common.add_argument(
-        "--variant",
-        action="append",
-        metavar="SPEC",
-        help="otor | mtor:<n> | ctor:<n>:<r>, repeatable (default: the standard curve set)",
+    # e2e runs one variant and samples a pool only with --scenario-seed
+    e2e_common = _common_options(
+        mb_help=f"bridges unknown to the censor, only with --scenario-seed (default {defaults.mb})",
+        mknown_metavar="N",
+        mknown_help="censor-known bridge count, only with --scenario-seed and required there (no default)",
+        variant_help=f"one spec: otor | mtor:<n> | ctor:<n>:<r> (default {_E2E_VARIANT})",
     )
-    common.add_argument("--middles", help=f"middle relay pool size (default {defaults.middles})")
-    common.add_argument("--exits", help=f"exit relay pool size (default {defaults.exits})")
 
     # the grid commands only; e2e rejects both
     grid = argparse.ArgumentParser(add_help=False)
@@ -386,7 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_simulate)
     p = sub.add_parser("fig2", parents=[common, grid, seeded, monte], help="emit analytic and simulated CSVs together")
     p.set_defaults(handler=cmd_fig2)
-    p = sub.add_parser("e2e", parents=[common, seeded], help="run one transfer end to end")
+    p = sub.add_parser("e2e", parents=[e2e_common, seeded], help="run one transfer end to end")
     message = p.add_mutually_exclusive_group()
     message.add_argument("--message-file", metavar="FILE", help="payload to send")
     message.add_argument(

@@ -6,9 +6,13 @@ The single-circuit (otor), multi-circuit (mtor), and coded multi-circuit
 otor is (n=1, k=1, r=0), mtor is (n=k, r=0), ctor has r >= 1.
 
 Layer encryption is a keyed pseudorandom stream XOR, not real cryptography:
-the keystream is SHAKE-256 over (router key, circuit id, cell sequence,
+the keystream is SHAKE-256 over (router key, circuit id, sequence number,
 layer position). Binding the layer position is what makes out-of-order
-peeling detectable; bare XOR layers would commute.
+peeling detectable; bare XOR layers would commute. As with Tor's per-hop
+counter-mode cipher, transmit runs each hop's stream across a whole
+sub-flow: the cells a circuit carries are joined, wrapped and peeled once,
+with the sub-flow's first generation id as the sequence number, so a
+transfer derives one stream per (circuit, hop).
 """
 
 from __future__ import annotations
@@ -177,9 +181,10 @@ class LayeredCell:
     seq: int
 
 
-# The three layer streams of a cell are derived in wrap_layers and consumed
-# again, in reverse order, by the three peel_layer calls that follow it, so a
-# cache of three streams makes that one SHAKE call per (cell, hop).
+# The three layer streams of a wrapped payload (one cell, or a whole sub-flow
+# in transmit) are derived in wrap_layers and consumed again, in reverse
+# order, by the three peel_layer calls that follow it, so a cache of three
+# streams makes that one SHAKE call per (payload, hop).
 @functools.lru_cache(maxsize=3)
 def _keystream(key: bytes, circuit_id: str, seq: int, depth: int, size: int) -> bytes:
     if not key:
@@ -226,29 +231,39 @@ def transmit(
     """Carry every generation across the circuit set; sub-flow i rides circuit i.
 
     The circuits whose indices are in `blocked` drop their whole sub-flow
-    silently. Surviving cells are wrapped, peeled hop by hop, and reparsed
-    from wire bytes, so the returned cells are exactly what the exit relay
-    can see.
+    silently. Each surviving sub-flow is joined into one byte stream,
+    wrapped once, peeled hop by hop, and reparsed cell by cell from the wire
+    bytes, so the returned cells are exactly what the exit relay can see.
+    They come back generation by generation, in circuit order within each.
+    Every generation is checked before anything is wrapped.
     """
     n = len(circuits)
     if not all(0 <= i < n for i in blocked):
         raise ValueError(f"blocked circuit indices {sorted(blocked)} outside 0..{n - 1}")
-    delivered: list[CodedCell] = []
     for gen_cells in coded_generations:
         if len(gen_cells) != n:
             raise ValueError(f"generation carries {len(gen_cells)} cells for {n} circuits")
-        for idx, (circuit, cell) in enumerate(zip(circuits, gen_cells)):
+        for idx, cell in enumerate(gen_cells):
             if cell.subflow_index != idx:
                 raise ValueError(
                     f"sub-flow {cell.subflow_index} offered to circuit {idx}; order mismatch"
                 )
-            if idx in blocked:
-                continue
-            layered = wrap_layers(cell.to_wire(), circuit, seq=cell.generation_id)
-            for router in (circuit.entry, circuit.middle, circuit.exit):
-                layered = peel_layer(layered, router)
-            delivered.append(CodedCell.from_wire(layered.payload))
-    return delivered
+    if not coded_generations:
+        return []
+    subflows: list[list[CodedCell]] = []
+    for idx, circuit in enumerate(circuits):
+        if idx in blocked:
+            continue
+        wires = [gen_cells[idx].to_wire() for gen_cells in coded_generations]
+        layered = wrap_layers(b"".join(wires), circuit, seq=coded_generations[0][idx].generation_id)
+        for router in (circuit.entry, circuit.middle, circuit.exit):
+            layered = peel_layer(layered, router)
+        stream, pos, cells = layered.payload, 0, []
+        for wire in wires:
+            cells.append(CodedCell.from_wire(stream[pos : pos + len(wire)]))
+            pos += len(wire)
+        subflows.append(cells)
+    return [cell for gen_cells in zip(*subflows) for cell in gen_cells]
 
 
 @dataclass(frozen=True)

@@ -153,6 +153,24 @@ class TestConfigFile:
     def test_missing_file_rejected(self, tmp_path):
         assert main(["analytic", "--config", str(tmp_path / "nope.cfg")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "lines,key",
+        [
+            (["variant = otor", "mknown = 3", "variant = mtor:4"], "variant"),
+            (["mb = 10", "# comment", "", "mb = 12"], "mb"),
+            (["full-pipeline-fraction = 0.5", "full_pipeline_fraction = 0.5"], "full_pipeline_fraction"),
+        ],
+    )
+    def test_repeated_key_rejected(self, tmp_path, capsys, lines, key):
+        # the last line does not silently win: repeated --variant flags add
+        # variants, so a repeated file key would disagree with them
+        cfg = tmp_path / "dup.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o.csv"
+        assert main(["analytic", "--config", str(cfg), "--mknown", "3", "--out", str(out)]) == EXIT_USAGE
+        assert f"{cfg}:{len(lines)}: duplicate key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
     # one non-default value per option key; `out` is the output path itself
     KEY_VALUES = {
         "mb": "12",
@@ -200,6 +218,32 @@ class TestConfigFile:
         if key in self.SHAPING_KEYS[command]:
             assert main([command, *base, "--out", str(from_base)]) == EXIT_OK
             assert from_base.read_bytes() != from_file.read_bytes()
+
+
+def help_text(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one line per option
+    assert main([command, "--help"]) == EXIT_OK
+    return capsys.readouterr().out
+
+
+class TestHelp:
+    GRID_HELP = [
+        "--mb MB bridges unknown to the censor (default 25)",
+        "--mknown N|A..B censor-known bridge count, single or range (default 0..25)",
+        "--variant SPEC otor | mtor:<n> | ctor:<n>:<r>, repeatable (default: the standard curve set)",
+    ]
+
+    def test_e2e_describes_its_own_variant_and_mknown(self, capsys, monkeypatch):
+        lines = [" ".join(line.split()) for line in help_text("e2e", capsys, monkeypatch).splitlines()]
+        assert "--variant SPEC one spec: otor | mtor:<n> | ctor:<n>:<r> (default ctor:4:1)" in lines
+        assert "--mknown N censor-known bridge count, only with --scenario-seed and required there (no default)" in lines
+        assert "--mb MB bridges unknown to the censor, only with --scenario-seed (default 25)" in lines
+        assert not set(self.GRID_HELP) & set(lines)
+
+    @pytest.mark.parametrize("command", ["analytic", "simulate", "fig2"])
+    def test_grid_commands_keep_the_curve_set_help(self, capsys, monkeypatch, command):
+        lines = [" ".join(line.split()) for line in help_text(command, capsys, monkeypatch).splitlines()]
+        assert [line for line in lines if line.startswith(("--mb ", "--mknown ", "--variant "))] == self.GRID_HELP
 
 
 class TestE2E:

@@ -310,3 +310,75 @@ def test_round_trip_through_random_k_subsets(data, shape, seed):
 @given(data=st.binary(min_size=1, max_size=3000), k=st.integers(1, 8))
 def test_split_reassemble_is_identity(data, k):
     assert reassemble_message(split_message(data, k)) == data
+
+
+_WIRE_MIN = 4 + 1 + 1 + CELL_SIZE  # header, one coefficient, payload
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(size=st.integers(0, _WIRE_MIN + 40), data=st.data())
+def test_from_wire_round_trips_or_rejects(size, data):
+    wire = data.draw(st.binary(min_size=size, max_size=size))
+    if size < _WIRE_MIN:
+        with pytest.raises(ValueError):
+            CodedCell.from_wire(wire)
+    else:
+        assert CodedCell.from_wire(wire).to_wire() == wire
+
+
+# Faulty cells the decoder must catch: one of another generation, one of a
+# code with another k, and a wire cell with bytes cut off its end. Faults the
+# wire format cannot show (a corrupted payload byte) are out of scope for an
+# erasure code.
+FAULTS = st.tuples(
+    st.sampled_from(["other_generation", "wider_k", "narrower_k", "truncated"]),
+    st.integers(0, 255),
+    st.integers(1, 8),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    shape=st.sampled_from([(1, 1), (2, 1), (4, 3), (5, 3), (6, 6), (10, 6)]),
+    seed=st.integers(0, 2**32 - 1),
+    picks=st.lists(st.integers(0, 255), max_size=12),  # repeats duplicate a cell
+    faults=st.lists(FAULTS, max_size=3),
+    data=st.data(),
+)
+def test_decode_raises_or_returns_the_generation(shape, seed, picks, faults, data):
+    n, k = shape
+    params = CodeParams(n, k, n - k)
+    rng = random.Random(seed)
+    generations = {3: random_generation(k, rng, 3), 4: random_generation(k, rng, 4)}
+    coded = encode_generation(generations[3], build_generator(params))
+    other_k = k - 1 if k > 1 and seed % 2 else k + 1
+    sources = {
+        "other_generation": encode_generation(generations[4], build_generator(params)),
+        "wider_k": encode_generation(random_generation(k + 1, rng, 3), build_generator(CodeParams(n + 1, k + 1, n - k))),
+        "narrower_k": encode_generation(
+            random_generation(other_k, rng, 3), build_generator(CodeParams(other_k + n - k, other_k, n - k))
+        ),
+    }
+    wires = [coded[i % n].to_wire() for i in picks]
+    for kind, index, cut in faults:
+        if kind == "truncated":
+            wires.append(coded[index % n].to_wire()[:-cut])
+        else:
+            wires.append(sources[kind][index % len(sources[kind])].to_wire())
+    wires = data.draw(st.permutations(wires))
+    received = []
+    for wire in wires:
+        try:
+            received.append(CodedCell.from_wire(wire))
+        except ValueError:
+            assert len(wire) < _WIRE_MIN
+    if not received or any(
+        cell.generation_id != received[0].generation_id or len(cell.coefficients) != k for cell in received
+    ):
+        with pytest.raises(ValueError):
+            decode_generation(received, params)
+    elif len({cell.subflow_index for cell in received}) >= k:
+        assert decode_generation(received, params) == generations[received[0].generation_id]
+    else:
+        with pytest.raises(UnrecoverableGeneration):
+            decode_generation(received, params)

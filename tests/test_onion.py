@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctorsim import onion
-from ctorsim.codec import CodeParams, UnrecoverableGeneration, build_generator, encode_generation, split_message
+from ctorsim.codec import (
+    CELL_SIZE,
+    CodeParams,
+    Generation,
+    UnrecoverableGeneration,
+    build_generator,
+    encode_generation,
+    split_message,
+)
 from ctorsim.gf256 import xor_bytes
 from ctorsim.onion import (
     CircuitSet,
@@ -282,6 +290,95 @@ class TestTransmit:
         coded = self.make_coded(params, bytes(100))
         with pytest.raises(ValueError):
             transmit(circuits_for(3, registry), coded)
+
+
+def coded_generations(params: CodeParams, generations: int) -> list:
+    """Coded cells of a message that splits into exactly `generations` generations."""
+    message = random.Random(generations).randbytes(generations * params.k * CELL_SIZE - 8)
+    matrix = build_generator(params)
+    coded = [encode_generation(g, matrix) for g in split_message(message, params.k)]
+    assert len(coded) == generations
+    return coded
+
+
+class TestSubflowStreams:
+    """transmit wraps and peels each surviving circuit's whole sub-flow at once."""
+
+    PARAMS = CodeParams(10, 6, 4)
+    BLOCKED = {1, 4}
+
+    @pytest.mark.parametrize("generations", [1, 86])
+    def test_one_stream_per_circuit_and_hop(self, registry, generations):
+        coded = coded_generations(self.PARAMS, generations)
+        circuits = circuits_for(10, registry)
+        onion._keystream.cache_clear()
+        transmit(circuits, coded, self.BLOCKED)
+        info = onion._keystream.cache_info()
+        surviving = 10 - len(self.BLOCKED)
+        assert (info.misses, info.hits) == (3 * surviving, 3 * surviving)
+
+    def test_one_wrap_per_surviving_circuit(self, registry, monkeypatch):
+        coded = coded_generations(self.PARAMS, 5)[2:]  # sub-flows start at generation 2
+        circuits = circuits_for(10, registry)
+        calls = []
+
+        def recording_wrap(cell_bytes, circuit, seq=0):
+            calls.append((cell_bytes, circuit, seq))
+            return wrap_layers(cell_bytes, circuit, seq)
+
+        monkeypatch.setattr(onion, "wrap_layers", recording_wrap)
+        delivered = transmit(circuits, coded, self.BLOCKED)
+        assert calls == [
+            (b"".join(gen[idx].to_wire() for gen in coded), circuits[idx], 2)
+            for idx in range(10)
+            if idx not in self.BLOCKED
+        ]
+        assert delivered == [cell for gen in coded for cell in gen if cell.subflow_index not in self.BLOCKED]
+
+    @pytest.mark.parametrize("fault", ["width", "order"])
+    def test_malformed_last_generation_raises_before_any_stream(self, registry, fault):
+        coded = coded_generations(self.PARAMS, 4)
+        last = list(coded[-1])
+        if fault == "width":
+            last.pop()
+        else:
+            last[3], last[4] = last[4], last[3]
+        onion._keystream.cache_clear()
+        with pytest.raises(ValueError):
+            transmit(circuits_for(10, registry), coded[:-1] + [last], self.BLOCKED)
+        assert onion._keystream.cache_info().misses == 0
+
+    @pytest.mark.parametrize("blocked", [set(), {0}, {1}])
+    def test_mixed_wire_lengths_come_back_intact(self, registry, blocked):
+        # one k = 1 generation (518-byte wire cells), then one k = 2 generation (519 bytes)
+        rng = random.Random(30)
+        narrow, wide = CodeParams(2, 1, 1), CodeParams(2, 2, 0)
+        coded = [
+            encode_generation(Generation(0, (rng.randbytes(CELL_SIZE),)), build_generator(narrow)),
+            encode_generation(Generation(1, (rng.randbytes(CELL_SIZE), rng.randbytes(CELL_SIZE))), build_generator(wide)),
+        ]
+        delivered = transmit(circuits_for(2, registry), coded, blocked)
+        assert delivered == [cell for gen in coded for cell in gen if cell.subflow_index not in blocked]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 10),
+    size=st.integers(1, 20_000),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_transmit_returns_the_offered_cells_of_unblocked_circuits(n, size, seed, data):
+    r = data.draw(st.integers(0, n - 1))
+    blocked = data.draw(st.sets(st.integers(0, n - 1)))
+    params = CodeParams(n, n - r, r)
+    matrix = build_generator(params)
+    rng = random.Random(seed)
+    coded = [encode_generation(g, matrix) for g in split_message(rng.randbytes(size), params.k)]
+    circuits = build_circuits([f"b{i}" for i in range(n)], REGISTRY, rng)
+    assert transmit(circuits, coded, blocked) == [
+        cell for gen in coded for cell in gen if cell.subflow_index not in blocked
+    ]
 
 
 class TestVariantValidation:
