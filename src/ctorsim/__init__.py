@@ -42,7 +42,6 @@ from .onion import (
     CircuitSet,
     LayeredCell,
     OnionRouter,
-    RouterKind,
     RouterRegistry,
     TransferResult,
     Variant,

@@ -16,7 +16,7 @@ comma-separated text with a header row and newline line endings, ordered
 deterministically, so identical (config, seed) runs are byte-identical.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 transfer
-interrupted (e2e only), 3 resource guard exceeded.
+interrupted (e2e only).
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .analytics import (
     DEFAULT_CONFIGS,
     DEFAULT_KNOWN_RANGE,
     DEFAULT_UNKNOWN,
-    ResourceLimitError,
     SweepRow,
     grid_points,
     sweep,
@@ -61,7 +60,6 @@ from .onion import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INTERRUPTED = 2
-EXIT_RESOURCE = 3
 
 _VARIANT_FORMS = "otor | mtor:<n> | ctor:<n>:<r> with 1 <= r < n"
 
@@ -421,9 +419,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

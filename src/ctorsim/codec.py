@@ -7,8 +7,11 @@ rows taken from a column-normalized Cauchy block, which makes every k-row
 subset of the generator invertible. Any k surviving coded cells therefore
 rebuild the generation exactly; with k-1 or fewer the generation is lost.
 
-Encoder and decoder are stateless given (params, matrix); generations can
-be processed independently and concurrently.
+Encoder and decoder are pure functions of (params, matrix) and their
+cells; generations can be processed independently and concurrently. The
+decoder memoizes one inverse per set of surviving coefficient rows, so a
+transfer whose circuits drop the same sub-flows in every generation
+inverts once.
 """
 
 from __future__ import annotations
@@ -184,12 +187,48 @@ def encode_generation(generation: Generation, matrix: GeneratorMatrix) -> list[C
     return out
 
 
+# One inverse per set of received coefficient rows: a blocked circuit drops
+# its whole sub-flow, so every generation of a transfer repeats the same set.
+# 400 entries hold every partial survivor set of the default grid's coded
+# shapes (15 for ctor:5:2, 385 for ctor:10:4). Entries hold rows, never
+# payloads.
+@functools.lru_cache(maxsize=400)
+def _decode_plan(rows: tuple[bytes, ...]) -> tuple[tuple[int, ...], tuple[bytes, ...]] | None:
+    """Positions of the first k independent rows and the inverse of their
+    matrix: row j rebuilds original cell j from the picked payloads. None
+    marks a set of rank below k."""
+    k = len(rows[0])
+    mul = gf256.mul
+    reduced: dict[int, list[int]] = {}  # pivot column -> row, augmented with its combination of picks
+    picks: list[int] = []
+    for pos, row in enumerate(rows):
+        aug = [*row, *(int(slot == len(picks)) for slot in range(k))]
+        for col, prow in reduced.items():
+            if f := aug[col]:
+                aug = [a ^ mul(f, b) for a, b in zip(aug, prow)]
+        lead = next((j for j in range(k) if aug[j]), None)
+        if lead is None:
+            continue  # linearly dependent on the rows already picked
+        s = gf256.inv(aug[lead])
+        aug = [mul(s, a) for a in aug]
+        for col, prow in reduced.items():
+            if f := prow[lead]:
+                reduced[col] = [a ^ mul(f, b) for a, b in zip(prow, aug)]
+        reduced[lead] = aug
+        picks.append(pos)
+        if len(picks) == k:
+            return tuple(picks), tuple(bytes(reduced[col][k:]) for col in range(k))
+    return None
+
+
 def decode_generation(received: Sequence[CodedCell], params: CodeParams) -> Generation:
     """Recover the original k cells from any k independent coded cells.
 
-    Takes the systematic shortcut when all k original cells arrived;
-    otherwise runs Gaussian elimination over GF(2^8) on the coefficient
-    rows with the payloads as the augmented part.
+    Takes the systematic shortcut when all k original cells arrived.
+    Otherwise it inverts the matrix of the first k independent coefficient
+    rows once per set of received rows, caches that inverse, and forms each
+    cell as a GF(2^8) combination of the picked payloads. A set of rank
+    below k raises UnrecoverableGeneration.
     """
     if not received:
         raise ValueError("decode needs at least one coded cell")
@@ -206,42 +245,14 @@ def decode_generation(received: Sequence[CodedCell], params: CodeParams) -> Gene
     if len(originals) == k:
         return Generation(generation_id, tuple(originals[i] for i in range(k)))
 
-    # forward elimination: keep one normalized row per pivot column
-    reduced: list[tuple[list[int], bytes]] = []
-    pivot_of: dict[int, int] = {}
-    for cell in received:
-        coeffs = list(cell.coefficients)
-        payload = cell.payload
-        for col, ridx in pivot_of.items():
-            f = coeffs[col]
-            if f:
-                prow, ppay = reduced[ridx]
-                coeffs = [a ^ gf256.mul(f, b) for a, b in zip(coeffs, prow)]
-                payload = gf256.xor_bytes(payload, gf256.scale_bytes(ppay, f))
-        lead = next((j for j in range(k) if coeffs[j]), None)
-        if lead is None:
-            continue  # linearly dependent on what we already have
-        s = gf256.inv(coeffs[lead])
-        coeffs = [gf256.mul(s, a) for a in coeffs]
-        payload = gf256.scale_bytes(payload, s)
-        pivot_of[lead] = len(reduced)
-        reduced.append((coeffs, payload))
-        if len(reduced) == k:
-            break
-    if len(reduced) < k:
+    plan = _decode_plan(tuple(bytes(cell.coefficients) for cell in received))
+    if plan is None:
         raise UnrecoverableGeneration(generation_id, received=len(received))
-
-    # back substitution: clear the remaining off-pivot entries
-    for col in sorted(pivot_of, reverse=True):
-        prow, ppay = reduced[pivot_of[col]]
-        for i, (coeffs, payload) in enumerate(reduced):
-            f = coeffs[col]
-            if i != pivot_of[col] and f:
-                reduced[i] = (
-                    [a ^ gf256.mul(f, b) for a, b in zip(coeffs, prow)],
-                    gf256.xor_bytes(payload, gf256.scale_bytes(ppay, f)),
-                )
-    return Generation(generation_id, tuple(reduced[pivot_of[col]][1] for col in range(k)))
+    picks, inverse = plan
+    payloads = [received[pos].payload for pos in picks]
+    return Generation(generation_id, tuple(
+        payloads[row.index(1)] if sum(row) == 1 else _combine(row, payloads, CELL_SIZE) for row in inverse
+    ))
 
 
 def split_message(message: bytes, k: int) -> list[Generation]:

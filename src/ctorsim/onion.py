@@ -54,16 +54,9 @@ class Variant(str, Enum):
         return cls.MTOR if params.r == 0 else cls.CTOR
 
 
-class RouterKind(str, Enum):
-    BRIDGE = "bridge"
-    MIDDLE = "middle"
-    EXIT = "exit"
-
-
 @dataclass(frozen=True)
 class OnionRouter:
     router_id: str
-    kind: RouterKind
     layer_key: bytes
 
 
@@ -73,7 +66,7 @@ def derive_layer_key(router_id: str) -> bytes:
 
 
 def bridge_router(bridge_id: str) -> OnionRouter:
-    return OnionRouter(bridge_id, RouterKind.BRIDGE, derive_layer_key(bridge_id))
+    return OnionRouter(bridge_id, derive_layer_key(bridge_id))
 
 
 @dataclass(frozen=True)
@@ -91,11 +84,11 @@ class RouterRegistry:
             raise ValueError("registry needs at least one middle and one exit")
         return cls(
             middles=tuple(
-                OnionRouter(f"middle-{i:03d}", RouterKind.MIDDLE, derive_layer_key(f"middle-{i:03d}"))
+                OnionRouter(f"middle-{i:03d}", derive_layer_key(f"middle-{i:03d}"))
                 for i in range(middles)
             ),
             exits=tuple(
-                OnionRouter(f"exit-{i:02d}", RouterKind.EXIT, derive_layer_key(f"exit-{i:02d}"))
+                OnionRouter(f"exit-{i:02d}", derive_layer_key(f"exit-{i:02d}"))
                 for i in range(exits)
             ),
         )

@@ -16,7 +16,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-GRID_UNFIRED = ["cli.build_circuits", "cli.run_transfer", "cli.select_bridges"]
+GRID_UNFIRED = ["cli.build_circuits", "cli.run_transfer", "cli.select_bridges", "gf256.xor_bytes"]
 EXPECTED_UNFIRED = {
     "fig2-grid": GRID_UNFIRED,
     "crosscheck-grid": sorted(GRID_UNFIRED + ["cli.sweep"]),
@@ -28,6 +28,7 @@ EXPECTED_UNFIRED = {
         "cli.run_campaign",
         "cli.select_bridges",
         "cli.sweep",
+        "gf256.xor_bytes",
     ],
 }
 

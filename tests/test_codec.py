@@ -14,12 +14,14 @@ from ctorsim.codec import (
     Generation,
     GeneratorMatrix,
     UnrecoverableGeneration,
+    _decode_plan,
     build_generator,
     decode_generation,
     encode_generation,
     reassemble_message,
     split_message,
 )
+from ctorsim.onion import RouterRegistry, build_circuits, run_transfer
 
 
 def rank_of(rows: list[bytes], k: int) -> int:
@@ -382,3 +384,137 @@ def test_decode_raises_or_returns_the_generation(shape, seed, picks, faults, dat
     else:
         with pytest.raises(UnrecoverableGeneration):
             decode_generation(received, params)
+
+
+def unit_rows(k: int) -> tuple[bytes, ...]:
+    return tuple(bytes(i) + b"\x01" + bytes(k - i - 1) for i in range(k))
+
+
+def elimination_decode(received, params: CodeParams) -> Generation:
+    """Reference decoder: Gaussian elimination with the payloads as the
+    augmented part, redone for every generation."""
+    generation_id = received[0].generation_id
+    k = params.k
+    originals = {
+        cell.subflow_index: cell.payload
+        for cell in received
+        if cell.subflow_index < k and cell.coefficients == unit_rows(k)[cell.subflow_index]
+    }
+    if len(originals) == k:
+        return Generation(generation_id, tuple(originals[i] for i in range(k)))
+    reduced: list[tuple[list[int], bytes]] = []
+    pivot_of: dict[int, int] = {}
+    for cell in received:
+        coeffs = list(cell.coefficients)
+        payload = cell.payload
+        for col, ridx in pivot_of.items():
+            f = coeffs[col]
+            if f:
+                prow, ppay = reduced[ridx]
+                coeffs = [a ^ gf256.mul(f, b) for a, b in zip(coeffs, prow)]
+                payload = gf256.xor_bytes(payload, gf256.scale_bytes(ppay, f))
+        lead = next((j for j in range(k) if coeffs[j]), None)
+        if lead is None:
+            continue
+        s = gf256.inv(coeffs[lead])
+        pivot_of[lead] = len(reduced)
+        reduced.append(([gf256.mul(s, a) for a in coeffs], gf256.scale_bytes(payload, s)))
+        if len(reduced) == k:
+            break
+    if len(reduced) < k:
+        raise UnrecoverableGeneration(generation_id, received=len(received))
+    for col in sorted(pivot_of, reverse=True):
+        prow, ppay = reduced[pivot_of[col]]
+        for i, (coeffs, payload) in enumerate(reduced):
+            f = coeffs[col]
+            if i != pivot_of[col] and f:
+                reduced[i] = (
+                    [a ^ gf256.mul(f, b) for a, b in zip(coeffs, prow)],
+                    gf256.xor_bytes(payload, gf256.scale_bytes(ppay, f)),
+                )
+    return Generation(generation_id, tuple(reduced[pivot_of[col]][1] for col in range(k)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(k=st.integers(1, 8), r=st.integers(0, 5), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_cached_inverse_matches_elimination(k, r, seed, data):
+    # parity rows are arbitrary bytes, not Cauchy rows: zeros, repeats and
+    # singular subsets all occur
+    params = CodeParams(k + r, k, r)
+    parity = data.draw(st.lists(st.binary(min_size=k, max_size=k), min_size=r, max_size=r))
+    generation = random_generation(k, random.Random(seed), generation_id=seed % 1000)
+    coded = encode_generation(generation, GeneratorMatrix(params, unit_rows(k) + tuple(parity)))
+    # up to r + 1 erased sub-flows, duplicated survivors, and cells that
+    # depend on two coded cells
+    index = st.integers(0, params.n - 1)
+    most = min(r + 1, params.n - 1)
+    erased = data.draw(st.sets(index, min_size=min(1, most), max_size=most))
+    received = [cell for cell in coded if cell.subflow_index not in erased]
+    received += data.draw(st.lists(st.sampled_from(received), max_size=3))
+    mixes = data.draw(st.lists(st.tuples(index, index, st.integers(0, 255)), max_size=2))
+    for j, (a, b, c) in enumerate(mixes):
+        received.append(CodedCell(
+            coded[a].generation_id,
+            params.n + j,
+            bytes(x ^ gf256.mul(c, y) for x, y in zip(coded[a].coefficients, coded[b].coefficients)),
+            gf256.xor_bytes(coded[a].payload, gf256.scale_bytes(coded[b].payload, c)),
+        ))
+    received = data.draw(st.permutations(received))
+    try:
+        expected = elimination_decode(received, params)
+    except UnrecoverableGeneration as exc:
+        with pytest.raises(UnrecoverableGeneration) as got:
+            decode_generation(received, params)
+        assert (got.value.generation_id, got.value.received) == (exc.generation_id, exc.received)
+    else:
+        assert expected == generation
+        assert decode_generation(received, params) == expected
+
+
+class TestDecodePlanCache:
+    def test_one_inversion_per_transfer_with_fixed_blocking(self):
+        params = CodeParams(10, 6, 4)
+        circuits = build_circuits([f"b{i}" for i in range(10)], RouterRegistry.build(), random.Random(0))
+        message = random.Random(18).randbytes(256 * 1024)
+        generations = len(split_message(message, params.k))
+        _decode_plan.cache_clear()
+        result = run_transfer(circuits, params, message, blocked={0, 3, 7})
+        assert result.success and result.data == message
+        info = _decode_plan.cache_info()
+        assert (info.misses, info.hits) == (1, generations - 1)
+
+    def test_same_subflows_of_another_generator_decode_by_their_own_rows(self):
+        # the plan is keyed by coefficient rows, not sub-flow indices: two
+        # codes of one shape lose the same sub-flows, one of them singularly
+        params = CodeParams(4, 2, 2)
+        gen = random_generation(2, random.Random(19))
+        singular = GeneratorMatrix(params, unit_rows(2) + (b"\x05\x07", b"\x05\x07"))
+        for first, second in ((build_generator(params), singular), (singular, build_generator(params))):
+            for matrix in (first, second):
+                cells = encode_generation(gen, matrix)
+                if matrix is singular:
+                    with pytest.raises(UnrecoverableGeneration):
+                        decode_generation([cells[2], cells[3]], params)
+                else:
+                    assert decode_generation([cells[2], cells[3]], params) == gen
+
+    def test_one_shared_plan_per_row_set(self):
+        rows = build_generator(CodeParams(10, 6, 4)).rows[4:]
+        assert _decode_plan(rows) is _decode_plan(rows)
+        assert _decode_plan(rows) == _decode_plan.__wrapped__(rows)
+
+    def test_rebuilt_after_eviction_equals_the_first(self):
+        params = CodeParams(10, 6, 4)
+        gen = random_generation(6, random.Random(20))
+        received = encode_generation(gen, build_generator(params))[3:]
+        rows = tuple(cell.coefficients for cell in received)
+        first = _decode_plan(rows)
+        maxsize = _decode_plan.cache_info().maxsize
+        for i in range(maxsize + 1):
+            _decode_plan((bytes([1, i >> 8, i & 255]),))
+        misses = _decode_plan.cache_info().misses
+        assert decode_generation(received, params) == gen
+        assert _decode_plan.cache_info().misses == misses + 1  # the cache is bounded and rows were evicted
+        again = _decode_plan(rows)
+        assert again is not first
+        assert again == first

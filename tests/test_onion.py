@@ -23,7 +23,6 @@ from ctorsim.onion import (
     CircuitSet,
     Circuit,
     OnionRouter,
-    RouterKind,
     RouterRegistry,
     Variant,
     build_circuits,
@@ -137,9 +136,9 @@ class TestLayering:
 
     def test_empty_layer_key_rejected(self):
         bad = Circuit(
-            entry=OnionRouter("e", RouterKind.BRIDGE, b""),
-            middle=OnionRouter("m", RouterKind.MIDDLE, b"k"),
-            exit=OnionRouter("x", RouterKind.EXIT, b"k2"),
+            entry=OnionRouter("e", b""),
+            middle=OnionRouter("m", b"k"),
+            exit=OnionRouter("x", b"k2"),
         )
         with pytest.raises(ValueError):
             wrap_layers(b"\x00" * 16, bad)
