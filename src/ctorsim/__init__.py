@@ -8,7 +8,6 @@ from .analytics import (
     binomial,
     enumerate_oracle,
     p_block_lnc,
-    p_block_plain,
     sweep,
 )
 from .censor import (

@@ -58,37 +58,22 @@ def _check_pool(unknown: int, known: int, circuits: int) -> None:
         )
 
 
-def _blocked_tail(unknown: int, known: int, circuits: int, absorbable: int) -> Fraction:
-    total = binomial(unknown + known, circuits)
-    upper = min(circuits, known)
-    hits = sum(
-        binomial(unknown, circuits - i) * binomial(known, i)
-        for i in range(absorbable + 1, upper + 1)
-    )
-    return Fraction(hits, total)
-
-
-def p_block_plain(unknown: int, known: int, circuits: int) -> Fraction:
-    """Probability that at least one selected entry bridge is censor-known.
-
-    This is the interruption probability for the uncoded variants, where a
-    single blocked circuit already kills the transfer.
-    """
-    _check_pool(unknown, known, circuits)
-    return _blocked_tail(unknown, known, circuits, absorbable=0)
-
-
 def p_block_lnc(unknown: int, known: int, circuits: int, redundancy: int) -> Fraction:
     """Probability that more than `redundancy` selected bridges are censor-known.
 
     With r redundant cells per generation the transfer survives up to r
     blocked circuits, so only deeper blocking interrupts it. Zero whenever
-    the censor knows at most r bridges in total.
+    the censor knows at most r bridges in total. For the uncoded variants
+    (r = 0) one blocked circuit already kills the transfer.
     """
     _check_pool(unknown, known, circuits)
     if not 0 <= redundancy < circuits:
         raise ValueError(f"redundancy must satisfy 0 <= r < n, got r={redundancy}, n={circuits}")
-    return _blocked_tail(unknown, known, circuits, absorbable=redundancy)
+    hits = sum(
+        binomial(unknown, circuits - i) * binomial(known, i)
+        for i in range(redundancy + 1, min(circuits, known) + 1)
+    )
+    return Fraction(hits, binomial(unknown + known, circuits))
 
 
 def enumerate_oracle(unknown: int, known: int, circuits: int, threshold: int) -> Fraction:

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .codec import CodeParams
+from .codec import MAX_N, CodeParams
 from .onion import RouterRegistry, Variant, build_circuits, run_transfer
 
 DEFAULT_FULL_PIPELINE_FRACTION = 0.01
@@ -108,9 +108,12 @@ def derive_rng(seed: int, label: str) -> random.Random:
     return random.Random(derive_seed(seed, label))
 
 
-@functools.lru_cache(maxsize=1)
+@functools.cache
 def default_registry() -> RouterRegistry:
-    return RouterRegistry.build()
+    """The one relay pool of the process, built on first use. The censor
+    blocks only entry bridges, so the middles and exit a circuit draws never
+    decide an outcome; the pool only needs enough middles for any legal code."""
+    return RouterRegistry.build(middles=MAX_N, exits=10)
 
 
 def select_bridges(pool: BridgePool, n: int, rng: random.Random) -> list[str]:
@@ -128,28 +131,18 @@ def interrupted_by_rule(blocked_count: int, params: CodeParams) -> bool:
 
 
 def run_trial(
-    scenario: CensorScenario,
-    message: bytes | None,
-    rng: random.Random,
-    *,
-    circuit_rng: random.Random | None = None,
-    registry: RouterRegistry | None = None,
+    scenario: CensorScenario, message: bytes, rng: random.Random, *, circuit_rng: random.Random
 ) -> TrialOutcome:
-    """One full trial: select bridges, build circuits, run the byte pipeline.
+    """One full trial: select bridges with `rng`, build circuits over the
+    default relay pool with `circuit_rng`, run the byte pipeline.
 
     Raises ConsistencyError if the transport outcome ever disagrees with
     the blocked-count rule; the two models must be interchangeable.
     """
-    if message is None:
-        message = _DEFAULT_MESSAGE
-    if circuit_rng is None:
-        circuit_rng = rng
-    if registry is None:
-        registry = default_registry()
     chosen = select_bridges(scenario.pool, scenario.params.n, rng)
     blocked = {i for i, b in enumerate(chosen) if b in scenario.pool.known}
     blocked_count = len(blocked)
-    circuits = build_circuits(chosen, registry, circuit_rng)
+    circuits = build_circuits(chosen, default_registry(), circuit_rng)
     result = run_transfer(circuits, scenario.params, message, blocked)
     interrupted = not result.success
     if interrupted != interrupted_by_rule(blocked_count, scenario.params):
@@ -166,8 +159,6 @@ def run_campaign(
     seed: int,
     *,
     full_pipeline_fraction: float = DEFAULT_FULL_PIPELINE_FRACTION,
-    message: bytes | None = None,
-    registry: RouterRegistry | None = None,
 ) -> CampaignResult:
     """Estimate the interruption probability over many independent trials.
 
@@ -198,9 +189,7 @@ def run_campaign(
     interruptions = 0
     for i in range(trials):
         if (i + 1) * quota // trials > i * quota // trials:
-            outcome = run_trial(
-                scenario, message, select_rng, circuit_rng=circuit_rng, registry=registry
-            )
+            outcome = run_trial(scenario, _DEFAULT_MESSAGE, select_rng, circuit_rng=circuit_rng)
             interruptions += outcome.interrupted
         else:
             interruptions += sum(sample(flags, n)) > absorbable

@@ -11,7 +11,9 @@ key at most once), and command-line flags, in increasing precedence. Each option
 and one parser (ExperimentConfig), which reads flag and file text alike.
 Every check runs before any output is opened, so a rejected run leaves
 existing outputs alone. e2e takes --mb and --mknown only with
---scenario-seed. All CSV output is plain
+--scenario-seed. Circuits draw their middles and shared exit from one
+relay pool per process (censor.default_registry), large enough for any
+legal code, so no option sizes it. All CSV output is plain
 comma-separated text with a header row and newline line endings, ordered
 deterministically, so identical (config, seed) runs are byte-identical.
 
@@ -42,20 +44,14 @@ from .censor import (
     DEFAULT_FULL_PIPELINE_FRACTION,
     BridgePool,
     CensorScenario,
+    default_registry,
     derive_rng,
     derive_seed,
     run_campaign,
     select_bridges,
 )
 from .codec import CodeParams
-from .onion import (
-    DEFAULT_EXIT_POOL,
-    DEFAULT_MIDDLE_POOL,
-    RouterRegistry,
-    Variant,
-    build_circuits,
-    run_transfer,
-)
+from .onion import Variant, build_circuits, run_transfer
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -111,8 +107,6 @@ class ExperimentConfig:
     seed: int = _option(0, int, "an integer")
     out: str = _option("-", str)
     full_pipeline_fraction: float = _option(DEFAULT_FULL_PIPELINE_FRACTION, float, "a number")
-    middles: int = _option(DEFAULT_MIDDLE_POOL, int, "an integer")
-    exits: int = _option(DEFAULT_EXIT_POOL, int, "an integer")
 
 
 _OPTIONS = {opt.name: opt for opt in fields(ExperimentConfig)}
@@ -179,8 +173,6 @@ def _resolve_config(args: argparse.Namespace, defaults: ExperimentConfig = Exper
         raise ValueError("--trials must be >= 1")
     if not 0.0 <= cfg.full_pipeline_fraction <= 1.0:
         raise ValueError("--full-pipeline-fraction must be in [0, 1]")
-    if cfg.middles < 1 or cfg.exits < 1:
-        raise ValueError("--middles and --exits must be >= 1")
     return cfg
 
 
@@ -194,16 +186,6 @@ def _grid_config(args: argparse.Namespace) -> ExperimentConfig:
             f"n={largest_n} circuits cannot select from the smallest grid pool of {smallest_pool} bridges"
         )
     return cfg
-
-
-def _registry(cfg: ExperimentConfig) -> RouterRegistry:
-    """The relay pools for circuit sets of every configured variant, which need n distinct middles each."""
-    largest_n = max(params.n for params in cfg.variant)
-    if largest_n > cfg.middles:
-        raise ValueError(
-            f"n={largest_n} circuits need at least {largest_n} middle relays, got --middles {cfg.middles}"
-        )
-    return RouterRegistry.build(cfg.middles, cfg.exits)
 
 
 @contextmanager
@@ -225,20 +207,14 @@ def _write_analytic_csv(rows: Sequence[SweepRow], fh: TextIO) -> None:
         )
 
 
-def _write_simulated_csv(cfg: ExperimentConfig, registry: RouterRegistry, fh: TextIO) -> None:
+def _write_simulated_csv(cfg: ExperimentConfig, fh: TextIO) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["m_known", "variant", "n", "r", "p_empirical", "ci95", "trials", "seed"])
     for m_known, params in grid_points(cfg.mknown, cfg.variant):
         scenario = CensorScenario(BridgePool.build(cfg.mb, m_known), params)
         variant, n, r = scenario.variant.value, params.n, params.r
         point_seed = derive_seed(cfg.seed, f"point:{m_known}:{variant}:{n}:{r}")
-        result = run_campaign(
-            scenario,
-            cfg.trials,
-            point_seed,
-            full_pipeline_fraction=cfg.full_pipeline_fraction,
-            registry=registry,
-        )
+        result = run_campaign(scenario, cfg.trials, point_seed, full_pipeline_fraction=cfg.full_pipeline_fraction)
         writer.writerow(
             [m_known, variant, n, r, repr(result.p_empirical), repr(result.ci95), cfg.trials, cfg.seed]
         )
@@ -254,15 +230,13 @@ def cmd_analytic(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _grid_config(args)
-    registry = _registry(cfg)
     with _open_out(cfg.out) as fh:
-        _write_simulated_csv(cfg, registry, fh)
+        _write_simulated_csv(cfg, fh)
     return EXIT_OK
 
 
 def cmd_fig2(args: argparse.Namespace) -> int:
     cfg = _grid_config(args)
-    registry = _registry(cfg)
     rows = sweep(cfg.mb, cfg.mknown, cfg.variant)
     out_dir = Path("." if cfg.out == "-" else cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -271,7 +245,7 @@ def cmd_fig2(args: argparse.Namespace) -> int:
     with open(analytic_path, "w", newline="") as fh:
         _write_analytic_csv(rows, fh)
     with open(simulated_path, "w", newline="") as fh:
-        _write_simulated_csv(cfg, registry, fh)
+        _write_simulated_csv(cfg, fh)
     print(f"wrote {analytic_path}")
     print(f"wrote {simulated_path}")
     return EXIT_OK
@@ -295,7 +269,6 @@ def cmd_e2e(args: argparse.Namespace) -> int:
     if len(cfg.variant) != 1:
         raise ValueError("e2e takes exactly one --variant")
     [params] = cfg.variant
-    registry = _registry(cfg)
     if args.scenario_seed is None:
         if args.mb is not None or args.mknown is not None:
             raise ValueError("--mb and --mknown apply only with --scenario-seed")
@@ -317,7 +290,7 @@ def cmd_e2e(args: argparse.Namespace) -> int:
             raise ValueError("--message-size must be >= 1")
         message = hashlib.shake_256(f"e2e-message:{cfg.seed}".encode()).digest(args.message_size)
 
-    circuits = build_circuits(bridges, registry, derive_rng(cfg.seed, "circuit-construction"))
+    circuits = build_circuits(bridges, default_registry(), derive_rng(cfg.seed, "circuit-construction"))
     result = run_transfer(circuits, params, message, blocked)
 
     print(f"variant: {Variant.of(params).value} (n={params.n}, k={params.k}, r={params.r})")
@@ -346,14 +319,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _common_options(*, mb_help: str, mknown_metavar: str, mknown_help: str, variant_help: str) -> argparse.ArgumentParser:
-    """The pool, variant and relay flags, with the help text of one command family."""
-    defaults = ExperimentConfig()
+    """The pool and variant flags, with the help text of one command family."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--mb", help=mb_help)
     common.add_argument("--mknown", metavar=mknown_metavar, help=mknown_help)
     common.add_argument("--variant", action="append", metavar="SPEC", help=variant_help)
-    common.add_argument("--middles", help=f"middle relay pool size (default {defaults.middles})")
-    common.add_argument("--exits", help=f"exit relay pool size (default {defaults.exits})")
     return common
 
 

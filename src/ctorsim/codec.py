@@ -23,8 +23,9 @@ from typing import Sequence
 from . import gf256
 
 CELL_SIZE = 512
+MAX_N = 255  # field size bound on the coded cells (and circuits) per generation
 _LENGTH_PREFIX = 8  # big-endian message length, first bytes of the cell stream
-_WIRE_FIXED = 4 + 1  # generation id + sub-flow index
+_WIRE_HEADER = 4 + 1 + 1  # generation id + sub-flow index + k
 
 
 class UnrecoverableGeneration(Exception):
@@ -52,8 +53,8 @@ class CodeParams:
             raise ValueError(f"r must be >= 0, got {self.r}")
         if self.n != self.k + self.r:
             raise ValueError(f"n must equal k + r, got n={self.n}, k={self.k}, r={self.r}")
-        if self.n > 255:
-            raise ValueError(f"n must be <= 255 (field size bound), got {self.n}")
+        if self.n > MAX_N:
+            raise ValueError(f"n must be <= {MAX_N} (field size bound), got {self.n}")
 
 
 @dataclass(frozen=True)
@@ -88,31 +89,49 @@ class CodedCell:
             raise ValueError("generation_id must fit 4 bytes")
         if not 0 <= self.subflow_index <= 255:
             raise ValueError("subflow_index must fit 1 byte")
-        if not self.coefficients:
-            raise ValueError("coefficient vector must be non-empty")
+        if not 1 <= len(self.coefficients) <= MAX_N:
+            raise ValueError(f"coefficient vector must hold 1..{MAX_N} bytes, got {len(self.coefficients)}")
         if len(self.payload) != CELL_SIZE:
             raise ValueError(f"payload is exactly {CELL_SIZE} bytes, got {len(self.payload)}")
 
     def to_wire(self) -> bytes:
-        """Wire layout: generation_id (4B BE) | subflow_index (1B) | k coefficients | payload."""
+        """Wire layout: generation_id (4B BE) | subflow_index (1B) | k (1B) | k coefficients | payload."""
         return (
             self.generation_id.to_bytes(4, "big")
-            + bytes([self.subflow_index])
+            + bytes([self.subflow_index, len(self.coefficients)])
             + self.coefficients
             + self.payload
         )
 
     @classmethod
     def from_wire(cls, data: bytes) -> "CodedCell":
-        if len(data) < _WIRE_FIXED + 1 + CELL_SIZE:
-            raise ValueError(f"wire cell too short: {len(data)} bytes")
-        k = len(data) - _WIRE_FIXED - CELL_SIZE
+        """Parse one wire cell, whose length must be the one its header's k gives."""
+        if _wire_end(data, 0) != len(data):
+            raise ValueError(f"wire cell of {len(data)} bytes, but its header gives k={data[5]}")
+        k = data[5]
         return cls(
             generation_id=int.from_bytes(data[:4], "big"),
             subflow_index=data[4],
-            coefficients=bytes(data[5 : 5 + k]),
-            payload=bytes(data[5 + k :]),
+            coefficients=bytes(data[_WIRE_HEADER : _WIRE_HEADER + k]),
+            payload=bytes(data[_WIRE_HEADER + k :]),
         )
+
+    @classmethod
+    def from_wire_stream(cls, stream: bytes) -> list["CodedCell"]:
+        """Parse back-to-back wire cells, each delimited by the k in its own header."""
+        cells, pos = [], 0
+        while pos < len(stream):
+            end = _wire_end(stream, pos)
+            cells.append(cls.from_wire(stream[pos:end]))
+            pos = end
+        return cells
+
+
+def _wire_end(data: bytes, pos: int) -> int:
+    """End of the wire cell that starts at `pos`, as its header's k gives it."""
+    if len(data) - pos < _WIRE_HEADER:
+        raise ValueError(f"wire cell too short: {len(data) - pos} bytes")
+    return pos + _WIRE_HEADER + data[pos + 5] + CELL_SIZE
 
 
 @dataclass(frozen=True)

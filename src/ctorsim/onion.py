@@ -37,9 +37,6 @@ from .codec import (
 )
 from .gf256 import xor_bytes
 
-DEFAULT_MIDDLE_POOL = 50
-DEFAULT_EXIT_POOL = 10
-
 
 class Variant(str, Enum):
     OTOR = "otor"
@@ -77,9 +74,9 @@ class RouterRegistry:
     exits: tuple[OnionRouter, ...]
 
     @classmethod
-    def build(cls, middles: int = DEFAULT_MIDDLE_POOL, exits: int = DEFAULT_EXIT_POOL) -> "RouterRegistry":
-        """Registry with generated relays; the default pool sizes are an
-        operational stand-in, not a measured network topology."""
+    def build(cls, middles: int, exits: int) -> "RouterRegistry":
+        """Registry of generated relays; the pool sizes are an operational
+        stand-in, not a measured network topology."""
         if middles < 1 or exits < 1:
             raise ValueError("registry needs at least one middle and one exit")
         return cls(
@@ -225,8 +222,9 @@ def transmit(
 
     The circuits whose indices are in `blocked` drop their whole sub-flow
     silently. Each surviving sub-flow is joined into one byte stream,
-    wrapped once, peeled hop by hop, and reparsed cell by cell from the wire
-    bytes, so the returned cells are exactly what the exit relay can see.
+    wrapped once, peeled hop by hop, and reparsed cell by cell by the
+    headers in the wire bytes, so the returned cells are exactly what the
+    exit relay can see.
     They come back generation by generation, in circuit order within each.
     Every generation is checked before anything is wrapped.
     """
@@ -247,15 +245,11 @@ def transmit(
     for idx, circuit in enumerate(circuits):
         if idx in blocked:
             continue
-        wires = [gen_cells[idx].to_wire() for gen_cells in coded_generations]
-        layered = wrap_layers(b"".join(wires), circuit, seq=coded_generations[0][idx].generation_id)
+        wire = b"".join(gen_cells[idx].to_wire() for gen_cells in coded_generations)
+        layered = wrap_layers(wire, circuit, seq=coded_generations[0][idx].generation_id)
         for router in (circuit.entry, circuit.middle, circuit.exit):
             layered = peel_layer(layered, router)
-        stream, pos, cells = layered.payload, 0, []
-        for wire in wires:
-            cells.append(CodedCell.from_wire(stream[pos : pos + len(wire)]))
-            pos += len(wire)
-        subflows.append(cells)
+        subflows.append(CodedCell.from_wire_stream(layered.payload))
     return [cell for gen_cells in zip(*subflows) for cell in gen_cells]
 
 

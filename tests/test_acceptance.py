@@ -17,7 +17,6 @@ from ctorsim.analytics import (
     binomial,
     enumerate_oracle,
     p_block_lnc,
-    p_block_plain,
 )
 from ctorsim.censor import (
     BridgePool,
@@ -59,7 +58,7 @@ def test_criterion_1_oracle_equivalence_exact():
                 if n > unknown + known:
                     continue
                 oracle_plain = enumerate_oracle(unknown, known, n, 0)
-                assert p_block_plain(unknown, known, n) == oracle_plain, (unknown, known, n)
+                assert p_block_lnc(unknown, known, n, 0) == oracle_plain, (unknown, known, n)
                 for r in range(0, n):
                     oracle_r = oracle_plain if r == 0 else enumerate_oracle(unknown, known, n, r)
                     assert p_block_lnc(unknown, known, n, r) == oracle_r, (unknown, known, n, r)
@@ -71,7 +70,7 @@ def test_criterion_2_identity_checks_exact():
     """Complement form, r=0 collapse, and the known-pool side condition."""
     for known in range(0, 26):
         for n in (1, 4, 5, 8, 10):
-            p = p_block_plain(25, known, n)
+            p = p_block_lnc(25, known, n, 0)
             assert p == 1 - Fraction(binomial(25, n), binomial(25 + known, n))
             assert p_block_lnc(25, known, n, 0) == p
         for n, r in ((5, 2), (10, 4)):
@@ -83,13 +82,13 @@ def test_criterion_2_identity_checks_exact():
 def test_criterion_3_figure_anchors():
     """Qualitative anchors for the headline comparison at 25 unknown bridges."""
     # (a) uncoded multi-circuit is all but certainly blocked at 16 known bridges
-    assert p_block_plain(25, 16, 10) >= Fraction(99, 100)
-    assert p_block_plain(25, 16, 8) >= Fraction(98, 100)
+    assert p_block_lnc(25, 16, 10, 0) >= Fraction(99, 100)
+    assert p_block_lnc(25, 16, 8, 0) >= Fraction(98, 100)
 
     # (b) coding never hurts: coded rows are pointwise at or below uncoded rows
     for known in range(1, 26):
         for n, r in ((5, 2), (10, 4)):
-            assert p_block_lnc(25, known, n, r) <= p_block_plain(25, known, n)
+            assert p_block_lnc(25, known, n, r) <= p_block_lnc(25, known, n, 0)
 
     # (c) crossover between the deep (n=10, r=4) and wide (n=5, r=2) codes.
     # The claimed boundary is 15 known bridges; exact arithmetic puts the
@@ -132,9 +131,7 @@ def test_criterion_4_monte_carlo_convergence():
     assert len(MONTE_CARLO_POINTS) == 12
     trials = 100_000
     for m_known, variant, n, r in MONTE_CARLO_POINTS:
-        exact = float(
-            p_block_lnc(25, m_known, n, r) if r else p_block_plain(25, m_known, n)
-        )
+        exact = float(p_block_lnc(25, m_known, n, r))
         scenario = CensorScenario(BridgePool.build(25, m_known), CodeParams(n, n - r, r))
         seed = derive_seed(0, f"acceptance-4:{m_known}:{variant}:{n}:{r}")
         result = run_campaign(scenario, trials, seed)

@@ -12,7 +12,6 @@ from ctorsim.analytics import (
     binomial,
     enumerate_oracle,
     p_block_lnc,
-    p_block_plain,
     sweep,
 )
 from ctorsim.codec import CodeParams
@@ -34,37 +33,32 @@ class TestBinomial:
 
 class TestPlainBlocking:
     def test_no_known_bridges_means_zero(self):
-        assert p_block_plain(25, 0, 4) == 0
+        assert p_block_lnc(25, 0, 4, 0) == 0
 
     def test_single_circuit_is_known_share(self):
-        assert p_block_plain(25, 5, 1) == Fraction(1, 6)
+        assert p_block_lnc(25, 5, 1, 0) == Fraction(1, 6)
 
     def test_reference_point(self):
         # frozen from exhaustive enumeration of all C(30, 4) selections
-        assert p_block_plain(25, 5, 4) == Fraction(14755, 27405)
-        assert float(p_block_plain(25, 5, 4)) == pytest.approx(0.53841, abs=5e-6)
+        assert p_block_lnc(25, 5, 4, 0) == Fraction(14755, 27405)
+        assert float(p_block_lnc(25, 5, 4, 0)) == pytest.approx(0.53841, abs=5e-6)
 
     def test_complement_identity_on_grid(self):
         for known in range(0, 26):
             for n in (1, 4, 5, 8, 10):
-                p = p_block_plain(25, known, n)
+                p = p_block_lnc(25, known, n, 0)
                 assert p == 1 - Fraction(binomial(25, n), binomial(25 + known, n))
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            p_block_plain(25, 5, 0)
+            p_block_lnc(25, 5, 0, 0)
         with pytest.raises(ValueError):
-            p_block_plain(2, 1, 4)
+            p_block_lnc(2, 1, 4, 0)
         with pytest.raises(ValueError):
-            p_block_plain(-1, 5, 1)
+            p_block_lnc(-1, 5, 1, 0)
 
 
 class TestCodedBlocking:
-    def test_zero_redundancy_collapses_to_plain(self):
-        for known in range(0, 13):
-            for n in (1, 2, 4, 6):
-                assert p_block_lnc(12, known, n, 0) == p_block_plain(12, known, n)
-
     def test_zero_when_censor_knows_at_most_r_bridges(self):
         for r in range(1, 4):
             for known in range(0, r + 1):
@@ -83,7 +77,7 @@ class TestCodedBlocking:
     def test_dominance_over_plain(self):
         for known in range(0, 26):
             for n, r in ((4, 1), (5, 2), (10, 4)):
-                assert p_block_lnc(25, known, n, r) <= p_block_plain(25, known, n)
+                assert p_block_lnc(25, known, n, r) <= p_block_lnc(25, known, n, 0)
 
     def test_monotone_in_redundancy(self):
         for known in range(0, 16):
@@ -107,7 +101,7 @@ class TestEnumerationOracle:
                 for n in range(1, 5):
                     if n > unknown + known:
                         continue
-                    assert enumerate_oracle(unknown, known, n, 0) == p_block_plain(unknown, known, n)
+                    assert enumerate_oracle(unknown, known, n, 0) == p_block_lnc(unknown, known, n, 0)
                     for r in range(0, n):
                         assert enumerate_oracle(unknown, known, n, r) == p_block_lnc(
                             unknown, known, n, r
@@ -140,7 +134,7 @@ class TestSweep:
 
     def test_single_point_matches_point_operation(self):
         [row] = sweep(25, [5], [CodeParams(4, 4, 0)])
-        assert row.probability == p_block_plain(25, 5, 4)
+        assert row.probability == p_block_lnc(25, 5, 4, 0)
         [row] = sweep(25, [5], [CodeParams(4, 3, 1)])
         assert row.probability == p_block_lnc(25, 5, 4, 1)
 

@@ -7,11 +7,12 @@ from fractions import Fraction
 import pytest
 
 from ctorsim import censor
-from ctorsim.analytics import p_block_plain
+from ctorsim.analytics import p_block_lnc
 from ctorsim.censor import (
     BridgePool,
     CensorScenario,
     TrialOutcome,
+    default_registry,
     derive_rng,
     derive_seed,
     interrupted_by_rule,
@@ -19,7 +20,7 @@ from ctorsim.censor import (
     run_trial,
     select_bridges,
 )
-from ctorsim.codec import CodeParams
+from ctorsim.codec import MAX_N, CodeParams
 from ctorsim.onion import Variant
 
 
@@ -89,25 +90,28 @@ class TestScenario:
         assert interrupted_by_rule(2, params)
 
 
+MESSAGE = b"trial-payload" * 80
+
+
 class TestRunTrial:
     def test_no_known_bridges_never_interrupts(self):
         s = scenario(10, 0, 4)
         for i in range(20):
-            assert not run_trial(s, None, derive_rng(i, "t")).interrupted
+            assert not run_trial(s, MESSAGE, derive_rng(i, "t"), circuit_rng=derive_rng(i, "c")).interrupted
 
     def test_all_known_bridges_always_interrupt(self):
         s = scenario(0, 10, 4)
         for i in range(20):
-            outcome = run_trial(s, None, derive_rng(i, "t"))
+            outcome = run_trial(s, MESSAGE, derive_rng(i, "t"), circuit_rng=derive_rng(i, "c"))
             assert outcome.interrupted
             assert outcome.blocked_count == 4
 
     def test_ctor_tolerates_exactly_one_known_bridge(self):
         s = scenario(25, 5, 4, 1)
-        rng = derive_rng(1, "hunt")
+        rng, circuit_rng = derive_rng(1, "hunt"), derive_rng(1, "hunt-circuits")
         seen_single = 0
         for _ in range(200):
-            outcome = run_trial(s, None, rng)
+            outcome = run_trial(s, MESSAGE, rng, circuit_rng=circuit_rng)
             if outcome.blocked_count == 1:
                 seen_single += 1
                 assert not outcome.interrupted
@@ -115,7 +119,7 @@ class TestRunTrial:
 
     def test_outcome_fields(self):
         s = scenario(25, 5, 4)
-        outcome = run_trial(s, b"payload-bytes", derive_rng(3, "t"))
+        outcome = run_trial(s, b"payload-bytes", derive_rng(3, "t"), circuit_rng=derive_rng(3, "c"))
         assert isinstance(outcome, TrialOutcome)
         assert len(outcome.chosen_bridges) == 4
         assert outcome.blocked_count == sum(
@@ -147,7 +151,7 @@ class TestRunCampaign:
         assert a.interruptions == b.interruptions
 
     def test_matches_exact_value_within_three_sigma(self):
-        exact = float(p_block_plain(25, 5, 4))
+        exact = float(p_block_lnc(25, 5, 4, 0))
         assert abs(exact - 0.53841) < 5e-6  # frozen from exhaustive enumeration
         result = run_campaign(scenario(25, 5, 4), 100_000, seed=0)
         sigma = math.sqrt(exact * (1 - exact) / result.trials)
@@ -218,6 +222,13 @@ class TestFlagSumFastPath:
         s = scenario(num_unknown, num_known, n, r=n // 3)
         result = run_campaign(s, 3000, seed=8, full_pipeline_fraction=0)
         assert result.interruptions == reference_fast_path(s, 3000, 8)
+
+
+class TestDefaultRegistry:
+    def test_one_pool_covers_every_legal_code(self):
+        assert default_registry() is default_registry()
+        assert len(default_registry().middles) == MAX_N
+        assert len(default_registry().exits) == 10
 
 
 class TestSeedDerivation:

@@ -123,6 +123,21 @@ class TestSimulate:
         assert a_keys == s_keys
 
 
+class TestLargestCode:
+    """The relay pool covers every legal code, so n = 255 needs no relay flag."""
+
+    def test_e2e(self, capsys):
+        assert main(["e2e", "--variant", "mtor:255", "--message-size", "1"]) == EXIT_OK
+        assert "outcome: SUCCESS" in capsys.readouterr().out
+
+    def test_simulate_full_pipeline(self, tmp_path):
+        out = tmp_path / "sim.csv"
+        argv = ["simulate", "--mb", "255", "--mknown", "0..1", "--variant", "mtor:255", "--trials", "2",
+                "--full-pipeline-fraction", "1", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert [row[:4] for row in read_csv(out)[1:]] == [["0", "mtor", "255", "0"], ["1", "mtor", "255", "0"]]
+
+
 class TestConfigFile:
     def test_file_values_apply_and_flags_win(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -149,6 +164,9 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("mystery = 1\n")
         assert main(["analytic", "--config", str(cfg)]) == EXIT_USAGE
+        # the relay pool is built once per process, so no key sizes it
+        cfg.write_text("middles = 6\n")
+        assert main(["simulate", "--config", str(cfg), "--mknown", "3", "--variant", "mtor:4", "--trials", "5"]) == EXIT_USAGE
 
     def test_missing_file_rejected(self, tmp_path):
         assert main(["analytic", "--config", str(tmp_path / "nope.cfg")]) == EXIT_USAGE
@@ -180,8 +198,6 @@ class TestConfigFile:
         "seed": "9",
         "out": None,
         "full_pipeline_fraction": "0.5",
-        "middles": "6",
-        "exits": "2",
     }
     # small grid flags for every run, minus the key under test
     BASE = {
@@ -325,7 +341,7 @@ class TestChecksBeforeOutput:
     """A rejected grid run exits 1 before it opens any output."""
 
     REJECTED = {
-        "middles-below-n": ["--middles", "3", "--variant", "mtor:4", "--mknown", "5"],
+        "middles-flag": ["--middles", "60", "--variant", "mtor:4", "--mknown", "5"],
         "n-above-smallest-pool": ["--mb", "1", "--mknown", "0..3", "--variant", "mtor:4"],
     }
 
@@ -343,17 +359,6 @@ class TestChecksBeforeOutput:
         assert main(["fig2", *self.REJECTED[case], "--trials", "5", "--out", str(out_dir)]) == EXIT_USAGE
         assert list(out_dir.iterdir()) == []
 
-    def test_analytic_builds_no_circuits(self, tmp_path):
-        # the middle pool bounds circuit sets only, so analytic output ignores --middles
-        small, default = tmp_path / "small.csv", tmp_path / "default.csv"
-        grid = ["--variant", "mtor:4", "--mknown", "5"]
-        assert main(["analytic", *grid, "--middles", "3", "--out", str(small)]) == EXIT_OK
-        assert main(["analytic", *grid, "--out", str(default)]) == EXIT_OK
-        assert small.read_bytes() == default.read_bytes()
-
-    def test_e2e_middles_below_n(self, capsys):
-        assert main(["e2e", "--variant", "mtor:4", "--middles", "3"]) == EXIT_USAGE
-        assert capsys.readouterr().out == ""
 
 
 class TestUsageErrors:

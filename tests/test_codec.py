@@ -21,7 +21,8 @@ from ctorsim.codec import (
     reassemble_message,
     split_message,
 )
-from ctorsim.onion import RouterRegistry, build_circuits, run_transfer
+from ctorsim.censor import default_registry
+from ctorsim.onion import build_circuits, run_transfer
 
 
 def rank_of(rows: list[bytes], k: int) -> int:
@@ -229,9 +230,10 @@ class TestWireFormat:
         wire = cell.to_wire()
         assert wire[:4] == b"\x01\x02\x03\x04"
         assert wire[4] == 7
-        assert wire[5:8] == b"\x01\x01\x01"
-        assert wire[8:] == cell.payload
-        assert len(wire) == 4 + 1 + 3 + CELL_SIZE
+        assert wire[5] == 3
+        assert wire[6:9] == b"\x01\x01\x01"
+        assert wire[9:] == cell.payload
+        assert len(wire) == 4 + 1 + 1 + 3 + CELL_SIZE
 
     def test_round_trip(self):
         cell = CodedCell(42, 3, b"\x01\x02\x03\x04", random.Random(16).randbytes(CELL_SIZE))
@@ -240,6 +242,30 @@ class TestWireFormat:
     def test_short_wire_rejected(self):
         with pytest.raises(ValueError):
             CodedCell.from_wire(bytes(100))
+
+    def test_cells_cut_by_one_byte_are_rejected(self):
+        # without k in the header, three (4,4,0) cells each cut by one byte
+        # would parse as (3,3,0) cells and decode to shifted bytes
+        params = CodeParams(4, 4, 0)
+        cells = encode_generation(random_generation(4, random.Random(17)), build_generator(params))
+        for cell in cells[:3]:
+            with pytest.raises(ValueError):
+                CodedCell.from_wire(cell.to_wire()[:-1])
+
+    def test_stream_parses_by_each_cells_header(self):
+        rng = random.Random(19)
+        cells = [
+            CodedCell(gid, idx, rng.randbytes(k), rng.randbytes(CELL_SIZE))
+            for gid, idx, k in ((0, 0, 1), (1, 2, 3), (2, 1, 255), (3, 0, 2))
+        ]
+        stream = b"".join(cell.to_wire() for cell in cells)
+        assert CodedCell.from_wire_stream(stream) == cells
+        assert CodedCell.from_wire_stream(b"") == []
+        for cut in (1, 5, CELL_SIZE + 1):
+            with pytest.raises(ValueError):
+                CodedCell.from_wire_stream(stream[:-cut])
+        with pytest.raises(ValueError):
+            CodedCell.from_wire_stream(stream + b"\x00")
 
 
 class TestFraming:
@@ -314,18 +340,24 @@ def test_split_reassemble_is_identity(data, k):
     assert reassemble_message(split_message(data, k)) == data
 
 
-_WIRE_MIN = 4 + 1 + 1 + CELL_SIZE  # header, one coefficient, payload
+_WIRE_HEADER = 4 + 1 + 1  # generation id, sub-flow index, k
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(size=st.integers(0, _WIRE_MIN + 40), data=st.data())
-def test_from_wire_round_trips_or_rejects(size, data):
-    wire = data.draw(st.binary(min_size=size, max_size=size))
-    if size < _WIRE_MIN:
-        with pytest.raises(ValueError):
-            CodedCell.from_wire(wire)
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(k=st.integers(0, 255), data=st.data())
+def test_from_wire_round_trips_or_rejects(k, data):
+    # a wire cell parses exactly when its length is the one its header's k
+    # gives and k >= 1; any other length or k is rejected
+    exact = _WIRE_HEADER + k + CELL_SIZE
+    size = data.draw(st.one_of(st.integers(0, _WIRE_HEADER), st.integers(exact - 2, exact + 2)))
+    wire = bytearray(data.draw(st.binary(min_size=size, max_size=size)))
+    if size >= _WIRE_HEADER:
+        wire[5] = k
+    if size == exact and k >= 1:
+        assert CodedCell.from_wire(bytes(wire)).to_wire() == wire
     else:
-        assert CodedCell.from_wire(wire).to_wire() == wire
+        with pytest.raises(ValueError):
+            CodedCell.from_wire(bytes(wire))
 
 
 # Faulty cells the decoder must catch: one of another generation, one of a
@@ -361,19 +393,20 @@ def test_decode_raises_or_returns_the_generation(shape, seed, picks, faults, dat
             random_generation(other_k, rng, 3), build_generator(CodeParams(other_k + n - k, other_k, n - k))
         ),
     }
-    wires = [coded[i % n].to_wire() for i in picks]
+    wires = [(coded[i % n].to_wire(), False) for i in picks]
     for kind, index, cut in faults:
         if kind == "truncated":
-            wires.append(coded[index % n].to_wire()[:-cut])
+            wires.append((coded[index % n].to_wire()[:-cut], True))
         else:
-            wires.append(sources[kind][index % len(sources[kind])].to_wire())
+            wires.append((sources[kind][index % len(sources[kind])].to_wire(), False))
     wires = data.draw(st.permutations(wires))
     received = []
-    for wire in wires:
-        try:
+    for wire, truncated in wires:
+        if truncated:
+            with pytest.raises(ValueError):
+                CodedCell.from_wire(wire)
+        else:
             received.append(CodedCell.from_wire(wire))
-        except ValueError:
-            assert len(wire) < _WIRE_MIN
     if not received or any(
         cell.generation_id != received[0].generation_id or len(cell.coefficients) != k for cell in received
     ):
@@ -474,7 +507,7 @@ def test_cached_inverse_matches_elimination(k, r, seed, data):
 class TestDecodePlanCache:
     def test_one_inversion_per_transfer_with_fixed_blocking(self):
         params = CodeParams(10, 6, 4)
-        circuits = build_circuits([f"b{i}" for i in range(10)], RouterRegistry.build(), random.Random(0))
+        circuits = build_circuits([f"b{i}" for i in range(10)], default_registry(), random.Random(0))
         message = random.Random(18).randbytes(256 * 1024)
         generations = len(split_message(message, params.k))
         _decode_plan.cache_clear()

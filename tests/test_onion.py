@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctorsim import onion
+from ctorsim.censor import default_registry
 from ctorsim.codec import (
     CELL_SIZE,
     CodeParams,
@@ -36,7 +37,7 @@ from ctorsim.onion import (
 
 @pytest.fixture(scope="module")
 def registry() -> RouterRegistry:
-    return RouterRegistry.build()
+    return default_registry()
 
 
 def circuits_for(n: int, registry: RouterRegistry, seed: int = 0) -> CircuitSet:
@@ -87,7 +88,7 @@ class TestBuildCircuits:
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 10))
 def test_circuit_sets_always_disjoint(seed, n):
-    cs = build_circuits([f"b{i}" for i in range(n)], RouterRegistry.build(), random.Random(seed))
+    cs = build_circuits([f"b{i}" for i in range(n)], default_registry(), random.Random(seed))
     assert len(distinct_router_ids(cs)) == 2 * n + 1
 
 
@@ -165,7 +166,7 @@ def reference_wrap(cell_bytes: bytes, circuit: Circuit, seq: int) -> bytes:
     return data
 
 
-REGISTRY = RouterRegistry.build()
+REGISTRY = default_registry()
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
