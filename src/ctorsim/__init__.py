@@ -30,6 +30,7 @@ from .codec import (
     Generation,
     GeneratorMatrix,
     UnrecoverableGeneration,
+    Variant,
     build_generator,
     decode_generation,
     encode_generation,
@@ -43,7 +44,6 @@ from .onion import (
     OnionRouter,
     RouterRegistry,
     TransferResult,
-    Variant,
     build_circuits,
     peel_layer,
     run_transfer,

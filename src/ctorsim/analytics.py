@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .codec import CodeParams
-from .onion import Variant
+from .codec import CodeParams, Variant
 
 ORACLE_SUBSET_LIMIT = 10**7
 
@@ -114,11 +113,7 @@ def grid_points(known_range: Iterable[int], configs: Sequence[CodeParams]) -> li
     return points
 
 
-def sweep(
-    unknown: int,
-    known_range: Iterable[int],
-    configs: Sequence[CodeParams] = DEFAULT_CONFIGS,
-) -> list[SweepRow]:
+def sweep(unknown: int, known_range: Iterable[int], configs: Sequence[CodeParams]) -> list[SweepRow]:
     """Exact probability grid over known-bridge counts and code shapes, in
     grid_points order."""
     return [

@@ -14,15 +14,14 @@ stream does not shift when the full-pipeline fraction changes.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .codec import MAX_N, CodeParams
-from .onion import RouterRegistry, Variant, build_circuits, run_transfer
+from .codec import CodeParams, Variant
+from .onion import build_circuits, run_transfer
 
 DEFAULT_FULL_PIPELINE_FRACTION = 0.01
 
@@ -108,14 +107,6 @@ def derive_rng(seed: int, label: str) -> random.Random:
     return random.Random(derive_seed(seed, label))
 
 
-@functools.cache
-def default_registry() -> RouterRegistry:
-    """The one relay pool of the process, built on first use. The censor
-    blocks only entry bridges, so the middles and exit a circuit draws never
-    decide an outcome; the pool only needs enough middles for any legal code."""
-    return RouterRegistry.build(middles=MAX_N, exits=10)
-
-
 def select_bridges(pool: BridgePool, n: int, rng: random.Random) -> list[str]:
     """Uniform sample of n bridges without replacement over the whole pool."""
     if n < 1:
@@ -142,7 +133,7 @@ def run_trial(
     chosen = select_bridges(scenario.pool, scenario.params.n, rng)
     blocked = {i for i, b in enumerate(chosen) if b in scenario.pool.known}
     blocked_count = len(blocked)
-    circuits = build_circuits(chosen, default_registry(), circuit_rng)
+    circuits = build_circuits(chosen, circuit_rng)
     result = run_transfer(circuits, scenario.params, message, blocked)
     interrupted = not result.success
     if interrupted != interrupted_by_rule(blocked_count, scenario.params):

@@ -11,9 +11,9 @@ key at most once), and command-line flags, in increasing precedence. Each option
 and one parser (ExperimentConfig), which reads flag and file text alike.
 Every check runs before any output is opened, so a rejected run leaves
 existing outputs alone. e2e takes --mb and --mknown only with
---scenario-seed. Circuits draw their middles and shared exit from one
-relay pool per process (censor.default_registry), large enough for any
-legal code, so no option sizes it. All CSV output is plain
+--scenario-seed. build_circuits draws each circuit's middle and the shared
+exit from one relay pool per process (onion.default_registry), large
+enough for any legal code, so no option sizes it. All CSV output is plain
 comma-separated text with a header row and newline line endings, ordered
 deterministically, so identical (config, seed) runs are byte-identical.
 
@@ -44,20 +44,19 @@ from .censor import (
     DEFAULT_FULL_PIPELINE_FRACTION,
     BridgePool,
     CensorScenario,
-    default_registry,
     derive_rng,
     derive_seed,
     run_campaign,
     select_bridges,
 )
-from .codec import CodeParams
-from .onion import Variant, build_circuits, run_transfer
+from .codec import MAX_N, CodeParams, Variant
+from .onion import build_circuits, run_transfer
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INTERRUPTED = 2
 
-_VARIANT_FORMS = "otor | mtor:<n> | ctor:<n>:<r> with 1 <= r < n"
+_VARIANT_FORMS = f"otor | mtor:<n> | ctor:<n>:<r> with 1 <= n <= {MAX_N} and 1 <= r < n"
 
 
 def parse_variant_spec(text: str) -> CodeParams:
@@ -290,7 +289,7 @@ def cmd_e2e(args: argparse.Namespace) -> int:
             raise ValueError("--message-size must be >= 1")
         message = hashlib.shake_256(f"e2e-message:{cfg.seed}".encode()).digest(args.message_size)
 
-    circuits = build_circuits(bridges, default_registry(), derive_rng(cfg.seed, "circuit-construction"))
+    circuits = build_circuits(bridges, derive_rng(cfg.seed, "circuit-construction"))
     result = run_transfer(circuits, params, message, blocked)
 
     print(f"variant: {Variant.of(params).value} (n={params.n}, k={params.k}, r={params.r})")

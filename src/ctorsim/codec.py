@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from enum import Enum
 from typing import Sequence
 
 from . import gf256
@@ -31,11 +32,10 @@ _WIRE_HEADER = 4 + 1 + 1  # generation id + sub-flow index + k
 class UnrecoverableGeneration(Exception):
     """Raised when fewer than k independent coded cells survive for a generation."""
 
-    def __init__(self, generation_id: int, received: int | None = None):
+    def __init__(self, generation_id: int, received: int):
         self.generation_id = generation_id
         self.received = received
-        detail = f" ({received} cells received)" if received is not None else ""
-        super().__init__(f"generation {generation_id} cannot be recovered{detail}")
+        super().__init__(f"generation {generation_id} cannot be recovered ({received} cells received)")
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,19 @@ class CodeParams:
             raise ValueError(f"n must equal k + r, got n={self.n}, k={self.k}, r={self.r}")
         if self.n > MAX_N:
             raise ValueError(f"n must be <= {MAX_N} (field size bound), got {self.n}")
+
+
+class Variant(str, Enum):
+    OTOR = "otor"
+    MTOR = "mtor"
+    CTOR = "ctor"
+
+    @classmethod
+    def of(cls, params: CodeParams) -> "Variant":
+        """Name a code shape: one circuit is otor, no redundancy is mtor, else ctor."""
+        if params.n == 1:
+            return cls.OTOR
+        return cls.MTOR if params.r == 0 else cls.CTOR
 
 
 @dataclass(frozen=True)
@@ -182,13 +195,13 @@ def build_generator(params: CodeParams) -> GeneratorMatrix:
     return GeneratorMatrix(params, tuple(rows))
 
 
-def _combine(coefficients: Sequence[int], payloads: Sequence[bytes], size: int) -> bytes:
+def _combine(coefficients: Sequence[int], payloads: Sequence[bytes]) -> bytes:
     acc = 0
     for c, data in zip(coefficients, payloads):
         if c == 0:
             continue
         acc ^= int.from_bytes(gf256.scale_bytes(data, c), "big")
-    return acc.to_bytes(size, "big")
+    return acc.to_bytes(CELL_SIZE, "big")
 
 
 def encode_generation(generation: Generation, matrix: GeneratorMatrix) -> list[CodedCell]:
@@ -201,16 +214,17 @@ def encode_generation(generation: Generation, matrix: GeneratorMatrix) -> list[C
     out = []
     for idx in range(params.n):
         row = matrix.rows[idx]
-        payload = generation.cells[idx] if idx < params.k else _combine(row, generation.cells, CELL_SIZE)
+        payload = generation.cells[idx] if idx < params.k else _combine(row, generation.cells)
         out.append(CodedCell(generation.generation_id, idx, row, payload))
     return out
 
 
 # One inverse per set of received coefficient rows: a blocked circuit drops
 # its whole sub-flow, so every generation of a transfer repeats the same set.
-# 400 entries hold every partial survivor set of the default grid's coded
-# shapes (15 for ctor:5:2, 385 for ctor:10:4). Entries hold rows, never
-# payloads.
+# Survivor sets holding all k originals take the systematic shortcut and never
+# get here, so the default grid's shapes fill 382 entries (12 for ctor:5:2,
+# 370 for ctor:10:4, none for the uncoded ones); 400 hold them all. Entries
+# hold rows, never payloads.
 @functools.lru_cache(maxsize=400)
 def _decode_plan(rows: tuple[bytes, ...]) -> tuple[tuple[int, ...], tuple[bytes, ...]] | None:
     """Positions of the first k independent rows and the inverse of their
@@ -270,7 +284,7 @@ def decode_generation(received: Sequence[CodedCell], params: CodeParams) -> Gene
     picks, inverse = plan
     payloads = [received[pos].payload for pos in picks]
     return Generation(generation_id, tuple(
-        payloads[row.index(1)] if sum(row) == 1 else _combine(row, payloads, CELL_SIZE) for row in inverse
+        payloads[row.index(1)] if sum(row) == 1 else _combine(row, payloads) for row in inverse
     ))
 
 

@@ -1,4 +1,4 @@
-"""Transport model: relays, three-hop circuits sharing one exit, layered
+"""Transport model: the relay pool, three-hop circuits sharing one exit, layered
 stream encryption, and the client-to-exit pipeline for all three variants.
 
 The single-circuit (otor), multi-circuit (mtor), and coded multi-circuit
@@ -21,10 +21,10 @@ import functools
 import hashlib
 import random
 from dataclasses import dataclass
-from enum import Enum
 from typing import Collection, Iterator, Sequence
 
 from .codec import (
+    MAX_N,
     CodeParams,
     CodedCell,
     Generation,
@@ -38,19 +38,6 @@ from .codec import (
 from .gf256 import xor_bytes
 
 
-class Variant(str, Enum):
-    OTOR = "otor"
-    MTOR = "mtor"
-    CTOR = "ctor"
-
-    @classmethod
-    def of(cls, params: CodeParams) -> "Variant":
-        """Name a code shape: one circuit is otor, no redundancy is mtor, else ctor."""
-        if params.n == 1:
-            return cls.OTOR
-        return cls.MTOR if params.r == 0 else cls.CTOR
-
-
 @dataclass(frozen=True)
 class OnionRouter:
     router_id: str
@@ -62,8 +49,9 @@ def derive_layer_key(router_id: str) -> bytes:
     return hashlib.shake_256(b"layer-key:" + router_id.encode()).digest(16)
 
 
-def bridge_router(bridge_id: str) -> OnionRouter:
-    return OnionRouter(bridge_id, derive_layer_key(bridge_id))
+def relay(router_id: str) -> OnionRouter:
+    """A bridge or pool relay, keyed by its id."""
+    return OnionRouter(router_id, derive_layer_key(router_id))
 
 
 @dataclass(frozen=True)
@@ -73,22 +61,17 @@ class RouterRegistry:
     middles: tuple[OnionRouter, ...]
     exits: tuple[OnionRouter, ...]
 
-    @classmethod
-    def build(cls, middles: int, exits: int) -> "RouterRegistry":
-        """Registry of generated relays; the pool sizes are an operational
-        stand-in, not a measured network topology."""
-        if middles < 1 or exits < 1:
-            raise ValueError("registry needs at least one middle and one exit")
-        return cls(
-            middles=tuple(
-                OnionRouter(f"middle-{i:03d}", derive_layer_key(f"middle-{i:03d}"))
-                for i in range(middles)
-            ),
-            exits=tuple(
-                OnionRouter(f"exit-{i:02d}", derive_layer_key(f"exit-{i:02d}"))
-                for i in range(exits)
-            ),
-        )
+
+@functools.cache
+def default_registry() -> RouterRegistry:
+    """The one relay pool of the process, built on first use. The censor
+    blocks only entry bridges, so the middles and exit a circuit draws never
+    decide an outcome; the pool only needs enough middles for any legal code.
+    The pool sizes are an operational stand-in, not a measured topology."""
+    return RouterRegistry(
+        middles=tuple(relay(f"middle-{i:03d}") for i in range(MAX_N)),
+        exits=tuple(relay(f"exit-{i:02d}") for i in range(10)),
+    )
 
 
 @dataclass(frozen=True)
@@ -137,25 +120,18 @@ class CircuitSet:
         return self.circuits[i]
 
 
-def build_circuits(
-    bridge_ids: Sequence[str], registry: RouterRegistry, rng: random.Random
-) -> CircuitSet:
+def build_circuits(bridge_ids: Sequence[str], rng: random.Random) -> CircuitSet:
     """Build one circuit per chosen bridge, middles and the shared exit drawn
-    uniformly without replacement from the registry."""
-    n = len(bridge_ids)
-    if n < 1:
-        raise ValueError("need at least one bridge")
-    if len(set(bridge_ids)) != n:
-        raise ValueError("bridge ids must be distinct")
-    if len(registry.middles) < n:
-        raise ValueError(f"registry has {len(registry.middles)} middles, need {n}")
-    if not registry.exits:
-        raise ValueError("registry has no exit relays")
-    middles = rng.sample(registry.middles, n)
-    shared_exit = rng.choice(registry.exits)
+    uniformly without replacement from the default relay pool. CircuitSet
+    rejects an empty or repeated bridge list."""
+    if len(bridge_ids) > MAX_N:
+        raise ValueError(f"{len(bridge_ids)} bridges, but a code has at most {MAX_N} circuits")
+    pool = default_registry()
+    middles = rng.sample(pool.middles, len(bridge_ids))
+    shared_exit = rng.choice(pool.exits)
     return CircuitSet(
         tuple(
-            Circuit(bridge_router(bridge_id), middle, shared_exit)
+            Circuit(relay(bridge_id), middle, shared_exit)
             for bridge_id, middle in zip(bridge_ids, middles)
         )
     )

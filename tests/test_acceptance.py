@@ -67,12 +67,11 @@ def test_criterion_1_oracle_equivalence_exact():
 
 
 def test_criterion_2_identity_checks_exact():
-    """Complement form, r=0 collapse, and the known-pool side condition."""
+    """Complement form of the uncoded (r=0) tail, and the known-pool side condition."""
     for known in range(0, 26):
         for n in (1, 4, 5, 8, 10):
             p = p_block_lnc(25, known, n, 0)
             assert p == 1 - Fraction(binomial(25, n), binomial(25 + known, n))
-            assert p_block_lnc(25, known, n, 0) == p
         for n, r in ((5, 2), (10, 4)):
             if known <= r:
                 assert p_block_lnc(25, known, n, r) == 0

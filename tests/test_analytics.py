@@ -14,8 +14,7 @@ from ctorsim.analytics import (
     p_block_lnc,
     sweep,
 )
-from ctorsim.codec import CodeParams
-from ctorsim.onion import Variant
+from ctorsim.codec import CodeParams, Variant
 
 
 class TestBinomial:

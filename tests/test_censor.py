@@ -12,7 +12,6 @@ from ctorsim.censor import (
     BridgePool,
     CensorScenario,
     TrialOutcome,
-    default_registry,
     derive_rng,
     derive_seed,
     interrupted_by_rule,
@@ -20,8 +19,7 @@ from ctorsim.censor import (
     run_trial,
     select_bridges,
 )
-from ctorsim.codec import MAX_N, CodeParams
-from ctorsim.onion import Variant
+from ctorsim.codec import CodeParams, Variant
 
 
 def scenario(num_unknown, num_known, n, r=0) -> CensorScenario:
@@ -222,13 +220,6 @@ class TestFlagSumFastPath:
         s = scenario(num_unknown, num_known, n, r=n // 3)
         result = run_campaign(s, 3000, seed=8, full_pipeline_fraction=0)
         assert result.interruptions == reference_fast_path(s, 3000, 8)
-
-
-class TestDefaultRegistry:
-    def test_one_pool_covers_every_legal_code(self):
-        assert default_registry() is default_registry()
-        assert len(default_registry().middles) == MAX_N
-        assert len(default_registry().exits) == 10
 
 
 class TestSeedDerivation:

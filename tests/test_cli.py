@@ -15,8 +15,7 @@ from ctorsim.cli import (
     main,
     parse_variant_spec,
 )
-from ctorsim.codec import CodeParams
-from ctorsim.onion import Variant
+from ctorsim.codec import CodeParams, Variant
 
 
 def read_csv(path):
@@ -37,7 +36,9 @@ class TestVariantSpecs:
         [_, row] = capsys.readouterr().out.strip().splitlines()
         assert row.split(",")[1:4] == ["otor", "1", "0"]
 
-    @pytest.mark.parametrize("bad", ["", "tor", "otor:2", "mtor", "ctor:4", "ctor:4:4", "ctor:4:0", "mtor:x"])
+    @pytest.mark.parametrize(
+        "bad", ["", "tor", "otor:2", "mtor", "ctor:4", "ctor:4:4", "ctor:4:0", "mtor:x", "mtor:0", "mtor:256", "ctor:256:1"]
+    )
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_variant_spec(bad)
@@ -79,6 +80,10 @@ class TestAnalytic:
 
     def test_r_at_least_n_fails_before_compute(self):
         assert main(["analytic", "--variant", "ctor:4:4"]) == EXIT_USAGE
+
+    def test_n_above_field_bound_names_the_bound(self, capsys):
+        assert main(["analytic", "--variant", "ctor:300:1"]) == EXIT_USAGE
+        assert "255" in capsys.readouterr().err
 
     def test_pool_too_small_fails(self):
         assert main(["analytic", "--mb", "2", "--mknown", "0", "--variant", "mtor:4"]) == EXIT_USAGE

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctorsim import gf256
+from ctorsim.analytics import DEFAULT_CONFIGS
 from ctorsim.codec import (
     CELL_SIZE,
     CodedCell,
@@ -21,7 +22,6 @@ from ctorsim.codec import (
     reassemble_message,
     split_message,
 )
-from ctorsim.censor import default_registry
 from ctorsim.onion import build_circuits, run_transfer
 
 
@@ -507,7 +507,7 @@ def test_cached_inverse_matches_elimination(k, r, seed, data):
 class TestDecodePlanCache:
     def test_one_inversion_per_transfer_with_fixed_blocking(self):
         params = CodeParams(10, 6, 4)
-        circuits = build_circuits([f"b{i}" for i in range(10)], default_registry(), random.Random(0))
+        circuits = build_circuits([f"b{i}" for i in range(10)], random.Random(0))
         message = random.Random(18).randbytes(256 * 1024)
         generations = len(split_message(message, params.k))
         _decode_plan.cache_clear()
@@ -530,6 +530,19 @@ class TestDecodePlanCache:
                         decode_generation([cells[2], cells[3]], params)
                 else:
                     assert decode_generation([cells[2], cells[3]], params) == gen
+
+    def test_default_grid_survivor_sets_fit_the_bound(self):
+        # sets holding all k originals take the systematic shortcut, so only
+        # 12 (ctor:5:2) + 370 (ctor:10:4) reach the cache
+        _decode_plan.cache_clear()
+        for params in DEFAULT_CONFIGS:
+            gen = random_generation(params.k, random.Random(params.n))
+            coded = encode_generation(gen, build_generator(params))
+            for size in range(params.k, params.n + 1):
+                for received in itertools.combinations(coded, size):
+                    assert decode_generation(list(received), params) == gen
+        info = _decode_plan.cache_info()
+        assert info.currsize == info.misses == 382 <= info.maxsize
 
     def test_one_shared_plan_per_row_set(self):
         rows = build_generator(CodeParams(10, 6, 4)).rows[4:]
