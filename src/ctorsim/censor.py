@@ -9,7 +9,10 @@ than the code can absorb (any blocking at all for otor/mtor).
 Randomness is Python's random.Random (MT19937). Campaign substreams are
 derived by seeding fresh generators from SHAKE-256 over (seed, label), so
 results are bit-reproducible for a fixed seed and the bridge-selection
-stream does not shift when the full-pipeline fraction changes.
+stream does not shift when the full-pipeline fraction changes. Fast-path
+trials replay random.sample's draw inline over known-bridge flags, one
+getrandbits call per pick, so they consume that stream word for word as
+select_bridges does.
 """
 
 from __future__ import annotations
@@ -154,11 +157,14 @@ def run_campaign(
     """Estimate the interruption probability over many independent trials.
 
     Most trials take the fast path (bridge selection and the blocked-count
-    rule only); round(trials * full_pipeline_fraction) of them, at least one
-    when the fraction is positive, spread evenly over the campaign, run the
-    full encode/transmit/decode pipeline instead, which cross-checks the
-    rule on every such trial. The empirical fraction comes with a 95% binomial
-    confidence half-width.
+    rule only), which replays random.sample's draw over known-bridge flags
+    (see _fast_interruptions); round(trials * full_pipeline_fraction) of
+    them, at least one when the fraction is positive, spread evenly over the
+    campaign, run the full encode/transmit/decode pipeline instead, which
+    cross-checks the rule on every such trial. The empirical fraction comes
+    with the Wald 95% half-width 1.96 * sqrt(p(1 - p) / trials), which is 0
+    whenever no trial or every trial is interrupted, even where the exact p
+    lies strictly between 0 and 1 (ROADMAP item 3).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -170,20 +176,68 @@ def run_campaign(
     if full_pipeline_fraction > 0:
         quota = max(quota, 1)
 
-    # sample() picks positions whatever the population holds, so drawing known
-    # flags consumes the RNG exactly as drawing the bridge ids would
     known = scenario.pool.known
     flags = tuple(int(b in known) for b in scenario.pool.ordered)
     n = scenario.params.n
     absorbable = scenario.params.r
-    sample = select_rng.sample
     interruptions = 0
-    for i in range(trials):
-        if (i + 1) * quota // trials > i * quota // trials:
-            outcome = run_trial(scenario, _DEFAULT_MESSAGE, select_rng, circuit_rng=circuit_rng)
-            interruptions += outcome.interrupted
-        else:
-            interruptions += sum(sample(flags, n)) > absorbable
+    done = 0
+    # the j-th of quota pipeline trials is trial ceil(j * trials / quota) - 1,
+    # the one where (i + 1) * quota // trials first reaches j
+    for j in range(1, quota + 1):
+        i = -(-j * trials // quota) - 1
+        interruptions += _fast_interruptions(select_rng, flags, n, absorbable, i - done)
+        outcome = run_trial(scenario, _DEFAULT_MESSAGE, select_rng, circuit_rng=circuit_rng)
+        interruptions += outcome.interrupted
+        done = i + 1
+    interruptions += _fast_interruptions(select_rng, flags, n, absorbable, trials - done)
     p = interruptions / trials
     ci95 = 1.96 * math.sqrt(p * (1.0 - p) / trials)
     return CampaignResult(trials, interruptions, p, ci95, seed)
+
+
+def _fast_interruptions(
+    rng: random.Random, flags: tuple[int, ...], n: int, r: int, count: int
+) -> int:
+    """Run `count` fast-path trials; return how many block more than r circuits.
+
+    Each trial replays ``rng.sample(flags, n)`` pick for pick: the same
+    branch, the same getrandbits width and the same rejections, so `rng`
+    ends exactly where `count` sample calls would leave it. sample() picks
+    positions whatever the population holds, so summing the drawn
+    known-bridge flags counts what drawing bridge ids would.
+    """
+    size = len(flags)
+    setsize = 21  # random.sample's own choice between a pool list and a seen set
+    if n > 5:
+        setsize += 4 ** math.ceil(math.log(n * 3, 4))
+    getrandbits = rng.getrandbits
+    interrupted = 0
+    if size <= setsize:
+        # swap-remove from a copy of the population, drawing below m = size, size-1, ...
+        draws = [(m, m.bit_length()) for m in range(size, size - n, -1)]
+        population = list(flags)
+        for _ in range(count):
+            pool = population[:]
+            blocked = 0
+            for m, bits in draws:
+                j = getrandbits(bits)
+                while j >= m:
+                    j = getrandbits(bits)
+                blocked += pool[j]
+                pool[j] = pool[m - 1]
+            interrupted += blocked > r
+    else:
+        # draw below size, redrawing positions already taken
+        bits = size.bit_length()
+        for _ in range(count):
+            seen = set()
+            blocked = 0
+            for _ in range(n):
+                j = getrandbits(bits)
+                while j >= size or j in seen:
+                    j = getrandbits(bits)
+                seen.add(j)
+                blocked += flags[j]
+            interrupted += blocked > r
+    return interrupted

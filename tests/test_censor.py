@@ -189,6 +189,59 @@ class TestRunCampaign:
         assert len(calls) == expected
 
 
+def stride_campaign(s: CensorScenario, trials: int, seed: int, fraction: float) -> int:
+    """The campaign loop as a stride test at every trial, with sample() over
+    known-bridge flags on the fast path: the reference for where pipeline
+    trials fall. It reaches derive_rng and run_trial through the censor
+    module, so a test that patches them there sees both loops alike."""
+    select_rng = censor.derive_rng(seed, "bridge-selection")
+    circuit_rng = censor.derive_rng(seed, "circuit-construction")
+    quota = round(trials * fraction)
+    if fraction > 0:
+        quota = max(quota, 1)
+    flags = tuple(int(b in s.pool.known) for b in s.pool.ordered)
+    interruptions = 0
+    for i in range(trials):
+        if (i + 1) * quota // trials > i * quota // trials:
+            outcome = censor.run_trial(s, censor._DEFAULT_MESSAGE, select_rng, circuit_rng=circuit_rng)
+            interruptions += outcome.interrupted
+        else:
+            interruptions += sum(select_rng.sample(flags, s.params.n)) > s.params.r
+    return interruptions
+
+
+class TestPipelinePlacement:
+    @pytest.mark.parametrize(
+        "trials,fraction", [(7, 0.3), (10, 0.25), (1, 0.01), (3, 1.0), (250, 0.013), (500, 0)]
+    )
+    def test_pipeline_trials_fall_where_the_stride_rule_puts_them(self, monkeypatch, trials, fraction):
+        s = scenario(25, 5, 4, r=1)
+
+        def traced(campaign):
+            streams, trial_entries = {}, []
+
+            def recording_derive_rng(seed, label):
+                streams[label] = derive_rng(seed, label)
+                return streams[label]
+
+            # both paths consume the selection stream alike, so only its state
+            # as each pipeline trial starts pins that trial's index
+            def recording_run_trial(trial_scenario, message, rng, **kwargs):
+                trial_entries.append(rng.getstate())
+                return run_trial(trial_scenario, message, rng, **kwargs)
+
+            monkeypatch.setattr(censor, "derive_rng", recording_derive_rng)
+            monkeypatch.setattr(censor, "run_trial", recording_run_trial)
+            interruptions = campaign()
+            final = {label: rng.getstate() for label, rng in streams.items()}
+            return interruptions, trial_entries, final
+
+        expected = traced(lambda: stride_campaign(s, trials, 9, fraction))
+        actual = traced(lambda: run_campaign(s, trials, 9, full_pipeline_fraction=fraction).interruptions)
+        assert actual == expected
+        assert sorted(actual[2]) == ["bridge-selection", "circuit-construction"]
+
+
 def reference_fast_path(s: CensorScenario, trials: int, seed: int) -> int:
     """The fast path as a set lookup per drawn bridge id: interruptions counted."""
     sample = derive_rng(seed, "bridge-selection").sample
@@ -199,20 +252,50 @@ def reference_fast_path(s: CensorScenario, trials: int, seed: int) -> int:
     return interruptions
 
 
-POOLS = [(25, 5, 4), (25, 0, 1), (0, 10, 4), (25, 25, 10), (3, 2, 5), (40, 7, 9)]
+POOLS = [
+    (25, 5, 4),
+    (25, 0, 1),
+    (0, 10, 4),
+    (25, 25, 10),
+    (3, 2, 5),
+    (40, 7, 9),
+    # random.sample's branch edges: n = 5 keeps a seen set, n = 6 a pool list
+    (25, 5, 5),
+    (25, 5, 6),
+    # setsize 85 (n = 21) vs 277 (n = 22) on 100 bridges
+    (90, 10, 21),
+    (90, 10, 22),
+    # n = 5: a pool list up to 21 bridges, a seen set from 22
+    (16, 5, 5),
+    (17, 5, 5),
+    # n equal to the pool size
+    (6, 4, 10),
+    # a seen set over 32 bridges, where size.bit_length() != (size - 1).bit_length()
+    (24, 8, 4),
+]
 
 
 class TestFlagSumFastPath:
-    """Summing known-bridge flags must count exactly what the set lookups count."""
+    """The fast path must count exactly what drawing bridge ids and looking them up counts."""
 
     @pytest.mark.parametrize("num_unknown,num_known,n", POOLS)
     def test_flag_sum_equals_set_lookup_count(self, num_unknown, num_known, n):
         pool = BridgePool.build(num_unknown, num_known)
         flags = tuple(int(b in pool.known) for b in pool.ordered)
         by_flag, by_id = random.Random(n), random.Random(n)
-        for _ in range(20_000):
-            expected = sum(1 for b in by_id.sample(pool.ordered, n) if b in pool.known)
-            assert sum(by_flag.sample(flags, n)) == expected
+
+        def blocked_by_id():
+            return sum(1 for b in by_id.sample(pool.ordered, n) if b in pool.known)
+
+        # one trial per call, the threshold cycling over 0..n-1
+        for i in range(5_000):
+            r = i % n
+            assert censor._fast_interruptions(by_flag, flags, n, r, 1) == (blocked_by_id() > r)
+        # one batch per call, as run_campaign makes them
+        for r in range(n):
+            expected = sum(blocked_by_id() > r for _ in range(1_000))
+            assert censor._fast_interruptions(by_flag, flags, n, r, 1_000) == expected
+        assert censor._fast_interruptions(by_flag, flags, n, 0, 0) == 0
         assert by_flag.getstate() == by_id.getstate()
 
     @pytest.mark.parametrize("num_unknown,num_known,n", POOLS)
