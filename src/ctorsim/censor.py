@@ -63,6 +63,12 @@ class BridgePool:
         """Canonical selection order, so sampling is reproducible."""
         return tuple(sorted(self.unknown | self.known))
 
+    @cached_property
+    def flags(self) -> tuple[int, ...]:
+        """1 for each censor-known bridge of `ordered`, 0 for the others."""
+        known = self.known
+        return tuple(int(b in known) for b in self.ordered)
+
     def __len__(self) -> int:
         return len(self.unknown) + len(self.known)
 
@@ -176,8 +182,7 @@ def run_campaign(
     if full_pipeline_fraction > 0:
         quota = max(quota, 1)
 
-    known = scenario.pool.known
-    flags = tuple(int(b in known) for b in scenario.pool.ordered)
+    flags = scenario.pool.flags
     n = scenario.params.n
     absorbable = scenario.params.r
     interruptions = 0

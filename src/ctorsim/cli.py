@@ -168,6 +168,12 @@ def _resolve_config(args: argparse.Namespace, defaults: ExperimentConfig = Exper
         raise ValueError("--mb must be non-negative")
     if not cfg.variant:
         raise ValueError("at least one variant is required")
+    # the analytic and simulated grids join on (m_known, variant, n, r), so each shape runs once
+    for i, params in enumerate(cfg.variant):
+        if params in cfg.variant[:i]:
+            raise ValueError(
+                f"variant shape {Variant.of(params).value} (n={params.n}, r={params.r}) is given more than once"
+            )
     if cfg.trials < 1:
         raise ValueError("--trials must be >= 1")
     if not 0.0 <= cfg.full_pipeline_fraction <= 1.0:
@@ -209,8 +215,12 @@ def _write_analytic_csv(rows: Sequence[SweepRow], fh: TextIO) -> None:
 def _write_simulated_csv(cfg: ExperimentConfig, fh: TextIO) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["m_known", "variant", "n", "r", "p_empirical", "ci95", "trials", "seed"])
+    pool = None
     for m_known, params in grid_points(cfg.mknown, cfg.variant):
-        scenario = CensorScenario(BridgePool.build(cfg.mb, m_known), params)
+        # grid_points runs one m_known row at a time, so its variants share one pool
+        if pool is None or len(pool.known) != m_known:
+            pool = BridgePool.build(cfg.mb, m_known)
+        scenario = CensorScenario(pool, params)
         variant, n, r = scenario.variant.value, params.n, params.r
         point_seed = derive_seed(cfg.seed, f"point:{m_known}:{variant}:{n}:{r}")
         result = run_campaign(scenario, cfg.trials, point_seed, full_pipeline_fraction=cfg.full_pipeline_fraction)

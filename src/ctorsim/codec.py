@@ -119,32 +119,36 @@ class CodedCell:
     @classmethod
     def from_wire(cls, data: bytes) -> "CodedCell":
         """Parse one wire cell, whose length must be the one its header's k gives."""
-        if _wire_end(data, 0) != len(data):
-            raise ValueError(f"wire cell of {len(data)} bytes, but its header gives k={data[5]}")
-        k = data[5]
-        return cls(
-            generation_id=int.from_bytes(data[:4], "big"),
-            subflow_index=data[4],
-            coefficients=bytes(data[_WIRE_HEADER : _WIRE_HEADER + k]),
-            payload=bytes(data[_WIRE_HEADER + k :]),
-        )
+        return cls._parse_at(data, 0, whole=True)[0]
 
     @classmethod
     def from_wire_stream(cls, stream: bytes) -> list["CodedCell"]:
         """Parse back-to-back wire cells, each delimited by the k in its own header."""
         cells, pos = [], 0
         while pos < len(stream):
-            end = _wire_end(stream, pos)
-            cells.append(cls.from_wire(stream[pos:end]))
-            pos = end
+            cell, pos = cls._parse_at(stream, pos, whole=False)
+            cells.append(cell)
         return cells
 
-
-def _wire_end(data: bytes, pos: int) -> int:
-    """End of the wire cell that starts at `pos`, as its header's k gives it."""
-    if len(data) - pos < _WIRE_HEADER:
-        raise ValueError(f"wire cell too short: {len(data) - pos} bytes")
-    return pos + _WIRE_HEADER + data[pos + 5] + CELL_SIZE
+    @classmethod
+    def _parse_at(cls, data: bytes, pos: int, *, whole: bool) -> tuple["CodedCell", int]:
+        """The wire cell that starts at `pos`, delimited by its header's k, and
+        the position after it. A `whole` cell must end exactly where data does."""
+        size = len(data) - pos
+        if size < _WIRE_HEADER:
+            raise ValueError(f"wire cell too short: {size} bytes")
+        k = data[pos + 5]
+        start = pos + _WIRE_HEADER
+        end = start + k + CELL_SIZE
+        if end > len(data) or (whole and end != len(data)):
+            raise ValueError(f"wire cell of {size} bytes, but its header gives k={k}")
+        cell = cls(
+            generation_id=int.from_bytes(data[pos : pos + 4], "big"),
+            subflow_index=data[pos + 4],
+            coefficients=bytes(data[start : start + k]),
+            payload=bytes(data[start + k : end]),
+        )
+        return cell, end
 
 
 @dataclass(frozen=True)
@@ -165,6 +169,8 @@ class GeneratorMatrix:
                 raise ValueError(f"row {i} must be the unit vector (systematic form)")
 
 
+# the systematic check in decode_generation asks for one per received cell
+@functools.lru_cache(maxsize=1024)
 def _unit_row(k: int, i: int) -> bytes:
     row = bytearray(k)
     row[i] = 1

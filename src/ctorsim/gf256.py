@@ -49,9 +49,19 @@ def inv(a: int) -> int:
     return _EXP[255 - _LOG[a]]
 
 
+def _build_scale() -> tuple[bytes, ...]:
+    # For c != 0, mul(c, x) = _EXP[log c + log x] on x = 1..255: translating
+    # the log bytes through the 256-byte window of _EXP at log c builds the row
+    # in C (the doubled _EXP reaches index 254 + 255).
+    exp, logs = bytes(_EXP), bytes(_LOG[1:])
+    return (bytes(256),) + tuple(
+        b"\x00" + logs.translate(exp[_LOG[c] : _LOG[c] + 256]) for c in range(1, 256)
+    )
+
+
 # _SCALE[c] maps byte x to mul(c, x); bytes.translate turns a whole payload
 # scaling into one C-level pass.
-_SCALE = tuple(bytes(mul(c, x) for x in range(256)) for c in range(256))
+_SCALE = _build_scale()
 
 
 def scale_bytes(data: bytes, c: int) -> bytes:

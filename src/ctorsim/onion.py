@@ -21,7 +21,7 @@ import functools
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Collection, Iterator, Sequence
+from typing import Collection, Iterator, NamedTuple, Sequence
 
 from .codec import (
     MAX_N,
@@ -49,6 +49,9 @@ def derive_layer_key(router_id: str) -> bytes:
     return hashlib.shake_256(b"layer-key:" + router_id.encode()).digest(16)
 
 
+# OnionRouter is frozen, so every circuit that names a relay can share one
+# instance; bounded because bridge ids grow with --mb.
+@functools.lru_cache(maxsize=1024)
 def relay(router_id: str) -> OnionRouter:
     """A bridge or pool relay, keyed by its id."""
     return OnionRouter(router_id, derive_layer_key(router_id))
@@ -137,8 +140,7 @@ def build_circuits(bridge_ids: Sequence[str], rng: random.Random) -> CircuitSet:
     )
 
 
-@dataclass(frozen=True)
-class LayeredCell:
+class LayeredCell(NamedTuple):
     """Wire bytes under 0..3 encryption layers, tagged with routing context."""
 
     payload: bytes
@@ -156,37 +158,32 @@ def _keystream(key: bytes, circuit_id: str, seq: int, depth: int, size: int) -> 
     if not key:
         raise ValueError("router layer key must be non-empty")
     cid = circuit_id.encode()
-    return hashlib.shake_256(
-        b"".join((
-            len(key).to_bytes(2, "big"),
-            key,
-            len(cid).to_bytes(2, "big"),
-            cid,
-            seq.to_bytes(8, "big"),
-            bytes([depth]),
-        ))
-    ).digest(size)
+    return hashlib.shake_256(b"%b%b%b%b%b%c" % (
+        len(key).to_bytes(2, "big"), key, len(cid).to_bytes(2, "big"), cid, seq.to_bytes(8, "big"), depth
+    )).digest(size)
 
 
 def wrap_layers(cell_bytes: bytes, circuit: Circuit, seq: int = 0) -> LayeredCell:
     """Apply the exit, middle, and entry stream layers, in that order, so that
     peeling proceeds entry -> middle -> exit."""
     size = len(cell_bytes)
-    acc = int.from_bytes(cell_bytes, "big")
-    for depth, router in ((1, circuit.exit), (2, circuit.middle), (3, circuit.entry)):
-        acc ^= int.from_bytes(_keystream(router.layer_key, circuit.circuit_id, seq, depth, size), "big")
-    return LayeredCell(acc.to_bytes(size, "big"), 3, circuit.circuit_id, seq)
+    cid = circuit.circuit_id
+    acc = (
+        int.from_bytes(cell_bytes, "big")
+        ^ int.from_bytes(_keystream(circuit.exit.layer_key, cid, seq, 1, size), "big")
+        ^ int.from_bytes(_keystream(circuit.middle.layer_key, cid, seq, 2, size), "big")
+        ^ int.from_bytes(_keystream(circuit.entry.layer_key, cid, seq, 3, size), "big")
+    )
+    return LayeredCell(acc.to_bytes(size, "big"), 3, cid, seq)
 
 
 def peel_layer(cell: LayeredCell, router: OnionRouter) -> LayeredCell:
     """Remove one layer with the router's key."""
-    if cell.layers_remaining <= 0:
+    payload, depth, cid, seq = cell
+    if depth <= 0:
         raise ValueError("no encryption layers left to peel")
-    data = xor_bytes(
-        cell.payload,
-        _keystream(router.layer_key, cell.circuit_id, cell.seq, cell.layers_remaining, len(cell.payload)),
-    )
-    return LayeredCell(data, cell.layers_remaining - 1, cell.circuit_id, cell.seq)
+    data = xor_bytes(payload, _keystream(router.layer_key, cid, seq, depth, len(payload)))
+    return LayeredCell(data, depth - 1, cid, seq)
 
 
 def transmit(

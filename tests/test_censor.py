@@ -299,6 +299,11 @@ class TestFlagSumFastPath:
         assert by_flag.getstate() == by_id.getstate()
 
     @pytest.mark.parametrize("num_unknown,num_known,n", POOLS)
+    def test_pool_flags_mark_known_bridges(self, num_unknown, num_known, n):
+        pool = BridgePool.build(num_unknown, num_known)
+        assert pool.flags == tuple(int(b in pool.known) for b in pool.ordered)
+
+    @pytest.mark.parametrize("num_unknown,num_known,n", POOLS)
     def test_campaign_matches_reference_fast_path(self, num_unknown, num_known, n):
         s = scenario(num_unknown, num_known, n, r=n // 3)
         result = run_campaign(s, 3000, seed=8, full_pipeline_fraction=0)

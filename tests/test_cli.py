@@ -194,6 +194,15 @@ class TestConfigFile:
         assert f"{cfg}:{len(lines)}: duplicate key '{key}'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_shape_rejected(self, tmp_path, capsys):
+        # the grids join on their keys, so a shape named twice would write every row twice
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("variant = ctor:4:1, ctor:4:1\n")
+        out = tmp_path / "o.csv"
+        assert main(["analytic", "--config", str(cfg), "--mknown", "3", "--out", str(out)]) == EXIT_USAGE
+        assert "variant shape ctor (n=4, r=1) is given more than once" in capsys.readouterr().err
+        assert not out.exists()
+
     # one non-default value per option key; `out` is the output path itself
     KEY_VALUES = {
         "mb": "12",
@@ -348,6 +357,8 @@ class TestChecksBeforeOutput:
     REJECTED = {
         "middles-flag": ["--middles", "60", "--variant", "mtor:4", "--mknown", "5"],
         "n-above-smallest-pool": ["--mb", "1", "--mknown", "0..3", "--variant", "mtor:4"],
+        # mtor:1 is otor's shape, so both would write the same CSV keys
+        "repeated-shape": ["--variant", "otor", "--variant", "mtor:1", "--mknown", "5"],
     }
 
     @pytest.mark.parametrize("case", sorted(REJECTED))

@@ -4,6 +4,9 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -83,6 +86,32 @@ class TestDefaultRegistry:
         assert default_registry() is default_registry()
         assert len(default_registry().middles) == MAX_N
         assert len(default_registry().exits) == 10
+
+    def test_pool_holds_the_cached_routers(self):
+        # rebuild, so relays other tests churned through the bounded cache cannot matter
+        default_registry.cache_clear()
+        pool = default_registry()
+        for router in pool.middles + pool.exits:
+            assert relay(router.router_id) is router
+
+    def test_importing_the_cli_builds_no_relay(self):
+        # the benchmark's setup_s times this import, so the caches must fill on first use
+        probe = (
+            "import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import ctorsim.cli\n"
+            "from ctorsim import onion\n"
+            "print(onion.default_registry.cache_info().currsize, onion.relay.cache_info().currsize)"
+        )
+        src = str(Path(onion.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", probe, src], capture_output=True, text=True, check=True)
+        assert done.stdout.split() == ["0", "0"]
+
+
+def test_relay_shares_one_router_per_id_from_a_bounded_cache():
+    assert relay("bridge-07") is relay("bridge-07")
+    assert relay("bridge-07") == OnionRouter("bridge-07", onion.derive_layer_key("bridge-07"))
+    assert relay.cache_info().maxsize is not None
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
