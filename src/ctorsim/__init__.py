@@ -45,6 +45,7 @@ from .onion import (
     RouterRegistry,
     TransferResult,
     build_circuits,
+    encode_message,
     peel_layer,
     run_transfer,
     transmit,

@@ -21,15 +21,23 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
-from .codec import CodeParams, Variant
-from .onion import build_circuits, run_transfer
+from .codec import CodeParams, CodedCell, Variant
+from .onion import build_circuits, encode_message, run_transfer
 
 DEFAULT_FULL_PIPELINE_FRACTION = 0.01
 
 # fixed payload for trials that only need the interruption bit
 _DEFAULT_MESSAGE = hashlib.shake_256(b"trial-payload").digest(1024)
+
+
+# Every pipeline trial of a shape sends the same coded cells, so they are
+# encoded once per shape; the cells are frozen, so trials can share them.
+# Bounded because --variant takes any number of shapes.
+@lru_cache(maxsize=32)
+def _trial_cells(params: CodeParams) -> tuple[tuple[CodedCell, ...], ...]:
+    return encode_message(params, _DEFAULT_MESSAGE)
 
 
 class ConsistencyError(RuntimeError):
@@ -93,7 +101,6 @@ class CensorScenario:
 
 @dataclass(frozen=True)
 class TrialOutcome:
-    chosen_bridges: tuple[str, ...]
     blocked_count: int
     interrupted: bool
 
@@ -104,7 +111,6 @@ class CampaignResult:
     interruptions: int
     p_empirical: float
     ci95: float
-    seed: int
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -130,11 +136,11 @@ def interrupted_by_rule(blocked_count: int, params: CodeParams) -> bool:
     return blocked_count > params.r
 
 
-def run_trial(
-    scenario: CensorScenario, message: bytes, rng: random.Random, *, circuit_rng: random.Random
-) -> TrialOutcome:
+def run_trial(scenario: CensorScenario, rng: random.Random, *, circuit_rng: random.Random) -> TrialOutcome:
     """One full trial: select bridges with `rng`, build circuits over the
-    default relay pool with `circuit_rng`, run the byte pipeline.
+    default relay pool with `circuit_rng`, and carry the fixed trial message
+    through the byte pipeline; the transfer decodes it and compares the
+    result with the message.
 
     Raises ConsistencyError if the transport outcome ever disagrees with
     the blocked-count rule; the two models must be interchangeable.
@@ -143,14 +149,16 @@ def run_trial(
     blocked = {i for i, b in enumerate(chosen) if b in scenario.pool.known}
     blocked_count = len(blocked)
     circuits = build_circuits(chosen, circuit_rng)
-    result = run_transfer(circuits, scenario.params, message, blocked)
+    result = run_transfer(
+        circuits, scenario.params, _DEFAULT_MESSAGE, blocked, coded=_trial_cells(scenario.params)
+    )
     interrupted = not result.success
     if interrupted != interrupted_by_rule(blocked_count, scenario.params):
         raise ConsistencyError(
             f"pipeline interrupted={interrupted} but blocked_count={blocked_count} "
             f"with r={scenario.params.r}"
         )
-    return TrialOutcome(tuple(chosen), blocked_count, interrupted)
+    return TrialOutcome(blocked_count, interrupted)
 
 
 def run_campaign(
@@ -192,13 +200,13 @@ def run_campaign(
     for j in range(1, quota + 1):
         i = -(-j * trials // quota) - 1
         interruptions += _fast_interruptions(select_rng, flags, n, absorbable, i - done)
-        outcome = run_trial(scenario, _DEFAULT_MESSAGE, select_rng, circuit_rng=circuit_rng)
+        outcome = run_trial(scenario, select_rng, circuit_rng=circuit_rng)
         interruptions += outcome.interrupted
         done = i + 1
     interruptions += _fast_interruptions(select_rng, flags, n, absorbable, trials - done)
     p = interruptions / trials
     ci95 = 1.96 * math.sqrt(p * (1.0 - p) / trials)
-    return CampaignResult(trials, interruptions, p, ci95, seed)
+    return CampaignResult(trials, interruptions, p, ci95)
 
 
 def _fast_interruptions(

@@ -88,6 +88,14 @@ class Generation:
                 raise ValueError(f"cells are exactly {CELL_SIZE} bytes, got {len(cell)}")
 
 
+def _trusted(cls, **fields):
+    """An instance of a frozen dataclass built without its __post_init__, for
+    fields the caller has already checked."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class CodedCell:
     """One coded cell: payload plus the coefficient row that produced it."""
@@ -138,11 +146,16 @@ class CodedCell:
         if size < _WIRE_HEADER:
             raise ValueError(f"wire cell too short: {size} bytes")
         k = data[pos + 5]
+        if k == 0:
+            raise ValueError("wire cell header gives k=0")
         start = pos + _WIRE_HEADER
         end = start + k + CELL_SIZE
         if end > len(data) or (whole and end != len(data)):
             raise ValueError(f"wire cell of {size} bytes, but its header gives k={k}")
-        cell = cls(
+        # the header's field widths and the length check above bound every
+        # field as __post_init__ would, so the cell skips it
+        cell = _trusted(
+            cls,
             generation_id=int.from_bytes(data[pos : pos + 4], "big"),
             subflow_index=data[pos + 4],
             coefficients=bytes(data[start : start + k]),
@@ -281,15 +294,17 @@ def decode_generation(received: Sequence[CodedCell], params: CodeParams) -> Gene
             raise ValueError(f"coefficient vector length {len(cell.coefficients)}, expected {k}")
         if cell.subflow_index < k and cell.coefficients == _unit_row(k, cell.subflow_index):
             originals[cell.subflow_index] = cell.payload
+    # every payload here is a CodedCell's or a _combine of them, so it is
+    # CELL_SIZE bytes already and the Generation skips re-checking it
     if len(originals) == k:
-        return Generation(generation_id, tuple(originals[i] for i in range(k)))
+        return _trusted(Generation, generation_id=generation_id, cells=tuple(originals[i] for i in range(k)))
 
     plan = _decode_plan(tuple(bytes(cell.coefficients) for cell in received))
     if plan is None:
         raise UnrecoverableGeneration(generation_id, received=len(received))
     picks, inverse = plan
     payloads = [received[pos].payload for pos in picks]
-    return Generation(generation_id, tuple(
+    return _trusted(Generation, generation_id=generation_id, cells=tuple(
         payloads[row.index(1)] if sum(row) == 1 else _combine(row, payloads) for row in inverse
     ))
 

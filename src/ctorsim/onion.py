@@ -12,7 +12,13 @@ peeling detectable; bare XOR layers would commute. As with Tor's per-hop
 counter-mode cipher, transmit runs each hop's stream across a whole
 sub-flow: the cells a circuit carries are joined, wrapped and peeled once,
 with the sub-flow's first generation id as the sequence number, so a
-transfer derives one stream per (circuit, hop).
+transfer derives one stream per (circuit, hop). Between wrap and the last
+peel a sub-flow is one big-endian int plus its byte size, so each layer is
+a single int XOR and the bytes are rebuilt once, for the exit to parse.
+
+A message is coded once by encode_message; run_transfer takes those coded
+generations ready-made when the caller has them (the censor sends one fixed
+message per code shape), so a transfer pays only for transmit and decode.
 """
 
 from __future__ import annotations
@@ -35,7 +41,9 @@ from .codec import (
     reassemble_message,
     split_message,
 )
-from .gf256 import xor_bytes
+# Layers XOR as ints, so onion never calls xor_bytes; the name stays bound
+# because the benchmark tracer wraps `onion.xor_bytes` and fails without it.
+from .gf256 import xor_bytes  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -141,26 +149,36 @@ def build_circuits(bridge_ids: Sequence[str], rng: random.Random) -> CircuitSet:
 
 
 class LayeredCell(NamedTuple):
-    """Wire bytes under 0..3 encryption layers, tagged with routing context."""
+    """Wire bytes under 0..3 encryption layers, tagged with routing context.
 
-    payload: bytes
+    The bytes are held as one big-endian int of `size` bytes, so a layer is
+    one int XOR; `payload` gives them back as bytes, leading zeros included.
+    """
+
+    value: int
+    size: int
     layers_remaining: int
     circuit_id: str
     seq: int
+
+    @property
+    def payload(self) -> bytes:
+        return self.value.to_bytes(self.size, "big")
 
 
 # The three layer streams of a wrapped payload (one cell, or a whole sub-flow
 # in transmit) are derived in wrap_layers and consumed again, in reverse
 # order, by the three peel_layer calls that follow it, so a cache of three
-# streams makes that one SHAKE call per (payload, hop).
+# streams makes that one SHAKE call per (payload, hop). Streams are cached as
+# big-endian ints, the form both XOR them in.
 @functools.lru_cache(maxsize=3)
-def _keystream(key: bytes, circuit_id: str, seq: int, depth: int, size: int) -> bytes:
+def _keystream(key: bytes, circuit_id: str, seq: int, depth: int, size: int) -> int:
     if not key:
         raise ValueError("router layer key must be non-empty")
     cid = circuit_id.encode()
-    return hashlib.shake_256(b"%b%b%b%b%b%c" % (
+    return int.from_bytes(hashlib.shake_256(b"%b%b%b%b%b%c" % (
         len(key).to_bytes(2, "big"), key, len(cid).to_bytes(2, "big"), cid, seq.to_bytes(8, "big"), depth
-    )).digest(size)
+    )).digest(size), "big")
 
 
 def wrap_layers(cell_bytes: bytes, circuit: Circuit, seq: int = 0) -> LayeredCell:
@@ -170,20 +188,19 @@ def wrap_layers(cell_bytes: bytes, circuit: Circuit, seq: int = 0) -> LayeredCel
     cid = circuit.circuit_id
     acc = (
         int.from_bytes(cell_bytes, "big")
-        ^ int.from_bytes(_keystream(circuit.exit.layer_key, cid, seq, 1, size), "big")
-        ^ int.from_bytes(_keystream(circuit.middle.layer_key, cid, seq, 2, size), "big")
-        ^ int.from_bytes(_keystream(circuit.entry.layer_key, cid, seq, 3, size), "big")
+        ^ _keystream(circuit.exit.layer_key, cid, seq, 1, size)
+        ^ _keystream(circuit.middle.layer_key, cid, seq, 2, size)
+        ^ _keystream(circuit.entry.layer_key, cid, seq, 3, size)
     )
-    return LayeredCell(acc.to_bytes(size, "big"), 3, cid, seq)
+    return LayeredCell(acc, size, 3, cid, seq)
 
 
 def peel_layer(cell: LayeredCell, router: OnionRouter) -> LayeredCell:
     """Remove one layer with the router's key."""
-    payload, depth, cid, seq = cell
+    value, size, depth, cid, seq = cell
     if depth <= 0:
         raise ValueError("no encryption layers left to peel")
-    data = xor_bytes(payload, _keystream(router.layer_key, cid, seq, depth, len(payload)))
-    return LayeredCell(data, depth - 1, cid, seq)
+    return LayeredCell(value ^ _keystream(router.layer_key, cid, seq, depth, size), size, depth - 1, cid, seq)
 
 
 def transmit(
@@ -195,9 +212,9 @@ def transmit(
 
     The circuits whose indices are in `blocked` drop their whole sub-flow
     silently. Each surviving sub-flow is joined into one byte stream,
-    wrapped once, peeled hop by hop, and reparsed cell by cell by the
-    headers in the wire bytes, so the returned cells are exactly what the
-    exit relay can see.
+    wrapped once, peeled hop by hop, turned back into bytes once, and
+    reparsed cell by cell by the headers in the wire bytes, so the returned
+    cells are exactly what the exit relay can see.
     They come back generation by generation, in circuit order within each.
     Every generation is checked before anything is wrapped.
     """
@@ -234,23 +251,34 @@ class TransferResult:
     delivered_counts: tuple[int, ...]
 
 
+def encode_message(params: CodeParams, message: bytes) -> tuple[tuple[CodedCell, ...], ...]:
+    """Split a message into generations and code each: one tuple of n coded
+    cells per generation, in generation order. Frozen, so one encoding can
+    serve any number of transfers."""
+    matrix = build_generator(params)
+    return tuple(tuple(encode_generation(g, matrix)) for g in split_message(message, params.k))
+
+
 def run_transfer(
     circuits: CircuitSet,
     params: CodeParams,
     message: bytes,
     blocked: Collection[int] = frozenset(),
+    *,
+    coded: Sequence[Sequence[CodedCell]] | None = None,
 ) -> TransferResult:
     """One full client-to-exit transfer of a message over a circuit set.
 
-    Success means every generation decoded and the reassembled bytes equal
-    the message; for otor and mtor that reduces to no circuit in `blocked`.
+    `coded` is the message's encode_message(params, message), for a caller
+    that sends one message many times; by default the message is encoded
+    here. Success means every generation decoded and the reassembled bytes
+    equal the message; for otor and mtor that reduces to no circuit in
+    `blocked`.
     """
     if len(circuits) != params.n:
         raise ValueError(f"{len(circuits)} circuits for code with n={params.n}")
-    matrix = build_generator(params)
-
-    generations = split_message(message, params.k)
-    coded = [encode_generation(g, matrix) for g in generations]
+    if coded is None:
+        coded = encode_message(params, message)
     arrived = transmit(circuits, coded, blocked)
 
     by_generation: dict[int, list[CodedCell]] = {}
@@ -260,16 +288,17 @@ def run_transfer(
     decoded: list[Generation] = []
     failed: list[int] = []
     counts: list[int] = []
-    for generation in generations:
-        cells = by_generation.get(generation.generation_id, [])
+    for gen_cells in coded:
+        generation_id = gen_cells[0].generation_id
+        cells = by_generation.get(generation_id, [])
         counts.append(len(cells))
         if len(cells) < params.k:
-            failed.append(generation.generation_id)
+            failed.append(generation_id)
             continue
         try:
             decoded.append(decode_generation(cells, params))
         except UnrecoverableGeneration:
-            failed.append(generation.generation_id)
+            failed.append(generation_id)
     if failed:
         return TransferResult(False, None, tuple(failed), tuple(counts))
     recovered = reassemble_message(decoded)

@@ -150,7 +150,6 @@ def test_criterion_5_pipeline_combinatorics_consistency():
         CensorScenario(BridgePool.build(25, 8), CodeParams(5, 3, 2)),
         CensorScenario(BridgePool.build(25, 12), CodeParams(10, 6, 4)),
     ]
-    message = b"consistency-check-payload!" * 40
     per_scenario = 10_000 // len(scenarios)
     interrupted = 0
     for idx, scenario in enumerate(scenarios):
@@ -158,7 +157,7 @@ def test_criterion_5_pipeline_combinatorics_consistency():
         circuit_rng = derive_rng(idx, "acceptance-5-circuit")
         for _ in range(per_scenario):
             # run_trial itself raises ConsistencyError on any disagreement
-            outcome = run_trial(scenario, message, rng, circuit_rng=circuit_rng)
+            outcome = run_trial(scenario, rng, circuit_rng=circuit_rng)
             assert outcome.interrupted == (outcome.blocked_count > scenario.params.r)
             interrupted += outcome.interrupted
     total = per_scenario * len(scenarios)

@@ -20,6 +20,7 @@ from ctorsim.censor import (
     select_bridges,
 )
 from ctorsim.codec import CodeParams, Variant
+from ctorsim.onion import encode_message
 
 
 def scenario(num_unknown, num_known, n, r=0) -> CensorScenario:
@@ -88,19 +89,16 @@ class TestScenario:
         assert interrupted_by_rule(2, params)
 
 
-MESSAGE = b"trial-payload" * 80
-
-
 class TestRunTrial:
     def test_no_known_bridges_never_interrupts(self):
         s = scenario(10, 0, 4)
         for i in range(20):
-            assert not run_trial(s, MESSAGE, derive_rng(i, "t"), circuit_rng=derive_rng(i, "c")).interrupted
+            assert not run_trial(s, derive_rng(i, "t"), circuit_rng=derive_rng(i, "c")).interrupted
 
     def test_all_known_bridges_always_interrupt(self):
         s = scenario(0, 10, 4)
         for i in range(20):
-            outcome = run_trial(s, MESSAGE, derive_rng(i, "t"), circuit_rng=derive_rng(i, "c"))
+            outcome = run_trial(s, derive_rng(i, "t"), circuit_rng=derive_rng(i, "c"))
             assert outcome.interrupted
             assert outcome.blocked_count == 4
 
@@ -109,7 +107,7 @@ class TestRunTrial:
         rng, circuit_rng = derive_rng(1, "hunt"), derive_rng(1, "hunt-circuits")
         seen_single = 0
         for _ in range(200):
-            outcome = run_trial(s, MESSAGE, rng, circuit_rng=circuit_rng)
+            outcome = run_trial(s, rng, circuit_rng=circuit_rng)
             if outcome.blocked_count == 1:
                 seen_single += 1
                 assert not outcome.interrupted
@@ -117,13 +115,26 @@ class TestRunTrial:
 
     def test_outcome_fields(self):
         s = scenario(25, 5, 4)
-        outcome = run_trial(s, b"payload-bytes", derive_rng(3, "t"), circuit_rng=derive_rng(3, "c"))
+        # run_trial selects with select_bridges, so a twin stream names its bridges
+        chosen = select_bridges(s.pool, 4, derive_rng(3, "t"))
+        outcome = run_trial(s, derive_rng(3, "t"), circuit_rng=derive_rng(3, "c"))
         assert isinstance(outcome, TrialOutcome)
-        assert len(outcome.chosen_bridges) == 4
-        assert outcome.blocked_count == sum(
-            1 for b in outcome.chosen_bridges if b in s.pool.known
-        )
+        assert outcome.blocked_count == sum(1 for b in chosen if b in s.pool.known)
         assert outcome.interrupted == (outcome.blocked_count >= 1)
+
+
+class TestTrialCells:
+    """Pipeline trials share one encoding of the trial message per code shape."""
+
+    @pytest.mark.parametrize("params", [CodeParams(1, 1, 0), CodeParams(4, 4, 0), CodeParams(10, 6, 4)])
+    def test_cells_are_a_fresh_encoding(self, params):
+        cells = censor._trial_cells(params)
+        assert cells == encode_message(params, censor._DEFAULT_MESSAGE)
+        assert censor._trial_cells(params) is cells
+        assert all(type(gen) is tuple for gen in cells)
+
+    def test_cache_is_bounded(self):
+        assert censor._trial_cells.cache_info().maxsize == 32
 
 
 class TestRunCampaign:
@@ -203,7 +214,7 @@ def stride_campaign(s: CensorScenario, trials: int, seed: int, fraction: float) 
     interruptions = 0
     for i in range(trials):
         if (i + 1) * quota // trials > i * quota // trials:
-            outcome = censor.run_trial(s, censor._DEFAULT_MESSAGE, select_rng, circuit_rng=circuit_rng)
+            outcome = censor.run_trial(s, select_rng, circuit_rng=circuit_rng)
             interruptions += outcome.interrupted
         else:
             interruptions += sum(select_rng.sample(flags, s.params.n)) > s.params.r
@@ -226,9 +237,9 @@ class TestPipelinePlacement:
 
             # both paths consume the selection stream alike, so only its state
             # as each pipeline trial starts pins that trial's index
-            def recording_run_trial(trial_scenario, message, rng, **kwargs):
+            def recording_run_trial(trial_scenario, rng, **kwargs):
                 trial_entries.append(rng.getstate())
-                return run_trial(trial_scenario, message, rng, **kwargs)
+                return run_trial(trial_scenario, rng, **kwargs)
 
             monkeypatch.setattr(censor, "derive_rng", recording_derive_rng)
             monkeypatch.setattr(censor, "run_trial", recording_run_trial)

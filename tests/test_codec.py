@@ -267,6 +267,61 @@ class TestWireFormat:
         with pytest.raises(ValueError):
             CodedCell.from_wire_stream(stream + b"\x00")
 
+    def test_parsed_cells_equal_public_cells_and_hold_bytes(self):
+        rng = random.Random(20)
+        cells = [CodedCell(7, idx, rng.randbytes(3), rng.randbytes(CELL_SIZE)) for idx in range(3)]
+        stream = b"".join(cell.to_wire() for cell in cells)
+        first = len(cells[0].to_wire())
+        for data in (stream, bytearray(stream), memoryview(stream)):
+            parsed = CodedCell.from_wire_stream(data) + [CodedCell.from_wire(data[:first])]
+            assert parsed == cells + cells[:1]
+            for cell in parsed:
+                assert type(cell.coefficients) is bytes and type(cell.payload) is bytes
+
+    def test_from_wire_rejects_k_zero_short_and_long_cells(self):
+        wire = CodedCell(5, 1, b"\x01\x02", bytes(CELL_SIZE)).to_wire()
+        zero_k = wire[:5] + b"\x00" + wire[6:]
+        # the last one is exactly as long as a k = 0 cell would be
+        for bad in (wire[:-1], wire + b"\x00", wire[:5], zero_k, zero_k[: 6 + CELL_SIZE]):
+            with pytest.raises(ValueError):
+                CodedCell.from_wire(bad)
+        with pytest.raises(ValueError):
+            CodedCell.from_wire_stream(wire + zero_k[: 6 + CELL_SIZE])
+
+
+class TestPublicConstructors:
+    """Parsing and decoding build cells and generations past __post_init__;
+    anything built by hand is still checked."""
+
+    @pytest.mark.parametrize(
+        "generation_id,subflow_index,coefficients,payload",
+        [
+            (-1, 0, b"\x01", bytes(CELL_SIZE)),
+            (2**32, 0, b"\x01", bytes(CELL_SIZE)),
+            (0, 256, b"\x01", bytes(CELL_SIZE)),
+            (0, 0, b"", bytes(CELL_SIZE)),
+            (0, 0, bytes(256), bytes(CELL_SIZE)),
+            (0, 0, b"\x01", bytes(CELL_SIZE - 1)),
+        ],
+    )
+    def test_coded_cell_rejects_out_of_range_fields(self, generation_id, subflow_index, coefficients, payload):
+        with pytest.raises(ValueError):
+            CodedCell(generation_id, subflow_index, coefficients, payload)
+
+    @pytest.mark.parametrize(
+        "generation_id,cells", [(-1, (bytes(CELL_SIZE),)), (0, ()), (0, (bytes(CELL_SIZE), bytes(CELL_SIZE + 1)))]
+    )
+    def test_generation_rejects_bad_cells(self, generation_id, cells):
+        with pytest.raises(ValueError):
+            Generation(generation_id, cells)
+
+    def test_decoded_generation_equals_public_one(self):
+        params = CodeParams(5, 3, 2)
+        gen = random_generation(3, random.Random(21), generation_id=4)
+        cells = encode_generation(gen, build_generator(params))
+        for received in (cells[:3], cells[2:]):  # systematic, then through the inverse
+            assert decode_generation(received, params) == gen
+
 
 class TestFraming:
     def test_minimal_message_fills_one_generation(self):

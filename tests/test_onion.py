@@ -29,6 +29,7 @@ from ctorsim.onion import (
     OnionRouter,
     build_circuits,
     default_registry,
+    encode_message,
     peel_layer,
     relay,
     run_transfer,
@@ -209,6 +210,21 @@ def test_wrap_matches_reference(cell, seq, seed, n, data):
     layered = wrap_layers(cell, circuit, seq=seq)
     assert layered.payload == reference_wrap(cell, circuit, seq)
     assert (layered.layers_remaining, layered.circuit_id, layered.seq) == (3, circuit.circuit_id, seq)
+
+
+@pytest.mark.parametrize(
+    "wire", [b"", b"\x00", bytes(16), bytes(4) + random.Random(8).randbytes(520)],
+    ids=["empty", "one-zero", "all-zero", "leading-zeros"],
+)
+def test_int_layers_keep_every_byte(wire):
+    # layers are XORed as ints, which drop leading zero bytes; the size kept
+    # beside the int must bring them back
+    circuit = circuits_for(1)[0]
+    cell = wrap_layers(wire, circuit, seq=4)
+    assert cell.payload == reference_wrap(wire, circuit, 4)
+    for router in (circuit.entry, circuit.middle, circuit.exit):
+        cell = peel_layer(cell, router)
+    assert cell.payload == wire
 
 
 class TestKeystreamCache:
@@ -476,7 +492,10 @@ class TestRunTransfer:
         assert Variant.of(params) is variant
         message = random.Random(22).randbytes(1500)
         circuits = circuits_for(params.n)
+        coded = encode_message(params, message)
         for size in range(params.n + 1):
             for blocked in itertools.combinations(range(params.n), size):
                 result = run_transfer(circuits, params, message, blocked)
                 assert result.success == (size <= params.r), blocked
+                # a ready-made encoding of the message gives the same transfer
+                assert run_transfer(circuits, params, message, blocked, coded=coded) == result
