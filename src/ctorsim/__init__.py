@@ -40,9 +40,9 @@ from .codec import (
 from .onion import (
     Circuit,
     CircuitSet,
+    CodedMessage,
     LayeredCell,
     OnionRouter,
-    RouterRegistry,
     TransferResult,
     build_circuits,
     encode_message,

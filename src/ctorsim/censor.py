@@ -23,8 +23,8 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .codec import CodeParams, CodedCell, Variant
-from .onion import build_circuits, encode_message, run_transfer
+from .codec import CodeParams, Variant
+from .onion import CodedMessage, build_circuits, encode_message, run_transfer
 
 DEFAULT_FULL_PIPELINE_FRACTION = 0.01
 
@@ -32,11 +32,11 @@ DEFAULT_FULL_PIPELINE_FRACTION = 0.01
 _DEFAULT_MESSAGE = hashlib.shake_256(b"trial-payload").digest(1024)
 
 
-# Every pipeline trial of a shape sends the same coded cells, so they are
-# encoded once per shape; the cells are frozen, so trials can share them.
-# Bounded because --variant takes any number of shapes.
+# Every pipeline trial of a shape sends the same coded message, so it is
+# encoded, checked and serialised once per shape; it is frozen, so trials can
+# share it. Bounded because --variant takes any number of shapes.
 @lru_cache(maxsize=32)
-def _trial_cells(params: CodeParams) -> tuple[tuple[CodedCell, ...], ...]:
+def _trial_cells(params: CodeParams) -> CodedMessage:
     return encode_message(params, _DEFAULT_MESSAGE)
 
 

@@ -10,15 +10,19 @@ the keystream is SHAKE-256 over (router key, circuit id, sequence number,
 layer position). Binding the layer position is what makes out-of-order
 peeling detectable; bare XOR layers would commute. As with Tor's per-hop
 counter-mode cipher, transmit runs each hop's stream across a whole
-sub-flow: the cells a circuit carries are joined, wrapped and peeled once,
-with the sub-flow's first generation id as the sequence number, so a
-transfer derives one stream per (circuit, hop). Between wrap and the last
-peel a sub-flow is one big-endian int plus its byte size, so each layer is
-a single int XOR and the bytes are rebuilt once, for the exit to parse.
+sub-flow: the cells a circuit carries are wrapped and peeled as one wire
+string, with the sub-flow's first generation id as the sequence number.
+Between wrap and the last peel a sub-flow is one big-endian int plus its
+byte size, so each layer is a single int XOR and the bytes are rebuilt
+once, for the exit to parse.
 
-A message is coded once by encode_message; run_transfer takes those coded
-generations ready-made when the caller has them (the censor sends one fixed
-message per code shape), so a transfer pays only for transmit and decode.
+A message is coded once by encode_message into a CodedMessage, which checks
+the generations' shape and joins each sub-flow's wire bytes once. The censor
+sends one fixed message per code shape, so a pipeline trial pays only for
+what differs between trials: the circuits, the blocked set, the wrap and
+peels, the parse and the decode. An entry hop's stream depends only on the
+bridge and the sub-flow, so it is cached across transfers; the middle and
+exit streams name the relays a circuit drew and are derived per transfer.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Collection, Iterator, NamedTuple, Sequence
 
 from .codec import (
@@ -35,6 +39,7 @@ from .codec import (
     CodedCell,
     Generation,
     UnrecoverableGeneration,
+    _trusted,
     build_generator,
     decode_generation,
     encode_generation,
@@ -65,24 +70,23 @@ def relay(router_id: str) -> OnionRouter:
     return OnionRouter(router_id, derive_layer_key(router_id))
 
 
-@dataclass(frozen=True)
-class RouterRegistry:
-    """Immutable pool of middle and exit relays available to a client."""
-
-    middles: tuple[OnionRouter, ...]
-    exits: tuple[OnionRouter, ...]
+@functools.cache
+def default_registry() -> tuple[tuple[OnionRouter, ...], tuple[OnionRouter, ...]]:
+    """The one relay pool of the process, as (middles, exits), built on first
+    use. The censor blocks only entry bridges, so the middles and exit a
+    circuit draws never decide an outcome; the pool only needs enough middles
+    for any legal code. The pool sizes are an operational stand-in, not a
+    measured topology."""
+    return (
+        tuple(relay(f"middle-{i:03d}") for i in range(MAX_N)),
+        tuple(relay(f"exit-{i:02d}") for i in range(10)),
+    )
 
 
 @functools.cache
-def default_registry() -> RouterRegistry:
-    """The one relay pool of the process, built on first use. The censor
-    blocks only entry bridges, so the middles and exit a circuit draws never
-    decide an outcome; the pool only needs enough middles for any legal code.
-    The pool sizes are an operational stand-in, not a measured topology."""
-    return RouterRegistry(
-        middles=tuple(relay(f"middle-{i:03d}") for i in range(MAX_N)),
-        exits=tuple(relay(f"exit-{i:02d}") for i in range(10)),
-    )
+def _pool_relay_ids() -> frozenset[str]:
+    middles, exits = default_registry()
+    return frozenset(router.router_id for router in middles + exits)
 
 
 @dataclass(frozen=True)
@@ -133,19 +137,29 @@ class CircuitSet:
 
 def build_circuits(bridge_ids: Sequence[str], rng: random.Random) -> CircuitSet:
     """Build one circuit per chosen bridge, middles and the shared exit drawn
-    uniformly without replacement from the default relay pool. CircuitSet
-    rejects an empty or repeated bridge list."""
-    if len(bridge_ids) > MAX_N:
-        raise ValueError(f"{len(bridge_ids)} bridges, but a code has at most {MAX_N} circuits")
-    pool = default_registry()
-    middles = rng.sample(pool.middles, len(bridge_ids))
-    shared_exit = rng.choice(pool.exits)
-    return CircuitSet(
-        tuple(
-            Circuit(relay(bridge_id), middle, shared_exit)
-            for bridge_id, middle in zip(bridge_ids, middles)
-        )
-    )
+    uniformly without replacement from the default relay pool.
+
+    Only the bridge ids come from the caller, so only they are checked: one
+    to MAX_N of them, pairwise distinct, none naming a pool relay. The pool's
+    ids are distinct, sample draws distinct middles and there is one exit,
+    so the set meets CircuitSet's other checks by construction and skips them.
+    """
+    n = len(bridge_ids)
+    if n > MAX_N:
+        raise ValueError(f"{n} bridges, but a code has at most {MAX_N} circuits")
+    if not n:
+        raise ValueError("a circuit set holds at least one circuit")
+    if len(set(bridge_ids)) != n:
+        raise ValueError("entry relays must be pairwise distinct")
+    if not _pool_relay_ids().isdisjoint(bridge_ids):
+        raise ValueError("relay roles must not overlap within a circuit set")
+    pool_middles, pool_exits = default_registry()
+    middles = rng.sample(pool_middles, n)
+    shared_exit = rng.choice(pool_exits)
+    return _trusted(CircuitSet, circuits=tuple(
+        Circuit(relay(bridge_id), middle, shared_exit)
+        for bridge_id, middle in zip(bridge_ids, middles)
+    ))
 
 
 class LayeredCell(NamedTuple):
@@ -166,19 +180,31 @@ class LayeredCell(NamedTuple):
         return self.value.to_bytes(self.size, "big")
 
 
-# The three layer streams of a wrapped payload (one cell, or a whole sub-flow
-# in transmit) are derived in wrap_layers and consumed again, in reverse
-# order, by the three peel_layer calls that follow it, so a cache of three
-# streams makes that one SHAKE call per (payload, hop). Streams are cached as
-# big-endian ints, the form both XOR them in.
-@functools.lru_cache(maxsize=3)
-def _keystream(key: bytes, circuit_id: str, seq: int, depth: int, size: int) -> int:
+def _derive_keystream(key: bytes, circuit_id: str, seq: int, depth: int, size: int) -> int:
+    """One layer stream, as the big-endian int both wrap and peel XOR in."""
     if not key:
         raise ValueError("router layer key must be non-empty")
     cid = circuit_id.encode()
     return int.from_bytes(hashlib.shake_256(b"%b%b%b%b%b%c" % (
         len(key).to_bytes(2, "big"), key, len(cid).to_bytes(2, "big"), cid, seq.to_bytes(8, "big"), depth
     )).digest(size), "big")
+
+
+# The exit and middle streams (depths 1 and 2) of a wrapped payload (one cell,
+# or a whole sub-flow in transmit) are derived in wrap_layers and consumed
+# again by the peel_layer calls that follow it, so a cache of three streams
+# makes that one SHAKE call per (payload, hop). Their keys name the middle and
+# exit a circuit drew (~89k and ~3.5k keys on the default grid), so keeping
+# them longer would reuse little and hold much.
+_keystream = functools.lru_cache(maxsize=3)(_derive_keystream)
+
+# The entry stream (depth 3) is keyed by the bridge, whose id is also the
+# circuit id, and the sub-flow's sequence number and size: every pipeline
+# trial that draws a bridge for a code shape derives the same one. The
+# default grid has 50 bridges and 7 shapes, whose trial sub-flows all start
+# at generation 0 and differ in size, so 350 entries hold them all. A stream
+# is as long as its sub-flow, so a large e2e message keeps up to n of them.
+_entry_keystream = functools.lru_cache(maxsize=350)(_derive_keystream)
 
 
 def wrap_layers(cell_bytes: bytes, circuit: Circuit, seq: int = 0) -> LayeredCell:
@@ -190,7 +216,7 @@ def wrap_layers(cell_bytes: bytes, circuit: Circuit, seq: int = 0) -> LayeredCel
         int.from_bytes(cell_bytes, "big")
         ^ _keystream(circuit.exit.layer_key, cid, seq, 1, size)
         ^ _keystream(circuit.middle.layer_key, cid, seq, 2, size)
-        ^ _keystream(circuit.entry.layer_key, cid, seq, 3, size)
+        ^ _entry_keystream(circuit.entry.layer_key, cid, seq, 3, size)
     )
     return LayeredCell(acc, size, 3, cid, seq)
 
@@ -200,47 +226,78 @@ def peel_layer(cell: LayeredCell, router: OnionRouter) -> LayeredCell:
     value, size, depth, cid, seq = cell
     if depth <= 0:
         raise ValueError("no encryption layers left to peel")
-    return LayeredCell(value ^ _keystream(router.layer_key, cid, seq, depth, size), size, depth - 1, cid, seq)
+    stream = (_entry_keystream if depth == 3 else _keystream)(router.layer_key, cid, seq, depth, size)
+    return LayeredCell(value ^ stream, size, depth - 1, cid, seq)
+
+
+@dataclass(frozen=True)
+class CodedMessage:
+    """A message's coded generations, checked and serialised once.
+
+    Every generation holds one cell per sub-flow, cell i riding sub-flow i;
+    the constructor rejects any other width or order. `subflows` holds, per
+    sub-flow, its first generation id (the layer streams' sequence number)
+    and its cells' wire bytes joined in generation order, so any number of
+    transfers can send the message without re-checking or re-serialising
+    its frozen cells. Iterating gives the generations.
+    """
+
+    generations: tuple[tuple[CodedCell, ...], ...]
+    subflows: tuple[tuple[int, bytes], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        generations = tuple(tuple(gen_cells) for gen_cells in self.generations)
+        if not generations:
+            raise ValueError("a coded message holds at least one generation")
+        width = len(generations[0])
+        for gen_cells in generations:
+            if len(gen_cells) != width:
+                raise ValueError(f"generation carries {len(gen_cells)} cells, the first carries {width}")
+            for idx, cell in enumerate(gen_cells):
+                if cell.subflow_index != idx:
+                    raise ValueError(
+                        f"sub-flow {cell.subflow_index} offered to circuit {idx}; order mismatch"
+                    )
+        object.__setattr__(self, "generations", generations)
+        object.__setattr__(self, "subflows", tuple(
+            (generations[0][idx].generation_id, b"".join(gen_cells[idx].to_wire() for gen_cells in generations))
+            for idx in range(width)
+        ))
+
+    def __iter__(self) -> Iterator[tuple[CodedCell, ...]]:
+        return iter(self.generations)
 
 
 def transmit(
     circuits: CircuitSet,
-    coded_generations: Sequence[Sequence[CodedCell]],
+    coded: CodedMessage,
     blocked: Collection[int] = frozenset(),
 ) -> list[CodedCell]:
-    """Carry every generation across the circuit set; sub-flow i rides circuit i.
+    """Carry a coded message across the circuit set; sub-flow i rides circuit i.
 
     The circuits whose indices are in `blocked` drop their whole sub-flow
-    silently. Each surviving sub-flow is joined into one byte stream,
-    wrapped once, peeled hop by hop, turned back into bytes once, and
-    reparsed cell by cell by the headers in the wire bytes, so the returned
-    cells are exactly what the exit relay can see.
+    silently. Each surviving sub-flow's wire bytes are wrapped once, peeled
+    hop by hop, turned back into bytes once, and reparsed cell by cell by
+    the headers in the wire bytes, so the returned cells are exactly what
+    the exit relay can see.
     They come back generation by generation, in circuit order within each.
-    Every generation is checked before anything is wrapped.
+    The message checked its own shape, so only the circuit count and the
+    blocked indices are checked here, before anything is wrapped.
     """
     n = len(circuits)
+    if len(coded.subflows) != n:
+        raise ValueError(f"message has {len(coded.subflows)} sub-flows for {n} circuits")
     if not all(0 <= i < n for i in blocked):
         raise ValueError(f"blocked circuit indices {sorted(blocked)} outside 0..{n - 1}")
-    for gen_cells in coded_generations:
-        if len(gen_cells) != n:
-            raise ValueError(f"generation carries {len(gen_cells)} cells for {n} circuits")
-        for idx, cell in enumerate(gen_cells):
-            if cell.subflow_index != idx:
-                raise ValueError(
-                    f"sub-flow {cell.subflow_index} offered to circuit {idx}; order mismatch"
-                )
-    if not coded_generations:
-        return []
-    subflows: list[list[CodedCell]] = []
-    for idx, circuit in enumerate(circuits):
+    arrived: list[list[CodedCell]] = []
+    for idx, (circuit, (seq, wire)) in enumerate(zip(circuits, coded.subflows)):
         if idx in blocked:
             continue
-        wire = b"".join(gen_cells[idx].to_wire() for gen_cells in coded_generations)
-        layered = wrap_layers(wire, circuit, seq=coded_generations[0][idx].generation_id)
+        layered = wrap_layers(wire, circuit, seq)
         for router in (circuit.entry, circuit.middle, circuit.exit):
             layered = peel_layer(layered, router)
-        subflows.append(CodedCell.from_wire_stream(layered.payload))
-    return [cell for gen_cells in zip(*subflows) for cell in gen_cells]
+        arrived.append(CodedCell.from_wire_stream(layered.payload))
+    return [cell for gen_cells in zip(*arrived) for cell in gen_cells]
 
 
 @dataclass(frozen=True)
@@ -251,12 +308,12 @@ class TransferResult:
     delivered_counts: tuple[int, ...]
 
 
-def encode_message(params: CodeParams, message: bytes) -> tuple[tuple[CodedCell, ...], ...]:
-    """Split a message into generations and code each: one tuple of n coded
-    cells per generation, in generation order. Frozen, so one encoding can
-    serve any number of transfers."""
+def encode_message(params: CodeParams, message: bytes) -> CodedMessage:
+    """Split a message into generations and code each: n coded cells per
+    generation, in generation order. Frozen, so one encoding can serve any
+    number of transfers."""
     matrix = build_generator(params)
-    return tuple(tuple(encode_generation(g, matrix)) for g in split_message(message, params.k))
+    return CodedMessage(tuple(tuple(encode_generation(g, matrix)) for g in split_message(message, params.k)))
 
 
 def run_transfer(
@@ -265,7 +322,7 @@ def run_transfer(
     message: bytes,
     blocked: Collection[int] = frozenset(),
     *,
-    coded: Sequence[Sequence[CodedCell]] | None = None,
+    coded: CodedMessage | None = None,
 ) -> TransferResult:
     """One full client-to-exit transfer of a message over a circuit set.
 
@@ -288,7 +345,7 @@ def run_transfer(
     decoded: list[Generation] = []
     failed: list[int] = []
     counts: list[int] = []
-    for gen_cells in coded:
+    for gen_cells in coded.generations:
         generation_id = gen_cells[0].generation_id
         cells = by_generation.get(generation_id, [])
         counts.append(len(cells))

@@ -20,7 +20,7 @@ from ctorsim.censor import (
     select_bridges,
 )
 from ctorsim.codec import CodeParams, Variant
-from ctorsim.onion import encode_message
+from ctorsim.onion import CodedMessage, encode_message
 
 
 def scenario(num_unknown, num_known, n, r=0) -> CensorScenario:
@@ -129,9 +129,10 @@ class TestTrialCells:
     @pytest.mark.parametrize("params", [CodeParams(1, 1, 0), CodeParams(4, 4, 0), CodeParams(10, 6, 4)])
     def test_cells_are_a_fresh_encoding(self, params):
         cells = censor._trial_cells(params)
+        assert isinstance(cells, CodedMessage)
         assert cells == encode_message(params, censor._DEFAULT_MESSAGE)
         assert censor._trial_cells(params) is cells
-        assert all(type(gen) is tuple for gen in cells)
+        assert all(type(gen) is tuple for gen in cells.generations)
 
     def test_cache_is_bounded(self):
         assert censor._trial_cells.cache_info().maxsize == 32

@@ -26,6 +26,7 @@ from ctorsim.gf256 import xor_bytes
 from ctorsim.onion import (
     CircuitSet,
     Circuit,
+    CodedMessage,
     OnionRouter,
     build_circuits,
     default_registry,
@@ -81,18 +82,31 @@ class TestBuildCircuits:
         with pytest.raises(ValueError):
             CircuitSet((c, c))
 
+    @pytest.mark.parametrize(
+        "bridge_ids",
+        [[], ["b0", "b1", "b0"], ["b0", "middle-000"], ["middle-254"], ["b0", "exit-09"]],
+        ids=["none", "repeated", "names-a-middle", "names-the-last-middle", "names-an-exit"],
+    )
+    def test_bridge_id_faults_raise_from_build_circuits(self, bridge_ids):
+        # build_circuits skips CircuitSet's checks, so it must reject these itself,
+        # whichever middles and exit the seed would draw
+        for seed in range(20):
+            with pytest.raises(ValueError):
+                build_circuits(bridge_ids, random.Random(seed))
+
 
 class TestDefaultRegistry:
     def test_one_pool_covers_every_legal_code(self):
         assert default_registry() is default_registry()
-        assert len(default_registry().middles) == MAX_N
-        assert len(default_registry().exits) == 10
+        middles, exits = default_registry()
+        assert len(middles) == MAX_N
+        assert len(exits) == 10
 
     def test_pool_holds_the_cached_routers(self):
         # rebuild, so relays other tests churned through the bounded cache cannot matter
         default_registry.cache_clear()
-        pool = default_registry()
-        for router in pool.middles + pool.exits:
+        middles, exits = default_registry()
+        for router in middles + exits:
             assert relay(router.router_id) is router
 
     def test_importing_the_cli_builds_no_relay(self):
@@ -120,6 +134,8 @@ def test_relay_shares_one_router_per_id_from_a_bounded_cache():
 def test_circuit_sets_always_disjoint(seed, n):
     cs = build_circuits([f"b{i}" for i in range(n)], random.Random(seed))
     assert len(distinct_router_ids(cs)) == 2 * n + 1
+    # build_circuits skips CircuitSet's checks; the public constructor must agree
+    assert CircuitSet(cs.circuits) == cs
 
 
 class TestLayering:
@@ -275,30 +291,61 @@ class TestKeystreamCache:
 
     def test_results_survive_cache_clear(self):
         params = CodeParams(4, 3, 1)
-        matrix = build_generator(params)
-        coded = [encode_generation(g, matrix) for g in split_message(bytes(range(256)) * 9, params.k)]
+        coded = encode_message(params, bytes(range(256)) * 9)
         circuits = circuits_for(4)
         warm = transmit(circuits, coded, {1})
         wrapped = wrap_layers(b"cell", circuits[0], seq=3)
-        onion._keystream.cache_clear()
-        assert transmit(circuits, coded, {1}) == warm
-        onion._keystream.cache_clear()
-        assert wrap_layers(b"cell", circuits[0], seq=3) == wrapped
+        message = random.Random(9).randbytes(3000)
+        transfer = run_transfer(circuits, params, message, {2})
+        for clear in (onion._keystream.cache_clear, onion._entry_keystream.cache_clear):
+            clear()
+            assert transmit(circuits, coded, {1}) == warm
+            clear()
+            assert wrap_layers(b"cell", circuits[0], seq=3) == wrapped
+            clear()
+            assert run_transfer(circuits, params, message, {2}) == transfer
 
     def test_cache_is_bounded(self):
         assert onion._keystream.cache_info().maxsize == 3
+        # one entry stream per (bridge, shape) on the default grid: 50 x 7
+        assert onion._entry_keystream.cache_info().maxsize == 350
+
+    def test_circuits_on_one_bridge_share_only_the_entry_stream(self):
+        # the same bridge drawn in two trials, with another middle and exit each time
+        first = circuits_for(1, seed=0)[0]
+        second = next(
+            c for seed in range(1, 50) for c in circuits_for(1, seed=seed)
+            if c.middle != first.middle and c.exit != first.exit
+        )
+        assert first.entry is second.entry
+        wire = random.Random(10).randbytes(524)
+        onion._keystream.cache_clear()
+        onion._entry_keystream.cache_clear()
+        a = wrap_layers(wire, first, seq=0)
+        b = wrap_layers(wire, second, seq=0)
+        entry = onion._entry_keystream.cache_info()
+        inner = onion._keystream.cache_info()
+        assert (entry.misses, entry.hits) == (1, 1)
+        assert (inner.misses, inner.hits) == (4, 0)
+        assert a.payload == reference_wrap(wire, first, 0)
+        assert b.payload == reference_wrap(wire, second, 0)
+        for depth, hop in ((3, "entry"), (2, "middle"), (1, "exit")):
+            streams = {
+                reference_keystream(getattr(c, hop).layer_key, c.circuit_id, 0, depth, len(wire))
+                for c in (first, second)
+            }
+            assert len(streams) == (1 if hop == "entry" else 2), hop
 
 
 class TestTransmit:
-    def make_coded(self, params: CodeParams, message: bytes):
-        matrix = build_generator(params)
-        return [encode_generation(g, matrix) for g in split_message(message, params.k)]
+    def make_coded(self, params: CodeParams, message: bytes) -> CodedMessage:
+        return encode_message(params, message)
 
     def test_lossless_delivers_everything(self):
         params = CodeParams(4, 3, 1)
         coded = self.make_coded(params, bytes(2000))
         delivered = transmit(circuits_for(4), coded)
-        assert len(delivered) == 4 * len(coded)
+        assert len(delivered) == 4 * len(coded.generations)
         # cells come back exactly as sent
         assert delivered == [cell for gen in coded for cell in gen]
 
@@ -306,7 +353,7 @@ class TestTransmit:
         params = CodeParams(4, 3, 1)
         coded = self.make_coded(params, bytes(3000))
         delivered = transmit(circuits_for(4), coded, {2})
-        assert len(delivered) == 3 * len(coded)
+        assert len(delivered) == 3 * len(coded.generations)
         assert all(cell.subflow_index != 2 for cell in delivered)
 
     def test_total_blocking_delivers_nothing(self):
@@ -321,17 +368,48 @@ class TestTransmit:
             transmit(circuits_for(2), coded, {2})
 
     def test_subflow_circuit_order_mismatch_rejected(self):
+        # a coded message checks its sub-flow order when it is built
         params = CodeParams(2, 2, 0)
         coded = self.make_coded(params, bytes(100))
-        swapped = [[coded[0][1], coded[0][0]]]
-        with pytest.raises(ValueError):
-            transmit(circuits_for(2), swapped)
+        gen = coded.generations[0]
+        with pytest.raises(ValueError, match="order mismatch"):
+            CodedMessage([[gen[1], gen[0]]])
 
     def test_generation_width_mismatch_rejected(self):
+        # a ragged message fails when it is built, a message of another
+        # width when it meets the circuits
         params = CodeParams(2, 2, 0)
-        coded = self.make_coded(params, bytes(100))
-        with pytest.raises(ValueError):
+        coded = self.make_coded(params, bytes(2000))
+        with pytest.raises(ValueError, match="carries 1 cells"):
+            CodedMessage([coded.generations[0], coded.generations[1][:1]])
+        with pytest.raises(ValueError, match="for 3 circuits"):
             transmit(circuits_for(3), coded)
+
+
+class TestCodedMessage:
+    """A coded message is checked and serialised once, for any number of transfers."""
+
+    @pytest.mark.parametrize("params", [CodeParams(1, 1, 0), CodeParams(4, 4, 0), CodeParams(10, 6, 4)])
+    def test_each_wire_is_its_subflows_joined_cells(self, params):
+        coded = encode_message(params, random.Random(11).randbytes(5000))
+        assert len(coded.subflows) == params.n
+        for idx, (seq, wire) in enumerate(coded.subflows):
+            assert wire == b"".join(gen[idx].to_wire() for gen in coded.generations)
+            assert seq == coded.generations[0][idx].generation_id
+
+    def test_holds_frozen_tuples_and_iterates_them(self):
+        params = CodeParams(4, 3, 1)
+        listed = coded_generations(params, 3)
+        coded = CodedMessage(listed)
+        assert coded.generations == tuple(tuple(gen) for gen in listed)
+        assert list(coded) == list(coded.generations)
+        assert coded == encode_message(params, random.Random(3).randbytes(3 * params.k * CELL_SIZE - 8))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            coded.generations = ()
+
+    def test_empty_message_rejected(self):
+        with pytest.raises(ValueError, match="at least one generation"):
+            CodedMessage([])
 
 
 def coded_generations(params: CodeParams, generations: int) -> list:
@@ -351,16 +429,24 @@ class TestSubflowStreams:
 
     @pytest.mark.parametrize("generations", [1, 86])
     def test_one_stream_per_circuit_and_hop(self, generations):
-        coded = coded_generations(self.PARAMS, generations)
+        coded = CodedMessage(coded_generations(self.PARAMS, generations))
         circuits = circuits_for(10)
         onion._keystream.cache_clear()
+        onion._entry_keystream.cache_clear()
         transmit(circuits, coded, self.BLOCKED)
-        info = onion._keystream.cache_info()
         surviving = 10 - len(self.BLOCKED)
-        assert (info.misses, info.hits) == (3 * surviving, 3 * surviving)
+        inner = onion._keystream.cache_info()
+        entry = onion._entry_keystream.cache_info()
+        # the exit and middle streams: derived by the wrap, reused by the peels
+        assert (inner.misses, inner.hits) == (2 * surviving, 2 * surviving)
+        assert (entry.misses, entry.hits) == (surviving, surviving)
+        # a second transfer over other middles and exits derives only theirs
+        transmit(circuits_for(10, seed=1), coded, self.BLOCKED)
+        assert onion._entry_keystream.cache_info().misses == surviving
+        assert onion._keystream.cache_info().misses == 4 * surviving
 
     def test_one_wrap_per_surviving_circuit(self, monkeypatch):
-        coded = coded_generations(self.PARAMS, 5)[2:]  # sub-flows start at generation 2
+        coded = CodedMessage(coded_generations(self.PARAMS, 5)[2:])  # sub-flows start at generation 2
         circuits = circuits_for(10)
         calls = []
 
@@ -371,11 +457,13 @@ class TestSubflowStreams:
         monkeypatch.setattr(onion, "wrap_layers", recording_wrap)
         delivered = transmit(circuits, coded, self.BLOCKED)
         assert calls == [
-            (b"".join(gen[idx].to_wire() for gen in coded), circuits[idx], 2)
+            (b"".join(gen[idx].to_wire() for gen in coded.generations), circuits[idx], 2)
             for idx in range(10)
             if idx not in self.BLOCKED
         ]
-        assert delivered == [cell for gen in coded for cell in gen if cell.subflow_index not in self.BLOCKED]
+        assert delivered == [
+            cell for gen in coded.generations for cell in gen if cell.subflow_index not in self.BLOCKED
+        ]
 
     @pytest.mark.parametrize("fault", ["width", "order"])
     def test_malformed_last_generation_raises_before_any_stream(self, fault):
@@ -385,10 +473,13 @@ class TestSubflowStreams:
             last.pop()
         else:
             last[3], last[4] = last[4], last[3]
+        # the message checks its shape when it is built, before any transfer
         onion._keystream.cache_clear()
+        onion._entry_keystream.cache_clear()
         with pytest.raises(ValueError):
-            transmit(circuits_for(10), coded[:-1] + [last], self.BLOCKED)
+            CodedMessage(coded[:-1] + [last])
         assert onion._keystream.cache_info().misses == 0
+        assert onion._entry_keystream.cache_info().misses == 0
 
     @pytest.mark.parametrize("blocked", [set(), {0}, {1}])
     def test_mixed_wire_lengths_come_back_intact(self, blocked):
@@ -399,7 +490,7 @@ class TestSubflowStreams:
             encode_generation(Generation(0, (rng.randbytes(CELL_SIZE),)), build_generator(narrow)),
             encode_generation(Generation(1, (rng.randbytes(CELL_SIZE), rng.randbytes(CELL_SIZE))), build_generator(wide)),
         ]
-        delivered = transmit(circuits_for(2), coded, blocked)
+        delivered = transmit(circuits_for(2), CodedMessage(coded), blocked)
         assert delivered == [cell for gen in coded for cell in gen if cell.subflow_index not in blocked]
 
 
@@ -418,7 +509,7 @@ def test_transmit_returns_the_offered_cells_of_unblocked_circuits(n, size, seed,
     rng = random.Random(seed)
     coded = [encode_generation(g, matrix) for g in split_message(rng.randbytes(size), params.k)]
     circuits = build_circuits([f"b{i}" for i in range(n)], rng)
-    assert transmit(circuits, coded, blocked) == [
+    assert transmit(circuits, CodedMessage(coded), blocked) == [
         cell for gen in coded for cell in gen if cell.subflow_index not in blocked
     ]
 
