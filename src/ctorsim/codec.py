@@ -12,6 +12,10 @@ cells; generations can be processed independently and concurrently. The
 decoder memoizes one inverse per set of surviving coefficient rows, so a
 transfer whose circuits drop the same sub-flows in every generation
 inverts once.
+
+Each type checks its fields in its own constructor, and every value the
+parser, encoder and decoder return is built through that constructor, so
+a rule lives in one place.
 """
 
 from __future__ import annotations
@@ -88,14 +92,6 @@ class Generation:
                 raise ValueError(f"cells are exactly {CELL_SIZE} bytes, got {len(cell)}")
 
 
-def _trusted(cls, **fields):
-    """An instance of a frozen dataclass built without its __post_init__, for
-    fields the caller has already checked."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
 @dataclass(frozen=True)
 class CodedCell:
     """One coded cell: payload plus the coefficient row that produced it."""
@@ -127,41 +123,33 @@ class CodedCell:
     @classmethod
     def from_wire(cls, data: bytes) -> "CodedCell":
         """Parse one wire cell, whose length must be the one its header's k gives."""
-        return cls._parse_at(data, 0, whole=True)[0]
+        cells = cls.from_wire_stream(data)
+        if len(cells) != 1:
+            raise ValueError(f"expected one wire cell, got {len(cells)}")
+        return cells[0]
 
     @classmethod
     def from_wire_stream(cls, stream: bytes) -> list["CodedCell"]:
-        """Parse back-to-back wire cells, each delimited by the k in its own header."""
+        """Parse back-to-back wire cells, each delimited by the k in its own
+        header; the constructor checks the fields, k = 0 included."""
         cells, pos = [], 0
         while pos < len(stream):
-            cell, pos = cls._parse_at(stream, pos, whole=False)
-            cells.append(cell)
+            size = len(stream) - pos
+            if size < _WIRE_HEADER:
+                raise ValueError(f"wire cell too short: {size} bytes")
+            k = stream[pos + 5]
+            start = pos + _WIRE_HEADER
+            end = start + k + CELL_SIZE
+            if end > len(stream):
+                raise ValueError(f"wire cell of {size} bytes, but its header gives k={k}")
+            cells.append(cls(
+                int.from_bytes(stream[pos : pos + 4], "big"),
+                stream[pos + 4],
+                bytes(stream[start : start + k]),
+                bytes(stream[start + k : end]),
+            ))
+            pos = end
         return cells
-
-    @classmethod
-    def _parse_at(cls, data: bytes, pos: int, *, whole: bool) -> tuple["CodedCell", int]:
-        """The wire cell that starts at `pos`, delimited by its header's k, and
-        the position after it. A `whole` cell must end exactly where data does."""
-        size = len(data) - pos
-        if size < _WIRE_HEADER:
-            raise ValueError(f"wire cell too short: {size} bytes")
-        k = data[pos + 5]
-        if k == 0:
-            raise ValueError("wire cell header gives k=0")
-        start = pos + _WIRE_HEADER
-        end = start + k + CELL_SIZE
-        if end > len(data) or (whole and end != len(data)):
-            raise ValueError(f"wire cell of {size} bytes, but its header gives k={k}")
-        # the header's field widths and the length check above bound every
-        # field as __post_init__ would, so the cell skips it
-        cell = _trusted(
-            cls,
-            generation_id=int.from_bytes(data[pos : pos + 4], "big"),
-            subflow_index=data[pos + 4],
-            coefficients=bytes(data[start : start + k]),
-            payload=bytes(data[start + k : end]),
-        )
-        return cell, end
 
 
 @dataclass(frozen=True)
@@ -182,17 +170,12 @@ class GeneratorMatrix:
                 raise ValueError(f"row {i} must be the unit vector (systematic form)")
 
 
-# the systematic check in decode_generation asks for one per received cell
-@functools.lru_cache(maxsize=1024)
 def _unit_row(k: int, i: int) -> bytes:
     row = bytearray(k)
     row[i] = 1
     return bytes(row)
 
 
-# GeneratorMatrix is frozen and its rows are bytes, so every caller can share
-# one instance per code shape.
-@functools.lru_cache(maxsize=64)
 def build_generator(params: CodeParams) -> GeneratorMatrix:
     """Deterministic systematic generator whose every k-row subset is invertible.
 
@@ -240,11 +223,10 @@ def encode_generation(generation: Generation, matrix: GeneratorMatrix) -> list[C
 
 # One inverse per set of received coefficient rows: a blocked circuit drops
 # its whole sub-flow, so every generation of a transfer repeats the same set.
-# Survivor sets holding all k originals take the systematic shortcut and never
-# get here, so the default grid's shapes fill 382 entries (12 for ctor:5:2,
-# 370 for ctor:10:4, none for the uncoded ones); 400 hold them all. Entries
-# hold rows, never payloads.
-@functools.lru_cache(maxsize=400)
+# The default grid's shapes have 407 survivor sets of k or more cells (16 for
+# ctor:5:2, 386 for ctor:10:4, one per uncoded shape); 512 hold them all.
+# Entries hold rows, never payloads.
+@functools.lru_cache(maxsize=512)
 def _decode_plan(rows: tuple[bytes, ...]) -> tuple[tuple[int, ...], tuple[bytes, ...]] | None:
     """Positions of the first k independent rows and the inverse of their
     matrix: row j rebuilds original cell j from the picked payloads. None
@@ -276,37 +258,30 @@ def _decode_plan(rows: tuple[bytes, ...]) -> tuple[tuple[int, ...], tuple[bytes,
 def decode_generation(received: Sequence[CodedCell], params: CodeParams) -> Generation:
     """Recover the original k cells from any k independent coded cells.
 
-    Takes the systematic shortcut when all k original cells arrived.
-    Otherwise it inverts the matrix of the first k independent coefficient
-    rows once per set of received rows, caches that inverse, and forms each
-    cell as a GF(2^8) combination of the picked payloads. A set of rank
-    below k raises UnrecoverableGeneration.
+    Inverts the matrix of the first k independent coefficient rows once per
+    set of received rows, caches that inverse, and forms each cell as a
+    GF(2^8) combination of the picked payloads. A unit row of the inverse
+    copies its payload, so when the k original cells arrive first the
+    inverse is the identity and every cell is a copy. A set of rank below k
+    raises UnrecoverableGeneration.
     """
     if not received:
         raise ValueError("decode needs at least one coded cell")
     generation_id = received[0].generation_id
     k = params.k
-    originals: dict[int, bytes] = {}
     for cell in received:
         if cell.generation_id != generation_id:
             raise ValueError("coded cells from mixed generations")
         if len(cell.coefficients) != k:
             raise ValueError(f"coefficient vector length {len(cell.coefficients)}, expected {k}")
-        if cell.subflow_index < k and cell.coefficients == _unit_row(k, cell.subflow_index):
-            originals[cell.subflow_index] = cell.payload
-    # every payload here is a CodedCell's or a _combine of them, so it is
-    # CELL_SIZE bytes already and the Generation skips re-checking it
-    if len(originals) == k:
-        return _trusted(Generation, generation_id=generation_id, cells=tuple(originals[i] for i in range(k)))
-
-    plan = _decode_plan(tuple(bytes(cell.coefficients) for cell in received))
+    plan = _decode_plan(tuple([bytes(cell.coefficients) for cell in received]))
     if plan is None:
         raise UnrecoverableGeneration(generation_id, received=len(received))
     picks, inverse = plan
     payloads = [received[pos].payload for pos in picks]
-    return _trusted(Generation, generation_id=generation_id, cells=tuple(
+    return Generation(generation_id, tuple([
         payloads[row.index(1)] if sum(row) == 1 else _combine(row, payloads) for row in inverse
-    ))
+    ]))
 
 
 def split_message(message: bytes, k: int) -> list[Generation]:
@@ -343,8 +318,12 @@ def reassemble_message(generations: Sequence[Generation]) -> bytes:
     ids = [g.generation_id for g in ordered]
     if ids != list(range(len(ordered))):
         raise ValueError(f"generation ids must be contiguous from 0, got {ids}")
-    stream = b"".join(b"".join(g.cells) for g in ordered)
-    length = int.from_bytes(stream[:_LENGTH_PREFIX], "big")
-    if _LENGTH_PREFIX + length > len(stream):
+    cells = [cell for g in ordered for cell in g.cells]
+    end = _LENGTH_PREFIX + int.from_bytes(cells[0][:_LENGTH_PREFIX], "big")
+    if end > len(cells) * CELL_SIZE:
         raise ValueError("length prefix exceeds the decoded stream")
-    return stream[_LENGTH_PREFIX : _LENGTH_PREFIX + length]
+    # join views of only the cells the message spans, so its bytes are copied once
+    return b"".join(
+        memoryview(cell)[_LENGTH_PREFIX if i == 0 else 0 : end - i * CELL_SIZE]
+        for i, cell in enumerate(cells[: -(-end // CELL_SIZE)])
+    )

@@ -23,6 +23,10 @@ what differs between trials: the circuits, the blocked set, the wrap and
 peels, the parse and the decode. An entry hop's stream depends only on the
 bridge and the sub-flow, so it is cached across transfers; the middle and
 exit streams name the relays a circuit drew and are derived per transfer.
+
+CircuitSet and CodedMessage check their invariants in their constructors,
+and build_circuits and encode_message build through them, so each rule is
+checked in one place.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from .codec import (
     CodedCell,
     Generation,
     UnrecoverableGeneration,
-    _trusted,
     build_generator,
     decode_generation,
     encode_generation,
@@ -112,18 +115,12 @@ class CircuitSet:
     def __post_init__(self):
         if not self.circuits:
             raise ValueError("a circuit set holds at least one circuit")
-        entries = {c.entry.router_id for c in self.circuits}
-        middles = {c.middle.router_id for c in self.circuits}
-        exits = {c.exit.router_id for c in self.circuits}
-        n = len(self.circuits)
-        if len(entries) != n:
-            raise ValueError("entry relays must be pairwise distinct")
-        if len(middles) != n:
-            raise ValueError("middle relays must be pairwise distinct")
-        if len(exits) != 1:
+        relay_ids = {c.exit.router_id for c in self.circuits}
+        if len(relay_ids) != 1:
             raise ValueError("all circuits must share one exit relay")
-        if entries & middles or exits & (entries | middles):
-            raise ValueError("relay roles must not overlap within a circuit set")
+        relay_ids.update([c.entry.router_id for c in self.circuits], [c.middle.router_id for c in self.circuits])
+        if len(relay_ids) != 2 * len(self.circuits) + 1:
+            raise ValueError("entry and middle relays must be pairwise distinct and differ from the exit")
 
     def __len__(self) -> int:
         return len(self.circuits)
@@ -139,24 +136,20 @@ def build_circuits(bridge_ids: Sequence[str], rng: random.Random) -> CircuitSet:
     """Build one circuit per chosen bridge, middles and the shared exit drawn
     uniformly without replacement from the default relay pool.
 
-    Only the bridge ids come from the caller, so only they are checked: one
-    to MAX_N of them, pairwise distinct, none naming a pool relay. The pool's
-    ids are distinct, sample draws distinct middles and there is one exit,
-    so the set meets CircuitSet's other checks by construction and skips them.
+    CircuitSet checks the result. Two checks come first, because they must
+    not depend on what the seed draws: at most MAX_N bridges, so the pool has
+    a middle for each, and no bridge id naming a pool relay, which CircuitSet
+    would catch only when the draw picks that relay.
     """
     n = len(bridge_ids)
     if n > MAX_N:
         raise ValueError(f"{n} bridges, but a code has at most {MAX_N} circuits")
-    if not n:
-        raise ValueError("a circuit set holds at least one circuit")
-    if len(set(bridge_ids)) != n:
-        raise ValueError("entry relays must be pairwise distinct")
     if not _pool_relay_ids().isdisjoint(bridge_ids):
         raise ValueError("relay roles must not overlap within a circuit set")
     pool_middles, pool_exits = default_registry()
     middles = rng.sample(pool_middles, n)
     shared_exit = rng.choice(pool_exits)
-    return _trusted(CircuitSet, circuits=tuple(
+    return CircuitSet(tuple(
         Circuit(relay(bridge_id), middle, shared_exit)
         for bridge_id, middle in zip(bridge_ids, middles)
     ))
@@ -192,11 +185,11 @@ def _derive_keystream(key: bytes, circuit_id: str, seq: int, depth: int, size: i
 
 # The exit and middle streams (depths 1 and 2) of a wrapped payload (one cell,
 # or a whole sub-flow in transmit) are derived in wrap_layers and consumed
-# again by the peel_layer calls that follow it, so a cache of three streams
-# makes that one SHAKE call per (payload, hop). Their keys name the middle and
-# exit a circuit drew (~89k and ~3.5k keys on the default grid), so keeping
-# them longer would reuse little and hold much.
-_keystream = functools.lru_cache(maxsize=3)(_derive_keystream)
+# again by the peel_layer calls that follow it, so a cache of those two
+# streams makes that one SHAKE call per (payload, hop). Their keys name the
+# middle and exit a circuit drew (~89k and ~3.5k keys on the default grid), so
+# keeping them longer would reuse little and hold much.
+_keystream = functools.lru_cache(maxsize=2)(_derive_keystream)
 
 # The entry stream (depth 3) is keyed by the bridge, whose id is also the
 # circuit id, and the sub-flow's sequence number and size: every pipeline
@@ -234,12 +227,13 @@ def peel_layer(cell: LayeredCell, router: OnionRouter) -> LayeredCell:
 class CodedMessage:
     """A message's coded generations, checked and serialised once.
 
-    Every generation holds one cell per sub-flow, cell i riding sub-flow i;
-    the constructor rejects any other width or order. `subflows` holds, per
-    sub-flow, its first generation id (the layer streams' sequence number)
-    and its cells' wire bytes joined in generation order, so any number of
-    transfers can send the message without re-checking or re-serialising
-    its frozen cells. Iterating gives the generations.
+    Every generation holds one cell per sub-flow, cell i riding sub-flow i,
+    all with the generation's id; the constructor rejects any other width,
+    order or id. `subflows` holds, per sub-flow, its first generation id
+    (the layer streams' sequence number) and its cells' wire bytes joined in
+    generation order, so any number of transfers can send the message
+    without re-checking or re-serialising its frozen cells. Iterating gives
+    the generations.
     """
 
     generations: tuple[tuple[CodedCell, ...], ...]
@@ -253,10 +247,15 @@ class CodedMessage:
         for gen_cells in generations:
             if len(gen_cells) != width:
                 raise ValueError(f"generation carries {len(gen_cells)} cells, the first carries {width}")
+            generation_id = gen_cells[0].generation_id
             for idx, cell in enumerate(gen_cells):
                 if cell.subflow_index != idx:
                     raise ValueError(
                         f"sub-flow {cell.subflow_index} offered to circuit {idx}; order mismatch"
+                    )
+                if cell.generation_id != generation_id:
+                    raise ValueError(
+                        f"sub-flow {idx} carries generation {cell.generation_id} in generation {generation_id}"
                     )
         object.__setattr__(self, "generations", generations)
         object.__setattr__(self, "subflows", tuple(

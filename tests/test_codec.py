@@ -1,7 +1,9 @@
 """Codec contracts: generator construction, encode/decode, framing."""
 
 import itertools
+import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +24,7 @@ from ctorsim.codec import (
     reassemble_message,
     split_message,
 )
-from ctorsim.onion import build_circuits, run_transfer
+from ctorsim.onion import CircuitSet, build_circuits, run_transfer
 
 
 def rank_of(rows: list[bytes], k: int) -> int:
@@ -70,21 +72,6 @@ class TestBuildGenerator:
     def test_deterministic(self):
         p = CodeParams(10, 6, 4)
         assert build_generator(p) == build_generator(p)
-
-    def test_one_shared_instance_per_shape(self):
-        p = CodeParams(10, 6, 4)
-        assert build_generator(p) is build_generator(p)
-        assert build_generator(p) == build_generator.__wrapped__(p)
-
-    def test_rebuilt_after_eviction_equals_the_first(self):
-        p = CodeParams(10, 6, 4)
-        first = build_generator(p)
-        maxsize = build_generator.cache_info().maxsize
-        for k in range(1, maxsize + 2):
-            build_generator(CodeParams(k + 1, k, 1))
-        again = build_generator(p)
-        assert again is not first  # the cache is bounded and p was evicted
-        assert again == first
 
     @pytest.mark.parametrize("n,k", [(4, 3), (5, 3), (10, 6), (9, 4)])
     def test_every_k_row_subset_invertible(self, n, k):
@@ -153,7 +140,10 @@ class TestDecode:
         params = CodeParams(4, 3, 1)
         gen = random_generation(3, random.Random(7))
         cells = encode_generation(gen, build_generator(params))
-        assert decode_generation(cells[:3], params).cells == gen.cells
+        decoded = decode_generation(cells[:3], params)
+        assert decoded.cells == gen.cells
+        # the inverse of the unit rows is the identity, so each cell is the payload itself
+        assert all(out is cell.payload for out, cell in zip(decoded.cells, cells))
 
     def test_parity_algebra_recovers_missing_cell(self):
         params = CodeParams(4, 3, 1)
@@ -281,8 +271,9 @@ class TestWireFormat:
     def test_from_wire_rejects_k_zero_short_and_long_cells(self):
         wire = CodedCell(5, 1, b"\x01\x02", bytes(CELL_SIZE)).to_wire()
         zero_k = wire[:5] + b"\x00" + wire[6:]
-        # the last one is exactly as long as a k = 0 cell would be
-        for bad in (wire[:-1], wire + b"\x00", wire[:5], zero_k, zero_k[: 6 + CELL_SIZE]):
+        # the last but one is exactly as long as a k = 0 cell would be; the
+        # last is two whole cells back to back
+        for bad in (wire[:-1], wire + b"\x00", wire[:5], zero_k, zero_k[: 6 + CELL_SIZE], wire + wire):
             with pytest.raises(ValueError):
                 CodedCell.from_wire(bad)
         with pytest.raises(ValueError):
@@ -290,8 +281,9 @@ class TestWireFormat:
 
 
 class TestPublicConstructors:
-    """Parsing and decoding build cells and generations past __post_init__;
-    anything built by hand is still checked."""
+    """Each type checks its fields in its constructor, and the parser, the
+    decoder and build_circuits build through it, so a value from the pipeline
+    is checked exactly like one built by hand."""
 
     @pytest.mark.parametrize(
         "generation_id,subflow_index,coefficients,payload",
@@ -319,8 +311,33 @@ class TestPublicConstructors:
         params = CodeParams(5, 3, 2)
         gen = random_generation(3, random.Random(21), generation_id=4)
         cells = encode_generation(gen, build_generator(params))
-        for received in (cells[:3], cells[2:]):  # systematic, then through the inverse
+        for received in (cells[:3], cells[2:]):  # identity inverse, then a combining one
             assert decode_generation(received, params) == gen
+
+    def test_pipeline_values_run_their_own_checks(self, monkeypatch):
+        params = CodeParams(5, 3, 2)
+        gen = random_generation(3, random.Random(22), generation_id=6)
+        cells = encode_generation(gen, build_generator(params))
+        stream = b"".join(cell.to_wire() for cell in cells)
+        checked = Counter()
+        for cls in (CodedCell, Generation, CircuitSet):
+            def counting(obj, check=cls.__post_init__, name=cls.__name__):
+                checked[name] += 1
+                check(obj)
+            monkeypatch.setattr(cls, "__post_init__", counting)
+
+        assert CodedCell.from_wire_stream(stream) == cells
+        assert checked == {"CodedCell": len(cells)}
+        checked.clear()
+        assert CodedCell.from_wire(cells[0].to_wire()) == cells[0]
+        assert checked == {"CodedCell": 1}
+        for received in (cells[:3], cells[2:], cells):
+            checked.clear()
+            assert decode_generation(received, params) == gen
+            assert checked == {"Generation": 1}
+        checked.clear()
+        assert len(build_circuits([f"b{i}" for i in range(5)], random.Random(23))) == 5
+        assert checked == {"CircuitSet": 1}
 
 
 class TestFraming:
@@ -358,6 +375,27 @@ class TestFraming:
             reassemble_message(gens[1:])
         with pytest.raises(ValueError):
             reassemble_message([])
+
+    @pytest.mark.parametrize(
+        "length,k",
+        [(CELL_SIZE - 8, 2), (100, 3), (5000, 2)],
+        ids=["ends-on-a-cell-boundary", "ends-inside-the-first-cell", "spans-generations"],
+    )
+    def test_reassemble_cuts_exactly_the_prefixed_length(self, length, k):
+        # fill the cells past the message with nonzero bytes, so any byte read
+        # past its end or before its start would show
+        rng = random.Random(length)
+        gens = split_message(rng.randbytes(length), k)
+        stream = b"".join(cell for g in gens for cell in g.cells)
+        stream = stream[: 8 + length] + bytes(b | 1 for b in rng.randbytes(len(stream) - 8 - length))
+        cells = [stream[i : i + CELL_SIZE] for i in range(0, len(stream), CELL_SIZE)]
+        filled = [Generation(g, tuple(cells[g * k : (g + 1) * k])) for g in range(len(gens))]
+        assert reassemble_message(filled) == stream[8 : 8 + length]
+        longest = (len(stream) - 8).to_bytes(8, "big")
+        assert reassemble_message([Generation(0, (longest + cells[0][8:], *cells[1:k])), *filled[1:]]) == stream[8:]
+        too_long = (len(stream) - 7).to_bytes(8, "big")
+        with pytest.raises(ValueError, match="exceeds"):
+            reassemble_message([Generation(0, (too_long + cells[0][8:], *cells[1:k])), *filled[1:]])
 
     def test_reassemble_accepts_any_order(self):
         message = random.Random(17).randbytes(4000)
@@ -587,8 +625,11 @@ class TestDecodePlanCache:
                     assert decode_generation([cells[2], cells[3]], params) == gen
 
     def test_default_grid_survivor_sets_fit_the_bound(self):
-        # sets holding all k originals take the systematic shortcut, so only
-        # 12 (ctor:5:2) + 370 (ctor:10:4) reach the cache
+        # every survivor set of k or more cells reaches the cache, those that
+        # hold all k originals included: 407 on the default grid
+        survivor_sets = sum(
+            math.comb(params.n, size) for params in DEFAULT_CONFIGS for size in range(params.k, params.n + 1)
+        )
         _decode_plan.cache_clear()
         for params in DEFAULT_CONFIGS:
             gen = random_generation(params.k, random.Random(params.n))
@@ -597,7 +638,7 @@ class TestDecodePlanCache:
                 for received in itertools.combinations(coded, size):
                     assert decode_generation(list(received), params) == gen
         info = _decode_plan.cache_info()
-        assert info.currsize == info.misses == 382 <= info.maxsize
+        assert info.currsize == info.misses == survivor_sets <= info.maxsize
 
     def test_one_shared_plan_per_row_set(self):
         rows = build_generator(CodeParams(10, 6, 4)).rows[4:]

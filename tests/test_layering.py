@@ -33,11 +33,27 @@ def relative_imports(path: Path) -> set[str]:
     return found
 
 
+PACKAGE = Path(ctorsim.__file__).parent
+
+
 def test_each_module_imports_exactly_its_layers():
-    package = Path(ctorsim.__file__).parent
     graph = {
         path.stem: relative_imports(path)
-        for path in sorted(package.glob("*.py"))
+        for path in sorted(PACKAGE.glob("*.py"))
         if path.stem != "__init__"
     }
     assert graph == EXPECTED_IMPORTS
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a private name is its module's own business; a caller that needs it
+    # should get a public one, so a rule cannot grow a second home
+    private = [
+        f"{path.stem}: from .{node.module or ''} import {alias.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

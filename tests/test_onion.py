@@ -88,8 +88,7 @@ class TestBuildCircuits:
         ids=["none", "repeated", "names-a-middle", "names-the-last-middle", "names-an-exit"],
     )
     def test_bridge_id_faults_raise_from_build_circuits(self, bridge_ids):
-        # build_circuits skips CircuitSet's checks, so it must reject these itself,
-        # whichever middles and exit the seed would draw
+        # rejected whichever middles and exit the seed would draw
         for seed in range(20):
             with pytest.raises(ValueError):
                 build_circuits(bridge_ids, random.Random(seed))
@@ -134,7 +133,6 @@ def test_relay_shares_one_router_per_id_from_a_bounded_cache():
 def test_circuit_sets_always_disjoint(seed, n):
     cs = build_circuits([f"b{i}" for i in range(n)], random.Random(seed))
     assert len(distinct_router_ids(cs)) == 2 * n + 1
-    # build_circuits skips CircuitSet's checks; the public constructor must agree
     assert CircuitSet(cs.circuits) == cs
 
 
@@ -306,7 +304,7 @@ class TestKeystreamCache:
             assert run_transfer(circuits, params, message, {2}) == transfer
 
     def test_cache_is_bounded(self):
-        assert onion._keystream.cache_info().maxsize == 3
+        assert onion._keystream.cache_info().maxsize == 2
         # one entry stream per (bridge, shape) on the default grid: 50 x 7
         assert onion._entry_keystream.cache_info().maxsize == 350
 
@@ -410,6 +408,15 @@ class TestCodedMessage:
     def test_empty_message_rejected(self):
         with pytest.raises(ValueError, match="at least one generation"):
             CodedMessage([])
+
+    def test_generation_of_mixed_ids_rejected(self):
+        # sub-flow 1 would be wrapped with seq 7 and land in generation 7's bucket,
+        # so a lossless transfer would fail generation 0
+        params = CodeParams(2, 2, 0)
+        first, second = coded_generations(params, 2)[0]
+        stray = dataclasses.replace(second, generation_id=7)
+        with pytest.raises(ValueError, match="carries generation 7 in generation 0"):
+            CodedMessage([[first, stray]])
 
 
 def coded_generations(params: CodeParams, generations: int) -> list:
