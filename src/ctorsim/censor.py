@@ -146,7 +146,8 @@ def run_trial(scenario: CensorScenario, rng: random.Random, *, circuit_rng: rand
     the blocked-count rule; the two models must be interchangeable.
     """
     chosen = select_bridges(scenario.pool, scenario.params.n, rng)
-    blocked = {i for i, b in enumerate(chosen) if b in scenario.pool.known}
+    known = scenario.pool.known
+    blocked = {i for i, b in enumerate(chosen) if b in known}
     blocked_count = len(blocked)
     circuits = build_circuits(chosen, circuit_rng)
     result = run_transfer(
@@ -220,6 +221,8 @@ def _fast_interruptions(
     positions whatever the population holds, so summing the drawn
     known-bridge flags counts what drawing bridge ids would.
     """
+    if not count:
+        return 0
     size = len(flags)
     setsize = 21  # random.sample's own choice between a pool list and a seen set
     if n > 5:

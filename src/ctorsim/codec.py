@@ -15,14 +15,18 @@ inverts once.
 
 Each type checks its fields in its own constructor, and every value the
 parser, encoder and decoder return is built through that constructor, so
-a rule lives in one place.
+a rule lives in one place. A CodedCell stores its row and payload as
+bytes whatever bytes-like object it is given, so the parser hands it its
+slices as they are, after one unpack of each cell's header.
 """
 
 from __future__ import annotations
 
 import functools
+import struct
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Sequence
 
 from . import gf256
@@ -30,7 +34,8 @@ from . import gf256
 CELL_SIZE = 512
 MAX_N = 255  # field size bound on the coded cells (and circuits) per generation
 _LENGTH_PREFIX = 8  # big-endian message length, first bytes of the cell stream
-_WIRE_HEADER = 4 + 1 + 1  # generation id + sub-flow index + k
+_HEADER = struct.Struct(">IBB")  # generation id (4B BE) | sub-flow index (1B) | k (1B)
+_WIRE_HEADER = _HEADER.size
 
 
 class UnrecoverableGeneration(Exception):
@@ -94,7 +99,11 @@ class Generation:
 
 @dataclass(frozen=True)
 class CodedCell:
-    """One coded cell: payload plus the coefficient row that produced it."""
+    """One coded cell: payload plus the coefficient row that produced it.
+
+    Both byte fields are stored as `bytes`, whatever bytes-like object they
+    were given, so every cell is hashable and so is every decoder cache key.
+    """
 
     generation_id: int
     subflow_index: int
@@ -102,6 +111,11 @@ class CodedCell:
     payload: bytes
 
     def __post_init__(self):
+        # through memoryview, so an int or a str fails instead of becoming bytes
+        if type(self.coefficients) is not bytes:
+            object.__setattr__(self, "coefficients", bytes(memoryview(self.coefficients)))
+        if type(self.payload) is not bytes:
+            object.__setattr__(self, "payload", bytes(memoryview(self.payload)))
         if not 0 <= self.generation_id < 2**32:
             raise ValueError("generation_id must fit 4 bytes")
         if not 0 <= self.subflow_index <= 255:
@@ -130,24 +144,21 @@ class CodedCell:
 
     @classmethod
     def from_wire_stream(cls, stream: bytes) -> list["CodedCell"]:
-        """Parse back-to-back wire cells, each delimited by the k in its own
-        header; the constructor checks the fields, k = 0 included."""
+        """Parse back-to-back wire cells, each framed by one unpack of its
+        header and delimited by the k there; the constructor checks the
+        fields, k = 0 included."""
+        unpack_header = _HEADER.unpack_from
+        total = len(stream)
         cells, pos = [], 0
-        while pos < len(stream):
-            size = len(stream) - pos
-            if size < _WIRE_HEADER:
-                raise ValueError(f"wire cell too short: {size} bytes")
-            k = stream[pos + 5]
+        while pos < total:
+            if total - pos < _WIRE_HEADER:
+                raise ValueError(f"wire cell too short: {total - pos} bytes")
+            generation_id, subflow_index, k = unpack_header(stream, pos)
             start = pos + _WIRE_HEADER
             end = start + k + CELL_SIZE
-            if end > len(stream):
-                raise ValueError(f"wire cell of {size} bytes, but its header gives k={k}")
-            cells.append(cls(
-                int.from_bytes(stream[pos : pos + 4], "big"),
-                stream[pos + 4],
-                bytes(stream[start : start + k]),
-                bytes(stream[start + k : end]),
-            ))
+            if end > total:
+                raise ValueError(f"wire cell of {total - pos} bytes, but its header gives k={k}")
+            cells.append(cls(generation_id, subflow_index, stream[start : start + k], stream[start + k : end]))
             pos = end
         return cells
 
@@ -269,12 +280,15 @@ def decode_generation(received: Sequence[CodedCell], params: CodeParams) -> Gene
         raise ValueError("decode needs at least one coded cell")
     generation_id = received[0].generation_id
     k = params.k
+    rows = []
     for cell in received:
         if cell.generation_id != generation_id:
             raise ValueError("coded cells from mixed generations")
-        if len(cell.coefficients) != k:
-            raise ValueError(f"coefficient vector length {len(cell.coefficients)}, expected {k}")
-    plan = _decode_plan(tuple([bytes(cell.coefficients) for cell in received]))
+        row = cell.coefficients
+        if len(row) != k:
+            raise ValueError(f"coefficient vector length {len(row)}, expected {k}")
+        rows.append(row)
+    plan = _decode_plan(tuple(rows))
     if plan is None:
         raise UnrecoverableGeneration(generation_id, received=len(received))
     picks, inverse = plan
@@ -310,14 +324,16 @@ def split_message(message: bytes, k: int) -> list[Generation]:
     ]
 
 
+_generation_id = attrgetter("generation_id")
+
+
 def reassemble_message(generations: Sequence[Generation]) -> bytes:
     """Exact inverse of split_message over fully decoded generations."""
     if not generations:
         raise ValueError("no generations to reassemble")
-    ordered = sorted(generations, key=lambda g: g.generation_id)
-    ids = [g.generation_id for g in ordered]
-    if ids != list(range(len(ordered))):
-        raise ValueError(f"generation ids must be contiguous from 0, got {ids}")
+    ordered = sorted(generations, key=_generation_id)
+    if any(g.generation_id != i for i, g in enumerate(ordered)):
+        raise ValueError(f"generation ids must be contiguous from 0, got {[g.generation_id for g in ordered]}")
     cells = [cell for g in ordered for cell in g.cells]
     end = _LENGTH_PREFIX + int.from_bytes(cells[0][:_LENGTH_PREFIX], "big")
     if end > len(cells) * CELL_SIZE:

@@ -173,6 +173,11 @@ class LayeredCell(NamedTuple):
         return self.value.to_bytes(self.size, "big")
 
 
+# wrap and peel build a LayeredCell per hop; the C tuple constructor skips
+# the NamedTuple's Python-level __new__ and builds the same instance
+_new_layered = tuple.__new__
+
+
 def _derive_keystream(key: bytes, circuit_id: str, seq: int, depth: int, size: int) -> int:
     """One layer stream, as the big-endian int both wrap and peel XOR in."""
     if not key:
@@ -211,7 +216,7 @@ def wrap_layers(cell_bytes: bytes, circuit: Circuit, seq: int = 0) -> LayeredCel
         ^ _keystream(circuit.middle.layer_key, cid, seq, 2, size)
         ^ _entry_keystream(circuit.entry.layer_key, cid, seq, 3, size)
     )
-    return LayeredCell(acc, size, 3, cid, seq)
+    return _new_layered(LayeredCell, (acc, size, 3, cid, seq))
 
 
 def peel_layer(cell: LayeredCell, router: OnionRouter) -> LayeredCell:
@@ -220,7 +225,7 @@ def peel_layer(cell: LayeredCell, router: OnionRouter) -> LayeredCell:
     if depth <= 0:
         raise ValueError("no encryption layers left to peel")
     stream = (_entry_keystream if depth == 3 else _keystream)(router.layer_key, cid, seq, depth, size)
-    return LayeredCell(value ^ stream, size, depth - 1, cid, seq)
+    return _new_layered(LayeredCell, (value ^ stream, size, depth - 1, cid, seq))
 
 
 @dataclass(frozen=True)
@@ -228,8 +233,9 @@ class CodedMessage:
     """A message's coded generations, checked and serialised once.
 
     Every generation holds one cell per sub-flow, cell i riding sub-flow i,
-    all with the generation's id; the constructor rejects any other width,
-    order or id. `subflows` holds, per sub-flow, its first generation id
+    all with the generation's id, and each generation's id is its
+    predecessor's plus one; the constructor rejects any other width, order
+    or id. `subflows` holds, per sub-flow, its first generation id
     (the layer streams' sequence number) and its cells' wire bytes joined in
     generation order, so any number of transfers can send the message
     without re-checking or re-serialising its frozen cells. Iterating gives
@@ -244,10 +250,17 @@ class CodedMessage:
         if not generations:
             raise ValueError("a coded message holds at least one generation")
         width = len(generations[0])
-        for gen_cells in generations:
+        if not width:
+            raise ValueError("a generation carries at least one cell")
+        first_id = generations[0][0].generation_id
+        for offset, gen_cells in enumerate(generations):
             if len(gen_cells) != width:
                 raise ValueError(f"generation carries {len(gen_cells)} cells, the first carries {width}")
             generation_id = gen_cells[0].generation_id
+            if generation_id != first_id + offset:
+                raise ValueError(
+                    f"generation {generation_id} at position {offset}; ids must run on from {first_id} by one"
+                )
             for idx, cell in enumerate(gen_cells):
                 if cell.subflow_index != idx:
                     raise ValueError(
@@ -276,25 +289,29 @@ def transmit(
 
     The circuits whose indices are in `blocked` drop their whole sub-flow
     silently. Each surviving sub-flow's wire bytes are wrapped once, peeled
-    hop by hop, turned back into bytes once, and reparsed cell by cell by
-    the headers in the wire bytes, so the returned cells are exactly what
-    the exit relay can see.
+    by three peel_layer calls (entry, middle, exit), turned back into bytes
+    once, and reparsed cell by cell by the headers in the wire bytes, so the
+    returned cells are exactly what the exit relay can see.
     They come back generation by generation, in circuit order within each.
     The message checked its own shape, so only the circuit count and the
-    blocked indices are checked here, before anything is wrapped.
+    blocked indices (all within 0..n-1) are checked here, before anything
+    is wrapped.
     """
-    n = len(circuits)
-    if len(coded.subflows) != n:
-        raise ValueError(f"message has {len(coded.subflows)} sub-flows for {n} circuits")
-    if not all(0 <= i < n for i in blocked):
+    subflows = coded.subflows
+    n = len(circuits.circuits)
+    if len(subflows) != n:
+        raise ValueError(f"message has {len(subflows)} sub-flows for {n} circuits")
+    if blocked and (min(blocked) < 0 or max(blocked) >= n):
         raise ValueError(f"blocked circuit indices {sorted(blocked)} outside 0..{n - 1}")
     arrived: list[list[CodedCell]] = []
-    for idx, (circuit, (seq, wire)) in enumerate(zip(circuits, coded.subflows)):
+    for idx, circuit in enumerate(circuits.circuits):
         if idx in blocked:
             continue
+        seq, wire = subflows[idx]
         layered = wrap_layers(wire, circuit, seq)
-        for router in (circuit.entry, circuit.middle, circuit.exit):
-            layered = peel_layer(layered, router)
+        layered = peel_layer(layered, circuit.entry)
+        layered = peel_layer(layered, circuit.middle)
+        layered = peel_layer(layered, circuit.exit)
         arrived.append(CodedCell.from_wire_stream(layered.payload))
     return [cell for gen_cells in zip(*arrived) for cell in gen_cells]
 
@@ -335,6 +352,8 @@ def run_transfer(
         raise ValueError(f"{len(circuits)} circuits for code with n={params.n}")
     if coded is None:
         coded = encode_message(params, message)
+    elif coded.generations[0][0].generation_id != 0:
+        raise ValueError(f"a message starts at generation 0, got {coded.generations[0][0].generation_id}")
     arrived = transmit(circuits, coded, blocked)
 
     by_generation: dict[int, list[CodedCell]] = {}

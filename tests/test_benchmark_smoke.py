@@ -7,6 +7,7 @@ calling one of those bindings shows up here as a changed unfired list. No
 timing is asserted.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -46,6 +47,30 @@ EXPECTED_UNFIRED = {
         "onion.xor_bytes",
     ],
 }
+
+
+def assigned_value(path: Path, name: str) -> ast.expr:
+    """The expression a module assigns to `name` at top level, read without importing it."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return node.value
+    raise AssertionError(f"{path.name} assigns no {name}")
+
+
+def test_benchmark_json_names_what_the_harness_defines():
+    # the static half of benchmarks/selftest.py: workload, metric and unit
+    # names in BENCHMARK.json against run.py and workloads.py
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    run_py, workloads_py = ROOT / "benchmarks" / "run.py", ROOT / "benchmarks" / "workloads.py"
+    assert set(spec) == {"command", "paths", "run_seconds", "workloads", "end_to_end", "per_layer"}
+    workloads = assigned_value(workloads_py, "WORKLOADS")
+    assert [w["name"] for w in spec["workloads"]] == [ast.literal_eval(key) for key in workloads.keys]
+    for section, name in (("end_to_end", "E2E_METRICS"), ("per_layer", "LAYER_METRICS")):
+        defined = ast.literal_eval(assigned_value(run_py, name))
+        assert [(m["name"], m["unit"], m["better"]) for m in spec[section]] == list(defined), section
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    assert all(0 < bound <= 0.25 for bound in bounds.values())
+    assert bounds["setup_s"] == max(bounds.values())
 
 
 def test_every_traced_binding_exists():

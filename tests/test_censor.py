@@ -311,6 +311,14 @@ class TestFlagSumFastPath:
         assert by_flag.getstate() == by_id.getstate()
 
     @pytest.mark.parametrize("num_unknown,num_known,n", POOLS)
+    def test_empty_batch_draws_nothing(self, num_unknown, num_known, n):
+        flags = BridgePool.build(num_unknown, num_known).flags
+        rng = random.Random(n)
+        state = rng.getstate()
+        assert censor._fast_interruptions(rng, flags, n, 0, 0) == 0
+        assert rng.getstate() == state
+
+    @pytest.mark.parametrize("num_unknown,num_known,n", POOLS)
     def test_pool_flags_mark_known_bridges(self, num_unknown, num_known, n):
         pool = BridgePool.build(num_unknown, num_known)
         assert pool.flags == tuple(int(b in pool.known) for b in pool.ordered)

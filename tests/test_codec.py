@@ -340,6 +340,60 @@ class TestPublicConstructors:
         assert checked == {"CircuitSet": 1}
 
 
+class TestCodedCellHoldsBytes:
+    """A CodedCell stores any bytes-like row or payload as bytes and rejects
+    what is not bytes-like, so a cell and the decoder's cache key built from
+    its row are always hashable."""
+
+    @pytest.mark.parametrize("make", [bytearray, memoryview])
+    def test_bytes_like_fields_are_stored_as_bytes(self, make):
+        row, payload = b"\x01\x02", random.Random(40).randbytes(CELL_SIZE)
+        cell = CodedCell(0, 0, make(row), make(payload))
+        assert type(cell.coefficients) is bytes and type(cell.payload) is bytes
+        assert cell == CodedCell(0, 0, row, payload)
+        assert hash(cell) == hash(CodedCell(0, 0, row, payload))
+
+    @pytest.mark.parametrize(
+        "coefficients,payload",
+        [(1, bytes(CELL_SIZE)), (b"\x01", CELL_SIZE), ("\x01", bytes(CELL_SIZE)), (b"\x01", "\x00" * CELL_SIZE)],
+        ids=["int-row", "int-payload", "str-row", "str-payload"],
+    )
+    def test_ints_and_strs_rejected(self, coefficients, payload):
+        # bytes(1) would be one zero byte, a legal row; memoryview refuses it
+        with pytest.raises(TypeError):
+            CodedCell(0, 0, coefficients, payload)
+
+    def test_decoded_generation_holds_bytes(self):
+        params = CodeParams(5, 3, 2)
+        gen = random_generation(3, random.Random(41))
+        cells = encode_generation(gen, build_generator(params))
+        for received in (cells[:3], cells[2:]):  # identity inverse, then a combining one
+            rebuilt = [
+                CodedCell(c.generation_id, c.subflow_index, bytearray(c.coefficients), bytearray(c.payload))
+                for c in received
+            ]
+            decoded = decode_generation(rebuilt, params)
+            assert decoded == gen
+            assert all(type(cell) is bytes for cell in decoded.cells)
+
+    def test_parsing_a_bytearray_checks_each_cell_once(self, monkeypatch):
+        rng = random.Random(42)
+        cells = [CodedCell(3, idx, rng.randbytes(2), rng.randbytes(CELL_SIZE)) for idx in range(4)]
+        stream = bytearray(b"".join(cell.to_wire() for cell in cells))
+        checked = []
+        check = CodedCell.__post_init__
+
+        def counting(cell):
+            checked.append(cell.subflow_index)
+            check(cell)
+
+        monkeypatch.setattr(CodedCell, "__post_init__", counting)
+        parsed = CodedCell.from_wire_stream(stream)
+        assert checked == [0, 1, 2, 3]
+        assert parsed == cells
+        assert {type(cell.coefficients) for cell in parsed} == {type(cell.payload) for cell in parsed} == {bytes}
+
+
 class TestFraming:
     def test_minimal_message_fills_one_generation(self):
         gens = split_message(b"\x42", 3)

@@ -27,6 +27,7 @@ from ctorsim.onion import (
     CircuitSet,
     Circuit,
     CodedMessage,
+    LayeredCell,
     OnionRouter,
     build_circuits,
     default_registry,
@@ -147,6 +148,16 @@ class TestLayering:
             cell = peel_layer(cell, router)
         assert cell.layers_remaining == 0
         assert cell.payload == wire
+
+    def test_wrap_and_peel_return_layered_cells(self):
+        circuit = circuits_for(1)[0]
+        cell = wrap_layers(random.Random(2).randbytes(520), circuit, seq=4)
+        peeled = peel_layer(cell, circuit.entry)
+        for layered, depth in ((cell, 3), (peeled, 2)):
+            assert type(layered) is LayeredCell
+            assert (layered.layers_remaining, layered.circuit_id, layered.seq, layered.size) == (
+                depth, circuit.circuit_id, 4, 520
+            )
 
     def test_wrap_is_deterministic(self):
         circuit = circuits_for(1)[0]
@@ -365,6 +376,33 @@ class TestTransmit:
         with pytest.raises(ValueError):
             transmit(circuits_for(2), coded, {2})
 
+    @pytest.mark.parametrize("blocked", [{-1}, {0, -1}, {2}, {1, 2}])
+    def test_blocked_index_below_or_above_the_set_rejected_before_any_wrap(self, blocked, monkeypatch):
+        coded = self.make_coded(CodeParams(2, 2, 0), bytes(100))
+        wrapped = []
+        monkeypatch.setattr(onion, "wrap_layers", lambda *args: wrapped.append(args))
+        with pytest.raises(ValueError, match="outside 0..1"):
+            transmit(circuits_for(2), coded, blocked)
+        assert wrapped == []
+
+    def test_three_peels_per_surviving_circuit_in_hop_order(self, monkeypatch):
+        coded = self.make_coded(CodeParams(4, 3, 1), bytes(3000))
+        circuits = circuits_for(4)
+        peels = []
+
+        def recording_peel(cell, router):
+            peels.append((cell.circuit_id, cell.layers_remaining, router))
+            return peel_layer(cell, router)
+
+        monkeypatch.setattr(onion, "peel_layer", recording_peel)
+        transmit(circuits, coded, {2})
+        assert peels == [
+            (c.circuit_id, depth, router)
+            for idx, c in enumerate(circuits)
+            if idx != 2
+            for depth, router in ((3, c.entry), (2, c.middle), (1, c.exit))
+        ]
+
     def test_subflow_circuit_order_mismatch_rejected(self):
         # a coded message checks its sub-flow order when it is built
         params = CodeParams(2, 2, 0)
@@ -409,6 +447,10 @@ class TestCodedMessage:
         with pytest.raises(ValueError, match="at least one generation"):
             CodedMessage([])
 
+    def test_empty_generation_rejected(self):
+        with pytest.raises(ValueError, match="at least one cell"):
+            CodedMessage([[]])
+
     def test_generation_of_mixed_ids_rejected(self):
         # sub-flow 1 would be wrapped with seq 7 and land in generation 7's bucket,
         # so a lossless transfer would fail generation 0
@@ -417,6 +459,24 @@ class TestCodedMessage:
         stray = dataclasses.replace(second, generation_id=7)
         with pytest.raises(ValueError, match="carries generation 7 in generation 0"):
             CodedMessage([[first, stray]])
+
+
+    @pytest.mark.parametrize("picks", [(0, 0), (0, 2), (1, 0), (0, 1, 1)], ids=["repeat", "skip", "fall", "repeat-last"])
+    def test_generation_ids_must_rise_by_one(self, picks):
+        generations = coded_generations(CodeParams(2, 1, 1), 3)
+        with pytest.raises(ValueError, match="ids must run on from"):
+            CodedMessage([generations[i] for i in picks])
+
+    def test_a_window_starting_later_builds_but_cannot_be_a_transfer(self, monkeypatch):
+        params = CodeParams(2, 2, 0)
+        coded = encode_message(params, random.Random(12).randbytes(3000))
+        window = CodedMessage(coded.generations[1:])
+        assert [gen[0].generation_id for gen in window] == [1, 2]
+        sent = []
+        monkeypatch.setattr(onion, "transmit", lambda *args: sent.append(args))
+        with pytest.raises(ValueError, match="starts at generation 0, got 1"):
+            run_transfer(circuits_for(2), params, bytes(3000), coded=window)
+        assert sent == []
 
 
 def coded_generations(params: CodeParams, generations: int) -> list:
