@@ -21,8 +21,10 @@ the generations' shape and joins each sub-flow's wire bytes once. The censor
 sends one fixed message per code shape, so a pipeline trial pays only for
 what differs between trials: the circuits, the blocked set, the wrap and
 peels, the parse and the decode. An entry hop's stream depends only on the
-bridge and the sub-flow, so it is cached across transfers; the middle and
-exit streams name the relays a circuit drew and are derived per transfer.
+bridge and the sub-flow, and an exit hop's only on the exit relay, the bridge
+and the sub-flow, so both are cached across transfers (exit streams only for
+short sub-flows such as a trial's); middle streams, and the exit streams of
+long sub-flows, are derived per transfer.
 
 CircuitSet and CodedMessage check their invariants in their constructors,
 and build_circuits and encode_message build through them, so each rule is
@@ -188,21 +190,33 @@ def _derive_keystream(key: bytes, circuit_id: str, seq: int, depth: int, size: i
     )).digest(size), "big")
 
 
-# The exit and middle streams (depths 1 and 2) of a wrapped payload (one cell,
-# or a whole sub-flow in transmit) are derived in wrap_layers and consumed
-# again by the peel_layer calls that follow it, so a cache of those two
-# streams makes that one SHAKE call per (payload, hop). Their keys name the
-# middle and exit a circuit drew (~89k and ~3.5k keys on the default grid), so
-# keeping them longer would reuse little and hold much.
+# The middle stream (depth 2) of a wrapped payload (one cell, or a whole
+# sub-flow in transmit), and the exit stream (depth 1) of a long one, are
+# derived in wrap_layers and consumed again by the peel_layer calls that
+# follow it, so a cache of two streams makes that one SHAKE call per
+# (payload, hop). A middle stream names the middle a circuit drew (~44k keys
+# on the default grid), so keeping it longer would reuse little and hold much.
 _keystream = functools.lru_cache(maxsize=2)(_derive_keystream)
 
 # The entry stream (depth 3) is keyed by the bridge, whose id is also the
 # circuit id, and the sub-flow's sequence number and size: every pipeline
 # trial that draws a bridge for a code shape derives the same one. The
 # default grid has 50 bridges and 7 shapes, whose trial sub-flows all start
-# at generation 0 and differ in size, so 350 entries hold them all. A stream
-# is as long as its sub-flow, so a large e2e message keeps up to n of them.
+# at generation 0 and differ in size; a known bridge is always blocked, so
+# only the 25 unknown bridges' 175 streams are ever derived, well within 350
+# entries. A stream is as long as its sub-flow, so a large e2e message keeps
+# up to n of them.
 _entry_keystream = functools.lru_cache(maxsize=350)(_derive_keystream)
+
+# The exit stream (depth 1) is keyed by the exit relay, the bridge and the
+# sub-flow, so trials that draw the same exit for a bridge and shape share
+# it: the default grid derives 10 exits x 25 unknown bridges x 7 shapes =
+# 1,750 of them, about 1.2 MB of ints. Only sub-flows of at most
+# _SHORT_SUBFLOW bytes are kept (a 1 KiB trial message's longest, otor's,
+# is 1,557 bytes), so the 45 KB sub-flows of an e2e transfer stay in
+# _keystream and hold no memory after it.
+_SHORT_SUBFLOW = 4096
+_exit_keystream = functools.lru_cache(maxsize=2048)(_derive_keystream)
 
 
 def wrap_layers(cell_bytes: bytes, circuit: Circuit, seq: int = 0) -> LayeredCell:
@@ -212,7 +226,7 @@ def wrap_layers(cell_bytes: bytes, circuit: Circuit, seq: int = 0) -> LayeredCel
     cid = circuit.circuit_id
     acc = (
         int.from_bytes(cell_bytes, "big")
-        ^ _keystream(circuit.exit.layer_key, cid, seq, 1, size)
+        ^ (_exit_keystream if size <= _SHORT_SUBFLOW else _keystream)(circuit.exit.layer_key, cid, seq, 1, size)
         ^ _keystream(circuit.middle.layer_key, cid, seq, 2, size)
         ^ _entry_keystream(circuit.entry.layer_key, cid, seq, 3, size)
     )
@@ -224,7 +238,12 @@ def peel_layer(cell: LayeredCell, router: OnionRouter) -> LayeredCell:
     value, size, depth, cid, seq = cell
     if depth <= 0:
         raise ValueError("no encryption layers left to peel")
-    stream = (_entry_keystream if depth == 3 else _keystream)(router.layer_key, cid, seq, depth, size)
+    if depth == 3:
+        stream = _entry_keystream(router.layer_key, cid, seq, 3, size)
+    elif depth == 1 and size <= _SHORT_SUBFLOW:
+        stream = _exit_keystream(router.layer_key, cid, seq, 1, size)
+    else:
+        stream = _keystream(router.layer_key, cid, seq, depth, size)
     return _new_layered(LayeredCell, (value ^ stream, size, depth - 1, cid, seq))
 
 
@@ -344,16 +363,21 @@ def run_transfer(
 
     `coded` is the message's encode_message(params, message), for a caller
     that sends one message many times; by default the message is encoded
-    here. Success means every generation decoded and the reassembled bytes
-    equal the message; for otor and mtor that reduces to no circuit in
-    `blocked`.
+    here. A `coded` that does not start at generation 0, or was coded with
+    another k than `params`, is rejected before anything is sent. Success
+    means every generation decoded and the reassembled bytes equal the
+    message; for otor and mtor that reduces to no circuit in `blocked`.
     """
     if len(circuits) != params.n:
         raise ValueError(f"{len(circuits)} circuits for code with n={params.n}")
     if coded is None:
         coded = encode_message(params, message)
-    elif coded.generations[0][0].generation_id != 0:
-        raise ValueError(f"a message starts at generation 0, got {coded.generations[0][0].generation_id}")
+    else:
+        first = coded.generations[0][0]
+        if first.generation_id != 0:
+            raise ValueError(f"a message starts at generation 0, got {first.generation_id}")
+        if len(first.coefficients) != params.k:
+            raise ValueError(f"message coded with k={len(first.coefficients)}, params have k={params.k}")
     arrived = transmit(circuits, coded, blocked)
 
     by_generation: dict[int, list[CodedCell]] = {}

@@ -1,13 +1,14 @@
 """Censorship model: bridge selection, trials, campaigns, consistency."""
 
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from ctorsim import censor
-from ctorsim.analytics import p_block_lnc
+from ctorsim import censor, onion
+from ctorsim.analytics import DEFAULT_CONFIGS, DEFAULT_UNKNOWN, p_block_lnc
 from ctorsim.censor import (
     BridgePool,
     CensorScenario,
@@ -20,7 +21,7 @@ from ctorsim.censor import (
     select_bridges,
 )
 from ctorsim.codec import CodeParams, Variant
-from ctorsim.onion import CodedMessage, encode_message
+from ctorsim.onion import CodedMessage, build_circuits, default_registry, encode_message, transmit
 
 
 def scenario(num_unknown, num_known, n, r=0) -> CensorScenario:
@@ -136,6 +137,38 @@ class TestTrialCells:
 
     def test_cache_is_bounded(self):
         assert censor._trial_cells.cache_info().maxsize == 32
+
+
+class TestExitStreamMemory:
+    """Pipeline trials keep short exit streams across transfers; what they
+    keep is bounded by the grid, and a long transfer keeps nothing."""
+
+    def test_grid_trials_keep_only_short_streams_of_unknown_bridges(self, monkeypatch):
+        derived = []
+
+        def recording(key, circuit_id, seq, depth, size):
+            derived.append((circuit_id, depth, size))
+            return onion._derive_keystream(key, circuit_id, seq, depth, size)
+
+        cache = functools.lru_cache(maxsize=onion._exit_keystream.cache_info().maxsize)(recording)
+        monkeypatch.setattr(onion, "_exit_keystream", cache)
+        for m_known in (0, 12, 25):
+            pool = BridgePool.build(DEFAULT_UNKNOWN, m_known)
+            for params in DEFAULT_CONFIGS:
+                run_campaign(CensorScenario(pool, params), 30, m_known, full_pipeline_fraction=1)
+        info = cache.cache_info()
+        assert info.hits > 0
+        assert info.currsize == info.misses == len(derived)  # nothing evicted
+        assert all(depth == 1 and size <= onion._SHORT_SUBFLOW for _, depth, size in derived)
+        # known bridges are always blocked, so they never carry a sub-flow
+        assert {cid for cid, _, _ in derived} <= BridgePool.build(DEFAULT_UNKNOWN, 0).unknown
+        exits = default_registry()[1]
+        assert info.currsize <= len(exits) * DEFAULT_UNKNOWN * len(DEFAULT_CONFIGS)
+        # an e2e-sized transfer (86 generations, 45 KB sub-flows) adds nothing
+        coded = encode_message(CodeParams(10, 6, 4), bytes(256 * 1024))
+        assert len(coded.generations) == 86
+        transmit(build_circuits([f"u{i:03d}" for i in range(10)], random.Random(0)), coded, {1, 4})
+        assert cache.cache_info() == info
 
 
 class TestRunCampaign:

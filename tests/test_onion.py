@@ -221,6 +221,22 @@ def reference_wrap(cell_bytes: bytes, circuit: Circuit, seq: int) -> bytes:
     return data
 
 
+STREAM_CACHES = (onion._keystream, onion._exit_keystream, onion._entry_keystream)
+
+
+def clear_stream_caches() -> None:
+    for cache in STREAM_CACHES:
+        cache.cache_clear()
+
+
+def stream_traffic() -> dict[str, tuple[int, int]]:
+    """(misses, hits) of each stream cache: per transfer, exit, entry."""
+    return {
+        name: (info.misses, info.hits)
+        for name, info in zip(("inner", "exit", "entry"), (cache.cache_info() for cache in STREAM_CACHES))
+    }
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(
     cell=st.binary(max_size=700),
@@ -306,7 +322,7 @@ class TestKeystreamCache:
         wrapped = wrap_layers(b"cell", circuits[0], seq=3)
         message = random.Random(9).randbytes(3000)
         transfer = run_transfer(circuits, params, message, {2})
-        for clear in (onion._keystream.cache_clear, onion._entry_keystream.cache_clear):
+        for clear in (cache.cache_clear for cache in STREAM_CACHES):
             clear()
             assert transmit(circuits, coded, {1}) == warm
             clear()
@@ -316,8 +332,14 @@ class TestKeystreamCache:
 
     def test_cache_is_bounded(self):
         assert onion._keystream.cache_info().maxsize == 2
-        # one entry stream per (bridge, shape) on the default grid: 50 x 7
+        # room for one entry stream per (bridge, shape) on the default grid,
+        # 50 x 7; only the 25 unknown bridges are ever drawn unblocked, so
+        # trials derive 25 x 7 = 175 of them
         assert onion._entry_keystream.cache_info().maxsize == 350
+        # the default grid's trials derive 10 exits x 25 unknown bridges x 7
+        # shapes = 1,750 exit streams; only sub-flows of at most 4 KiB are kept
+        assert onion._exit_keystream.cache_info().maxsize == 2048
+        assert onion._SHORT_SUBFLOW == 4096
 
     def test_circuits_on_one_bridge_share_only_the_entry_stream(self):
         # the same bridge drawn in two trials, with another middle and exit each time
@@ -328,14 +350,10 @@ class TestKeystreamCache:
         )
         assert first.entry is second.entry
         wire = random.Random(10).randbytes(524)
-        onion._keystream.cache_clear()
-        onion._entry_keystream.cache_clear()
+        clear_stream_caches()
         a = wrap_layers(wire, first, seq=0)
         b = wrap_layers(wire, second, seq=0)
-        entry = onion._entry_keystream.cache_info()
-        inner = onion._keystream.cache_info()
-        assert (entry.misses, entry.hits) == (1, 1)
-        assert (inner.misses, inner.hits) == (4, 0)
+        assert stream_traffic() == {"inner": (2, 0), "exit": (2, 0), "entry": (1, 1)}
         assert a.payload == reference_wrap(wire, first, 0)
         assert b.payload == reference_wrap(wire, second, 0)
         for depth, hop in ((3, "entry"), (2, "middle"), (1, "exit")):
@@ -344,6 +362,21 @@ class TestKeystreamCache:
                 for c in (first, second)
             }
             assert len(streams) == (1 if hop == "entry" else 2), hop
+
+    def test_circuits_on_one_exit_and_bridge_share_the_exit_stream(self):
+        # the same bridge and exit drawn in two trials, with another middle
+        first = circuits_for(1, seed=1)[0]
+        second = circuits_for(1, seed=6)[0]
+        assert (first.entry, first.exit) == (second.entry, second.exit)
+        assert first.middle != second.middle
+        wire = random.Random(11).randbytes(524)
+        clear_stream_caches()
+        a = wrap_layers(wire, first, seq=0)
+        b = wrap_layers(wire, second, seq=0)
+        assert stream_traffic() == {"inner": (2, 0), "exit": (1, 1), "entry": (1, 1)}
+        assert a.payload == reference_wrap(wire, first, 0)
+        assert b.payload == reference_wrap(wire, second, 0)
+        assert a.payload != b.payload
 
 
 class TestTransmit:
@@ -478,6 +511,17 @@ class TestCodedMessage:
             run_transfer(circuits_for(2), params, bytes(3000), coded=window)
         assert sent == []
 
+    @pytest.mark.parametrize("blocked", [set(), {0}], ids=["unblocked", "circuit-0-blocked"])
+    def test_a_message_coded_with_another_k_is_rejected_before_any_stream(self, blocked):
+        # blocked, 3 cells fell short of the claimed k = 4 and the transfer
+        # reported a failed generation; unblocked, decode raised after the transmit
+        message = random.Random(13).randbytes(2000)
+        coded = encode_message(CodeParams(4, 3, 1), message)
+        clear_stream_caches()
+        with pytest.raises(ValueError, match="coded with k=3, params have k=4"):
+            run_transfer(circuits_for(4), CodeParams(4, 4, 0), message, blocked, coded=coded)
+        assert [cache.cache_info().misses for cache in STREAM_CACHES] == [0, 0, 0]
+
 
 def coded_generations(params: CodeParams, generations: int) -> list:
     """Coded cells of a message that splits into exactly `generations` generations."""
@@ -498,10 +542,34 @@ class TestSubflowStreams:
     def test_one_stream_per_circuit_and_hop(self, generations):
         coded = CodedMessage(coded_generations(self.PARAMS, generations))
         circuits = circuits_for(10)
-        onion._keystream.cache_clear()
-        onion._entry_keystream.cache_clear()
+        clear_stream_caches()
         transmit(circuits, coded, self.BLOCKED)
         surviving = 10 - len(self.BLOCKED)
+        if generations == 1:
+            # 524-byte sub-flows: each stream is derived by the wrap and
+            # reused by the peels; the exit streams are kept across transfers
+            assert len(coded.subflows[0][1]) <= onion._SHORT_SUBFLOW
+            assert stream_traffic() == {
+                "inner": (surviving, surviving), "exit": (surviving, surviving), "entry": (surviving, surviving)
+            }
+            # a second transfer over the same exit and bridges, other middles, derives only the middles'
+            same_exit = circuits_for(10, seed=4)
+            assert same_exit[0].exit == circuits[0].exit and same_exit[0].middle != circuits[0].middle
+            transmit(same_exit, coded, self.BLOCKED)
+            assert stream_traffic() == {
+                "inner": (2 * surviving, 2 * surviving),
+                "exit": (surviving, 3 * surviving),
+                "entry": (surviving, 3 * surviving),
+            }
+            # a transfer over another exit derives one exit stream per surviving circuit
+            transmit(circuits_for(10, seed=1), coded, self.BLOCKED)
+            assert stream_traffic() == {
+                "inner": (3 * surviving, 3 * surviving),
+                "exit": (2 * surviving, 4 * surviving),
+                "entry": (surviving, 5 * surviving),
+            }
+            return
+        assert len(coded.subflows[0][1]) > onion._SHORT_SUBFLOW
         inner = onion._keystream.cache_info()
         entry = onion._entry_keystream.cache_info()
         # the exit and middle streams: derived by the wrap, reused by the peels
@@ -511,6 +579,7 @@ class TestSubflowStreams:
         transmit(circuits_for(10, seed=1), coded, self.BLOCKED)
         assert onion._entry_keystream.cache_info().misses == surviving
         assert onion._keystream.cache_info().misses == 4 * surviving
+        assert onion._exit_keystream.cache_info().currsize == 0
 
     def test_one_wrap_per_surviving_circuit(self, monkeypatch):
         coded = CodedMessage(coded_generations(self.PARAMS, 5)[2:])  # sub-flows start at generation 2
@@ -541,12 +610,10 @@ class TestSubflowStreams:
         else:
             last[3], last[4] = last[4], last[3]
         # the message checks its shape when it is built, before any transfer
-        onion._keystream.cache_clear()
-        onion._entry_keystream.cache_clear()
+        clear_stream_caches()
         with pytest.raises(ValueError):
             CodedMessage(coded[:-1] + [last])
-        assert onion._keystream.cache_info().misses == 0
-        assert onion._entry_keystream.cache_info().misses == 0
+        assert [cache.cache_info().misses for cache in STREAM_CACHES] == [0, 0, 0]
 
     @pytest.mark.parametrize("blocked", [set(), {0}, {1}])
     def test_mixed_wire_lengths_come_back_intact(self, blocked):
