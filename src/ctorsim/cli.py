@@ -7,13 +7,15 @@ Subcommands:
   fig2       preset emitting both grid CSVs in one invocation
 
 Configuration comes from defaults, an optional `key = value` file (each
-key at most once), and command-line flags, in increasing precedence. Each option has one default
-and one parser (ExperimentConfig), which reads flag and file text alike.
-Every check runs before any output is opened, so a rejected run leaves
-existing outputs alone. e2e takes --mb and --mknown only with
---scenario-seed. build_circuits draws each circuit's middle and the shared
-exit from one relay pool per process (onion.default_registry), large
-enough for any legal code, so no option sizes it. All CSV output is plain
+key at most once), and command-line flags, in increasing precedence. Each
+option has one default and one parser (ExperimentConfig), which reads flag
+and file text alike. A value's range is checked by the code that uses the
+value; a grid command builds its CSV text first and writes nothing until
+every row is computed, so a rejected or failing run leaves existing
+outputs alone. e2e takes --mb and --mknown only with --scenario-seed.
+build_circuits draws each circuit's middle and the shared exit from one
+relay pool per process (onion.default_registry), large enough for any
+legal code, so no option sizes it. All CSV output is plain
 comma-separated text with a header row and newline line endings, ordered
 deterministically, so identical (config, seed) runs are byte-identical.
 
@@ -26,11 +28,11 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import sys
-from contextlib import contextmanager
 from dataclasses import Field, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence
 
 from .analytics import (
     DEFAULT_CONFIGS,
@@ -73,7 +75,7 @@ def parse_variant_spec(text: str) -> CodeParams:
             return CodeParams(n, n, 0)
         if parts[0] == "ctor" and len(parts) == 3:
             n, r = int(parts[1]), int(parts[2])
-            if not 1 <= r < n:
+            if r < 1:
                 raise ValueError
             return CodeParams(n, n - r, r)
         raise ValueError
@@ -148,7 +150,9 @@ def _parse_option(opt: Field, text: str, where: str):
 
 
 def _resolve_config(args: argparse.Namespace, defaults: ExperimentConfig = ExperimentConfig()) -> ExperimentConfig:
-    """Flags win over the config file and the file over `defaults`; the scalar checks run here."""
+    """Flags win over the config file and the file over `defaults`. Only the
+    variant list's own rules are checked here; each value's range is checked
+    by the code that uses it."""
     path = getattr(args, "config", None)
     file_values = _load_config_file(Path(path)) if path else {}
     values = {}
@@ -164,8 +168,6 @@ def _resolve_config(args: argparse.Namespace, defaults: ExperimentConfig = Exper
         else:
             values[name] = _parse_option(opt, text, where)
     cfg = replace(defaults, **values)
-    if cfg.mb < 0:
-        raise ValueError("--mb must be non-negative")
     if not cfg.variant:
         raise ValueError("at least one variant is required")
     # the analytic and simulated grids join on (m_known, variant, n, r), so each shape runs once
@@ -174,47 +176,39 @@ def _resolve_config(args: argparse.Namespace, defaults: ExperimentConfig = Exper
             raise ValueError(
                 f"variant shape {Variant.of(params).value} (n={params.n}, r={params.r}) is given more than once"
             )
-    if cfg.trials < 1:
-        raise ValueError("--trials must be >= 1")
-    if not 0.0 <= cfg.full_pipeline_fraction <= 1.0:
-        raise ValueError("--full-pipeline-fraction must be in [0, 1]")
     return cfg
 
 
-def _grid_config(args: argparse.Namespace) -> ExperimentConfig:
-    """The resolved config of a grid command, whose every point must be able to select its n bridges."""
-    cfg = _resolve_config(args)
-    largest_n = max(params.n for params in cfg.variant)
-    smallest_pool = cfg.mb + min(cfg.mknown)
-    if largest_n > smallest_pool:
-        raise ValueError(
-            f"n={largest_n} circuits cannot select from the smallest grid pool of {smallest_pool} bridges"
-        )
-    return cfg
+def _csv_text(header: list[str], rows: Iterable[list]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
-@contextmanager
-def _open_out(out: str) -> Iterator[TextIO]:
+def _write_out(out: str, text: str) -> None:
+    """Write a finished CSV to `out`, '-' meaning stdout."""
     if out == "-":
-        yield sys.stdout
+        sys.stdout.write(text)
     else:
-        with open(out, "w", newline="") as fh:
-            yield fh
+        Path(out).write_text(text, newline="")
 
 
-def _write_analytic_csv(rows: Sequence[SweepRow], fh: TextIO) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["m_known", "variant", "n", "r", "p_exact_num", "p_exact_den", "p_float"])
-    for row in rows:
-        p, params = row.probability, row.params
-        writer.writerow(
-            [row.m_known, Variant.of(params).value, params.n, params.r, p.numerator, p.denominator, repr(float(p))]
-        )
+def _analytic_csv(rows: Sequence[SweepRow]) -> str:
+    return _csv_text(
+        ["m_known", "variant", "n", "r", "p_exact_num", "p_exact_den", "p_float"],
+        (
+            [row.m_known, Variant.of(row.params).value, row.params.n, row.params.r,
+             row.probability.numerator, row.probability.denominator, repr(float(row.probability))]
+            for row in rows
+        ),
+    )
 
 
-def _write_simulated_csv(cfg: ExperimentConfig, fh: TextIO) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["m_known", "variant", "n", "r", "p_empirical", "ci95", "trials", "seed"])
+def _simulated_rows(cfg: ExperimentConfig) -> Iterator[list]:
+    # yielded, so each row becomes CSV text as soon as it is computed and no
+    # list of rows stays alive across the campaigns
     pool = None
     for m_known, params in grid_points(cfg.mknown, cfg.variant):
         # grid_points runs one m_known row at a time, so its variants share one pool
@@ -224,53 +218,45 @@ def _write_simulated_csv(cfg: ExperimentConfig, fh: TextIO) -> None:
         variant, n, r = scenario.variant.value, params.n, params.r
         point_seed = derive_seed(cfg.seed, f"point:{m_known}:{variant}:{n}:{r}")
         result = run_campaign(scenario, cfg.trials, point_seed, full_pipeline_fraction=cfg.full_pipeline_fraction)
-        writer.writerow(
-            [m_known, variant, n, r, repr(result.p_empirical), repr(result.ci95), cfg.trials, cfg.seed]
-        )
+        yield [m_known, variant, n, r, repr(result.p_empirical), repr(result.ci95), cfg.trials, cfg.seed]
+
+
+def _simulated_csv(cfg: ExperimentConfig) -> str:
+    return _csv_text(["m_known", "variant", "n", "r", "p_empirical", "ci95", "trials", "seed"], _simulated_rows(cfg))
 
 
 def cmd_analytic(args: argparse.Namespace) -> int:
-    cfg = _grid_config(args)
-    rows = sweep(cfg.mb, cfg.mknown, cfg.variant)
-    with _open_out(cfg.out) as fh:
-        _write_analytic_csv(rows, fh)
+    cfg = _resolve_config(args)
+    _write_out(cfg.out, _analytic_csv(sweep(cfg.mb, cfg.mknown, cfg.variant)))
     return EXIT_OK
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _grid_config(args)
-    with _open_out(cfg.out) as fh:
-        _write_simulated_csv(cfg, fh)
+    cfg = _resolve_config(args)
+    _write_out(cfg.out, _simulated_csv(cfg))
     return EXIT_OK
 
 
 def cmd_fig2(args: argparse.Namespace) -> int:
-    cfg = _grid_config(args)
-    rows = sweep(cfg.mb, cfg.mknown, cfg.variant)
+    cfg = _resolve_config(args)
+    analytic = _analytic_csv(sweep(cfg.mb, cfg.mknown, cfg.variant))
+    simulated = _simulated_csv(cfg)
     out_dir = Path("." if cfg.out == "-" else cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    analytic_path = out_dir / "fig2_analytic.csv"
-    simulated_path = out_dir / "fig2_simulated.csv"
-    with open(analytic_path, "w", newline="") as fh:
-        _write_analytic_csv(rows, fh)
-    with open(simulated_path, "w", newline="") as fh:
-        _write_simulated_csv(cfg, fh)
-    print(f"wrote {analytic_path}")
-    print(f"wrote {simulated_path}")
+    for path, text in ((out_dir / "fig2_analytic.csv", analytic), (out_dir / "fig2_simulated.csv", simulated)):
+        path.write_text(text, newline="")
+        print(f"wrote {path}")
     return EXIT_OK
 
 
-def _parse_block_list(text: str | None, n: int) -> tuple[int, ...]:
+def _parse_block_list(text: str | None) -> tuple[int, ...]:
+    """Circuit indices, sorted; transmit rejects any outside the circuit set."""
     if not text:
         return ()
     try:
-        indices = tuple(sorted({int(part) for part in text.split(",")}))
+        return tuple(sorted({int(part) for part in text.split(",")}))
     except ValueError:
         raise ValueError(f"bad --block {text!r}: expected comma-separated circuit indices") from None
-    for i in indices:
-        if not 0 <= i < n:
-            raise ValueError(f"--block index {i} outside 0..{n - 1}")
-    return indices
 
 
 def cmd_e2e(args: argparse.Namespace) -> int:
@@ -282,7 +268,7 @@ def cmd_e2e(args: argparse.Namespace) -> int:
         if args.mb is not None or args.mknown is not None:
             raise ValueError("--mb and --mknown apply only with --scenario-seed")
         bridges = [f"bridge-{i:02d}" for i in range(params.n)]
-        blocked = _parse_block_list(args.block, params.n)
+        blocked = _parse_block_list(args.block)
     else:
         if args.mknown is None or len(cfg.mknown) != 1:
             raise ValueError("--scenario-seed needs a single --mknown value")

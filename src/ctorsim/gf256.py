@@ -30,11 +30,6 @@ def _build_tables() -> tuple[list[int], list[int]]:
 _EXP, _LOG = _build_tables()
 
 
-def add(a: int, b: int) -> int:
-    """Field sum of a and b. Subtraction is the same operation."""
-    return a ^ b
-
-
 def mul(a: int, b: int) -> int:
     """Field product of a and b."""
     if a == 0 or b == 0:

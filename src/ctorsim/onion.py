@@ -11,20 +11,23 @@ layer position). Binding the layer position is what makes out-of-order
 peeling detectable; bare XOR layers would commute. As with Tor's per-hop
 counter-mode cipher, transmit runs each hop's stream across a whole
 sub-flow: the cells a circuit carries are wrapped and peeled as one wire
-string, with the sub-flow's first generation id as the sequence number.
-Between wrap and the last peel a sub-flow is one big-endian int plus its
-byte size, so each layer is a single int XOR and the bytes are rebuilt
-once, for the exit to parse.
+string. Every message starts at generation 0, so transmit wraps each
+sub-flow with sequence number 0; wrap_layers takes any other. Between
+wrap and the last peel a sub-flow is one big-endian int plus its byte
+size, so each layer is a single int XOR and the bytes are rebuilt once,
+for the exit to parse.
 
-A message is coded once by encode_message into a CodedMessage, which checks
-the generations' shape and joins each sub-flow's wire bytes once. The censor
-sends one fixed message per code shape, so a pipeline trial pays only for
-what differs between trials: the circuits, the blocked set, the wrap and
-peels, the parse and the decode. An entry hop's stream depends only on the
-bridge and the sub-flow, and an exit hop's only on the exit relay, the bridge
-and the sub-flow, so both are cached across transfers (exit streams only for
-short sub-flows such as a trial's); middle streams, and the exit streams of
-long sub-flows, are derived per transfer.
+A message is coded once by encode_message into a CodedMessage, which
+carries the CodeParams that built it, checks the generations against them
+and joins each sub-flow's wire bytes once; run_transfer accepts a ready
+CodedMessage only for the params it runs. The censor sends one fixed
+message per code shape, so a pipeline trial pays only for what differs
+between trials: the circuits, the blocked set, the wrap and peels, the
+parse and the decode. An entry hop's stream depends only on the bridge and
+the sub-flow, and an exit hop's only on the exit relay, the bridge and the
+sub-flow, so both are cached across transfers (exit streams only for short
+sub-flows such as a trial's); middle streams, and the exit streams of long
+sub-flows, are derived per transfer.
 
 CircuitSet and CodedMessage check their invariants in their constructors,
 and build_circuits and encode_message build through them, so each rule is
@@ -249,50 +252,44 @@ def peel_layer(cell: LayeredCell, router: OnionRouter) -> LayeredCell:
 
 @dataclass(frozen=True)
 class CodedMessage:
-    """A message's coded generations, checked and serialised once.
+    """A message's coded generations under one code, checked and serialised once.
 
-    Every generation holds one cell per sub-flow, cell i riding sub-flow i,
-    all with the generation's id, and each generation's id is its
-    predecessor's plus one; the constructor rejects any other width, order
-    or id. `subflows` holds, per sub-flow, its first generation id
-    (the layer streams' sequence number) and its cells' wire bytes joined in
-    generation order, so any number of transfers can send the message
-    without re-checking or re-serialising its frozen cells. Iterating gives
-    the generations.
+    Generation g holds params.n cells, cell i riding sub-flow i, each with
+    id g and a coefficient row of params.k bytes; the constructor rejects
+    any other width, order, id or row length. `subflows` holds each
+    sub-flow's wire bytes, its cells' joined in generation order, so any
+    number of transfers can send the message without re-checking or
+    re-serialising its frozen cells. Iterating gives the generations.
     """
 
+    params: CodeParams
     generations: tuple[tuple[CodedCell, ...], ...]
-    subflows: tuple[tuple[int, bytes], ...] = field(init=False, repr=False, compare=False)
+    subflows: tuple[bytes, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         generations = tuple(tuple(gen_cells) for gen_cells in self.generations)
         if not generations:
             raise ValueError("a coded message holds at least one generation")
-        width = len(generations[0])
-        if not width:
-            raise ValueError("a generation carries at least one cell")
-        first_id = generations[0][0].generation_id
-        for offset, gen_cells in enumerate(generations):
-            if len(gen_cells) != width:
-                raise ValueError(f"generation carries {len(gen_cells)} cells, the first carries {width}")
-            generation_id = gen_cells[0].generation_id
-            if generation_id != first_id + offset:
-                raise ValueError(
-                    f"generation {generation_id} at position {offset}; ids must run on from {first_id} by one"
-                )
+        n, k = self.params.n, self.params.k
+        for generation_id, gen_cells in enumerate(generations):
+            if len(gen_cells) != n:
+                raise ValueError(f"generation {generation_id} carries {len(gen_cells)} cells, the code has n={n}")
             for idx, cell in enumerate(gen_cells):
                 if cell.subflow_index != idx:
-                    raise ValueError(
-                        f"sub-flow {cell.subflow_index} offered to circuit {idx}; order mismatch"
-                    )
+                    raise ValueError(f"sub-flow {cell.subflow_index} offered to circuit {idx}; order mismatch")
                 if cell.generation_id != generation_id:
                     raise ValueError(
-                        f"sub-flow {idx} carries generation {cell.generation_id} in generation {generation_id}"
+                        f"sub-flow {idx} carries generation {cell.generation_id} at position {generation_id}; "
+                        "ids must run 0, 1, 2, ..."
+                    )
+                if len(cell.coefficients) != k:
+                    raise ValueError(
+                        f"generation {generation_id} sub-flow {idx} coded with k={len(cell.coefficients)}, "
+                        f"the code has k={k}"
                     )
         object.__setattr__(self, "generations", generations)
         object.__setattr__(self, "subflows", tuple(
-            (generations[0][idx].generation_id, b"".join(gen_cells[idx].to_wire() for gen_cells in generations))
-            for idx in range(width)
+            b"".join(gen_cells[idx].to_wire() for gen_cells in generations) for idx in range(n)
         ))
 
     def __iter__(self) -> Iterator[tuple[CodedCell, ...]]:
@@ -312,22 +309,21 @@ def transmit(
     once, and reparsed cell by cell by the headers in the wire bytes, so the
     returned cells are exactly what the exit relay can see.
     They come back generation by generation, in circuit order within each.
-    The message checked its own shape, so only the circuit count and the
-    blocked indices (all within 0..n-1) are checked here, before anything
-    is wrapped.
+    The message checked its own shape, so only its code's n against the
+    circuit count and the blocked indices (all within 0..n-1) are checked
+    here, before anything is wrapped.
     """
     subflows = coded.subflows
     n = len(circuits.circuits)
-    if len(subflows) != n:
-        raise ValueError(f"message has {len(subflows)} sub-flows for {n} circuits")
+    if coded.params.n != n:
+        raise ValueError(f"message coded for n={coded.params.n} circuits, got {n} circuits")
     if blocked and (min(blocked) < 0 or max(blocked) >= n):
         raise ValueError(f"blocked circuit indices {sorted(blocked)} outside 0..{n - 1}")
     arrived: list[list[CodedCell]] = []
     for idx, circuit in enumerate(circuits.circuits):
         if idx in blocked:
             continue
-        seq, wire = subflows[idx]
-        layered = wrap_layers(wire, circuit, seq)
+        layered = wrap_layers(subflows[idx], circuit)
         layered = peel_layer(layered, circuit.entry)
         layered = peel_layer(layered, circuit.middle)
         layered = peel_layer(layered, circuit.exit)
@@ -348,7 +344,7 @@ def encode_message(params: CodeParams, message: bytes) -> CodedMessage:
     generation, in generation order. Frozen, so one encoding can serve any
     number of transfers."""
     matrix = build_generator(params)
-    return CodedMessage(tuple(tuple(encode_generation(g, matrix)) for g in split_message(message, params.k)))
+    return CodedMessage(params, [encode_generation(g, matrix) for g in split_message(message, params.k)])
 
 
 def run_transfer(
@@ -363,21 +359,17 @@ def run_transfer(
 
     `coded` is the message's encode_message(params, message), for a caller
     that sends one message many times; by default the message is encoded
-    here. A `coded` that does not start at generation 0, or was coded with
-    another k than `params`, is rejected before anything is sent. Success
-    means every generation decoded and the reassembled bytes equal the
-    message; for otor and mtor that reduces to no circuit in `blocked`.
+    here. A `coded` built for other params is rejected before anything is
+    sent. Success means every generation decoded and the reassembled bytes
+    equal the message; for otor and mtor that reduces to no circuit in
+    `blocked`.
     """
     if len(circuits) != params.n:
         raise ValueError(f"{len(circuits)} circuits for code with n={params.n}")
     if coded is None:
         coded = encode_message(params, message)
-    else:
-        first = coded.generations[0][0]
-        if first.generation_id != 0:
-            raise ValueError(f"a message starts at generation 0, got {first.generation_id}")
-        if len(first.coefficients) != params.k:
-            raise ValueError(f"message coded with k={len(first.coefficients)}, params have k={params.k}")
+    elif coded.params != params:
+        raise ValueError(f"message coded for {coded.params}, transfer runs {params}")
     arrived = transmit(circuits, coded, blocked)
 
     by_generation: dict[int, list[CodedCell]] = {}
@@ -387,8 +379,7 @@ def run_transfer(
     decoded: list[Generation] = []
     failed: list[int] = []
     counts: list[int] = []
-    for gen_cells in coded.generations:
-        generation_id = gen_cells[0].generation_id
+    for generation_id in range(len(coded.generations)):
         cells = by_generation.get(generation_id, [])
         counts.append(len(cells))
         if len(cells) < params.k:

@@ -11,11 +11,16 @@ import ast
 import importlib
 import importlib.util
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from ctorsim import censor
+from ctorsim.codec import CodeParams
+from ctorsim.onion import build_circuits, encode_message
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -73,18 +78,42 @@ def test_benchmark_json_names_what_the_harness_defines():
     assert bounds["setup_s"] == max(bounds.values())
 
 
-def test_every_traced_binding_exists():
-    # Tracer.installed looks up each binding with getattr, so one missing
-    # name would crash every traced run before it starts
+def load_tracer():
     spec = importlib.util.spec_from_file_location("tracer", ROOT / "benchmarks" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_traced_binding_exists():
+    # Tracer.installed looks up each binding with getattr, so one missing
+    # name would crash every traced run before it starts
+    tracer = load_tracer()
     missing = [
         f"{module}.{attr}"
         for module, attr, _ in tracer.SPAN_BINDINGS + tracer.LEAF_BINDINGS
         if not hasattr(importlib.import_module(f"ctorsim.{module}"), attr)
     ]
     assert missing == []
+
+
+def test_tracer_counts_one_coded_transfer():
+    # the tracer iterates the CodedMessage that transmit gets and takes the
+    # len of run_transfer's third argument; a change to either shape would
+    # otherwise show only in the subprocess runs below
+    params = CodeParams(4, 3, 1)
+    message = random.Random(40).randbytes(3000)
+    coded = encode_message(params, message)
+    circuits = build_circuits([f"b{i}" for i in range(params.n)], random.Random(41))
+    tracer = load_tracer().Tracer()
+    with tracer.installed():
+        result = censor.run_transfer(circuits, params, message, {2}, coded=coded)
+    assert result.success
+    generations = len(coded.generations)
+    assert generations > 1
+    assert tracer.counters["cells_offered"] == params.n * generations
+    assert tracer.counters["cells_delivered"] == (params.n - 1) * generations
+    assert tracer.counters["message_bytes"] == len(message)
 
 
 @pytest.mark.parametrize("workload", sorted(EXPECTED_UNFIRED))

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from ctorsim import cli
 from ctorsim.analytics import DEFAULT_CONFIGS, DEFAULT_KNOWN_RANGE, DEFAULT_UNKNOWN, sweep
+from ctorsim.censor import ConsistencyError, run_campaign
 from ctorsim.cli import (
     EXIT_INTERRUPTED,
     EXIT_OK,
@@ -352,28 +354,77 @@ class TestFig2:
 
 
 class TestChecksBeforeOutput:
-    """A rejected grid run exits 1 before it opens any output."""
+    """A rejected grid run exits 1 and leaves existing outputs alone: the CLI
+    writes nothing until every row is computed, whichever layer rejects."""
 
     REJECTED = {
         "middles-flag": ["--middles", "60", "--variant", "mtor:4", "--mknown", "5"],
         "n-above-smallest-pool": ["--mb", "1", "--mknown", "0..3", "--variant", "mtor:4"],
         # mtor:1 is otor's shape, so both would write the same CSV keys
         "repeated-shape": ["--variant", "otor", "--variant", "mtor:1", "--mknown", "5"],
+        # rejected by run_campaign, CensorScenario or BridgePool.build, not by the CLI
+        "trials-zero": ["--trials", "0", "--variant", "mtor:4", "--mknown", "5"],
+        "fraction-above-one": ["--full-pipeline-fraction", "1.5", "--variant", "mtor:4", "--mknown", "5"],
+        "negative-mb": ["--mb", "-1", "--variant", "mtor:4", "--mknown", "5"],
     }
 
+    # the case's flags come last, so a case's own --trials wins over the base one
     @pytest.mark.parametrize("case", sorted(REJECTED))
     def test_simulate_keeps_existing_out(self, tmp_path, case):
         out = tmp_path / "earlier.csv"
         out.write_bytes(b"earlier,results\n")
-        assert main(["simulate", *self.REJECTED[case], "--trials", "5", "--out", str(out)]) == EXIT_USAGE
+        assert main(["simulate", "--trials", "5", *self.REJECTED[case], "--out", str(out)]) == EXIT_USAGE
         assert out.read_bytes() == b"earlier,results\n"
 
     @pytest.mark.parametrize("case", sorted(REJECTED))
     def test_fig2_writes_no_csv(self, tmp_path, case):
         out_dir = tmp_path / "fig2"
         out_dir.mkdir()
-        assert main(["fig2", *self.REJECTED[case], "--trials", "5", "--out", str(out_dir)]) == EXIT_USAGE
+        assert main(["fig2", "--trials", "5", *self.REJECTED[case], "--out", str(out_dir)]) == EXIT_USAGE
         assert list(out_dir.iterdir()) == []
+
+
+class TestFailureMidGrid:
+    """A grid that fails after some of its rows are computed writes none of them."""
+
+    ARGV = ["--mknown", "0..1", "--trials", "5"]  # the default curve set: 14 points
+
+    @pytest.fixture
+    def campaigns(self, monkeypatch):
+        calls = []
+
+        def third_point_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:
+                raise ConsistencyError("pipeline and blocked-count rule disagree")
+            return run_campaign(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_campaign", third_point_fails)
+        return calls
+
+    def test_simulate_keeps_existing_out(self, tmp_path, campaigns):
+        out = tmp_path / "earlier.csv"
+        out.write_bytes(b"earlier,results\n")
+        with pytest.raises(ConsistencyError):
+            main(["simulate", *self.ARGV, "--out", str(out)])
+        assert len(campaigns) == 3
+        assert out.read_bytes() == b"earlier,results\n"
+
+    def test_simulate_prints_no_row_to_stdout(self, capsys, campaigns):
+        with pytest.raises(ConsistencyError):
+            main(["simulate", *self.ARGV])
+        assert capsys.readouterr().out == ""
+
+    def test_fig2_writes_no_csv(self, tmp_path, campaigns):
+        out_dir, fresh_dir = tmp_path / "fig2", tmp_path / "new"
+        out_dir.mkdir()
+        with pytest.raises(ConsistencyError):
+            main(["fig2", *self.ARGV, "--out", str(out_dir)])
+        assert list(out_dir.iterdir()) == []
+        campaigns.clear()
+        with pytest.raises(ConsistencyError):
+            main(["fig2", *self.ARGV, "--out", str(fresh_dir)])
+        assert not fresh_dir.exists()
 
 
 

@@ -31,17 +31,6 @@ def mul_table() -> np.ndarray:
     return table
 
 
-def test_add_examples():
-    assert gf256.add(0x00, 0x57) == 0x57
-    assert gf256.add(0x57, 0x57) == 0x00
-    assert gf256.add(0x53, 0xCA) == 0x99
-
-
-def test_add_is_self_inverse_everywhere():
-    for a in range(256):
-        assert gf256.add(a, a) == 0
-
-
 def test_mul_examples():
     assert gf256.mul(0x01, 0xAB) == 0xAB
     assert gf256.mul(0x00, 0xAB) == 0x00

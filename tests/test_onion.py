@@ -16,6 +16,7 @@ from ctorsim.codec import (
     CELL_SIZE,
     MAX_N,
     CodeParams,
+    CodedCell,
     Generation,
     Variant,
     build_generator,
@@ -442,16 +443,16 @@ class TestTransmit:
         coded = self.make_coded(params, bytes(100))
         gen = coded.generations[0]
         with pytest.raises(ValueError, match="order mismatch"):
-            CodedMessage([[gen[1], gen[0]]])
+            CodedMessage(params, [[gen[1], gen[0]]])
 
     def test_generation_width_mismatch_rejected(self):
         # a ragged message fails when it is built, a message of another
         # width when it meets the circuits
         params = CodeParams(2, 2, 0)
         coded = self.make_coded(params, bytes(2000))
-        with pytest.raises(ValueError, match="carries 1 cells"):
-            CodedMessage([coded.generations[0], coded.generations[1][:1]])
-        with pytest.raises(ValueError, match="for 3 circuits"):
+        with pytest.raises(ValueError, match="generation 1 carries 1 cells, the code has n=2"):
+            CodedMessage(params, [coded.generations[0], coded.generations[1][:1]])
+        with pytest.raises(ValueError, match="coded for n=2 circuits, got 3 circuits"):
             transmit(circuits_for(3), coded)
 
 
@@ -461,15 +462,16 @@ class TestCodedMessage:
     @pytest.mark.parametrize("params", [CodeParams(1, 1, 0), CodeParams(4, 4, 0), CodeParams(10, 6, 4)])
     def test_each_wire_is_its_subflows_joined_cells(self, params):
         coded = encode_message(params, random.Random(11).randbytes(5000))
+        assert coded.params is params
         assert len(coded.subflows) == params.n
-        for idx, (seq, wire) in enumerate(coded.subflows):
+        for idx, wire in enumerate(coded.subflows):
             assert wire == b"".join(gen[idx].to_wire() for gen in coded.generations)
-            assert seq == coded.generations[0][idx].generation_id
 
     def test_holds_frozen_tuples_and_iterates_them(self):
         params = CodeParams(4, 3, 1)
         listed = coded_generations(params, 3)
-        coded = CodedMessage(listed)
+        coded = CodedMessage(params, listed)
+        assert coded.params is params
         assert coded.generations == tuple(tuple(gen) for gen in listed)
         assert list(coded) == list(coded.generations)
         assert coded == encode_message(params, random.Random(3).randbytes(3 * params.k * CELL_SIZE - 8))
@@ -478,38 +480,50 @@ class TestCodedMessage:
 
     def test_empty_message_rejected(self):
         with pytest.raises(ValueError, match="at least one generation"):
-            CodedMessage([])
+            CodedMessage(CodeParams(1, 1, 0), [])
 
     def test_empty_generation_rejected(self):
-        with pytest.raises(ValueError, match="at least one cell"):
-            CodedMessage([[]])
+        with pytest.raises(ValueError, match="generation 0 carries 0 cells, the code has n=1"):
+            CodedMessage(CodeParams(1, 1, 0), [[]])
 
     def test_generation_of_mixed_ids_rejected(self):
-        # sub-flow 1 would be wrapped with seq 7 and land in generation 7's bucket,
-        # so a lossless transfer would fail generation 0
+        # sub-flow 1's cell would land in generation 7's bucket, so a lossless
+        # transfer would fail generation 0
         params = CodeParams(2, 2, 0)
         first, second = coded_generations(params, 2)[0]
         stray = dataclasses.replace(second, generation_id=7)
-        with pytest.raises(ValueError, match="carries generation 7 in generation 0"):
-            CodedMessage([[first, stray]])
-
+        with pytest.raises(ValueError, match="carries generation 7 at position 0"):
+            CodedMessage(params, [[first, stray]])
 
     @pytest.mark.parametrize("picks", [(0, 0), (0, 2), (1, 0), (0, 1, 1)], ids=["repeat", "skip", "fall", "repeat-last"])
     def test_generation_ids_must_rise_by_one(self, picks):
-        generations = coded_generations(CodeParams(2, 1, 1), 3)
-        with pytest.raises(ValueError, match="ids must run on from"):
-            CodedMessage([generations[i] for i in picks])
+        params = CodeParams(2, 1, 1)
+        generations = coded_generations(params, 3)
+        with pytest.raises(ValueError, match=r"ids must run 0, 1, 2, \.\.\."):
+            CodedMessage(params, [generations[i] for i in picks])
 
-    def test_a_window_starting_later_builds_but_cannot_be_a_transfer(self, monkeypatch):
+    def test_a_window_starting_later_is_rejected(self):
+        # every message starts at generation 0, so a sub-flow's stream always has sequence number 0
         params = CodeParams(2, 2, 0)
         coded = encode_message(params, random.Random(12).randbytes(3000))
-        window = CodedMessage(coded.generations[1:])
-        assert [gen[0].generation_id for gen in window] == [1, 2]
-        sent = []
-        monkeypatch.setattr(onion, "transmit", lambda *args: sent.append(args))
-        with pytest.raises(ValueError, match="starts at generation 0, got 1"):
-            run_transfer(circuits_for(2), params, bytes(3000), coded=window)
-        assert sent == []
+        with pytest.raises(ValueError, match="carries generation 1 at position 0"):
+            CodedMessage(params, coded.generations[1:])
+
+    def test_a_message_of_mixed_k_is_rejected(self):
+        # a k = 1 generation, then a k = 2 one: decode used to raise only after the whole transmit
+        rng = random.Random(31)
+        narrow, wide = CodeParams(2, 1, 1), CodeParams(2, 2, 0)
+        generations = [
+            encode_generation(Generation(0, (rng.randbytes(CELL_SIZE),)), build_generator(narrow)),
+            encode_generation(Generation(1, (rng.randbytes(CELL_SIZE),) * 2), build_generator(wide)),
+        ]
+        with pytest.raises(ValueError, match="generation 1 sub-flow 0 coded with k=2, the code has k=1"):
+            CodedMessage(narrow, generations)
+
+    def test_generations_of_another_width_are_rejected(self):
+        generations = coded_generations(CodeParams(2, 2, 0), 2)
+        with pytest.raises(ValueError, match="generation 0 carries 2 cells, the code has n=3"):
+            CodedMessage(CodeParams(3, 2, 1), generations)
 
     @pytest.mark.parametrize("blocked", [set(), {0}], ids=["unblocked", "circuit-0-blocked"])
     def test_a_message_coded_with_another_k_is_rejected_before_any_stream(self, blocked):
@@ -518,7 +532,7 @@ class TestCodedMessage:
         message = random.Random(13).randbytes(2000)
         coded = encode_message(CodeParams(4, 3, 1), message)
         clear_stream_caches()
-        with pytest.raises(ValueError, match="coded with k=3, params have k=4"):
+        with pytest.raises(ValueError, match=r"coded for CodeParams\(n=4, k=3, r=1\), transfer runs CodeParams\(n=4, k=4"):
             run_transfer(circuits_for(4), CodeParams(4, 4, 0), message, blocked, coded=coded)
         assert [cache.cache_info().misses for cache in STREAM_CACHES] == [0, 0, 0]
 
@@ -540,7 +554,7 @@ class TestSubflowStreams:
 
     @pytest.mark.parametrize("generations", [1, 86])
     def test_one_stream_per_circuit_and_hop(self, generations):
-        coded = CodedMessage(coded_generations(self.PARAMS, generations))
+        coded = CodedMessage(self.PARAMS, coded_generations(self.PARAMS, generations))
         circuits = circuits_for(10)
         clear_stream_caches()
         transmit(circuits, coded, self.BLOCKED)
@@ -548,7 +562,7 @@ class TestSubflowStreams:
         if generations == 1:
             # 524-byte sub-flows: each stream is derived by the wrap and
             # reused by the peels; the exit streams are kept across transfers
-            assert len(coded.subflows[0][1]) <= onion._SHORT_SUBFLOW
+            assert len(coded.subflows[0]) <= onion._SHORT_SUBFLOW
             assert stream_traffic() == {
                 "inner": (surviving, surviving), "exit": (surviving, surviving), "entry": (surviving, surviving)
             }
@@ -569,7 +583,7 @@ class TestSubflowStreams:
                 "entry": (surviving, 5 * surviving),
             }
             return
-        assert len(coded.subflows[0][1]) > onion._SHORT_SUBFLOW
+        assert len(coded.subflows[0]) > onion._SHORT_SUBFLOW
         inner = onion._keystream.cache_info()
         entry = onion._entry_keystream.cache_info()
         # the exit and middle streams: derived by the wrap, reused by the peels
@@ -582,7 +596,7 @@ class TestSubflowStreams:
         assert onion._exit_keystream.cache_info().currsize == 0
 
     def test_one_wrap_per_surviving_circuit(self, monkeypatch):
-        coded = CodedMessage(coded_generations(self.PARAMS, 5)[2:])  # sub-flows start at generation 2
+        coded = CodedMessage(self.PARAMS, coded_generations(self.PARAMS, 5))
         circuits = circuits_for(10)
         calls = []
 
@@ -593,7 +607,7 @@ class TestSubflowStreams:
         monkeypatch.setattr(onion, "wrap_layers", recording_wrap)
         delivered = transmit(circuits, coded, self.BLOCKED)
         assert calls == [
-            (b"".join(gen[idx].to_wire() for gen in coded.generations), circuits[idx], 2)
+            (b"".join(gen[idx].to_wire() for gen in coded.generations), circuits[idx], 0)
             for idx in range(10)
             if idx not in self.BLOCKED
         ]
@@ -612,19 +626,29 @@ class TestSubflowStreams:
         # the message checks its shape when it is built, before any transfer
         clear_stream_caches()
         with pytest.raises(ValueError):
-            CodedMessage(coded[:-1] + [last])
+            CodedMessage(self.PARAMS, coded[:-1] + [last])
         assert [cache.cache_info().misses for cache in STREAM_CACHES] == [0, 0, 0]
 
     @pytest.mark.parametrize("blocked", [set(), {0}, {1}])
     def test_mixed_wire_lengths_come_back_intact(self, blocked):
-        # one k = 1 generation (518-byte wire cells), then one k = 2 generation (519 bytes)
+        # one k = 1 generation (518-byte wire cells), then one k = 2 generation
+        # (519 bytes); a CodedMessage holds one k, so each unblocked circuit's
+        # stream is wrapped and peeled directly, as transmit does
         rng = random.Random(30)
         narrow, wide = CodeParams(2, 1, 1), CodeParams(2, 2, 0)
         coded = [
             encode_generation(Generation(0, (rng.randbytes(CELL_SIZE),)), build_generator(narrow)),
             encode_generation(Generation(1, (rng.randbytes(CELL_SIZE), rng.randbytes(CELL_SIZE))), build_generator(wide)),
         ]
-        delivered = transmit(circuits_for(2), CodedMessage(coded), blocked)
+        arrived = []
+        for idx, circuit in enumerate(circuits_for(2)):
+            if idx in blocked:
+                continue
+            layered = wrap_layers(b"".join(gen[idx].to_wire() for gen in coded), circuit)
+            for router in (circuit.entry, circuit.middle, circuit.exit):
+                layered = peel_layer(layered, router)
+            arrived.append(CodedCell.from_wire_stream(layered.payload))
+        delivered = [cell for gen_cells in zip(*arrived) for cell in gen_cells]
         assert delivered == [cell for gen in coded for cell in gen if cell.subflow_index not in blocked]
 
 
@@ -643,7 +667,7 @@ def test_transmit_returns_the_offered_cells_of_unblocked_circuits(n, size, seed,
     rng = random.Random(seed)
     coded = [encode_generation(g, matrix) for g in split_message(rng.randbytes(size), params.k)]
     circuits = build_circuits([f"b{i}" for i in range(n)], rng)
-    assert transmit(circuits, CodedMessage(coded), blocked) == [
+    assert transmit(circuits, CodedMessage(params, coded), blocked) == [
         cell for gen in coded for cell in gen if cell.subflow_index not in blocked
     ]
 
