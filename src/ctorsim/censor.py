@@ -9,10 +9,13 @@ than the code can absorb (any blocking at all for otor/mtor).
 Randomness is Python's random.Random (MT19937). Campaign substreams are
 derived by seeding fresh generators from SHAKE-256 over (seed, label), so
 results are bit-reproducible for a fixed seed and the bridge-selection
-stream does not shift when the full-pipeline fraction changes. Fast-path
-trials replay random.sample's draw inline over known-bridge flags, one
-getrandbits call per pick, so they consume that stream word for word as
-select_bridges does.
+stream does not shift when the full-pipeline fraction changes. Neither
+kind of trial calls random.sample: select_bridges (pipeline trials) and
+the fast path both replay its draw, taking its branch from one rule
+(_sample_keeps_pool) and making one getrandbits call per attempt, so they
+consume that stream word for word alike on any interpreter. Tests pin both
+to the picks and final state of random.sample; build_circuits still calls
+sample and choice, whose stream changes only ciphertext.
 """
 
 from __future__ import annotations
@@ -123,12 +126,54 @@ def derive_rng(seed: int, label: str) -> random.Random:
 
 
 def select_bridges(pool: BridgePool, n: int, rng: random.Random) -> list[str]:
-    """Uniform sample of n bridges without replacement over the whole pool."""
+    """Uniform sample of n bridges without replacement over the whole pool.
+
+    The bridges of `pool.ordered` at the positions _sample_positions draws,
+    which are the ones ``rng.sample(pool.ordered, n)`` picks, drawn word for
+    word as the fast path draws them.
+    """
     if n < 1:
         raise ValueError("must select at least one bridge")
     if n > len(pool):
         raise ValueError(f"cannot select {n} bridges from a pool of {len(pool)}")
-    return rng.sample(pool.ordered, n)
+    ordered = pool.ordered
+    return [ordered[j] for j in _sample_positions(rng, len(ordered), n)]
+
+
+def _sample_keeps_pool(size: int, n: int) -> bool:
+    """random.sample's branch rule for n picks out of `size`: True where it
+    swap-removes from a copy of the population, False where it redraws
+    positions already taken. Both bridge draws take their branch here."""
+    setsize = 21  # random.sample's own choice between a pool list and a seen set
+    if n > 5:
+        setsize += 4 ** math.ceil(math.log(n * 3, 4))
+    return size <= setsize
+
+
+def _sample_positions(rng: random.Random, size: int, n: int) -> list[int]:
+    """The positions ``rng.sample(range(size), n)`` picks, in pick order, with
+    the same getrandbits calls and rejections, so `rng` ends where it would."""
+    getrandbits = rng.getrandbits
+    picks: list[int] = []
+    if _sample_keeps_pool(size, n):
+        # swap-remove from a copy of the positions, drawing below m = size, size-1, ...
+        pool = list(range(size))
+        for m in range(size, size - n, -1):
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            picks.append(pool[j])
+            pool[j] = pool[m - 1]
+    else:
+        # draw below size, redrawing positions already taken
+        bits = size.bit_length()
+        for _ in range(n):
+            j = getrandbits(bits)
+            while j >= size or j in picks:
+                j = getrandbits(bits)
+            picks.append(j)
+    return picks
 
 
 def interrupted_by_rule(blocked_count: int, params: CodeParams) -> bool:
@@ -215,21 +260,19 @@ def _fast_interruptions(
 ) -> int:
     """Run `count` fast-path trials; return how many block more than r circuits.
 
-    Each trial replays ``rng.sample(flags, n)`` pick for pick: the same
-    branch, the same getrandbits width and the same rejections, so `rng`
-    ends exactly where `count` sample calls would leave it. sample() picks
-    positions whatever the population holds, so summing the drawn
-    known-bridge flags counts what drawing bridge ids would.
+    Each trial makes _sample_positions' draws inline, pick for pick: the
+    same branch, the same getrandbits width and the same rejections, so
+    `rng` ends exactly where `count` select_bridges calls (and `count`
+    ``rng.sample(flags, n)`` calls) would leave it. The draw picks positions
+    whatever the population holds, so summing the drawn known-bridge flags
+    counts what drawing bridge ids would.
     """
     if not count:
         return 0
     size = len(flags)
-    setsize = 21  # random.sample's own choice between a pool list and a seen set
-    if n > 5:
-        setsize += 4 ** math.ceil(math.log(n * 3, 4))
     getrandbits = rng.getrandbits
     interrupted = 0
-    if size <= setsize:
+    if _sample_keeps_pool(size, n):
         # swap-remove from a copy of the population, drawing below m = size, size-1, ...
         draws = [(m, m.bit_length()) for m in range(size, size - n, -1)]
         population = list(flags)

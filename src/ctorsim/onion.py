@@ -22,12 +22,15 @@ carries the CodeParams that built it, checks the generations against them
 and joins each sub-flow's wire bytes once; run_transfer accepts a ready
 CodedMessage only for the params it runs. The censor sends one fixed
 message per code shape, so a pipeline trial pays only for what differs
-between trials: the circuits, the blocked set, the wrap and peels, the
-parse and the decode. An entry hop's stream depends only on the bridge and
-the sub-flow, and an exit hop's only on the exit relay, the bridge and the
-sub-flow, so both are cached across transfers (exit streams only for short
-sub-flows such as a trial's); middle streams, and the exit streams of long
-sub-flows, are derived per transfer.
+between trials: the circuits, the blocked set, the wrap and peels and the
+decode. An entry hop's stream depends only on the bridge and the sub-flow,
+and an exit hop's only on the exit relay, the bridge and the sub-flow, so
+both are cached across transfers (exit streams only for short sub-flows
+such as a trial's); middle streams, and the exit streams of long
+sub-flows, are derived per transfer. The exit's parse of a short sub-flow
+is memoized by the exact bytes the last peel produced: a trial that peels
+the same bytes gets the same frozen cells, and one whose bytes differ in
+any position is parsed in full. Long sub-flows are parsed every time.
 
 CircuitSet and CodedMessage check their invariants in their constructors,
 and build_circuits and encode_message build through them, so each rule is
@@ -222,6 +225,19 @@ _SHORT_SUBFLOW = 4096
 _exit_keystream = functools.lru_cache(maxsize=2048)(_derive_keystream)
 
 
+# The exit's parse of a short sub-flow, memoized by the exact peeled bytes:
+# every pipeline trial of a shape peels the same bytes off a surviving
+# circuit, so the default grid parses 43 distinct sub-flows (the n of its
+# seven shapes summed), the longest otor's 1,557 bytes. Peeled bytes that
+# differ in any byte miss and are parsed in full; a hit returns the frozen
+# cells that parsing the same bytes built, and a parse that raises is not
+# kept. 256 entries hold _trial_cells' 32 shapes at 8 sub-flows each, at
+# most ~2 MB; long sub-flows, such as an e2e transfer's, are parsed each time.
+@functools.lru_cache(maxsize=256)
+def _parse_short_subflow(wire: bytes) -> tuple[CodedCell, ...]:
+    return tuple(CodedCell.from_wire_stream(wire))
+
+
 def wrap_layers(cell_bytes: bytes, circuit: Circuit, seq: int = 0) -> LayeredCell:
     """Apply the exit, middle, and entry stream layers, in that order, so that
     peeling proceeds entry -> middle -> exit."""
@@ -306,8 +322,11 @@ def transmit(
     The circuits whose indices are in `blocked` drop their whole sub-flow
     silently. Each surviving sub-flow's wire bytes are wrapped once, peeled
     by three peel_layer calls (entry, middle, exit), turned back into bytes
-    once, and reparsed cell by cell by the headers in the wire bytes, so the
-    returned cells are exactly what the exit relay can see.
+    once, and parsed cell by cell by the headers in the wire bytes, so the
+    returned cells are exactly what the exit relay can see. A peeled
+    sub-flow of at most _SHORT_SUBFLOW bytes is parsed once per distinct
+    byte string and then taken from _parse_short_subflow's memo; a longer
+    one is parsed on every call.
     They come back generation by generation, in circuit order within each.
     The message checked its own shape, so only its code's n against the
     circuit count and the blocked indices (all within 0..n-1) are checked
@@ -327,7 +346,10 @@ def transmit(
         layered = peel_layer(layered, circuit.entry)
         layered = peel_layer(layered, circuit.middle)
         layered = peel_layer(layered, circuit.exit)
-        arrived.append(CodedCell.from_wire_stream(layered.payload))
+        wire = layered.payload
+        arrived.append(
+            _parse_short_subflow(wire) if layered.size <= _SHORT_SUBFLOW else CodedCell.from_wire_stream(wire)
+        )
     return [cell for gen_cells in zip(*arrived) for cell in gen_cells]
 
 

@@ -12,6 +12,7 @@ from ctorsim.analytics import DEFAULT_CONFIGS, DEFAULT_UNKNOWN, p_block_lnc
 from ctorsim.censor import (
     BridgePool,
     CensorScenario,
+    ConsistencyError,
     TrialOutcome,
     derive_rng,
     derive_seed,
@@ -140,8 +141,9 @@ class TestTrialCells:
 
 
 class TestExitStreamMemory:
-    """Pipeline trials keep short exit streams across transfers; what they
-    keep is bounded by the grid, and a long transfer keeps nothing."""
+    """Pipeline trials keep short exit streams, and the exit's parse of short
+    sub-flows, across transfers; what they keep is bounded by the grid, and a
+    long transfer keeps nothing."""
 
     def test_grid_trials_keep_only_short_streams_of_unknown_bridges(self, monkeypatch):
         derived = []
@@ -169,6 +171,44 @@ class TestExitStreamMemory:
         assert len(coded.generations) == 86
         transmit(build_circuits([f"u{i:03d}" for i in range(10)], random.Random(0)), coded, {1, 4})
         assert cache.cache_info() == info
+
+    def test_grid_trials_parse_each_short_subflow_once(self):
+        onion._parse_short_subflow.cache_clear()
+        for m_known in (0, 12, 25):
+            pool = BridgePool.build(DEFAULT_UNKNOWN, m_known)
+            for params in DEFAULT_CONFIGS:
+                run_campaign(CensorScenario(pool, params), 30, m_known, full_pipeline_fraction=1)
+        info = onion._parse_short_subflow.cache_info()
+        # one entry per sub-flow of each shape's trial message: at m_known 0
+        # every circuit survives, so each is parsed, and only once
+        assert info.currsize == info.misses == sum(params.n for params in DEFAULT_CONFIGS) == 43
+        assert info.hits > 0
+
+    def test_the_memo_cannot_hide_a_corrupted_transfer(self, monkeypatch):
+        s = scenario(25, 0, 4)
+        rng, circuit_rng = random.Random(1), random.Random(2)
+        onion._parse_short_subflow.cache_clear()
+        run_trial(s, rng, circuit_rng=circuit_rng)  # warm: all four sub-flows parsed
+        warm = onion._parse_short_subflow.cache_info()
+        assert warm.currsize == 4
+        peel = onion.peel_layer
+        flipped = []
+
+        def corrupting_peel(cell, router):
+            # the first exit peel flips byte 100 of its first cell's payload,
+            # past the 6-byte header and the k = 4 row
+            peeled = peel(cell, router)
+            if peeled.layers_remaining or flipped:
+                return peeled
+            flipped.append(peeled.circuit_id)
+            return peeled._replace(value=peeled.value ^ (1 << 8 * (peeled.size - 1 - (6 + 4 + 100))))
+
+        monkeypatch.setattr(onion, "peel_layer", corrupting_peel)
+        with pytest.raises(ConsistencyError, match="interrupted=True but blocked_count=0"):
+            run_trial(s, rng, circuit_rng=circuit_rng)
+        assert len(flipped) == 1
+        # the corrupted bytes missed the memo and were parsed in full
+        assert onion._parse_short_subflow.cache_info().misses == warm.misses + 1
 
 
 class TestRunCampaign:
@@ -361,6 +401,33 @@ class TestFlagSumFastPath:
         s = scenario(num_unknown, num_known, n, r=n // 3)
         result = run_campaign(s, 3000, seed=8, full_pipeline_fraction=0)
         assert result.interruptions == reference_fast_path(s, 3000, 8)
+
+
+class TestOneDrawRule:
+    """select_bridges and the fast path replay random.sample through one
+    branch rule, so both kinds of trial consume the selection stream alike."""
+
+    @pytest.mark.parametrize("num_unknown,num_known,n", POOLS)
+    def test_select_bridges_picks_what_sample_picks(self, num_unknown, num_known, n):
+        pool = BridgePool.build(num_unknown, num_known)
+        ours, twin, fast = random.Random(n), random.Random(n), random.Random(n)
+        for _ in range(300):
+            assert select_bridges(pool, n, ours) == twin.sample(pool.ordered, n)
+            censor._fast_interruptions(fast, pool.flags, n, 0, 1)
+            assert ours.getstate() == twin.getstate() == fast.getstate()
+
+    def test_a_changed_sample_cannot_move_the_estimate(self, monkeypatch):
+        # an interpreter whose sample() draws otherwise: circuits still build,
+        # but the selection stream must not depend on the cross-check fraction
+        def changed_sample(self, population, k):
+            self.getrandbits(32)
+            return list(population)[::-1][:k]
+
+        s = scenario(25, 5, 4, r=1)
+        expected = run_campaign(s, 400, seed=3, full_pipeline_fraction=0).interruptions
+        monkeypatch.setattr(random.Random, "sample", changed_sample)
+        for fraction in (0, 0.1, 1):
+            assert run_campaign(s, 400, seed=3, full_pipeline_fraction=fraction).interruptions == expected
 
 
 class TestSeedDerivation:

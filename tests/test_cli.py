@@ -1,8 +1,14 @@
 """CLI behavior: CSV schemas, determinism, config handling, exit codes."""
 
 import csv
+import os
+import re
+import shutil
+import subprocess
+import sys
 from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -441,3 +447,56 @@ class TestUsageErrors:
     def test_bad_mknown(self):
         assert main(["analytic", "--mknown", "5..2"]) == EXIT_USAGE
         assert main(["analytic", "--mknown", "abc"]) == EXIT_USAGE
+
+
+def other_interpreters() -> list[str]:
+    """The first python3.N (N >= 10) on PATH for each N other than this
+    interpreter's, among those that start and report that version."""
+    minors = {
+        int(match[1])
+        for directory in os.get_exec_path()
+        if os.path.isdir(directory)
+        for match in map(re.compile(r"python3\.(\d+)").fullmatch, os.listdir(directory))
+        if match and int(match[1]) >= 10
+    }
+    found = []
+    for minor in sorted(minors - {sys.version_info.minor}):
+        exe = shutil.which(f"python3.{minor}")
+        if exe is None:
+            continue
+        try:
+            probe = subprocess.run(
+                [exe, "-c", "import sys; print(*sys.version_info[:2])"], capture_output=True, text=True, timeout=60
+            )
+        except OSError:
+            continue
+        if probe.returncode == 0 and probe.stdout.split() == ["3", str(minor)]:
+            found.append(exe)
+    return found
+
+
+class TestOtherInterpreters:
+    """A CSV and an e2e report are the same bytes under every interpreter:
+    they rest on random.Random's streams, which the fast path and
+    select_bridges replay, and on SHAKE-256, not on one interpreter's sample()."""
+
+    RUNS = [
+        ["simulate", "--trials", "60", "--mknown", "3..5", "--seed", "7", "--full-pipeline-fraction", "0.2",
+         "--variant", "otor", "--variant", "mtor:5", "--variant", "ctor:10:4"],
+        ["e2e", "--variant", "ctor:6:2", "--scenario-seed", "3", "--mknown", "12", "--message-size", "3000"],
+    ]
+    PROGRAM = "import sys\nsys.path.insert(0, sys.argv[1])\nfrom ctorsim.cli import main\nsys.exit(main(sys.argv[2:]))"
+
+    def test_outputs_match_the_running_interpreter(self, capsys):
+        interpreters = other_interpreters()
+        if not interpreters:
+            pytest.skip("no other python3.N (N >= 10) runs on PATH")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        for argv in self.RUNS:
+            code = main(argv)
+            expected = capsys.readouterr().out
+            for exe in interpreters:
+                done = subprocess.run(
+                    [exe, "-c", self.PROGRAM, src, *argv], capture_output=True, text=True, timeout=300
+                )
+                assert (exe, done.returncode, done.stdout) == (exe, code, expected), done.stderr

@@ -226,8 +226,10 @@ STREAM_CACHES = (onion._keystream, onion._exit_keystream, onion._entry_keystream
 
 
 def clear_stream_caches() -> None:
+    """Empty the layer stream caches and the exit's parse memo."""
     for cache in STREAM_CACHES:
         cache.cache_clear()
+    onion._parse_short_subflow.cache_clear()
 
 
 def stream_traffic() -> dict[str, tuple[int, int]]:
@@ -323,7 +325,7 @@ class TestKeystreamCache:
         wrapped = wrap_layers(b"cell", circuits[0], seq=3)
         message = random.Random(9).randbytes(3000)
         transfer = run_transfer(circuits, params, message, {2})
-        for clear in (cache.cache_clear for cache in STREAM_CACHES):
+        for clear in (cache.cache_clear for cache in (*STREAM_CACHES, onion._parse_short_subflow)):
             clear()
             assert transmit(circuits, coded, {1}) == warm
             clear()
@@ -341,6 +343,8 @@ class TestKeystreamCache:
         # shapes = 1,750 exit streams; only sub-flows of at most 4 KiB are kept
         assert onion._exit_keystream.cache_info().maxsize == 2048
         assert onion._SHORT_SUBFLOW == 4096
+        # the exit's parse memo: the default grid's trials fill 43 entries
+        assert onion._parse_short_subflow.cache_info().maxsize == 256
 
     def test_circuits_on_one_bridge_share_only_the_entry_stream(self):
         # the same bridge drawn in two trials, with another middle and exit each time
@@ -650,6 +654,49 @@ class TestSubflowStreams:
             arrived.append(CodedCell.from_wire_stream(layered.payload))
         delivered = [cell for gen_cells in zip(*arrived) for cell in gen_cells]
         assert delivered == [cell for gen in coded for cell in gen if cell.subflow_index not in blocked]
+
+
+class TestExitParseMemo:
+    """The exit parses each distinct short sub-flow once; anything else is parsed as it comes."""
+
+    PARAMS = CodeParams(10, 6, 4)
+
+    def test_a_hit_equals_a_fresh_parse(self):
+        coded = encode_message(self.PARAMS, random.Random(3).randbytes(2000))
+        circuits = circuits_for(10)
+        clear_stream_caches()
+        first = transmit(circuits, coded, {2})
+        assert onion._parse_short_subflow.cache_info().misses == 9
+        # other circuits peel the same bytes back off, so every parse is a hit
+        assert transmit(circuits_for(10, seed=5), coded, {2}) == first
+        assert onion._parse_short_subflow.cache_info()[:2] == (9, 9)
+        for wire in coded.subflows:
+            fresh = tuple(CodedCell.from_wire_stream(wire))
+            hit = onion._parse_short_subflow(wire)
+            assert hit == fresh and hit is onion._parse_short_subflow(bytes(bytearray(wire)))
+        assert first == [cell for gen in coded for cell in gen if cell.subflow_index != 2]
+
+    def test_long_subflows_bypass_the_memo(self):
+        coded = CodedMessage(self.PARAMS, coded_generations(self.PARAMS, 86))
+        assert len(coded.subflows[0]) > onion._SHORT_SUBFLOW
+        clear_stream_caches()
+        info = onion._parse_short_subflow.cache_info()
+        delivered = transmit(circuits_for(10), coded, {1, 4})
+        assert onion._parse_short_subflow.cache_info() == info
+        assert len(delivered) == 8 * 86
+
+    @pytest.mark.parametrize(
+        "fault,error",
+        [("cut-payload", "wire cell of"), ("cut-header", "wire cell too short"), ("k-zero", "coefficient vector")],
+    )
+    def test_a_malformed_short_subflow_raises_on_every_call(self, fault, error):
+        wire = encode_message(self.PARAMS, bytes(2000)).subflows[0]
+        malformed = {"cut-payload": wire[:-1], "cut-header": wire + bytes(3), "k-zero": wire + bytes(600)}[fault]
+        clear_stream_caches()
+        for attempt in (1, 2, 3):
+            with pytest.raises(ValueError, match=error):
+                onion._parse_short_subflow(malformed)
+            assert onion._parse_short_subflow.cache_info()[1:] == (attempt, 256, 0)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
