@@ -6,31 +6,30 @@ The single-circuit (otor), multi-circuit (mtor), and coded multi-circuit
 otor is (n=1, k=1, r=0), mtor is (n=k, r=0), ctor has r >= 1.
 
 Layer encryption is a keyed pseudorandom stream XOR, not real cryptography:
-the keystream is SHAKE-256 over (router key, circuit id, sequence number,
-layer position). Binding the layer position is what makes out-of-order
-peeling detectable; bare XOR layers would commute. As with Tor's per-hop
-counter-mode cipher, transmit runs each hop's stream across a whole
-sub-flow: the cells a circuit carries are wrapped and peeled as one wire
-string. Every message starts at generation 0, so transmit wraps each
-sub-flow with sequence number 0; wrap_layers takes any other. Between
-wrap and the last peel a sub-flow is one big-endian int plus its byte
-size, so each layer is a single int XOR and the bytes are rebuilt once,
-for the exit to parse.
+the keystream is SHAKE-256 over (router key, circuit id, layer position).
+Binding the layer position is what makes out-of-order peeling detectable;
+bare XOR layers would commute. As with Tor's per-hop counter-mode cipher,
+transmit runs each hop's stream across a whole sub-flow: the cells a
+circuit carries are wrapped and peeled as one wire string. Between wrap
+and the last peel a sub-flow is one big-endian int plus its byte size, so
+each layer is a single int XOR and the bytes are rebuilt once, for the
+exit.
 
 A message is coded once by encode_message into a CodedMessage, which
-carries the CodeParams that built it, checks the generations against them
-and joins each sub-flow's wire bytes once; run_transfer accepts a ready
-CodedMessage only for the params it runs. The censor sends one fixed
-message per code shape, so a pipeline trial pays only for what differs
-between trials: the circuits, the blocked set, the wrap and peels and the
-decode. An entry hop's stream depends only on the bridge and the sub-flow,
-and an exit hop's only on the exit relay, the bridge and the sub-flow, so
-both are cached across transfers (exit streams only for short sub-flows
-such as a trial's); middle streams, and the exit streams of long
-sub-flows, are derived per transfer. The exit's parse of a short sub-flow
-is memoized by the exact bytes the last peel produced: a trial that peels
-the same bytes gets the same frozen cells, and one whose bytes differ in
-any position is parsed in full. Long sub-flows are parsed every time.
+carries the CodeParams that built it, checks the generations against them,
+joins each sub-flow's wire bytes once and parses each joined sub-flow back
+once; run_transfer accepts a ready CodedMessage only for the params it
+runs. The censor sends one fixed message per code shape, so a pipeline
+trial pays only for what differs between trials: the circuits, the blocked
+set, the wrap and peels and the decode. An entry hop's stream depends only
+on the bridge and the sub-flow, and an exit hop's only on the exit relay,
+the bridge and the sub-flow, so both are cached across transfers (exit
+streams only for short sub-flows such as a trial's); middle streams, and
+the exit streams of long sub-flows, are derived per transfer. One function,
+_layer_stream, picks the cache for a hop. The exit compares the peeled
+bytes with the sub-flow that was sent: equal bytes give that sub-flow's
+cells, which the message's own parse checked, and bytes that differ in any
+position are parsed in full.
 
 CircuitSet and CodedMessage check their invariants in their constructors,
 and build_circuits and encode_message build through them, so each rule is
@@ -174,7 +173,6 @@ class LayeredCell(NamedTuple):
     size: int
     layers_remaining: int
     circuit_id: str
-    seq: int
 
     @property
     def payload(self) -> bytes:
@@ -186,13 +184,13 @@ class LayeredCell(NamedTuple):
 _new_layered = tuple.__new__
 
 
-def _derive_keystream(key: bytes, circuit_id: str, seq: int, depth: int, size: int) -> int:
+def _derive_keystream(key: bytes, circuit_id: str, depth: int, size: int) -> int:
     """One layer stream, as the big-endian int both wrap and peel XOR in."""
     if not key:
         raise ValueError("router layer key must be non-empty")
     cid = circuit_id.encode()
-    return int.from_bytes(hashlib.shake_256(b"%b%b%b%b%b%c" % (
-        len(key).to_bytes(2, "big"), key, len(cid).to_bytes(2, "big"), cid, seq.to_bytes(8, "big"), depth
+    return int.from_bytes(hashlib.shake_256(b"%b%b%b%b%c" % (
+        len(key).to_bytes(2, "big"), key, len(cid).to_bytes(2, "big"), cid, depth
     )).digest(size), "big")
 
 
@@ -205,13 +203,12 @@ def _derive_keystream(key: bytes, circuit_id: str, seq: int, depth: int, size: i
 _keystream = functools.lru_cache(maxsize=2)(_derive_keystream)
 
 # The entry stream (depth 3) is keyed by the bridge, whose id is also the
-# circuit id, and the sub-flow's sequence number and size: every pipeline
-# trial that draws a bridge for a code shape derives the same one. The
-# default grid has 50 bridges and 7 shapes, whose trial sub-flows all start
-# at generation 0 and differ in size; a known bridge is always blocked, so
-# only the 25 unknown bridges' 175 streams are ever derived, well within 350
-# entries. A stream is as long as its sub-flow, so a large e2e message keeps
-# up to n of them.
+# circuit id, and the sub-flow's size: every pipeline trial that draws a
+# bridge for a code shape derives the same one. The default grid has 50
+# bridges and 7 shapes, whose trial sub-flows differ in size; a known bridge
+# is always blocked, so only the 25 unknown bridges' 175 streams are ever
+# derived, well within 350 entries. A stream is as long as its sub-flow, so
+# a large e2e message keeps up to n of them.
 _entry_keystream = functools.lru_cache(maxsize=350)(_derive_keystream)
 
 # The exit stream (depth 1) is keyed by the exit relay, the bridge and the
@@ -225,45 +222,35 @@ _SHORT_SUBFLOW = 4096
 _exit_keystream = functools.lru_cache(maxsize=2048)(_derive_keystream)
 
 
-# The exit's parse of a short sub-flow, memoized by the exact peeled bytes:
-# every pipeline trial of a shape peels the same bytes off a surviving
-# circuit, so the default grid parses 43 distinct sub-flows (the n of its
-# seven shapes summed), the longest otor's 1,557 bytes. Peeled bytes that
-# differ in any byte miss and are parsed in full; a hit returns the frozen
-# cells that parsing the same bytes built, and a parse that raises is not
-# kept. 256 entries hold _trial_cells' 32 shapes at 8 sub-flows each, at
-# most ~2 MB; long sub-flows, such as an e2e transfer's, are parsed each time.
-@functools.lru_cache(maxsize=256)
-def _parse_short_subflow(wire: bytes) -> tuple[CodedCell, ...]:
-    return tuple(CodedCell.from_wire_stream(wire))
+def _layer_stream(key: bytes, circuit_id: str, depth: int, size: int) -> int:
+    """The stream of the hop at `depth`, from the cache that keeps it."""
+    if depth == 3:
+        return _entry_keystream(key, circuit_id, 3, size)
+    if depth == 1 and size <= _SHORT_SUBFLOW:
+        return _exit_keystream(key, circuit_id, 1, size)
+    return _keystream(key, circuit_id, depth, size)
 
 
-def wrap_layers(cell_bytes: bytes, circuit: Circuit, seq: int = 0) -> LayeredCell:
+def wrap_layers(cell_bytes: bytes, circuit: Circuit) -> LayeredCell:
     """Apply the exit, middle, and entry stream layers, in that order, so that
     peeling proceeds entry -> middle -> exit."""
     size = len(cell_bytes)
     cid = circuit.circuit_id
     acc = (
         int.from_bytes(cell_bytes, "big")
-        ^ (_exit_keystream if size <= _SHORT_SUBFLOW else _keystream)(circuit.exit.layer_key, cid, seq, 1, size)
-        ^ _keystream(circuit.middle.layer_key, cid, seq, 2, size)
-        ^ _entry_keystream(circuit.entry.layer_key, cid, seq, 3, size)
+        ^ _layer_stream(circuit.exit.layer_key, cid, 1, size)
+        ^ _layer_stream(circuit.middle.layer_key, cid, 2, size)
+        ^ _layer_stream(circuit.entry.layer_key, cid, 3, size)
     )
-    return _new_layered(LayeredCell, (acc, size, 3, cid, seq))
+    return _new_layered(LayeredCell, (acc, size, 3, cid))
 
 
 def peel_layer(cell: LayeredCell, router: OnionRouter) -> LayeredCell:
     """Remove one layer with the router's key."""
-    value, size, depth, cid, seq = cell
+    value, size, depth, cid = cell
     if depth <= 0:
         raise ValueError("no encryption layers left to peel")
-    if depth == 3:
-        stream = _entry_keystream(router.layer_key, cid, seq, 3, size)
-    elif depth == 1 and size <= _SHORT_SUBFLOW:
-        stream = _exit_keystream(router.layer_key, cid, seq, 1, size)
-    else:
-        stream = _keystream(router.layer_key, cid, seq, depth, size)
-    return _new_layered(LayeredCell, (value ^ stream, size, depth - 1, cid, seq))
+    return _new_layered(LayeredCell, (value ^ _layer_stream(router.layer_key, cid, depth, size), size, depth - 1, cid))
 
 
 @dataclass(frozen=True)
@@ -275,7 +262,10 @@ class CodedMessage:
     any other width, order, id or row length. `subflows` holds each
     sub-flow's wire bytes, its cells' joined in generation order, so any
     number of transfers can send the message without re-checking or
-    re-serialising its frozen cells. Iterating gives the generations.
+    re-serialising its frozen cells. Each joined sub-flow is parsed back
+    once, and a wire that does not give back its sub-flow's cells is
+    rejected, so transmit can hand those cells to an exit that peels the
+    same bytes. Iterating gives the generations.
     """
 
     params: CodeParams
@@ -303,10 +293,12 @@ class CodedMessage:
                         f"generation {generation_id} sub-flow {idx} coded with k={len(cell.coefficients)}, "
                         f"the code has k={k}"
                     )
+        subflows = tuple(b"".join(gen_cells[idx].to_wire() for gen_cells in generations) for idx in range(n))
+        for idx, wire in enumerate(subflows):
+            if CodedCell.from_wire_stream(wire) != [gen_cells[idx] for gen_cells in generations]:
+                raise ValueError(f"sub-flow {idx}'s wire bytes do not parse back to its cells")
         object.__setattr__(self, "generations", generations)
-        object.__setattr__(self, "subflows", tuple(
-            b"".join(gen_cells[idx].to_wire() for gen_cells in generations) for idx in range(n)
-        ))
+        object.__setattr__(self, "subflows", subflows)
 
     def __iter__(self) -> Iterator[tuple[CodedCell, ...]]:
         return iter(self.generations)
@@ -322,17 +314,17 @@ def transmit(
     The circuits whose indices are in `blocked` drop their whole sub-flow
     silently. Each surviving sub-flow's wire bytes are wrapped once, peeled
     by three peel_layer calls (entry, middle, exit), turned back into bytes
-    once, and parsed cell by cell by the headers in the wire bytes, so the
-    returned cells are exactly what the exit relay can see. A peeled
-    sub-flow of at most _SHORT_SUBFLOW bytes is parsed once per distinct
-    byte string and then taken from _parse_short_subflow's memo; a longer
-    one is parsed on every call.
+    once, and compared with the sub-flow that was sent: equal bytes give
+    that sub-flow's own cells, which CodedMessage parsed back from the same
+    bytes, and bytes that differ in any position are parsed cell by cell by
+    the headers in them, so the returned cells are exactly what the exit
+    relay can see.
     They come back generation by generation, in circuit order within each.
     The message checked its own shape, so only its code's n against the
     circuit count and the blocked indices (all within 0..n-1) are checked
     here, before anything is wrapped.
     """
-    subflows = coded.subflows
+    generations, subflows = coded.generations, coded.subflows
     n = len(circuits.circuits)
     if coded.params.n != n:
         raise ValueError(f"message coded for n={coded.params.n} circuits, got {n} circuits")
@@ -348,7 +340,7 @@ def transmit(
         layered = peel_layer(layered, circuit.exit)
         wire = layered.payload
         arrived.append(
-            _parse_short_subflow(wire) if layered.size <= _SHORT_SUBFLOW else CodedCell.from_wire_stream(wire)
+            [gen_cells[idx] for gen_cells in generations] if wire == subflows[idx] else CodedCell.from_wire_stream(wire)
         )
     return [cell for gen_cells in zip(*arrived) for cell in gen_cells]
 

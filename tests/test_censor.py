@@ -141,16 +141,16 @@ class TestTrialCells:
 
 
 class TestExitStreamMemory:
-    """Pipeline trials keep short exit streams, and the exit's parse of short
-    sub-flows, across transfers; what they keep is bounded by the grid, and a
-    long transfer keeps nothing."""
+    """Pipeline trials keep short exit streams across transfers and parse
+    each trial message only when it is encoded; what they keep is bounded by
+    the grid, and a long transfer keeps nothing."""
 
     def test_grid_trials_keep_only_short_streams_of_unknown_bridges(self, monkeypatch):
         derived = []
 
-        def recording(key, circuit_id, seq, depth, size):
+        def recording(key, circuit_id, depth, size):
             derived.append((circuit_id, depth, size))
-            return onion._derive_keystream(key, circuit_id, seq, depth, size)
+            return onion._derive_keystream(key, circuit_id, depth, size)
 
         cache = functools.lru_cache(maxsize=onion._exit_keystream.cache_info().maxsize)(recording)
         monkeypatch.setattr(onion, "_exit_keystream", cache)
@@ -172,25 +172,23 @@ class TestExitStreamMemory:
         transmit(build_circuits([f"u{i:03d}" for i in range(10)], random.Random(0)), coded, {1, 4})
         assert cache.cache_info() == info
 
-    def test_grid_trials_parse_each_short_subflow_once(self):
-        onion._parse_short_subflow.cache_clear()
+    def test_grid_trials_parse_each_short_subflow_once(self, parser_calls):
+        censor._trial_cells.cache_clear()
         for m_known in (0, 12, 25):
             pool = BridgePool.build(DEFAULT_UNKNOWN, m_known)
             for params in DEFAULT_CONFIGS:
                 run_campaign(CensorScenario(pool, params), 30, m_known, full_pipeline_fraction=1)
-        info = onion._parse_short_subflow.cache_info()
-        # one entry per sub-flow of each shape's trial message: at m_known 0
-        # every circuit survives, so each is parsed, and only once
-        assert info.currsize == info.misses == sum(params.n for params in DEFAULT_CONFIGS) == 43
-        assert info.hits > 0
+        # encoding a shape's trial message parses each of its sub-flows back
+        # once; every trial's exit peels those same bytes and gets the
+        # checked cells, so it parses nothing
+        assert len(parser_calls) == sum(params.n for params in DEFAULT_CONFIGS) == 43
+        assert all("encode_message" in callers and "transmit" not in callers for _, callers in parser_calls)
 
-    def test_the_memo_cannot_hide_a_corrupted_transfer(self, monkeypatch):
+    def test_the_shortcut_cannot_hide_a_corrupted_transfer(self, monkeypatch, parser_calls):
         s = scenario(25, 0, 4)
         rng, circuit_rng = random.Random(1), random.Random(2)
-        onion._parse_short_subflow.cache_clear()
-        run_trial(s, rng, circuit_rng=circuit_rng)  # warm: all four sub-flows parsed
-        warm = onion._parse_short_subflow.cache_info()
-        assert warm.currsize == 4
+        run_trial(s, rng, circuit_rng=circuit_rng)  # warm: the trial message is encoded
+        parser_calls.clear()
         peel = onion.peel_layer
         flipped = []
 
@@ -200,15 +198,17 @@ class TestExitStreamMemory:
             peeled = peel(cell, router)
             if peeled.layers_remaining or flipped:
                 return peeled
-            flipped.append(peeled.circuit_id)
-            return peeled._replace(value=peeled.value ^ (1 << 8 * (peeled.size - 1 - (6 + 4 + 100))))
+            peeled = peeled._replace(value=peeled.value ^ (1 << 8 * (peeled.size - 1 - (6 + 4 + 100))))
+            flipped.append(peeled.payload)
+            return peeled
 
         monkeypatch.setattr(onion, "peel_layer", corrupting_peel)
         with pytest.raises(ConsistencyError, match="interrupted=True but blocked_count=0"):
             run_trial(s, rng, circuit_rng=circuit_rng)
         assert len(flipped) == 1
-        # the corrupted bytes missed the memo and were parsed in full
-        assert onion._parse_short_subflow.cache_info().misses == warm.misses + 1
+        # the corrupted bytes differ from the sub-flow sent, so the exit parsed them in full, once
+        assert [wire for wire, _ in parser_calls] == flipped
+        assert "transmit" in parser_calls[0][1]
 
 
 class TestRunCampaign:

@@ -142,7 +142,7 @@ class TestLayering:
     def test_wrap_then_peel_in_order_restores_bytes(self):
         circuit = circuits_for(1)[0]
         wire = random.Random(1).randbytes(520)
-        cell = wrap_layers(wire, circuit, seq=9)
+        cell = wrap_layers(wire, circuit)
         assert cell.layers_remaining == 3
         assert cell.payload != wire
         for router in (circuit.entry, circuit.middle, circuit.exit):
@@ -152,18 +152,16 @@ class TestLayering:
 
     def test_wrap_and_peel_return_layered_cells(self):
         circuit = circuits_for(1)[0]
-        cell = wrap_layers(random.Random(2).randbytes(520), circuit, seq=4)
+        cell = wrap_layers(random.Random(2).randbytes(520), circuit)
         peeled = peel_layer(cell, circuit.entry)
         for layered, depth in ((cell, 3), (peeled, 2)):
             assert type(layered) is LayeredCell
-            assert (layered.layers_remaining, layered.circuit_id, layered.seq, layered.size) == (
-                depth, circuit.circuit_id, 4, 520
-            )
+            assert (layered.layers_remaining, layered.circuit_id, layered.size) == (depth, circuit.circuit_id, 520)
 
     def test_wrap_is_deterministic(self):
         circuit = circuits_for(1)[0]
         wire = bytes(range(256))
-        assert wrap_layers(wire, circuit, seq=3) == wrap_layers(wire, circuit, seq=3)
+        assert wrap_layers(wire, circuit) == wrap_layers(wire, circuit)
 
     def test_peel_out_of_order_garbles_bytes(self):
         circuit = circuits_for(1)[0]
@@ -201,7 +199,7 @@ class TestLayering:
             wrap_layers(b"\x00" * 16, bad)
 
 
-def reference_keystream(key: bytes, circuit_id: str, seq: int, depth: int, size: int) -> bytes:
+def reference_keystream(key: bytes, circuit_id: str, depth: int, size: int) -> bytes:
     """Uncached layer stream, absorbed field by field."""
     h = hashlib.shake_256()
     h.update(len(key).to_bytes(2, "big"))
@@ -209,16 +207,15 @@ def reference_keystream(key: bytes, circuit_id: str, seq: int, depth: int, size:
     cid = circuit_id.encode()
     h.update(len(cid).to_bytes(2, "big"))
     h.update(cid)
-    h.update(seq.to_bytes(8, "big"))
     h.update(bytes([depth]))
     return h.digest(size)
 
 
-def reference_wrap(cell_bytes: bytes, circuit: Circuit, seq: int) -> bytes:
+def reference_wrap(cell_bytes: bytes, circuit: Circuit) -> bytes:
     """wrap_layers as three bytes-domain XORs over uncached streams."""
     data = bytes(cell_bytes)
     for depth, router in ((1, circuit.exit), (2, circuit.middle), (3, circuit.entry)):
-        data = xor_bytes(data, reference_keystream(router.layer_key, circuit.circuit_id, seq, depth, len(data)))
+        data = xor_bytes(data, reference_keystream(router.layer_key, circuit.circuit_id, depth, len(data)))
     return data
 
 
@@ -226,10 +223,9 @@ STREAM_CACHES = (onion._keystream, onion._exit_keystream, onion._entry_keystream
 
 
 def clear_stream_caches() -> None:
-    """Empty the layer stream caches and the exit's parse memo."""
+    """Empty the layer stream caches."""
     for cache in STREAM_CACHES:
         cache.cache_clear()
-    onion._parse_short_subflow.cache_clear()
 
 
 def stream_traffic() -> dict[str, tuple[int, int]]:
@@ -243,17 +239,16 @@ def stream_traffic() -> dict[str, tuple[int, int]]:
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(
     cell=st.binary(max_size=700),
-    seq=st.integers(0, 2**64 - 1),
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 10),
     data=st.data(),
 )
-def test_wrap_matches_reference(cell, seq, seed, n, data):
+def test_wrap_matches_reference(cell, seed, n, data):
     circuits = build_circuits([f"b{i}" for i in range(n)], random.Random(seed))
     circuit = circuits[data.draw(st.integers(0, n - 1))]
-    layered = wrap_layers(cell, circuit, seq=seq)
-    assert layered.payload == reference_wrap(cell, circuit, seq)
-    assert (layered.layers_remaining, layered.circuit_id, layered.seq) == (3, circuit.circuit_id, seq)
+    layered = wrap_layers(cell, circuit)
+    assert layered.payload == reference_wrap(cell, circuit)
+    assert (layered.layers_remaining, layered.circuit_id) == (3, circuit.circuit_id)
 
 
 @pytest.mark.parametrize(
@@ -264,8 +259,8 @@ def test_int_layers_keep_every_byte(wire):
     # layers are XORed as ints, which drop leading zero bytes; the size kept
     # beside the int must bring them back
     circuit = circuits_for(1)[0]
-    cell = wrap_layers(wire, circuit, seq=4)
-    assert cell.payload == reference_wrap(wire, circuit, 4)
+    cell = wrap_layers(wire, circuit)
+    assert cell.payload == reference_wrap(wire, circuit)
     for router in (circuit.entry, circuit.middle, circuit.exit):
         cell = peel_layer(cell, router)
     assert cell.payload == wire
@@ -278,17 +273,17 @@ class TestKeystreamCache:
         first, second = circuits_for(2)
         assert first.exit == second.exit
         wire = random.Random(4).randbytes(520)
-        a = wrap_layers(wire, first, seq=7)
-        b = wrap_layers(wire, second, seq=7)
+        a = wrap_layers(wire, first)
+        b = wrap_layers(wire, second)
         assert a.payload != b.payload
-        assert a.payload == reference_wrap(wire, first, 7)
-        assert b.payload == reference_wrap(wire, second, 7)
+        assert a.payload == reference_wrap(wire, first)
+        assert b.payload == reference_wrap(wire, second)
 
     def test_peeling_with_the_other_circuits_routers_garbles(self):
         first, second = circuits_for(2)
         wire = random.Random(5).randbytes(520)
-        wrap_layers(wire, second, seq=7)  # leave the other circuit's streams cached
-        cell = wrap_layers(wire, first, seq=7)
+        wrap_layers(wire, second)  # leave the other circuit's streams cached
+        cell = wrap_layers(wire, first)
         for router in (second.entry, second.middle, second.exit):
             cell = peel_layer(cell, router)
         assert cell.payload != wire
@@ -296,11 +291,11 @@ class TestKeystreamCache:
     def test_out_of_order_and_wrong_key_peels_garble_right_after_wrap(self):
         circuit = circuits_for(1)[0]
         wire = random.Random(6).randbytes(520)
-        cell = wrap_layers(wire, circuit, seq=1)
+        cell = wrap_layers(wire, circuit)
         for router in (circuit.exit, circuit.middle, circuit.entry):  # reversed
             cell = peel_layer(cell, router)
         assert cell.payload != wire
-        cell = wrap_layers(wire, circuit, seq=1)
+        cell = wrap_layers(wire, circuit)
         cell = peel_layer(cell, relay("someone-else"))
         for router in (circuit.middle, circuit.exit):
             cell = peel_layer(cell, router)
@@ -309,10 +304,10 @@ class TestKeystreamCache:
     def test_peel_streams_match_reference(self):
         circuit = circuits_for(1)[0]
         wire = random.Random(7).randbytes(520)
-        cell = wrap_layers(wire, circuit, seq=2)
+        cell = wrap_layers(wire, circuit)
         expected = cell.payload
         for depth, router in ((3, circuit.entry), (2, circuit.middle), (1, circuit.exit)):
-            expected = xor_bytes(expected, reference_keystream(router.layer_key, circuit.circuit_id, 2, depth, 520))
+            expected = xor_bytes(expected, reference_keystream(router.layer_key, circuit.circuit_id, depth, 520))
             cell = peel_layer(cell, router)
             assert cell.payload == expected
         assert cell.payload == wire
@@ -322,14 +317,14 @@ class TestKeystreamCache:
         coded = encode_message(params, bytes(range(256)) * 9)
         circuits = circuits_for(4)
         warm = transmit(circuits, coded, {1})
-        wrapped = wrap_layers(b"cell", circuits[0], seq=3)
+        wrapped = wrap_layers(b"cell", circuits[0])
         message = random.Random(9).randbytes(3000)
         transfer = run_transfer(circuits, params, message, {2})
-        for clear in (cache.cache_clear for cache in (*STREAM_CACHES, onion._parse_short_subflow)):
+        for clear in (cache.cache_clear for cache in STREAM_CACHES):
             clear()
             assert transmit(circuits, coded, {1}) == warm
             clear()
-            assert wrap_layers(b"cell", circuits[0], seq=3) == wrapped
+            assert wrap_layers(b"cell", circuits[0]) == wrapped
             clear()
             assert run_transfer(circuits, params, message, {2}) == transfer
 
@@ -343,8 +338,6 @@ class TestKeystreamCache:
         # shapes = 1,750 exit streams; only sub-flows of at most 4 KiB are kept
         assert onion._exit_keystream.cache_info().maxsize == 2048
         assert onion._SHORT_SUBFLOW == 4096
-        # the exit's parse memo: the default grid's trials fill 43 entries
-        assert onion._parse_short_subflow.cache_info().maxsize == 256
 
     def test_circuits_on_one_bridge_share_only_the_entry_stream(self):
         # the same bridge drawn in two trials, with another middle and exit each time
@@ -356,14 +349,14 @@ class TestKeystreamCache:
         assert first.entry is second.entry
         wire = random.Random(10).randbytes(524)
         clear_stream_caches()
-        a = wrap_layers(wire, first, seq=0)
-        b = wrap_layers(wire, second, seq=0)
+        a = wrap_layers(wire, first)
+        b = wrap_layers(wire, second)
         assert stream_traffic() == {"inner": (2, 0), "exit": (2, 0), "entry": (1, 1)}
-        assert a.payload == reference_wrap(wire, first, 0)
-        assert b.payload == reference_wrap(wire, second, 0)
+        assert a.payload == reference_wrap(wire, first)
+        assert b.payload == reference_wrap(wire, second)
         for depth, hop in ((3, "entry"), (2, "middle"), (1, "exit")):
             streams = {
-                reference_keystream(getattr(c, hop).layer_key, c.circuit_id, 0, depth, len(wire))
+                reference_keystream(getattr(c, hop).layer_key, c.circuit_id, depth, len(wire))
                 for c in (first, second)
             }
             assert len(streams) == (1 if hop == "entry" else 2), hop
@@ -376,11 +369,11 @@ class TestKeystreamCache:
         assert first.middle != second.middle
         wire = random.Random(11).randbytes(524)
         clear_stream_caches()
-        a = wrap_layers(wire, first, seq=0)
-        b = wrap_layers(wire, second, seq=0)
+        a = wrap_layers(wire, first)
+        b = wrap_layers(wire, second)
         assert stream_traffic() == {"inner": (2, 0), "exit": (1, 1), "entry": (1, 1)}
-        assert a.payload == reference_wrap(wire, first, 0)
-        assert b.payload == reference_wrap(wire, second, 0)
+        assert a.payload == reference_wrap(wire, first)
+        assert b.payload == reference_wrap(wire, second)
         assert a.payload != b.payload
 
 
@@ -507,7 +500,7 @@ class TestCodedMessage:
             CodedMessage(params, [generations[i] for i in picks])
 
     def test_a_window_starting_later_is_rejected(self):
-        # every message starts at generation 0, so a sub-flow's stream always has sequence number 0
+        # every message starts at generation 0
         params = CodeParams(2, 2, 0)
         coded = encode_message(params, random.Random(12).randbytes(3000))
         with pytest.raises(ValueError, match="carries generation 1 at position 0"):
@@ -538,6 +531,28 @@ class TestCodedMessage:
         clear_stream_caches()
         with pytest.raises(ValueError, match=r"coded for CodeParams\(n=4, k=3, r=1\), transfer runs CodeParams\(n=4, k=4"):
             run_transfer(circuits_for(4), CodeParams(4, 4, 0), message, blocked, coded=coded)
+        assert [cache.cache_info().misses for cache in STREAM_CACHES] == [0, 0, 0]
+
+    @pytest.mark.parametrize("params", [CodeParams(1, 1, 0), CodeParams(10, 6, 4)], ids=["otor", "ctor-10-4"])
+    def test_building_parses_each_subflow_once(self, params, parser_calls):
+        generations = coded_generations(params, 3)
+        parser_calls.clear()
+        coded = CodedMessage(params, generations)
+        assert [wire for wire, _ in parser_calls] == list(coded.subflows)
+        assert len(parser_calls) == params.n
+
+    @pytest.mark.parametrize(
+        "fault,error",
+        [("drop-last-byte", "wire cell of"), ("flip-last-byte", "sub-flow 0's wire bytes do not parse back")],
+        ids=["drop-last-byte", "flip-last-byte"],
+    )
+    def test_a_wire_that_does_not_parse_back_is_rejected(self, fault, error, monkeypatch):
+        to_wire = CodedCell.to_wire
+        cut = {"drop-last-byte": lambda wire: wire[:-1], "flip-last-byte": lambda wire: wire[:-1] + bytes([wire[-1] ^ 1])}
+        monkeypatch.setattr(CodedCell, "to_wire", lambda cell: cut[fault](to_wire(cell)))
+        clear_stream_caches()
+        with pytest.raises(ValueError, match=error):
+            run_transfer(circuits_for(4), CodeParams(4, 3, 1), random.Random(14).randbytes(1000))
         assert [cache.cache_info().misses for cache in STREAM_CACHES] == [0, 0, 0]
 
 
@@ -604,14 +619,14 @@ class TestSubflowStreams:
         circuits = circuits_for(10)
         calls = []
 
-        def recording_wrap(cell_bytes, circuit, seq=0):
-            calls.append((cell_bytes, circuit, seq))
-            return wrap_layers(cell_bytes, circuit, seq)
+        def recording_wrap(cell_bytes, circuit):
+            calls.append((cell_bytes, circuit))
+            return wrap_layers(cell_bytes, circuit)
 
         monkeypatch.setattr(onion, "wrap_layers", recording_wrap)
         delivered = transmit(circuits, coded, self.BLOCKED)
         assert calls == [
-            (b"".join(gen[idx].to_wire() for gen in coded.generations), circuits[idx], 0)
+            (b"".join(gen[idx].to_wire() for gen in coded.generations), circuits[idx])
             for idx in range(10)
             if idx not in self.BLOCKED
         ]
@@ -656,47 +671,58 @@ class TestSubflowStreams:
         assert delivered == [cell for gen in coded for cell in gen if cell.subflow_index not in blocked]
 
 
-class TestExitParseMemo:
-    """The exit parses each distinct short sub-flow once; anything else is parsed as it comes."""
+class TestExitParse:
+    """The exit hands back an unaltered sub-flow's own cells and parses any other bytes in full."""
 
     PARAMS = CodeParams(10, 6, 4)
+    BLOCKED = {1, 4}
 
-    def test_a_hit_equals_a_fresh_parse(self):
-        coded = encode_message(self.PARAMS, random.Random(3).randbytes(2000))
-        circuits = circuits_for(10)
-        clear_stream_caches()
-        first = transmit(circuits, coded, {2})
-        assert onion._parse_short_subflow.cache_info().misses == 9
-        # other circuits peel the same bytes back off, so every parse is a hit
-        assert transmit(circuits_for(10, seed=5), coded, {2}) == first
-        assert onion._parse_short_subflow.cache_info()[:2] == (9, 9)
-        for wire in coded.subflows:
-            fresh = tuple(CodedCell.from_wire_stream(wire))
-            hit = onion._parse_short_subflow(wire)
-            assert hit == fresh and hit is onion._parse_short_subflow(bytes(bytearray(wire)))
-        assert first == [cell for gen in coded for cell in gen if cell.subflow_index != 2]
+    @pytest.mark.parametrize("generations", [1, 86])
+    def test_an_unaltered_subflow_comes_back_as_its_parse(self, generations, parser_calls, monkeypatch):
+        coded = CodedMessage(self.PARAMS, coded_generations(self.PARAMS, generations))
+        assert (len(coded.subflows[0]) <= onion._SHORT_SUBFLOW) == (generations == 1)
+        peeled = []
 
-    def test_long_subflows_bypass_the_memo(self):
-        coded = CodedMessage(self.PARAMS, coded_generations(self.PARAMS, 86))
-        assert len(coded.subflows[0]) > onion._SHORT_SUBFLOW
-        clear_stream_caches()
-        info = onion._parse_short_subflow.cache_info()
-        delivered = transmit(circuits_for(10), coded, {1, 4})
-        assert onion._parse_short_subflow.cache_info() == info
-        assert len(delivered) == 8 * 86
+        def recording_peel(cell, router):
+            cell = peel_layer(cell, router)
+            if not cell.layers_remaining:
+                peeled.append(cell.payload)
+            return cell
+
+        monkeypatch.setattr(onion, "peel_layer", recording_peel)
+        parser_calls.clear()
+        delivered = transmit(circuits_for(10), coded, self.BLOCKED)
+        assert parser_calls == []
+        assert peeled == [wire for idx, wire in enumerate(coded.subflows) if idx not in self.BLOCKED]
+        arrived = [CodedCell.from_wire_stream(wire) for wire in peeled]
+        assert delivered == [cell for gen_cells in zip(*arrived) for cell in gen_cells]
+        assert len(delivered) == 8 * generations
 
     @pytest.mark.parametrize(
         "fault,error",
         [("cut-payload", "wire cell of"), ("cut-header", "wire cell too short"), ("k-zero", "coefficient vector")],
+        ids=["cut-payload", "cut-header", "k-zero"],
     )
-    def test_a_malformed_short_subflow_raises_on_every_call(self, fault, error):
-        wire = encode_message(self.PARAMS, bytes(2000)).subflows[0]
+    @pytest.mark.parametrize("generations", [1, 86])
+    def test_a_malformed_subflow_raises_on_every_call(self, generations, fault, error, parser_calls, monkeypatch):
+        coded = CodedMessage(self.PARAMS, coded_generations(self.PARAMS, generations))
+        wire = coded.subflows[0]
         malformed = {"cut-payload": wire[:-1], "cut-header": wire + bytes(3), "k-zero": wire + bytes(600)}[fault]
-        clear_stream_caches()
+        circuits = circuits_for(10)
+
+        def malforming_peel(cell, router):
+            # circuit 0's exit peel hands the exit the malformed bytes
+            cell = peel_layer(cell, router)
+            if cell.layers_remaining or cell.circuit_id != circuits[0].circuit_id:
+                return cell
+            return cell._replace(value=int.from_bytes(malformed, "big"), size=len(malformed))
+
+        monkeypatch.setattr(onion, "peel_layer", malforming_peel)
+        parser_calls.clear()
         for attempt in (1, 2, 3):
             with pytest.raises(ValueError, match=error):
-                onion._parse_short_subflow(malformed)
-            assert onion._parse_short_subflow.cache_info()[1:] == (attempt, 256, 0)
+                transmit(circuits, coded, self.BLOCKED)
+            assert [wire for wire, _ in parser_calls] == [malformed] * attempt
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
