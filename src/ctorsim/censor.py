@@ -6,16 +6,14 @@ The client samples bridges uniformly without replacement and cannot tell
 known from unknown. A trial is interrupted when more circuits are blocked
 than the code can absorb (any blocking at all for otor/mtor).
 
-Randomness is Python's random.Random (MT19937). Campaign substreams are
-derived by seeding fresh generators from SHAKE-256 over (seed, label), so
-results are bit-reproducible for a fixed seed and the bridge-selection
-stream does not shift when the full-pipeline fraction changes. Neither
-kind of trial calls random.sample: select_bridges (pipeline trials) and
-the fast path both replay its draw, taking its branch from one rule
-(_sample_keeps_pool) and making one getrandbits call per attempt, so they
-consume that stream word for word alike on any interpreter. Tests pin both
-to the picks and final state of random.sample; build_circuits still calls
-sample and choice, whose stream changes only ciphertext.
+Randomness is Python's random.Random (MT19937). A campaign draws from one
+stream, seeded from SHAKE-256 over (seed, "bridge-selection"), so results
+are bit-reproducible for a fixed seed. The fast path makes the whole
+estimate from that stream's first draws; the full-pipeline trials run after
+it on the rest of the stream, as checks that count for nothing, so the
+estimate cannot move with the full-pipeline fraction. The fast path replays
+random.sample's draw over known-bridge flags word for word, so a CSV is the
+same bytes on any interpreter; select_bridges calls sample itself.
 """
 
 from __future__ import annotations
@@ -126,54 +124,13 @@ def derive_rng(seed: int, label: str) -> random.Random:
 
 
 def select_bridges(pool: BridgePool, n: int, rng: random.Random) -> list[str]:
-    """Uniform sample of n bridges without replacement over the whole pool.
-
-    The bridges of `pool.ordered` at the positions _sample_positions draws,
-    which are the ones ``rng.sample(pool.ordered, n)`` picks, drawn word for
-    word as the fast path draws them.
-    """
+    """Uniform sample of n bridges without replacement over the whole pool,
+    drawn with ``rng.sample`` over `pool.ordered`."""
     if n < 1:
         raise ValueError("must select at least one bridge")
     if n > len(pool):
         raise ValueError(f"cannot select {n} bridges from a pool of {len(pool)}")
-    ordered = pool.ordered
-    return [ordered[j] for j in _sample_positions(rng, len(ordered), n)]
-
-
-def _sample_keeps_pool(size: int, n: int) -> bool:
-    """random.sample's branch rule for n picks out of `size`: True where it
-    swap-removes from a copy of the population, False where it redraws
-    positions already taken. Both bridge draws take their branch here."""
-    setsize = 21  # random.sample's own choice between a pool list and a seen set
-    if n > 5:
-        setsize += 4 ** math.ceil(math.log(n * 3, 4))
-    return size <= setsize
-
-
-def _sample_positions(rng: random.Random, size: int, n: int) -> list[int]:
-    """The positions ``rng.sample(range(size), n)`` picks, in pick order, with
-    the same getrandbits calls and rejections, so `rng` ends where it would."""
-    getrandbits = rng.getrandbits
-    picks: list[int] = []
-    if _sample_keeps_pool(size, n):
-        # swap-remove from a copy of the positions, drawing below m = size, size-1, ...
-        pool = list(range(size))
-        for m in range(size, size - n, -1):
-            bits = m.bit_length()
-            j = getrandbits(bits)
-            while j >= m:
-                j = getrandbits(bits)
-            picks.append(pool[j])
-            pool[j] = pool[m - 1]
-    else:
-        # draw below size, redrawing positions already taken
-        bits = size.bit_length()
-        for _ in range(n):
-            j = getrandbits(bits)
-            while j >= size or j in picks:
-                j = getrandbits(bits)
-            picks.append(j)
-    return picks
+    return rng.sample(pool.ordered, n)
 
 
 def interrupted_by_rule(blocked_count: int, params: CodeParams) -> bool:
@@ -181,11 +138,11 @@ def interrupted_by_rule(blocked_count: int, params: CodeParams) -> bool:
     return blocked_count > params.r
 
 
-def run_trial(scenario: CensorScenario, rng: random.Random, *, circuit_rng: random.Random) -> TrialOutcome:
-    """One full trial: select bridges with `rng`, build circuits over the
-    default relay pool with `circuit_rng`, and carry the fixed trial message
-    through the byte pipeline; the transfer decodes it and compares the
-    result with the message.
+def run_trial(scenario: CensorScenario, rng: random.Random) -> TrialOutcome:
+    """One full trial: select bridges, then build circuits over the default
+    relay pool, both from `rng`, and carry the fixed trial message through
+    the byte pipeline; the transfer decodes it and compares the result with
+    the message.
 
     Raises ConsistencyError if the transport outcome ever disagrees with
     the blocked-count rule; the two models must be interchangeable.
@@ -194,7 +151,7 @@ def run_trial(scenario: CensorScenario, rng: random.Random, *, circuit_rng: rand
     known = scenario.pool.known
     blocked = {i for i, b in enumerate(chosen) if b in known}
     blocked_count = len(blocked)
-    circuits = build_circuits(chosen, circuit_rng)
+    circuits = build_circuits(chosen, rng)
     result = run_transfer(
         circuits, scenario.params, _DEFAULT_MESSAGE, blocked, coded=_trial_cells(scenario.params)
     )
@@ -216,40 +173,28 @@ def run_campaign(
 ) -> CampaignResult:
     """Estimate the interruption probability over many independent trials.
 
-    Most trials take the fast path (bridge selection and the blocked-count
-    rule only), which replays random.sample's draw over known-bridge flags
-    (see _fast_interruptions); round(trials * full_pipeline_fraction) of
-    them, at least one when the fraction is positive, spread evenly over the
-    campaign, run the full encode/transmit/decode pipeline instead, which
-    cross-checks the rule on every such trial. The empirical fraction comes
-    with the Wald 95% half-width 1.96 * sqrt(p(1 - p) / trials), which is 0
-    whenever no trial or every trial is interrupted, even where the exact p
-    lies strictly between 0 and 1 (ROADMAP item 3).
+    The fast path (bridge selection and the blocked-count rule only, see
+    _fast_interruptions) runs all `trials` and makes the estimate. Then
+    round(trials * full_pipeline_fraction) full encode/transmit/decode
+    trials, at least one when the fraction is positive, run on the same
+    stream as a cross-check: each raises ConsistencyError if the pipeline
+    disagrees with the rule, and none is counted. The empirical fraction
+    comes with the Wald 95% half-width 1.96 * sqrt(p(1 - p) / trials), which
+    is 0 whenever no trial or every trial is interrupted, even where the
+    exact p lies strictly between 0 and 1 (ROADMAP item 3).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0.0 <= full_pipeline_fraction <= 1.0:
         raise ValueError("full_pipeline_fraction must be in [0, 1]")
-    select_rng = derive_rng(seed, "bridge-selection")
-    circuit_rng = derive_rng(seed, "circuit-construction")
-    quota = round(trials * full_pipeline_fraction)
+    rng = derive_rng(seed, "bridge-selection")
+    params = scenario.params
+    interruptions = _fast_interruptions(rng, scenario.pool.flags, params.n, params.r, trials)
+    checks = round(trials * full_pipeline_fraction)
     if full_pipeline_fraction > 0:
-        quota = max(quota, 1)
-
-    flags = scenario.pool.flags
-    n = scenario.params.n
-    absorbable = scenario.params.r
-    interruptions = 0
-    done = 0
-    # the j-th of quota pipeline trials is trial ceil(j * trials / quota) - 1,
-    # the one where (i + 1) * quota // trials first reaches j
-    for j in range(1, quota + 1):
-        i = -(-j * trials // quota) - 1
-        interruptions += _fast_interruptions(select_rng, flags, n, absorbable, i - done)
-        outcome = run_trial(scenario, select_rng, circuit_rng=circuit_rng)
-        interruptions += outcome.interrupted
-        done = i + 1
-    interruptions += _fast_interruptions(select_rng, flags, n, absorbable, trials - done)
+        checks = max(checks, 1)
+    for _ in range(checks):
+        run_trial(scenario, rng)
     p = interruptions / trials
     ci95 = 1.96 * math.sqrt(p * (1.0 - p) / trials)
     return CampaignResult(trials, interruptions, p, ci95)
@@ -260,19 +205,20 @@ def _fast_interruptions(
 ) -> int:
     """Run `count` fast-path trials; return how many block more than r circuits.
 
-    Each trial makes _sample_positions' draws inline, pick for pick: the
+    Each trial replays ``rng.sample(flags, n)`` inline, pick for pick: the
     same branch, the same getrandbits width and the same rejections, so
-    `rng` ends exactly where `count` select_bridges calls (and `count`
-    ``rng.sample(flags, n)`` calls) would leave it. The draw picks positions
-    whatever the population holds, so summing the drawn known-bridge flags
-    counts what drawing bridge ids would.
+    `rng` ends exactly where `count` sample calls would leave it, on any
+    interpreter. The draw picks positions whatever the population holds, so
+    summing the drawn known-bridge flags counts what drawing bridge ids
+    would.
     """
-    if not count:
-        return 0
     size = len(flags)
     getrandbits = rng.getrandbits
     interrupted = 0
-    if _sample_keeps_pool(size, n):
+    setsize = 21  # random.sample's own choice between a pool list and a seen set
+    if n > 5:
+        setsize += 4 ** math.ceil(math.log(n * 3, 4))
+    if size <= setsize:
         # swap-remove from a copy of the population, drawing below m = size, size-1, ...
         draws = [(m, m.bit_length()) for m in range(size, size - n, -1)]
         population = list(flags)

@@ -154,10 +154,9 @@ def test_criterion_5_pipeline_combinatorics_consistency():
     interrupted = 0
     for idx, scenario in enumerate(scenarios):
         rng = derive_rng(idx, "acceptance-5-select")
-        circuit_rng = derive_rng(idx, "acceptance-5-circuit")
         for _ in range(per_scenario):
             # run_trial itself raises ConsistencyError on any disagreement
-            outcome = run_trial(scenario, rng, circuit_rng=circuit_rng)
+            outcome = run_trial(scenario, rng)
             assert outcome.interrupted == (outcome.blocked_count > scenario.params.r)
             interrupted += outcome.interrupted
     total = per_scenario * len(scenarios)

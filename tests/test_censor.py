@@ -66,7 +66,7 @@ class TestSelectBridges:
         rng = derive_rng(0, "uniformity-check")
         counts = {b: 0 for b in pool.ordered}
         for _ in range(trials):
-            for b in rng.sample(pool.ordered, n):
+            for b in select_bridges(pool, n, rng):
                 counts[b] += 1
         p = n / len(pool)
         sigma = math.sqrt(p * (1 - p) * trials)
@@ -95,21 +95,21 @@ class TestRunTrial:
     def test_no_known_bridges_never_interrupts(self):
         s = scenario(10, 0, 4)
         for i in range(20):
-            assert not run_trial(s, derive_rng(i, "t"), circuit_rng=derive_rng(i, "c")).interrupted
+            assert not run_trial(s, derive_rng(i, "t")).interrupted
 
     def test_all_known_bridges_always_interrupt(self):
         s = scenario(0, 10, 4)
         for i in range(20):
-            outcome = run_trial(s, derive_rng(i, "t"), circuit_rng=derive_rng(i, "c"))
+            outcome = run_trial(s, derive_rng(i, "t"))
             assert outcome.interrupted
             assert outcome.blocked_count == 4
 
     def test_ctor_tolerates_exactly_one_known_bridge(self):
         s = scenario(25, 5, 4, 1)
-        rng, circuit_rng = derive_rng(1, "hunt"), derive_rng(1, "hunt-circuits")
+        rng = derive_rng(1, "hunt")
         seen_single = 0
         for _ in range(200):
-            outcome = run_trial(s, rng, circuit_rng=circuit_rng)
+            outcome = run_trial(s, rng)
             if outcome.blocked_count == 1:
                 seen_single += 1
                 assert not outcome.interrupted
@@ -117,9 +117,10 @@ class TestRunTrial:
 
     def test_outcome_fields(self):
         s = scenario(25, 5, 4)
-        # run_trial selects with select_bridges, so a twin stream names its bridges
+        # run_trial selects with select_bridges before it builds circuits, so
+        # a twin stream names its bridges
         chosen = select_bridges(s.pool, 4, derive_rng(3, "t"))
-        outcome = run_trial(s, derive_rng(3, "t"), circuit_rng=derive_rng(3, "c"))
+        outcome = run_trial(s, derive_rng(3, "t"))
         assert isinstance(outcome, TrialOutcome)
         assert outcome.blocked_count == sum(1 for b in chosen if b in s.pool.known)
         assert outcome.interrupted == (outcome.blocked_count >= 1)
@@ -186,8 +187,8 @@ class TestExitStreamMemory:
 
     def test_the_shortcut_cannot_hide_a_corrupted_transfer(self, monkeypatch, parser_calls):
         s = scenario(25, 0, 4)
-        rng, circuit_rng = random.Random(1), random.Random(2)
-        run_trial(s, rng, circuit_rng=circuit_rng)  # warm: the trial message is encoded
+        rng = random.Random(1)
+        run_trial(s, rng)  # warm: the trial message is encoded
         parser_calls.clear()
         peel = onion.peel_layer
         flipped = []
@@ -204,7 +205,7 @@ class TestExitStreamMemory:
 
         monkeypatch.setattr(onion, "peel_layer", corrupting_peel)
         with pytest.raises(ConsistencyError, match="interrupted=True but blocked_count=0"):
-            run_trial(s, rng, circuit_rng=circuit_rng)
+            run_trial(s, rng)
         assert len(flipped) == 1
         # the corrupted bytes differ from the sub-flow sent, so the exit parsed them in full, once
         assert [wire for wire, _ in parser_calls] == flipped
@@ -226,8 +227,8 @@ class TestRunCampaign:
         assert run_campaign(s, 5000, seed=11) == run_campaign(s, 5000, seed=11)
 
     def test_selection_stream_independent_of_pipeline_fraction(self):
-        # substreams are derived separately, so the estimate must not move
-        # when the cross-check fraction changes
+        # the pipeline checks draw only after the estimate's draws, so the
+        # estimate must not move when the cross-check fraction changes
         s = scenario(25, 5, 4)
         a = run_campaign(s, 4000, seed=2, full_pipeline_fraction=0.0)
         b = run_campaign(s, 4000, seed=2, full_pipeline_fraction=0.05)
@@ -274,57 +275,50 @@ class TestRunCampaign:
         assert len(calls) == expected
 
 
-def stride_campaign(s: CensorScenario, trials: int, seed: int, fraction: float) -> int:
-    """The campaign loop as a stride test at every trial, with sample() over
-    known-bridge flags on the fast path: the reference for where pipeline
-    trials fall. It reaches derive_rng and run_trial through the censor
-    module, so a test that patches them there sees both loops alike."""
-    select_rng = censor.derive_rng(seed, "bridge-selection")
-    circuit_rng = censor.derive_rng(seed, "circuit-construction")
-    quota = round(trials * fraction)
-    if fraction > 0:
-        quota = max(quota, 1)
-    flags = tuple(int(b in s.pool.known) for b in s.pool.ordered)
-    interruptions = 0
-    for i in range(trials):
-        if (i + 1) * quota // trials > i * quota // trials:
-            outcome = censor.run_trial(s, select_rng, circuit_rng=circuit_rng)
-            interruptions += outcome.interrupted
-        else:
-            interruptions += sum(select_rng.sample(flags, s.params.n)) > s.params.r
-    return interruptions
-
-
-class TestPipelinePlacement:
+class TestCrossCheckStream:
     @pytest.mark.parametrize(
         "trials,fraction", [(7, 0.3), (10, 0.25), (1, 0.01), (3, 1.0), (250, 0.013), (500, 0)]
     )
-    def test_pipeline_trials_fall_where_the_stride_rule_puts_them(self, monkeypatch, trials, fraction):
+    def test_checks_run_after_the_estimate_on_its_stream(self, monkeypatch, trials, fraction):
         s = scenario(25, 5, 4, r=1)
+        fast = derive_rng(9, "bridge-selection")
+        expected = censor._fast_interruptions(fast, s.pool.flags, 4, 1, trials)
+        derived, entries = [], []
 
-        def traced(campaign):
-            streams, trial_entries = {}, []
+        def recording_derive_rng(seed, label):
+            derived.append((derive_rng(seed, label), label))
+            return derived[-1][0]
 
-            def recording_derive_rng(seed, label):
-                streams[label] = derive_rng(seed, label)
-                return streams[label]
+        def recording_run_trial(trial_scenario, rng):
+            entries.append((rng, rng.getstate()))
+            return run_trial(trial_scenario, rng)
 
-            # both paths consume the selection stream alike, so only its state
-            # as each pipeline trial starts pins that trial's index
-            def recording_run_trial(trial_scenario, rng, **kwargs):
-                trial_entries.append(rng.getstate())
-                return run_trial(trial_scenario, rng, **kwargs)
+        monkeypatch.setattr(censor, "derive_rng", recording_derive_rng)
+        monkeypatch.setattr(censor, "run_trial", recording_run_trial)
+        assert run_campaign(s, trials, 9, full_pipeline_fraction=fraction).interruptions == expected
+        [(stream, label)] = derived
+        assert label == "bridge-selection"
+        assert all(rng is stream for rng, _ in entries)
+        if entries:
+            # the first check starts where the fast path's `trials` draws end
+            assert entries[0][1] == fast.getstate()
 
-            monkeypatch.setattr(censor, "derive_rng", recording_derive_rng)
-            monkeypatch.setattr(censor, "run_trial", recording_run_trial)
-            interruptions = campaign()
-            final = {label: rng.getstate() for label, rng in streams.items()}
-            return interruptions, trial_entries, final
+    def test_a_disagreeing_check_fails_the_campaign(self, monkeypatch):
+        # a pipeline that loses every transfer disagrees with the rule on a
+        # pool with no known bridges, where nothing is ever blocked
+        s = scenario(25, 0, 4)
+        calls = []
 
-        expected = traced(lambda: stride_campaign(s, trials, 9, fraction))
-        actual = traced(lambda: run_campaign(s, trials, 9, full_pipeline_fraction=fraction).interruptions)
-        assert actual == expected
-        assert sorted(actual[2]) == ["bridge-selection", "circuit-construction"]
+        def failing_run_transfer(circuits, params, message, blocked, **kwargs):
+            calls.append(blocked)
+            return onion.TransferResult(False, None, (0,), (0,))
+
+        monkeypatch.setattr(censor, "run_transfer", failing_run_transfer)
+        assert run_campaign(s, 200, seed=4, full_pipeline_fraction=0).interruptions == 0
+        assert calls == []
+        with pytest.raises(ConsistencyError, match="interrupted=True but blocked_count=0"):
+            run_campaign(s, 200, seed=4, full_pipeline_fraction=0.01)
+        assert calls == [set()]
 
 
 def reference_fast_path(s: CensorScenario, trials: int, seed: int) -> int:
@@ -404,21 +398,13 @@ class TestFlagSumFastPath:
 
 
 class TestOneDrawRule:
-    """select_bridges and the fast path replay random.sample through one
-    branch rule, so both kinds of trial consume the selection stream alike."""
-
-    @pytest.mark.parametrize("num_unknown,num_known,n", POOLS)
-    def test_select_bridges_picks_what_sample_picks(self, num_unknown, num_known, n):
-        pool = BridgePool.build(num_unknown, num_known)
-        ours, twin, fast = random.Random(n), random.Random(n), random.Random(n)
-        for _ in range(300):
-            assert select_bridges(pool, n, ours) == twin.sample(pool.ordered, n)
-            censor._fast_interruptions(fast, pool.flags, n, 0, 1)
-            assert ours.getstate() == twin.getstate() == fast.getstate()
+    """The fast path replays random.sample, and the pipeline checks draw only
+    after it, so no sample() can move the estimate."""
 
     def test_a_changed_sample_cannot_move_the_estimate(self, monkeypatch):
-        # an interpreter whose sample() draws otherwise: circuits still build,
-        # but the selection stream must not depend on the cross-check fraction
+        # an interpreter whose sample() draws otherwise: pipeline checks still
+        # select bridges and build circuits, but the estimate must not depend
+        # on the cross-check fraction
         def changed_sample(self, population, k):
             self.getrandbits(32)
             return list(population)[::-1][:k]

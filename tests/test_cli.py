@@ -477,8 +477,9 @@ def other_interpreters() -> list[str]:
 
 class TestOtherInterpreters:
     """A CSV and an e2e report are the same bytes under every interpreter:
-    they rest on random.Random's streams, which the fast path and
-    select_bridges replay, and on SHAKE-256, not on one interpreter's sample()."""
+    a CSV rests on random.Random's streams, which the fast path replays
+    without sample(), and on SHAKE-256; an e2e report also rests on
+    select_bridges' sample() drawing alike on every interpreter."""
 
     RUNS = [
         ["simulate", "--trials", "60", "--mknown", "3..5", "--seed", "7", "--full-pipeline-fraction", "0.2",
