@@ -11,9 +11,9 @@ stream, seeded from SHAKE-256 over (seed, "bridge-selection"), so results
 are bit-reproducible for a fixed seed. The fast path makes the whole
 estimate from that stream's first draws; the full-pipeline trials run after
 it on the rest of the stream, as checks that count for nothing, so the
-estimate cannot move with the full-pipeline fraction. The fast path replays
-random.sample's draw over known-bridge flags word for word, so a CSV is the
-same bytes on any interpreter; select_bridges calls sample itself.
+estimate cannot move with the full-pipeline fraction. The fast path draws
+with getrandbits alone, so a CSV is the same bytes on any interpreter;
+select_bridges calls random.sample.
 """
 
 from __future__ import annotations
@@ -71,12 +71,6 @@ class BridgePool:
     def ordered(self) -> tuple[str, ...]:
         """Canonical selection order, so sampling is reproducible."""
         return tuple(sorted(self.unknown | self.known))
-
-    @cached_property
-    def flags(self) -> tuple[int, ...]:
-        """1 for each censor-known bridge of `ordered`, 0 for the others."""
-        known = self.known
-        return tuple(int(b in known) for b in self.ordered)
 
     def __len__(self) -> int:
         return len(self.unknown) + len(self.known)
@@ -173,15 +167,16 @@ def run_campaign(
 ) -> CampaignResult:
     """Estimate the interruption probability over many independent trials.
 
-    The fast path (bridge selection and the blocked-count rule only, see
-    _fast_interruptions) runs all `trials` and makes the estimate. Then
-    round(trials * full_pipeline_fraction) full encode/transmit/decode
-    trials, at least one when the fraction is positive, run on the same
-    stream as a cross-check: each raises ConsistencyError if the pipeline
-    disagrees with the rule, and none is counted. The empirical fraction
-    comes with the Wald 95% half-width 1.96 * sqrt(p(1 - p) / trials), which
-    is 0 whenever no trial or every trial is interrupted, even where the
-    exact p lies strictly between 0 and 1 (ROADMAP item 3).
+    The fast path (an urn count of the known bridges each trial draws, and
+    the blocked-count rule; see _fast_interruptions) runs all `trials` and
+    makes the estimate. Then round(trials * full_pipeline_fraction) full
+    select/encode/transmit/decode trials, at least one when the fraction is
+    positive, run on the rest of the same stream as a cross-check: each
+    raises ConsistencyError if the pipeline disagrees with the rule, and
+    none is counted. The empirical fraction comes with the Wald 95%
+    half-width 1.96 * sqrt(p(1 - p) / trials), which is 0 whenever no trial
+    or every trial is interrupted, even where the exact p lies strictly
+    between 0 and 1 (ROADMAP item 3).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -189,7 +184,8 @@ def run_campaign(
         raise ValueError("full_pipeline_fraction must be in [0, 1]")
     rng = derive_rng(seed, "bridge-selection")
     params = scenario.params
-    interruptions = _fast_interruptions(rng, scenario.pool.flags, params.n, params.r, trials)
+    pool = scenario.pool
+    interruptions = _fast_interruptions(rng, len(pool), len(pool.known), params.n, params.r, trials)
     checks = round(trials * full_pipeline_fraction)
     if full_pipeline_fraction > 0:
         checks = max(checks, 1)
@@ -200,49 +196,25 @@ def run_campaign(
     return CampaignResult(trials, interruptions, p, ci95)
 
 
-def _fast_interruptions(
-    rng: random.Random, flags: tuple[int, ...], n: int, r: int, count: int
-) -> int:
+def _fast_interruptions(rng: random.Random, size: int, known: int, n: int, r: int, count: int) -> int:
     """Run `count` fast-path trials; return how many block more than r circuits.
 
-    Each trial replays ``rng.sample(flags, n)`` inline, pick for pick: the
-    same branch, the same getrandbits width and the same rejections, so
-    `rng` ends exactly where `count` sample calls would leave it, on any
-    interpreter. The draw picks positions whatever the population holds, so
-    summing the drawn known-bridge flags counts what drawing bridge ids
-    would.
+    Each trial draws n of the `size` bridges without replacement as an urn
+    with the `known` censor-known bridges kept in front: the pick below m
+    (m = size, size - 1, ...) is j = getrandbits(m.bit_length()), redrawn
+    while j >= m, and is a known bridge when j is below the known bridges
+    left. Only the two counts matter, so no bridge id is drawn.
     """
-    size = len(flags)
     getrandbits = rng.getrandbits
+    draws = [(m, m.bit_length()) for m in range(size, size - n, -1)]
     interrupted = 0
-    setsize = 21  # random.sample's own choice between a pool list and a seen set
-    if n > 5:
-        setsize += 4 ** math.ceil(math.log(n * 3, 4))
-    if size <= setsize:
-        # swap-remove from a copy of the population, drawing below m = size, size-1, ...
-        draws = [(m, m.bit_length()) for m in range(size, size - n, -1)]
-        population = list(flags)
-        for _ in range(count):
-            pool = population[:]
-            blocked = 0
-            for m, bits in draws:
+    for _ in range(count):
+        left = known
+        for m, bits in draws:
+            j = getrandbits(bits)
+            while j >= m:
                 j = getrandbits(bits)
-                while j >= m:
-                    j = getrandbits(bits)
-                blocked += pool[j]
-                pool[j] = pool[m - 1]
-            interrupted += blocked > r
-    else:
-        # draw below size, redrawing positions already taken
-        bits = size.bit_length()
-        for _ in range(count):
-            seen = set()
-            blocked = 0
-            for _ in range(n):
-                j = getrandbits(bits)
-                while j >= size or j in seen:
-                    j = getrandbits(bits)
-                seen.add(j)
-                blocked += flags[j]
-            interrupted += blocked > r
+            if j < left:
+                left -= 1
+        interrupted += known - left > r
     return interrupted

@@ -1,6 +1,7 @@
 """Censorship model: bridge selection, trials, campaigns, consistency."""
 
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from ctorsim import censor, onion
-from ctorsim.analytics import DEFAULT_CONFIGS, DEFAULT_UNKNOWN, p_block_lnc
+from ctorsim.analytics import DEFAULT_CONFIGS, DEFAULT_UNKNOWN, enumerate_oracle, p_block_lnc
 from ctorsim.censor import (
     BridgePool,
     CensorScenario,
@@ -282,7 +283,7 @@ class TestCrossCheckStream:
     def test_checks_run_after_the_estimate_on_its_stream(self, monkeypatch, trials, fraction):
         s = scenario(25, 5, 4, r=1)
         fast = derive_rng(9, "bridge-selection")
-        expected = censor._fast_interruptions(fast, s.pool.flags, 4, 1, trials)
+        expected = censor._fast_interruptions(fast, 30, 5, 4, 1, trials)
         derived, entries = [], []
 
         def recording_derive_rng(seed, label):
@@ -321,12 +322,32 @@ class TestCrossCheckStream:
         assert calls == [set()]
 
 
+def urn_draw(population: list[str], n: int, rng: random.Random) -> list[str]:
+    """n bridge ids drawn without replacement: each pick takes the j-th
+    remaining bridge, j drawn below the m left with getrandbits(m.bit_length())
+    and redrawn while j >= m."""
+    remaining = population[:]
+    chosen = []
+    for m in range(len(remaining), len(remaining) - n, -1):
+        j = rng.getrandbits(m.bit_length())
+        while j >= m:
+            j = rng.getrandbits(m.bit_length())
+        chosen.append(remaining.pop(j))
+    return chosen
+
+
+def known_first(pool: BridgePool) -> list[str]:
+    """The pool's ids with the known bridges in front, as the fast path's urn keeps them."""
+    return sorted(pool.known) + sorted(pool.unknown)
+
+
 def reference_fast_path(s: CensorScenario, trials: int, seed: int) -> int:
     """The fast path as a set lookup per drawn bridge id: interruptions counted."""
-    sample = derive_rng(seed, "bridge-selection").sample
+    rng = derive_rng(seed, "bridge-selection")
+    population = known_first(s.pool)
     interruptions = 0
     for _ in range(trials):
-        blocked = sum(1 for b in sample(s.pool.ordered, s.params.n) if b in s.pool.known)
+        blocked = sum(1 for b in urn_draw(population, s.params.n, rng) if b in s.pool.known)
         interruptions += blocked > s.params.r
     return interruptions
 
@@ -338,18 +359,15 @@ POOLS = [
     (25, 25, 10),
     (3, 2, 5),
     (40, 7, 9),
-    # random.sample's branch edges: n = 5 keeps a seen set, n = 6 a pool list
     (25, 5, 5),
     (25, 5, 6),
-    # setsize 85 (n = 21) vs 277 (n = 22) on 100 bridges
     (90, 10, 21),
     (90, 10, 22),
-    # n = 5: a pool list up to 21 bridges, a seen set from 22
     (16, 5, 5),
     (17, 5, 5),
     # n equal to the pool size
     (6, 4, 10),
-    # a seen set over 32 bridges, where size.bit_length() != (size - 1).bit_length()
+    # 32 bridges: the first pick draws one bit more than the second
     (24, 8, 4),
 ]
 
@@ -360,35 +378,30 @@ class TestFlagSumFastPath:
     @pytest.mark.parametrize("num_unknown,num_known,n", POOLS)
     def test_flag_sum_equals_set_lookup_count(self, num_unknown, num_known, n):
         pool = BridgePool.build(num_unknown, num_known)
-        flags = tuple(int(b in pool.known) for b in pool.ordered)
-        by_flag, by_id = random.Random(n), random.Random(n)
+        population = known_first(pool)
+        by_count, by_id = random.Random(n), random.Random(n)
 
         def blocked_by_id():
-            return sum(1 for b in by_id.sample(pool.ordered, n) if b in pool.known)
+            return sum(1 for b in urn_draw(population, n, by_id) if b in pool.known)
 
         # one trial per call, the threshold cycling over 0..n-1
         for i in range(5_000):
             r = i % n
-            assert censor._fast_interruptions(by_flag, flags, n, r, 1) == (blocked_by_id() > r)
+            assert censor._fast_interruptions(by_count, len(pool), num_known, n, r, 1) == (blocked_by_id() > r)
         # one batch per call, as run_campaign makes them
         for r in range(n):
             expected = sum(blocked_by_id() > r for _ in range(1_000))
-            assert censor._fast_interruptions(by_flag, flags, n, r, 1_000) == expected
-        assert censor._fast_interruptions(by_flag, flags, n, 0, 0) == 0
-        assert by_flag.getstate() == by_id.getstate()
+            assert censor._fast_interruptions(by_count, len(pool), num_known, n, r, 1_000) == expected
+        assert censor._fast_interruptions(by_count, len(pool), num_known, n, 0, 0) == 0
+        # both drew the same words
+        assert by_count.getstate() == by_id.getstate()
 
     @pytest.mark.parametrize("num_unknown,num_known,n", POOLS)
     def test_empty_batch_draws_nothing(self, num_unknown, num_known, n):
-        flags = BridgePool.build(num_unknown, num_known).flags
         rng = random.Random(n)
         state = rng.getstate()
-        assert censor._fast_interruptions(rng, flags, n, 0, 0) == 0
+        assert censor._fast_interruptions(rng, num_unknown + num_known, num_known, n, 0, 0) == 0
         assert rng.getstate() == state
-
-    @pytest.mark.parametrize("num_unknown,num_known,n", POOLS)
-    def test_pool_flags_mark_known_bridges(self, num_unknown, num_known, n):
-        pool = BridgePool.build(num_unknown, num_known)
-        assert pool.flags == tuple(int(b in pool.known) for b in pool.ordered)
 
     @pytest.mark.parametrize("num_unknown,num_known,n", POOLS)
     def test_campaign_matches_reference_fast_path(self, num_unknown, num_known, n):
@@ -397,9 +410,82 @@ class TestFlagSumFastPath:
         assert result.interruptions == reference_fast_path(s, 3000, 8)
 
 
+class ScriptedBits:
+    """A getrandbits stand-in that hands out scripted (m, word) pairs in order
+    and fails unless each word is asked for with exactly m.bit_length() bits."""
+
+    def __init__(self, script):
+        self.words = list(reversed(script))
+
+    def getrandbits(self, bits):
+        m, word = self.words.pop()
+        assert bits == m.bit_length(), (bits, m)
+        return word
+
+
+def rejected(m: int, index: int) -> int:
+    """A word getrandbits(m.bit_length()) can return that is not below m,
+    cycling over all of them as `index` grows."""
+    return m + index % ((1 << m.bit_length()) - m)
+
+
+# (unknown, known, n, r); each pool enumerates size! / (size - n)! sequences
+LAW_POOLS = [
+    (3, 2, 5, 1),  # n equal to the pool size
+    (6, 3, 1, 0),  # n = 1
+    (7, 0, 3, 0),  # no known bridge
+    (0, 6, 3, 1),  # every bridge known
+    (8, 2, 4, 2),  # known <= r
+    (11, 5, 4, 1),  # 16 bridges, a power of two
+    (12, 5, 4, 1),  # 17 bridges, just past one
+    (4, 3, 5, 2),
+    (9, 6, 3, 0),
+]
+
+
+class TestUrnLaw:
+    """The fast path's law is the hypergeometric tail, proved by walking every
+    accepted draw sequence of one trial. The proof assumes that getrandbits
+    gives uniform words (MT19937), so each accepted sequence is equally
+    likely; it needs neither random.sample nor the closed form."""
+
+    @pytest.mark.parametrize("unknown,known,n,r", LAW_POOLS)
+    def test_law_is_the_exact_tail(self, unknown, known, n, r):
+        size = unknown + known
+        bounds = range(size, size - n, -1)
+        interrupted = 0
+        for index, picks in enumerate(itertools.product(*map(range, bounds))):
+            script = list(zip(bounds, picks))
+            # a word the draw must reject, before the pick at a cycling step
+            m = bounds[index % n]
+            script.insert(index % n, (m, rejected(m, index)))
+            bits = ScriptedBits(script)
+            interrupted += censor._fast_interruptions(bits, size, known, n, r, 1)
+            assert bits.words == []
+        sequences = index + 1
+        assert sequences == math.perm(size, n)
+        law = Fraction(interrupted, sequences)
+        assert law == p_block_lnc(unknown, known, n, r)
+        assert law == enumerate_oracle(unknown, known, n, r)
+
+    def test_rejections_are_redrawn_not_used(self):
+        unknown, known, n, r = 4, 3, 3, 0
+        size = unknown + known
+        bounds = range(size, size - n, -1)
+        for index, picks in enumerate(itertools.product(*map(range, bounds))):
+            script = list(zip(bounds, picks))
+            expected = censor._fast_interruptions(ScriptedBits(script), size, known, n, r, 1)
+            for step, m in enumerate(bounds):
+                # one to three rejected words before the pick at `step`
+                extra = [(m, rejected(m, index + i)) for i in range(1 + index % 3)]
+                bits = ScriptedBits(script[:step] + extra + script[step:])
+                assert censor._fast_interruptions(bits, size, known, n, r, 1) == expected
+                assert bits.words == []
+
+
 class TestOneDrawRule:
-    """The fast path replays random.sample, and the pipeline checks draw only
-    after it, so no sample() can move the estimate."""
+    """The fast path never calls random.sample, and the pipeline checks draw
+    only after it, so no sample() can move the estimate."""
 
     def test_a_changed_sample_cannot_move_the_estimate(self, monkeypatch):
         # an interpreter whose sample() draws otherwise: pipeline checks still

@@ -477,8 +477,8 @@ def other_interpreters() -> list[str]:
 
 class TestOtherInterpreters:
     """A CSV and an e2e report are the same bytes under every interpreter:
-    a CSV rests on random.Random's streams, which the fast path replays
-    without sample(), and on SHAKE-256; an e2e report also rests on
+    a CSV rests on random.Random's streams, which the fast path reads
+    through getrandbits alone, and on SHAKE-256; an e2e report also rests on
     select_bridges' sample() drawing alike on every interpreter."""
 
     RUNS = [

@@ -22,7 +22,7 @@ def test_fig2_csvs(tmp_path, capsys):
         "8a6056addea74c1c3a827b8a627e7165ada69192fdbeb03797c9c088370dfdc6"
     )
     assert sha256((tmp_path / "fig2_simulated.csv").read_bytes()) == (
-        "13c0ce60bb61763a63b18dd6387c517d9776f32692971a9bf6b6713ee90acd04"
+        "9318fb74a3fd1a2cf0606c3ac28da2035689714eec5c6330a3a2570b08b3ff29"
     )
 
 
