@@ -15,9 +15,12 @@ inverts once.
 
 Each type checks its fields in its own constructor, and every value the
 parser, encoder and decoder return is built through that constructor, so
-a rule lives in one place. A CodedCell stores its row and payload as
-bytes whatever bytes-like object it is given, so the parser hands it its
-slices as they are, after one unpack of each cell's header.
+a rule lives in one place. A CodedCell is a tuple record whose __new__
+runs the checks on every way of building one (_make and _replace
+included). It stores its row and payload as bytes whatever bytes-like
+object it is given, so the parser hands it its slices as they are, after
+one unpack of each cell's header. Payloads are combined as little-endian
+ints, one int XOR per term.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ import functools
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
-from typing import Sequence
+from operator import attrgetter, index
+from typing import NamedTuple, Sequence
 
 from . import gf256
 
@@ -87,6 +90,8 @@ class Generation:
     cells: tuple[bytes, ...]
 
     def __post_init__(self):
+        if type(self.generation_id) is not int:
+            object.__setattr__(self, "generation_id", index(self.generation_id))
         if self.generation_id < 0:
             raise ValueError("generation_id must be non-negative")
         object.__setattr__(self, "cells", tuple(self.cells))
@@ -97,50 +102,60 @@ class Generation:
                 raise ValueError(f"cells are exactly {CELL_SIZE} bytes, got {len(cell)}")
 
 
-@dataclass(frozen=True)
-class CodedCell:
-    """One coded cell: payload plus the coefficient row that produced it.
-
-    Both byte fields are stored as `bytes`, whatever bytes-like object they
-    were given, so every cell is hashable and so is every decoder cache key.
-    """
-
+# CodedCell's fields; a NamedTuple's own body may not define __new__, so
+# the checks live in the subclass
+class _CodedCellFields(NamedTuple):
     generation_id: int
     subflow_index: int
     coefficients: bytes
     payload: bytes
 
-    def __post_init__(self):
-        # through memoryview, so an int or a str fails instead of becoming bytes
-        if type(self.coefficients) is not bytes:
-            object.__setattr__(self, "coefficients", bytes(memoryview(self.coefficients)))
-        if type(self.payload) is not bytes:
-            object.__setattr__(self, "payload", bytes(memoryview(self.payload)))
-        if not 0 <= self.generation_id < 2**32:
+
+_new_tuple = tuple.__new__
+
+
+class CodedCell(_CodedCellFields):
+    """One coded cell: payload plus the coefficient row that produced it.
+
+    An immutable tuple record, compared and hashed by its fields. Its ids
+    are stored as ints and both byte fields as `bytes`, whatever integer or
+    bytes-like object they were given, so every cell is hashable and so is
+    every decoder cache key.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, generation_id: int, subflow_index: int, coefficients: bytes, payload: bytes) -> "CodedCell":
+        # through index and memoryview, so a float fails instead of reaching
+        # the wire and an int or a str fails instead of becoming bytes
+        if type(generation_id) is not int:
+            generation_id = index(generation_id)
+        if type(subflow_index) is not int:
+            subflow_index = index(subflow_index)
+        if type(coefficients) is not bytes:
+            coefficients = bytes(memoryview(coefficients))
+        if type(payload) is not bytes:
+            payload = bytes(memoryview(payload))
+        if not 0 <= generation_id < 2**32:
             raise ValueError("generation_id must fit 4 bytes")
-        if not 0 <= self.subflow_index <= 255:
+        if not 0 <= subflow_index <= 255:
             raise ValueError("subflow_index must fit 1 byte")
-        if not 1 <= len(self.coefficients) <= MAX_N:
-            raise ValueError(f"coefficient vector must hold 1..{MAX_N} bytes, got {len(self.coefficients)}")
-        if len(self.payload) != CELL_SIZE:
-            raise ValueError(f"payload is exactly {CELL_SIZE} bytes, got {len(self.payload)}")
+        if not 1 <= len(coefficients) <= MAX_N:
+            raise ValueError(f"coefficient vector must hold 1..{MAX_N} bytes, got {len(coefficients)}")
+        if len(payload) != CELL_SIZE:
+            raise ValueError(f"payload is exactly {CELL_SIZE} bytes, got {len(payload)}")
+        return _new_tuple(cls, (generation_id, subflow_index, coefficients, payload))
+
+    @classmethod
+    def _make(cls, iterable) -> "CodedCell":
+        # the inherited _make, which _replace calls too, would build the
+        # tuple without __new__ and so without the checks
+        return cls(*iterable)
 
     def to_wire(self) -> bytes:
         """Wire layout: generation_id (4B BE) | subflow_index (1B) | k (1B) | k coefficients | payload."""
-        return (
-            self.generation_id.to_bytes(4, "big")
-            + bytes([self.subflow_index, len(self.coefficients)])
-            + self.coefficients
-            + self.payload
-        )
-
-    @classmethod
-    def from_wire(cls, data: bytes) -> "CodedCell":
-        """Parse one wire cell, whose length must be the one its header's k gives."""
-        cells = cls.from_wire_stream(data)
-        if len(cells) != 1:
-            raise ValueError(f"expected one wire cell, got {len(cells)}")
-        return cells[0]
+        generation_id, subflow_index, coefficients, payload = self
+        return _HEADER.pack(generation_id, subflow_index, len(coefficients)) + coefficients + payload
 
     @classmethod
     def from_wire_stream(cls, stream: bytes) -> list["CodedCell"]:
@@ -213,8 +228,8 @@ def _combine(coefficients: Sequence[int], payloads: Sequence[bytes]) -> bytes:
     for c, data in zip(coefficients, payloads):
         if c == 0:
             continue
-        acc ^= int.from_bytes(gf256.scale_bytes(data, c), "big")
-    return acc.to_bytes(CELL_SIZE, "big")
+        acc ^= int.from_bytes(gf256.scale_bytes(data, c), "little")
+    return acc.to_bytes(CELL_SIZE, "little")
 
 
 def encode_generation(generation: Generation, matrix: GeneratorMatrix) -> list[CodedCell]:

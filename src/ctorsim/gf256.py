@@ -72,4 +72,4 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     """Bytewise XOR of two equal-length byte strings."""
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
+    return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(len(a), "little")

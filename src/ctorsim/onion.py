@@ -11,9 +11,10 @@ Binding the layer position is what makes out-of-order peeling detectable;
 bare XOR layers would commute. As with Tor's per-hop counter-mode cipher,
 transmit runs each hop's stream across a whole sub-flow: the cells a
 circuit carries are wrapped and peeled as one wire string. Between wrap
-and the last peel a sub-flow is one big-endian int plus its byte size, so
-each layer is a single int XOR and the bytes are rebuilt once, for the
-exit.
+and the last peel a sub-flow is one little-endian int plus its byte size,
+so each layer is a single int XOR and the bytes are rebuilt once, for the
+exit. XOR acts byte by byte, so the byte order of these ints moves no
+output byte; little-endian is the cheaper conversion.
 
 A message is coded once by encode_message into a CodedMessage, which
 carries the CodeParams that built it, checks the generations against them,
@@ -165,8 +166,9 @@ def build_circuits(bridge_ids: Sequence[str], rng: random.Random) -> CircuitSet:
 class LayeredCell(NamedTuple):
     """Wire bytes under 0..3 encryption layers, tagged with routing context.
 
-    The bytes are held as one big-endian int of `size` bytes, so a layer is
-    one int XOR; `payload` gives them back as bytes, leading zeros included.
+    The bytes are held as one little-endian int of `size` bytes, so a layer
+    is one int XOR; `payload` gives them back as bytes, trailing zeros
+    included.
     """
 
     value: int
@@ -176,7 +178,7 @@ class LayeredCell(NamedTuple):
 
     @property
     def payload(self) -> bytes:
-        return self.value.to_bytes(self.size, "big")
+        return self.value.to_bytes(self.size, "little")
 
 
 # wrap and peel build a LayeredCell per hop; the C tuple constructor skips
@@ -185,13 +187,13 @@ _new_layered = tuple.__new__
 
 
 def _derive_keystream(key: bytes, circuit_id: str, depth: int, size: int) -> int:
-    """One layer stream, as the big-endian int both wrap and peel XOR in."""
+    """One layer stream, as the little-endian int both wrap and peel XOR in."""
     if not key:
         raise ValueError("router layer key must be non-empty")
     cid = circuit_id.encode()
     return int.from_bytes(hashlib.shake_256(b"%b%b%b%b%c" % (
         len(key).to_bytes(2, "big"), key, len(cid).to_bytes(2, "big"), cid, depth
-    )).digest(size), "big")
+    )).digest(size), "little")
 
 
 # The middle stream (depth 2) of a wrapped payload (one cell, or a whole
@@ -237,7 +239,7 @@ def wrap_layers(cell_bytes: bytes, circuit: Circuit) -> LayeredCell:
     size = len(cell_bytes)
     cid = circuit.circuit_id
     acc = (
-        int.from_bytes(cell_bytes, "big")
+        int.from_bytes(cell_bytes, "little")
         ^ _layer_stream(circuit.exit.layer_key, cid, 1, size)
         ^ _layer_stream(circuit.middle.layer_key, cid, 2, size)
         ^ _layer_stream(circuit.entry.layer_key, cid, 3, size)

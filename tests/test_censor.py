@@ -200,7 +200,7 @@ class TestExitStreamMemory:
             peeled = peel(cell, router)
             if peeled.layers_remaining or flipped:
                 return peeled
-            peeled = peeled._replace(value=peeled.value ^ (1 << 8 * (peeled.size - 1 - (6 + 4 + 100))))
+            peeled = peeled._replace(value=peeled.value ^ (1 << 8 * (6 + 4 + 100)))
             flipped.append(peeled.payload)
             return peeled
 

@@ -1,7 +1,9 @@
 """Codec contracts: generator construction, encode/decode, framing."""
 
+import copy
 import itertools
 import math
+import pickle
 import random
 from collections import Counter
 
@@ -47,6 +49,14 @@ def rank_of(rows: list[bytes], k: int) -> int:
 
 def random_generation(k: int, rng: random.Random, generation_id: int = 0) -> Generation:
     return Generation(generation_id, tuple(rng.randbytes(CELL_SIZE) for _ in range(k)))
+
+
+def parse_one(data: bytes) -> CodedCell:
+    """The one wire cell `data` holds; any other count of cells is a ValueError."""
+    cells = CodedCell.from_wire_stream(data)
+    if len(cells) != 1:
+        raise ValueError(f"expected one wire cell, got {len(cells)}")
+    return cells[0]
 
 
 class TestCodeParams:
@@ -115,6 +125,20 @@ class TestEncode:
         for lost in range(4):
             survivors = [c for c in cells if c.subflow_index != lost]
             assert decode_generation(survivors, params).cells == gen.cells
+
+    @pytest.mark.parametrize("zeros", [1, 8, CELL_SIZE], ids=["one", "eight", "all"])
+    def test_cells_ending_in_zero_bytes_keep_them(self, zeros):
+        # payloads combine as little-endian ints, which drop trailing zero
+        # bytes; a parity cell and a decoded cell must still be whole
+        params = CodeParams(3, 2, 1)
+        rng = random.Random(5)
+        gen = Generation(0, tuple(rng.randbytes(CELL_SIZE - zeros) + bytes(zeros) for _ in range(2)))
+        cells = encode_generation(gen, build_generator(params))
+        # the first parity row is all ones: the parity cell is the XOR of the data cells
+        assert cells[2].payload == bytes(a ^ b for a, b in zip(*gen.cells))
+        assert cells[2].payload.endswith(bytes(zeros))
+        for received in ([cells[1], cells[2]], [cells[0], cells[2]]):
+            assert decode_generation(received, params) == gen
 
     def test_cell_count_mismatch(self):
         gen = random_generation(2, random.Random(5))
@@ -227,11 +251,11 @@ class TestWireFormat:
 
     def test_round_trip(self):
         cell = CodedCell(42, 3, b"\x01\x02\x03\x04", random.Random(16).randbytes(CELL_SIZE))
-        assert CodedCell.from_wire(cell.to_wire()) == cell
+        assert parse_one(cell.to_wire()) == cell
 
     def test_short_wire_rejected(self):
         with pytest.raises(ValueError):
-            CodedCell.from_wire(bytes(100))
+            parse_one(bytes(100))
 
     def test_cells_cut_by_one_byte_are_rejected(self):
         # without k in the header, three (4,4,0) cells each cut by one byte
@@ -240,7 +264,7 @@ class TestWireFormat:
         cells = encode_generation(random_generation(4, random.Random(17)), build_generator(params))
         for cell in cells[:3]:
             with pytest.raises(ValueError):
-                CodedCell.from_wire(cell.to_wire()[:-1])
+                parse_one(cell.to_wire()[:-1])
 
     def test_stream_parses_by_each_cells_header(self):
         rng = random.Random(19)
@@ -263,7 +287,7 @@ class TestWireFormat:
         stream = b"".join(cell.to_wire() for cell in cells)
         first = len(cells[0].to_wire())
         for data in (stream, bytearray(stream), memoryview(stream)):
-            parsed = CodedCell.from_wire_stream(data) + [CodedCell.from_wire(data[:first])]
+            parsed = CodedCell.from_wire_stream(data) + [parse_one(data[:first])]
             assert parsed == cells + cells[:1]
             for cell in parsed:
                 assert type(cell.coefficients) is bytes and type(cell.payload) is bytes
@@ -275,7 +299,7 @@ class TestWireFormat:
         # last is two whole cells back to back
         for bad in (wire[:-1], wire + b"\x00", wire[:5], zero_k, zero_k[: 6 + CELL_SIZE], wire + wire):
             with pytest.raises(ValueError):
-                CodedCell.from_wire(bad)
+                parse_one(bad)
         with pytest.raises(ValueError):
             CodedCell.from_wire_stream(wire + zero_k[: 6 + CELL_SIZE])
 
@@ -301,6 +325,30 @@ class TestPublicConstructors:
             CodedCell(generation_id, subflow_index, coefficients, payload)
 
     @pytest.mark.parametrize(
+        "generation_id,subflow_index", [(1.5, 0), (2, 1.0), (0.0, 0), ("1", 0), (0, None)]
+    )
+    def test_coded_cell_rejects_ids_that_are_not_integers(self, generation_id, subflow_index):
+        # a float id used to pass the range checks and fail only in to_wire
+        with pytest.raises(TypeError):
+            CodedCell(generation_id, subflow_index, b"\x01", bytes(CELL_SIZE))
+
+    @pytest.mark.parametrize("generation_id", [0.5, 1.0, "0", None])
+    def test_generation_rejects_an_id_that_is_not_an_integer(self, generation_id):
+        with pytest.raises(TypeError):
+            Generation(generation_id, (bytes(CELL_SIZE),))
+
+    def test_integer_ids_are_stored_as_ints(self):
+        class Index:
+            def __index__(self):
+                return 2
+
+        cell = CodedCell(True, Index(), b"\x01", bytes(CELL_SIZE))
+        assert (cell.generation_id, cell.subflow_index) == (1, 2)
+        assert type(cell.generation_id) is type(cell.subflow_index) is int
+        generation = Generation(Index(), (bytes(CELL_SIZE),))
+        assert generation.generation_id == 2 and type(generation.generation_id) is int
+
+    @pytest.mark.parametrize(
         "generation_id,cells", [(-1, (bytes(CELL_SIZE),)), (0, ()), (0, (bytes(CELL_SIZE), bytes(CELL_SIZE + 1)))]
     )
     def test_generation_rejects_bad_cells(self, generation_id, cells):
@@ -320,16 +368,17 @@ class TestPublicConstructors:
         cells = encode_generation(gen, build_generator(params))
         stream = b"".join(cell.to_wire() for cell in cells)
         checked = Counter()
-        for cls in (CodedCell, Generation, CircuitSet):
+        for cls in (Generation, CircuitSet):
             def counting(obj, check=cls.__post_init__, name=cls.__name__):
                 checked[name] += 1
                 check(obj)
             monkeypatch.setattr(cls, "__post_init__", counting)
+        monkeypatch.setattr(CodedCell, "__new__", counting_new(lambda fields: checked.update(["CodedCell"])))
 
         assert CodedCell.from_wire_stream(stream) == cells
         assert checked == {"CodedCell": len(cells)}
         checked.clear()
-        assert CodedCell.from_wire(cells[0].to_wire()) == cells[0]
+        assert parse_one(cells[0].to_wire()) == cells[0]
         assert checked == {"CodedCell": 1}
         for received in (cells[:3], cells[2:], cells):
             checked.clear()
@@ -338,6 +387,87 @@ class TestPublicConstructors:
         checked.clear()
         assert len(build_circuits([f"b{i}" for i in range(5)], random.Random(23))) == 5
         assert checked == {"CircuitSet": 1}
+
+
+def counting_new(record):
+    """A stand-in for CodedCell.__new__ that hands `record` each call's
+    fields, then builds the cell through the checks."""
+    new = CodedCell.__new__
+
+    def counting(cls, *fields):
+        record(fields)
+        return new(cls, *fields)
+
+    return staticmethod(counting)
+
+
+class TestCodedCellIsBuiltThroughItsChecks:
+    """A CodedCell is a tuple record whose __new__ holds the checks: every
+    way of building one runs them, and no field can be reassigned."""
+
+    FIELDS = (3, 1, b"\x01\x02", bytes(CELL_SIZE))
+    BUILDERS = {
+        "call": lambda cell, changes: CodedCell(*{**cell._asdict(), **changes}.values()),
+        "_make": lambda cell, changes: CodedCell._make({**cell._asdict(), **changes}.values()),
+        "_replace": lambda cell, changes: cell._replace(**changes),
+    }
+    if hasattr(copy, "replace"):
+        BUILDERS["copy.replace"] = lambda cell, changes: copy.replace(cell, **changes)
+
+    @pytest.mark.parametrize("builder", list(BUILDERS))
+    @pytest.mark.parametrize(
+        "changes,error",
+        [
+            ({"generation_id": 2**32}, ValueError),
+            ({"generation_id": 1.5}, TypeError),
+            ({"subflow_index": 256}, ValueError),
+            ({"coefficients": b""}, ValueError),
+            ({"coefficients": 1}, TypeError),
+            ({"payload": bytes(CELL_SIZE + 1)}, ValueError),
+        ],
+        ids=["id-range", "id-float", "subflow-range", "empty-row", "int-row", "long-payload"],
+    )
+    def test_every_builder_runs_the_checks(self, builder, changes, error):
+        cell = CodedCell(*self.FIELDS)
+        with pytest.raises(error):
+            self.BUILDERS[builder](cell, changes)
+
+    @pytest.mark.parametrize("builder", list(BUILDERS))
+    def test_every_builder_goes_through_the_constructor(self, builder, monkeypatch):
+        cell = CodedCell(*self.FIELDS)
+        built = []
+        monkeypatch.setattr(CodedCell, "__new__", counting_new(built.append))
+        rebuilt = self.BUILDERS[builder](cell, {"payload": bytearray(CELL_SIZE)})
+        assert built == [(3, 1, b"\x01\x02", bytearray(CELL_SIZE))]
+        assert rebuilt == cell and type(rebuilt) is CodedCell and type(rebuilt.payload) is bytes
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda cell: pickle.loads(pickle.dumps(cell))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_go_through_the_constructor(self, clone, monkeypatch):
+        cell = CodedCell(*self.FIELDS)
+        built = []
+        monkeypatch.setattr(CodedCell, "__new__", counting_new(built.append))
+        copied = clone(cell)
+        assert copied == cell and type(copied) is CodedCell
+        assert built == [self.FIELDS]
+
+    def test_fields_cannot_be_assigned(self):
+        cell = CodedCell(*self.FIELDS)
+        for name, value in zip(CodedCell._fields, (4, 2, b"\x01", bytes(CELL_SIZE))):
+            with pytest.raises(AttributeError):
+                setattr(cell, name, value)
+        with pytest.raises(AttributeError):
+            cell.extra = 1
+        assert cell == CodedCell(*self.FIELDS)
+
+    def test_compared_and_hashed_by_fields(self):
+        cell = CodedCell(*self.FIELDS)
+        assert cell == CodedCell(*self.FIELDS) and hash(cell) == hash(CodedCell(*self.FIELDS))
+        for name, value in zip(CodedCell._fields, (4, 0, b"\x01\x03", bytes(CELL_SIZE - 1) + b"\x01")):
+            assert cell != cell._replace(**{name: value})
 
 
 class TestCodedCellHoldsBytes:
@@ -381,13 +511,7 @@ class TestCodedCellHoldsBytes:
         cells = [CodedCell(3, idx, rng.randbytes(2), rng.randbytes(CELL_SIZE)) for idx in range(4)]
         stream = bytearray(b"".join(cell.to_wire() for cell in cells))
         checked = []
-        check = CodedCell.__post_init__
-
-        def counting(cell):
-            checked.append(cell.subflow_index)
-            check(cell)
-
-        monkeypatch.setattr(CodedCell, "__post_init__", counting)
+        monkeypatch.setattr(CodedCell, "__new__", counting_new(lambda fields: checked.append(fields[1])))
         parsed = CodedCell.from_wire_stream(stream)
         assert checked == [0, 1, 2, 3]
         assert parsed == cells
@@ -501,10 +625,10 @@ def test_from_wire_round_trips_or_rejects(k, data):
     if size >= _WIRE_HEADER:
         wire[5] = k
     if size == exact and k >= 1:
-        assert CodedCell.from_wire(bytes(wire)).to_wire() == wire
+        assert parse_one(bytes(wire)).to_wire() == wire
     else:
         with pytest.raises(ValueError):
-            CodedCell.from_wire(bytes(wire))
+            parse_one(bytes(wire))
 
 
 # Faulty cells the decoder must catch: one of another generation, one of a
@@ -551,9 +675,9 @@ def test_decode_raises_or_returns_the_generation(shape, seed, picks, faults, dat
     for wire, truncated in wires:
         if truncated:
             with pytest.raises(ValueError):
-                CodedCell.from_wire(wire)
+                parse_one(wire)
         else:
-            received.append(CodedCell.from_wire(wire))
+            received.append(parse_one(wire))
     if not received or any(
         cell.generation_id != received[0].generation_id or len(cell.coefficients) != k for cell in received
     ):

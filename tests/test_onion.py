@@ -252,12 +252,13 @@ def test_wrap_matches_reference(cell, seed, n, data):
 
 
 @pytest.mark.parametrize(
-    "wire", [b"", b"\x00", bytes(16), bytes(4) + random.Random(8).randbytes(520)],
-    ids=["empty", "one-zero", "all-zero", "leading-zeros"],
+    "wire",
+    [b"", b"\x00", bytes(16), bytes(4) + random.Random(8).randbytes(520), random.Random(9).randbytes(520) + bytes(4)],
+    ids=["empty", "one-zero", "all-zero", "leading-zeros", "trailing-zeros"],
 )
 def test_int_layers_keep_every_byte(wire):
-    # layers are XORed as ints, which drop leading zero bytes; the size kept
-    # beside the int must bring them back
+    # layers are XORed as little-endian ints, which drop trailing zero bytes;
+    # the size kept beside the int must bring them back
     circuit = circuits_for(1)[0]
     cell = wrap_layers(wire, circuit)
     assert cell.payload == reference_wrap(wire, circuit)
@@ -488,7 +489,7 @@ class TestCodedMessage:
         # transfer would fail generation 0
         params = CodeParams(2, 2, 0)
         first, second = coded_generations(params, 2)[0]
-        stray = dataclasses.replace(second, generation_id=7)
+        stray = second._replace(generation_id=7)
         with pytest.raises(ValueError, match="carries generation 7 at position 0"):
             CodedMessage(params, [[first, stray]])
 
@@ -715,7 +716,7 @@ class TestExitParse:
             cell = peel_layer(cell, router)
             if cell.layers_remaining or cell.circuit_id != circuits[0].circuit_id:
                 return cell
-            return cell._replace(value=int.from_bytes(malformed, "big"), size=len(malformed))
+            return cell._replace(value=int.from_bytes(malformed, "little"), size=len(malformed))
 
         monkeypatch.setattr(onion, "peel_layer", malforming_peel)
         parser_calls.clear()
