@@ -33,9 +33,10 @@ DEFAULT_FULL_PIPELINE_FRACTION = 0.01
 _DEFAULT_MESSAGE = hashlib.shake_256(b"trial-payload").digest(1024)
 
 
-# Every pipeline trial of a shape sends the same coded message, so it is
-# encoded, checked and serialised once per shape; it is frozen, so trials can
-# share it. Bounded because --variant takes any number of shapes.
+# run_transfer sends a coded message, and every pipeline trial of a shape
+# sends the same one, so it is encoded, checked and serialised once per shape;
+# it is frozen, so trials can share it. Bounded because --variant takes any
+# number of shapes.
 @lru_cache(maxsize=32)
 def _trial_cells(params: CodeParams) -> CodedMessage:
     return encode_message(params, _DEFAULT_MESSAGE)
@@ -146,9 +147,7 @@ def run_trial(scenario: CensorScenario, rng: random.Random) -> TrialOutcome:
     blocked = {i for i, b in enumerate(chosen) if b in known}
     blocked_count = len(blocked)
     circuits = build_circuits(chosen, rng)
-    result = run_transfer(
-        circuits, scenario.params, _DEFAULT_MESSAGE, blocked, coded=_trial_cells(scenario.params)
-    )
+    result = run_transfer(circuits, _trial_cells(scenario.params), _DEFAULT_MESSAGE, blocked)
     interrupted = not result.success
     if interrupted != interrupted_by_rule(blocked_count, scenario.params):
         raise ConsistencyError(

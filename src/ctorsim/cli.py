@@ -52,7 +52,7 @@ from .censor import (
     select_bridges,
 )
 from .codec import MAX_N, CodeParams, Variant
-from .onion import build_circuits, run_transfer
+from .onion import build_circuits, encode_message, run_transfer
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -286,7 +286,7 @@ def cmd_e2e(args: argparse.Namespace) -> int:
         message = hashlib.shake_256(f"e2e-message:{cfg.seed}".encode()).digest(args.message_size)
 
     circuits = build_circuits(bridges, derive_rng(cfg.seed, "circuit-construction"))
-    result = run_transfer(circuits, params, message, blocked)
+    result = run_transfer(circuits, encode_message(params, message), message, blocked)
 
     print(f"variant: {Variant.of(params).value} (n={params.n}, k={params.k}, r={params.r})")
     if args.scenario_seed is not None:
@@ -299,7 +299,7 @@ def cmd_e2e(args: argparse.Namespace) -> int:
         status = "unrecoverable" if gid in result.failed_generations else "decoded"
         print(f"generation {gid}: delivered {delivered}/{params.n} coded cells, {status}")
     if result.success:
-        print(f"reassembled {len(result.data)} bytes, byte-identical: yes")
+        print(f"reassembled {len(message)} bytes, byte-identical: yes")
         print("outcome: SUCCESS")
         return EXIT_OK
     print("outcome: INTERRUPTED")

@@ -59,6 +59,12 @@ class CodeParams:
     r: int
 
     def __post_init__(self):
+        # through index, like the cell and generation ids, so a float fails
+        # here instead of in split_message and a bool is stored as an int
+        for name in ("n", "k", "r"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                object.__setattr__(self, name, index(value))
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.r < 0:

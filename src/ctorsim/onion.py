@@ -19,8 +19,8 @@ output byte; little-endian is the cheaper conversion.
 A message is coded once by encode_message into a CodedMessage, which
 carries the CodeParams that built it, checks the generations against them,
 joins each sub-flow's wire bytes once and parses each joined sub-flow back
-once; run_transfer accepts a ready CodedMessage only for the params it
-runs. The censor sends one fixed message per code shape, so a pipeline
+once; run_transfer sends a CodedMessage and decodes by the params it
+carries. The censor sends one fixed message per code shape, so a pipeline
 trial pays only for what differs between trials: the circuits, the blocked
 set, the wrap and peels and the decode. An entry hop's stream depends only
 on the bridge and the sub-flow, and an exit hop's only on the exit relay,
@@ -350,7 +350,6 @@ def transmit(
 @dataclass(frozen=True)
 class TransferResult:
     success: bool
-    data: bytes | None
     failed_generations: tuple[int, ...]
     delivered_counts: tuple[int, ...]
 
@@ -365,27 +364,19 @@ def encode_message(params: CodeParams, message: bytes) -> CodedMessage:
 
 def run_transfer(
     circuits: CircuitSet,
-    params: CodeParams,
+    coded: CodedMessage,
     message: bytes,
     blocked: Collection[int] = frozenset(),
-    *,
-    coded: CodedMessage | None = None,
 ) -> TransferResult:
-    """One full client-to-exit transfer of a message over a circuit set.
+    """One full client-to-exit transfer of a coded message over a circuit set.
 
-    `coded` is the message's encode_message(params, message), for a caller
-    that sends one message many times; by default the message is encoded
-    here. A `coded` built for other params is rejected before anything is
-    sent. Success means every generation decoded and the reassembled bytes
-    equal the message; for otor and mtor that reduces to no circuit in
-    `blocked`.
+    `coded` is encode_message(params, message) for the code the circuits
+    run; transmit checks it against the circuit count and `blocked`, and
+    decoding uses its params. Success means every generation decoded and the
+    reassembled bytes equal `message`; for otor and mtor that reduces to no
+    circuit in `blocked`.
     """
-    if len(circuits) != params.n:
-        raise ValueError(f"{len(circuits)} circuits for code with n={params.n}")
-    if coded is None:
-        coded = encode_message(params, message)
-    elif coded.params != params:
-        raise ValueError(f"message coded for {coded.params}, transfer runs {params}")
+    params = coded.params
     arrived = transmit(circuits, coded, blocked)
 
     by_generation: dict[int, list[CodedCell]] = {}
@@ -406,6 +397,5 @@ def run_transfer(
         except UnrecoverableGeneration:
             failed.append(generation_id)
     if failed:
-        return TransferResult(False, None, tuple(failed), tuple(counts))
-    recovered = reassemble_message(decoded)
-    return TransferResult(recovered == bytes(message), recovered, (), tuple(counts))
+        return TransferResult(False, tuple(failed), tuple(counts))
+    return TransferResult(reassemble_message(decoded) == bytes(message), (), tuple(counts))

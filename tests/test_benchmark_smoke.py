@@ -107,7 +107,7 @@ def test_tracer_counts_one_coded_transfer():
     circuits = build_circuits([f"b{i}" for i in range(params.n)], random.Random(41))
     tracer = load_tracer().Tracer()
     with tracer.installed():
-        result = censor.run_transfer(circuits, params, message, {2}, coded=coded)
+        result = censor.run_transfer(circuits, coded, message, {2})
     assert result.success
     generations = len(coded.generations)
     assert generations > 1

@@ -310,9 +310,9 @@ class TestCrossCheckStream:
         s = scenario(25, 0, 4)
         calls = []
 
-        def failing_run_transfer(circuits, params, message, blocked, **kwargs):
+        def failing_run_transfer(circuits, coded, message, blocked):
             calls.append(blocked)
-            return onion.TransferResult(False, None, (0,), (0,))
+            return onion.TransferResult(False, (0,), (0,))
 
         monkeypatch.setattr(censor, "run_transfer", failing_run_transfer)
         assert run_campaign(s, 200, seed=4, full_pipeline_fraction=0).interruptions == 0

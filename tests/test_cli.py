@@ -135,6 +135,21 @@ class TestSimulate:
         s_keys = [tuple(r[:4]) for r in read_csv(s_out)[1:]]
         assert a_keys == s_keys
 
+    @pytest.mark.parametrize("command", ["analytic", "simulate"])
+    def test_shapes_that_share_variant_and_n_sort_by_r(self, command, tmp_path):
+        # ctor:10:4 and ctor:10:2 tie on (m_known, variant, n); the flag order
+        # must not decide their rows' order
+        trials = ["--trials", "20"] if command == "simulate" else []
+        outs = []
+        for order in (["ctor:10:4", "ctor:10:2"], ["ctor:10:2", "ctor:10:4"]):
+            out = tmp_path / f"{order[0].replace(':', '-')}.csv"
+            flags = [arg for spec in order for arg in ("--variant", spec)]
+            assert main([command, "--mknown", "4..5", *flags, *trials, "--out", str(out)]) == EXIT_OK
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        keys = [tuple(row[:4]) for row in read_csv(tmp_path / "ctor-10-4.csv")[1:]]
+        assert keys == [(m, "ctor", "10", r) for m in ("4", "5") for r in ("2", "4")]
+
 
 class TestLargestCode:
     """The relay pool covers every legal code, so n = 255 needs no relay flag."""

@@ -26,7 +26,7 @@ from ctorsim.codec import (
     reassemble_message,
     split_message,
 )
-from ctorsim.onion import CircuitSet, build_circuits, run_transfer
+from ctorsim.onion import CircuitSet, build_circuits, encode_message, run_transfer
 
 
 def rank_of(rows: list[bytes], k: int) -> int:
@@ -68,6 +68,26 @@ class TestCodeParams:
     def test_rejects_bad_shape(self, n, k, r):
         with pytest.raises(ValueError):
             CodeParams(n, k, r)
+
+    @pytest.mark.parametrize(
+        "n,k,r", [(4.0, 3.0, 1), (4, 3.0, 1.0), (4, 3, 1.0), ("4", 3, 1), (4, None, 1)],
+        ids=["float-n-k", "float-k-r", "float-r", "str-n", "none-k"],
+    )
+    def test_rejects_fields_that_are_not_integers(self, n, k, r):
+        # a float shape used to construct and fail only in split_message
+        with pytest.raises(TypeError):
+            CodeParams(n, k, r)
+
+    def test_integer_fields_are_stored_as_ints(self):
+        class Index:
+            def __index__(self):
+                return 3
+
+        p = CodeParams(4, Index(), True)
+        assert (p.n, p.k, p.r) == (4, 3, 1)
+        assert all(type(value) is int for value in (p.n, p.k, p.r))
+        assert repr(p) == "CodeParams(n=4, k=3, r=1)"
+        assert p == CodeParams(4, 3, 1) and hash(p) == hash(CodeParams(4, 3, 1))
 
 
 class TestBuildGenerator:
@@ -782,8 +802,8 @@ class TestDecodePlanCache:
         message = random.Random(18).randbytes(256 * 1024)
         generations = len(split_message(message, params.k))
         _decode_plan.cache_clear()
-        result = run_transfer(circuits, params, message, blocked={0, 3, 7})
-        assert result.success and result.data == message
+        result = run_transfer(circuits, encode_message(params, message), message, blocked={0, 3, 7})
+        assert result.success
         info = _decode_plan.cache_info()
         assert (info.misses, info.hits) == (1, generations - 1)
 

@@ -320,14 +320,15 @@ class TestKeystreamCache:
         warm = transmit(circuits, coded, {1})
         wrapped = wrap_layers(b"cell", circuits[0])
         message = random.Random(9).randbytes(3000)
-        transfer = run_transfer(circuits, params, message, {2})
+        sent = encode_message(params, message)
+        transfer = run_transfer(circuits, sent, message, {2})
         for clear in (cache.cache_clear for cache in STREAM_CACHES):
             clear()
             assert transmit(circuits, coded, {1}) == warm
             clear()
             assert wrap_layers(b"cell", circuits[0]) == wrapped
             clear()
-            assert run_transfer(circuits, params, message, {2}) == transfer
+            assert run_transfer(circuits, sent, message, {2}) == transfer
 
     def test_cache_is_bounded(self):
         assert onion._keystream.cache_info().maxsize == 2
@@ -523,17 +524,6 @@ class TestCodedMessage:
         with pytest.raises(ValueError, match="generation 0 carries 2 cells, the code has n=3"):
             CodedMessage(CodeParams(3, 2, 1), generations)
 
-    @pytest.mark.parametrize("blocked", [set(), {0}], ids=["unblocked", "circuit-0-blocked"])
-    def test_a_message_coded_with_another_k_is_rejected_before_any_stream(self, blocked):
-        # blocked, 3 cells fell short of the claimed k = 4 and the transfer
-        # reported a failed generation; unblocked, decode raised after the transmit
-        message = random.Random(13).randbytes(2000)
-        coded = encode_message(CodeParams(4, 3, 1), message)
-        clear_stream_caches()
-        with pytest.raises(ValueError, match=r"coded for CodeParams\(n=4, k=3, r=1\), transfer runs CodeParams\(n=4, k=4"):
-            run_transfer(circuits_for(4), CodeParams(4, 4, 0), message, blocked, coded=coded)
-        assert [cache.cache_info().misses for cache in STREAM_CACHES] == [0, 0, 0]
-
     @pytest.mark.parametrize("params", [CodeParams(1, 1, 0), CodeParams(10, 6, 4)], ids=["otor", "ctor-10-4"])
     def test_building_parses_each_subflow_once(self, params, parser_calls):
         generations = coded_generations(params, 3)
@@ -552,8 +542,9 @@ class TestCodedMessage:
         cut = {"drop-last-byte": lambda wire: wire[:-1], "flip-last-byte": lambda wire: wire[:-1] + bytes([wire[-1] ^ 1])}
         monkeypatch.setattr(CodedCell, "to_wire", lambda cell: cut[fault](to_wire(cell)))
         clear_stream_caches()
+        message = random.Random(14).randbytes(1000)
         with pytest.raises(ValueError, match=error):
-            run_transfer(circuits_for(4), CodeParams(4, 3, 1), random.Random(14).randbytes(1000))
+            run_transfer(circuits_for(4), encode_message(CodeParams(4, 3, 1), message), message)
         assert [cache.cache_info().misses for cache in STREAM_CACHES] == [0, 0, 0]
 
 
@@ -776,30 +767,44 @@ class TestVariantValidation:
 class TestRunTransfer:
     def test_ctor_survives_single_blocked_circuit(self):
         message = random.Random(20).randbytes(4000)
-        result = run_transfer(circuits_for(4), CodeParams(4, 3, 1), message, {2})
+        result = run_transfer(circuits_for(4), encode_message(CodeParams(4, 3, 1), message), message, {2})
         assert result.success
-        assert result.data == message
         assert result.failed_generations == ()
         assert all(count == 3 for count in result.delivered_counts)
 
     def test_mtor_fails_on_single_blocked_circuit(self):
-        result = run_transfer(circuits_for(4), CodeParams(4, 4, 0), bytes(1000), {2})
+        result = run_transfer(circuits_for(4), encode_message(CodeParams(4, 4, 0), bytes(1000)), bytes(1000), {2})
         assert not result.success
-        assert result.data is None
         assert len(result.failed_generations) == len(result.delivered_counts)
 
     def test_ctor_fails_beyond_redundancy(self):
-        result = run_transfer(circuits_for(4), CodeParams(4, 3, 1), bytes(1000), {1, 2})
+        result = run_transfer(circuits_for(4), encode_message(CodeParams(4, 3, 1), bytes(1000)), bytes(1000), {1, 2})
         assert not result.success
 
     def test_otor_round_trip(self):
         message = random.Random(21).randbytes(600)
-        result = run_transfer(circuits_for(1), CodeParams(1, 1, 0), message)
-        assert result.success and result.data == message
+        result = run_transfer(circuits_for(1), encode_message(CodeParams(1, 1, 0), message), message)
+        assert result.success
 
     def test_circuit_count_must_match_params(self):
-        with pytest.raises(ValueError):
-            run_transfer(circuits_for(3), CodeParams(4, 4, 0), bytes(10))
+        # transmit owns the check, and makes it before any stream is derived
+        coded = encode_message(CodeParams(4, 4, 0), bytes(10))
+        clear_stream_caches()
+        with pytest.raises(ValueError, match="message coded for n=4 circuits, got 3 circuits"):
+            run_transfer(circuits_for(3), coded, bytes(10))
+        assert [cache.cache_info().misses for cache in STREAM_CACHES] == [0, 0, 0]
+
+    @pytest.mark.parametrize("blocked", [set(), {2}], ids=["unblocked", "circuit-2-blocked"])
+    def test_success_is_the_byte_comparison(self, blocked):
+        # every generation of another message of the same length decodes, so
+        # only comparing the decoded bytes with the message can fail it
+        params = CodeParams(4, 3, 1)
+        message = random.Random(23).randbytes(2000)
+        other = encode_message(params, random.Random(24).randbytes(2000))
+        result = run_transfer(circuits_for(4), other, message, blocked)
+        assert not result.success
+        assert result.failed_generations == ()
+        assert run_transfer(circuits_for(4), encode_message(params, message), message, blocked).success
 
     @pytest.mark.parametrize(
         "variant,params",
@@ -818,7 +823,5 @@ class TestRunTransfer:
         coded = encode_message(params, message)
         for size in range(params.n + 1):
             for blocked in itertools.combinations(range(params.n), size):
-                result = run_transfer(circuits, params, message, blocked)
+                result = run_transfer(circuits, coded, message, blocked)
                 assert result.success == (size <= params.r), blocked
-                # a ready-made encoding of the message gives the same transfer
-                assert run_transfer(circuits, params, message, blocked, coded=coded) == result
