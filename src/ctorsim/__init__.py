@@ -33,7 +33,9 @@ from .codec import (
     Variant,
     build_generator,
     decode_generation,
+    decode_generations,
     encode_generation,
+    encode_generations,
     reassemble_message,
     split_message,
 )

@@ -8,10 +8,15 @@ subset of the generator invertible. Any k surviving coded cells therefore
 rebuild the generation exactly; with k-1 or fewer the generation is lost.
 
 Encoder and decoder are pure functions of (params, matrix) and their
-cells; generations can be processed independently and concurrently. The
-decoder memoizes one inverse per set of surviving coefficient rows, so a
-transfer whose circuits drop the same sub-flows in every generation
-inverts once.
+cells. Every generation of a message is coded with the same rows, so both
+work column-wise: a column is one sub-flow's payloads across all the
+generations of a batch, joined once, and each GF(2^8) coefficient scales a
+whole column in one call, however many generations the batch holds. The
+per-generation functions are the batch of one. The decoder groups a
+batch's generations by their received coefficient rows and memoizes one
+inverse per set of rows, so a transfer whose circuits drop the same
+sub-flows in every generation inverts once and combines each missing
+column once.
 
 Each type checks its fields in its own constructor, and every value the
 parser, encoder and decoder return is built through that constructor, so
@@ -90,7 +95,12 @@ class Variant(str, Enum):
 
 @dataclass(frozen=True)
 class Generation:
-    """k original cells encoded (and decoded) together."""
+    """k original cells encoded (and decoded) together.
+
+    Each cell is stored as `bytes` whatever bytes-like object it was given,
+    as CodedCell stores its payload, so a caller that mutates its buffer
+    later does not change the generation.
+    """
 
     generation_id: int
     cells: tuple[bytes, ...]
@@ -100,12 +110,18 @@ class Generation:
             object.__setattr__(self, "generation_id", index(self.generation_id))
         if self.generation_id < 0:
             raise ValueError("generation_id must be non-negative")
-        object.__setattr__(self, "cells", tuple(self.cells))
-        if not self.cells:
+        cells = tuple(self.cells)
+        for cell in cells:
+            if type(cell) is not bytes:
+                # through memoryview, so an int or a str fails instead of becoming bytes
+                cells = tuple([bytes(memoryview(cell)) for cell in cells])
+                break
+        if not cells:
             raise ValueError("a generation holds at least one cell")
-        for cell in self.cells:
+        for cell in cells:
             if len(cell) != CELL_SIZE:
                 raise ValueError(f"cells are exactly {CELL_SIZE} bytes, got {len(cell)}")
+        object.__setattr__(self, "cells", cells)
 
 
 # CodedCell's fields; a NamedTuple's own body may not define __new__, so
@@ -230,27 +246,48 @@ def build_generator(params: CodeParams) -> GeneratorMatrix:
 
 
 def _combine(coefficients: Sequence[int], payloads: Sequence[bytes]) -> bytes:
+    """The GF(2^8) combination of equal-length payloads: one scale per
+    nonzero coefficient, however long the payloads are."""
     acc = 0
     for c, data in zip(coefficients, payloads):
         if c == 0:
             continue
         acc ^= int.from_bytes(gf256.scale_bytes(data, c), "little")
-    return acc.to_bytes(CELL_SIZE, "little")
+    return acc.to_bytes(len(payloads[0]), "little")
+
+
+def encode_generations(generations: Sequence[Generation], matrix: GeneratorMatrix) -> list[list[CodedCell]]:
+    """Expand each generation's k original cells into n coded cells,
+    originals first, in the order the generations are given.
+
+    Data column j, cell j of every generation, is joined once, and each
+    parity column is one combination of the joined data columns, sliced
+    back into the generations' parity cells.
+    """
+    params = matrix.params
+    k, rows = params.k, matrix.rows
+    for generation in generations:
+        if len(generation.cells) != k:
+            raise ValueError(f"generation has {len(generation.cells)} cells, code expects {k}")
+    parity = []
+    if params.r and generations:
+        columns = [b"".join([generation.cells[j] for generation in generations]) for j in range(k)]
+        parity = [_combine(row, columns) for row in rows[k:]]
+    out = []
+    for t, generation in enumerate(generations):
+        generation_id = generation.generation_id
+        lo, hi = t * CELL_SIZE, (t + 1) * CELL_SIZE
+        out.append(
+            [CodedCell(generation_id, j, rows[j], cell) for j, cell in enumerate(generation.cells)]
+            + [CodedCell(generation_id, k + i, rows[k + i], column[lo:hi]) for i, column in enumerate(parity)]
+        )
+    return out
 
 
 def encode_generation(generation: Generation, matrix: GeneratorMatrix) -> list[CodedCell]:
-    """Expand k original cells into n coded cells, originals first."""
-    params = matrix.params
-    if len(generation.cells) != params.k:
-        raise ValueError(
-            f"generation has {len(generation.cells)} cells, code expects {params.k}"
-        )
-    out = []
-    for idx in range(params.n):
-        row = matrix.rows[idx]
-        payload = generation.cells[idx] if idx < params.k else _combine(row, generation.cells)
-        out.append(CodedCell(generation.generation_id, idx, row, payload))
-    return out
+    """Expand k original cells into n coded cells, originals first: the
+    batch of one of encode_generations."""
+    return encode_generations([generation], matrix)[0]
 
 
 # One inverse per set of received coefficient rows: a blocked circuit drops
@@ -259,10 +296,12 @@ def encode_generation(generation: Generation, matrix: GeneratorMatrix) -> list[C
 # ctor:5:2, 386 for ctor:10:4, one per uncoded shape); 512 hold them all.
 # Entries hold rows, never payloads.
 @functools.lru_cache(maxsize=512)
-def _decode_plan(rows: tuple[bytes, ...]) -> tuple[tuple[int, ...], tuple[bytes, ...]] | None:
-    """Positions of the first k independent rows and the inverse of their
-    matrix: row j rebuilds original cell j from the picked payloads. None
-    marks a set of rank below k."""
+def _decode_plan(rows: tuple[bytes, ...]) -> tuple[tuple[int, ...], tuple[int | bytes, ...]] | None:
+    """Positions of the first k independent rows, and per original cell j
+    its source: row j of the inverse of their matrix, which rebuilds the
+    cell from the picked payloads, or, when that row is a unit row, the
+    position of the one received cell to copy. None marks a set of rank
+    below k."""
     k = len(rows[0])
     mul = gf256.mul
     reduced: dict[int, list[int]] = {}  # pivot column -> row, augmented with its combination of picks
@@ -283,40 +322,96 @@ def _decode_plan(rows: tuple[bytes, ...]) -> tuple[tuple[int, ...], tuple[bytes,
         reduced[lead] = aug
         picks.append(pos)
         if len(picks) == k:
-            return tuple(picks), tuple(bytes(reduced[col][k:]) for col in range(k))
+            inverse = [bytes(reduced[col][k:]) for col in range(k)]
+            return tuple(picks), tuple(picks[row.index(1)] if sum(row) == 1 else row for row in inverse)
     return None
 
 
-def decode_generation(received: Sequence[CodedCell], params: CodeParams) -> Generation:
-    """Recover the original k cells from any k independent coded cells.
+def decode_generations(
+    received: Sequence[Sequence[CodedCell]], params: CodeParams
+) -> tuple[list[Generation], list[int]]:
+    """Recover each generation from any k independent coded cells of it.
 
-    Inverts the matrix of the first k independent coefficient rows once per
-    set of received rows, caches that inverse, and forms each cell as a
-    GF(2^8) combination of the picked payloads. A unit row of the inverse
-    copies its payload, so when the k original cells arrive first the
-    inverse is the identity and every cell is a copy. A set of rank below k
-    raises UnrecoverableGeneration.
+    `received` holds one non-empty list of cells per generation. The
+    generations are grouped by the coefficient rows they arrived with, and
+    each group takes one cached inverse of its first k independent rows.
+    A unit row of the inverse copies a payload, so when the k original
+    cells arrive first every cell is a copy; any other row forms its
+    original column once, as one GF(2^8) combination of the group's picked
+    columns, and slices it back into the group's generations (a group of
+    one combines its own payloads). A malformed cell list (empty, mixed
+    generations, rows of another length than k) raises ValueError before
+    anything is decoded.
+
+    Returns the decoded generations and the ids of those whose rows have
+    rank below k, group by group in the order each group first appears.
     """
-    if not received:
-        raise ValueError("decode needs at least one coded cell")
-    generation_id = received[0].generation_id
     k = params.k
-    rows = []
-    for cell in received:
-        if cell.generation_id != generation_id:
-            raise ValueError("coded cells from mixed generations")
-        row = cell.coefficients
-        if len(row) != k:
-            raise ValueError(f"coefficient vector length {len(row)}, expected {k}")
-        rows.append(row)
-    plan = _decode_plan(tuple(rows))
-    if plan is None:
-        raise UnrecoverableGeneration(generation_id, received=len(received))
-    picks, inverse = plan
-    payloads = [received[pos].payload for pos in picks]
-    return Generation(generation_id, tuple([
-        payloads[row.index(1)] if sum(row) == 1 else _combine(row, payloads) for row in inverse
-    ]))
+    groups: dict[tuple[bytes, ...], list[Sequence[CodedCell]]] = {}
+    for cells in received:
+        if not cells:
+            raise ValueError("decode needs at least one coded cell")
+        generation_id = cells[0].generation_id
+        rows = []
+        for cell in cells:
+            if cell.generation_id != generation_id:
+                raise ValueError("coded cells from mixed generations")
+            row = cell.coefficients
+            if len(row) != k:
+                raise ValueError(f"coefficient vector length {len(row)}, expected {k}")
+            rows.append(row)
+        rows = tuple(rows)
+        if rows in groups:
+            groups[rows].append(cells)
+        else:
+            groups[rows] = [cells]
+
+    decoded: list[Generation] = []
+    failed: list[int] = []
+    for rows, members in groups.items():
+        plan = _decode_plan(rows)
+        if plan is None:
+            failed.extend([cells[0].generation_id for cells in members])
+            continue
+        picks, sources = plan
+        if len(members) == 1:
+            # a group of one combines its own payloads: nothing to join or slice
+            [cells] = members
+            decoded.append(Generation(cells[0].generation_id, tuple([
+                cells[source].payload if type(source) is int else _combine(source, [cells[pick].payload for pick in picks])
+                for source in sources
+            ])))
+            continue
+        columns = None
+        originals: list[int | bytes] = []  # a position to copy, or a combined column to slice
+        for source in sources:
+            if type(source) is not int:
+                if columns is None:
+                    columns = [b"".join([cells[pick].payload for cells in members]) for pick in picks]
+                source = _combine(source, columns)
+            originals.append(source)
+        lo = 0
+        for cells in members:
+            hi = lo + CELL_SIZE
+            decoded.append(Generation(cells[0].generation_id, tuple([
+                cells[original].payload if type(original) is int else original[lo:hi] for original in originals
+            ])))
+            lo = hi
+    return decoded, failed
+
+
+def decode_generation(received: Sequence[CodedCell], params: CodeParams) -> Generation:
+    """Recover the original k cells from any k independent coded cells: the
+    batch of one of decode_generations.
+
+    When the k original cells arrive first, every decoded cell is the
+    received payload itself. A set of rank below k raises
+    UnrecoverableGeneration; a malformed one raises ValueError.
+    """
+    decoded, failed = decode_generations([received], params)
+    if failed:
+        raise UnrecoverableGeneration(failed[0], received=len(received))
+    return decoded[0]
 
 
 def split_message(message: bytes, k: int) -> list[Generation]:

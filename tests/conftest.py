@@ -1,9 +1,10 @@
-"""Fixtures shared by the onion and censor tests."""
+"""Fixtures shared by the codec, onion and censor tests."""
 
 import traceback
 
 import pytest
 
+from ctorsim import gf256
 from ctorsim.codec import CodedCell
 
 
@@ -19,4 +20,19 @@ def parser_calls(monkeypatch):
         return parse(stream)
 
     monkeypatch.setattr(CodedCell, "from_wire_stream", classmethod(spy))
+    return calls
+
+
+@pytest.fixture
+def scale_calls(monkeypatch):
+    """Record the byte length of every gf256.scale_bytes call, which codec
+    makes through the module, and let the scaling run as usual."""
+    calls = []
+    scale = gf256.scale_bytes
+
+    def spy(data, c):
+        calls.append(len(data))
+        return scale(data, c)
+
+    monkeypatch.setattr(gf256, "scale_bytes", spy)
     return calls

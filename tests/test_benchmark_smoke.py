@@ -24,15 +24,17 @@ from ctorsim.onion import build_circuits, encode_message
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# onion layers XOR as ints, so onion.xor_bytes never fires; on the grids the
-# untimed warm-up call fills censor's per-shape trial cells, so the traced
-# calls never encode
+# onion layers XOR as ints, so onion.xor_bytes never fires; onion codes and
+# decodes a message in one batch, so the per-generation onion.encode_generation
+# and onion.decode_generation never fire; on the grids the untimed warm-up call
+# fills censor's per-shape trial cells, so the traced calls never encode
 GRID_UNFIRED = [
     "cli.build_circuits",
     "cli.run_transfer",
     "cli.select_bridges",
     "gf256.xor_bytes",
     "onion.build_generator",
+    "onion.decode_generation",
     "onion.encode_generation",
     "onion.split_message",
     "onion.xor_bytes",
@@ -49,6 +51,8 @@ EXPECTED_UNFIRED = {
         "cli.select_bridges",
         "cli.sweep",
         "gf256.xor_bytes",
+        "onion.decode_generation",
+        "onion.encode_generation",
         "onion.xor_bytes",
     ],
 }

@@ -22,7 +22,9 @@ from ctorsim.codec import (
     _decode_plan,
     build_generator,
     decode_generation,
+    decode_generations,
     encode_generation,
+    encode_generations,
     reassemble_message,
     split_message,
 )
@@ -234,13 +236,18 @@ class TestDecode:
             assert decode_generation(list(subset), params).cells == gen.cells
 
 
+def hand_made_matrix() -> GeneratorMatrix:
+    """A (5, 3, 2) generator whose parity rows are random bytes, not Cauchy rows."""
+    rng = random.Random(13)
+    parity = tuple(bytes(rng.randrange(256) for _ in range(3)) for _ in range(2))
+    return GeneratorMatrix(CodeParams(5, 3, 2), (b"\x01\x00\x00", b"\x00\x01\x00", b"\x00\x00\x01") + parity)
+
+
 class TestRandomCoefficientMode:
     def test_decodes_from_full_rank_subsets(self):
         # elimination is not tied to the Cauchy rows: any full-rank subset decodes
-        params = CodeParams(5, 3, 2)
-        rng = random.Random(13)
-        parity = tuple(bytes(rng.randrange(256) for _ in range(3)) for _ in range(2))
-        matrix = GeneratorMatrix(params, (b"\x01\x00\x00", b"\x00\x01\x00", b"\x00\x00\x01") + parity)
+        matrix = hand_made_matrix()
+        params = matrix.params
         gen = random_generation(3, random.Random(14))
         cells = encode_generation(gen, matrix)
         decoded = decode_generation([cells[0], cells[3], cells[4]], params)
@@ -374,6 +381,23 @@ class TestPublicConstructors:
     def test_generation_rejects_bad_cells(self, generation_id, cells):
         with pytest.raises(ValueError):
             Generation(generation_id, cells)
+
+    @pytest.mark.parametrize("cell", ["\x00" * CELL_SIZE, CELL_SIZE, None], ids=["str", "int", "none"])
+    def test_generation_rejects_a_cell_that_is_not_bytes_like(self, cell):
+        # a 512-char str used to pass as a cell
+        with pytest.raises(TypeError):
+            Generation(0, (bytes(CELL_SIZE), cell))
+
+    def test_generation_holds_bytes_not_the_callers_buffer(self):
+        # a bytearray used to be kept by reference, so mutating it changed the cell
+        buffer = bytearray(CELL_SIZE)
+        view = memoryview(bytearray(b"\x07" * CELL_SIZE))
+        generation = Generation(0, [buffer, view, bytes(CELL_SIZE)])
+        buffer[0] = 1
+        view[0] = 1
+        assert generation.cells == (bytes(CELL_SIZE), b"\x07" * CELL_SIZE, bytes(CELL_SIZE))
+        assert all(type(cell) is bytes for cell in generation.cells)
+        assert hash(generation) == hash(Generation(0, generation.cells))
 
     def test_decoded_generation_equals_public_one(self):
         params = CodeParams(5, 3, 2)
@@ -804,8 +828,11 @@ class TestDecodePlanCache:
         _decode_plan.cache_clear()
         result = run_transfer(circuits, encode_message(params, message), message, blocked={0, 3, 7})
         assert result.success
+        # the generations share one set of received rows, so the transfer
+        # decodes them as one group: one inversion and no other lookup
+        assert generations > 1
         info = _decode_plan.cache_info()
-        assert (info.misses, info.hits) == (1, generations - 1)
+        assert (info.misses, info.hits) == (1, 0)
 
     def test_same_subflows_of_another_generator_decode_by_their_own_rows(self):
         # the plan is keyed by coefficient rows, not sub-flow indices: two
@@ -858,3 +885,158 @@ class TestDecodePlanCache:
         again = _decode_plan(rows)
         assert again is not first
         assert again == first
+
+
+def reference_combine(coefficients, payloads) -> bytes:
+    """One cell's GF(2^8) combination, a scale per cell and coefficient."""
+    acc = 0
+    for c, data in zip(coefficients, payloads):
+        if c:
+            acc ^= int.from_bytes(gf256.scale_bytes(data, c), "little")
+    return acc.to_bytes(CELL_SIZE, "little")
+
+
+def reference_encode(generation: Generation, matrix: GeneratorMatrix) -> list[CodedCell]:
+    """Per-generation encoder: each parity cell combines the generation's own cells."""
+    k = matrix.params.k
+    return [
+        CodedCell(generation.generation_id, idx, row, generation.cells[idx] if idx < k else reference_combine(row, generation.cells))
+        for idx, row in enumerate(matrix.rows)
+    ]
+
+
+def reference_decode(received, params: CodeParams) -> Generation | None:
+    """Per-generation decoder: elimination over the generation's own cells;
+    None for a set of rank below k."""
+    try:
+        return elimination_decode(received, params)
+    except UnrecoverableGeneration:
+        return None
+
+
+def check_batch_against_reference(received, params: CodeParams, originals: dict[int, Generation]) -> None:
+    # the batch returns its generations group by group, so compare them by
+    # their ids, which are distinct
+    decoded, failed = decode_generations(received, params)
+    expected = {cells[0].generation_id: reference_decode(cells, params) for cells in received}
+    assert len(decoded) + len(failed) == len(expected) == len(received)
+    assert {generation.generation_id: generation for generation in decoded} == {
+        generation_id: generation for generation_id, generation in expected.items() if generation is not None
+    }
+    assert sorted(failed) == sorted(generation_id for generation_id, generation in expected.items() if generation is None)
+    assert all(generation == originals[generation.generation_id] for generation in decoded)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    k=st.integers(1, 6),
+    r=st.integers(0, 4),
+    count=st.integers(1, 10),
+    cauchy=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_batched_codec_matches_per_generation_reference(k, r, count, cauchy, seed, data):
+    # parity rows are Cauchy rows or arbitrary bytes (zeros, repeats and
+    # singular subsets occur); a few survivor patterns, each an ordered list
+    # of sub-flows with repeats, are shared among generations given in any
+    # order, so a batch mixes groups, rank-deficient ones and ones below k
+    params = CodeParams(k + r, k, r)
+    if cauchy:
+        matrix = build_generator(params)
+    else:
+        parity = data.draw(st.lists(st.binary(min_size=k, max_size=k), min_size=r, max_size=r))
+        matrix = GeneratorMatrix(params, unit_rows(k) + tuple(parity))
+    ids = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=count, max_size=count, unique=True))
+    rng = random.Random(seed)
+    generations = [random_generation(k, rng, generation_id) for generation_id in ids]
+    coded = encode_generations(generations, matrix)
+    assert coded == [reference_encode(generation, matrix) for generation in generations]
+
+    index = st.integers(0, params.n - 1)
+    patterns = data.draw(st.lists(st.lists(index, min_size=1, max_size=params.n + 1), min_size=1, max_size=3))
+    received = [[cells[i] for i in patterns[data.draw(st.integers(0, len(patterns) - 1))]] for cells in coded]
+    received = data.draw(st.permutations(received))
+    check_batch_against_reference(received, params, {generation.generation_id: generation for generation in generations})
+
+
+class TestColumnWise:
+    """A batch of generations is coded column by column: one scale per
+    coefficient and column, whatever the number of generations."""
+
+    def test_one_call_mixes_survivor_sets_rank_deficiency_and_short_generations(self):
+        matrix = hand_made_matrix()
+        params = matrix.params
+        rng = random.Random(27)
+        generations = [random_generation(3, rng, generation_id) for generation_id in range(9)]
+        coded = encode_generations(generations, matrix)
+        assert coded == [reference_encode(generation, matrix) for generation in generations]
+
+        def mix(cells):
+            # a cell that depends on the two parity cells: with them, rank 2 of k = 3
+            a, b = cells[3], cells[4]
+            return CodedCell(
+                a.generation_id, 5,
+                bytes(x ^ gf256.mul(9, y) for x, y in zip(a.coefficients, b.coefficients)),
+                gf256.xor_bytes(a.payload, gf256.scale_bytes(b.payload, 9)),
+            )
+
+        patterns = [
+            lambda cells: [cells[0], cells[3], cells[4]],  # the full-rank subset of the hand-made rows
+            lambda cells: cells[:3],  # every original
+            lambda cells: [cells[4], cells[1], cells[2], cells[3]],
+            lambda cells: [cells[3], cells[4], mix(cells)],  # rank-deficient
+            lambda cells: [cells[2], cells[4]],  # below k
+        ]
+        received = [patterns[g % len(patterns)](cells) for g, cells in enumerate(coded)]
+        assert reference_decode(received[3], params) is None
+        decoded, failed = decode_generations(received, params)
+        # group by group: generations g and g + 5 share a survivor pattern
+        assert [generation.generation_id for generation in decoded] == [0, 5, 1, 6, 2, 7]
+        assert failed == [3, 8, 4]
+        check_batch_against_reference(received, params, dict(enumerate(generations)))
+
+    @pytest.mark.parametrize("shape", [(4, 3, 1), (10, 6, 4), (5, 5, 0)])
+    def test_encode_scales_each_coefficient_once_per_message(self, shape, scale_calls):
+        # timing-free guard on the column-wise encode: at most r·k scales,
+        # each over a whole column, however many generations the message has
+        params = CodeParams(*shape)
+        coded = encode_message(params, random.Random(26).randbytes(100_000))
+        assert len(coded.generations) > 10
+        assert len(scale_calls) <= params.r * params.k
+        assert set(scale_calls) <= {len(coded.generations) * CELL_SIZE}
+
+    def test_per_generation_functions_are_the_batch_of_one(self):
+        matrix = hand_made_matrix()
+        params = matrix.params
+        generation = random_generation(3, random.Random(28), generation_id=7)
+        cells = encode_generation(generation, matrix)
+        assert [cells] == encode_generations([generation], matrix)
+        for received in ([cells[0], cells[3], cells[4]], cells[:3]):
+            assert decode_generations([received], params) == ([decode_generation(received, params)], [])
+        assert decode_generations([cells[3:]], params) == ([], [7])
+        with pytest.raises(UnrecoverableGeneration) as exc:
+            decode_generation(cells[3:], params)
+        assert (exc.value.generation_id, exc.value.received) == (7, 2)
+
+    def test_empty_batch(self):
+        assert encode_generations([], hand_made_matrix()) == []
+        assert decode_generations([], CodeParams(5, 3, 2)) == ([], [])
+
+    @pytest.mark.parametrize("fault", ["empty", "mixed", "wide"])
+    def test_a_malformed_generation_fails_the_whole_batch(self, fault):
+        params = CodeParams(5, 3, 2)
+        matrix = build_generator(params)
+        rng = random.Random(29)
+        good = encode_generation(random_generation(3, rng, 0), matrix)
+        other = encode_generation(random_generation(3, rng, 1), matrix)
+        wide = encode_generation(random_generation(4, rng, 1), build_generator(CodeParams(6, 4, 2)))
+        bad = {"empty": [], "mixed": [other[0], good[1], other[2]], "wide": wide[:3]}[fault]
+        with pytest.raises(ValueError):
+            decode_generations([good[:3], bad], params)
+
+    def test_encode_rejects_a_generation_of_another_width(self):
+        rng = random.Random(30)
+        with pytest.raises(ValueError, match="generation has 2 cells, code expects 3"):
+            encode_generations([random_generation(3, rng, 0), random_generation(2, rng, 1)], hand_made_matrix())
+

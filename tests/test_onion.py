@@ -418,6 +418,26 @@ class TestTransmit:
             transmit(circuits_for(2), coded, blocked)
         assert wrapped == []
 
+    @pytest.mark.parametrize("blocked", [{1.5}, {1.0}, {0, 1.0}, {"1"}, {None}])
+    def test_blocked_index_that_is_not_an_integer_rejected_before_any_wrap(self, blocked, monkeypatch):
+        # {1.5} used to block nothing and {1.0} to block circuit 1
+        coded = self.make_coded(CodeParams(2, 1, 1), bytes(100))
+        wrapped = []
+        monkeypatch.setattr(onion, "wrap_layers", lambda *args: wrapped.append(args))
+        with pytest.raises(TypeError):
+            transmit(circuits_for(2), coded, blocked)
+        assert wrapped == []
+
+    def test_blocked_index_goes_through_index(self):
+        class Index:
+            def __index__(self):
+                return 1
+
+        coded = self.make_coded(CodeParams(2, 1, 1), bytes(100))
+        expected = transmit(circuits_for(2), coded, {1})
+        assert [cell.subflow_index for cell in expected] == [0]
+        assert transmit(circuits_for(2), coded, [Index()]) == transmit(circuits_for(2), coded, {True}) == expected
+
     def test_three_peels_per_surviving_circuit_in_hop_order(self, monkeypatch):
         coded = self.make_coded(CodeParams(4, 3, 1), bytes(3000))
         circuits = circuits_for(4)
@@ -825,3 +845,18 @@ class TestRunTransfer:
             for blocked in itertools.combinations(range(params.n), size):
                 result = run_transfer(circuits, coded, message, blocked)
                 assert result.success == (size <= params.r), blocked
+
+    @pytest.mark.parametrize("blocked", [(), (1,), (1, 4), (0, 2, 5, 9)])
+    def test_decode_scales_each_missing_original_once_per_transfer(self, blocked, scale_calls):
+        # timing-free guard on the column-wise decode: a transfer with fixed
+        # blocking scales at most k whole columns per missing original,
+        # whatever the number of generations
+        params = CodeParams(10, 6, 4)
+        message = random.Random(25).randbytes(64 * 1024)
+        coded = encode_message(params, message)
+        assert len(coded.generations) > 20
+        scale_calls.clear()
+        assert run_transfer(circuits_for(params.n), coded, message, blocked).success
+        missing = sum(1 for idx in blocked if idx < params.k)
+        assert len(scale_calls) <= params.k * missing
+        assert set(scale_calls) <= {len(coded.generations) * CELL_SIZE}
