@@ -338,10 +338,9 @@ def decode_generations(
     A unit row of the inverse copies a payload, so when the k original
     cells arrive first every cell is a copy; any other row forms its
     original column once, as one GF(2^8) combination of the group's picked
-    columns, and slices it back into the group's generations (a group of
-    one combines its own payloads). A malformed cell list (empty, mixed
-    generations, rows of another length than k) raises ValueError before
-    anything is decoded.
+    columns, and slices it back into the group's generations. A malformed
+    cell list (empty, mixed generations, rows of another length than k)
+    raises ValueError before anything is decoded.
 
     Returns the decoded generations and the ids of those whose rows have
     rank below k, group by group in the order each group first appears.
@@ -374,14 +373,6 @@ def decode_generations(
             failed.extend([cells[0].generation_id for cells in members])
             continue
         picks, sources = plan
-        if len(members) == 1:
-            # a group of one combines its own payloads: nothing to join or slice
-            [cells] = members
-            decoded.append(Generation(cells[0].generation_id, tuple([
-                cells[source].payload if type(source) is int else _combine(source, [cells[pick].payload for pick in picks])
-                for source in sources
-            ])))
-            continue
         columns = None
         originals: list[int | bytes] = []  # a position to copy, or a combined column to slice
         for source in sources:

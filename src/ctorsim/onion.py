@@ -399,8 +399,6 @@ def run_transfer(
             failed.append(generation_id)
         else:
             decodable.append(cells)
-    if not decodable:
-        return TransferResult(False, tuple(failed), tuple(counts))
     decoded, unrecoverable = decode_generations(decodable, params)
     if failed or unrecoverable:
         return TransferResult(False, tuple(sorted(failed + unrecoverable)), tuple(counts))
