@@ -47,7 +47,6 @@ from .onion import (
     OnionRouter,
     TransferResult,
     build_circuits,
-    encode_message,
     peel_layer,
     run_transfer,
     transmit,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .codec import CodeParams, Variant
-from .onion import CodedMessage, build_circuits, encode_message, run_transfer
+from .onion import CodedMessage, build_circuits, run_transfer
 
 DEFAULT_FULL_PIPELINE_FRACTION = 0.01
 
@@ -39,7 +39,7 @@ _DEFAULT_MESSAGE = hashlib.shake_256(b"trial-payload").digest(1024)
 # number of shapes.
 @lru_cache(maxsize=32)
 def _trial_cells(params: CodeParams) -> CodedMessage:
-    return encode_message(params, _DEFAULT_MESSAGE)
+    return CodedMessage(params, _DEFAULT_MESSAGE)
 
 
 class ConsistencyError(RuntimeError):

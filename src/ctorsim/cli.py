@@ -52,7 +52,7 @@ from .censor import (
     select_bridges,
 )
 from .codec import MAX_N, CodeParams, Variant
-from .onion import build_circuits, encode_message, run_transfer
+from .onion import CodedMessage, build_circuits, run_transfer
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -286,7 +286,7 @@ def cmd_e2e(args: argparse.Namespace) -> int:
         message = hashlib.shake_256(f"e2e-message:{cfg.seed}".encode()).digest(args.message_size)
 
     circuits = build_circuits(bridges, derive_rng(cfg.seed, "circuit-construction"))
-    result = run_transfer(circuits, encode_message(params, message), message, blocked)
+    result = run_transfer(circuits, CodedMessage(params, message), message, blocked)
 
     print(f"variant: {Variant.of(params).value} (n={params.n}, k={params.k}, r={params.r})")
     if args.scenario_seed is not None:

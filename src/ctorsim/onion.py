@@ -16,25 +16,25 @@ so each layer is a single int XOR and the bytes are rebuilt once, for the
 exit. XOR acts byte by byte, so the byte order of these ints moves no
 output byte; little-endian is the cheaper conversion.
 
-A message is coded once by encode_message into a CodedMessage, which
-carries the CodeParams that built it, checks the generations against them,
-joins each sub-flow's wire bytes once and parses each joined sub-flow back
-once; run_transfer sends a CodedMessage and decodes by the params it
-carries. The censor sends one fixed message per code shape, so a pipeline
-trial pays only for what differs between trials: the circuits, the blocked
-set, the wrap and peels and the decode. An entry hop's stream depends only
-on the bridge and the sub-flow, and an exit hop's only on the exit relay,
-the bridge and the sub-flow, so both are cached across transfers (exit
-streams only for short sub-flows such as a trial's); middle streams, and
-the exit streams of long sub-flows, are derived per transfer. One function,
-_layer_stream, picks the cache for a hop. The exit compares the peeled
-bytes with the sub-flow that was sent: equal bytes give that sub-flow's
-cells, which the message's own parse checked, and bytes that differ in any
-position are parsed in full.
+A message is coded once, by building a CodedMessage(params, message): the
+constructor splits and codes the message in one batch, keeps the CodeParams
+that built it, joins each sub-flow's wire bytes once and parses each joined
+sub-flow back once. No cells can be passed in, so every CodedMessage has the
+shape its code gives. run_transfer sends a CodedMessage and decodes by the
+params it carries. The censor sends one fixed message per code shape, so a
+pipeline trial pays only for what differs between trials: the circuits, the
+blocked set, the wrap and peels and the decode. An entry hop's stream
+depends only on the bridge and the sub-flow, and an exit hop's only on the
+exit relay, the bridge and the sub-flow, so both are cached across
+transfers (exit streams only for short sub-flows such as a trial's); middle
+streams, and the exit streams of long sub-flows, are derived per transfer.
+One function, _layer_stream, picks the cache for a hop. The exit compares
+the peeled bytes with the sub-flow that was sent: equal bytes give that
+sub-flow's cells, which the message's own parse checked, and bytes that
+differ in any position are parsed in full.
 
-CircuitSet and CodedMessage check their invariants in their constructors,
-and build_circuits and encode_message build through them, so each rule is
-checked in one place.
+CircuitSet checks its invariants in its constructor, and build_circuits
+builds through it, so each rule is checked in one place.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from operator import index
 from typing import Collection, Iterator, NamedTuple, Sequence
 
@@ -260,45 +260,28 @@ def peel_layer(cell: LayeredCell, router: OnionRouter) -> LayeredCell:
 
 @dataclass(frozen=True)
 class CodedMessage:
-    """A message's coded generations under one code, checked and serialised once.
+    """A message coded under one code, serialised and checked once.
 
-    Generation g holds params.n cells, cell i riding sub-flow i, each with
-    id g and a coefficient row of params.k bytes; the constructor rejects
-    any other width, order, id or row length. `subflows` holds each
+    CodedMessage(params, message) splits the message into generations of
+    params.k cells and codes them in one batch, so generation g holds
+    params.n cells, cell i riding sub-flow i. `subflows` holds each
     sub-flow's wire bytes, its cells' joined in generation order, so any
-    number of transfers can send the message without re-checking or
-    re-serialising its frozen cells. Each joined sub-flow is parsed back
-    once, and a wire that does not give back its sub-flow's cells is
-    rejected, so transmit can hand those cells to an exit that peels the
-    same bytes. Iterating gives the generations.
+    number of transfers can send the message without re-serialising its
+    frozen cells. Each joined sub-flow is parsed back once, and a wire that
+    does not give back its sub-flow's cells is rejected, so transmit can
+    hand those cells to an exit that peels the same bytes. Iterating gives
+    the generations.
     """
 
     params: CodeParams
-    generations: tuple[tuple[CodedCell, ...], ...]
+    message: InitVar[bytes]
+    generations: tuple[tuple[CodedCell, ...], ...] = field(init=False)
     subflows: tuple[bytes, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        generations = tuple(tuple(gen_cells) for gen_cells in self.generations)
-        if not generations:
-            raise ValueError("a coded message holds at least one generation")
-        n, k = self.params.n, self.params.k
-        for generation_id, gen_cells in enumerate(generations):
-            if len(gen_cells) != n:
-                raise ValueError(f"generation {generation_id} carries {len(gen_cells)} cells, the code has n={n}")
-            for idx, cell in enumerate(gen_cells):
-                if cell.subflow_index != idx:
-                    raise ValueError(f"sub-flow {cell.subflow_index} offered to circuit {idx}; order mismatch")
-                if cell.generation_id != generation_id:
-                    raise ValueError(
-                        f"sub-flow {idx} carries generation {cell.generation_id} at position {generation_id}; "
-                        "ids must run 0, 1, 2, ..."
-                    )
-                if len(cell.coefficients) != k:
-                    raise ValueError(
-                        f"generation {generation_id} sub-flow {idx} coded with k={len(cell.coefficients)}, "
-                        f"the code has k={k}"
-                    )
-        subflows = tuple(b"".join(gen_cells[idx].to_wire() for gen_cells in generations) for idx in range(n))
+    def __post_init__(self, message: bytes):
+        params = self.params
+        generations = tuple(map(tuple, encode_generations(split_message(message, params.k), build_generator(params))))
+        subflows = tuple(b"".join(gen_cells[idx].to_wire() for gen_cells in generations) for idx in range(params.n))
         for idx, wire in enumerate(subflows):
             if CodedCell.from_wire_stream(wire) != [gen_cells[idx] for gen_cells in generations]:
                 raise ValueError(f"sub-flow {idx}'s wire bytes do not parse back to its cells")
@@ -324,8 +307,10 @@ def transmit(
     bytes, and bytes that differ in any position are parsed cell by cell by
     the headers in them, so the returned cells are exactly what the exit
     relay can see.
-    They come back generation by generation, in circuit order within each.
-    The message checked its own shape, so only its code's n against the
+    They come back sub-flow by sub-flow, in circuit order, each sub-flow's
+    in the order its exit read them, so a sub-flow that arrives short
+    loses only its own missing cells.
+    The message has its code's shape, so only its code's n against the
     circuit count and the blocked indices are checked here, before anything
     is wrapped: each index goes through operator.index, like CodeParams'
     fields and the cell ids, so one that is not an integer (1.5, 1.0)
@@ -351,7 +336,7 @@ def transmit(
         arrived.append(
             [gen_cells[idx] for gen_cells in generations] if wire == subflows[idx] else CodedCell.from_wire_stream(wire)
         )
-    return [cell for gen_cells in zip(*arrived) for cell in gen_cells]
+    return [cell for cells in arrived for cell in cells]
 
 
 @dataclass(frozen=True)
@@ -359,13 +344,6 @@ class TransferResult:
     success: bool
     failed_generations: tuple[int, ...]
     delivered_counts: tuple[int, ...]
-
-
-def encode_message(params: CodeParams, message: bytes) -> CodedMessage:
-    """Split a message into generations and code them in one batch: n coded
-    cells per generation, in generation order. Frozen, so one encoding can
-    serve any number of transfers."""
-    return CodedMessage(params, encode_generations(split_message(message, params.k), build_generator(params)))
 
 
 def run_transfer(
@@ -376,11 +354,13 @@ def run_transfer(
 ) -> TransferResult:
     """One full client-to-exit transfer of a coded message over a circuit set.
 
-    `coded` is encode_message(params, message) for the code the circuits
+    `coded` is CodedMessage(params, message) for the code the circuits
     run; transmit checks it against the circuit count and `blocked`, and
-    decoding uses its params. Success means every generation decoded and the
-    reassembled bytes equal `message`; for otor and mtor that reduces to no
-    circuit in `blocked`.
+    decoding uses its params. The arrived cells are grouped by their
+    generation id, each generation's in circuit order, and a generation
+    with fewer than k of them fails. Success means every generation decoded
+    and the reassembled bytes equal `message`; for otor and mtor that
+    reduces to no circuit in `blocked`.
     """
     params = coded.params
     arrived = transmit(circuits, coded, blocked)

@@ -20,7 +20,7 @@ import pytest
 
 from ctorsim import censor
 from ctorsim.codec import CodeParams
-from ctorsim.onion import build_circuits, encode_message
+from ctorsim.onion import CodedMessage, build_circuits
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -107,7 +107,7 @@ def test_tracer_counts_one_coded_transfer():
     # otherwise show only in the subprocess runs below
     params = CodeParams(4, 3, 1)
     message = random.Random(40).randbytes(3000)
-    coded = encode_message(params, message)
+    coded = CodedMessage(params, message)
     circuits = build_circuits([f"b{i}" for i in range(params.n)], random.Random(41))
     tracer = load_tracer().Tracer()
     with tracer.installed():

@@ -23,7 +23,7 @@ from ctorsim.censor import (
     select_bridges,
 )
 from ctorsim.codec import CodeParams, Variant
-from ctorsim.onion import CodedMessage, build_circuits, default_registry, encode_message, transmit
+from ctorsim.onion import CodedMessage, build_circuits, default_registry, transmit
 
 
 def scenario(num_unknown, num_known, n, r=0) -> CensorScenario:
@@ -134,7 +134,7 @@ class TestTrialCells:
     def test_cells_are_a_fresh_encoding(self, params):
         cells = censor._trial_cells(params)
         assert isinstance(cells, CodedMessage)
-        assert cells == encode_message(params, censor._DEFAULT_MESSAGE)
+        assert cells == CodedMessage(params, censor._DEFAULT_MESSAGE)
         assert censor._trial_cells(params) is cells
         assert all(type(gen) is tuple for gen in cells.generations)
 
@@ -169,7 +169,7 @@ class TestExitStreamMemory:
         exits = default_registry()[1]
         assert info.currsize <= len(exits) * DEFAULT_UNKNOWN * len(DEFAULT_CONFIGS)
         # an e2e-sized transfer (86 generations, 45 KB sub-flows) adds nothing
-        coded = encode_message(CodeParams(10, 6, 4), bytes(256 * 1024))
+        coded = CodedMessage(CodeParams(10, 6, 4), bytes(256 * 1024))
         assert len(coded.generations) == 86
         transmit(build_circuits([f"u{i:03d}" for i in range(10)], random.Random(0)), coded, {1, 4})
         assert cache.cache_info() == info
@@ -184,7 +184,7 @@ class TestExitStreamMemory:
         # once; every trial's exit peels those same bytes and gets the
         # checked cells, so it parses nothing
         assert len(parser_calls) == sum(params.n for params in DEFAULT_CONFIGS) == 43
-        assert all("encode_message" in callers and "transmit" not in callers for _, callers in parser_calls)
+        assert all("__post_init__" in callers and "transmit" not in callers for _, callers in parser_calls)
 
     def test_the_shortcut_cannot_hide_a_corrupted_transfer(self, monkeypatch, parser_calls):
         s = scenario(25, 0, 4)

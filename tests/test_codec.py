@@ -28,7 +28,7 @@ from ctorsim.codec import (
     reassemble_message,
     split_message,
 )
-from ctorsim.onion import CircuitSet, build_circuits, encode_message, run_transfer
+from ctorsim.onion import CircuitSet, CodedMessage, build_circuits, run_transfer
 
 
 def rank_of(rows: list[bytes], k: int) -> int:
@@ -826,7 +826,7 @@ class TestDecodePlanCache:
         message = random.Random(18).randbytes(256 * 1024)
         generations = len(split_message(message, params.k))
         _decode_plan.cache_clear()
-        result = run_transfer(circuits, encode_message(params, message), message, blocked={0, 3, 7})
+        result = run_transfer(circuits, CodedMessage(params, message), message, blocked={0, 3, 7})
         assert result.success
         # the generations share one set of received rows, so the transfer
         # decodes them as one group: one inversion and no other lookup
@@ -1001,7 +1001,7 @@ class TestColumnWise:
         # timing-free guard on the column-wise encode: at most r·k scales,
         # each over a whole column, however many generations the message has
         params = CodeParams(*shape)
-        coded = encode_message(params, random.Random(26).randbytes(100_000))
+        coded = CodedMessage(params, random.Random(26).randbytes(100_000))
         assert len(coded.generations) > 10
         assert len(scale_calls) <= params.r * params.k
         assert set(scale_calls) <= {len(coded.generations) * CELL_SIZE}

@@ -21,6 +21,7 @@ from ctorsim.codec import (
     Variant,
     build_generator,
     encode_generation,
+    encode_generations,
     split_message,
 )
 from ctorsim.gf256 import xor_bytes
@@ -32,7 +33,6 @@ from ctorsim.onion import (
     OnionRouter,
     build_circuits,
     default_registry,
-    encode_message,
     peel_layer,
     relay,
     run_transfer,
@@ -315,12 +315,12 @@ class TestKeystreamCache:
 
     def test_results_survive_cache_clear(self):
         params = CodeParams(4, 3, 1)
-        coded = encode_message(params, bytes(range(256)) * 9)
+        coded = CodedMessage(params, bytes(range(256)) * 9)
         circuits = circuits_for(4)
         warm = transmit(circuits, coded, {1})
         wrapped = wrap_layers(b"cell", circuits[0])
         message = random.Random(9).randbytes(3000)
-        sent = encode_message(params, message)
+        sent = CodedMessage(params, message)
         transfer = run_transfer(circuits, sent, message, {2})
         for clear in (cache.cache_clear for cache in STREAM_CACHES):
             clear()
@@ -380,38 +380,36 @@ class TestKeystreamCache:
 
 
 class TestTransmit:
-    def make_coded(self, params: CodeParams, message: bytes) -> CodedMessage:
-        return encode_message(params, message)
-
     def test_lossless_delivers_everything(self):
         params = CodeParams(4, 3, 1)
-        coded = self.make_coded(params, bytes(2000))
+        coded = CodedMessage(params, bytes(2000))
         delivered = transmit(circuits_for(4), coded)
+        assert len(coded.generations) == 2
         assert len(delivered) == 4 * len(coded.generations)
-        # cells come back exactly as sent
-        assert delivered == [cell for gen in coded for cell in gen]
+        # cells come back exactly as sent, sub-flow by sub-flow
+        assert delivered == [gen[idx] for idx in range(4) for gen in coded]
 
     def test_blocked_circuit_drops_whole_subflow(self):
         params = CodeParams(4, 3, 1)
-        coded = self.make_coded(params, bytes(3000))
+        coded = CodedMessage(params, bytes(3000))
         delivered = transmit(circuits_for(4), coded, {2})
         assert len(delivered) == 3 * len(coded.generations)
         assert all(cell.subflow_index != 2 for cell in delivered)
 
     def test_total_blocking_delivers_nothing(self):
         params = CodeParams(2, 1, 1)
-        coded = self.make_coded(params, bytes(100))
+        coded = CodedMessage(params, bytes(100))
         assert transmit(circuits_for(2), coded, {0, 1}) == []
 
     def test_blocked_index_outside_circuit_set_rejected(self):
         params = CodeParams(2, 2, 0)
-        coded = self.make_coded(params, bytes(100))
+        coded = CodedMessage(params, bytes(100))
         with pytest.raises(ValueError):
             transmit(circuits_for(2), coded, {2})
 
     @pytest.mark.parametrize("blocked", [{-1}, {0, -1}, {2}, {1, 2}])
     def test_blocked_index_below_or_above_the_set_rejected_before_any_wrap(self, blocked, monkeypatch):
-        coded = self.make_coded(CodeParams(2, 2, 0), bytes(100))
+        coded = CodedMessage(CodeParams(2, 2, 0), bytes(100))
         wrapped = []
         monkeypatch.setattr(onion, "wrap_layers", lambda *args: wrapped.append(args))
         with pytest.raises(ValueError, match="outside 0..1"):
@@ -421,7 +419,7 @@ class TestTransmit:
     @pytest.mark.parametrize("blocked", [{1.5}, {1.0}, {0, 1.0}, {"1"}, {None}])
     def test_blocked_index_that_is_not_an_integer_rejected_before_any_wrap(self, blocked, monkeypatch):
         # {1.5} used to block nothing and {1.0} to block circuit 1
-        coded = self.make_coded(CodeParams(2, 1, 1), bytes(100))
+        coded = CodedMessage(CodeParams(2, 1, 1), bytes(100))
         wrapped = []
         monkeypatch.setattr(onion, "wrap_layers", lambda *args: wrapped.append(args))
         with pytest.raises(TypeError):
@@ -433,13 +431,13 @@ class TestTransmit:
             def __index__(self):
                 return 1
 
-        coded = self.make_coded(CodeParams(2, 1, 1), bytes(100))
+        coded = CodedMessage(CodeParams(2, 1, 1), bytes(100))
         expected = transmit(circuits_for(2), coded, {1})
         assert [cell.subflow_index for cell in expected] == [0]
         assert transmit(circuits_for(2), coded, [Index()]) == transmit(circuits_for(2), coded, {True}) == expected
 
     def test_three_peels_per_surviving_circuit_in_hop_order(self, monkeypatch):
-        coded = self.make_coded(CodeParams(4, 3, 1), bytes(3000))
+        coded = CodedMessage(CodeParams(4, 3, 1), bytes(3000))
         circuits = circuits_for(4)
         peels = []
 
@@ -456,21 +454,9 @@ class TestTransmit:
             for depth, router in ((3, c.entry), (2, c.middle), (1, c.exit))
         ]
 
-    def test_subflow_circuit_order_mismatch_rejected(self):
-        # a coded message checks its sub-flow order when it is built
-        params = CodeParams(2, 2, 0)
-        coded = self.make_coded(params, bytes(100))
-        gen = coded.generations[0]
-        with pytest.raises(ValueError, match="order mismatch"):
-            CodedMessage(params, [[gen[1], gen[0]]])
-
     def test_generation_width_mismatch_rejected(self):
-        # a ragged message fails when it is built, a message of another
-        # width when it meets the circuits
-        params = CodeParams(2, 2, 0)
-        coded = self.make_coded(params, bytes(2000))
-        with pytest.raises(ValueError, match="generation 1 carries 1 cells, the code has n=2"):
-            CodedMessage(params, [coded.generations[0], coded.generations[1][:1]])
+        # a message of another width fails when it meets the circuits
+        coded = CodedMessage(CodeParams(2, 2, 0), bytes(2000))
         with pytest.raises(ValueError, match="coded for n=2 circuits, got 3 circuits"):
             transmit(circuits_for(3), coded)
 
@@ -480,75 +466,57 @@ class TestCodedMessage:
 
     @pytest.mark.parametrize("params", [CodeParams(1, 1, 0), CodeParams(4, 4, 0), CodeParams(10, 6, 4)])
     def test_each_wire_is_its_subflows_joined_cells(self, params):
-        coded = encode_message(params, random.Random(11).randbytes(5000))
+        coded = CodedMessage(params, random.Random(11).randbytes(5000))
         assert coded.params is params
         assert len(coded.subflows) == params.n
         for idx, wire in enumerate(coded.subflows):
             assert wire == b"".join(gen[idx].to_wire() for gen in coded.generations)
 
+    @pytest.mark.parametrize(
+        "params", [CodeParams(1, 1, 0), CodeParams(4, 4, 0), CodeParams(10, 6, 4)], ids=["otor", "mtor-4", "ctor-10-4"]
+    )
+    def test_generations_are_the_batch_encoding_of_the_message(self, params):
+        message = message_of(params, 3)
+        coded = CodedMessage(params, message)
+        assert coded.generations == tuple(
+            map(tuple, encode_generations(split_message(message, params.k), build_generator(params)))
+        )
+        assert len(coded.generations) == 3
+
     def test_holds_frozen_tuples_and_iterates_them(self):
         params = CodeParams(4, 3, 1)
-        listed = coded_generations(params, 3)
-        coded = CodedMessage(params, listed)
+        coded = CodedMessage(params, message_of(params, 3))
         assert coded.params is params
-        assert coded.generations == tuple(tuple(gen) for gen in listed)
+        assert all(type(gen) is tuple for gen in coded.generations)
         assert list(coded) == list(coded.generations)
-        assert coded == encode_message(params, random.Random(3).randbytes(3 * params.k * CELL_SIZE - 8))
         with pytest.raises(dataclasses.FrozenInstanceError):
             coded.generations = ()
 
     def test_empty_message_rejected(self):
-        with pytest.raises(ValueError, match="at least one generation"):
-            CodedMessage(CodeParams(1, 1, 0), [])
+        with pytest.raises(ValueError, match="empty message"):
+            CodedMessage(CodeParams(1, 1, 0), b"")
 
-    def test_empty_generation_rejected(self):
-        with pytest.raises(ValueError, match="generation 0 carries 0 cells, the code has n=1"):
-            CodedMessage(CodeParams(1, 1, 0), [[]])
-
-    def test_generation_of_mixed_ids_rejected(self):
-        # sub-flow 1's cell would land in generation 7's bucket, so a lossless
-        # transfer would fail generation 0
-        params = CodeParams(2, 2, 0)
-        first, second = coded_generations(params, 2)[0]
-        stray = second._replace(generation_id=7)
-        with pytest.raises(ValueError, match="carries generation 7 at position 0"):
-            CodedMessage(params, [[first, stray]])
-
-    @pytest.mark.parametrize("picks", [(0, 0), (0, 2), (1, 0), (0, 1, 1)], ids=["repeat", "skip", "fall", "repeat-last"])
-    def test_generation_ids_must_rise_by_one(self, picks):
+    def test_cells_cannot_be_passed_in(self):
+        # the constructor takes the message's bytes, so every CodedMessage is an encoding
         params = CodeParams(2, 1, 1)
-        generations = coded_generations(params, 3)
-        with pytest.raises(ValueError, match=r"ids must run 0, 1, 2, \.\.\."):
-            CodedMessage(params, [generations[i] for i in picks])
-
-    def test_a_window_starting_later_is_rejected(self):
-        # every message starts at generation 0
-        params = CodeParams(2, 2, 0)
-        coded = encode_message(params, random.Random(12).randbytes(3000))
-        with pytest.raises(ValueError, match="carries generation 1 at position 0"):
-            CodedMessage(params, coded.generations[1:])
-
-    def test_a_message_of_mixed_k_is_rejected(self):
-        # a k = 1 generation, then a k = 2 one: decode used to raise only after the whole transmit
-        rng = random.Random(31)
-        narrow, wide = CodeParams(2, 1, 1), CodeParams(2, 2, 0)
-        generations = [
-            encode_generation(Generation(0, (rng.randbytes(CELL_SIZE),)), build_generator(narrow)),
-            encode_generation(Generation(1, (rng.randbytes(CELL_SIZE),) * 2), build_generator(wide)),
-        ]
-        with pytest.raises(ValueError, match="generation 1 sub-flow 0 coded with k=2, the code has k=1"):
-            CodedMessage(narrow, generations)
-
-    def test_generations_of_another_width_are_rejected(self):
-        generations = coded_generations(CodeParams(2, 2, 0), 2)
-        with pytest.raises(ValueError, match="generation 0 carries 2 cells, the code has n=3"):
-            CodedMessage(CodeParams(3, 2, 1), generations)
+        message = message_of(params, 2)
+        coded = CodedMessage(params, message)
+        for cells in (coded.generations, [list(gen) for gen in coded.generations], coded):
+            with pytest.raises(TypeError):
+                CodedMessage(params, cells)
+        with pytest.raises(TypeError):
+            CodedMessage(params, message, coded.generations)
+        with pytest.raises(ValueError):
+            dataclasses.replace(coded, generations=coded.generations)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(coded, message=message, generations=coded.generations)
+        assert dataclasses.replace(coded, message=message) == coded
 
     @pytest.mark.parametrize("params", [CodeParams(1, 1, 0), CodeParams(10, 6, 4)], ids=["otor", "ctor-10-4"])
     def test_building_parses_each_subflow_once(self, params, parser_calls):
-        generations = coded_generations(params, 3)
+        message = message_of(params, 3)
         parser_calls.clear()
-        coded = CodedMessage(params, generations)
+        coded = CodedMessage(params, message)
         assert [wire for wire, _ in parser_calls] == list(coded.subflows)
         assert len(parser_calls) == params.n
 
@@ -564,17 +532,14 @@ class TestCodedMessage:
         clear_stream_caches()
         message = random.Random(14).randbytes(1000)
         with pytest.raises(ValueError, match=error):
-            run_transfer(circuits_for(4), encode_message(CodeParams(4, 3, 1), message), message)
+            run_transfer(circuits_for(4), CodedMessage(CodeParams(4, 3, 1), message), message)
         assert [cache.cache_info().misses for cache in STREAM_CACHES] == [0, 0, 0]
 
 
-def coded_generations(params: CodeParams, generations: int) -> list:
-    """Coded cells of a message that splits into exactly `generations` generations."""
-    message = random.Random(generations).randbytes(generations * params.k * CELL_SIZE - 8)
-    matrix = build_generator(params)
-    coded = [encode_generation(g, matrix) for g in split_message(message, params.k)]
-    assert len(coded) == generations
-    return coded
+def message_of(params: CodeParams, generations: int) -> bytes:
+    """A message that splits into exactly `generations` generations under the
+    code: the 8-byte length prefix and the message fill them."""
+    return random.Random(generations).randbytes(generations * params.k * CELL_SIZE - 8)
 
 
 class TestSubflowStreams:
@@ -585,7 +550,7 @@ class TestSubflowStreams:
 
     @pytest.mark.parametrize("generations", [1, 86])
     def test_one_stream_per_circuit_and_hop(self, generations):
-        coded = CodedMessage(self.PARAMS, coded_generations(self.PARAMS, generations))
+        coded = CodedMessage(self.PARAMS, message_of(self.PARAMS, generations))
         circuits = circuits_for(10)
         clear_stream_caches()
         transmit(circuits, coded, self.BLOCKED)
@@ -627,7 +592,7 @@ class TestSubflowStreams:
         assert onion._exit_keystream.cache_info().currsize == 0
 
     def test_one_wrap_per_surviving_circuit(self, monkeypatch):
-        coded = CodedMessage(self.PARAMS, coded_generations(self.PARAMS, 5))
+        coded = CodedMessage(self.PARAMS, message_of(self.PARAMS, 5))
         circuits = circuits_for(10)
         calls = []
 
@@ -642,23 +607,7 @@ class TestSubflowStreams:
             for idx in range(10)
             if idx not in self.BLOCKED
         ]
-        assert delivered == [
-            cell for gen in coded.generations for cell in gen if cell.subflow_index not in self.BLOCKED
-        ]
-
-    @pytest.mark.parametrize("fault", ["width", "order"])
-    def test_malformed_last_generation_raises_before_any_stream(self, fault):
-        coded = coded_generations(self.PARAMS, 4)
-        last = list(coded[-1])
-        if fault == "width":
-            last.pop()
-        else:
-            last[3], last[4] = last[4], last[3]
-        # the message checks its shape when it is built, before any transfer
-        clear_stream_caches()
-        with pytest.raises(ValueError):
-            CodedMessage(self.PARAMS, coded[:-1] + [last])
-        assert [cache.cache_info().misses for cache in STREAM_CACHES] == [0, 0, 0]
+        assert delivered == [gen[idx] for idx in range(10) if idx not in self.BLOCKED for gen in coded.generations]
 
     @pytest.mark.parametrize("blocked", [set(), {0}, {1}])
     def test_mixed_wire_lengths_come_back_intact(self, blocked):
@@ -679,8 +628,8 @@ class TestSubflowStreams:
             for router in (circuit.entry, circuit.middle, circuit.exit):
                 layered = peel_layer(layered, router)
             arrived.append(CodedCell.from_wire_stream(layered.payload))
-        delivered = [cell for gen_cells in zip(*arrived) for cell in gen_cells]
-        assert delivered == [cell for gen in coded for cell in gen if cell.subflow_index not in blocked]
+        delivered = [cell for cells in arrived for cell in cells]
+        assert delivered == [gen[idx] for idx in range(2) if idx not in blocked for gen in coded]
 
 
 class TestExitParse:
@@ -691,7 +640,7 @@ class TestExitParse:
 
     @pytest.mark.parametrize("generations", [1, 86])
     def test_an_unaltered_subflow_comes_back_as_its_parse(self, generations, parser_calls, monkeypatch):
-        coded = CodedMessage(self.PARAMS, coded_generations(self.PARAMS, generations))
+        coded = CodedMessage(self.PARAMS, message_of(self.PARAMS, generations))
         assert (len(coded.subflows[0]) <= onion._SHORT_SUBFLOW) == (generations == 1)
         peeled = []
 
@@ -707,8 +656,27 @@ class TestExitParse:
         assert parser_calls == []
         assert peeled == [wire for idx, wire in enumerate(coded.subflows) if idx not in self.BLOCKED]
         arrived = [CodedCell.from_wire_stream(wire) for wire in peeled]
-        assert delivered == [cell for gen_cells in zip(*arrived) for cell in gen_cells]
+        assert delivered == [cell for cells in arrived for cell in cells]
         assert len(delivered) == 8 * generations
+
+    def test_a_subflow_cut_short_loses_only_its_own_cells(self, monkeypatch):
+        # circuit 0's exit loses the last wire cell of its two; every other
+        # cell arrives, so generation 1 still has 9 >= k cells and decodes
+        message = message_of(self.PARAMS, 2)
+        coded = CodedMessage(self.PARAMS, message)
+        circuits = circuits_for(10)
+        cell_size = len(coded.subflows[0]) // 2
+
+        def cutting_peel(cell, router):
+            cell = peel_layer(cell, router)
+            if cell.layers_remaining or cell.circuit_id != circuits[0].circuit_id:
+                return cell
+            size = cell.size - cell_size
+            return cell._replace(value=cell.value & ((1 << 8 * size) - 1), size=size)
+
+        monkeypatch.setattr(onion, "peel_layer", cutting_peel)
+        assert transmit(circuits, coded) == [coded.generations[0][0]] + [gen[idx] for idx in range(1, 10) for gen in coded]
+        assert run_transfer(circuits, coded, message) == onion.TransferResult(True, (), (10, 9))
 
     @pytest.mark.parametrize(
         "fault,error",
@@ -717,7 +685,7 @@ class TestExitParse:
     )
     @pytest.mark.parametrize("generations", [1, 86])
     def test_a_malformed_subflow_raises_on_every_call(self, generations, fault, error, parser_calls, monkeypatch):
-        coded = CodedMessage(self.PARAMS, coded_generations(self.PARAMS, generations))
+        coded = CodedMessage(self.PARAMS, message_of(self.PARAMS, generations))
         wire = coded.subflows[0]
         malformed = {"cut-payload": wire[:-1], "cut-header": wire + bytes(3), "k-zero": wire + bytes(600)}[fault]
         circuits = circuits_for(10)
@@ -748,13 +716,10 @@ def test_transmit_returns_the_offered_cells_of_unblocked_circuits(n, size, seed,
     r = data.draw(st.integers(0, n - 1))
     blocked = data.draw(st.sets(st.integers(0, n - 1)))
     params = CodeParams(n, n - r, r)
-    matrix = build_generator(params)
     rng = random.Random(seed)
-    coded = [encode_generation(g, matrix) for g in split_message(rng.randbytes(size), params.k)]
+    coded = CodedMessage(params, rng.randbytes(size))
     circuits = build_circuits([f"b{i}" for i in range(n)], rng)
-    assert transmit(circuits, CodedMessage(params, coded), blocked) == [
-        cell for gen in coded for cell in gen if cell.subflow_index not in blocked
-    ]
+    assert transmit(circuits, coded, blocked) == [gen[idx] for idx in range(n) if idx not in blocked for gen in coded]
 
 
 class TestVariantValidation:
@@ -787,28 +752,28 @@ class TestVariantValidation:
 class TestRunTransfer:
     def test_ctor_survives_single_blocked_circuit(self):
         message = random.Random(20).randbytes(4000)
-        result = run_transfer(circuits_for(4), encode_message(CodeParams(4, 3, 1), message), message, {2})
+        result = run_transfer(circuits_for(4), CodedMessage(CodeParams(4, 3, 1), message), message, {2})
         assert result.success
         assert result.failed_generations == ()
         assert all(count == 3 for count in result.delivered_counts)
 
     def test_mtor_fails_on_single_blocked_circuit(self):
-        result = run_transfer(circuits_for(4), encode_message(CodeParams(4, 4, 0), bytes(1000)), bytes(1000), {2})
+        result = run_transfer(circuits_for(4), CodedMessage(CodeParams(4, 4, 0), bytes(1000)), bytes(1000), {2})
         assert not result.success
         assert len(result.failed_generations) == len(result.delivered_counts)
 
     def test_ctor_fails_beyond_redundancy(self):
-        result = run_transfer(circuits_for(4), encode_message(CodeParams(4, 3, 1), bytes(1000)), bytes(1000), {1, 2})
+        result = run_transfer(circuits_for(4), CodedMessage(CodeParams(4, 3, 1), bytes(1000)), bytes(1000), {1, 2})
         assert not result.success
 
     def test_otor_round_trip(self):
         message = random.Random(21).randbytes(600)
-        result = run_transfer(circuits_for(1), encode_message(CodeParams(1, 1, 0), message), message)
+        result = run_transfer(circuits_for(1), CodedMessage(CodeParams(1, 1, 0), message), message)
         assert result.success
 
     def test_circuit_count_must_match_params(self):
         # transmit owns the check, and makes it before any stream is derived
-        coded = encode_message(CodeParams(4, 4, 0), bytes(10))
+        coded = CodedMessage(CodeParams(4, 4, 0), bytes(10))
         clear_stream_caches()
         with pytest.raises(ValueError, match="message coded for n=4 circuits, got 3 circuits"):
             run_transfer(circuits_for(3), coded, bytes(10))
@@ -820,11 +785,11 @@ class TestRunTransfer:
         # only comparing the decoded bytes with the message can fail it
         params = CodeParams(4, 3, 1)
         message = random.Random(23).randbytes(2000)
-        other = encode_message(params, random.Random(24).randbytes(2000))
+        other = CodedMessage(params, random.Random(24).randbytes(2000))
         result = run_transfer(circuits_for(4), other, message, blocked)
         assert not result.success
         assert result.failed_generations == ()
-        assert run_transfer(circuits_for(4), encode_message(params, message), message, blocked).success
+        assert run_transfer(circuits_for(4), CodedMessage(params, message), message, blocked).success
 
     @pytest.mark.parametrize(
         "variant,params",
@@ -840,7 +805,7 @@ class TestRunTransfer:
         assert Variant.of(params) is variant
         message = random.Random(22).randbytes(1500)
         circuits = circuits_for(params.n)
-        coded = encode_message(params, message)
+        coded = CodedMessage(params, message)
         for size in range(params.n + 1):
             for blocked in itertools.combinations(range(params.n), size):
                 result = run_transfer(circuits, coded, message, blocked)
@@ -853,7 +818,7 @@ class TestRunTransfer:
         # whatever the number of generations
         params = CodeParams(10, 6, 4)
         message = random.Random(25).randbytes(64 * 1024)
-        coded = encode_message(params, message)
+        coded = CodedMessage(params, message)
         assert len(coded.generations) > 20
         scale_calls.clear()
         assert run_transfer(circuits_for(params.n), coded, message, blocked).success
