@@ -483,6 +483,26 @@ class TestCodedMessage:
         )
         assert len(coded.generations) == 3
 
+    @pytest.mark.parametrize("extra,generations", [(b"", 2), (b"\x01", 3)], ids=["fills-two", "one-byte-over"])
+    @pytest.mark.parametrize(
+        "params",
+        [CodeParams(1, 1, 0), CodeParams(4, 4, 0), CodeParams(4, 3, 1), CodeParams(10, 6, 4)],
+        ids=["otor", "mtor-4", "ctor-4-1", "ctor-10-4"],
+    )
+    def test_every_encoding_has_the_code_shape(self, params, extra, generations):
+        # no cells can be passed in, so the shape the constructor once checked
+        # holds by construction: ids run 0, 1, 2, ..., each generation carries
+        # n cells in sub-flow order, every cell is coded with k coefficients,
+        # and the first k cells are the message's own framed cells
+        message = message_of(params, 2) + extra
+        coded = CodedMessage(params, message)
+        assert len(coded.generations) == generations
+        for gen_id, (gen, plain) in enumerate(zip(coded.generations, split_message(message, params.k), strict=True)):
+            assert [cell.generation_id for cell in gen] == [gen_id] * params.n
+            assert [cell.subflow_index for cell in gen] == list(range(params.n))
+            assert all(len(cell.coefficients) == params.k for cell in gen)
+            assert tuple(cell.payload for cell in gen[: params.k]) == plain.cells
+
     def test_holds_frozen_tuples_and_iterates_them(self):
         params = CodeParams(4, 3, 1)
         coded = CodedMessage(params, message_of(params, 3))
