@@ -6,6 +6,7 @@ from .analytics import (
     ResourceLimitError,
     SweepRow,
     binomial,
+    blocked_counts,
     enumerate_oracle,
     p_block_lnc,
     sweep,
@@ -18,7 +19,6 @@ from .censor import (
     TrialOutcome,
     derive_rng,
     derive_seed,
-    interrupted_by_rule,
     run_campaign,
     run_trial,
     select_bridges,
@@ -36,6 +36,7 @@ from .codec import (
     decode_generations,
     encode_generation,
     encode_generations,
+    interrupted_by_rule,
     reassemble_message,
     split_message,
 )

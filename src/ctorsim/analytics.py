@@ -1,12 +1,12 @@
-"""Exact interruption probabilities via hypergeometric tail sums.
+"""Exact interruption probabilities from the hypergeometric blocked-count law.
 
 Selecting n bridges uniformly without replacement from a pool with
-`known` censor-known members, the chance that i of them are known is
-C(unknown, n-i) * C(known, i) / C(unknown+known, n). Communication is
-interrupted when i exceeds what the code absorbs: i >= 1 for the
-uncoded variants, i > r with redundancy r. Everything is computed in
-exact rational arithmetic (fractions.Fraction); floats appear only when
-callers convert at the output boundary.
+`known` censor-known members, C(unknown, n-b) * C(known, b) of the
+C(unknown+known, n) selections block b circuits (blocked_counts). A
+probability is the share of selections whose blocked count interrupts
+the transfer, and codec.interrupted_by_rule alone says which counts do.
+Everything is computed in exact rational arithmetic (fractions.Fraction);
+floats appear only when callers convert at the output boundary.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .codec import CodeParams, Variant
+from .codec import CodeParams, Variant, interrupted_by_rule
 
 ORACLE_SUBSET_LIMIT = 10**7
 
@@ -57,46 +57,47 @@ def _check_pool(unknown: int, known: int, circuits: int) -> None:
         )
 
 
+def blocked_counts(unknown: int, known: int, circuits: int) -> list[int]:
+    """The blocked-count law: entry b, for b = 0..circuits, is how many
+    bridge selections hold b censor-known bridges, C(unknown, n-b) * C(known, b)."""
+    _check_pool(unknown, known, circuits)
+    return [math.comb(unknown, circuits - b) * math.comb(known, b) for b in range(circuits + 1)]
+
+
 def p_block_lnc(unknown: int, known: int, circuits: int, redundancy: int) -> Fraction:
     """Probability that more than `redundancy` selected bridges are censor-known.
 
     With r redundant cells per generation the transfer survives up to r
     blocked circuits, so only deeper blocking interrupts it. Zero whenever
     the censor knows at most r bridges in total. For the uncoded variants
-    (r = 0) one blocked circuit already kills the transfer.
+    (r = 0) one blocked circuit already kills the transfer. CodeParams checks r.
     """
-    _check_pool(unknown, known, circuits)
-    if not 0 <= redundancy < circuits:
-        raise ValueError(f"redundancy must satisfy 0 <= r < n, got r={redundancy}, n={circuits}")
-    hits = sum(
-        binomial(unknown, circuits - i) * binomial(known, i)
-        for i in range(redundancy + 1, min(circuits, known) + 1)
-    )
-    return Fraction(hits, binomial(unknown + known, circuits))
+    return _p_block(unknown, known, CodeParams(circuits, circuits - redundancy, redundancy))
 
 
-def enumerate_oracle(unknown: int, known: int, circuits: int, threshold: int) -> Fraction:
-    """Brute-force ground truth: walk every bridge selection and count the
-    ones with more than `threshold` known bridges.
+def _p_block(unknown: int, known: int, params: CodeParams) -> Fraction:
+    counts = blocked_counts(unknown, known, params.n)
+    hits = sum(count for b, count in enumerate(counts) if interrupted_by_rule(b, params))
+    return Fraction(hits, sum(counts))
+
+
+def enumerate_oracle(unknown: int, known: int, circuits: int) -> list[int]:
+    """Brute-force blocked-count law: walk every bridge selection and count
+    the ones holding b known bridges, for b = 0..circuits.
 
     Deliberately avoids the closed form so it can validate it. Guarded to
     at most ORACLE_SUBSET_LIMIT subsets.
     """
     _check_pool(unknown, known, circuits)
-    if threshold < 0:
-        raise ValueError("threshold must be non-negative")
     if binomial(unknown + known, circuits) > ORACLE_SUBSET_LIMIT:
         raise ResourceLimitError(
             f"C({unknown + known}, {circuits}) subsets exceed the {ORACLE_SUBSET_LIMIT} guard"
         )
     flags = (1,) * known + (0,) * unknown
-    total = 0
-    blocked = 0
+    counts = [0] * (circuits + 1)
     for combo in itertools.combinations(flags, circuits):
-        total += 1
-        if sum(combo) > threshold:
-            blocked += 1
-    return Fraction(blocked, total)
+        counts[sum(combo)] += 1
+    return counts
 
 
 @dataclass(frozen=True)
@@ -117,6 +118,6 @@ def sweep(unknown: int, known_range: Iterable[int], configs: Sequence[CodeParams
     """Exact probability grid over known-bridge counts and code shapes, in
     grid_points order."""
     return [
-        SweepRow(m_known, params, p_block_lnc(unknown, m_known, params.n, params.r))
+        SweepRow(m_known, params, _p_block(unknown, m_known, params))
         for m_known, params in grid_points(known_range, configs)
     ]

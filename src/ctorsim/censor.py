@@ -3,8 +3,9 @@
 The censor model is static: a fixed subset of the bridge pool is known to
 the censor, and every circuit whose entry bridge is known gets blocked.
 The client samples bridges uniformly without replacement and cannot tell
-known from unknown. A trial is interrupted when more circuits are blocked
-than the code can absorb (any blocking at all for otor/mtor).
+known from unknown. The engine only counts blocked circuits, per fast-path
+batch as a histogram with one bin per count and per pipeline trial as one
+count; codec.interrupted_by_rule alone decides which counts interrupt.
 
 Randomness is Python's random.Random (MT19937). A campaign draws from one
 stream, seeded from SHAKE-256 over (seed, "bridge-selection"), so results
@@ -24,7 +25,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .codec import CodeParams, Variant
+from .codec import CodeParams, Variant, interrupted_by_rule
 from .onion import CodedMessage, build_circuits, run_transfer
 
 DEFAULT_FULL_PIPELINE_FRACTION = 0.01
@@ -75,6 +76,11 @@ class BridgePool:
 
     def __len__(self) -> int:
         return len(self.unknown) + len(self.known)
+
+    def blocked(self, chosen: list[str]) -> frozenset[int]:
+        """Indices of the chosen bridges the censor knows: the circuits it blocks."""
+        known = self.known
+        return frozenset(i for i, bridge in enumerate(chosen) if bridge in known)
 
 
 @dataclass(frozen=True)
@@ -128,11 +134,6 @@ def select_bridges(pool: BridgePool, n: int, rng: random.Random) -> list[str]:
     return rng.sample(pool.ordered, n)
 
 
-def interrupted_by_rule(blocked_count: int, params: CodeParams) -> bool:
-    """Communication is lost once more circuits are blocked than the code absorbs."""
-    return blocked_count > params.r
-
-
 def run_trial(scenario: CensorScenario, rng: random.Random) -> TrialOutcome:
     """One full trial: select bridges, then build circuits over the default
     relay pool, both from `rng`, and carry the fixed trial message through
@@ -143,8 +144,7 @@ def run_trial(scenario: CensorScenario, rng: random.Random) -> TrialOutcome:
     the blocked-count rule; the two models must be interchangeable.
     """
     chosen = select_bridges(scenario.pool, scenario.params.n, rng)
-    known = scenario.pool.known
-    blocked = {i for i, b in enumerate(chosen) if b in known}
+    blocked = scenario.pool.blocked(chosen)
     blocked_count = len(blocked)
     circuits = build_circuits(chosen, rng)
     result = run_transfer(circuits, _trial_cells(scenario.params), _DEFAULT_MESSAGE, blocked)
@@ -166,9 +166,10 @@ def run_campaign(
 ) -> CampaignResult:
     """Estimate the interruption probability over many independent trials.
 
-    The fast path (an urn count of the known bridges each trial draws, and
-    the blocked-count rule; see _fast_interruptions) runs all `trials` and
-    makes the estimate. Then round(trials * full_pipeline_fraction) full
+    The fast path (an urn count of the known bridges each trial draws; see
+    _fast_blocked_counts) runs all `trials`, and the estimate counts the
+    trials in the bins of its blocked-count histogram where the rule
+    interrupts. Then round(trials * full_pipeline_fraction) full
     select/encode/transmit/decode trials, at least one when the fraction is
     positive, run on the rest of the same stream as a cross-check: each
     raises ConsistencyError if the pipeline disagrees with the rule, and
@@ -184,7 +185,8 @@ def run_campaign(
     rng = derive_rng(seed, "bridge-selection")
     params = scenario.params
     pool = scenario.pool
-    interruptions = _fast_interruptions(rng, len(pool), len(pool.known), params.n, params.r, trials)
+    counts = _fast_blocked_counts(rng, len(pool), len(pool.known), params.n, trials)
+    interruptions = sum(count for b, count in enumerate(counts) if interrupted_by_rule(b, params))
     checks = round(trials * full_pipeline_fraction)
     if full_pipeline_fraction > 0:
         checks = max(checks, 1)
@@ -195,8 +197,8 @@ def run_campaign(
     return CampaignResult(trials, interruptions, p, ci95)
 
 
-def _fast_interruptions(rng: random.Random, size: int, known: int, n: int, r: int, count: int) -> int:
-    """Run `count` fast-path trials; return how many block more than r circuits.
+def _fast_blocked_counts(rng: random.Random, size: int, known: int, n: int, count: int) -> list[int]:
+    """Run `count` fast-path trials; entry b of the result is how many block b circuits.
 
     Each trial draws n of the `size` bridges without replacement as an urn
     with the `known` censor-known bridges kept in front: the pick below m
@@ -206,7 +208,7 @@ def _fast_interruptions(rng: random.Random, size: int, known: int, n: int, r: in
     """
     getrandbits = rng.getrandbits
     draws = [(m, m.bit_length()) for m in range(size, size - n, -1)]
-    interrupted = 0
+    counts = [0] * (n + 1)
     for _ in range(count):
         left = known
         for m, bits in draws:
@@ -215,5 +217,5 @@ def _fast_interruptions(rng: random.Random, size: int, known: int, n: int, r: in
                 j = getrandbits(bits)
             if j < left:
                 left -= 1
-        interrupted += known - left > r
-    return interrupted
+        counts[known - left] += 1
+    return counts

@@ -274,7 +274,7 @@ def cmd_e2e(args: argparse.Namespace) -> int:
             raise ValueError("--scenario-seed needs a single --mknown value")
         pool = BridgePool.build(cfg.mb, cfg.mknown[0])
         bridges = select_bridges(pool, params.n, derive_rng(args.scenario_seed, "bridge-selection"))
-        blocked = tuple(i for i, b in enumerate(bridges) if b in pool.known)
+        blocked = pool.blocked(bridges)
 
     if args.message_file is not None:
         message = Path(args.message_file).read_bytes()
@@ -293,7 +293,7 @@ def cmd_e2e(args: argparse.Namespace) -> int:
         known_chosen = sorted(bridges[i] for i in blocked)
         print(f"bridges: {', '.join(bridges)}")
         print(f"censor-known among them: {known_chosen if known_chosen else 'none'}")
-    print(f"blocked circuits: {list(blocked) if blocked else 'none'}")
+    print(f"blocked circuits: {sorted(blocked) if blocked else 'none'}")
     print(f"message: {len(message)} bytes in {len(result.delivered_counts)} generation(s)")
     for gid, delivered in enumerate(result.delivered_counts):
         status = "unrecoverable" if gid in result.failed_generations else "decoded"

@@ -80,6 +80,12 @@ class CodeParams:
             raise ValueError(f"n must be <= {MAX_N} (field size bound), got {self.n}")
 
 
+def interrupted_by_rule(blocked_count: int, params: CodeParams) -> bool:
+    """The blocked-count rule: any k of the n coded cells decode, so a transfer
+    survives up to r blocked circuits and is lost beyond."""
+    return blocked_count > params.r
+
+
 class Variant(str, Enum):
     OTOR = "otor"
     MTOR = "mtor"

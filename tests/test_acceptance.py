@@ -15,6 +15,7 @@ import pytest
 from ctorsim import gf256
 from ctorsim.analytics import (
     binomial,
+    blocked_counts,
     enumerate_oracle,
     p_block_lnc,
 )
@@ -57,10 +58,11 @@ def test_criterion_1_oracle_equivalence_exact():
             for n in range(1, 7):
                 if n > unknown + known:
                     continue
-                oracle_plain = enumerate_oracle(unknown, known, n, 0)
-                assert p_block_lnc(unknown, known, n, 0) == oracle_plain, (unknown, known, n)
+                counts = enumerate_oracle(unknown, known, n)
+                assert blocked_counts(unknown, known, n) == counts, (unknown, known, n)
+                assert sum(counts) == binomial(unknown + known, n), (unknown, known, n)
                 for r in range(0, n):
-                    oracle_r = oracle_plain if r == 0 else enumerate_oracle(unknown, known, n, r)
+                    oracle_r = Fraction(sum(counts[r + 1 :]), sum(counts))
                     assert p_block_lnc(unknown, known, n, r) == oracle_r, (unknown, known, n, r)
                     points += 1
     report(1, "oracle equivalence, exact", f"{points} grid points, zero tolerance")

@@ -10,6 +10,7 @@ from ctorsim.analytics import (
     DEFAULT_UNKNOWN,
     ResourceLimitError,
     binomial,
+    blocked_counts,
     enumerate_oracle,
     p_block_lnc,
     sweep,
@@ -92,7 +93,7 @@ class TestCodedBlocking:
 
 class TestEnumerationOracle:
     def test_zero_without_known_bridges(self):
-        assert enumerate_oracle(10, 0, 3, 0) == 0
+        assert enumerate_oracle(10, 0, 3) == [binomial(10, 3), 0, 0, 0]
 
     def test_matches_formulas_on_small_grid(self):
         for unknown in range(0, 9):
@@ -100,11 +101,12 @@ class TestEnumerationOracle:
                 for n in range(1, 5):
                     if n > unknown + known:
                         continue
-                    assert enumerate_oracle(unknown, known, n, 0) == p_block_lnc(unknown, known, n, 0)
+                    counts = enumerate_oracle(unknown, known, n)
+                    assert blocked_counts(unknown, known, n) == counts
+                    assert sum(counts) == binomial(unknown + known, n)
                     for r in range(0, n):
-                        assert enumerate_oracle(unknown, known, n, r) == p_block_lnc(
-                            unknown, known, n, r
-                        )
+                        # the tail is the share of selections blocking more than r
+                        assert p_block_lnc(unknown, known, n, r) == Fraction(sum(counts[r + 1 :]), sum(counts))
 
     def test_hypergeometric_completeness(self):
         # all selection sizes together cover the whole space (Vandermonde)
@@ -121,7 +123,7 @@ class TestEnumerationOracle:
 
     def test_subset_guard(self):
         with pytest.raises(ResourceLimitError):
-            enumerate_oracle(30, 30, 10, 0)  # C(60, 10) ~ 7.5e10 subsets
+            enumerate_oracle(30, 30, 10)  # C(60, 10) ~ 7.5e10 subsets
 
 
 class TestSweep:

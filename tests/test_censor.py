@@ -4,12 +4,11 @@ import functools
 import itertools
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
 from ctorsim import censor, onion
-from ctorsim.analytics import DEFAULT_CONFIGS, DEFAULT_UNKNOWN, enumerate_oracle, p_block_lnc
+from ctorsim.analytics import DEFAULT_CONFIGS, DEFAULT_UNKNOWN, blocked_counts, p_block_lnc
 from ctorsim.censor import (
     BridgePool,
     CensorScenario,
@@ -45,6 +44,11 @@ class TestBridgePool:
     def test_ordered_is_canonical(self):
         pool = BridgePool.build(3, 2)
         assert pool.ordered == tuple(sorted(pool.unknown | pool.known))
+
+    def test_blocked_are_the_indices_of_chosen_known_bridges(self):
+        pool = BridgePool.build(3, 2)
+        assert pool.blocked(["k001", "u000", "u002", "k000"]) == {0, 3}
+        assert pool.blocked(["u001", "u000"]) == frozenset()
 
 
 class TestSelectBridges:
@@ -283,7 +287,7 @@ class TestCrossCheckStream:
     def test_checks_run_after_the_estimate_on_its_stream(self, monkeypatch, trials, fraction):
         s = scenario(25, 5, 4, r=1)
         fast = derive_rng(9, "bridge-selection")
-        expected = censor._fast_interruptions(fast, 30, 5, 4, 1, trials)
+        expected = sum(censor._fast_blocked_counts(fast, 30, 5, 4, trials)[2:])
         derived, entries = [], []
 
         def recording_derive_rng(seed, label):
@@ -381,18 +385,20 @@ class TestFlagSumFastPath:
         population = known_first(pool)
         by_count, by_id = random.Random(n), random.Random(n)
 
-        def blocked_by_id():
-            return sum(1 for b in urn_draw(population, n, by_id) if b in pool.known)
+        def histogram_by_id(trials):
+            counts = [0] * (n + 1)
+            for _ in range(trials):
+                counts[sum(1 for b in urn_draw(population, n, by_id) if b in pool.known)] += 1
+            return counts
 
-        # one trial per call, the threshold cycling over 0..n-1
-        for i in range(5_000):
-            r = i % n
-            assert censor._fast_interruptions(by_count, len(pool), num_known, n, r, 1) == (blocked_by_id() > r)
+        # one trial per call
+        for _ in range(5_000):
+            assert censor._fast_blocked_counts(by_count, len(pool), num_known, n, 1) == histogram_by_id(1)
         # one batch per call, as run_campaign makes them
-        for r in range(n):
-            expected = sum(blocked_by_id() > r for _ in range(1_000))
-            assert censor._fast_interruptions(by_count, len(pool), num_known, n, r, 1_000) == expected
-        assert censor._fast_interruptions(by_count, len(pool), num_known, n, 0, 0) == 0
+        for _ in range(3):
+            expected = histogram_by_id(1_000)
+            assert censor._fast_blocked_counts(by_count, len(pool), num_known, n, 1_000) == expected
+        assert censor._fast_blocked_counts(by_count, len(pool), num_known, n, 0) == [0] * (n + 1)
         # both drew the same words
         assert by_count.getstate() == by_id.getstate()
 
@@ -400,7 +406,7 @@ class TestFlagSumFastPath:
     def test_empty_batch_draws_nothing(self, num_unknown, num_known, n):
         rng = random.Random(n)
         state = rng.getstate()
-        assert censor._fast_interruptions(rng, num_unknown + num_known, num_known, n, 0, 0) == 0
+        assert censor._fast_blocked_counts(rng, num_unknown + num_known, num_known, n, 0) == [0] * (n + 1)
         assert rng.getstate() == state
 
     @pytest.mark.parametrize("num_unknown,num_known,n", POOLS)
@@ -429,57 +435,57 @@ def rejected(m: int, index: int) -> int:
     return m + index % ((1 << m.bit_length()) - m)
 
 
-# (unknown, known, n, r); each pool enumerates size! / (size - n)! sequences
+# (unknown, known, n); each pool enumerates size! / (size - n)! sequences
 LAW_POOLS = [
-    (3, 2, 5, 1),  # n equal to the pool size
-    (6, 3, 1, 0),  # n = 1
-    (7, 0, 3, 0),  # no known bridge
-    (0, 6, 3, 1),  # every bridge known
-    (8, 2, 4, 2),  # known <= r
-    (11, 5, 4, 1),  # 16 bridges, a power of two
-    (12, 5, 4, 1),  # 17 bridges, just past one
-    (4, 3, 5, 2),
-    (9, 6, 3, 0),
+    (3, 2, 5),  # n equal to the pool size
+    (6, 3, 1),  # n = 1
+    (7, 0, 3),  # no known bridge
+    (0, 6, 3),  # every bridge known
+    (8, 2, 4),  # fewer known bridges than circuits
+    (11, 5, 4),  # 16 bridges, a power of two
+    (12, 5, 4),  # 17 bridges, just past one
+    (4, 3, 5),
+    (9, 6, 3),
 ]
 
 
 class TestUrnLaw:
-    """The fast path's law is the hypergeometric tail, proved by walking every
-    accepted draw sequence of one trial. The proof assumes that getrandbits
-    gives uniform words (MT19937), so each accepted sequence is equally
-    likely; it needs neither random.sample nor the closed form."""
+    """The fast path's law is the hypergeometric blocked-count law, proved by
+    walking every accepted draw sequence of one trial. Each selection of n
+    bridges is drawn in n! orders, so the summed histogram is n! times
+    blocked_counts, bin by bin, which covers every r at once. The proof
+    assumes that getrandbits gives uniform words (MT19937), so each accepted
+    sequence is equally likely; it needs neither random.sample nor the rule."""
 
-    @pytest.mark.parametrize("unknown,known,n,r", LAW_POOLS)
-    def test_law_is_the_exact_tail(self, unknown, known, n, r):
+    @pytest.mark.parametrize("unknown,known,n", LAW_POOLS)
+    def test_law_is_the_blocked_count_law(self, unknown, known, n):
         size = unknown + known
         bounds = range(size, size - n, -1)
-        interrupted = 0
+        histogram = [0] * (n + 1)
         for index, picks in enumerate(itertools.product(*map(range, bounds))):
             script = list(zip(bounds, picks))
             # a word the draw must reject, before the pick at a cycling step
             m = bounds[index % n]
             script.insert(index % n, (m, rejected(m, index)))
             bits = ScriptedBits(script)
-            interrupted += censor._fast_interruptions(bits, size, known, n, r, 1)
+            for b, count in enumerate(censor._fast_blocked_counts(bits, size, known, n, 1)):
+                histogram[b] += count
             assert bits.words == []
-        sequences = index + 1
-        assert sequences == math.perm(size, n)
-        law = Fraction(interrupted, sequences)
-        assert law == p_block_lnc(unknown, known, n, r)
-        assert law == enumerate_oracle(unknown, known, n, r)
+        assert index + 1 == math.perm(size, n)
+        assert histogram == [count * math.factorial(n) for count in blocked_counts(unknown, known, n)]
 
     def test_rejections_are_redrawn_not_used(self):
-        unknown, known, n, r = 4, 3, 3, 0
+        unknown, known, n = 4, 3, 3
         size = unknown + known
         bounds = range(size, size - n, -1)
         for index, picks in enumerate(itertools.product(*map(range, bounds))):
             script = list(zip(bounds, picks))
-            expected = censor._fast_interruptions(ScriptedBits(script), size, known, n, r, 1)
+            expected = censor._fast_blocked_counts(ScriptedBits(script), size, known, n, 1)
             for step, m in enumerate(bounds):
                 # one to three rejected words before the pick at `step`
                 extra = [(m, rejected(m, index + i)) for i in range(1 + index % 3)]
                 bits = ScriptedBits(script[:step] + extra + script[step:])
-                assert censor._fast_interruptions(bits, size, known, n, r, 1) == expected
+                assert censor._fast_blocked_counts(bits, size, known, n, 1) == expected
                 assert bits.words == []
 
 
