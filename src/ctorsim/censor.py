@@ -35,7 +35,7 @@ _DEFAULT_MESSAGE = hashlib.shake_256(b"trial-payload").digest(1024)
 
 
 # run_transfer sends a coded message, and every pipeline trial of a shape
-# sends the same one, so it is encoded, checked and serialised once per shape;
+# sends the same one, so it is encoded, serialised and parsed once per shape;
 # it is frozen, so trials can share it. Bounded because --variant takes any
 # number of shapes.
 @lru_cache(maxsize=32)
@@ -124,14 +124,11 @@ def derive_rng(seed: int, label: str) -> random.Random:
     return random.Random(derive_seed(seed, label))
 
 
-def select_bridges(pool: BridgePool, n: int, rng: random.Random) -> list[str]:
-    """Uniform sample of n bridges without replacement over the whole pool,
-    drawn with ``rng.sample`` over `pool.ordered`."""
-    if n < 1:
-        raise ValueError("must select at least one bridge")
-    if n > len(pool):
-        raise ValueError(f"cannot select {n} bridges from a pool of {len(pool)}")
-    return rng.sample(pool.ordered, n)
+def select_bridges(scenario: CensorScenario, rng: random.Random) -> list[str]:
+    """Uniform sample of the scenario's n bridges without replacement over
+    its whole pool, drawn with ``rng.sample`` over `pool.ordered`; the
+    scenario has checked that the pool holds n."""
+    return rng.sample(scenario.pool.ordered, scenario.params.n)
 
 
 def run_trial(scenario: CensorScenario, rng: random.Random) -> TrialOutcome:
@@ -143,7 +140,7 @@ def run_trial(scenario: CensorScenario, rng: random.Random) -> TrialOutcome:
     Raises ConsistencyError if the transport outcome ever disagrees with
     the blocked-count rule; the two models must be interchangeable.
     """
-    chosen = select_bridges(scenario.pool, scenario.params.n, rng)
+    chosen = select_bridges(scenario, rng)
     blocked = scenario.pool.blocked(chosen)
     blocked_count = len(blocked)
     circuits = build_circuits(chosen, rng)

@@ -272,9 +272,9 @@ def cmd_e2e(args: argparse.Namespace) -> int:
     else:
         if args.mknown is None or len(cfg.mknown) != 1:
             raise ValueError("--scenario-seed needs a single --mknown value")
-        pool = BridgePool.build(cfg.mb, cfg.mknown[0])
-        bridges = select_bridges(pool, params.n, derive_rng(args.scenario_seed, "bridge-selection"))
-        blocked = pool.blocked(bridges)
+        scenario = CensorScenario(BridgePool.build(cfg.mb, cfg.mknown[0]), params)
+        bridges = select_bridges(scenario, derive_rng(args.scenario_seed, "bridge-selection"))
+        blocked = scenario.pool.blocked(bridges)
 
     if args.message_file is not None:
         message = Path(args.message_file).read_bytes()

@@ -18,20 +18,22 @@ output byte; little-endian is the cheaper conversion.
 
 A message is coded once, by building a CodedMessage(params, message): the
 constructor splits and codes the message in one batch, keeps the CodeParams
-that built it, joins each sub-flow's wire bytes once and parses each joined
-sub-flow back once. No cells can be passed in, so every CodedMessage has the
-shape its code gives. run_transfer sends a CodedMessage and decodes by the
-params it carries. The censor sends one fixed message per code shape, so a
-pipeline trial pays only for what differs between trials: the circuits, the
-blocked set, the wrap and peels and the decode. An entry hop's stream
-depends only on the bridge and the sub-flow, and an exit hop's only on the
-exit relay, the bridge and the sub-flow, so both are cached across
-transfers (exit streams only for short sub-flows such as a trial's); middle
-streams, and the exit streams of long sub-flows, are derived per transfer.
-One function, _layer_stream, picks the cache for a hop. The exit compares
-the peeled bytes with the sub-flow that was sent: equal bytes give that
-sub-flow's cells, which the message's own parse checked, and bytes that
-differ in any position are parsed in full.
+that built it, and holds the message once per sub-flow: the wire bytes its
+circuit carries, joined once, and the cells an exit parses from them. No
+cells can be passed in, so every CodedMessage has the shape its code gives.
+run_transfer sends a CodedMessage and decodes by the params it carries. The
+censor sends one fixed message per code shape, so a pipeline trial pays
+only for what differs between trials: the circuits, the blocked set, the
+wrap and peels and the decode. An entry hop's stream depends only on the
+bridge and the sub-flow, and an exit hop's only on the exit relay, the
+bridge and the sub-flow, so both are cached across transfers (exit streams
+only for short sub-flows such as a trial's); middle streams, and the exit
+streams of long sub-flows, are derived per transfer. One function,
+_layer_stream, picks the cache for a hop. The exit compares
+the peeled bytes with the sub-flow that was sent: equal bytes give the
+cells the message parsed from those same bytes, which is what a parse at
+the exit would give, and bytes that differ in any position are parsed in
+full.
 
 CircuitSet checks its invariants in its constructor, and build_circuits
 builds through it, so each rule is checked in one place.
@@ -260,36 +262,35 @@ def peel_layer(cell: LayeredCell, router: OnionRouter) -> LayeredCell:
 
 @dataclass(frozen=True)
 class CodedMessage:
-    """A message coded under one code, serialised and checked once.
+    """A message coded under one code, held once per sub-flow.
 
     CodedMessage(params, message) splits the message into generations of
-    params.k cells and codes them in one batch, so generation g holds
-    params.n cells, cell i riding sub-flow i. `subflows` holds each
-    sub-flow's wire bytes, its cells' joined in generation order, so any
-    number of transfers can send the message without re-serialising its
-    frozen cells. Each joined sub-flow is parsed back once, and a wire that
-    does not give back its sub-flow's cells is rejected, so transmit can
-    hand those cells to an exit that peels the same bytes. Iterating gives
-    the generations.
+    params.k cells and codes them in one batch, so each generation gives
+    params.n cells, cell i riding sub-flow i. `subflows[i]` is the wire
+    bytes circuit i carries, its cells' joined in generation order, so any
+    number of transfers can send the message without re-serialising it.
+    `cells[i]` is what circuit i's exit parses from exactly those bytes,
+    parsed once here; the encoder's cells are dropped once the wires are
+    joined. Iterating gives each sub-flow's cells.
     """
 
     params: CodeParams
     message: InitVar[bytes]
-    generations: tuple[tuple[CodedCell, ...], ...] = field(init=False)
-    subflows: tuple[bytes, ...] = field(init=False, repr=False, compare=False)
+    subflows: tuple[bytes, ...] = field(init=False, repr=False)
+    cells: tuple[tuple[CodedCell, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, message: bytes):
         params = self.params
-        generations = tuple(map(tuple, encode_generations(split_message(message, params.k), build_generator(params))))
-        subflows = tuple(b"".join(gen_cells[idx].to_wire() for gen_cells in generations) for idx in range(params.n))
-        for idx, wire in enumerate(subflows):
-            if CodedCell.from_wire_stream(wire) != [gen_cells[idx] for gen_cells in generations]:
-                raise ValueError(f"sub-flow {idx}'s wire bytes do not parse back to its cells")
-        object.__setattr__(self, "generations", generations)
+        # one expression, so the encoder's cells are freed before the parse
+        subflows = tuple(
+            b"".join([cell.to_wire() for cell in column])
+            for column in zip(*encode_generations(split_message(message, params.k), build_generator(params)))
+        )
         object.__setattr__(self, "subflows", subflows)
+        object.__setattr__(self, "cells", tuple(tuple(CodedCell.from_wire_stream(wire)) for wire in subflows))
 
     def __iter__(self) -> Iterator[tuple[CodedCell, ...]]:
-        return iter(self.generations)
+        return iter(self.cells)
 
 
 def transmit(
@@ -303,10 +304,9 @@ def transmit(
     silently. Each surviving sub-flow's wire bytes are wrapped once, peeled
     by three peel_layer calls (entry, middle, exit), turned back into bytes
     once, and compared with the sub-flow that was sent: equal bytes give
-    that sub-flow's own cells, which CodedMessage parsed back from the same
-    bytes, and bytes that differ in any position are parsed cell by cell by
-    the headers in them, so the returned cells are exactly what the exit
-    relay can see.
+    the cells CodedMessage parsed from those same bytes, and bytes that
+    differ in any position are parsed cell by cell by the headers in them,
+    so the returned cells are exactly what the exit relay can see.
     They come back sub-flow by sub-flow, in circuit order, each sub-flow's
     in the order its exit read them, so a sub-flow that arrives short
     loses only its own missing cells.
@@ -316,7 +316,7 @@ def transmit(
     fields and the cell ids, so one that is not an integer (1.5, 1.0)
     raises TypeError, and all must lie within 0..n-1.
     """
-    generations, subflows = coded.generations, coded.subflows
+    cells, subflows = coded.cells, coded.subflows
     n = len(circuits.circuits)
     if coded.params.n != n:
         raise ValueError(f"message coded for n={coded.params.n} circuits, got {n} circuits")
@@ -324,7 +324,7 @@ def transmit(
         blocked = frozenset(map(index, blocked))
         if min(blocked) < 0 or max(blocked) >= n:
             raise ValueError(f"blocked circuit indices {sorted(blocked)} outside 0..{n - 1}")
-    arrived: list[list[CodedCell]] = []
+    arrived: list[CodedCell] = []
     for idx, circuit in enumerate(circuits.circuits):
         if idx in blocked:
             continue
@@ -333,10 +333,8 @@ def transmit(
         layered = peel_layer(layered, circuit.middle)
         layered = peel_layer(layered, circuit.exit)
         wire = layered.payload
-        arrived.append(
-            [gen_cells[idx] for gen_cells in generations] if wire == subflows[idx] else CodedCell.from_wire_stream(wire)
-        )
-    return [cell for cells in arrived for cell in cells]
+        arrived += cells[idx] if wire == subflows[idx] else CodedCell.from_wire_stream(wire)
+    return arrived
 
 
 @dataclass(frozen=True)
@@ -357,8 +355,9 @@ def run_transfer(
     `coded` is CodedMessage(params, message) for the code the circuits
     run; transmit checks it against the circuit count and `blocked`, and
     decoding uses its params. The arrived cells are grouped by their
-    generation id, each generation's in circuit order, and a generation
-    with fewer than k of them fails. Success means every generation decoded
+    generation id, each generation's in circuit order, for the G
+    generations each of its sub-flows carries, and a generation with fewer
+    than k of them fails. Success means every generation decoded
     and the reassembled bytes equal `message`; for otor and mtor that
     reduces to no circuit in `blocked`.
     """
@@ -372,7 +371,7 @@ def run_transfer(
     decodable: list[list[CodedCell]] = []
     failed: list[int] = []
     counts: list[int] = []
-    for generation_id in range(len(coded.generations)):
+    for generation_id in range(len(coded.cells[0])):
         cells = by_generation.get(generation_id, [])
         counts.append(len(cells))
         if len(cells) < params.k:

@@ -113,7 +113,7 @@ def test_tracer_counts_one_coded_transfer():
     with tracer.installed():
         result = censor.run_transfer(circuits, coded, message, {2})
     assert result.success
-    generations = len(coded.generations)
+    generations = len(coded.cells[0])
     assert generations > 1
     assert tracer.counters["cells_offered"] == params.n * generations
     assert tracer.counters["cells_delivered"] == (params.n - 1) * generations

@@ -53,25 +53,28 @@ class TestBridgePool:
 
 class TestSelectBridges:
     def test_selecting_whole_pool(self):
-        pool = BridgePool.build(3, 2)
-        assert set(select_bridges(pool, 5, random.Random(0))) == set(pool.ordered)
+        s = scenario(3, 2, 5)
+        assert set(select_bridges(s, random.Random(0))) == set(s.pool.ordered)
 
     def test_deterministic_for_fixed_seed(self):
-        pool = BridgePool.build(25, 5)
-        assert select_bridges(pool, 4, random.Random(9)) == select_bridges(pool, 4, random.Random(9))
+        s = scenario(25, 5, 4)
+        assert select_bridges(s, random.Random(9)) == select_bridges(s, random.Random(9))
 
-    def test_oversized_selection_rejected(self):
-        with pytest.raises(ValueError):
-            select_bridges(BridgePool.build(2, 1), 4, random.Random(0))
+    def test_draw_is_a_sample_of_the_ordered_pool(self):
+        # the scenario only supplies the pool and n, so the draw is the
+        # same bytes as a plain sample of the canonical order
+        s = scenario(25, 5, 4, 1)
+        assert select_bridges(s, random.Random(9)) == random.Random(9).sample(s.pool.ordered, 4)
 
     def test_per_bridge_inclusion_is_uniform(self):
         # every bridge should appear with frequency n / pool within 3 sigma
-        pool = BridgePool.build(25, 5)
+        s = scenario(25, 5, 4)
+        pool = s.pool
         n, trials = 4, 100_000
         rng = derive_rng(0, "uniformity-check")
         counts = {b: 0 for b in pool.ordered}
         for _ in range(trials):
-            for b in select_bridges(pool, n, rng):
+            for b in select_bridges(s, rng):
                 counts[b] += 1
         p = n / len(pool)
         sigma = math.sqrt(p * (1 - p) * trials)
@@ -86,7 +89,8 @@ class TestScenario:
         assert scenario(25, 5, 4, 1).variant is Variant.CTOR
 
     def test_pool_too_small_rejected(self):
-        with pytest.raises(ValueError):
+        # the one pool check on the draw path: select_bridges takes a scenario
+        with pytest.raises(ValueError, match="cannot select 4 bridges from a pool of 3"):
             scenario(2, 1, 4)
 
     def test_rule(self):
@@ -124,7 +128,7 @@ class TestRunTrial:
         s = scenario(25, 5, 4)
         # run_trial selects with select_bridges before it builds circuits, so
         # a twin stream names its bridges
-        chosen = select_bridges(s.pool, 4, derive_rng(3, "t"))
+        chosen = select_bridges(s, derive_rng(3, "t"))
         outcome = run_trial(s, derive_rng(3, "t"))
         assert isinstance(outcome, TrialOutcome)
         assert outcome.blocked_count == sum(1 for b in chosen if b in s.pool.known)
@@ -140,7 +144,7 @@ class TestTrialCells:
         assert isinstance(cells, CodedMessage)
         assert cells == CodedMessage(params, censor._DEFAULT_MESSAGE)
         assert censor._trial_cells(params) is cells
-        assert all(type(gen) is tuple for gen in cells.generations)
+        assert all(type(subflow) is tuple for subflow in cells.cells)
 
     def test_cache_is_bounded(self):
         assert censor._trial_cells.cache_info().maxsize == 32
@@ -174,7 +178,7 @@ class TestExitStreamMemory:
         assert info.currsize <= len(exits) * DEFAULT_UNKNOWN * len(DEFAULT_CONFIGS)
         # an e2e-sized transfer (86 generations, 45 KB sub-flows) adds nothing
         coded = CodedMessage(CodeParams(10, 6, 4), bytes(256 * 1024))
-        assert len(coded.generations) == 86
+        assert len(coded.cells[0]) == 86
         transmit(build_circuits([f"u{i:03d}" for i in range(10)], random.Random(0)), coded, {1, 4})
         assert cache.cache_info() == info
 

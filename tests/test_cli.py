@@ -355,6 +355,13 @@ class TestE2E:
         payload.write_bytes(b"x")
         assert main(["e2e", "--message-file", str(payload), "--message-size", "10"]) == EXIT_USAGE
 
+    def test_scenario_pool_smaller_than_the_code_rejected(self, capsys):
+        argv = ["e2e", "--variant", "mtor:4", "--scenario-seed", "1", "--mb", "2", "--mknown", "1"]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot select 4 bridges from a pool of 3" in captured.err
+
     def test_scenario_seed_requires_single_mknown(self):
         assert main(["e2e", "--scenario-seed", "1"]) == EXIT_USAGE
         assert main(["e2e", "--scenario-seed", "1", "--mknown", "2..5"]) == EXIT_USAGE

@@ -1002,9 +1002,9 @@ class TestColumnWise:
         # each over a whole column, however many generations the message has
         params = CodeParams(*shape)
         coded = CodedMessage(params, random.Random(26).randbytes(100_000))
-        assert len(coded.generations) > 10
+        assert len(coded.cells[0]) > 10
         assert len(scale_calls) <= params.r * params.k
-        assert set(scale_calls) <= {len(coded.generations) * CELL_SIZE}
+        assert set(scale_calls) <= {len(coded.cells[0]) * CELL_SIZE}
 
     def test_per_generation_functions_are_the_batch_of_one(self):
         matrix = hand_made_matrix()

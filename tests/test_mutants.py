@@ -9,10 +9,20 @@ from fractions import Fraction
 
 import pytest
 
-from ctorsim import analytics, censor
+from ctorsim import analytics, censor, onion
 from ctorsim.analytics import p_block_lnc
 from ctorsim.censor import BridgePool, CensorScenario, ConsistencyError, derive_rng, run_campaign, run_trial
-from ctorsim.codec import CodeParams
+from ctorsim.codec import CodeParams, CodedCell
+from ctorsim.onion import CodedMessage, build_circuits, run_transfer
+
+
+@pytest.fixture
+def fresh_trial_cells():
+    """Pipeline trials share one encoding of the trial message per shape, so
+    one built under a mutant must not outlive its test."""
+    censor._trial_cells.cache_clear()
+    yield
+    censor._trial_cells.cache_clear()
 
 
 def test_rule_as_b_at_least_r_moves_every_law_and_fails_the_pipeline(monkeypatch):
@@ -40,3 +50,72 @@ def test_rule_as_b_at_least_r_moves_every_law_and_fails_the_pipeline(monkeypatch
     assert mutated == interruptions + counts[1]
     with pytest.raises(ConsistencyError, match="interrupted=False but blocked_count=1"):
         run_trial(at_r, random.Random(0))
+
+
+def test_wire_cells_with_the_last_byte_flipped_fail_every_transfer(monkeypatch, fresh_trial_cells):
+    """CodedCell.to_wire flips the last payload byte of every cell. Nothing
+    compares the wire with the encoder's cells, so the message still builds,
+    and each exit parses exactly the altered cells it is sent. The check that
+    catches it is the transfer's comparison of the decoded bytes with the
+    message: run_transfer fails with no failed generation, and run_trial and
+    a fraction-1 run_campaign raise ConsistencyError where the rule says a
+    transfer succeeds."""
+    params = CodeParams(4, 3, 1)
+    message = random.Random(14).randbytes(1000)
+    circuits = build_circuits([f"b{i}" for i in range(4)], random.Random(0))
+    at_r = CensorScenario(BridgePool.build(3, 1), params)  # every bridge chosen, one known: b = r
+    campaign = CensorScenario(BridgePool.build(25, 5), params)
+    clean = CodedMessage(params, message)
+    assert run_transfer(circuits, clean, message, {1}).success
+    assert not run_trial(at_r, random.Random(0)).interrupted
+    run_campaign(campaign, 10, 1, full_pipeline_fraction=1)
+
+    to_wire = CodedCell.to_wire
+
+    def flipped(cell):
+        wire = to_wire(cell)
+        return wire[:-1] + bytes([wire[-1] ^ 1])
+
+    monkeypatch.setattr(CodedCell, "to_wire", flipped)
+    censor._trial_cells.cache_clear()
+    coded = CodedMessage(params, message)
+    # it builds, holding the altered cells each exit parses from its wire
+    for cells, clean_cells in zip(coded.cells, clean.cells, strict=True):
+        assert [cell.payload[-1] ^ 1 for cell in cells] == [cell.payload[-1] for cell in clean_cells]
+    for blocked in (set(), {1}):
+        result = run_transfer(circuits, coded, message, blocked)
+        assert (result.success, result.failed_generations) == (False, ())
+    with pytest.raises(ConsistencyError, match="interrupted=True but blocked_count=1"):
+        run_trial(at_r, random.Random(0))
+    with pytest.raises(ConsistencyError, match="interrupted=True"):
+        run_campaign(campaign, 10, 1, full_pipeline_fraction=1)
+
+
+def test_entry_and_middle_peeled_in_swapped_order_fail_the_exit_parse(monkeypatch, parser_calls):
+    """onion.peel_layer peels the entry and middle hops in swapped order: the
+    entry's stream is removed at the middle's layer position and the
+    middle's at the entry's, the bytes that peeling the middle first gives.
+    The layer position is bound into each stream, so the peeled bytes differ
+    from the sub-flow sent, the exit parses them in full, and the check that
+    catches it is that parse: run_trial raises ValueError within a seeded
+    budget of trials."""
+    s = CensorScenario(BridgePool.build(25, 5), CodeParams(4, 3, 1))
+    budget = 5
+    rng = random.Random(0)
+    for _ in range(budget):
+        run_trial(s, rng)
+    peel = onion.peel_layer
+
+    def swapped(cell, router):
+        depth = cell.layers_remaining
+        if depth not in (2, 3):
+            return peel(cell, router)
+        return peel(cell._replace(layers_remaining=5 - depth), router)._replace(layers_remaining=depth - 1)
+
+    monkeypatch.setattr(onion, "peel_layer", swapped)
+    parser_calls.clear()
+    rng = random.Random(0)
+    with pytest.raises(ValueError, match="wire cell"):
+        for _ in range(budget):
+            run_trial(s, rng)
+    assert "transmit" in parser_calls[-1][1]
