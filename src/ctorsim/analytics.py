@@ -110,7 +110,8 @@ class SweepRow:
 def grid_points(known_range: Iterable[int], configs: Sequence[CodeParams]) -> list[tuple[int, CodeParams]]:
     """The (m_known, params) grid every CSV walks, sorted by (m_known, variant, n, r)."""
     points = [(m_known, params) for m_known in known_range for params in configs]
-    points.sort(key=lambda point: (point[0], Variant.of(point[1]).value, point[1].n, point[1].r))
+    # a Variant is a str enum, so it sorts by its name
+    points.sort(key=lambda point: (point[0], Variant.of(point[1]), point[1].n, point[1].r))
     return points
 
 

@@ -24,8 +24,10 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import index
+from typing import NamedTuple
 
-from .codec import CodeParams, Variant, interrupted_by_rule
+from .codec import CheckedRecord, CodeParams, Variant, interrupted_by_rule
 from .onion import CodedMessage, build_circuits, run_transfer
 
 DEFAULT_FULL_PIPELINE_FRACTION = 0.01
@@ -47,6 +49,13 @@ class ConsistencyError(RuntimeError):
     """The transport pipeline and the blocked-count rule disagreed on a trial."""
 
 
+# A grid builds one pool per m_known row from the same id sets, so each is
+# built once and shared; bounded because --mb and --mknown take any count.
+@lru_cache(maxsize=64)
+def _bridge_ids(prefix: str, count: int) -> frozenset[str]:
+    return frozenset([f"{prefix}{i:03d}" for i in range(count)])
+
+
 @dataclass(frozen=True)
 class BridgePool:
     """Disjoint sets of bridges the censor does not / does know about."""
@@ -64,10 +73,7 @@ class BridgePool:
     def build(cls, num_unknown: int, num_known: int) -> "BridgePool":
         if num_unknown < 0 or num_known < 0:
             raise ValueError("bridge counts must be non-negative")
-        return cls(
-            unknown=frozenset(f"u{i:03d}" for i in range(num_unknown)),
-            known=frozenset(f"k{i:03d}" for i in range(num_known)),
-        )
+        return cls(unknown=_bridge_ids("u", num_unknown), known=_bridge_ids("k", num_known))
 
     @cached_property
     def ordered(self) -> tuple[str, ...]:
@@ -101,10 +107,25 @@ class CensorScenario:
         return Variant.of(self.params)
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
+class _TrialFields(NamedTuple):
     blocked_count: int
     interrupted: bool
+
+
+class TrialOutcome(CheckedRecord, _TrialFields):
+    """One pipeline trial: a tuple record whose __new__ checks that the
+    blocked count is a non-negative int and the outcome a bool."""
+
+    __slots__ = ()
+
+    def __new__(cls, blocked_count: int, interrupted: bool) -> "TrialOutcome":
+        if type(blocked_count) is not int:
+            blocked_count = index(blocked_count)
+        if blocked_count < 0:
+            raise ValueError(f"blocked_count must be >= 0, got {blocked_count}")
+        if type(interrupted) is not bool:
+            raise TypeError(f"interrupted is a bool, got {type(interrupted).__name__}")
+        return tuple.__new__(cls, (blocked_count, interrupted))
 
 
 @dataclass(frozen=True)
@@ -140,18 +161,18 @@ def run_trial(scenario: CensorScenario, rng: random.Random) -> TrialOutcome:
     Raises ConsistencyError if the transport outcome ever disagrees with
     the blocked-count rule; the two models must be interchangeable.
     """
+    params = scenario.params
     chosen = select_bridges(scenario, rng)
     blocked = scenario.pool.blocked(chosen)
-    blocked_count = len(blocked)
     circuits = build_circuits(chosen, rng)
-    result = run_transfer(circuits, _trial_cells(scenario.params), _DEFAULT_MESSAGE, blocked)
-    interrupted = not result.success
-    if interrupted != interrupted_by_rule(blocked_count, scenario.params):
+    interrupted = not run_transfer(circuits, _trial_cells(params), _DEFAULT_MESSAGE, blocked).success
+    blocked_count = len(blocked)
+    if interrupted != interrupted_by_rule(blocked_count, params):
         raise ConsistencyError(
-            f"pipeline interrupted={interrupted} but blocked_count={blocked_count} "
-            f"with r={scenario.params.r}"
+            f"pipeline interrupted={interrupted} but blocked_count={blocked_count} with r={params.r}"
         )
-    return TrialOutcome(blocked_count, interrupted)
+    # a len and a bool hold the record's checks
+    return tuple.__new__(TrialOutcome, (blocked_count, interrupted))
 
 
 def run_campaign(
@@ -183,7 +204,8 @@ def run_campaign(
     params = scenario.params
     pool = scenario.pool
     counts = _fast_blocked_counts(rng, len(pool), len(pool.known), params.n, trials)
-    interruptions = sum(count for b, count in enumerate(counts) if interrupted_by_rule(b, params))
+    # the rule is asked only of the bins some trial fell in
+    interruptions = sum(count for b, count in enumerate(counts) if count and interrupted_by_rule(b, params))
     checks = round(trials * full_pipeline_fraction)
     if full_pipeline_fraction > 0:
         checks = max(checks, 1)

@@ -209,6 +209,7 @@ def _analytic_csv(rows: Sequence[SweepRow]) -> str:
 def _simulated_rows(cfg: ExperimentConfig) -> Iterator[list]:
     # yielded, so each row becomes CSV text as soon as it is computed and no
     # list of rows stays alive across the campaigns
+    trials, seed, fraction = cfg.trials, cfg.seed, cfg.full_pipeline_fraction
     pool = None
     for m_known, params in grid_points(cfg.mknown, cfg.variant):
         # grid_points runs one m_known row at a time, so its variants share one pool
@@ -216,9 +217,10 @@ def _simulated_rows(cfg: ExperimentConfig) -> Iterator[list]:
             pool = BridgePool.build(cfg.mb, m_known)
         scenario = CensorScenario(pool, params)
         variant, n, r = scenario.variant.value, params.n, params.r
-        point_seed = derive_seed(cfg.seed, f"point:{m_known}:{variant}:{n}:{r}")
-        result = run_campaign(scenario, cfg.trials, point_seed, full_pipeline_fraction=cfg.full_pipeline_fraction)
-        yield [m_known, variant, n, r, repr(result.p_empirical), repr(result.ci95), cfg.trials, cfg.seed]
+        result = run_campaign(
+            scenario, trials, derive_seed(seed, f"point:{m_known}:{variant}:{n}:{r}"), full_pipeline_fraction=fraction
+        )
+        yield [m_known, variant, n, r, repr(result.p_empirical), repr(result.ci95), trials, seed]
 
 
 def _simulated_csv(cfg: ExperimentConfig) -> str:

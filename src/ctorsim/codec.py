@@ -22,10 +22,12 @@ Each type checks its fields in its own constructor, and every value the
 parser, encoder and decoder return is built through that constructor, so
 a rule lives in one place. A CodedCell is a tuple record whose __new__
 runs the checks on every way of building one (_make and _replace
-included). It stores its row and payload as bytes whatever bytes-like
-object it is given, so the parser hands it its slices as they are, after
-one unpack of each cell's header. Payloads are combined as little-endian
-ints, one int XOR per term.
+included), and CheckedRecord gives any such record that _make. It stores
+its row and payload as bytes whatever bytes-like object it is given, so
+the parser, which reads its stream as bytes, hands it its slices as they
+are, after one unpack of each cell's header; a cell whose row repeats the
+previous cell's gets that row object. Payloads are combined as
+little-endian ints, one int XOR per term.
 """
 
 from __future__ import annotations
@@ -117,21 +119,32 @@ class Generation:
         if self.generation_id < 0:
             raise ValueError("generation_id must be non-negative")
         cells = tuple(self.cells)
-        for cell in cells:
-            if type(cell) is not bytes:
-                # through memoryview, so an int or a str fails instead of becoming bytes
-                cells = tuple([bytes(memoryview(cell)) for cell in cells])
-                break
         if not cells:
             raise ValueError("a generation holds at least one cell")
         for cell in cells:
-            if len(cell) != CELL_SIZE:
-                raise ValueError(f"cells are exactly {CELL_SIZE} bytes, got {len(cell)}")
-        object.__setattr__(self, "cells", cells)
+            if type(cell) is not bytes or len(cell) != CELL_SIZE:
+                # through memoryview, so an int or a str fails instead of becoming bytes
+                cells = tuple([bytes(memoryview(cell)) for cell in cells])
+                for cell in cells:
+                    if len(cell) != CELL_SIZE:
+                        raise ValueError(f"cells are exactly {CELL_SIZE} bytes, got {len(cell)}")
+                break
+        if cells is not self.cells:
+            object.__setattr__(self, "cells", cells)
 
 
-# CodedCell's fields; a NamedTuple's own body may not define __new__, so
-# the checks live in the subclass
+class CheckedRecord:
+    """First base of a tuple record that subclasses its NamedTuple of fields
+    to check them in __new__: the inherited _make, which _replace calls,
+    would build the tuple without __new__."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 class _CodedCellFields(NamedTuple):
     generation_id: int
     subflow_index: int
@@ -142,7 +155,7 @@ class _CodedCellFields(NamedTuple):
 _new_tuple = tuple.__new__
 
 
-class CodedCell(_CodedCellFields):
+class CodedCell(CheckedRecord, _CodedCellFields):
     """One coded cell: payload plus the coefficient row that produced it.
 
     An immutable tuple record, compared and hashed by its fields. Its ids
@@ -174,12 +187,6 @@ class CodedCell(_CodedCellFields):
             raise ValueError(f"payload is exactly {CELL_SIZE} bytes, got {len(payload)}")
         return _new_tuple(cls, (generation_id, subflow_index, coefficients, payload))
 
-    @classmethod
-    def _make(cls, iterable) -> "CodedCell":
-        # the inherited _make, which _replace calls too, would build the
-        # tuple without __new__ and so without the checks
-        return cls(*iterable)
-
     def to_wire(self) -> bytes:
         """Wire layout: generation_id (4B BE) | subflow_index (1B) | k (1B) | k coefficients | payload."""
         generation_id, subflow_index, coefficients, payload = self
@@ -189,10 +196,13 @@ class CodedCell(_CodedCellFields):
     def from_wire_stream(cls, stream: bytes) -> list["CodedCell"]:
         """Parse back-to-back wire cells, each framed by one unpack of its
         header and delimited by the k there; the constructor checks the
-        fields, k = 0 included."""
+        fields, k = 0 included. A cell repeating the previous cell's row,
+        as a sub-flow's cells do, shares that row object."""
+        if type(stream) is not bytes:
+            stream = bytes(memoryview(stream))
         unpack_header = _HEADER.unpack_from
         total = len(stream)
-        cells, pos = [], 0
+        cells, pos, row = [], 0, b""
         while pos < total:
             if total - pos < _WIRE_HEADER:
                 raise ValueError(f"wire cell too short: {total - pos} bytes")
@@ -201,7 +211,9 @@ class CodedCell(_CodedCellFields):
             end = start + k + CELL_SIZE
             if end > total:
                 raise ValueError(f"wire cell of {total - pos} bytes, but its header gives k={k}")
-            cells.append(cls(generation_id, subflow_index, stream[start : start + k], stream[start + k : end]))
+            if len(row) != k or not stream.startswith(row, start):
+                row = stream[start : start + k]
+            cells.append(cls(generation_id, subflow_index, row, stream[start + k : end]))
             pos = end
         return cells
 
@@ -302,12 +314,12 @@ def encode_generation(generation: Generation, matrix: GeneratorMatrix) -> list[C
 # ctor:5:2, 386 for ctor:10:4, one per uncoded shape); 512 hold them all.
 # Entries hold rows, never payloads.
 @functools.lru_cache(maxsize=512)
-def _decode_plan(rows: tuple[bytes, ...]) -> tuple[tuple[int, ...], tuple[int | bytes, ...]] | None:
-    """Positions of the first k independent rows, and per original cell j
-    its source: row j of the inverse of their matrix, which rebuilds the
-    cell from the picked payloads, or, when that row is a unit row, the
-    position of the one received cell to copy. None marks a set of rank
-    below k."""
+def _decode_plan(rows: tuple[bytes, ...]) -> tuple[tuple[int, ...], tuple[int | bytes, ...], bool] | None:
+    """Positions of the first k independent rows; per original cell j its
+    source: row j of the inverse of their matrix, which rebuilds the cell
+    from the picked payloads, or, when that row is a unit row, the position
+    of the one received cell to copy; and whether any source is a row to
+    combine. None marks a set of rank below k."""
     k = len(rows[0])
     mul = gf256.mul
     reduced: dict[int, list[int]] = {}  # pivot column -> row, augmented with its combination of picks
@@ -329,7 +341,8 @@ def _decode_plan(rows: tuple[bytes, ...]) -> tuple[tuple[int, ...], tuple[int | 
         picks.append(pos)
         if len(picks) == k:
             inverse = [bytes(reduced[col][k:]) for col in range(k)]
-            return tuple(picks), tuple(picks[row.index(1)] if sum(row) == 1 else row for row in inverse)
+            sources = tuple(picks[row.index(1)] if sum(row) == 1 else row for row in inverse)
+            return tuple(picks), sources, any(type(source) is bytes for source in sources)
     return None
 
 
@@ -365,11 +378,7 @@ def decode_generations(
             if len(row) != k:
                 raise ValueError(f"coefficient vector length {len(row)}, expected {k}")
             rows.append(row)
-        rows = tuple(rows)
-        if rows in groups:
-            groups[rows].append(cells)
-        else:
-            groups[rows] = [cells]
+        groups.setdefault(tuple(rows), []).append(cells)
 
     decoded: list[Generation] = []
     failed: list[int] = []
@@ -378,15 +387,11 @@ def decode_generations(
         if plan is None:
             failed.extend([cells[0].generation_id for cells in members])
             continue
-        picks, sources = plan
-        columns = None
-        originals: list[int | bytes] = []  # a position to copy, or a combined column to slice
-        for source in sources:
-            if type(source) is not int:
-                if columns is None:
-                    columns = [b"".join([cells[pick].payload for cells in members]) for pick in picks]
-                source = _combine(source, columns)
-            originals.append(source)
+        picks, originals, combines = plan
+        if combines:
+            columns = [b"".join([cells[pick].payload for cells in members]) for pick in picks]
+            # a position to copy, or a combined column to slice
+            originals = [source if type(source) is int else _combine(source, columns) for source in originals]
         lo = 0
         for cells in members:
             hi = lo + CELL_SIZE
@@ -445,14 +450,16 @@ def reassemble_message(generations: Sequence[Generation]) -> bytes:
     if not generations:
         raise ValueError("no generations to reassemble")
     ordered = sorted(generations, key=_generation_id)
-    if any(g.generation_id != i for i, g in enumerate(ordered)):
-        raise ValueError(f"generation ids must be contiguous from 0, got {[g.generation_id for g in ordered]}")
+    ids = [g.generation_id for g in ordered]
+    if ids != list(range(len(ids))):
+        raise ValueError(f"generation ids must be contiguous from 0, got {ids}")
     cells = [cell for g in ordered for cell in g.cells]
     end = _LENGTH_PREFIX + int.from_bytes(cells[0][:_LENGTH_PREFIX], "big")
     if end > len(cells) * CELL_SIZE:
         raise ValueError("length prefix exceeds the decoded stream")
-    # join views of only the cells the message spans, so its bytes are copied once
-    return b"".join(
-        memoryview(cell)[_LENGTH_PREFIX if i == 0 else 0 : end - i * CELL_SIZE]
-        for i, cell in enumerate(cells[: -(-end // CELL_SIZE)])
-    )
+    # join only the cells the message spans, its first and last through a
+    # view cut to the message, so its bytes are copied once
+    spans = cells[: -(-end // CELL_SIZE)]
+    spans[-1] = memoryview(spans[-1])[: end - (len(spans) - 1) * CELL_SIZE]
+    spans[0] = memoryview(spans[0])[_LENGTH_PREFIX:]
+    return b"".join(spans)

@@ -28,15 +28,19 @@ wrap and peels and the decode. An entry hop's stream depends only on the
 bridge and the sub-flow, and an exit hop's only on the exit relay, the
 bridge and the sub-flow, so both are cached across transfers (exit streams
 only for short sub-flows such as a trial's); middle streams, and the exit
-streams of long sub-flows, are derived per transfer. One function,
-_layer_stream, picks the cache for a hop. The exit compares
-the peeled bytes with the sub-flow that was sent: equal bytes give the
-cells the message parsed from those same bytes, which is what a parse at
-the exit would give, and bytes that differ in any position are parsed in
-full.
+streams of long sub-flows, are derived per transfer. wrap_layers and
+peel_layer call the cache of each hop's stream themselves. A short
+sub-flow's int is kept as well, so wrap converts each trial sub-flow once.
+The exit compares the peeled bytes with the sub-flow that was sent: equal
+bytes give the cells the message parsed from those same bytes, which is
+what a parse at the exit would give, and bytes that differ in any position
+are parsed in full.
 
-CircuitSet checks its invariants in its constructor, and build_circuits
-builds through it, so each rule is checked in one place.
+Circuit, LayeredCell and TransferResult are tuple records, like
+codec.CodedCell; Circuit and TransferResult check a record built by hand,
+and the pipeline builds its own from values that hold the checks, with the
+C tuple constructor. CircuitSet checks its invariants in its constructor,
+and build_circuits builds through it, so each rule is checked in one place.
 """
 
 from __future__ import annotations
@@ -45,11 +49,13 @@ import functools
 import hashlib
 import random
 from dataclasses import InitVar, dataclass, field
+from itertools import repeat
 from operator import index
 from typing import Collection, Iterator, NamedTuple, Sequence
 
 from .codec import (
     MAX_N,
+    CheckedRecord,
     CodeParams,
     CodedCell,
     build_generator,
@@ -99,24 +105,38 @@ def default_registry() -> tuple[tuple[OnionRouter, ...], tuple[OnionRouter, ...]
     )
 
 
+# The C tuple constructor: a checked record's __new__ ends in it, and the
+# pipeline builds its own records with it from values that hold the checks
+_new_tuple = tuple.__new__
+
+
 @functools.cache
 def _pool_relay_ids() -> frozenset[str]:
     middles, exits = default_registry()
     return frozenset(router.router_id for router in middles + exits)
 
 
-@dataclass(frozen=True)
-class Circuit:
-    """entry -> middle -> exit relay chain."""
-
+class _CircuitHops(NamedTuple):
     entry: OnionRouter
     middle: OnionRouter
     exit: OnionRouter
 
+
+class Circuit(CheckedRecord, _CircuitHops):
+    """entry -> middle -> exit relay chain: a tuple record whose __new__
+    checks that every hop is an OnionRouter."""
+
+    __slots__ = ()
+
+    def __new__(cls, entry: OnionRouter, middle: OnionRouter, exit: OnionRouter) -> "Circuit":
+        if type(entry) is not OnionRouter or type(middle) is not OnionRouter or type(exit) is not OnionRouter:
+            raise TypeError("every hop of a circuit is an OnionRouter")
+        return _new_tuple(cls, (entry, middle, exit))
+
     @property
     def circuit_id(self) -> str:
         # entries are unique within a circuit set, so the entry id names the circuit
-        return self.entry.router_id
+        return self[0].router_id
 
 
 @dataclass(frozen=True)
@@ -152,7 +172,8 @@ def build_circuits(bridge_ids: Sequence[str], rng: random.Random) -> CircuitSet:
     CircuitSet checks the result. Two checks come first, because they must
     not depend on what the seed draws: at most MAX_N bridges, so the pool has
     a middle for each, and no bridge id naming a pool relay, which CircuitSet
-    would catch only when the draw picks that relay.
+    would catch only when the draw picks that relay. Every hop comes from
+    relay() or the pool, so each Circuit is built with _new_tuple.
     """
     n = len(bridge_ids)
     if n > MAX_N:
@@ -162,10 +183,8 @@ def build_circuits(bridge_ids: Sequence[str], rng: random.Random) -> CircuitSet:
     pool_middles, pool_exits = default_registry()
     middles = rng.sample(pool_middles, n)
     shared_exit = rng.choice(pool_exits)
-    return CircuitSet(tuple(
-        Circuit(relay(bridge_id), middle, shared_exit)
-        for bridge_id, middle in zip(bridge_ids, middles)
-    ))
+    hops = zip(map(relay, bridge_ids), middles, repeat(shared_exit, n))
+    return CircuitSet(tuple(map(_new_tuple, repeat(Circuit, n), hops)))
 
 
 class LayeredCell(NamedTuple):
@@ -186,9 +205,6 @@ class LayeredCell(NamedTuple):
         return self.value.to_bytes(self.size, "little")
 
 
-# wrap and peel build a LayeredCell per hop; the C tuple constructor skips
-# the NamedTuple's Python-level __new__ and builds the same instance
-_new_layered = tuple.__new__
 
 
 def _derive_keystream(key: bytes, circuit_id: str, depth: int, size: int) -> int:
@@ -228,36 +244,43 @@ _entry_keystream = functools.lru_cache(maxsize=350)(_derive_keystream)
 _SHORT_SUBFLOW = 4096
 _exit_keystream = functools.lru_cache(maxsize=2048)(_derive_keystream)
 
-
-def _layer_stream(key: bytes, circuit_id: str, depth: int, size: int) -> int:
-    """The stream of the hop at `depth`, from the cache that keeps it."""
-    if depth == 3:
-        return _entry_keystream(key, circuit_id, 3, size)
-    if depth == 1 and size <= _SHORT_SUBFLOW:
-        return _exit_keystream(key, circuit_id, 1, size)
-    return _keystream(key, circuit_id, depth, size)
+# A short sub-flow as the int wrap XORs the streams into: trials wrap the
+# same 43 sub-flows on the default grid (about 30 KB of ints), so each is
+# converted once; as with exit streams, long e2e sub-flows are not kept.
+_short_subflow_value = functools.lru_cache(maxsize=64)(functools.partial(int.from_bytes, byteorder="little"))
 
 
 def wrap_layers(cell_bytes: bytes, circuit: Circuit) -> LayeredCell:
     """Apply the exit, middle, and entry stream layers, in that order, so that
     peeling proceeds entry -> middle -> exit."""
+    entry, middle, exit = circuit
     size = len(cell_bytes)
-    cid = circuit.circuit_id
-    acc = (
-        int.from_bytes(cell_bytes, "little")
-        ^ _layer_stream(circuit.exit.layer_key, cid, 1, size)
-        ^ _layer_stream(circuit.middle.layer_key, cid, 2, size)
-        ^ _layer_stream(circuit.entry.layer_key, cid, 3, size)
+    short = size <= _SHORT_SUBFLOW
+    cid = entry.router_id
+    if short and type(cell_bytes) is bytes:
+        acc = _short_subflow_value(cell_bytes)
+    else:
+        acc = int.from_bytes(cell_bytes, "little")
+    acc ^= (
+        (_exit_keystream if short else _keystream)(exit.layer_key, cid, 1, size)
+        ^ _keystream(middle.layer_key, cid, 2, size)
+        ^ _entry_keystream(entry.layer_key, cid, 3, size)
     )
-    return _new_layered(LayeredCell, (acc, size, 3, cid))
+    return _new_tuple(LayeredCell, (acc, size, 3, cid))
 
 
 def peel_layer(cell: LayeredCell, router: OnionRouter) -> LayeredCell:
     """Remove one layer with the router's key."""
     value, size, depth, cid = cell
-    if depth <= 0:
+    if depth == 3:
+        stream = _entry_keystream(router.layer_key, cid, 3, size)
+    elif depth == 1 and size <= _SHORT_SUBFLOW:
+        stream = _exit_keystream(router.layer_key, cid, 1, size)
+    elif depth > 0:
+        stream = _keystream(router.layer_key, cid, depth, size)
+    else:
         raise ValueError("no encryption layers left to peel")
-    return _new_layered(LayeredCell, (value ^ _layer_stream(router.layer_key, cid, depth, size), size, depth - 1, cid))
+    return _new_tuple(LayeredCell, (value ^ stream, size, depth - 1, cid))
 
 
 @dataclass(frozen=True)
@@ -328,20 +351,41 @@ def transmit(
     for idx, circuit in enumerate(circuits.circuits):
         if idx in blocked:
             continue
-        layered = wrap_layers(subflows[idx], circuit)
-        layered = peel_layer(layered, circuit.entry)
-        layered = peel_layer(layered, circuit.middle)
-        layered = peel_layer(layered, circuit.exit)
-        wire = layered.payload
-        arrived += cells[idx] if wire == subflows[idx] else CodedCell.from_wire_stream(wire)
+        entry, middle, exit = circuit
+        sent = subflows[idx]
+        value, size, _, _ = peel_layer(peel_layer(peel_layer(wrap_layers(sent, circuit), entry), middle), exit)
+        wire = value.to_bytes(size, "little")
+        arrived += cells[idx] if wire == sent else CodedCell.from_wire_stream(wire)
     return arrived
 
 
-@dataclass(frozen=True)
-class TransferResult:
+class _TransferFields(NamedTuple):
     success: bool
     failed_generations: tuple[int, ...]
     delivered_counts: tuple[int, ...]
+
+
+class TransferResult(CheckedRecord, _TransferFields):
+    """A transfer's outcome: a tuple record whose __new__ checks that success
+    is a bool, that a success names no failed generation, and that every
+    failed id is one of the generations counted."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, success: bool, failed_generations: tuple[int, ...], delivered_counts: tuple[int, ...]
+    ) -> "TransferResult":
+        failed_generations, delivered_counts = tuple(failed_generations), tuple(delivered_counts)
+        if type(success) is not bool:
+            raise TypeError(f"success is a bool, got {type(success).__name__}")
+        if failed_generations:
+            if success:
+                raise ValueError("a transfer with a failed generation cannot succeed")
+            if min(failed_generations) < 0 or max(failed_generations) >= len(delivered_counts):
+                raise ValueError(
+                    f"failed generations {failed_generations} outside the {len(delivered_counts)} generations counted"
+                )
+        return _new_tuple(cls, (success, failed_generations, delivered_counts))
 
 
 def run_transfer(
@@ -380,5 +424,5 @@ def run_transfer(
             decodable.append(cells)
     decoded, unrecoverable = decode_generations(decodable, params)
     if failed or unrecoverable:
-        return TransferResult(False, tuple(sorted(failed + unrecoverable)), tuple(counts))
-    return TransferResult(reassemble_message(decoded) == bytes(message), (), tuple(counts))
+        return _new_tuple(TransferResult, (False, tuple(sorted(failed + unrecoverable)), tuple(counts)))
+    return _new_tuple(TransferResult, (reassemble_message(decoded) == bytes(message), (), tuple(counts)))

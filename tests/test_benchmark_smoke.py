@@ -118,6 +118,9 @@ def test_tracer_counts_one_coded_transfer():
     assert tracer.counters["cells_offered"] == params.n * generations
     assert tracer.counters["cells_delivered"] == (params.n - 1) * generations
     assert tracer.counters["message_bytes"] == len(message)
+    # one wrap and three peels per surviving circuit, each through its module binding
+    assert tracer.fired["onion.wrap_layers"] == 3
+    assert tracer.fired["onion.peel_layer"] == 9
 
 
 @pytest.mark.parametrize("workload", sorted(EXPECTED_UNFIRED))

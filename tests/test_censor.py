@@ -45,6 +45,11 @@ class TestBridgePool:
         pool = BridgePool.build(3, 2)
         assert pool.ordered == tuple(sorted(pool.unknown | pool.known))
 
+    def test_pools_share_their_id_sets(self):
+        # a grid builds one pool per m_known row; the ids are built once
+        assert BridgePool.build(25, 3).unknown is BridgePool.build(25, 7).unknown
+        assert BridgePool.build(25, 3).known == frozenset({"k000", "k001", "k002"})
+
     def test_blocked_are_the_indices_of_chosen_known_bridges(self):
         pool = BridgePool.build(3, 2)
         assert pool.blocked(["k001", "u000", "u002", "k000"]) == {0, 3}
@@ -133,6 +138,17 @@ class TestRunTrial:
         assert isinstance(outcome, TrialOutcome)
         assert outcome.blocked_count == sum(1 for b in chosen if b in s.pool.known)
         assert outcome.interrupted == (outcome.blocked_count >= 1)
+
+
+def test_a_trial_outcome_checks_its_fields():
+    outcome = TrialOutcome(2, True)
+    assert outcome == (2, True)
+    assert TrialOutcome(True, False) == (1, False) and type(TrialOutcome(True, False).blocked_count) is int
+    for fields, error in (((-1, False), ValueError), ((1.0, False), TypeError), ((1, 1), TypeError)):
+        with pytest.raises(error):
+            TrialOutcome(*fields)
+    with pytest.raises(ValueError):
+        outcome._replace(blocked_count=-2)
 
 
 class TestTrialCells:

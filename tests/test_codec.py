@@ -319,6 +319,18 @@ class TestWireFormat:
             for cell in parsed:
                 assert type(cell.coefficients) is bytes and type(cell.payload) is bytes
 
+    def test_a_cell_repeating_the_previous_row_shares_its_row_object(self):
+        rng = random.Random(43)
+        row, other = rng.randbytes(3), rng.randbytes(3)
+        cells = [CodedCell(g, 1, r, rng.randbytes(CELL_SIZE)) for g, r in enumerate((row, row, other, other, row))]
+        stream = b"".join(cell.to_wire() for cell in cells)
+        for data in (stream, bytearray(stream), memoryview(stream)):
+            parsed = CodedCell.from_wire_stream(data)
+            assert parsed == cells
+            rows = [cell.coefficients for cell in parsed]
+            assert rows[0] is rows[1] and rows[2] is rows[3]
+            assert rows[1] is not rows[2] and rows[3] is not rows[4]
+
     def test_from_wire_rejects_k_zero_short_and_long_cells(self):
         wire = CodedCell(5, 1, b"\x01\x02", bytes(CELL_SIZE)).to_wire()
         zero_k = wire[:5] + b"\x00" + wire[6:]

@@ -4,6 +4,7 @@ Each test swaps one src function for a wrong one with monkeypatch and shows
 which results move and which check catches it.
 """
 
+import functools
 import random
 from fractions import Fraction
 
@@ -119,3 +120,64 @@ def test_entry_and_middle_peeled_in_swapped_order_fail_the_exit_parse(monkeypatc
         for _ in range(budget):
             run_trial(s, rng)
     assert "transmit" in parser_calls[-1][1]
+
+
+def test_middle_stream_wrapped_at_the_entry_depth_fails_the_exit_parse(monkeypatch, parser_calls):
+    """onion.wrap_layers XORs the middle hop's stream at layer position 3,
+    the entry's, instead of 2. The middle's peel removes its depth-2 stream,
+    so the exit is handed bytes that differ from the sub-flow sent and
+    parses them in full; the check that catches it is that parse: run_trial
+    raises ValueError within a seeded budget of trials."""
+    s = CensorScenario(BridgePool.build(25, 5), CodeParams(10, 6, 4))
+    budget = 5
+    rng = random.Random(0)
+    for _ in range(budget):
+        run_trial(s, rng)
+
+    def middle_at_depth_3(cell_bytes, circuit):
+        entry, middle, exit = circuit
+        size, cid = len(cell_bytes), entry.router_id
+        value = int.from_bytes(cell_bytes, "little")
+        for key, depth in ((exit.layer_key, 1), (middle.layer_key, 3), (entry.layer_key, 3)):
+            value ^= onion._derive_keystream(key, cid, depth, size)
+        return onion.LayeredCell(value, size, 3, cid)
+
+    monkeypatch.setattr(onion, "wrap_layers", middle_at_depth_3)
+    parser_calls.clear()
+    rng = random.Random(0)
+    with pytest.raises(ValueError):
+        for _ in range(budget):
+            run_trial(s, rng)
+    assert "transmit" in parser_calls[-1][1]
+
+
+@pytest.mark.parametrize("params", [CodeParams(4, 3, 1), CodeParams(10, 6, 4)], ids=["ctor-4-1", "ctor-10-4"])
+def test_keystreams_that_ignore_the_circuit_id_are_uncaught_at_run_time(monkeypatch, params):
+    """Every layer stream is derived without the circuit id. Wrap and peel
+    take their streams from the same derivation, so each still cancels the
+    other: every transfer and every trial comes out as before, and no
+    run-time check can catch it (expected-uncaught). Only the uncached
+    reference streams of tests/test_onion.py (test_wrap_matches_reference,
+    the int-layer and stream-cache tests) show that the wire differs."""
+    s = CensorScenario(BridgePool.build(25, 5), params)
+    message = random.Random(15).randbytes(3000)
+    circuits = build_circuits([f"b{i}" for i in range(params.n)], random.Random(0))
+    coded = CodedMessage(params, message)
+    before = [run_transfer(circuits, coded, message, blocked) for blocked in (set(), {1}, {0, 2})]
+    rng = random.Random(0)
+    trials = [run_trial(s, rng) for _ in range(5)]
+    wrapped = onion.wrap_layers(coded.subflows[0], circuits[0])
+
+    derive = onion._derive_keystream
+
+    def without_circuit_id(key, circuit_id, depth, size):
+        return derive(key, "", depth, size)
+
+    for cache in ("_keystream", "_entry_keystream", "_exit_keystream"):
+        maxsize = getattr(onion, cache).cache_info().maxsize
+        monkeypatch.setattr(onion, cache, functools.lru_cache(maxsize=maxsize)(without_circuit_id))
+    assert [run_transfer(circuits, coded, message, blocked) for blocked in (set(), {1}, {0, 2})] == before
+    rng = random.Random(0)
+    assert [run_trial(s, rng) for _ in range(5)] == trials
+    run_campaign(s, 20, 3, full_pipeline_fraction=1)
+    assert onion.wrap_layers(coded.subflows[0], circuits[0]) != wrapped

@@ -75,9 +75,23 @@ class TestBuildCircuits:
         assert len({c.exit.router_id for c in cs}) == 1
 
     def test_circuits_are_frozen(self):
+        # a tuple record: AttributeError, the base class of dataclasses.FrozenInstanceError
         circuit = circuits_for(1)[0]
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             circuit.entry = relay("other")
+
+    def test_a_circuit_checks_its_hops_however_it_is_built(self):
+        circuit = circuits_for(1)[0]
+        assert type(circuit) is Circuit
+        assert circuit.circuit_id == circuit.entry.router_id
+        for build in (
+            lambda: Circuit(circuit.entry, "middle-000", circuit.exit),
+            lambda: Circuit._make([circuit.entry, circuit.middle, b"exit"]),
+            lambda: circuit._replace(entry=None),
+        ):
+            with pytest.raises(TypeError, match="OnionRouter"):
+                build()
+        assert circuit._replace(entry=relay("b9")) == Circuit(relay("b9"), circuit.middle, circuit.exit)
 
     def test_disjointness_enforced_by_circuit_set(self):
         c = circuits_for(2)[0]
@@ -539,6 +553,12 @@ class TestCodedMessage:
         assert dataclasses.replace(coded, message=message) == coded
 
     @pytest.mark.parametrize("params", [CodeParams(1, 1, 0), CodeParams(10, 6, 4)], ids=["otor", "ctor-10-4"])
+    def test_the_cells_of_one_subflow_share_one_row(self, params):
+        coded = CodedMessage(params, message_of(params, 3))
+        for cells in coded.cells:
+            assert len({id(cell.coefficients) for cell in cells}) == 1
+
+    @pytest.mark.parametrize("params", [CodeParams(1, 1, 0), CodeParams(10, 6, 4)], ids=["otor", "ctor-10-4"])
     def test_building_parses_each_subflow_once(self, params, parser_calls):
         message = message_of(params, 3)
         parser_calls.clear()
@@ -613,6 +633,25 @@ class TestSubflowStreams:
         assert onion._entry_keystream.cache_info().misses == surviving
         assert onion._keystream.cache_info().misses == 4 * surviving
         assert onion._exit_keystream.cache_info().currsize == 0
+
+    def test_a_short_subflow_is_converted_once_and_a_long_one_never_kept(self):
+        short = CodedMessage(self.PARAMS, message_of(self.PARAMS, 1))
+        onion._short_subflow_value.cache_clear()
+        transmit(circuits_for(10), short, self.BLOCKED)
+        transmit(circuits_for(10, seed=1), short, self.BLOCKED)
+        info = onion._short_subflow_value.cache_info()
+        assert (info.misses, info.hits) == (8, 8)
+        assert info.maxsize == 64  # the default grid's trial messages have 43 sub-flows
+        long = CodedMessage(self.PARAMS, message_of(self.PARAMS, 86))
+        assert len(long.subflows[0]) > onion._SHORT_SUBFLOW
+        transmit(circuits_for(10), long, self.BLOCKED)
+        assert onion._short_subflow_value.cache_info() == info
+
+    def test_any_bytes_like_subflow_wraps_alike(self):
+        circuit = circuits_for(1)[0]
+        wire = random.Random(12).randbytes(524)
+        wrapped = wrap_layers(wire, circuit)
+        assert wrap_layers(bytearray(wire), circuit) == wrap_layers(memoryview(wire), circuit) == wrapped
 
     def test_one_wrap_per_surviving_circuit(self, monkeypatch):
         coded = CodedMessage(self.PARAMS, message_of(self.PARAMS, 5))
@@ -773,6 +812,21 @@ class TestVariantValidation:
 
 
 class TestRunTransfer:
+    def test_a_transfer_result_checks_its_fields(self):
+        result = onion.TransferResult(False, (1,), (4, 2))
+        assert result == (False, (1,), (4, 2))
+        assert onion.TransferResult(True, [], [4]) == (True, (), (4,))
+        for fields, error in (
+            ((1, (), (4,)), TypeError),
+            ((True, (0,), (2,)), ValueError),
+            ((False, (1,), (2,)), ValueError),
+            ((False, (-1,), (2,)), ValueError),
+        ):
+            with pytest.raises(error):
+                onion.TransferResult(*fields)
+        with pytest.raises(ValueError, match="cannot succeed"):
+            result._replace(success=True)
+
     def test_ctor_survives_single_blocked_circuit(self):
         message = random.Random(20).randbytes(4000)
         result = run_transfer(circuits_for(4), CodedMessage(CodeParams(4, 3, 1), message), message, {2})
