@@ -24,10 +24,9 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import index
 from typing import NamedTuple
 
-from .codec import CheckedRecord, CodeParams, Variant, interrupted_by_rule
+from .codec import CodeParams, Variant, interrupted_by_rule
 from .onion import CodedMessage, build_circuits, run_transfer
 
 DEFAULT_FULL_PIPELINE_FRACTION = 0.01
@@ -107,25 +106,12 @@ class CensorScenario:
         return Variant.of(self.params)
 
 
-class _TrialFields(NamedTuple):
+class TrialOutcome(NamedTuple):
+    """One pipeline trial: how many chosen bridges the censor knew, and
+    whether the transfer was interrupted."""
+
     blocked_count: int
     interrupted: bool
-
-
-class TrialOutcome(CheckedRecord, _TrialFields):
-    """One pipeline trial: a tuple record whose __new__ checks that the
-    blocked count is a non-negative int and the outcome a bool."""
-
-    __slots__ = ()
-
-    def __new__(cls, blocked_count: int, interrupted: bool) -> "TrialOutcome":
-        if type(blocked_count) is not int:
-            blocked_count = index(blocked_count)
-        if blocked_count < 0:
-            raise ValueError(f"blocked_count must be >= 0, got {blocked_count}")
-        if type(interrupted) is not bool:
-            raise TypeError(f"interrupted is a bool, got {type(interrupted).__name__}")
-        return tuple.__new__(cls, (blocked_count, interrupted))
 
 
 @dataclass(frozen=True)
@@ -171,8 +157,7 @@ def run_trial(scenario: CensorScenario, rng: random.Random) -> TrialOutcome:
         raise ConsistencyError(
             f"pipeline interrupted={interrupted} but blocked_count={blocked_count} with r={params.r}"
         )
-    # a len and a bool hold the record's checks
-    return tuple.__new__(TrialOutcome, (blocked_count, interrupted))
+    return TrialOutcome(blocked_count, interrupted)
 
 
 def run_campaign(

@@ -344,7 +344,11 @@ def _build_parser() -> argparse.ArgumentParser:
     # the grid commands only; e2e rejects both
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("--config", metavar="FILE", help="key = value config file; explicit flags win")
-    grid.add_argument("--out", metavar="PATH", help="output file, '-' for stdout (fig2: output directory)")
+    grid.add_argument(
+        "--out",
+        metavar="PATH",
+        help="output file, '-' for stdout (default -); fig2: output directory, '-' for the current one",
+    )
 
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", help=f"master seed (default {defaults.seed})")

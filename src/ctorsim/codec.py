@@ -20,14 +20,14 @@ column once.
 
 Each type checks its fields in its own constructor, and every value the
 parser, encoder and decoder return is built through that constructor, so
-a rule lives in one place. A CodedCell is a tuple record whose __new__
-runs the checks on every way of building one (_make and _replace
-included), and CheckedRecord gives any such record that _make. It stores
-its row and payload as bytes whatever bytes-like object it is given, so
-the parser, which reads its stream as bytes, hands it its slices as they
-are, after one unpack of each cell's header; a cell whose row repeats the
-previous cell's gets that row object. Payloads are combined as
-little-endian ints, one int XOR per term.
+a rule lives in one place. A CodedCell, the one record built from outside
+bytes, is a tuple record whose __new__ runs the checks on every way of
+building one: a call, _make and _replace (through its own _make), copy
+and pickle. It stores its row and payload as bytes whatever bytes-like
+object it is given, so the parser, which reads its stream as bytes,
+hands it its slices as they are, after one unpack of each cell's header;
+a cell whose row repeats the previous cell's gets that row object.
+Payloads are combined as little-endian ints, one int XOR per term.
 """
 
 from __future__ import annotations
@@ -133,18 +133,6 @@ class Generation:
             object.__setattr__(self, "cells", cells)
 
 
-class CheckedRecord:
-    """First base of a tuple record that subclasses its NamedTuple of fields
-    to check them in __new__: the inherited _make, which _replace calls,
-    would build the tuple without __new__."""
-
-    __slots__ = ()
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-
 class _CodedCellFields(NamedTuple):
     generation_id: int
     subflow_index: int
@@ -155,7 +143,7 @@ class _CodedCellFields(NamedTuple):
 _new_tuple = tuple.__new__
 
 
-class CodedCell(CheckedRecord, _CodedCellFields):
+class CodedCell(_CodedCellFields):
     """One coded cell: payload plus the coefficient row that produced it.
 
     An immutable tuple record, compared and hashed by its fields. Its ids
@@ -186,6 +174,11 @@ class CodedCell(CheckedRecord, _CodedCellFields):
         if len(payload) != CELL_SIZE:
             raise ValueError(f"payload is exactly {CELL_SIZE} bytes, got {len(payload)}")
         return _new_tuple(cls, (generation_id, subflow_index, coefficients, payload))
+
+    # the inherited _make, which _replace calls, would build the tuple without __new__
+    @classmethod
+    def _make(cls, iterable) -> "CodedCell":
+        return cls(*iterable)
 
     def to_wire(self) -> bytes:
         """Wire layout: generation_id (4B BE) | subflow_index (1B) | k (1B) | k coefficients | payload."""

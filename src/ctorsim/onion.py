@@ -36,11 +36,11 @@ bytes give the cells the message parsed from those same bytes, which is
 what a parse at the exit would give, and bytes that differ in any position
 are parsed in full.
 
-Circuit, LayeredCell and TransferResult are tuple records, like
-codec.CodedCell; Circuit and TransferResult check a record built by hand,
-and the pipeline builds its own from values that hold the checks, with the
-C tuple constructor. CircuitSet checks its invariants in its constructor,
-and build_circuits builds through it, so each rule is checked in one place.
+Circuit, LayeredCell and TransferResult are plain tuple records: the
+pipeline builds each from values it has just made, and their invariants are
+tested on what run_transfer returns. CircuitSet checks its invariants in its
+constructor, and build_circuits builds through it, so each rule is checked
+in one place.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from typing import Collection, Iterator, NamedTuple, Sequence
 
 from .codec import (
     MAX_N,
-    CheckedRecord,
     CodeParams,
     CodedCell,
     build_generator,
@@ -105,8 +104,8 @@ def default_registry() -> tuple[tuple[OnionRouter, ...], tuple[OnionRouter, ...]
     )
 
 
-# The C tuple constructor: a checked record's __new__ ends in it, and the
-# pipeline builds its own records with it from values that hold the checks
+# A trial builds n circuits and four layered cells per surviving circuit, so
+# those skip the NamedTuple's generated Python __new__ for the C one
 _new_tuple = tuple.__new__
 
 
@@ -116,22 +115,12 @@ def _pool_relay_ids() -> frozenset[str]:
     return frozenset(router.router_id for router in middles + exits)
 
 
-class _CircuitHops(NamedTuple):
+class Circuit(NamedTuple):
+    """entry -> middle -> exit relay chain."""
+
     entry: OnionRouter
     middle: OnionRouter
     exit: OnionRouter
-
-
-class Circuit(CheckedRecord, _CircuitHops):
-    """entry -> middle -> exit relay chain: a tuple record whose __new__
-    checks that every hop is an OnionRouter."""
-
-    __slots__ = ()
-
-    def __new__(cls, entry: OnionRouter, middle: OnionRouter, exit: OnionRouter) -> "Circuit":
-        if type(entry) is not OnionRouter or type(middle) is not OnionRouter or type(exit) is not OnionRouter:
-            raise TypeError("every hop of a circuit is an OnionRouter")
-        return _new_tuple(cls, (entry, middle, exit))
 
     @property
     def circuit_id(self) -> str:
@@ -172,8 +161,7 @@ def build_circuits(bridge_ids: Sequence[str], rng: random.Random) -> CircuitSet:
     CircuitSet checks the result. Two checks come first, because they must
     not depend on what the seed draws: at most MAX_N bridges, so the pool has
     a middle for each, and no bridge id naming a pool relay, which CircuitSet
-    would catch only when the draw picks that relay. Every hop comes from
-    relay() or the pool, so each Circuit is built with _new_tuple.
+    would catch only when the draw picks that relay.
     """
     n = len(bridge_ids)
     if n > MAX_N:
@@ -359,33 +347,14 @@ def transmit(
     return arrived
 
 
-class _TransferFields(NamedTuple):
+class TransferResult(NamedTuple):
+    """A transfer's outcome: whether the message came back, the sorted ids
+    of the generations that did not decode, and how many cells each
+    generation received."""
+
     success: bool
     failed_generations: tuple[int, ...]
     delivered_counts: tuple[int, ...]
-
-
-class TransferResult(CheckedRecord, _TransferFields):
-    """A transfer's outcome: a tuple record whose __new__ checks that success
-    is a bool, that a success names no failed generation, and that every
-    failed id is one of the generations counted."""
-
-    __slots__ = ()
-
-    def __new__(
-        cls, success: bool, failed_generations: tuple[int, ...], delivered_counts: tuple[int, ...]
-    ) -> "TransferResult":
-        failed_generations, delivered_counts = tuple(failed_generations), tuple(delivered_counts)
-        if type(success) is not bool:
-            raise TypeError(f"success is a bool, got {type(success).__name__}")
-        if failed_generations:
-            if success:
-                raise ValueError("a transfer with a failed generation cannot succeed")
-            if min(failed_generations) < 0 or max(failed_generations) >= len(delivered_counts):
-                raise ValueError(
-                    f"failed generations {failed_generations} outside the {len(delivered_counts)} generations counted"
-                )
-        return _new_tuple(cls, (success, failed_generations, delivered_counts))
 
 
 def run_transfer(
@@ -424,5 +393,5 @@ def run_transfer(
             decodable.append(cells)
     decoded, unrecoverable = decode_generations(decodable, params)
     if failed or unrecoverable:
-        return _new_tuple(TransferResult, (False, tuple(sorted(failed + unrecoverable)), tuple(counts)))
-    return _new_tuple(TransferResult, (reassemble_message(decoded) == bytes(message), (), tuple(counts)))
+        return TransferResult(False, tuple(sorted(failed + unrecoverable)), tuple(counts))
+    return TransferResult(reassemble_message(decoded) == bytes(message), (), tuple(counts))

@@ -56,6 +56,9 @@ class TestPlainBlocking:
             p_block_lnc(2, 1, 4, 0)
         with pytest.raises(ValueError):
             p_block_lnc(-1, 5, 1, 0)
+        # p_block_lnc(25, 5, 0, 0) fails in CodeParams first, so ask the law itself
+        with pytest.raises(ValueError, match="at least one circuit is required"):
+            blocked_counts(25, 5, 0)
 
 
 class TestCodedBlocking:

@@ -217,6 +217,22 @@ class TestConfigFile:
         assert f"{cfg}:{len(lines)}: duplicate key '{key}'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("mb 10", "{cfg}:1: expected 'key = value', got 'mb 10'"),
+            ("variant =", "at least one variant is required"),
+        ],
+        ids=["no-equals", "empty-variant"],
+    )
+    def test_malformed_file_rejected(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "o.csv"
+        assert main(["analytic", "--config", str(cfg), "--mknown", "3", "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
+        assert not out.exists()
+
     def test_repeated_shape_rejected(self, tmp_path, capsys):
         # the grids join on their keys, so a shape named twice would write every row twice
         cfg = tmp_path / "twice.cfg"
@@ -334,6 +350,24 @@ class TestE2E:
     def test_bad_block_index(self):
         assert main(["e2e", "--variant", "mtor:4", "--block", "7"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--block", "1,x"], "bad --block '1,x': expected comma-separated circuit indices"),
+            (["--variant", "otor", "--variant", "mtor:4"], "e2e takes exactly one --variant"),
+            (["--message-file", "{empty}"], "{empty} is empty"),
+            (["--message-size", "0"], "--message-size must be >= 1"),
+        ],
+        ids=["bad-block", "two-variants", "empty-message-file", "zero-message-size"],
+    )
+    def test_rejected_with_its_message(self, tmp_path, capsys, argv, message):
+        empty = tmp_path / "empty.bin"
+        empty.write_bytes(b"")
+        assert main(["e2e", *(arg.format(empty=empty) for arg in argv)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message.format(empty=empty)}\n"
+
     def test_block_and_scenario_seed_conflict(self):
         assert main(["e2e", "--block", "0", "--scenario-seed", "1", "--mknown", "5"]) == EXIT_USAGE
 
@@ -379,6 +413,13 @@ class TestFig2:
         simulated = out_dir / "fig2_simulated.csv"
         assert analytic.is_file() and simulated.is_file()
         assert len(read_csv(analytic)) == len(read_csv(simulated)) == 1 + 3 * 2
+
+    def test_default_out_is_the_current_directory(self, tmp_path, capsys, monkeypatch):
+        # --out defaults to '-', which for fig2 names the current directory
+        monkeypatch.chdir(tmp_path)
+        assert main(["fig2", "--trials", "20", "--mknown", "4", "--variant", "mtor:5"]) == EXIT_OK
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["fig2_analytic.csv", "fig2_simulated.csv"]
+        assert capsys.readouterr().out == "wrote fig2_analytic.csv\nwrote fig2_simulated.csv\n"
 
 
 class TestChecksBeforeOutput:

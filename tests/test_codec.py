@@ -118,6 +118,10 @@ class TestBuildGenerator:
     def test_systematic_form_enforced(self):
         with pytest.raises(ValueError):
             GeneratorMatrix(CodeParams(2, 2, 0), (b"\x01\x01", b"\x00\x01"))
+        with pytest.raises(ValueError, match="expected 4 rows, got 3"):
+            GeneratorMatrix(CodeParams(4, 3, 1), unit_rows(3))
+        with pytest.raises(ValueError, match="row 3 has length 2, expected 3"):
+            GeneratorMatrix(CodeParams(4, 3, 1), unit_rows(3) + (b"\x01\x01",))
 
 
 class TestEncode:
@@ -598,6 +602,10 @@ class TestFraming:
     def test_empty_message_rejected(self):
         with pytest.raises(ValueError):
             split_message(b"", 3)
+
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+            split_message(b"x", 0)
 
     def test_contiguous_ids_from_zero(self):
         gens = split_message(bytes(5000), 2)

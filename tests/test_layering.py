@@ -4,7 +4,8 @@ gf256 is the field, codec the erasure code, onion the relays and transport,
 censor the trial engine and analytics the exact tails; cli wires them
 together. Pinning the relative imports keeps a concern from drifting into a
 module that does not own it (the relay pool back into censor, say). The
-same source scan checks that every functools cache is bounded.
+same source scan checks that every functools cache is bounded, and that a
+record whose class checks its fields in __new__ is never built around it.
 """
 
 import ast
@@ -113,3 +114,70 @@ def test_every_functools_cache_is_bounded():
     assert unbounded == []
     assert [name for name, _, _ in uses["onion"]].count("cache") == 2  # default_registry, _pool_relay_ids
     assert all(any(name == "lru_cache" for name, _, _ in uses[module]) for module in ("codec", "onion", "censor"))
+
+
+def classes_defining_new(path: Path) -> set[str]:
+    """The classes of a file whose body defines __new__."""
+    return {
+        node.name
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(item, ast.FunctionDef) and item.name == "__new__" for item in node.body)
+    }
+
+
+def tuple_new_bypasses(path: Path, checked: set[str]) -> list[str]:
+    """Each call in a file that hands tuple.__new__, or a module-level alias
+    of it, a class in `checked` (by name, or as `cls` in one of its methods)
+    anywhere but that class's own __new__, as 'module.function:line'. The
+    call may take the constructor as its function or as an argument, as
+    map(tuple.__new__, repeat(C), rows) does."""
+    tree = ast.parse(path.read_text())
+
+    def is_tuple_new(node: ast.AST) -> bool:
+        return (
+            isinstance(node, ast.Attribute) and node.attr == "__new__"
+            and isinstance(node.value, ast.Name) and node.value.id == "tuple"
+        )
+
+    aliases = {
+        target.id
+        for node in tree.body
+        if isinstance(node, ast.Assign) and is_tuple_new(node.value)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    found = []
+
+    def visit(node: ast.AST, owner: str | None, function: str | None) -> None:
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Call) and any(
+            is_tuple_new(part) or (isinstance(part, ast.Name) and part.id in aliases)
+            for part in (node.func, *node.args)
+        ):
+            named = {name.id for name in ast.walk(node) if isinstance(name, ast.Name)}
+            if owner and "cls" in named:
+                named.add(owner)
+            built = named & checked
+            if function == "__new__":
+                built.discard(owner)
+            if built:
+                found.append(f"{path.stem}.{function}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, function)
+
+    visit(tree, None, None)
+    return found
+
+
+def test_a_record_that_checks_its_fields_is_built_only_through_its_new():
+    # one way to build each record: a class whose __new__ checks its fields
+    # is built through that __new__, and tuple.__new__ builds only records
+    # that check nothing, where a trial builds many
+    paths = sorted(PACKAGE.glob("*.py"))
+    checked = {name: path.stem for path in paths for name in classes_defining_new(path)}
+    assert checked == {"CodedCell": "codec"}
+    assert [site for path in paths for site in tuple_new_bypasses(path, set(checked))] == []

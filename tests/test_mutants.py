@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from ctorsim import analytics, censor, onion
+from ctorsim import analytics, censor, codec, onion
 from ctorsim.analytics import p_block_lnc
 from ctorsim.censor import BridgePool, CensorScenario, ConsistencyError, derive_rng, run_campaign, run_trial
 from ctorsim.codec import CodeParams, CodedCell
@@ -181,3 +181,86 @@ def test_keystreams_that_ignore_the_circuit_id_are_uncaught_at_run_time(monkeypa
     assert [run_trial(s, rng) for _ in range(5)] == trials
     run_campaign(s, 20, 3, full_pipeline_fraction=1)
     assert onion.wrap_layers(coded.subflows[0], circuits[0]) != wrapped
+
+
+def first_failing_trial(params: CodeParams, budget: int = 20) -> tuple[int, type, str] | None:
+    """The 1-based index of the first of `budget` seeded trials that raises,
+    over a pool of 25 unknown and 10 known bridges, with the type and
+    message of what it raised."""
+    s = CensorScenario(BridgePool.build(25, 10), params)
+    rng = random.Random(0)
+    for trial in range(1, budget + 1):
+        try:
+            run_trial(s, rng)
+        except (ValueError, ConsistencyError) as exc:
+            return trial, type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "params,trial", [(CodeParams(10, 6, 4), 2), (CodeParams(5, 3, 2), 12)], ids=["ctor-10-4", "ctor-5-2"]
+)
+def test_decode_plan_with_its_first_two_picks_swapped_fails_reassembly(monkeypatch, params, trial):
+    """codec._decode_plan returns its first two picked positions swapped, so
+    an original rebuilt by combination mixes the wrong columns; a copied
+    original is untouched, so only a trial that blocks a data circuit sees
+    it. The check that catches it is reassemble_message's length prefix:
+    run_trial raises ValueError within a seeded budget of trials."""
+    assert first_failing_trial(params) is None
+    plan = codec._decode_plan
+
+    def swapped(rows):
+        found = plan(rows)
+        if found is None:
+            return None
+        picks, sources, combines = found
+        return (picks[1], picks[0], *picks[2:]), sources, combines
+
+    monkeypatch.setattr(codec, "_decode_plan", swapped)
+    assert first_failing_trial(params) == (trial, ValueError, "length prefix exceeds the decoded stream")
+
+
+@pytest.mark.parametrize(
+    "params,caught",
+    [
+        (CodeParams(10, 6, 4), (2, ConsistencyError, "pipeline interrupted=True but blocked_count=4 with r=4")),
+        (CodeParams(5, 3, 2), (12, ConsistencyError, "pipeline interrupted=True but blocked_count=2 with r=2")),
+        (CodeParams(4, 4, 0), None),
+    ],
+    ids=["ctor-10-4", "ctor-5-2", "mtor-4"],
+)
+def test_transmit_dropping_the_circuit_after_each_blocked_one_fails_the_rule(monkeypatch, params, caught):
+    """onion.transmit also drops the circuit after each blocked one, so a
+    trial with r blocked circuits loses more than r sub-flows. The check
+    that catches it is run_trial's comparison with the blocked-count rule:
+    it raises ConsistencyError within a seeded budget of trials. mtor:4
+    never raises, because any blocked circuit already interrupts it."""
+    assert first_failing_trial(params) is None
+    transmit = onion.transmit
+
+    def drops_the_next(circuits, coded, blocked=frozenset()):
+        n = len(circuits)
+        return transmit(circuits, coded, {*blocked, *(i + 1 for i in blocked if i + 1 < n)})
+
+    monkeypatch.setattr(onion, "transmit", drops_the_next)
+    assert first_failing_trial(params) == caught
+
+
+def test_fast_path_counting_unknown_picks_is_uncaught_at_run_time(monkeypatch):
+    """censor._fast_blocked_counts is handed size - known as its known count,
+    so each trial counts the unknown bridges it picks. A ctor:10:4 campaign
+    at 25 + 5 then reports p = 1 against the exact 0.00177, and nothing
+    raises: the pipeline checks run on the rest of the stream and compare
+    each trial with the rule, never the fast path's count with the exact
+    tail (expected-uncaught until ROADMAP item 7)."""
+    s = CensorScenario(BridgePool.build(25, 5), CodeParams(10, 6, 4))
+    exact = p_block_lnc(25, 5, 10, 4)
+    assert float(exact) == pytest.approx(0.00177, abs=1e-5)
+    assert run_campaign(s, 20, 0, full_pipeline_fraction=0.05).p_empirical == 0.0
+    fast = censor._fast_blocked_counts
+
+    def counts_unknown(rng, size, known, n, count):
+        return fast(rng, size, size - known, n, count)
+
+    monkeypatch.setattr(censor, "_fast_blocked_counts", counts_unknown)
+    assert run_campaign(s, 20, 0, full_pipeline_fraction=0.05).p_empirical == 1.0

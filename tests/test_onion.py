@@ -73,6 +73,9 @@ class TestBuildCircuits:
     def test_shared_exit(self):
         cs = circuits_for(6)
         assert len({c.exit.router_id for c in cs}) == 1
+        first, second = circuits_for(2)
+        with pytest.raises(ValueError, match="all circuits must share one exit relay"):
+            CircuitSet((first, second._replace(exit=relay("exit-other"))))
 
     def test_circuits_are_frozen(self):
         # a tuple record: AttributeError, the base class of dataclasses.FrozenInstanceError
@@ -80,18 +83,14 @@ class TestBuildCircuits:
         with pytest.raises(AttributeError):
             circuit.entry = relay("other")
 
-    def test_a_circuit_checks_its_hops_however_it_is_built(self):
+    def test_a_circuit_set_rejects_a_hop_that_is_not_a_router(self):
         circuit = circuits_for(1)[0]
         assert type(circuit) is Circuit
         assert circuit.circuit_id == circuit.entry.router_id
-        for build in (
-            lambda: Circuit(circuit.entry, "middle-000", circuit.exit),
-            lambda: Circuit._make([circuit.entry, circuit.middle, b"exit"]),
-            lambda: circuit._replace(entry=None),
-        ):
-            with pytest.raises(TypeError, match="OnionRouter"):
-                build()
         assert circuit._replace(entry=relay("b9")) == Circuit(relay("b9"), circuit.middle, circuit.exit)
+        # its relay-id pass, before any stream is derived
+        with pytest.raises(AttributeError, match="router_id"):
+            CircuitSet((circuit._replace(middle="middle-000"),))
 
     def test_disjointness_enforced_by_circuit_set(self):
         c = circuits_for(2)[0]
@@ -812,21 +811,6 @@ class TestVariantValidation:
 
 
 class TestRunTransfer:
-    def test_a_transfer_result_checks_its_fields(self):
-        result = onion.TransferResult(False, (1,), (4, 2))
-        assert result == (False, (1,), (4, 2))
-        assert onion.TransferResult(True, [], [4]) == (True, (), (4,))
-        for fields, error in (
-            ((1, (), (4,)), TypeError),
-            ((True, (0,), (2,)), ValueError),
-            ((False, (1,), (2,)), ValueError),
-            ((False, (-1,), (2,)), ValueError),
-        ):
-            with pytest.raises(error):
-                onion.TransferResult(*fields)
-        with pytest.raises(ValueError, match="cannot succeed"):
-            result._replace(success=True)
-
     def test_ctor_survives_single_blocked_circuit(self):
         message = random.Random(20).randbytes(4000)
         result = run_transfer(circuits_for(4), CodedMessage(CodeParams(4, 3, 1), message), message, {2})
@@ -887,6 +871,12 @@ class TestRunTransfer:
             for blocked in itertools.combinations(range(params.n), size):
                 result = run_transfer(circuits, coded, message, blocked)
                 assert result.success == (size <= params.r), blocked
+                # the record's invariants, on every result the library returns
+                success, failed, counts = result
+                assert type(success) is bool
+                assert type(failed) is tuple and list(failed) == sorted(failed)
+                assert set(failed) <= set(range(len(counts)))
+                assert not (success and failed)
 
     @pytest.mark.parametrize("blocked", [(), (1,), (1, 4), (0, 2, 5, 9)])
     def test_decode_scales_each_missing_original_once_per_transfer(self, blocked, scale_calls):
