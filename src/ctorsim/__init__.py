@@ -35,7 +35,7 @@ from .codec import (
     decode_generation,
     decode_generations,
     encode_generation,
-    encode_generations,
+    encode_subflows,
     interrupted_by_rule,
     reassemble_message,
     split_message,

@@ -12,21 +12,24 @@ cells. Every generation of a message is coded with the same rows, so both
 work column-wise: a column is one sub-flow's payloads across all the
 generations of a batch, joined once, and each GF(2^8) coefficient scales a
 whole column in one call, however many generations the batch holds. The
-per-generation functions are the batch of one. The decoder groups a
-batch's generations by their received coefficient rows and memoizes one
-inverse per set of rows, so a transfer whose circuits drop the same
-sub-flows in every generation inverts once and combines each missing
-column once.
+encoder writes each column straight into the wire its sub-flow's circuit
+carries, a header, a row and a payload per generation, and the parser
+reads that wire back into cells: the wire layout has one writer and one
+reader. The per-generation functions are the batch of one. The decoder
+groups a batch's generations by their received coefficient rows and
+memoizes one inverse per set of rows, so a transfer whose circuits drop
+the same sub-flows in every generation inverts once and combines each
+missing column once.
 
 Each type checks its fields in its own constructor, and every value the
-parser, encoder and decoder return is built through that constructor, so
-a rule lives in one place. A CodedCell, the one record built from outside
-bytes, is a tuple record whose __new__ runs the checks on every way of
-building one: a call, _make and _replace (through its own _make), copy
-and pickle. It stores its row and payload as bytes whatever bytes-like
-object it is given, so the parser, which reads its stream as bytes,
-hands it its slices as they are, after one unpack of each cell's header;
-a cell whose row repeats the previous cell's gets that row object.
+parser and decoder return is built through that constructor, so a rule
+lives in one place. A CodedCell, the one record built from outside bytes,
+is a tuple record whose __new__ runs the checks on every way of building
+one: a call, _make and _replace (through its own _make), copy and pickle.
+It stores its row and payload as bytes whatever bytes-like object it is
+given, so the parser, which reads its stream as bytes, hands it its slices
+as they are, after one unpack of each cell's header; a cell whose row
+repeats the previous cell's gets that row object.
 Payloads are combined as little-endian ints, one int XOR per term.
 """
 
@@ -180,17 +183,13 @@ class CodedCell(_CodedCellFields):
     def _make(cls, iterable) -> "CodedCell":
         return cls(*iterable)
 
-    def to_wire(self) -> bytes:
-        """Wire layout: generation_id (4B BE) | subflow_index (1B) | k (1B) | k coefficients | payload."""
-        generation_id, subflow_index, coefficients, payload = self
-        return _HEADER.pack(generation_id, subflow_index, len(coefficients)) + coefficients + payload
-
     @classmethod
     def from_wire_stream(cls, stream: bytes) -> list["CodedCell"]:
-        """Parse back-to-back wire cells, each framed by one unpack of its
-        header and delimited by the k there; the constructor checks the
-        fields, k = 0 included. A cell repeating the previous cell's row,
-        as a sub-flow's cells do, shares that row object."""
+        """Parse back-to-back wire cells, as encode_subflows writes them,
+        each framed by one unpack of its header and delimited by the k
+        there; the constructor checks the fields, k = 0 included. A cell
+        repeating the previous cell's row, as a sub-flow's cells do, shares
+        that row object."""
         if type(stream) is not bytes:
             stream = bytes(memoryview(stream))
         unpack_header = _HEADER.unpack_from
@@ -267,38 +266,42 @@ def _combine(coefficients: Sequence[int], payloads: Sequence[bytes]) -> bytes:
     return acc.to_bytes(len(payloads[0]), "little")
 
 
-def encode_generations(generations: Sequence[Generation], matrix: GeneratorMatrix) -> list[list[CodedCell]]:
-    """Expand each generation's k original cells into n coded cells,
-    originals first, in the order the generations are given.
+def encode_subflows(generations: Sequence[Generation], matrix: GeneratorMatrix) -> list[bytes]:
+    """Expand each generation's k original cells into n coded cells, and
+    write coded cell i of every generation, in the order the generations
+    are given, into wire i: the sub-flow circuit i carries.
 
-    Data column j, cell j of every generation, is joined once, and each
-    parity column is one combination of the joined data columns, sliced
-    back into the generations' parity cells.
+    Wire layout per cell: generation_id (4B BE) | subflow_index (1B) | k (1B)
+    | k coefficients | payload. Data column j, cell j of every generation,
+    is joined once, and each parity column is one combination of the joined
+    data columns, written slice by slice into its wire.
     """
     params = matrix.params
     k, rows = params.k, matrix.rows
     for generation in generations:
         if len(generation.cells) != k:
             raise ValueError(f"generation has {len(generation.cells)} cells, code expects {k}")
-    parity = []
-    if params.r and generations:
-        columns = [b"".join([generation.cells[j] for generation in generations]) for j in range(k)]
-        parity = [_combine(row, columns) for row in rows[k:]]
-    out = []
-    for t, generation in enumerate(generations):
-        generation_id = generation.generation_id
-        lo, hi = t * CELL_SIZE, (t + 1) * CELL_SIZE
-        out.append(
-            [CodedCell(generation_id, j, rows[j], cell) for j, cell in enumerate(generation.cells)]
-            + [CodedCell(generation_id, k + i, rows[k + i], column[lo:hi]) for i, column in enumerate(parity)]
-        )
-    return out
+    columns = [[generation.cells[j] for generation in generations] for j in range(k)]
+    if params.r:
+        joined = [b"".join(column) for column in columns]
+        for row in rows[k:]:
+            parity = memoryview(_combine(row, joined))
+            columns.append([parity[lo : lo + CELL_SIZE] for lo in range(0, len(parity), CELL_SIZE)])
+        del joined  # freed before the wires are written, so the two never coexist
+    pack = _HEADER.pack
+    wires = []
+    for i, (row, column) in enumerate(zip(rows, columns)):
+        parts = []
+        for generation, payload in zip(generations, column):
+            parts += (pack(generation.generation_id, i, k), row, payload)
+        wires.append(b"".join(parts))
+    return wires
 
 
 def encode_generation(generation: Generation, matrix: GeneratorMatrix) -> list[CodedCell]:
     """Expand k original cells into n coded cells, originals first: the
-    batch of one of encode_generations."""
-    return encode_generations([generation], matrix)[0]
+    parse of the one-generation wires of encode_subflows."""
+    return CodedCell.from_wire_stream(b"".join(encode_subflows([generation], matrix)))
 
 
 # One inverse per set of received coefficient rows: a blocked circuit drops
@@ -409,16 +412,15 @@ def decode_generation(received: Sequence[CodedCell], params: CodeParams) -> Gene
     return decoded[0]
 
 
-def split_message(message: bytes, k: int) -> list[Generation]:
-    """Frame a message and cut it into generations of k zero-padded cells.
+def split_message(message: bytes, params: CodeParams) -> list[Generation]:
+    """Frame a message and cut it into generations of params.k padded cells.
 
     The cell stream starts with an 8-byte big-endian length so reassembly
     needs no out-of-band information; padding bytes are zero.
     """
     if not message:
         raise ValueError("cannot split an empty message")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = params.k
     framed = len(message).to_bytes(_LENGTH_PREFIX, "big") + bytes(message)
     cells = -(-len(framed) // CELL_SIZE)
     cells = -(-cells // k) * k

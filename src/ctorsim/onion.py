@@ -10,31 +10,29 @@ the keystream is SHAKE-256 over (router key, circuit id, layer position).
 Binding the layer position is what makes out-of-order peeling detectable;
 bare XOR layers would commute. As with Tor's per-hop counter-mode cipher,
 transmit runs each hop's stream across a whole sub-flow: the cells a
-circuit carries are wrapped and peeled as one wire string. Between wrap
-and the last peel a sub-flow is one little-endian int plus its byte size,
-so each layer is a single int XOR and the bytes are rebuilt once, for the
-exit. XOR acts byte by byte, so the byte order of these ints moves no
-output byte; little-endian is the cheaper conversion.
+circuit carries are wrapped and peeled as one wire string. From wrap to
+the last peel a sub-flow is one little-endian int plus its byte size, so
+each layer is a single int XOR. XOR acts byte by byte, so the byte order of
+these ints moves no output byte; little-endian is the cheaper conversion.
 
 A message is coded once, by building a CodedMessage(params, message): the
-constructor splits and codes the message in one batch, keeps the CodeParams
-that built it, and holds the message once per sub-flow: the wire bytes its
-circuit carries, joined once, and the cells an exit parses from them. No
-cells can be passed in, so every CodedMessage has the shape its code gives.
-run_transfer sends a CodedMessage and decodes by the params it carries. The
-censor sends one fixed message per code shape, so a pipeline trial pays
-only for what differs between trials: the circuits, the blocked set, the
-wrap and peels and the decode. An entry hop's stream depends only on the
-bridge and the sub-flow, and an exit hop's only on the exit relay, the
-bridge and the sub-flow, so both are cached across transfers (exit streams
-only for short sub-flows such as a trial's); middle streams, and the exit
-streams of long sub-flows, are derived per transfer. wrap_layers and
-peel_layer call the cache of each hop's stream themselves. A short
-sub-flow's int is kept as well, so wrap converts each trial sub-flow once.
-The exit compares the peeled bytes with the sub-flow that was sent: equal
-bytes give the cells the message parsed from those same bytes, which is
-what a parse at the exit would give, and bytes that differ in any position
-are parsed in full.
+constructor splits the message, has the encoder write its sub-flow wires in
+one batch, keeps the CodeParams that built it, and holds the message once
+per sub-flow: the int its circuit wraps, and the cells an exit parses from
+its wire. No cells can be passed in, so every CodedMessage has the shape
+its code gives. run_transfer sends a CodedMessage and decodes by the params
+it carries. The censor sends one fixed message per code shape, so a
+pipeline trial pays only for what differs between trials: the circuits, the
+blocked set, the wrap and peels and the decode. An entry hop's stream
+depends only on the bridge and the sub-flow, and an exit hop's only on the
+exit relay, the bridge and the sub-flow, so both are cached across
+transfers (exit streams only for short sub-flows such as a trial's); middle
+streams, and the exit streams of long sub-flows, are derived per transfer.
+wrap_layers and peel_layer call the cache of each hop's stream themselves.
+The exit compares the peeled int and size with the sub-flow that was sent:
+equal ones give the cells the message parsed from that same wire, which is
+what a parse at the exit would give, and any other value is turned back
+into bytes and parsed in full.
 
 Circuit, LayeredCell and TransferResult are plain tuple records: the
 pipeline builds each from values it has just made, and their invariants are
@@ -59,7 +57,7 @@ from .codec import (
     CodedCell,
     build_generator,
     decode_generations,
-    encode_generations,
+    encode_subflows,
     reassemble_message,
     split_message,
 )
@@ -232,29 +230,18 @@ _entry_keystream = functools.lru_cache(maxsize=350)(_derive_keystream)
 _SHORT_SUBFLOW = 4096
 _exit_keystream = functools.lru_cache(maxsize=2048)(_derive_keystream)
 
-# A short sub-flow as the int wrap XORs the streams into: trials wrap the
-# same 43 sub-flows on the default grid (about 30 KB of ints), so each is
-# converted once; as with exit streams, long e2e sub-flows are not kept.
-_short_subflow_value = functools.lru_cache(maxsize=64)(functools.partial(int.from_bytes, byteorder="little"))
-
-
-def wrap_layers(cell_bytes: bytes, circuit: Circuit) -> LayeredCell:
-    """Apply the exit, middle, and entry stream layers, in that order, so that
-    peeling proceeds entry -> middle -> exit."""
+def wrap_layers(value: int, size: int, circuit: Circuit) -> LayeredCell:
+    """Apply the exit, middle, and entry stream layers, in that order, to
+    the `size` bytes held as the little-endian int `value`, so that peeling
+    proceeds entry -> middle -> exit."""
     entry, middle, exit = circuit
-    size = len(cell_bytes)
-    short = size <= _SHORT_SUBFLOW
     cid = entry.router_id
-    if short and type(cell_bytes) is bytes:
-        acc = _short_subflow_value(cell_bytes)
-    else:
-        acc = int.from_bytes(cell_bytes, "little")
-    acc ^= (
-        (_exit_keystream if short else _keystream)(exit.layer_key, cid, 1, size)
+    value ^= (
+        (_exit_keystream if size <= _SHORT_SUBFLOW else _keystream)(exit.layer_key, cid, 1, size)
         ^ _keystream(middle.layer_key, cid, 2, size)
         ^ _entry_keystream(entry.layer_key, cid, 3, size)
     )
-    return _new_tuple(LayeredCell, (acc, size, 3, cid))
+    return _new_tuple(LayeredCell, (value, size, 3, cid))
 
 
 def peel_layer(cell: LayeredCell, router: OnionRouter) -> LayeredCell:
@@ -276,29 +263,32 @@ class CodedMessage:
     """A message coded under one code, held once per sub-flow.
 
     CodedMessage(params, message) splits the message into generations of
-    params.k cells and codes them in one batch, so each generation gives
-    params.n cells, cell i riding sub-flow i. `subflows[i]` is the wire
-    bytes circuit i carries, its cells' joined in generation order, so any
-    number of transfers can send the message without re-serialising it.
-    `cells[i]` is what circuit i's exit parses from exactly those bytes,
-    parsed once here; the encoder's cells are dropped once the wires are
-    joined. Iterating gives each sub-flow's cells.
+    params.k cells and has the encoder write its params.n sub-flow wires in
+    one batch, wire i holding coded cell i of every generation in order. It
+    keeps `subflows[i]`, wire i as the little-endian int circuit i wraps,
+    `subflow_size`, the byte size all the wires share, and `cells[i]`, what
+    circuit i's exit parses from wire i; the wires themselves are dropped.
+    Iterating gives each sub-flow's cells.
     """
 
     params: CodeParams
     message: InitVar[bytes]
-    subflows: tuple[bytes, ...] = field(init=False, repr=False)
+    subflows: tuple[int, ...] = field(init=False, repr=False)
+    subflow_size: int = field(init=False)
     cells: tuple[tuple[CodedCell, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, message: bytes):
         params = self.params
-        # one expression, so the encoder's cells are freed before the parse
-        subflows = tuple(
-            b"".join([cell.to_wire() for cell in column])
-            for column in zip(*encode_generations(split_message(message, params.k), build_generator(params)))
-        )
-        object.__setattr__(self, "subflows", subflows)
-        object.__setattr__(self, "cells", tuple(tuple(CodedCell.from_wire_stream(wire)) for wire in subflows))
+        wires = encode_subflows(split_message(message, params), build_generator(params))
+        object.__setattr__(self, "subflow_size", len(wires[0]))
+        subflows, cells = [], []
+        while wires:
+            # one wire at a time, so the wires and what is kept of them never all coexist
+            wire = wires.pop(0)
+            subflows.append(int.from_bytes(wire, "little"))
+            cells.append(tuple(CodedCell.from_wire_stream(wire)))
+        object.__setattr__(self, "subflows", tuple(subflows))
+        object.__setattr__(self, "cells", tuple(cells))
 
     def __iter__(self) -> Iterator[tuple[CodedCell, ...]]:
         return iter(self.cells)
@@ -312,11 +302,11 @@ def transmit(
     """Carry a coded message across the circuit set; sub-flow i rides circuit i.
 
     The circuits whose indices are in `blocked` drop their whole sub-flow
-    silently. Each surviving sub-flow's wire bytes are wrapped once, peeled
-    by three peel_layer calls (entry, middle, exit), turned back into bytes
-    once, and compared with the sub-flow that was sent: equal bytes give
-    the cells CodedMessage parsed from those same bytes, and bytes that
-    differ in any position are parsed cell by cell by the headers in them,
+    silently. Each surviving sub-flow's int is wrapped once and peeled by
+    three peel_layer calls (entry, middle, exit), and the peeled int and
+    size are compared with the sub-flow that was sent: equal ones give the
+    cells CodedMessage parsed from that same wire, and any other value is
+    turned back into bytes and parsed cell by cell by the headers in them,
     so the returned cells are exactly what the exit relay can see.
     They come back sub-flow by sub-flow, in circuit order, each sub-flow's
     in the order its exit read them, so a sub-flow that arrives short
@@ -327,7 +317,7 @@ def transmit(
     fields and the cell ids, so one that is not an integer (1.5, 1.0)
     raises TypeError, and all must lie within 0..n-1.
     """
-    cells, subflows = coded.cells, coded.subflows
+    cells, subflows, size = coded.cells, coded.subflows, coded.subflow_size
     n = len(circuits.circuits)
     if coded.params.n != n:
         raise ValueError(f"message coded for n={coded.params.n} circuits, got {n} circuits")
@@ -341,9 +331,11 @@ def transmit(
             continue
         entry, middle, exit = circuit
         sent = subflows[idx]
-        value, size, _, _ = peel_layer(peel_layer(peel_layer(wrap_layers(sent, circuit), entry), middle), exit)
-        wire = value.to_bytes(size, "little")
-        arrived += cells[idx] if wire == sent else CodedCell.from_wire_stream(wire)
+        value, peeled, _, _ = peel_layer(peel_layer(peel_layer(wrap_layers(sent, size, circuit), entry), middle), exit)
+        if value == sent and peeled == size:
+            arrived += cells[idx]
+        else:
+            arrived += CodedCell.from_wire_stream(value.to_bytes(peeled, "little"))
     return arrived
 
 

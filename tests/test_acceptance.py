@@ -176,7 +176,7 @@ def test_criterion_6a_round_trip_bit_exactness():
             message = rng.randbytes(rng.randint(1, 8192))
             decoded = [
                 decode_generation(rng.sample(encode_generation(g, matrix), k), params)
-                for g in split_message(message, k)
+                for g in split_message(message, params)
             ]
             assert reassemble_message(decoded) == message
             messages += 1

@@ -5,6 +5,7 @@ import itertools
 import math
 import pickle
 import random
+import struct
 from collections import Counter
 
 import pytest
@@ -24,11 +25,12 @@ from ctorsim.codec import (
     decode_generation,
     decode_generations,
     encode_generation,
-    encode_generations,
+    encode_subflows,
     reassemble_message,
     split_message,
 )
 from ctorsim.onion import CircuitSet, CodedMessage, build_circuits, run_transfer
+from wire_layout import subflow_wires, to_wire
 
 
 def rank_of(rows: list[bytes], k: int) -> int:
@@ -271,18 +273,28 @@ class TestRandomCoefficientMode:
 
 class TestWireFormat:
     def test_layout_is_bit_exact(self):
-        cell = CodedCell(0x01020304, 7, b"\x01\x01\x01", bytes(range(256)) * 2)
-        wire = cell.to_wire()
-        assert wire[:4] == b"\x01\x02\x03\x04"
-        assert wire[4] == 7
-        assert wire[5] == 3
-        assert wire[6:9] == b"\x01\x01\x01"
-        assert wire[9:] == cell.payload
-        assert len(wire) == 4 + 1 + 1 + 3 + CELL_SIZE
+        # wire i holds coded cell i of each generation in turn: generation id
+        # (4B BE), sub-flow index, k, the k coefficients, the payload
+        matrix = build_generator(CodeParams(4, 3, 1))
+        rng = random.Random(44)
+        generations = [random_generation(3, rng, 0x01020304), random_generation(3, rng, 9)]
+        wires = encode_subflows(generations, matrix)
+        size = 4 + 1 + 1 + 3 + CELL_SIZE
+        assert [len(wire) for wire in wires] == [2 * size] * 4
+        for i, wire in enumerate(wires):
+            for t, generation in enumerate(generations):
+                cell = wire[t * size : (t + 1) * size]
+                assert cell[:4] == generation.generation_id.to_bytes(4, "big")
+                assert cell[4:6] == bytes([i, 3])
+                assert cell[6:9] == matrix.rows[i]
+                assert cell[9:] == (generation.cells[i] if i < 3 else reference_combine(matrix.rows[i], generation.cells))
+        assert wires[0][:4] == b"\x01\x02\x03\x04"
+        # the tests' own writer spells out the same layout
+        assert wires == subflow_wires([reference_encode(generation, matrix) for generation in generations])
 
     def test_round_trip(self):
         cell = CodedCell(42, 3, b"\x01\x02\x03\x04", random.Random(16).randbytes(CELL_SIZE))
-        assert parse_one(cell.to_wire()) == cell
+        assert parse_one(to_wire(cell)) == cell
 
     def test_short_wire_rejected(self):
         with pytest.raises(ValueError):
@@ -295,7 +307,7 @@ class TestWireFormat:
         cells = encode_generation(random_generation(4, random.Random(17)), build_generator(params))
         for cell in cells[:3]:
             with pytest.raises(ValueError):
-                parse_one(cell.to_wire()[:-1])
+                parse_one(to_wire(cell)[:-1])
 
     def test_stream_parses_by_each_cells_header(self):
         rng = random.Random(19)
@@ -303,7 +315,7 @@ class TestWireFormat:
             CodedCell(gid, idx, rng.randbytes(k), rng.randbytes(CELL_SIZE))
             for gid, idx, k in ((0, 0, 1), (1, 2, 3), (2, 1, 255), (3, 0, 2))
         ]
-        stream = b"".join(cell.to_wire() for cell in cells)
+        stream = b"".join(to_wire(cell) for cell in cells)
         assert CodedCell.from_wire_stream(stream) == cells
         assert CodedCell.from_wire_stream(b"") == []
         for cut in (1, 5, CELL_SIZE + 1):
@@ -315,8 +327,8 @@ class TestWireFormat:
     def test_parsed_cells_equal_public_cells_and_hold_bytes(self):
         rng = random.Random(20)
         cells = [CodedCell(7, idx, rng.randbytes(3), rng.randbytes(CELL_SIZE)) for idx in range(3)]
-        stream = b"".join(cell.to_wire() for cell in cells)
-        first = len(cells[0].to_wire())
+        stream = b"".join(to_wire(cell) for cell in cells)
+        first = len(to_wire(cells[0]))
         for data in (stream, bytearray(stream), memoryview(stream)):
             parsed = CodedCell.from_wire_stream(data) + [parse_one(data[:first])]
             assert parsed == cells + cells[:1]
@@ -327,7 +339,7 @@ class TestWireFormat:
         rng = random.Random(43)
         row, other = rng.randbytes(3), rng.randbytes(3)
         cells = [CodedCell(g, 1, r, rng.randbytes(CELL_SIZE)) for g, r in enumerate((row, row, other, other, row))]
-        stream = b"".join(cell.to_wire() for cell in cells)
+        stream = b"".join(to_wire(cell) for cell in cells)
         for data in (stream, bytearray(stream), memoryview(stream)):
             parsed = CodedCell.from_wire_stream(data)
             assert parsed == cells
@@ -336,7 +348,7 @@ class TestWireFormat:
             assert rows[1] is not rows[2] and rows[3] is not rows[4]
 
     def test_from_wire_rejects_k_zero_short_and_long_cells(self):
-        wire = CodedCell(5, 1, b"\x01\x02", bytes(CELL_SIZE)).to_wire()
+        wire = to_wire(CodedCell(5, 1, b"\x01\x02", bytes(CELL_SIZE)))
         zero_k = wire[:5] + b"\x00" + wire[6:]
         # the last but one is exactly as long as a k = 0 cell would be; the
         # last is two whole cells back to back
@@ -371,7 +383,7 @@ class TestPublicConstructors:
         "generation_id,subflow_index", [(1.5, 0), (2, 1.0), (0.0, 0), ("1", 0), (0, None)]
     )
     def test_coded_cell_rejects_ids_that_are_not_integers(self, generation_id, subflow_index):
-        # a float id used to pass the range checks and fail only in to_wire
+        # a float id used to pass the range checks and fail only on the wire
         with pytest.raises(TypeError):
             CodedCell(generation_id, subflow_index, b"\x01", bytes(CELL_SIZE))
 
@@ -426,7 +438,7 @@ class TestPublicConstructors:
         params = CodeParams(5, 3, 2)
         gen = random_generation(3, random.Random(22), generation_id=6)
         cells = encode_generation(gen, build_generator(params))
-        stream = b"".join(cell.to_wire() for cell in cells)
+        stream = b"".join(to_wire(cell) for cell in cells)
         checked = Counter()
         for cls in (Generation, CircuitSet):
             def counting(obj, check=cls.__post_init__, name=cls.__name__):
@@ -438,7 +450,7 @@ class TestPublicConstructors:
         assert CodedCell.from_wire_stream(stream) == cells
         assert checked == {"CodedCell": len(cells)}
         checked.clear()
-        assert parse_one(cells[0].to_wire()) == cells[0]
+        assert parse_one(to_wire(cells[0])) == cells[0]
         assert checked == {"CodedCell": 1}
         for received in (cells[:3], cells[2:], cells):
             checked.clear()
@@ -569,7 +581,7 @@ class TestCodedCellHoldsBytes:
     def test_parsing_a_bytearray_checks_each_cell_once(self, monkeypatch):
         rng = random.Random(42)
         cells = [CodedCell(3, idx, rng.randbytes(2), rng.randbytes(CELL_SIZE)) for idx in range(4)]
-        stream = bytearray(b"".join(cell.to_wire() for cell in cells))
+        stream = bytearray(b"".join(to_wire(cell) for cell in cells))
         checked = []
         monkeypatch.setattr(CodedCell, "__new__", counting_new(lambda fields: checked.append(fields[1])))
         parsed = CodedCell.from_wire_stream(stream)
@@ -580,7 +592,7 @@ class TestCodedCellHoldsBytes:
 
 class TestFraming:
     def test_minimal_message_fills_one_generation(self):
-        gens = split_message(b"\x42", 3)
+        gens = split_message(b"\x42", CodeParams(3, 3, 0))
         assert len(gens) == 1
         assert len(gens[0].cells) == 3
         stream = b"".join(gens[0].cells)
@@ -591,28 +603,24 @@ class TestFraming:
     def test_exact_cell_multiple_spills_into_second_generation(self):
         # the 8-byte length prefix rides inside the cell stream, so a
         # 512*k-byte message needs one extra cell
-        gens = split_message(b"\xaa" * (CELL_SIZE * 3), 3)
+        gens = split_message(b"\xaa" * (CELL_SIZE * 3), CodeParams(3, 3, 0))
         assert len(gens) == 2
 
     def test_cell_arithmetic_10000_bytes(self):
-        gens = split_message(bytes(10000), 3)
+        gens = split_message(bytes(10000), CodeParams(3, 3, 0))
         # ceil((10000 + 8) / 512) = 20 cells, rounded up to 21 = 7 generations
         assert len(gens) == 7
 
     def test_empty_message_rejected(self):
         with pytest.raises(ValueError):
-            split_message(b"", 3)
-
-    def test_k_below_one_rejected(self):
-        with pytest.raises(ValueError, match="k must be >= 1, got 0"):
-            split_message(b"x", 0)
+            split_message(b"", CodeParams(3, 3, 0))
 
     def test_contiguous_ids_from_zero(self):
-        gens = split_message(bytes(5000), 2)
+        gens = split_message(bytes(5000), CodeParams(2, 2, 0))
         assert [g.generation_id for g in gens] == list(range(len(gens)))
 
     def test_reassemble_requires_contiguous_ids(self):
-        gens = split_message(bytes(5000), 2)
+        gens = split_message(bytes(5000), CodeParams(2, 2, 0))
         with pytest.raises(ValueError):
             reassemble_message(gens[1:])
         with pytest.raises(ValueError):
@@ -627,7 +635,7 @@ class TestFraming:
         # fill the cells past the message with nonzero bytes, so any byte read
         # past its end or before its start would show
         rng = random.Random(length)
-        gens = split_message(rng.randbytes(length), k)
+        gens = split_message(rng.randbytes(length), CodeParams(k, k, 0))
         stream = b"".join(cell for g in gens for cell in g.cells)
         stream = stream[: 8 + length] + bytes(b | 1 for b in rng.randbytes(len(stream) - 8 - length))
         cells = [stream[i : i + CELL_SIZE] for i in range(0, len(stream), CELL_SIZE)]
@@ -641,13 +649,13 @@ class TestFraming:
 
     def test_reassemble_accepts_any_order(self):
         message = random.Random(17).randbytes(4000)
-        gens = split_message(message, 3)
+        gens = split_message(message, CodeParams(3, 3, 0))
         assert reassemble_message(list(reversed(gens))) == message
 
     @pytest.mark.parametrize("length", [1, 503, 504, 505, 512, 1528, 1529, 1536, 5000])
     def test_round_trip_boundary_lengths(self, length):
         message = random.Random(length).randbytes(length)
-        assert reassemble_message(split_message(message, 3)) == message
+        assert reassemble_message(split_message(message, CodeParams(3, 3, 0))) == message
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -662,7 +670,7 @@ def test_round_trip_through_random_k_subsets(data, shape, seed):
     matrix = build_generator(params)
     rng = random.Random(seed)
     decoded = []
-    for gen in split_message(data, k):
+    for gen in split_message(data, params):
         cells = encode_generation(gen, matrix)
         survivors = rng.sample(cells, k)
         decoded.append(decode_generation(survivors, params))
@@ -672,7 +680,7 @@ def test_round_trip_through_random_k_subsets(data, shape, seed):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.binary(min_size=1, max_size=3000), k=st.integers(1, 8))
 def test_split_reassemble_is_identity(data, k):
-    assert reassemble_message(split_message(data, k)) == data
+    assert reassemble_message(split_message(data, CodeParams(k, k, 0))) == data
 
 
 _WIRE_HEADER = 4 + 1 + 1  # generation id, sub-flow index, k
@@ -689,7 +697,7 @@ def test_from_wire_round_trips_or_rejects(k, data):
     if size >= _WIRE_HEADER:
         wire[5] = k
     if size == exact and k >= 1:
-        assert parse_one(bytes(wire)).to_wire() == wire
+        assert to_wire(parse_one(bytes(wire))) == wire
     else:
         with pytest.raises(ValueError):
             parse_one(bytes(wire))
@@ -728,12 +736,12 @@ def test_decode_raises_or_returns_the_generation(shape, seed, picks, faults, dat
             random_generation(other_k, rng, 3), build_generator(CodeParams(other_k + n - k, other_k, n - k))
         ),
     }
-    wires = [(coded[i % n].to_wire(), False) for i in picks]
+    wires = [(to_wire(coded[i % n]), False) for i in picks]
     for kind, index, cut in faults:
         if kind == "truncated":
-            wires.append((coded[index % n].to_wire()[:-cut], True))
+            wires.append((to_wire(coded[index % n])[:-cut], True))
         else:
-            wires.append((sources[kind][index % len(sources[kind])].to_wire(), False))
+            wires.append((to_wire(sources[kind][index % len(sources[kind])]), False))
     wires = data.draw(st.permutations(wires))
     received = []
     for wire, truncated in wires:
@@ -844,7 +852,7 @@ class TestDecodePlanCache:
         params = CodeParams(10, 6, 4)
         circuits = build_circuits([f"b{i}" for i in range(10)], random.Random(0))
         message = random.Random(18).randbytes(256 * 1024)
-        generations = len(split_message(message, params.k))
+        generations = len(split_message(message, params))
         _decode_plan.cache_clear()
         result = run_transfer(circuits, CodedMessage(params, message), message, blocked={0, 3, 7})
         assert result.success
@@ -970,8 +978,8 @@ def test_batched_codec_matches_per_generation_reference(k, r, count, cauchy, see
     ids = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=count, max_size=count, unique=True))
     rng = random.Random(seed)
     generations = [random_generation(k, rng, generation_id) for generation_id in ids]
-    coded = encode_generations(generations, matrix)
-    assert coded == [reference_encode(generation, matrix) for generation in generations]
+    coded = [reference_encode(generation, matrix) for generation in generations]
+    assert encode_subflows(generations, matrix) == subflow_wires(coded)
 
     index = st.integers(0, params.n - 1)
     patterns = data.draw(st.lists(st.lists(index, min_size=1, max_size=params.n + 1), min_size=1, max_size=3))
@@ -989,8 +997,8 @@ class TestColumnWise:
         params = matrix.params
         rng = random.Random(27)
         generations = [random_generation(3, rng, generation_id) for generation_id in range(9)]
-        coded = encode_generations(generations, matrix)
-        assert coded == [reference_encode(generation, matrix) for generation in generations]
+        coded = [reference_encode(generation, matrix) for generation in generations]
+        assert encode_subflows(generations, matrix) == subflow_wires(coded)
 
         def mix(cells):
             # a cell that depends on the two parity cells: with them, rank 2 of k = 3
@@ -1031,7 +1039,8 @@ class TestColumnWise:
         params = matrix.params
         generation = random_generation(3, random.Random(28), generation_id=7)
         cells = encode_generation(generation, matrix)
-        assert [cells] == encode_generations([generation], matrix)
+        assert cells == CodedCell.from_wire_stream(b"".join(encode_subflows([generation], matrix)))
+        assert subflow_wires([cells]) == encode_subflows([generation], matrix)
         for received in ([cells[0], cells[3], cells[4]], cells[:3]):
             assert decode_generations([received], params) == ([decode_generation(received, params)], [])
         assert decode_generations([cells[3:]], params) == ([], [7])
@@ -1040,7 +1049,7 @@ class TestColumnWise:
         assert (exc.value.generation_id, exc.value.received) == (7, 2)
 
     def test_empty_batch(self):
-        assert encode_generations([], hand_made_matrix()) == []
+        assert encode_subflows([], hand_made_matrix()) == [b""] * 5
         assert decode_generations([], CodeParams(5, 3, 2)) == ([], [])
 
     @pytest.mark.parametrize("fault", ["empty", "mixed", "wide"])
@@ -1058,5 +1067,11 @@ class TestColumnWise:
     def test_encode_rejects_a_generation_of_another_width(self):
         rng = random.Random(30)
         with pytest.raises(ValueError, match="generation has 2 cells, code expects 3"):
-            encode_generations([random_generation(3, rng, 0), random_generation(2, rng, 1)], hand_made_matrix())
+            encode_subflows([random_generation(3, rng, 0), random_generation(2, rng, 1)], hand_made_matrix())
+
+    def test_encode_rejects_an_id_its_header_cannot_hold(self):
+        # the header packs the id into 4 bytes, so a larger one never reaches a wire
+        rng = random.Random(31)
+        with pytest.raises(struct.error):
+            encode_subflows([random_generation(3, rng, 0), random_generation(3, rng, 2**32)], hand_made_matrix())
 

@@ -4,8 +4,9 @@ gf256 is the field, codec the erasure code, onion the relays and transport,
 censor the trial engine and analytics the exact tails; cli wires them
 together. Pinning the relative imports keeps a concern from drifting into a
 module that does not own it (the relay pool back into censor, say). The
-same source scan checks that every functools cache is bounded, and that a
-record whose class checks its fields in __new__ is never built around it.
+same source scan checks that every functools cache is bounded, that a
+record whose class checks its fields in __new__ is never built around it,
+and that the wire header has one writer and one reader.
 """
 
 import ast
@@ -181,3 +182,48 @@ def test_a_record_that_checks_its_fields_is_built_only_through_its_new():
     checked = {name: path.stem for path in paths for name in classes_defining_new(path)}
     assert checked == {"CodedCell": "codec"}
     assert [site for path in paths for site in tuple_new_bypasses(path, set(checked))] == []
+
+
+PACKS = {"pack", "pack_into"}
+UNPACKS = {"unpack", "unpack_from", "iter_unpack"}
+
+
+def struct_uses(path: Path) -> list[tuple[str, str]]:
+    """Each use of struct packing or unpacking in a file, as ("pack" or
+    "unpack", "module.function"): a method of a module-level struct.Struct,
+    a function of the struct module, or one imported from it by name."""
+    tree = ast.parse(path.read_text())
+    structs = {
+        target.id
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+        and ast.unparse(node.value.func) in ("struct.Struct", "Struct")
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    found = []
+
+    def kind(name: str) -> str | None:
+        return "pack" if name in PACKS else "unpack" if name in UNPACKS else None
+
+    def visit(node: ast.AST, function: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in structs | {"struct"}:
+            if kind(node.attr):
+                found.append((kind(node.attr), f"{path.stem}.{function}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "struct":
+            found.extend((kind(alias.name), f"{path.stem}:import") for alias in node.names if kind(alias.name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_the_wire_header_has_one_writer_and_one_reader():
+    # the encoder writes every wire and the parser reads every one, so a
+    # second serialiser of the cell header cannot grow back
+    uses = [use for path in sorted(PACKAGE.glob("*.py")) for use in struct_uses(path)]
+    assert sorted({site for kind, site in uses if kind == "pack"}) == ["codec.encode_subflows"]
+    assert sorted({site for kind, site in uses if kind == "unpack"}) == ["codec.from_wire_stream"]

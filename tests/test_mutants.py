@@ -13,7 +13,7 @@ import pytest
 from ctorsim import analytics, censor, codec, onion
 from ctorsim.analytics import p_block_lnc
 from ctorsim.censor import BridgePool, CensorScenario, ConsistencyError, derive_rng, run_campaign, run_trial
-from ctorsim.codec import CodeParams, CodedCell
+from ctorsim.codec import CELL_SIZE, CodeParams
 from ctorsim.onion import CodedMessage, build_circuits, run_transfer
 
 
@@ -54,9 +54,9 @@ def test_rule_as_b_at_least_r_moves_every_law_and_fails_the_pipeline(monkeypatch
 
 
 def test_wire_cells_with_the_last_byte_flipped_fail_every_transfer(monkeypatch, fresh_trial_cells):
-    """CodedCell.to_wire flips the last payload byte of every cell. Nothing
-    compares the wire with the encoder's cells, so the message still builds,
-    and each exit parses exactly the altered cells it is sent. The check that
+    """The sub-flow writer flips the last payload byte of every cell. The
+    wire is the encoder's only output, so the message still builds, and each
+    exit parses exactly the altered cells it is sent. The check that
     catches it is the transfer's comparison of the decoded bytes with the
     message: run_transfer fails with no failed generation, and run_trial and
     a fraction-1 run_campaign raise ConsistencyError where the rule says a
@@ -71,13 +71,17 @@ def test_wire_cells_with_the_last_byte_flipped_fail_every_transfer(monkeypatch, 
     assert not run_trial(at_r, random.Random(0)).interrupted
     run_campaign(campaign, 10, 1, full_pipeline_fraction=1)
 
-    to_wire = CodedCell.to_wire
+    encode = onion.encode_subflows
 
-    def flipped(cell):
-        wire = to_wire(cell)
-        return wire[:-1] + bytes([wire[-1] ^ 1])
+    def flipped(generations, matrix):
+        cell_size = 4 + 1 + 1 + matrix.params.k + CELL_SIZE
+        wires = [bytearray(wire) for wire in encode(generations, matrix)]
+        for wire in wires:
+            for last in range(cell_size - 1, len(wire), cell_size):
+                wire[last] ^= 1
+        return list(map(bytes, wires))
 
-    monkeypatch.setattr(CodedCell, "to_wire", flipped)
+    monkeypatch.setattr(onion, "encode_subflows", flipped)
     censor._trial_cells.cache_clear()
     coded = CodedMessage(params, message)
     # it builds, holding the altered cells each exit parses from its wire
@@ -134,10 +138,9 @@ def test_middle_stream_wrapped_at_the_entry_depth_fails_the_exit_parse(monkeypat
     for _ in range(budget):
         run_trial(s, rng)
 
-    def middle_at_depth_3(cell_bytes, circuit):
+    def middle_at_depth_3(value, size, circuit):
         entry, middle, exit = circuit
-        size, cid = len(cell_bytes), entry.router_id
-        value = int.from_bytes(cell_bytes, "little")
+        cid = entry.router_id
         for key, depth in ((exit.layer_key, 1), (middle.layer_key, 3), (entry.layer_key, 3)):
             value ^= onion._derive_keystream(key, cid, depth, size)
         return onion.LayeredCell(value, size, 3, cid)
@@ -166,7 +169,7 @@ def test_keystreams_that_ignore_the_circuit_id_are_uncaught_at_run_time(monkeypa
     before = [run_transfer(circuits, coded, message, blocked) for blocked in (set(), {1}, {0, 2})]
     rng = random.Random(0)
     trials = [run_trial(s, rng) for _ in range(5)]
-    wrapped = onion.wrap_layers(coded.subflows[0], circuits[0])
+    wrapped = onion.wrap_layers(coded.subflows[0], coded.subflow_size, circuits[0])
 
     derive = onion._derive_keystream
 
@@ -180,7 +183,7 @@ def test_keystreams_that_ignore_the_circuit_id_are_uncaught_at_run_time(monkeypa
     rng = random.Random(0)
     assert [run_trial(s, rng) for _ in range(5)] == trials
     run_campaign(s, 20, 3, full_pipeline_fraction=1)
-    assert onion.wrap_layers(coded.subflows[0], circuits[0]) != wrapped
+    assert onion.wrap_layers(coded.subflows[0], coded.subflow_size, circuits[0]) != wrapped
 
 
 def first_failing_trial(params: CodeParams, budget: int = 20) -> tuple[int, type, str] | None:
@@ -243,6 +246,42 @@ def test_transmit_dropping_the_circuit_after_each_blocked_one_fails_the_rule(mon
         return transmit(circuits, coded, {*blocked, *(i + 1 for i in blocked if i + 1 < n)})
 
     monkeypatch.setattr(onion, "transmit", drops_the_next)
+    assert first_failing_trial(params) == caught
+
+
+@pytest.mark.parametrize(
+    "params,caught",
+    [
+        (CodeParams(10, 6, 4), (1, ConsistencyError, "pipeline interrupted=True but blocked_count=2 with r=4")),
+        (CodeParams(5, 3, 2), (1, ConsistencyError, "pipeline interrupted=True but blocked_count=1 with r=2")),
+        (CodeParams(4, 3, 1), None),
+    ],
+    ids=["ctor-10-4", "ctor-5-2", "ctor-4-1"],
+)
+def test_parity_subflows_written_with_the_next_parity_row_fail_the_rule(monkeypatch, fresh_trial_cells, params, caught):
+    """The sub-flow writer puts the next parity row's coefficients (the
+    last takes the first's) in the header of each parity cell, over the
+    payload its own row made. The exit parses well-formed cells, so a trial
+    that decodes through a parity cell rebuilds the wrong bytes; the check
+    that catches it is run_trial's comparison with the blocked-count rule:
+    it raises ConsistencyError within a seeded budget of trials. With one
+    parity row the next row is its own, so ctor:4:1 is unchanged."""
+    assert first_failing_trial(params) is None
+    encode = onion.encode_subflows
+
+    def next_parity_rows(generations, matrix):
+        k, rows = matrix.params.k, matrix.rows
+        cell_size = 4 + 1 + 1 + k + CELL_SIZE
+        wires = encode(generations, matrix)
+        for i, row in enumerate(rows[k + 1 :] + rows[k : k + 1]):
+            wire = bytearray(wires[k + i])
+            for start in range(6, len(wire), cell_size):
+                wire[start : start + k] = row
+            wires[k + i] = bytes(wire)
+        return wires
+
+    monkeypatch.setattr(onion, "encode_subflows", next_parity_rows)
+    censor._trial_cells.cache_clear()
     assert first_failing_trial(params) == caught
 
 

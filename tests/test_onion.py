@@ -21,7 +21,7 @@ from ctorsim.codec import (
     Variant,
     build_generator,
     encode_generation,
-    encode_generations,
+    encode_subflows,
     split_message,
 )
 from ctorsim.gf256 import xor_bytes
@@ -39,10 +39,21 @@ from ctorsim.onion import (
     transmit,
     wrap_layers,
 )
+from wire_layout import subflow_wires, to_wire
 
 
 def circuits_for(n: int, seed: int = 0) -> CircuitSet:
     return build_circuits([f"b{i}" for i in range(n)], random.Random(seed))
+
+
+def wrap_bytes(wire: bytes, circuit: Circuit) -> LayeredCell:
+    """wrap_layers of a byte string, held as the little-endian int transmit wraps."""
+    return wrap_layers(int.from_bytes(wire, "little"), len(wire), circuit)
+
+
+def wire_of(coded: CodedMessage, idx: int) -> bytes:
+    """Sub-flow idx of a coded message as the bytes its circuit carries."""
+    return coded.subflows[idx].to_bytes(coded.subflow_size, "little")
 
 
 def distinct_router_ids(cs: CircuitSet) -> set[str]:
@@ -155,7 +166,7 @@ class TestLayering:
     def test_wrap_then_peel_in_order_restores_bytes(self):
         circuit = circuits_for(1)[0]
         wire = random.Random(1).randbytes(520)
-        cell = wrap_layers(wire, circuit)
+        cell = wrap_bytes(wire, circuit)
         assert cell.layers_remaining == 3
         assert cell.payload != wire
         for router in (circuit.entry, circuit.middle, circuit.exit):
@@ -165,7 +176,7 @@ class TestLayering:
 
     def test_wrap_and_peel_return_layered_cells(self):
         circuit = circuits_for(1)[0]
-        cell = wrap_layers(random.Random(2).randbytes(520), circuit)
+        cell = wrap_bytes(random.Random(2).randbytes(520), circuit)
         peeled = peel_layer(cell, circuit.entry)
         for layered, depth in ((cell, 3), (peeled, 2)):
             assert type(layered) is LayeredCell
@@ -174,12 +185,12 @@ class TestLayering:
     def test_wrap_is_deterministic(self):
         circuit = circuits_for(1)[0]
         wire = bytes(range(256))
-        assert wrap_layers(wire, circuit) == wrap_layers(wire, circuit)
+        assert wrap_bytes(wire, circuit) == wrap_bytes(wire, circuit)
 
     def test_peel_out_of_order_garbles_bytes(self):
         circuit = circuits_for(1)[0]
         wire = random.Random(2).randbytes(520)
-        cell = wrap_layers(wire, circuit)
+        cell = wrap_bytes(wire, circuit)
         for router in (circuit.middle, circuit.entry, circuit.exit):  # wrong order
             cell = peel_layer(cell, router)
         assert cell.payload != wire
@@ -188,7 +199,7 @@ class TestLayering:
         circuit = circuits_for(1)[0]
         imposter = relay("someone-else")
         wire = random.Random(3).randbytes(520)
-        cell = wrap_layers(wire, circuit)
+        cell = wrap_bytes(wire, circuit)
         cell = peel_layer(cell, imposter)
         for router in (circuit.middle, circuit.exit):
             cell = peel_layer(cell, router)
@@ -196,7 +207,7 @@ class TestLayering:
 
     def test_peel_without_layers_rejected(self):
         circuit = circuits_for(1)[0]
-        cell = wrap_layers(b"\x00" * 16, circuit)
+        cell = wrap_bytes(b"\x00" * 16, circuit)
         for router in (circuit.entry, circuit.middle, circuit.exit):
             cell = peel_layer(cell, router)
         with pytest.raises(ValueError):
@@ -209,7 +220,7 @@ class TestLayering:
             exit=OnionRouter("x", b"k2"),
         )
         with pytest.raises(ValueError):
-            wrap_layers(b"\x00" * 16, bad)
+            wrap_bytes(b"\x00" * 16, bad)
 
 
 def reference_keystream(key: bytes, circuit_id: str, depth: int, size: int) -> bytes:
@@ -259,7 +270,7 @@ def stream_traffic() -> dict[str, tuple[int, int]]:
 def test_wrap_matches_reference(cell, seed, n, data):
     circuits = build_circuits([f"b{i}" for i in range(n)], random.Random(seed))
     circuit = circuits[data.draw(st.integers(0, n - 1))]
-    layered = wrap_layers(cell, circuit)
+    layered = wrap_bytes(cell, circuit)
     assert layered.payload == reference_wrap(cell, circuit)
     assert (layered.layers_remaining, layered.circuit_id) == (3, circuit.circuit_id)
 
@@ -273,7 +284,7 @@ def test_int_layers_keep_every_byte(wire):
     # layers are XORed as little-endian ints, which drop trailing zero bytes;
     # the size kept beside the int must bring them back
     circuit = circuits_for(1)[0]
-    cell = wrap_layers(wire, circuit)
+    cell = wrap_bytes(wire, circuit)
     assert cell.payload == reference_wrap(wire, circuit)
     for router in (circuit.entry, circuit.middle, circuit.exit):
         cell = peel_layer(cell, router)
@@ -287,8 +298,8 @@ class TestKeystreamCache:
         first, second = circuits_for(2)
         assert first.exit == second.exit
         wire = random.Random(4).randbytes(520)
-        a = wrap_layers(wire, first)
-        b = wrap_layers(wire, second)
+        a = wrap_bytes(wire, first)
+        b = wrap_bytes(wire, second)
         assert a.payload != b.payload
         assert a.payload == reference_wrap(wire, first)
         assert b.payload == reference_wrap(wire, second)
@@ -296,8 +307,8 @@ class TestKeystreamCache:
     def test_peeling_with_the_other_circuits_routers_garbles(self):
         first, second = circuits_for(2)
         wire = random.Random(5).randbytes(520)
-        wrap_layers(wire, second)  # leave the other circuit's streams cached
-        cell = wrap_layers(wire, first)
+        wrap_bytes(wire, second)  # leave the other circuit's streams cached
+        cell = wrap_bytes(wire, first)
         for router in (second.entry, second.middle, second.exit):
             cell = peel_layer(cell, router)
         assert cell.payload != wire
@@ -305,11 +316,11 @@ class TestKeystreamCache:
     def test_out_of_order_and_wrong_key_peels_garble_right_after_wrap(self):
         circuit = circuits_for(1)[0]
         wire = random.Random(6).randbytes(520)
-        cell = wrap_layers(wire, circuit)
+        cell = wrap_bytes(wire, circuit)
         for router in (circuit.exit, circuit.middle, circuit.entry):  # reversed
             cell = peel_layer(cell, router)
         assert cell.payload != wire
-        cell = wrap_layers(wire, circuit)
+        cell = wrap_bytes(wire, circuit)
         cell = peel_layer(cell, relay("someone-else"))
         for router in (circuit.middle, circuit.exit):
             cell = peel_layer(cell, router)
@@ -318,7 +329,7 @@ class TestKeystreamCache:
     def test_peel_streams_match_reference(self):
         circuit = circuits_for(1)[0]
         wire = random.Random(7).randbytes(520)
-        cell = wrap_layers(wire, circuit)
+        cell = wrap_bytes(wire, circuit)
         expected = cell.payload
         for depth, router in ((3, circuit.entry), (2, circuit.middle), (1, circuit.exit)):
             expected = xor_bytes(expected, reference_keystream(router.layer_key, circuit.circuit_id, depth, 520))
@@ -331,7 +342,7 @@ class TestKeystreamCache:
         coded = CodedMessage(params, bytes(range(256)) * 9)
         circuits = circuits_for(4)
         warm = transmit(circuits, coded, {1})
-        wrapped = wrap_layers(b"cell", circuits[0])
+        wrapped = wrap_bytes(b"cell", circuits[0])
         message = random.Random(9).randbytes(3000)
         sent = CodedMessage(params, message)
         transfer = run_transfer(circuits, sent, message, {2})
@@ -339,7 +350,7 @@ class TestKeystreamCache:
             clear()
             assert transmit(circuits, coded, {1}) == warm
             clear()
-            assert wrap_layers(b"cell", circuits[0]) == wrapped
+            assert wrap_bytes(b"cell", circuits[0]) == wrapped
             clear()
             assert run_transfer(circuits, sent, message, {2}) == transfer
 
@@ -364,8 +375,8 @@ class TestKeystreamCache:
         assert first.entry is second.entry
         wire = random.Random(10).randbytes(524)
         clear_stream_caches()
-        a = wrap_layers(wire, first)
-        b = wrap_layers(wire, second)
+        a = wrap_bytes(wire, first)
+        b = wrap_bytes(wire, second)
         assert stream_traffic() == {"inner": (2, 0), "exit": (2, 0), "entry": (1, 1)}
         assert a.payload == reference_wrap(wire, first)
         assert b.payload == reference_wrap(wire, second)
@@ -384,8 +395,8 @@ class TestKeystreamCache:
         assert first.middle != second.middle
         wire = random.Random(11).randbytes(524)
         clear_stream_caches()
-        a = wrap_layers(wire, first)
-        b = wrap_layers(wire, second)
+        a = wrap_bytes(wire, first)
+        b = wrap_bytes(wire, second)
         assert stream_traffic() == {"inner": (2, 0), "exit": (1, 1), "entry": (1, 1)}
         assert a.payload == reference_wrap(wire, first)
         assert b.payload == reference_wrap(wire, second)
@@ -475,25 +486,26 @@ class TestTransmit:
 
 
 class TestCodedMessage:
-    """A coded message is serialised and parsed once, for any number of transfers."""
+    """A coded message is encoded, converted and parsed once, for any number of transfers."""
 
     @pytest.mark.parametrize("params", [CodeParams(1, 1, 0), CodeParams(4, 4, 0), CodeParams(10, 6, 4)])
     def test_each_wire_is_its_subflows_joined_cells(self, params):
         coded = CodedMessage(params, random.Random(11).randbytes(5000))
         assert coded.params is params
         assert len(coded.subflows) == params.n
-        for idx, wire in enumerate(coded.subflows):
-            assert wire == b"".join(cell.to_wire() for cell in coded.cells[idx])
+        for idx in range(params.n):
+            assert wire_of(coded, idx) == b"".join(to_wire(cell) for cell in coded.cells[idx])
 
     @pytest.mark.parametrize(
         "params", [CodeParams(1, 1, 0), CodeParams(4, 4, 0), CodeParams(10, 6, 4)], ids=["otor", "mtor-4", "ctor-10-4"]
     )
     def test_each_subflow_parses_to_its_column_of_the_batch_encoding(self, params):
         # the round trip of record: what each exit parses from its wire is
-        # exactly sub-flow i of the batch encoding
+        # exactly coded cell i of each generation, encoded one at a time
         message = message_of(params, 3)
         coded = CodedMessage(params, message)
-        generations = encode_generations(split_message(message, params.k), build_generator(params))
+        matrix = build_generator(params)
+        generations = [encode_generation(generation, matrix) for generation in split_message(message, params)]
         assert len(coded.cells) == params.n
         for idx, cells in enumerate(coded.cells):
             assert cells == tuple(gen[idx] for gen in generations)
@@ -513,7 +525,7 @@ class TestCodedMessage:
         message = message_of(params, 2) + extra
         coded = CodedMessage(params, message)
         assert [len(cells) for cells in coded.cells] == [generations] * params.n
-        for gen_id, (gen, plain) in enumerate(zip(zip(*coded.cells), split_message(message, params.k), strict=True)):
+        for gen_id, (gen, plain) in enumerate(zip(zip(*coded.cells), split_message(message, params), strict=True)):
             assert [cell.generation_id for cell in gen] == [gen_id] * params.n
             assert [cell.subflow_index for cell in gen] == list(range(params.n))
             assert all(len(cell.coefficients) == params.k for cell in gen)
@@ -562,15 +574,13 @@ class TestCodedMessage:
         message = message_of(params, 3)
         parser_calls.clear()
         coded = CodedMessage(params, message)
-        assert [wire for wire, _ in parser_calls] == list(coded.subflows)
-        assert len(parser_calls) == params.n
+        assert [wire for wire, _ in parser_calls] == [wire_of(coded, idx) for idx in range(params.n)]
 
     # a wire that parses to other cells builds, and the transfer catches it:
     # see the flipped-byte row in tests/test_mutants.py
     @pytest.mark.parametrize("fault", ["drop-last-byte"])
     def test_a_wire_that_does_not_parse_back_is_rejected(self, fault, monkeypatch):
-        to_wire = CodedCell.to_wire
-        monkeypatch.setattr(CodedCell, "to_wire", lambda cell: to_wire(cell)[:-1])
+        monkeypatch.setattr(onion, "encode_subflows", lambda *args: [wire[:-1] for wire in encode_subflows(*args)])
         clear_stream_caches()
         message = random.Random(14).randbytes(1000)
         with pytest.raises(ValueError, match="wire cell of"):
@@ -600,7 +610,7 @@ class TestSubflowStreams:
         if generations == 1:
             # 524-byte sub-flows: each stream is derived by the wrap and
             # reused by the peels; the exit streams are kept across transfers
-            assert len(coded.subflows[0]) <= onion._SHORT_SUBFLOW
+            assert coded.subflow_size <= onion._SHORT_SUBFLOW
             assert stream_traffic() == {
                 "inner": (surviving, surviving), "exit": (surviving, surviving), "entry": (surviving, surviving)
             }
@@ -621,7 +631,7 @@ class TestSubflowStreams:
                 "entry": (surviving, 5 * surviving),
             }
             return
-        assert len(coded.subflows[0]) > onion._SHORT_SUBFLOW
+        assert coded.subflow_size > onion._SHORT_SUBFLOW
         inner = onion._keystream.cache_info()
         entry = onion._entry_keystream.cache_info()
         # the exit and middle streams: derived by the wrap, reused by the peels
@@ -633,38 +643,30 @@ class TestSubflowStreams:
         assert onion._keystream.cache_info().misses == 4 * surviving
         assert onion._exit_keystream.cache_info().currsize == 0
 
-    def test_a_short_subflow_is_converted_once_and_a_long_one_never_kept(self):
-        short = CodedMessage(self.PARAMS, message_of(self.PARAMS, 1))
-        onion._short_subflow_value.cache_clear()
-        transmit(circuits_for(10), short, self.BLOCKED)
-        transmit(circuits_for(10, seed=1), short, self.BLOCKED)
-        info = onion._short_subflow_value.cache_info()
-        assert (info.misses, info.hits) == (8, 8)
-        assert info.maxsize == 64  # the default grid's trial messages have 43 sub-flows
-        long = CodedMessage(self.PARAMS, message_of(self.PARAMS, 86))
-        assert len(long.subflows[0]) > onion._SHORT_SUBFLOW
-        transmit(circuits_for(10), long, self.BLOCKED)
-        assert onion._short_subflow_value.cache_info() == info
-
-    def test_any_bytes_like_subflow_wraps_alike(self):
-        circuit = circuits_for(1)[0]
-        wire = random.Random(12).randbytes(524)
-        wrapped = wrap_layers(wire, circuit)
-        assert wrap_layers(bytearray(wire), circuit) == wrap_layers(memoryview(wire), circuit) == wrapped
+    @pytest.mark.parametrize("generations", [1, 86])
+    def test_each_subflow_is_the_int_of_its_wire(self, generations):
+        # the encoder's wire i, as the little-endian int transmit wraps, with
+        # the size that keeps its trailing zero bytes
+        message = message_of(self.PARAMS, generations)
+        coded = CodedMessage(self.PARAMS, message)
+        wires = encode_subflows(split_message(message, self.PARAMS), build_generator(self.PARAMS))
+        assert coded.subflows == tuple(int.from_bytes(wire, "little") for wire in wires)
+        assert {len(wire) for wire in wires} == {coded.subflow_size}
+        assert coded.subflow_size == generations * (4 + 1 + 1 + self.PARAMS.k + CELL_SIZE)
 
     def test_one_wrap_per_surviving_circuit(self, monkeypatch):
         coded = CodedMessage(self.PARAMS, message_of(self.PARAMS, 5))
         circuits = circuits_for(10)
         calls = []
 
-        def recording_wrap(cell_bytes, circuit):
-            calls.append((cell_bytes, circuit))
-            return wrap_layers(cell_bytes, circuit)
+        def recording_wrap(value, size, circuit):
+            calls.append((value.to_bytes(size, "little"), circuit))
+            return wrap_layers(value, size, circuit)
 
         monkeypatch.setattr(onion, "wrap_layers", recording_wrap)
         delivered = transmit(circuits, coded, self.BLOCKED)
         assert calls == [
-            (b"".join(cell.to_wire() for cell in coded.cells[idx]), circuits[idx])
+            (b"".join(to_wire(cell) for cell in coded.cells[idx]), circuits[idx])
             for idx in range(10)
             if idx not in self.BLOCKED
         ]
@@ -685,7 +687,7 @@ class TestSubflowStreams:
         for idx, circuit in enumerate(circuits_for(2)):
             if idx in blocked:
                 continue
-            layered = wrap_layers(b"".join(gen[idx].to_wire() for gen in coded), circuit)
+            layered = wrap_bytes(subflow_wires(coded)[idx], circuit)
             for router in (circuit.entry, circuit.middle, circuit.exit):
                 layered = peel_layer(layered, router)
             arrived.append(CodedCell.from_wire_stream(layered.payload))
@@ -702,7 +704,7 @@ class TestExitParse:
     @pytest.mark.parametrize("generations", [1, 86])
     def test_an_unaltered_subflow_comes_back_as_its_parse(self, generations, parser_calls, monkeypatch):
         coded = CodedMessage(self.PARAMS, message_of(self.PARAMS, generations))
-        assert (len(coded.subflows[0]) <= onion._SHORT_SUBFLOW) == (generations == 1)
+        assert (coded.subflow_size <= onion._SHORT_SUBFLOW) == (generations == 1)
         peeled = []
 
         def recording_peel(cell, router):
@@ -715,7 +717,7 @@ class TestExitParse:
         parser_calls.clear()
         delivered = transmit(circuits_for(10), coded, self.BLOCKED)
         assert parser_calls == []
-        assert peeled == [wire for idx, wire in enumerate(coded.subflows) if idx not in self.BLOCKED]
+        assert peeled == [wire_of(coded, idx) for idx in range(10) if idx not in self.BLOCKED]
         arrived = [CodedCell.from_wire_stream(wire) for wire in peeled]
         assert delivered == [cell for cells in arrived for cell in cells]
         assert len(delivered) == 8 * generations
@@ -726,7 +728,7 @@ class TestExitParse:
         message = message_of(self.PARAMS, 2)
         coded = CodedMessage(self.PARAMS, message)
         circuits = circuits_for(10)
-        cell_size = len(coded.subflows[0]) // 2
+        cell_size = coded.subflow_size // 2
 
         def cutting_peel(cell, router):
             cell = peel_layer(cell, router)
@@ -747,7 +749,7 @@ class TestExitParse:
     @pytest.mark.parametrize("generations", [1, 86])
     def test_a_malformed_subflow_raises_on_every_call(self, generations, fault, error, parser_calls, monkeypatch):
         coded = CodedMessage(self.PARAMS, message_of(self.PARAMS, generations))
-        wire = coded.subflows[0]
+        wire = wire_of(coded, 0)
         malformed = {"cut-payload": wire[:-1], "cut-header": wire + bytes(3), "k-zero": wire + bytes(600)}[fault]
         circuits = circuits_for(10)
 

@@ -46,3 +46,29 @@ def test_e2e_report_with_blocking_absorbed(capsys):
 
 def test_e2e_report_with_blocking_beyond_redundancy(capsys):
     assert run_e2e("0,1,2,3,4", capsys) == (EXIT_INTERRUPTED, "4fc934ef7a8fd99f2b21b502ada2d77955db7172a1c829701644f938688b8f07")
+
+
+def e2e_report(argv, capsys):
+    code = main(["e2e", "--message-size", "20000", "--seed", "5", *argv])
+    return code, sha256(capsys.readouterr().out.encode())
+
+
+def test_e2e_report_of_one_circuit(capsys):
+    # otor: k = 1, so each of the 40 generations is one cell on one circuit
+    assert e2e_report(["--variant", "otor"], capsys) == (
+        EXIT_OK, "a57a1c2a4b783677a70ced434691cce4ce0a91149501ec133da955ba58781366"
+    )
+
+
+def test_e2e_report_of_uncoded_circuits_with_one_blocked(capsys):
+    assert e2e_report(["--variant", "mtor:5", "--block", "3"], capsys) == (
+        EXIT_INTERRUPTED, "434768cc793d1bcf9d071d6588b7605c07b41eee9d7b452d8f15a713bd65682f"
+    )
+
+
+def test_e2e_report_of_a_sampled_pool(capsys):
+    # the seed picks one censor-known bridge, on data circuit 0, so every
+    # generation decodes through a parity cell
+    assert e2e_report(["--variant", "ctor:5:2", "--mb", "25", "--mknown", "10", "--scenario-seed", "3"], capsys) == (
+        EXIT_OK, "18955b1f866cd7b1ce2f8c08af4e4374fa113e6a19ae2c1e29ceaa3da0c0f620"
+    )
