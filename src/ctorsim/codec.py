@@ -21,15 +21,15 @@ memoizes one inverse per set of rows, so a transfer whose circuits drop
 the same sub-flows in every generation inverts once and combines each
 missing column once.
 
-Each type checks its fields in its own constructor, and every value the
-parser and decoder return is built through that constructor, so a rule
-lives in one place. A CodedCell, the one record built from outside bytes,
-is a tuple record whose __new__ runs the checks on every way of building
-one: a call, _make and _replace (through its own _make), copy and pickle.
-It stores its row and payload as bytes whatever bytes-like object it is
-given, so the parser, which reads its stream as bytes, hands it its slices
-as they are, after one unpack of each cell's header; a cell whose row
-repeats the previous cell's gets that row object.
+The records are plain. CodeParams checks its shape, and the parser, which
+builds every CodedCell the pipeline carries, rejects what a wire can get
+wrong; the other records are built only from what those have passed. A
+wire whose headers all give one k >= 1 and whose cells all carry one row,
+as every sub-flow the encoder writes does, is read in one unpack of the
+whole stream by a struct of its cell layout, cached per k, and its cells
+share that row object. Any other stream is framed cell by cell by the k in
+each header, and a cell repeating the previous cell's row shares that row
+object.
 Payloads are combined as little-endian ints, one int XOR per term.
 """
 
@@ -39,6 +39,7 @@ import functools
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from operator import attrgetter, index
 from typing import NamedTuple, Sequence
 
@@ -106,92 +107,50 @@ class Variant(str, Enum):
 
 @dataclass(frozen=True)
 class Generation:
-    """k original cells encoded (and decoded) together.
-
-    Each cell is stored as `bytes` whatever bytes-like object it was given,
-    as CodedCell stores its payload, so a caller that mutates its buffer
-    later does not change the generation.
-    """
+    """k original cells of CELL_SIZE bytes, encoded (and decoded) together."""
 
     generation_id: int
     cells: tuple[bytes, ...]
 
-    def __post_init__(self):
-        if type(self.generation_id) is not int:
-            object.__setattr__(self, "generation_id", index(self.generation_id))
-        if self.generation_id < 0:
-            raise ValueError("generation_id must be non-negative")
-        cells = tuple(self.cells)
-        if not cells:
-            raise ValueError("a generation holds at least one cell")
-        for cell in cells:
-            if type(cell) is not bytes or len(cell) != CELL_SIZE:
-                # through memoryview, so an int or a str fails instead of becoming bytes
-                cells = tuple([bytes(memoryview(cell)) for cell in cells])
-                for cell in cells:
-                    if len(cell) != CELL_SIZE:
-                        raise ValueError(f"cells are exactly {CELL_SIZE} bytes, got {len(cell)}")
-                break
-        if cells is not self.cells:
-            object.__setattr__(self, "cells", cells)
+
+# the parser builds a whole stream's cells with the C constructor, skipping
+# the NamedTuple's generated Python __new__
+_new_tuple = tuple.__new__
 
 
-class _CodedCellFields(NamedTuple):
+class CodedCell(NamedTuple):
+    """One coded cell: payload plus the coefficient row that produced it.
+
+    A plain tuple record, compared and hashed by its fields. The parser
+    builds every cell the pipeline carries, from the fields its header and
+    length bound: an id below 2**32, a sub-flow index up to 255, a row of
+    1..255 bytes and a payload of CELL_SIZE bytes, all held as int or bytes.
+    """
+
     generation_id: int
     subflow_index: int
     coefficients: bytes
     payload: bytes
 
-
-_new_tuple = tuple.__new__
-
-
-class CodedCell(_CodedCellFields):
-    """One coded cell: payload plus the coefficient row that produced it.
-
-    An immutable tuple record, compared and hashed by its fields. Its ids
-    are stored as ints and both byte fields as `bytes`, whatever integer or
-    bytes-like object they were given, so every cell is hashable and so is
-    every decoder cache key.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, generation_id: int, subflow_index: int, coefficients: bytes, payload: bytes) -> "CodedCell":
-        # through index and memoryview, so a float fails instead of reaching
-        # the wire and an int or a str fails instead of becoming bytes
-        if type(generation_id) is not int:
-            generation_id = index(generation_id)
-        if type(subflow_index) is not int:
-            subflow_index = index(subflow_index)
-        if type(coefficients) is not bytes:
-            coefficients = bytes(memoryview(coefficients))
-        if type(payload) is not bytes:
-            payload = bytes(memoryview(payload))
-        if not 0 <= generation_id < 2**32:
-            raise ValueError("generation_id must fit 4 bytes")
-        if not 0 <= subflow_index <= 255:
-            raise ValueError("subflow_index must fit 1 byte")
-        if not 1 <= len(coefficients) <= MAX_N:
-            raise ValueError(f"coefficient vector must hold 1..{MAX_N} bytes, got {len(coefficients)}")
-        if len(payload) != CELL_SIZE:
-            raise ValueError(f"payload is exactly {CELL_SIZE} bytes, got {len(payload)}")
-        return _new_tuple(cls, (generation_id, subflow_index, coefficients, payload))
-
-    # the inherited _make, which _replace calls, would build the tuple without __new__
-    @classmethod
-    def _make(cls, iterable) -> "CodedCell":
-        return cls(*iterable)
-
     @classmethod
     def from_wire_stream(cls, stream: bytes) -> list["CodedCell"]:
-        """Parse back-to-back wire cells, as encode_subflows writes them,
-        each framed by one unpack of its header and delimited by the k
-        there; the constructor checks the fields, k = 0 included. A cell
-        repeating the previous cell's row, as a sub-flow's cells do, shares
-        that row object."""
+        """Parse back-to-back wire cells, as encode_subflows writes them.
+
+        A stream that _uniform_layout frames is unpacked whole, and when
+        its cells all carry one row they share that row object. Any other
+        is framed cell by cell, each by one unpack of its header and the k
+        there, and a cell repeating the previous cell's row shares that row
+        object. A cut header, a cell longer than the stream and k = 0 raise
+        ValueError.
+        """
         if type(stream) is not bytes:
             stream = bytes(memoryview(stream))
+        layout = _uniform_layout(stream)
+        if layout is not None:
+            generation_ids, subflow_indices, _, rows, payloads = zip(*layout.iter_unpack(stream))
+            row = rows[0]
+            if rows.count(row) == len(rows):
+                return list(map(_new_tuple, repeat(cls), zip(generation_ids, subflow_indices, repeat(row), payloads)))
         unpack_header = _HEADER.unpack_from
         total = len(stream)
         cells, pos, row = [], 0, b""
@@ -203,11 +162,37 @@ class CodedCell(_CodedCellFields):
             end = start + k + CELL_SIZE
             if end > total:
                 raise ValueError(f"wire cell of {total - pos} bytes, but its header gives k={k}")
+            if not k:
+                raise ValueError(f"coefficient vector must hold 1..{MAX_N} bytes, got 0")
             if len(row) != k or not stream.startswith(row, start):
                 row = stream[start : start + k]
             cells.append(cls(generation_id, subflow_index, row, stream[start + k : end]))
             pos = end
         return cells
+
+
+# One per k a wire holds; k never exceeds 255, the most its header byte holds.
+@functools.lru_cache(maxsize=255)
+def _wire_cell(k: int) -> struct.Struct:
+    """The layout of one wire cell with k coefficients: the header, the
+    row, the payload."""
+    return struct.Struct(f"{_HEADER.format}{k}s{CELL_SIZE}s")
+
+
+def _uniform_layout(stream: bytes) -> struct.Struct | None:
+    """The cell layout of the first header's k, when that k is at least 1,
+    frames the stream into whole cells and is the k of every header, which
+    one compare of the k byte of every cell checks; None otherwise."""
+    if len(stream) < _WIRE_HEADER:
+        return None
+    k = stream[_WIRE_HEADER - 1]  # the header's last byte
+    if not k:
+        return None
+    layout = _wire_cell(k)
+    count, rest = divmod(len(stream), layout.size)
+    if rest or stream[_WIRE_HEADER - 1 :: layout.size].count(k) != count:
+        return None
+    return layout
 
 
 @dataclass(frozen=True)
@@ -216,16 +201,6 @@ class GeneratorMatrix:
 
     params: CodeParams
     rows: tuple[bytes, ...]
-
-    def __post_init__(self):
-        if len(self.rows) != self.params.n:
-            raise ValueError(f"expected {self.params.n} rows, got {len(self.rows)}")
-        k = self.params.k
-        for i, row in enumerate(self.rows):
-            if len(row) != k:
-                raise ValueError(f"row {i} has length {len(row)}, expected {k}")
-            if i < k and row != _unit_row(k, i):
-                raise ValueError(f"row {i} must be the unit vector (systematic form)")
 
 
 def _unit_row(k: int, i: int) -> bytes:
@@ -366,15 +341,15 @@ def decode_generations(
         if not cells:
             raise ValueError("decode needs at least one coded cell")
         generation_id = cells[0].generation_id
-        rows = []
         for cell in cells:
             if cell.generation_id != generation_id:
                 raise ValueError("coded cells from mixed generations")
-            row = cell.coefficients
+        groups.setdefault(tuple([cell.coefficients for cell in cells]), []).append(cells)
+    # a row length is checked once per set of rows: a transfer repeats one set
+    for rows in groups:
+        for row in rows:
             if len(row) != k:
                 raise ValueError(f"coefficient vector length {len(row)}, expected {k}")
-            rows.append(row)
-        groups.setdefault(tuple(rows), []).append(cells)
 
     decoded: list[Generation] = []
     failed: list[int] = []

@@ -34,11 +34,11 @@ equal ones give the cells the message parsed from that same wire, which is
 what a parse at the exit would give, and any other value is turned back
 into bytes and parsed in full.
 
-Circuit, LayeredCell and TransferResult are plain tuple records: the
-pipeline builds each from values it has just made, and their invariants are
-tested on what run_transfer returns. CircuitSet checks its invariants in its
-constructor, and build_circuits builds through it, so each rule is checked
-in one place.
+Circuit, LayeredCell and TransferResult are plain tuple records, and
+CircuitSet a plain record: the pipeline builds each from values it has just
+made, and their invariants are tested on what build_circuits and
+run_transfer return. build_circuits checks the bridge ids it is given; the
+middles and the exit it draws are distinct by construction.
 """
 
 from __future__ import annotations
@@ -132,16 +132,6 @@ class CircuitSet:
 
     circuits: tuple[Circuit, ...]
 
-    def __post_init__(self):
-        if not self.circuits:
-            raise ValueError("a circuit set holds at least one circuit")
-        relay_ids = {c.exit.router_id for c in self.circuits}
-        if len(relay_ids) != 1:
-            raise ValueError("all circuits must share one exit relay")
-        relay_ids.update([c.entry.router_id for c in self.circuits], [c.middle.router_id for c in self.circuits])
-        if len(relay_ids) != 2 * len(self.circuits) + 1:
-            raise ValueError("entry and middle relays must be pairwise distinct and differ from the exit")
-
     def __len__(self) -> int:
         return len(self.circuits)
 
@@ -156,15 +146,17 @@ def build_circuits(bridge_ids: Sequence[str], rng: random.Random) -> CircuitSet:
     """Build one circuit per chosen bridge, middles and the shared exit drawn
     uniformly without replacement from the default relay pool.
 
-    CircuitSet checks the result. Two checks come first, because they must
-    not depend on what the seed draws: at most MAX_N bridges, so the pool has
-    a middle for each, and no bridge id naming a pool relay, which CircuitSet
-    would catch only when the draw picks that relay.
+    The draws are distinct by construction, so only the bridge ids are
+    checked, whatever the seed would draw: 1..MAX_N of them, so the pool
+    has a middle for each, none repeated and none naming a pool relay.
     """
     n = len(bridge_ids)
-    if n > MAX_N:
-        raise ValueError(f"{n} bridges, but a code has at most {MAX_N} circuits")
-    if not _pool_relay_ids().isdisjoint(bridge_ids):
+    if not 0 < n <= MAX_N:
+        raise ValueError(f"{n} bridges, but a code has at least 1 and at most {MAX_N} circuits")
+    distinct = set(bridge_ids)
+    if len(distinct) != n:
+        raise ValueError("bridge ids must be distinct")
+    if not _pool_relay_ids().isdisjoint(distinct):
         raise ValueError("relay roles must not overlap within a circuit set")
     pool_middles, pool_exits = default_registry()
     middles = rng.sample(pool_middles, n)
@@ -195,8 +187,6 @@ class LayeredCell(NamedTuple):
 
 def _derive_keystream(key: bytes, circuit_id: str, depth: int, size: int) -> int:
     """One layer stream, as the little-endian int both wrap and peel XOR in."""
-    if not key:
-        raise ValueError("router layer key must be non-empty")
     cid = circuit_id.encode()
     return int.from_bytes(hashlib.shake_256(b"%b%b%b%b%c" % (
         len(key).to_bytes(2, "big"), key, len(cid).to_bytes(2, "big"), cid, depth
@@ -251,10 +241,8 @@ def peel_layer(cell: LayeredCell, router: OnionRouter) -> LayeredCell:
         stream = _entry_keystream(router.layer_key, cid, 3, size)
     elif depth == 1 and size <= _SHORT_SUBFLOW:
         stream = _exit_keystream(router.layer_key, cid, 1, size)
-    elif depth > 0:
-        stream = _keystream(router.layer_key, cid, depth, size)
     else:
-        raise ValueError("no encryption layers left to peel")
+        stream = _keystream(router.layer_key, cid, depth, size)
     return _new_tuple(LayeredCell, (value ^ stream, size, depth - 1, cid))
 
 

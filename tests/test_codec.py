@@ -5,16 +5,17 @@ import itertools
 import math
 import pickle
 import random
+import re
 import struct
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctorsim import gf256
+from ctorsim import codec, gf256
 from ctorsim.analytics import DEFAULT_CONFIGS
 from ctorsim.codec import (
     CELL_SIZE,
+    MAX_N,
     CodedCell,
     CodeParams,
     Generation,
@@ -29,8 +30,8 @@ from ctorsim.codec import (
     reassemble_message,
     split_message,
 )
-from ctorsim.onion import CircuitSet, CodedMessage, build_circuits, run_transfer
-from wire_layout import subflow_wires, to_wire
+from ctorsim.onion import CodedMessage, build_circuits, run_transfer
+from wire_layout import mixed_k_cells, subflow_wires, to_wire
 
 
 def rank_of(rows: list[bytes], k: int) -> int:
@@ -117,13 +118,30 @@ class TestBuildGenerator:
         with pytest.raises(ValueError):
             build_generator(CodeParams(256, 200, 56))
 
-    def test_systematic_form_enforced(self):
-        with pytest.raises(ValueError):
-            GeneratorMatrix(CodeParams(2, 2, 0), (b"\x01\x01", b"\x00\x01"))
-        with pytest.raises(ValueError, match="expected 4 rows, got 3"):
-            GeneratorMatrix(CodeParams(4, 3, 1), unit_rows(3))
-        with pytest.raises(ValueError, match="row 3 has length 2, expected 3"):
-            GeneratorMatrix(CodeParams(4, 3, 1), unit_rows(3) + (b"\x01\x01",))
+
+def test_every_generator_up_to_40_circuits_is_systematic_with_invertible_k_subsets():
+    # every shape with n <= 40: n rows of length k, the first k the unit rows,
+    # and every k-row subset invertible. A subset is invertible exactly when
+    # its parity rows, cut to the columns its unit rows miss, are; all
+    # subsets are tried where C(n, k) <= 10, else 10 seeded ones and the k
+    # last rows, which hold the most parity rows
+    rng = random.Random(0)
+    for n in range(1, 41):
+        for k in range(1, n + 1):
+            params = CodeParams(n, k, n - k)
+            matrix = build_generator(params)
+            assert matrix.params == params and len(matrix.rows) == n
+            assert matrix.rows[:k] == unit_rows(k)
+            assert all(type(row) is bytes and len(row) == k for row in matrix.rows)
+            if math.comb(n, k) <= 10:
+                subsets = list(itertools.combinations(range(n), k))
+            else:
+                subsets = [rng.sample(range(n), k) for _ in range(10)] + [range(n - k, n)]
+            for subset in subsets:
+                parity = [i for i in subset if i >= k]
+                missing = sorted(set(range(k)) - set(subset))
+                cut = [bytes(matrix.rows[i][col] for col in missing) for i in parity]
+                assert rank_of(cut, len(missing)) == len(missing), (params, subset)
 
 
 class TestEncode:
@@ -358,74 +376,203 @@ class TestWireFormat:
         with pytest.raises(ValueError):
             CodedCell.from_wire_stream(wire + zero_k[: 6 + CELL_SIZE])
 
-
-class TestPublicConstructors:
-    """Each type checks its fields in its constructor, and the parser, the
-    decoder and build_circuits build through it, so a value from the pipeline
-    is checked exactly like one built by hand."""
-
     @pytest.mark.parametrize(
-        "generation_id,subflow_index,coefficients,payload",
+        "generation_id,subflow_index,coefficients,payload,stage",
         [
-            (-1, 0, b"\x01", bytes(CELL_SIZE)),
-            (2**32, 0, b"\x01", bytes(CELL_SIZE)),
-            (0, 256, b"\x01", bytes(CELL_SIZE)),
-            (0, 0, b"", bytes(CELL_SIZE)),
-            (0, 0, bytes(256), bytes(CELL_SIZE)),
-            (0, 0, b"\x01", bytes(CELL_SIZE - 1)),
+            (-1, 0, b"\x01", bytes(CELL_SIZE), "header"),
+            (2**32, 0, b"\x01", bytes(CELL_SIZE), "header"),
+            (0, 256, b"\x01", bytes(CELL_SIZE), "header"),
+            (0, 0, b"", bytes(CELL_SIZE), "parse"),
+            (0, 0, bytes(256), bytes(CELL_SIZE), "header"),
+            (0, 0, b"\x01", bytes(CELL_SIZE - 1), "parse"),
         ],
+        ids=["id-negative", "id-wide", "subflow-wide", "empty-row", "row-wide", "short-payload"],
     )
-    def test_coded_cell_rejects_out_of_range_fields(self, generation_id, subflow_index, coefficients, payload):
-        with pytest.raises(ValueError):
-            CodedCell(generation_id, subflow_index, coefficients, payload)
+    def test_a_cell_outside_the_field_ranges_never_crosses_the_wire(
+        self, generation_id, subflow_index, coefficients, payload, stage
+    ):
+        # the ranges a CodedCell once checked in its constructor: the codec's
+        # header cannot pack an id, sub-flow index or k too wide for its
+        # bytes, and the parser rejects a cell with k = 0 or a short payload
+        if stage == "header":
+            with pytest.raises(struct.error):
+                codec._HEADER.pack(generation_id, subflow_index, len(coefficients))
+        else:
+            with pytest.raises(ValueError):
+                parse_one(codec._HEADER.pack(generation_id, subflow_index, len(coefficients)) + coefficients + payload)
 
-    @pytest.mark.parametrize(
-        "generation_id,subflow_index", [(1.5, 0), (2, 1.0), (0.0, 0), ("1", 0), (0, None)]
-    )
-    def test_coded_cell_rejects_ids_that_are_not_integers(self, generation_id, subflow_index):
-        # a float id used to pass the range checks and fail only on the wire
-        with pytest.raises(TypeError):
-            CodedCell(generation_id, subflow_index, b"\x01", bytes(CELL_SIZE))
 
-    @pytest.mark.parametrize("generation_id", [0.5, 1.0, "0", None])
-    def test_generation_rejects_an_id_that_is_not_an_integer(self, generation_id):
-        with pytest.raises(TypeError):
-            Generation(generation_id, (bytes(CELL_SIZE),))
+class TestCodedCellHoldsBytes:
+    """A cell parsed from any bytes-like wire holds its row and payload as
+    bytes, on the batched path and the per-cell one, so a cell and the
+    decoder's cache key built from its row are always hashable."""
 
-    def test_integer_ids_are_stored_as_ints(self):
-        class Index:
-            def __index__(self):
-                return 2
+    @pytest.mark.parametrize("make", [bytearray, memoryview])
+    def test_bytes_like_fields_are_stored_as_bytes(self, make):
+        rng = random.Random(40)
+        uniform = [CodedCell(generation_id, 0, b"\x01\x02", rng.randbytes(CELL_SIZE)) for generation_id in range(3)]
+        mixed = [CodedCell(*fields) for fields in mixed_k_cells()]
+        for cells in (uniform, mixed):
+            buffer = bytearray(b"".join(map(to_wire, cells)))
+            parsed = CodedCell.from_wire_stream(buffer if make is bytearray else make(buffer))
+            # the cells keep their bytes when the caller's buffer changes
+            buffer[:] = bytes(len(buffer))
+            assert parsed == cells and hash(tuple(parsed)) == hash(tuple(cells))
+            for cell in parsed:
+                assert type(cell.coefficients) is bytes and type(cell.payload) is bytes
 
-        cell = CodedCell(True, Index(), b"\x01", bytes(CELL_SIZE))
-        assert (cell.generation_id, cell.subflow_index) == (1, 2)
-        assert type(cell.generation_id) is type(cell.subflow_index) is int
-        generation = Generation(Index(), (bytes(CELL_SIZE),))
-        assert generation.generation_id == 2 and type(generation.generation_id) is int
+    def test_decoded_generation_holds_bytes(self):
+        params = CodeParams(5, 3, 2)
+        gen = random_generation(3, random.Random(41))
+        wires = encode_subflows([gen], build_generator(params))
+        cells = [CodedCell.from_wire_stream(bytearray(wire))[0] for wire in wires]
+        for received in (cells[:3], cells[2:]):  # identity inverse, then a combining one
+            decoded = decode_generation(received, params)
+            assert decoded == gen
+            assert all(type(cell) is bytes for cell in decoded.cells)
 
-    @pytest.mark.parametrize(
-        "generation_id,cells", [(-1, (bytes(CELL_SIZE),)), (0, ()), (0, (bytes(CELL_SIZE), bytes(CELL_SIZE + 1)))]
-    )
-    def test_generation_rejects_bad_cells(self, generation_id, cells):
-        with pytest.raises(ValueError):
-            Generation(generation_id, cells)
 
-    @pytest.mark.parametrize("cell", ["\x00" * CELL_SIZE, CELL_SIZE, None], ids=["str", "int", "none"])
-    def test_generation_rejects_a_cell_that_is_not_bytes_like(self, cell):
-        # a 512-char str used to pass as a cell
-        with pytest.raises(TypeError):
-            Generation(0, (bytes(CELL_SIZE), cell))
+def default_shape_wires(params: CodeParams, generations: int) -> list[bytes]:
+    """The sub-flow wires of a message exactly `generations` generations long."""
+    message = random.Random(params.n * 1000 + generations).randbytes(generations * params.k * CELL_SIZE - 8)
+    split = split_message(message, params)
+    assert len(split) == generations
+    return encode_subflows(split, build_generator(params))
 
-    def test_generation_holds_bytes_not_the_callers_buffer(self):
-        # a bytearray used to be kept by reference, so mutating it changed the cell
-        buffer = bytearray(CELL_SIZE)
-        view = memoryview(bytearray(b"\x07" * CELL_SIZE))
-        generation = Generation(0, [buffer, view, bytes(CELL_SIZE)])
-        buffer[0] = 1
-        view[0] = 1
-        assert generation.cells == (bytes(CELL_SIZE), b"\x07" * CELL_SIZE, bytes(CELL_SIZE))
-        assert all(type(cell) is bytes for cell in generation.cells)
-        assert hash(generation) == hash(Generation(0, generation.cells))
+
+def assert_wire_fields(cells, subflow_index: int, k: int) -> None:
+    """The field ranges every parsed cell of sub-flow `subflow_index` of a
+    k-wide code has: the ids its header bounds, the row its k frames and a
+    payload of CELL_SIZE bytes, as ints and bytes, the cells in generation
+    order and all sharing one row object."""
+    assert [cell.generation_id for cell in cells] == list(range(len(cells)))
+    for cell in cells:
+        assert type(cell) is CodedCell
+        generation_id, index, row, payload = cell
+        assert type(generation_id) is type(index) is int and 0 <= generation_id < 2**32
+        assert index == subflow_index <= 255
+        assert type(row) is bytes and len(row) == k
+        assert type(payload) is bytes and len(payload) == CELL_SIZE
+    assert len({id(cell.coefficients) for cell in cells}) == 1
+
+
+# Each fault malformed_wire can make, with the text the parser raises for it.
+MALFORMED = {
+    "cut-header": "wire cell too short: 4 bytes",
+    "first-k-zero": f"coefficient vector must hold 1..{MAX_N} bytes, got 0",
+    "later-k-zero": f"coefficient vector must hold 1..{MAX_N} bytes, got 0",
+    "trailing-byte": "wire cell too short: 1 bytes",
+    "later-k-wider": "wire cell of 521 bytes, but its header gives k=4",
+    "every-k-zero": f"coefficient vector must hold 1..{MAX_N} bytes, got 0",
+}
+
+
+def malformed_wire(fault: str) -> bytes:
+    """Two cells of a ctor:5:3 sub-flow, 521 bytes each with the k at
+    offset 5, with `fault` made in them; for every-k-zero, two cells with
+    k = 0, each exactly as long as a k = 0 cell would be."""
+    if fault == "every-k-zero":
+        return b"".join(to_wire((generation_id, 4, b"", bytes(CELL_SIZE))) for generation_id in range(2))
+    wire = bytearray(default_shape_wires(CodeParams(5, 3, 2), 2)[4])
+    size = len(wire) // 2
+    if fault == "cut-header":
+        wire += wire[:4]
+    elif fault == "first-k-zero":
+        wire[5] = 0
+    elif fault == "later-k-zero":
+        wire[size + 5] = 0
+    elif fault == "trailing-byte":
+        wire.append(0)
+    else:
+        wire[size + 5] = 4
+    return bytes(wire)
+
+
+class TestBatchedParse:
+    """A wire whose headers all give one k and whose cells all carry one row,
+    as every sub-flow the encoder writes does, is unpacked whole; every other
+    stream is framed cell by cell. The two give identical cells."""
+
+    @pytest.mark.parametrize("generations", [1, 86], ids=["G1", "G86"])
+    @pytest.mark.parametrize("params", DEFAULT_CONFIGS, ids=lambda params: f"{params.n}-{params.k}-{params.r}")
+    def test_matches_the_per_cell_parse_on_every_default_shape(self, params, generations, monkeypatch):
+        wires = default_shape_wires(params, generations)
+        batched = []
+        for i, wire in enumerate(wires):
+            assert codec._uniform_layout(wire).size == 6 + params.k + CELL_SIZE
+            cells = CodedCell.from_wire_stream(wire)
+            assert_wire_fields(cells, i, params.k)
+            for data in (bytearray(wire), memoryview(wire)):
+                assert CodedCell.from_wire_stream(data) == cells
+            batched.append(cells)
+        monkeypatch.setattr(codec, "_uniform_layout", lambda stream: None)
+        for i, (wire, cells) in enumerate(zip(wires, batched)):
+            per_cell = CodedCell.from_wire_stream(wire)
+            assert per_cell == cells
+            assert_wire_fields(per_cell, i, params.k)
+
+    def test_a_stream_of_one_k_and_mixed_rows_is_framed_cell_by_cell(self):
+        params = CodeParams(5, 3, 2)
+        rng = random.Random(45)
+        generations = [random_generation(3, rng, generation_id) for generation_id in range(4)]
+        cells = [cell for generation in generations for cell in encode_generation(generation, build_generator(params))]
+        stream = b"".join(map(to_wire, cells))
+        # one k frames it whole, but its rows differ, so it is framed again cell by cell
+        assert codec._uniform_layout(stream) is not None
+        for data in (stream, bytearray(stream), memoryview(stream)):
+            assert CodedCell.from_wire_stream(data) == cells
+
+    def test_a_stream_with_mixed_k_parses_by_each_header(self):
+        # three cells with k = 2, 1 and 3 span exactly three cells of k = 2,
+        # and the bytes where a k = 2 row would lie in each repeat the first
+        # row: only the k in every header tells this stream from a uniform one
+        cells = [CodedCell(*fields) for fields in mixed_k_cells()]
+        stream = b"".join(map(to_wire, cells))
+        assert len(stream) == 3 * len(to_wire(cells[0]))
+        assert codec._uniform_layout(stream) is None
+        for data in (stream, bytearray(stream), memoryview(stream)):
+            assert CodedCell.from_wire_stream(data) == cells
+
+    @pytest.mark.parametrize("k", [1, 2, 127, 254, MAX_N])
+    def test_a_uniform_wire_of_any_k_matches_the_per_cell_parse(self, k, monkeypatch):
+        # up to the widest row a header's k byte can give, each k unpacked
+        # by its own cached layout
+        rng = random.Random(46 + k)
+        row = rng.randbytes(k)
+        cells = [CodedCell(generation_id, 3, row, rng.randbytes(CELL_SIZE)) for generation_id in range(5)]
+        wire = b"".join(map(to_wire, cells))
+        layout = codec._uniform_layout(wire)
+        assert layout is codec._wire_cell(k) and layout.size == 6 + k + CELL_SIZE
+        batched = CodedCell.from_wire_stream(wire)
+        assert batched == cells
+        assert_wire_fields(batched, 3, k)
+        monkeypatch.setattr(codec, "_uniform_layout", lambda stream: None)
+        assert CodedCell.from_wire_stream(wire) == batched
+
+    @pytest.mark.parametrize("fault", [*MALFORMED, "empty", "header-only", "mixed-k"])
+    def test_the_fast_path_takes_only_a_stream_it_frames_whole(self, fault):
+        # a header alone is shorter than its cell; the mixed-k stream is a
+        # whole number of cells of its first k, whose later headers differ
+        if fault == "empty":
+            stream = b""
+        elif fault == "header-only":
+            stream = default_shape_wires(CodeParams(5, 3, 2), 1)[0][:6]
+        elif fault == "mixed-k":
+            stream = b"".join(map(to_wire, mixed_k_cells()))
+        else:
+            stream = malformed_wire(fault)
+        assert codec._uniform_layout(stream) is None
+
+    @pytest.mark.parametrize("fault", MALFORMED)
+    def test_a_malformed_stream_raises_its_framing_error(self, fault):
+        with pytest.raises(ValueError, match=f"^{re.escape(MALFORMED[fault])}$"):
+            CodedCell.from_wire_stream(malformed_wire(fault))
+
+
+class TestRecords:
+    """CodedCell, Generation and GeneratorMatrix are plain records: the parser,
+    the decoder, split_message and build_generator build every instance the
+    pipeline uses, and what those return is checked here and above."""
 
     def test_decoded_generation_equals_public_one(self):
         params = CodeParams(5, 3, 2)
@@ -434,160 +581,46 @@ class TestPublicConstructors:
         for received in (cells[:3], cells[2:]):  # identity inverse, then a combining one
             assert decode_generation(received, params) == gen
 
-    def test_pipeline_values_run_their_own_checks(self, monkeypatch):
-        params = CodeParams(5, 3, 2)
-        gen = random_generation(3, random.Random(22), generation_id=6)
-        cells = encode_generation(gen, build_generator(params))
-        stream = b"".join(to_wire(cell) for cell in cells)
-        checked = Counter()
-        for cls in (Generation, CircuitSet):
-            def counting(obj, check=cls.__post_init__, name=cls.__name__):
-                checked[name] += 1
-                check(obj)
-            monkeypatch.setattr(cls, "__post_init__", counting)
-        monkeypatch.setattr(CodedCell, "__new__", counting_new(lambda fields: checked.update(["CodedCell"])))
+    @pytest.mark.parametrize("params", DEFAULT_CONFIGS, ids=lambda params: f"{params.n}-{params.k}-{params.r}")
+    def test_split_and_decoded_generations_hold_k_cells_of_bytes(self, params):
+        # the fields a Generation once checked itself: a non-negative int id
+        # and a tuple of k cells of CELL_SIZE bytes, for a message split and
+        # for one decoded from parsed cells with the first r sub-flows lost
+        message = random.Random(params.n).randbytes(20_000)
+        split = split_message(message, params)
+        received = [list(cells) for cells in zip(*map(CodedCell.from_wire_stream, encode_subflows(split, build_generator(params))))]
+        decoded, failed = decode_generations([cells[params.r :] for cells in received], params)
+        assert failed == [] and decoded == split
+        for generation in split + decoded:
+            assert type(generation.generation_id) is int and generation.generation_id >= 0
+            assert type(generation.cells) is tuple and len(generation.cells) == params.k
+            assert all(type(cell) is bytes and len(cell) == CELL_SIZE for cell in generation.cells)
 
-        assert CodedCell.from_wire_stream(stream) == cells
-        assert checked == {"CodedCell": len(cells)}
-        checked.clear()
-        assert parse_one(to_wire(cells[0])) == cells[0]
-        assert checked == {"CodedCell": 1}
-        for received in (cells[:3], cells[2:], cells):
-            checked.clear()
-            assert decode_generation(received, params) == gen
-            assert checked == {"Generation": 1}
-        checked.clear()
-        assert len(build_circuits([f"b{i}" for i in range(5)], random.Random(23))) == 5
-        assert checked == {"CircuitSet": 1}
+    def test_fields_cannot_be_assigned(self):
+        cell = CodedCell(3, 1, b"\x01\x02", bytes(CELL_SIZE))
+        for name, value in zip(CodedCell._fields, (4, 2, b"\x01", bytes(CELL_SIZE))):
+            with pytest.raises(AttributeError):
+                setattr(cell, name, value)
+        with pytest.raises(AttributeError):
+            cell.extra = 1
+        assert cell == CodedCell(3, 1, b"\x01\x02", bytes(CELL_SIZE))
 
-
-def counting_new(record):
-    """A stand-in for CodedCell.__new__ that hands `record` each call's
-    fields, then builds the cell through the checks."""
-    new = CodedCell.__new__
-
-    def counting(cls, *fields):
-        record(fields)
-        return new(cls, *fields)
-
-    return staticmethod(counting)
-
-
-class TestCodedCellIsBuiltThroughItsChecks:
-    """A CodedCell is a tuple record whose __new__ holds the checks: every
-    way of building one runs them, and no field can be reassigned."""
-
-    FIELDS = (3, 1, b"\x01\x02", bytes(CELL_SIZE))
-    BUILDERS = {
-        "call": lambda cell, changes: CodedCell(*{**cell._asdict(), **changes}.values()),
-        "_make": lambda cell, changes: CodedCell._make({**cell._asdict(), **changes}.values()),
-        "_replace": lambda cell, changes: cell._replace(**changes),
-    }
-    if hasattr(copy, "replace"):
-        BUILDERS["copy.replace"] = lambda cell, changes: copy.replace(cell, **changes)
-
-    @pytest.mark.parametrize("builder", list(BUILDERS))
-    @pytest.mark.parametrize(
-        "changes,error",
-        [
-            ({"generation_id": 2**32}, ValueError),
-            ({"generation_id": 1.5}, TypeError),
-            ({"subflow_index": 256}, ValueError),
-            ({"coefficients": b""}, ValueError),
-            ({"coefficients": 1}, TypeError),
-            ({"payload": bytes(CELL_SIZE + 1)}, ValueError),
-        ],
-        ids=["id-range", "id-float", "subflow-range", "empty-row", "int-row", "long-payload"],
-    )
-    def test_every_builder_runs_the_checks(self, builder, changes, error):
-        cell = CodedCell(*self.FIELDS)
-        with pytest.raises(error):
-            self.BUILDERS[builder](cell, changes)
-
-    @pytest.mark.parametrize("builder", list(BUILDERS))
-    def test_every_builder_goes_through_the_constructor(self, builder, monkeypatch):
-        cell = CodedCell(*self.FIELDS)
-        built = []
-        monkeypatch.setattr(CodedCell, "__new__", counting_new(built.append))
-        rebuilt = self.BUILDERS[builder](cell, {"payload": bytearray(CELL_SIZE)})
-        assert built == [(3, 1, b"\x01\x02", bytearray(CELL_SIZE))]
-        assert rebuilt == cell and type(rebuilt) is CodedCell and type(rebuilt.payload) is bytes
+    def test_compared_and_hashed_by_fields(self):
+        cell = CodedCell(3, 1, b"\x01\x02", bytes(CELL_SIZE))
+        assert cell == CodedCell(3, 1, b"\x01\x02", bytes(CELL_SIZE))
+        assert hash(cell) == hash(CodedCell(3, 1, b"\x01\x02", bytes(CELL_SIZE)))
+        for name, value in zip(CodedCell._fields, (4, 0, b"\x01\x03", bytes(CELL_SIZE - 1) + b"\x01")):
+            assert cell != cell._replace(**{name: value})
 
     @pytest.mark.parametrize(
         "clone",
         [copy.copy, copy.deepcopy, lambda cell: pickle.loads(pickle.dumps(cell))],
         ids=["copy", "deepcopy", "pickle"],
     )
-    def test_copies_go_through_the_constructor(self, clone, monkeypatch):
-        cell = CodedCell(*self.FIELDS)
-        built = []
-        monkeypatch.setattr(CodedCell, "__new__", counting_new(built.append))
+    def test_copies_are_equal_cells(self, clone):
+        cell = CodedCell.from_wire_stream(default_shape_wires(CodeParams(5, 3, 2), 1)[3])[0]
         copied = clone(cell)
         assert copied == cell and type(copied) is CodedCell
-        assert built == [self.FIELDS]
-
-    def test_fields_cannot_be_assigned(self):
-        cell = CodedCell(*self.FIELDS)
-        for name, value in zip(CodedCell._fields, (4, 2, b"\x01", bytes(CELL_SIZE))):
-            with pytest.raises(AttributeError):
-                setattr(cell, name, value)
-        with pytest.raises(AttributeError):
-            cell.extra = 1
-        assert cell == CodedCell(*self.FIELDS)
-
-    def test_compared_and_hashed_by_fields(self):
-        cell = CodedCell(*self.FIELDS)
-        assert cell == CodedCell(*self.FIELDS) and hash(cell) == hash(CodedCell(*self.FIELDS))
-        for name, value in zip(CodedCell._fields, (4, 0, b"\x01\x03", bytes(CELL_SIZE - 1) + b"\x01")):
-            assert cell != cell._replace(**{name: value})
-
-
-class TestCodedCellHoldsBytes:
-    """A CodedCell stores any bytes-like row or payload as bytes and rejects
-    what is not bytes-like, so a cell and the decoder's cache key built from
-    its row are always hashable."""
-
-    @pytest.mark.parametrize("make", [bytearray, memoryview])
-    def test_bytes_like_fields_are_stored_as_bytes(self, make):
-        row, payload = b"\x01\x02", random.Random(40).randbytes(CELL_SIZE)
-        cell = CodedCell(0, 0, make(row), make(payload))
-        assert type(cell.coefficients) is bytes and type(cell.payload) is bytes
-        assert cell == CodedCell(0, 0, row, payload)
-        assert hash(cell) == hash(CodedCell(0, 0, row, payload))
-
-    @pytest.mark.parametrize(
-        "coefficients,payload",
-        [(1, bytes(CELL_SIZE)), (b"\x01", CELL_SIZE), ("\x01", bytes(CELL_SIZE)), (b"\x01", "\x00" * CELL_SIZE)],
-        ids=["int-row", "int-payload", "str-row", "str-payload"],
-    )
-    def test_ints_and_strs_rejected(self, coefficients, payload):
-        # bytes(1) would be one zero byte, a legal row; memoryview refuses it
-        with pytest.raises(TypeError):
-            CodedCell(0, 0, coefficients, payload)
-
-    def test_decoded_generation_holds_bytes(self):
-        params = CodeParams(5, 3, 2)
-        gen = random_generation(3, random.Random(41))
-        cells = encode_generation(gen, build_generator(params))
-        for received in (cells[:3], cells[2:]):  # identity inverse, then a combining one
-            rebuilt = [
-                CodedCell(c.generation_id, c.subflow_index, bytearray(c.coefficients), bytearray(c.payload))
-                for c in received
-            ]
-            decoded = decode_generation(rebuilt, params)
-            assert decoded == gen
-            assert all(type(cell) is bytes for cell in decoded.cells)
-
-    def test_parsing_a_bytearray_checks_each_cell_once(self, monkeypatch):
-        rng = random.Random(42)
-        cells = [CodedCell(3, idx, rng.randbytes(2), rng.randbytes(CELL_SIZE)) for idx in range(4)]
-        stream = bytearray(b"".join(to_wire(cell) for cell in cells))
-        checked = []
-        monkeypatch.setattr(CodedCell, "__new__", counting_new(lambda fields: checked.append(fields[1])))
-        parsed = CodedCell.from_wire_stream(stream)
-        assert checked == [0, 1, 2, 3]
-        assert parsed == cells
-        assert {type(cell.coefficients) for cell in parsed} == {type(cell.payload) for cell in parsed} == {bytes}
 
 
 class TestFraming:
@@ -1063,6 +1096,27 @@ class TestColumnWise:
         bad = {"empty": [], "mixed": [other[0], good[1], other[2]], "wide": wide[:3]}[fault]
         with pytest.raises(ValueError):
             decode_generations([good[:3], bad], params)
+
+    @pytest.mark.parametrize("fault", ["empty", "mixed", "short-row", "long-row"])
+    def test_a_malformed_cell_list_raises_before_any_decode(self, fault, monkeypatch):
+        # row lengths are checked once per set of rows, but every set is
+        # checked before the first is decoded, so a fault in the last
+        # generation stops the whole batch before any plan is looked up
+        params = CodeParams(5, 3, 2)
+        matrix = build_generator(params)
+        rng = random.Random(32)
+        first, second, last = (encode_generation(random_generation(3, rng, g), matrix) for g in range(3))
+        bad = {
+            "empty": [],
+            "mixed": [last[0], second[1], last[2]],
+            "short-row": [last[0], last[1], last[3]._replace(coefficients=last[3].coefficients[:2])],
+            "long-row": [last[0], last[1], last[4]._replace(coefficients=last[4].coefficients + b"\x01")],
+        }[fault]
+        planned = []
+        monkeypatch.setattr(codec, "_decode_plan", planned.append)
+        with pytest.raises(ValueError):
+            decode_generations([first[:3], second[2:], bad], params)
+        assert planned == []
 
     def test_encode_rejects_a_generation_of_another_width(self):
         rng = random.Random(30)

@@ -15,6 +15,7 @@ from ctorsim.analytics import p_block_lnc
 from ctorsim.censor import BridgePool, CensorScenario, ConsistencyError, derive_rng, run_campaign, run_trial
 from ctorsim.codec import CELL_SIZE, CodeParams
 from ctorsim.onion import CodedMessage, build_circuits, run_transfer
+from wire_layout import mixed_k_cells, to_wire
 
 
 @pytest.fixture
@@ -303,3 +304,65 @@ def test_fast_path_counting_unknown_picks_is_uncaught_at_run_time(monkeypatch):
 
     monkeypatch.setattr(censor, "_fast_blocked_counts", counts_unknown)
     assert run_campaign(s, 20, 0, full_pipeline_fraction=0.05).p_empirical == 1.0
+
+
+def uniform_layout_mutant(check_k: bool, accept_k_zero: bool):
+    """codec._uniform_layout with its compare of every header's k, or its
+    k >= 1 test, taken out."""
+
+    def uniform_layout(stream):
+        if len(stream) < 6 or not (stream[5] or accept_k_zero):
+            return None
+        k = stream[5]
+        layout = codec._wire_cell(k)
+        count, rest = divmod(len(stream), layout.size)
+        if rest or (check_k and stream[5 :: layout.size].count(k) != count):
+            return None
+        return layout
+
+    return uniform_layout
+
+
+def test_a_fast_path_trusting_the_first_k_misframes_a_mixed_stream(monkeypatch):
+    """codec._uniform_layout drops its compare of every header's k and
+    trusts the first. Every wire the encoder writes has one k, so every
+    transfer and trial comes out as before; a hand-made stream whose cells
+    of k = 2, 1 and 3 span three cells of k = 2, with the first row's bytes
+    where each such row would lie, is unpacked as three k = 2 cells. The
+    checks that catch it are in tests/test_codec.py::TestBatchedParse:
+    test_a_stream_with_mixed_k_parses_by_each_header,
+    test_a_malformed_stream_raises_its_framing_error[later-k-zero] and
+    [later-k-wider], whose streams of two equal-length cells now parse, and
+    test_the_fast_path_takes_only_a_stream_it_frames_whole[later-k-zero],
+    [later-k-wider] and [mixed-k]."""
+    cells = [codec.CodedCell(*fields) for fields in mixed_k_cells()]
+    stream = b"".join(map(to_wire, cells))
+    params = CodeParams(10, 6, 4)
+    message = random.Random(16).randbytes(20_000)
+    circuits = build_circuits([f"b{i}" for i in range(10)], random.Random(0))
+    before = [run_transfer(circuits, CodedMessage(params, message), message, blocked) for blocked in (set(), {0, 5})]
+    assert codec.CodedCell.from_wire_stream(stream) == cells
+
+    monkeypatch.setattr(codec, "_uniform_layout", uniform_layout_mutant(check_k=False, accept_k_zero=False))
+    assert [run_transfer(circuits, CodedMessage(params, message), message, blocked) for blocked in (set(), {0, 5})] == before
+    misframed = codec.CodedCell.from_wire_stream(stream)
+    assert [len(cell.coefficients) for cell in misframed] == [2, 2, 2]
+    assert misframed != cells
+
+
+def test_a_fast_path_accepting_k_zero_parses_rows_of_nothing(monkeypatch):
+    """codec._uniform_layout drops its k >= 1 test, so a stream of k = 0 cells
+    is unpacked into cells with empty rows instead of raising. Nothing the
+    encoder writes has k = 0, so no transfer moves; the checks that catch
+    it are in tests/test_codec.py: TestWireFormat::
+    test_from_wire_rejects_k_zero_short_and_long_cells, whose one k = 0 cell
+    of exactly 518 bytes now parses, and TestBatchedParse::
+    test_a_malformed_stream_raises_its_framing_error[every-k-zero] and
+    test_the_fast_path_takes_only_a_stream_it_frames_whole[every-k-zero]."""
+    zero_k = bytes(4) + b"\x01\x00" + bytes(CELL_SIZE)
+    with pytest.raises(ValueError, match="got 0"):
+        codec.CodedCell.from_wire_stream(zero_k * 2)
+
+    monkeypatch.setattr(codec, "_uniform_layout", uniform_layout_mutant(check_k=True, accept_k_zero=True))
+    parsed = codec.CodedCell.from_wire_stream(zero_k * 2)
+    assert [(cell.coefficients, len(cell.payload)) for cell in parsed] == [(b"", CELL_SIZE)] * 2

@@ -16,3 +16,16 @@ def to_wire(cell) -> bytes:
 def subflow_wires(generations) -> list[bytes]:
     """Wire i of a batch: coded cell i of each generation's cell list, joined in order."""
     return [b"".join(to_wire(cell) for cell in column) for column in zip(*generations)]
+
+
+def mixed_k_cells() -> list[tuple]:
+    """Three cells with k = 2, 1 and 3 as (generation id, sub-flow index, row,
+    payload): together as long as three cells of k = 2, and with the first
+    row's bytes at each of those cells' row offsets, so that a parser that
+    read the first header's k alone would frame them as three such cells."""
+    payload = bytes(range(256)) * 2
+    return [
+        (0, 0, b"\x01\x02", payload),
+        (1, 1, b"\x01", b"\x02" + payload[1:]),  # the row and first payload byte lie where a k = 2 row would
+        (2, 2, b"\x07\x01\x02", payload),  # its last two row bytes lie where a k = 2 row would
+    ]
