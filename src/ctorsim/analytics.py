@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .codec import CodeParams, Variant, interrupted_by_rule
 
@@ -100,8 +99,7 @@ def enumerate_oracle(unknown: int, known: int, circuits: int) -> list[int]:
     return counts
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     m_known: int
     params: CodeParams
     probability: Fraction

@@ -22,8 +22,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 from .codec import CodeParams, Variant, interrupted_by_rule
@@ -37,7 +36,7 @@ _DEFAULT_MESSAGE = hashlib.shake_256(b"trial-payload").digest(1024)
 
 # run_transfer sends a coded message, and every pipeline trial of a shape
 # sends the same one, so it is encoded, serialised and parsed once per shape;
-# it is frozen, so trials can share it. Bounded because --variant takes any
+# it is immutable, so trials can share it. Bounded because --variant takes any
 # number of shapes.
 @lru_cache(maxsize=32)
 def _trial_cells(params: CodeParams) -> CodedMessage:
@@ -55,29 +54,44 @@ def _bridge_ids(prefix: str, count: int) -> frozenset[str]:
     return frozenset([f"{prefix}{i:03d}" for i in range(count)])
 
 
-@dataclass(frozen=True)
-class BridgePool:
-    """Disjoint sets of bridges the censor does not / does know about."""
-
+class _BridgePoolFields(NamedTuple):
     unknown: frozenset[str]
     known: frozenset[str]
+    ordered: tuple[str, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "unknown", frozenset(self.unknown))
-        object.__setattr__(self, "known", frozenset(self.known))
-        if self.unknown & self.known:
+
+class BridgePool(_BridgePoolFields):
+    """Disjoint sets of bridges the censor does not / does know about, and
+    `ordered`, every id of the pool in the canonical selection order, so
+    sampling is reproducible. Every pipeline trial reads `ordered`, so it
+    is sorted once, when the pool is built.
+
+    BridgePool(unknown, known) checks the two sets in __new__; _make, and
+    so _replace, build through it and sort `ordered` afresh, dropping any
+    order they are given.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, unknown: frozenset[str], known: frozenset[str]):
+        unknown, known = frozenset(unknown), frozenset(known)
+        if unknown & known:
             raise ValueError("a bridge cannot be both known and unknown to the censor")
+        return tuple.__new__(cls, (unknown, known, tuple(sorted(unknown | known))))
+
+    @classmethod
+    def _make(cls, fields) -> "BridgePool":
+        unknown, known, _ = fields
+        return cls(unknown, known)
+
+    def __getnewargs__(self) -> tuple[frozenset[str], frozenset[str]]:
+        return self[0], self[1]
 
     @classmethod
     def build(cls, num_unknown: int, num_known: int) -> "BridgePool":
         if num_unknown < 0 or num_known < 0:
             raise ValueError("bridge counts must be non-negative")
         return cls(unknown=_bridge_ids("u", num_unknown), known=_bridge_ids("k", num_known))
-
-    @cached_property
-    def ordered(self) -> tuple[str, ...]:
-        """Canonical selection order, so sampling is reproducible."""
-        return tuple(sorted(self.unknown | self.known))
 
     def __len__(self) -> int:
         return len(self.unknown) + len(self.known)
@@ -88,18 +102,26 @@ class BridgePool:
         return frozenset(i for i, bridge in enumerate(chosen) if bridge in known)
 
 
-@dataclass(frozen=True)
-class CensorScenario:
-    """One experiment point: a bridge pool plus the code shape the client runs."""
-
+class _CensorScenarioFields(NamedTuple):
     pool: BridgePool
     params: CodeParams
 
-    def __post_init__(self):
-        if self.params.n > len(self.pool):
-            raise ValueError(
-                f"cannot select {self.params.n} bridges from a pool of {len(self.pool)}"
-            )
+
+class CensorScenario(_CensorScenarioFields):
+    """One experiment point: a bridge pool plus the code shape the client
+    runs. A tuple record that checks its fields in __new__, as _make and
+    _replace do through it."""
+
+    __slots__ = ()
+
+    def __new__(cls, pool: BridgePool, params: CodeParams):
+        if params.n > len(pool):
+            raise ValueError(f"cannot select {params.n} bridges from a pool of {len(pool)}")
+        return tuple.__new__(cls, (pool, params))
+
+    @classmethod
+    def _make(cls, fields) -> "CensorScenario":
+        return cls(*fields)
 
     @property
     def variant(self) -> Variant:
@@ -114,8 +136,7 @@ class TrialOutcome(NamedTuple):
     interrupted: bool
 
 
-@dataclass(frozen=True)
-class CampaignResult:
+class CampaignResult(NamedTuple):
     trials: int
     interruptions: int
     p_empirical: float

@@ -8,8 +8,8 @@ Subcommands:
 
 Configuration comes from defaults, an optional `key = value` file (each
 key at most once), and command-line flags, in increasing precedence. Each
-option has one default and one parser (ExperimentConfig), which reads flag
-and file text alike. A value's range is checked by the code that uses the
+option has one default and one parser, in the one option table that builds
+ExperimentConfig, and the parser reads flag and file text alike. A value's range is checked by the code that uses the
 value; a grid command builds its CSV text first and writes nothing until
 every row is computed, so a rejected or failing run leaves existing
 outputs alone. e2e takes --mb and --mknown only with --scenario-seed.
@@ -30,9 +30,9 @@ import csv
 import hashlib
 import io
 import sys
-from dataclasses import Field, dataclass, field, fields, replace
+from collections import namedtuple
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .analytics import (
     DEFAULT_CONFIGS,
@@ -91,26 +91,28 @@ def _parse_mknown(text: str) -> tuple[int, ...]:
     return tuple(range(lo, hi + 1))
 
 
-def _option(default, parse, expects: str = "", *, repeatable: bool = False):
-    """A field with its default and the parser of its flag and file text. A repeatable
+class _Option(NamedTuple):
+    """An option's default and the parser of its flag and file text. A repeatable
     option is a repeated flag or a comma list in the file; its value is the parsed items."""
-    return field(default=default, metadata={"parse": parse, "expects": expects, "repeatable": repeatable})
+
+    default: object
+    parse: Callable[[str], object]
+    expects: str = ""
+    repeatable: bool = False
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """The options of every command, by config-file key (the flag is --key with '-' for '_')."""
-
-    mb: int = _option(DEFAULT_UNKNOWN, int, "an integer")
-    mknown: tuple[int, ...] = _option(tuple(DEFAULT_KNOWN_RANGE), _parse_mknown, "N or A..B with 0 <= A <= B")
-    variant: tuple[CodeParams, ...] = _option(DEFAULT_CONFIGS, parse_variant_spec, _VARIANT_FORMS, repeatable=True)
-    trials: int = _option(10000, int, "an integer")
-    seed: int = _option(0, int, "an integer")
-    out: str = _option("-", str)
-    full_pipeline_fraction: float = _option(DEFAULT_FULL_PIPELINE_FRACTION, float, "a number")
-
-
-_OPTIONS = {opt.name: opt for opt in fields(ExperimentConfig)}
+# The options of every command, by config-file key (the flag is --key with '-' for '_').
+_OPTIONS = {
+    "mb": _Option(DEFAULT_UNKNOWN, int, "an integer"),
+    "mknown": _Option(tuple(DEFAULT_KNOWN_RANGE), _parse_mknown, "N or A..B with 0 <= A <= B"),
+    "variant": _Option(DEFAULT_CONFIGS, parse_variant_spec, _VARIANT_FORMS, repeatable=True),
+    "trials": _Option(10000, int, "an integer"),
+    "seed": _Option(0, int, "an integer"),
+    "out": _Option("-", str),
+    "full_pipeline_fraction": _Option(DEFAULT_FULL_PIPELINE_FRACTION, float, "a number"),
+}
+# A tuple record of every option's value, each defaulting to its table entry's default.
+ExperimentConfig = namedtuple("ExperimentConfig", _OPTIONS, defaults=[opt.default for opt in _OPTIONS.values()])
 # e2e runs one transfer, so its default is one variant rather than the curve set
 _E2E_VARIANT = "ctor:4:1"
 _E2E_DEFAULTS = ExperimentConfig(variant=(parse_variant_spec(_E2E_VARIANT),))
@@ -137,16 +139,16 @@ def _load_config_file(path: Path) -> dict[str, str | list[str]]:
     if unknown:
         raise ValueError(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
     for key in values:
-        if _OPTIONS[key].metadata["repeatable"]:
+        if _OPTIONS[key].repeatable:
             values[key] = [item for item in values[key].split(",") if item.strip()]
     return values
 
 
-def _parse_option(opt: Field, text: str, where: str):
+def _parse_option(opt: _Option, text: str, where: str):
     try:
-        return opt.metadata["parse"](text)
+        return opt.parse(text)
     except ValueError:
-        raise ValueError(f"{where} {text!r}: expected {opt.metadata['expects']}") from None
+        raise ValueError(f"{where} {text!r}: expected {opt.expects}") from None
 
 
 def _resolve_config(args: argparse.Namespace, defaults: ExperimentConfig = ExperimentConfig()) -> ExperimentConfig:
@@ -163,11 +165,11 @@ def _resolve_config(args: argparse.Namespace, defaults: ExperimentConfig = Exper
             text, where = file_values[name], f"{path}: bad {name}"
         else:
             continue
-        if opt.metadata["repeatable"]:
+        if opt.repeatable:
             values[name] = tuple(_parse_option(opt, item, where) for item in text)
         else:
             values[name] = _parse_option(opt, text, where)
-    cfg = replace(defaults, **values)
+    cfg = defaults._replace(**values)
     if not cfg.variant:
         raise ValueError("at least one variant is required")
     # the analytic and simulated grids join on (m_known, variant, n, r), so each shape runs once

@@ -21,15 +21,16 @@ memoizes one inverse per set of rows, so a transfer whose circuits drop
 the same sub-flows in every generation inverts once and combines each
 missing column once.
 
-The records are plain. CodeParams checks its shape, and the parser, which
+Every record is a tuple record (a NamedTuple), compared and hashed by its
+fields. CodeParams checks its shape in its __new__, and the parser, which
 builds every CodedCell the pipeline carries, rejects what a wire can get
-wrong; the other records are built only from what those have passed. A
-wire whose headers all give one k >= 1 and whose cells all carry one row,
-as every sub-flow the encoder writes does, is read in one unpack of the
-whole stream by a struct of its cell layout, cached per k, and its cells
-share that row object. Any other stream is framed cell by cell by the k in
-each header, and a cell repeating the previous cell's row shares that row
-object.
+wrong; the other records are plain, built only from what those have
+passed. A wire whose headers all give one k >= 1 and whose cells all carry
+one row, as every sub-flow the encoder writes does, is read in one unpack
+of the whole stream by a struct of its cell layout, cached per k, and its
+cells share that row object. Any other stream is framed cell by cell by
+the k in each header, and a cell repeating the previous cell's row shares
+that row object.
 Payloads are combined as little-endian ints, one int XOR per term.
 """
 
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 from operator import attrgetter, index
@@ -61,29 +61,38 @@ class UnrecoverableGeneration(Exception):
         super().__init__(f"generation {generation_id} cannot be recovered ({received} cells received)")
 
 
-@dataclass(frozen=True)
-class CodeParams:
-    """Code shape: n coded cells per generation, k of them data, r parity."""
-
+class _CodeParamsFields(NamedTuple):
     n: int
     k: int
     r: int
 
-    def __post_init__(self):
+
+class CodeParams(_CodeParamsFields):
+    """Code shape: n coded cells per generation, k of them data, r parity.
+
+    A tuple record that checks its fields in __new__; _make, and so
+    _replace, build through it too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, k: int, r: int):
         # through index, like the cell and generation ids, so a float fails
         # here instead of in split_message and a bool is stored as an int
-        for name in ("n", "k", "r"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                object.__setattr__(self, name, index(value))
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.r < 0:
-            raise ValueError(f"r must be >= 0, got {self.r}")
-        if self.n != self.k + self.r:
-            raise ValueError(f"n must equal k + r, got n={self.n}, k={self.k}, r={self.r}")
-        if self.n > MAX_N:
-            raise ValueError(f"n must be <= {MAX_N} (field size bound), got {self.n}")
+        n, k, r = index(n), index(k), index(r)
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        if r < 0:
+            raise ValueError(f"r must be >= 0, got {r}")
+        if n != k + r:
+            raise ValueError(f"n must equal k + r, got n={n}, k={k}, r={r}")
+        if n > MAX_N:
+            raise ValueError(f"n must be <= {MAX_N} (field size bound), got {n}")
+        return tuple.__new__(cls, (n, k, r))
+
+    @classmethod
+    def _make(cls, fields) -> "CodeParams":
+        return cls(*fields)
 
 
 def interrupted_by_rule(blocked_count: int, params: CodeParams) -> bool:
@@ -105,8 +114,7 @@ class Variant(str, Enum):
         return cls.MTOR if params.r == 0 else cls.CTOR
 
 
-@dataclass(frozen=True)
-class Generation:
+class Generation(NamedTuple):
     """k original cells of CELL_SIZE bytes, encoded (and decoded) together."""
 
     generation_id: int
@@ -195,8 +203,7 @@ def _uniform_layout(stream: bytes) -> struct.Struct | None:
     return layout
 
 
-@dataclass(frozen=True)
-class GeneratorMatrix:
+class GeneratorMatrix(NamedTuple):
     """n coefficient rows of length k; rows 0..k-1 are the identity."""
 
     params: CodeParams

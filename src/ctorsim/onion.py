@@ -34,11 +34,12 @@ equal ones give the cells the message parsed from that same wire, which is
 what a parse at the exit would give, and any other value is turned back
 into bytes and parsed in full.
 
-Circuit, LayeredCell and TransferResult are plain tuple records, and
-CircuitSet a plain record: the pipeline builds each from values it has just
-made, and their invariants are tested on what build_circuits and
-run_transfer return. build_circuits checks the bridge ids it is given; the
-middles and the exit it draws are distinct by construction.
+OnionRouter, Circuit, LayeredCell and TransferResult are plain tuple
+records, and a CircuitSet is the tuple of its circuits: the pipeline builds
+each from values it has just made, and their invariants are tested on what
+build_circuits and run_transfer return. build_circuits checks the bridge
+ids it is given; the middles and the exit it draws are distinct by
+construction. A CodedMessage is a small immutable class.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import random
-from dataclasses import InitVar, dataclass, field
 from itertools import repeat
 from operator import index
 from typing import Collection, Iterator, NamedTuple, Sequence
@@ -70,8 +70,7 @@ from .codec import decode_generation, encode_generation  # noqa: F401
 from .gf256 import xor_bytes  # noqa: F401
 
 
-@dataclass(frozen=True)
-class OnionRouter:
+class OnionRouter(NamedTuple):
     router_id: str
     layer_key: bytes
 
@@ -81,8 +80,8 @@ def derive_layer_key(router_id: str) -> bytes:
     return hashlib.shake_256(b"layer-key:" + router_id.encode()).digest(16)
 
 
-# OnionRouter is frozen, so every circuit that names a relay can share one
-# instance; bounded because bridge ids grow with --mb.
+# OnionRouter is an immutable tuple record, so every circuit that names a
+# relay can share one instance; bounded because bridge ids grow with --mb.
 @functools.lru_cache(maxsize=1024)
 def relay(router_id: str) -> OnionRouter:
     """A bridge or pool relay, keyed by its id."""
@@ -126,20 +125,9 @@ class Circuit(NamedTuple):
         return self[0].router_id
 
 
-@dataclass(frozen=True)
-class CircuitSet:
-    """n disjoint circuits sharing exactly one exit: 2n+1 distinct relays."""
-
-    circuits: tuple[Circuit, ...]
-
-    def __len__(self) -> int:
-        return len(self.circuits)
-
-    def __iter__(self) -> Iterator[Circuit]:
-        return iter(self.circuits)
-
-    def __getitem__(self, i: int) -> Circuit:
-        return self.circuits[i]
+# n disjoint circuits sharing exactly one exit, 2n+1 distinct relays: the
+# tuple of the circuits, circuit i carrying sub-flow i
+CircuitSet = tuple[Circuit, ...]
 
 
 def build_circuits(bridge_ids: Sequence[str], rng: random.Random) -> CircuitSet:
@@ -162,7 +150,7 @@ def build_circuits(bridge_ids: Sequence[str], rng: random.Random) -> CircuitSet:
     middles = rng.sample(pool_middles, n)
     shared_exit = rng.choice(pool_exits)
     hops = zip(map(relay, bridge_ids), middles, repeat(shared_exit, n))
-    return CircuitSet(tuple(map(_new_tuple, repeat(Circuit, n), hops)))
+    return tuple(map(_new_tuple, repeat(Circuit, n), hops))
 
 
 class LayeredCell(NamedTuple):
@@ -246,7 +234,6 @@ def peel_layer(cell: LayeredCell, router: OnionRouter) -> LayeredCell:
     return _new_tuple(LayeredCell, (value ^ stream, size, depth - 1, cid))
 
 
-@dataclass(frozen=True)
 class CodedMessage:
     """A message coded under one code, held once per sub-flow.
 
@@ -256,27 +243,45 @@ class CodedMessage:
     keeps `subflows[i]`, wire i as the little-endian int circuit i wraps,
     `subflow_size`, the byte size all the wires share, and `cells[i]`, what
     circuit i's exit parses from wire i; the wires themselves are dropped.
-    Iterating gives each sub-flow's cells.
+    It is immutable, equal and hashed by its params, sub-flows and size,
+    and iterating gives each sub-flow's cells.
     """
 
-    params: CodeParams
-    message: InitVar[bytes]
-    subflows: tuple[int, ...] = field(init=False, repr=False)
-    subflow_size: int = field(init=False)
-    cells: tuple[tuple[CodedCell, ...], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("params", "subflows", "subflow_size", "cells")
 
-    def __post_init__(self, message: bytes):
-        params = self.params
+    def __init__(self, params: CodeParams, message: bytes):
         wires = encode_subflows(split_message(message, params), build_generator(params))
-        object.__setattr__(self, "subflow_size", len(wires[0]))
+        size = len(wires[0])
         subflows, cells = [], []
         while wires:
             # one wire at a time, so the wires and what is kept of them never all coexist
             wire = wires.pop(0)
             subflows.append(int.from_bytes(wire, "little"))
             cells.append(tuple(CodedCell.from_wire_stream(wire)))
-        object.__setattr__(self, "subflows", tuple(subflows))
-        object.__setattr__(self, "cells", tuple(cells))
+        for name, value in zip(self.__slots__, (params, tuple(subflows), size, tuple(cells))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"CodedMessage is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"CodedMessage is immutable: cannot delete {name!r}")
+
+    def __setstate__(self, state: tuple[None, dict]) -> None:
+        # copy and pickle restore the slots here, past __setattr__
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple[CodeParams, tuple[int, ...], int]:
+        return self.params, self.subflows, self.subflow_size
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not CodedMessage:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __iter__(self) -> Iterator[tuple[CodedCell, ...]]:
         return iter(self.cells)
@@ -306,7 +311,7 @@ def transmit(
     raises TypeError, and all must lie within 0..n-1.
     """
     cells, subflows, size = coded.cells, coded.subflows, coded.subflow_size
-    n = len(circuits.circuits)
+    n = len(circuits)
     if coded.params.n != n:
         raise ValueError(f"message coded for n={coded.params.n} circuits, got {n} circuits")
     if blocked:
@@ -314,7 +319,7 @@ def transmit(
         if min(blocked) < 0 or max(blocked) >= n:
             raise ValueError(f"blocked circuit indices {sorted(blocked)} outside 0..{n - 1}")
     arrived: list[CodedCell] = []
-    for idx, circuit in enumerate(circuits.circuits):
+    for idx, circuit in enumerate(circuits):
         if idx in blocked:
             continue
         entry, middle, exit = circuit

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -49,6 +50,18 @@ class TestBridgePool:
         # a grid builds one pool per m_known row; the ids are built once
         assert BridgePool.build(25, 3).unknown is BridgePool.build(25, 7).unknown
         assert BridgePool.build(25, 3).known == frozenset({"k000", "k001", "k002"})
+
+    def test_make_and_replace_build_through_the_check_and_sort_afresh(self):
+        # the constructor takes the two sets and derives `ordered`, so a
+        # rebuilt pool is checked and sorted again, and a given order is dropped
+        pool = BridgePool.build(3, 2)
+        grown = pool._replace(known=frozenset({"k000", "k009"}))
+        assert type(grown) is BridgePool and grown.ordered == ("k000", "k009", "u000", "u001", "u002")
+        assert pool._replace(ordered=()) == pool
+        assert BridgePool._make([["a"], ["b"], ()]) == BridgePool(frozenset({"a"}), frozenset({"b"}))
+        with pytest.raises(ValueError, match="both known and unknown"):
+            pool._replace(known={"u000"})
+        assert pickle.loads(pickle.dumps(pool)) == pool
 
     def test_blocked_are_the_indices_of_chosen_known_bridges(self):
         pool = BridgePool.build(3, 2)
@@ -97,6 +110,13 @@ class TestScenario:
         # the one pool check on the draw path: select_bridges takes a scenario
         with pytest.raises(ValueError, match="cannot select 4 bridges from a pool of 3"):
             scenario(2, 1, 4)
+
+    def test_replace_checks_the_pool_against_n(self):
+        s = scenario(3, 2, 5)
+        with pytest.raises(ValueError, match="cannot select 5 bridges from a pool of 4"):
+            s._replace(pool=BridgePool.build(3, 1))
+        assert s._replace(params=CodeParams(5, 3, 2)).variant is Variant.CTOR
+        assert pickle.loads(pickle.dumps(s)) == s
 
     def test_rule(self):
         params = CodeParams(4, 3, 1)
@@ -199,7 +219,7 @@ class TestExitStreamMemory:
         # once; every trial's exit peels those same bytes and gets the
         # checked cells, so it parses nothing
         assert len(parser_calls) == sum(params.n for params in DEFAULT_CONFIGS) == 43
-        assert all("__post_init__" in callers and "transmit" not in callers for _, callers in parser_calls)
+        assert all("__init__" in callers and "transmit" not in callers for _, callers in parser_calls)
 
     def test_the_shortcut_cannot_hide_a_corrupted_transfer(self, monkeypatch, parser_calls):
         s = scenario(25, 0, 4)

@@ -9,7 +9,7 @@ import re
 import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ctorsim import codec, gf256
 from ctorsim.analytics import DEFAULT_CONFIGS
@@ -93,6 +93,15 @@ class TestCodeParams:
         assert all(type(value) is int for value in (p.n, p.k, p.r))
         assert repr(p) == "CodeParams(n=4, k=3, r=1)"
         assert p == CodeParams(4, 3, 1) and hash(p) == hash(CodeParams(4, 3, 1))
+
+    def test_make_and_replace_check_the_shape(self):
+        p = CodeParams(4, 3, 1)
+        assert p._replace(n=5, k=4) == CodeParams(5, 4, 1) and type(p._replace(r=1)) is CodeParams
+        with pytest.raises(ValueError, match=re.escape("n must equal k + r, got n=4, k=2, r=1")):
+            p._replace(k=2)
+        with pytest.raises(TypeError):
+            CodeParams._make([4, 3.0, 1])
+        assert pickle.loads(pickle.dumps(p)) == p
 
 
 class TestBuildGenerator:
@@ -717,19 +726,27 @@ def test_split_reassemble_is_identity(data, k):
 
 
 _WIRE_HEADER = 4 + 1 + 1  # generation id, sub-flow index, k
+_LONGEST_DRAWN = _WIRE_HEADER + 255 + CELL_SIZE + 2
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(k=st.integers(0, 255), data=st.data())
-def test_from_wire_round_trips_or_rejects(k, data):
+# a whole 518-byte cell with k = 0, which only the k >= 1 test rejects, on every run
+@example(k=0, cut=None, offset=0, body=bytes(_LONGEST_DRAWN))
+@given(
+    k=st.integers(0, 255),
+    cut=st.none() | st.integers(0, _WIRE_HEADER),
+    offset=st.integers(-2, 2),
+    body=st.binary(min_size=_LONGEST_DRAWN, max_size=_LONGEST_DRAWN),
+)
+def test_from_wire_round_trips_or_rejects(k, cut, offset, body):
     # a wire cell parses exactly when its length is the one its header's k
-    # gives and k >= 1; any other length or k is rejected
+    # gives and k >= 1; any other length or k is rejected. The wire is a
+    # header cut to `cut` bytes, or `offset` bytes off that length
     exact = _WIRE_HEADER + k + CELL_SIZE
-    size = data.draw(st.one_of(st.integers(0, _WIRE_HEADER), st.integers(exact - 2, exact + 2)))
-    wire = bytearray(data.draw(st.binary(min_size=size, max_size=size)))
-    if size >= _WIRE_HEADER:
+    wire = bytearray(body[: exact + offset if cut is None else cut])
+    if len(wire) >= _WIRE_HEADER:
         wire[5] = k
-    if size == exact and k >= 1:
+    if len(wire) == exact and k >= 1:
         assert to_wire(parse_one(bytes(wire))) == wire
     else:
         with pytest.raises(ValueError):

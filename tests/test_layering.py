@@ -10,6 +10,8 @@ and that the wire header has one writer and one reader.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import ctorsim
@@ -60,6 +62,34 @@ def test_no_module_imports_a_private_name_of_another():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_no_module_imports_dataclasses():
+    # every record is a tuple record or a small __slots__ class: importing
+    # dataclasses pulls in inspect, ast and dis, and decorating a class
+    # compiles its methods from source, all paid by every command at start-up
+    found = [
+        path.stem
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Import) and any(alias.name == "dataclasses" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+    ]
+    assert found == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # measured against what the bare interpreter has already loaded, so a
+    # site hook that preloads either module does not fail the test
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+        "import ctorsim.cli\n"
+        "print(' '.join(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.split() == []
 
 
 def cache_uses(path: Path) -> list[tuple[str, int, bool]]:
@@ -180,7 +210,7 @@ def test_a_record_that_checks_its_fields_is_built_only_through_its_new():
     # that check nothing, where a trial builds many
     paths = sorted(PACKAGE.glob("*.py"))
     checked = {name: path.stem for path in paths for name in classes_defining_new(path)}
-    assert checked == {}
+    assert checked == {"CodeParams": "codec", "BridgePool": "censor", "CensorScenario": "censor"}
     assert [site for path in paths for site in tuple_new_bypasses(path, set(checked))] == []
 
 

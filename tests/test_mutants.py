@@ -5,6 +5,7 @@ which results move and which check catches it.
 """
 
 import functools
+import math
 import random
 from fractions import Fraction
 
@@ -304,6 +305,46 @@ def test_fast_path_counting_unknown_picks_is_uncaught_at_run_time(monkeypatch):
 
     monkeypatch.setattr(censor, "_fast_blocked_counts", counts_unknown)
     assert run_campaign(s, 20, 0, full_pipeline_fraction=0.05).p_empirical == 1.0
+
+
+def test_fast_path_redrawing_only_above_m_is_uncaught_at_run_time(monkeypatch):
+    """censor._fast_blocked_counts redraws while j > m instead of while
+    j >= m, so a pick below m takes m + 1 values and j = m counts as one more
+    unknown bridge: each pick is known with chance left / (m + 1), not
+    left / m. Over 20,000 seeded trials of ctor:10:4 at 25 + 10 the estimate
+    falls from within 1σ of the exact 0.0890 to about 5σ below it (the
+    mutant's own law gives 0.0789, −5.0σ), and nothing raises: every
+    pipeline check still agrees with the rule, which never sees the fast
+    path's count (expected-uncaught until ROADMAP item 7's `check`, whose
+    test of each histogram bin against blocked_counts is what will catch
+    it)."""
+    s = CensorScenario(BridgePool.build(25, 10), CodeParams(10, 6, 4))
+    trials = 20_000
+    exact = float(p_block_lnc(25, 10, 10, 4))
+    assert exact == pytest.approx(0.0890, abs=1e-4)
+    sigma = math.sqrt(exact * (1 - exact) / trials)
+
+    def z_score() -> float:
+        return (run_campaign(s, trials, 0).p_empirical - exact) / sigma
+
+    assert abs(z_score()) < 1
+
+    def redraws_only_above_m(rng, size, known, n, count):
+        getrandbits = rng.getrandbits
+        counts = [0] * (n + 1)
+        for _ in range(count):
+            left = known
+            for m in range(size, size - n, -1):
+                j = getrandbits(m.bit_length())
+                while j > m:
+                    j = getrandbits(m.bit_length())
+                if j < left:
+                    left -= 1
+            counts[known - left] += 1
+        return counts
+
+    monkeypatch.setattr(censor, "_fast_blocked_counts", redraws_only_above_m)
+    assert z_score() < -4.5
 
 
 def uniform_layout_mutant(check_k: bool, accept_k_zero: bool):
