@@ -9,15 +9,16 @@ Subcommands:
 Configuration comes from defaults, an optional `key = value` file (each
 key at most once), and command-line flags, in increasing precedence. Each
 option has one default and one parser, in the one option table that builds
-ExperimentConfig, and the parser reads flag and file text alike. A value's range is checked by the code that uses the
-value; a grid command builds its CSV text first and writes nothing until
-every row is computed, so a rejected or failing run leaves existing
-outputs alone. e2e takes --mb and --mknown only with --scenario-seed.
-build_circuits draws each circuit's middle and the shared exit from one
-relay pool per process (onion.default_registry), large enough for any
-legal code, so no option sizes it. All CSV output is plain
-comma-separated text with a header row and newline line endings, ordered
-deterministically, so identical (config, seed) runs are byte-identical.
+ExperimentConfig, and the parser reads flag and file text alike. A value's
+range is checked by the code that uses the value; a grid command builds
+its CSV text first and writes nothing until every row is computed, so a
+rejected or failing run leaves existing outputs alone. e2e takes --mb and
+--mknown only with --scenario-seed. build_circuits draws each circuit's
+middle and the shared exit from one relay pool per process
+(onion.default_registry), large enough for any legal code, so no option
+sizes it. All CSV output is plain comma-separated text with a header row
+and newline line endings, ordered deterministically, so identical (config,
+seed) runs are byte-identical.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 transfer
 interrupted (e2e only).

@@ -25,12 +25,13 @@ Every record is a tuple record (a NamedTuple), compared and hashed by its
 fields. CodeParams checks its shape in its __new__, and the parser, which
 builds every CodedCell the pipeline carries, rejects what a wire can get
 wrong; the other records are plain, built only from what those have
-passed. A wire whose headers all give one k >= 1 and whose cells all carry
-one row, as every sub-flow the encoder writes does, is read in one unpack
-of the whole stream by a struct of its cell layout, cached per k, and its
-cells share that row object. Any other stream is framed cell by cell by
-the k in each header, and a cell repeating the previous cell's row shares
-that row object.
+passed. A circuit carries one code's cells, so a wire holds cells of one
+k, and the parser has one framing rule: the first header's k is at least
+1, the stream is a whole number of cells of that k, and every header gives
+it. Such a stream is read in one unpack by a struct of its cell layout,
+cached per k, and when its cells all carry one row, as every sub-flow the
+encoder writes does, they share that row object; any other stream raises
+ValueError.
 Payloads are combined as little-endian ints, one int XOR per term.
 """
 
@@ -142,41 +143,31 @@ class CodedCell(NamedTuple):
 
     @classmethod
     def from_wire_stream(cls, stream: bytes) -> list["CodedCell"]:
-        """Parse back-to-back wire cells, as encode_subflows writes them.
+        """Parse back-to-back wire cells of one k, as encode_subflows writes them.
 
-        A stream that _uniform_layout frames is unpacked whole, and when
-        its cells all carry one row they share that row object. Any other
-        is framed cell by cell, each by one unpack of its header and the k
-        there, and a cell repeating the previous cell's row shares that row
-        object. A cut header, a cell longer than the stream and k = 0 raise
-        ValueError.
+        The first header's k gives the cell layout. A stream of k >= 1 that
+        is a whole number of such cells, with that k in every header, which
+        one compare of the k byte of every cell checks, is unpacked in one
+        pass; when its cells all carry one row they share that row object.
+        A stream shorter than a header, a first k of 0 and any other stream
+        raise ValueError.
         """
         if type(stream) is not bytes:
             stream = bytes(memoryview(stream))
-        layout = _uniform_layout(stream)
-        if layout is not None:
-            generation_ids, subflow_indices, _, rows, payloads = zip(*layout.iter_unpack(stream))
-            row = rows[0]
-            if rows.count(row) == len(rows):
-                return list(map(_new_tuple, repeat(cls), zip(generation_ids, subflow_indices, repeat(row), payloads)))
-        unpack_header = _HEADER.unpack_from
         total = len(stream)
-        cells, pos, row = [], 0, b""
-        while pos < total:
-            if total - pos < _WIRE_HEADER:
-                raise ValueError(f"wire cell too short: {total - pos} bytes")
-            generation_id, subflow_index, k = unpack_header(stream, pos)
-            start = pos + _WIRE_HEADER
-            end = start + k + CELL_SIZE
-            if end > total:
-                raise ValueError(f"wire cell of {total - pos} bytes, but its header gives k={k}")
-            if not k:
-                raise ValueError(f"coefficient vector must hold 1..{MAX_N} bytes, got 0")
-            if len(row) != k or not stream.startswith(row, start):
-                row = stream[start : start + k]
-            cells.append(cls(generation_id, subflow_index, row, stream[start + k : end]))
-            pos = end
-        return cells
+        if total < _WIRE_HEADER:
+            raise ValueError(f"wire cell too short: {total} bytes")
+        k = stream[_WIRE_HEADER - 1]  # the first header's last byte
+        if not k:
+            raise ValueError(f"coefficient vector must hold 1..{MAX_N} bytes, got 0")
+        layout = _wire_cell(k)
+        count, rest = divmod(total, layout.size)
+        if rest or stream[_WIRE_HEADER - 1 :: layout.size].count(k) != count:
+            raise ValueError(f"wire of {total} bytes is not whole cells of k={k}, the k its first header gives")
+        generation_ids, subflow_indices, _, rows, payloads = zip(*layout.iter_unpack(stream))
+        if rows.count(rows[0]) == count:
+            rows = repeat(rows[0])
+        return list(map(_new_tuple, repeat(cls), zip(generation_ids, subflow_indices, rows, payloads)))
 
 
 # One per k a wire holds; k never exceeds 255, the most its header byte holds.
@@ -185,22 +176,6 @@ def _wire_cell(k: int) -> struct.Struct:
     """The layout of one wire cell with k coefficients: the header, the
     row, the payload."""
     return struct.Struct(f"{_HEADER.format}{k}s{CELL_SIZE}s")
-
-
-def _uniform_layout(stream: bytes) -> struct.Struct | None:
-    """The cell layout of the first header's k, when that k is at least 1,
-    frames the stream into whole cells and is the k of every header, which
-    one compare of the k byte of every cell checks; None otherwise."""
-    if len(stream) < _WIRE_HEADER:
-        return None
-    k = stream[_WIRE_HEADER - 1]  # the header's last byte
-    if not k:
-        return None
-    layout = _wire_cell(k)
-    count, rest = divmod(len(stream), layout.size)
-    if rest or stream[_WIRE_HEADER - 1 :: layout.size].count(k) != count:
-        return None
-    return layout
 
 
 class GeneratorMatrix(NamedTuple):

@@ -171,8 +171,6 @@ class LayeredCell(NamedTuple):
         return self.value.to_bytes(self.size, "little")
 
 
-
-
 def _derive_keystream(key: bytes, circuit_id: str, depth: int, size: int) -> int:
     """One layer stream, as the little-endian int both wrap and peel XOR in."""
     cid = circuit_id.encode()
@@ -207,6 +205,7 @@ _entry_keystream = functools.lru_cache(maxsize=350)(_derive_keystream)
 # _keystream and hold no memory after it.
 _SHORT_SUBFLOW = 4096
 _exit_keystream = functools.lru_cache(maxsize=2048)(_derive_keystream)
+
 
 def wrap_layers(value: int, size: int, circuit: Circuit) -> LayeredCell:
     """Apply the exit, middle, and entry stream layers, in that order, to
@@ -299,7 +298,7 @@ def transmit(
     three peel_layer calls (entry, middle, exit), and the peeled int and
     size are compared with the sub-flow that was sent: equal ones give the
     cells CodedMessage parsed from that same wire, and any other value is
-    turned back into bytes and parsed cell by cell by the headers in them,
+    turned back into bytes and parsed under the one framing rule of a wire,
     so the returned cells are exactly what the exit relay can see.
     They come back sub-flow by sub-flow, in circuit order, each sub-flow's
     in the order its exit read them, so a sub-flow that arrives short

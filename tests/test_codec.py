@@ -31,7 +31,7 @@ from ctorsim.codec import (
     split_message,
 )
 from ctorsim.onion import CodedMessage, build_circuits, run_transfer
-from wire_layout import mixed_k_cells, subflow_wires, to_wire
+from wire_layout import from_wire, mixed_k_cells, subflow_wires, to_wire
 
 
 def rank_of(rows: list[bytes], k: int) -> int:
@@ -337,19 +337,25 @@ class TestWireFormat:
                 parse_one(to_wire(cell)[:-1])
 
     def test_stream_parses_by_each_cells_header(self):
+        # each header gives its cell's ids, and every header must give the
+        # k the first one gives: a stream of cells of several k is rejected
         rng = random.Random(19)
         cells = [
-            CodedCell(gid, idx, rng.randbytes(k), rng.randbytes(CELL_SIZE))
-            for gid, idx, k in ((0, 0, 1), (1, 2, 3), (2, 1, 255), (3, 0, 2))
+            CodedCell(gid, idx, rng.randbytes(3), rng.randbytes(CELL_SIZE)) for gid, idx in ((0, 0), (1, 2), (2, 1), (3, 0))
         ]
         stream = b"".join(to_wire(cell) for cell in cells)
-        assert CodedCell.from_wire_stream(stream) == cells
-        assert CodedCell.from_wire_stream(b"") == []
+        assert CodedCell.from_wire_stream(stream) == cells == [CodedCell(*fields) for fields in from_wire(stream)]
         for cut in (1, 5, CELL_SIZE + 1):
             with pytest.raises(ValueError):
                 CodedCell.from_wire_stream(stream[:-cut])
         with pytest.raises(ValueError):
             CodedCell.from_wire_stream(stream + b"\x00")
+        mixed = [
+            CodedCell(gid, idx, rng.randbytes(k), rng.randbytes(CELL_SIZE))
+            for gid, idx, k in ((0, 0, 1), (1, 2, 3), (2, 1, 255), (3, 0, 2))
+        ]
+        with pytest.raises(ValueError, match="^wire of 2333 bytes is not whole cells of k=1, "):
+            CodedCell.from_wire_stream(b"".join(map(to_wire, mixed)))
 
     def test_parsed_cells_equal_public_cells_and_hold_bytes(self):
         rng = random.Random(20)
@@ -361,18 +367,6 @@ class TestWireFormat:
             assert parsed == cells + cells[:1]
             for cell in parsed:
                 assert type(cell.coefficients) is bytes and type(cell.payload) is bytes
-
-    def test_a_cell_repeating_the_previous_row_shares_its_row_object(self):
-        rng = random.Random(43)
-        row, other = rng.randbytes(3), rng.randbytes(3)
-        cells = [CodedCell(g, 1, r, rng.randbytes(CELL_SIZE)) for g, r in enumerate((row, row, other, other, row))]
-        stream = b"".join(to_wire(cell) for cell in cells)
-        for data in (stream, bytearray(stream), memoryview(stream)):
-            parsed = CodedCell.from_wire_stream(data)
-            assert parsed == cells
-            rows = [cell.coefficients for cell in parsed]
-            assert rows[0] is rows[1] and rows[2] is rows[3]
-            assert rows[1] is not rows[2] and rows[3] is not rows[4]
 
     def test_from_wire_rejects_k_zero_short_and_long_cells(self):
         wire = to_wire(CodedCell(5, 1, b"\x01\x02", bytes(CELL_SIZE)))
@@ -413,15 +407,15 @@ class TestWireFormat:
 
 class TestCodedCellHoldsBytes:
     """A cell parsed from any bytes-like wire holds its row and payload as
-    bytes, on the batched path and the per-cell one, so a cell and the
+    bytes, whether the wire's cells share one row or not, so a cell and the
     decoder's cache key built from its row are always hashable."""
 
     @pytest.mark.parametrize("make", [bytearray, memoryview])
     def test_bytes_like_fields_are_stored_as_bytes(self, make):
         rng = random.Random(40)
-        uniform = [CodedCell(generation_id, 0, b"\x01\x02", rng.randbytes(CELL_SIZE)) for generation_id in range(3)]
-        mixed = [CodedCell(*fields) for fields in mixed_k_cells()]
-        for cells in (uniform, mixed):
+        one_row = [CodedCell(generation_id, 0, b"\x01\x02", rng.randbytes(CELL_SIZE)) for generation_id in range(3)]
+        rows = [CodedCell(generation_id, 0, rng.randbytes(2), rng.randbytes(CELL_SIZE)) for generation_id in range(3)]
+        for cells in (one_row, rows):
             buffer = bytearray(b"".join(map(to_wire, cells)))
             parsed = CodedCell.from_wire_stream(buffer if make is bytearray else make(buffer))
             # the cells keep their bytes when the caller's buffer changes
@@ -465,26 +459,41 @@ def assert_wire_fields(cells, subflow_index: int, k: int) -> None:
     assert len({id(cell.coefficients) for cell in cells}) == 1
 
 
+def not_whole_cells(size: int, k: int) -> str:
+    return f"wire of {size} bytes is not whole cells of k={k}, the k its first header gives"
+
+
 # Each fault malformed_wire can make, with the text the parser raises for it.
 MALFORMED = {
-    "cut-header": "wire cell too short: 4 bytes",
+    "empty": "wire cell too short: 0 bytes",
+    "header-only": not_whole_cells(6, 3),
+    "cut-header": not_whole_cells(1046, 3),
     "first-k-zero": f"coefficient vector must hold 1..{MAX_N} bytes, got 0",
-    "later-k-zero": f"coefficient vector must hold 1..{MAX_N} bytes, got 0",
-    "trailing-byte": "wire cell too short: 1 bytes",
-    "later-k-wider": "wire cell of 521 bytes, but its header gives k=4",
+    "later-k-zero": not_whole_cells(1042, 3),
+    "trailing-byte": not_whole_cells(1043, 3),
+    "later-k-wider": not_whole_cells(1042, 3),
     "every-k-zero": f"coefficient vector must hold 1..{MAX_N} bytes, got 0",
+    "mixed-k": not_whole_cells(1560, 2),
 }
 
 
 def malformed_wire(fault: str) -> bytes:
     """Two cells of a ctor:5:3 sub-flow, 521 bytes each with the k at
     offset 5, with `fault` made in them; for every-k-zero, two cells with
-    k = 0, each exactly as long as a k = 0 cell would be."""
+    k = 0, each exactly as long as a k = 0 cell would be; for header-only,
+    the first header alone; for mixed-k, the cells of mixed_k_cells, a whole
+    number of cells of their first k, whose later headers give other k."""
+    if fault == "empty":
+        return b""
     if fault == "every-k-zero":
         return b"".join(to_wire((generation_id, 4, b"", bytes(CELL_SIZE))) for generation_id in range(2))
+    if fault == "mixed-k":
+        return b"".join(map(to_wire, mixed_k_cells()))
     wire = bytearray(default_shape_wires(CodeParams(5, 3, 2), 2)[4])
     size = len(wire) // 2
-    if fault == "cut-header":
+    if fault == "header-only":
+        del wire[6:]
+    elif fault == "cut-header":
         wire += wire[:4]
     elif fault == "first-k-zero":
         wire[5] = 0
@@ -498,82 +507,51 @@ def malformed_wire(fault: str) -> bytes:
 
 
 class TestBatchedParse:
-    """A wire whose headers all give one k and whose cells all carry one row,
-    as every sub-flow the encoder writes does, is unpacked whole; every other
-    stream is framed cell by cell. The two give identical cells."""
+    """A wire holds cells of one k: the parser unpacks a whole number of
+    cells of its first header's k, with that k in every header, in one pass,
+    and rejects any other stream. Its cells are those a field-by-field
+    reader of each cell's own header gives."""
 
     @pytest.mark.parametrize("generations", [1, 86], ids=["G1", "G86"])
     @pytest.mark.parametrize("params", DEFAULT_CONFIGS, ids=lambda params: f"{params.n}-{params.k}-{params.r}")
-    def test_matches_the_per_cell_parse_on_every_default_shape(self, params, generations, monkeypatch):
-        wires = default_shape_wires(params, generations)
-        batched = []
-        for i, wire in enumerate(wires):
-            assert codec._uniform_layout(wire).size == 6 + params.k + CELL_SIZE
+    def test_matches_the_per_cell_parse_on_every_default_shape(self, params, generations):
+        for i, wire in enumerate(default_shape_wires(params, generations)):
             cells = CodedCell.from_wire_stream(wire)
+            assert cells == [CodedCell(*fields) for fields in from_wire(wire)]
             assert_wire_fields(cells, i, params.k)
             for data in (bytearray(wire), memoryview(wire)):
                 assert CodedCell.from_wire_stream(data) == cells
-            batched.append(cells)
-        monkeypatch.setattr(codec, "_uniform_layout", lambda stream: None)
-        for i, (wire, cells) in enumerate(zip(wires, batched)):
-            per_cell = CodedCell.from_wire_stream(wire)
-            assert per_cell == cells
-            assert_wire_fields(per_cell, i, params.k)
 
     def test_a_stream_of_one_k_and_mixed_rows_is_framed_cell_by_cell(self):
+        # the joined one-generation wires of a code: one k frames every cell,
+        # and each cell keeps the row it carries
         params = CodeParams(5, 3, 2)
         rng = random.Random(45)
         generations = [random_generation(3, rng, generation_id) for generation_id in range(4)]
         cells = [cell for generation in generations for cell in encode_generation(generation, build_generator(params))]
         stream = b"".join(map(to_wire, cells))
-        # one k frames it whole, but its rows differ, so it is framed again cell by cell
-        assert codec._uniform_layout(stream) is not None
-        for data in (stream, bytearray(stream), memoryview(stream)):
-            assert CodedCell.from_wire_stream(data) == cells
-
-    def test_a_stream_with_mixed_k_parses_by_each_header(self):
-        # three cells with k = 2, 1 and 3 span exactly three cells of k = 2,
-        # and the bytes where a k = 2 row would lie in each repeat the first
-        # row: only the k in every header tells this stream from a uniform one
-        cells = [CodedCell(*fields) for fields in mixed_k_cells()]
-        stream = b"".join(map(to_wire, cells))
-        assert len(stream) == 3 * len(to_wire(cells[0]))
-        assert codec._uniform_layout(stream) is None
+        assert cells == [CodedCell(*fields) for fields in from_wire(stream)]
+        assert len({cell.coefficients for cell in cells}) == params.n
         for data in (stream, bytearray(stream), memoryview(stream)):
             assert CodedCell.from_wire_stream(data) == cells
 
     @pytest.mark.parametrize("k", [1, 2, 127, 254, MAX_N])
-    def test_a_uniform_wire_of_any_k_matches_the_per_cell_parse(self, k, monkeypatch):
+    def test_a_uniform_wire_of_any_k_matches_the_per_cell_parse(self, k):
         # up to the widest row a header's k byte can give, each k unpacked
         # by its own cached layout
         rng = random.Random(46 + k)
         row = rng.randbytes(k)
         cells = [CodedCell(generation_id, 3, row, rng.randbytes(CELL_SIZE)) for generation_id in range(5)]
         wire = b"".join(map(to_wire, cells))
-        layout = codec._uniform_layout(wire)
-        assert layout is codec._wire_cell(k) and layout.size == 6 + k + CELL_SIZE
-        batched = CodedCell.from_wire_stream(wire)
-        assert batched == cells
-        assert_wire_fields(batched, 3, k)
-        monkeypatch.setattr(codec, "_uniform_layout", lambda stream: None)
-        assert CodedCell.from_wire_stream(wire) == batched
-
-    @pytest.mark.parametrize("fault", [*MALFORMED, "empty", "header-only", "mixed-k"])
-    def test_the_fast_path_takes_only_a_stream_it_frames_whole(self, fault):
-        # a header alone is shorter than its cell; the mixed-k stream is a
-        # whole number of cells of its first k, whose later headers differ
-        if fault == "empty":
-            stream = b""
-        elif fault == "header-only":
-            stream = default_shape_wires(CodeParams(5, 3, 2), 1)[0][:6]
-        elif fault == "mixed-k":
-            stream = b"".join(map(to_wire, mixed_k_cells()))
-        else:
-            stream = malformed_wire(fault)
-        assert codec._uniform_layout(stream) is None
+        assert codec._wire_cell(k).size == 6 + k + CELL_SIZE
+        parsed = CodedCell.from_wire_stream(wire)
+        assert parsed == cells == [CodedCell(*fields) for fields in from_wire(wire)]
+        assert_wire_fields(parsed, 3, k)
 
     @pytest.mark.parametrize("fault", MALFORMED)
     def test_a_malformed_stream_raises_its_framing_error(self, fault):
+        # a header alone is shorter than its cell; the mixed-k stream is a
+        # whole number of cells of its first k, whose later headers differ
         with pytest.raises(ValueError, match=f"^{re.escape(MALFORMED[fault])}$"):
             CodedCell.from_wire_stream(malformed_wire(fault))
 
@@ -727,30 +705,38 @@ def test_split_reassemble_is_identity(data, k):
 
 _WIRE_HEADER = 4 + 1 + 1  # generation id, sub-flow index, k
 _LONGEST_DRAWN = _WIRE_HEADER + 255 + CELL_SIZE + 2
+_MIXED_K = [to_wire(cell) for cell in mixed_k_cells()]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 # a whole 518-byte cell with k = 0, which only the k >= 1 test rejects, on every run
-@example(k=0, cut=None, offset=0, body=bytes(_LONGEST_DRAWN))
+@example(k=0, cut=None, offset=0, body=bytes(_LONGEST_DRAWN), before=b"")
+# the mixed_k_cells stream, cells of k = 2 and 1 before one of k = 3, three
+# cells of k = 2 long, which only the compare of every header's k rejects
+@example(k=3, cut=None, offset=0, body=_MIXED_K[2].ljust(_LONGEST_DRAWN, b"\x00"), before=b"".join(_MIXED_K[:2]))
 @given(
     k=st.integers(0, 255),
-    cut=st.none() | st.integers(0, _WIRE_HEADER),
+    cut=st.none() | st.integers(1, _WIRE_HEADER),
     offset=st.integers(-2, 2),
     body=st.binary(min_size=_LONGEST_DRAWN, max_size=_LONGEST_DRAWN),
+    before=st.just(b"") | st.integers(1, 255).map(lambda k: to_wire((1, 0, bytes([k]) * k, bytes(CELL_SIZE)))),
 )
-def test_from_wire_round_trips_or_rejects(k, cut, offset, body):
-    # a wire cell parses exactly when its length is the one its header's k
-    # gives and k >= 1; any other length or k is rejected. The wire is a
-    # header cut to `cut` bytes, or `offset` bytes off that length
+def test_from_wire_round_trips_or_rejects(k, cut, offset, body, before):
+    # a stream parses exactly when it is whole cells of one k >= 1; a cell
+    # of another length than its header's k gives, or with k = 0, or joined
+    # after whole cells of another k, is rejected. The last cell is a header
+    # cut to `cut` >= 1 bytes, or `offset` bytes off that length (the empty
+    # stream is MALFORMED's)
     exact = _WIRE_HEADER + k + CELL_SIZE
     wire = bytearray(body[: exact + offset if cut is None else cut])
     if len(wire) >= _WIRE_HEADER:
         wire[5] = k
-    if len(wire) == exact and k >= 1:
-        assert to_wire(parse_one(bytes(wire))) == wire
+    stream = before + wire
+    if len(wire) == exact and k >= 1 and all(len(row) == k for _, _, row, _ in from_wire(before)):
+        assert b"".join(map(to_wire, CodedCell.from_wire_stream(stream))) == stream
     else:
         with pytest.raises(ValueError):
-            parse_one(bytes(wire))
+            CodedCell.from_wire_stream(stream)
 
 
 # Faulty cells the decoder must catch: one of another generation, one of a

@@ -122,7 +122,7 @@ def test_entry_and_middle_peeled_in_swapped_order_fail_the_exit_parse(monkeypatc
     monkeypatch.setattr(onion, "peel_layer", swapped)
     parser_calls.clear()
     rng = random.Random(0)
-    with pytest.raises(ValueError, match="wire cell"):
+    with pytest.raises(ValueError, match="is not whole cells of k="):
         for _ in range(budget):
             run_trial(s, rng)
     assert "transmit" in parser_calls[-1][1]
@@ -347,44 +347,48 @@ def test_fast_path_redrawing_only_above_m_is_uncaught_at_run_time(monkeypatch):
     assert z_score() < -4.5
 
 
-def uniform_layout_mutant(check_k: bool, accept_k_zero: bool):
-    """codec._uniform_layout with its compare of every header's k, or its
-    k >= 1 test, taken out."""
+def from_wire_stream_mutant(check_k: bool, accept_k_zero: bool):
+    """CodedCell.from_wire_stream with its compare of the later headers' k,
+    or its k >= 1 test, taken out."""
 
-    def uniform_layout(stream):
-        if len(stream) < 6 or not (stream[5] or accept_k_zero):
-            return None
+    def from_wire_stream(cls, stream):
+        stream = bytes(stream)
+        if len(stream) < 6:
+            raise ValueError(f"wire cell too short: {len(stream)} bytes")
         k = stream[5]
+        if not (k or accept_k_zero):
+            raise ValueError("coefficient vector must hold 1..255 bytes, got 0")
         layout = codec._wire_cell(k)
         count, rest = divmod(len(stream), layout.size)
         if rest or (check_k and stream[5 :: layout.size].count(k) != count):
-            return None
-        return layout
+            raise ValueError(f"wire of {len(stream)} bytes is not whole cells of k={k}, the k its first header gives")
+        return [cls(gid, idx, row, payload) for gid, idx, _, row, payload in layout.iter_unpack(stream)]
 
-    return uniform_layout
+    return classmethod(from_wire_stream)
 
 
 def test_a_fast_path_trusting_the_first_k_misframes_a_mixed_stream(monkeypatch):
-    """codec._uniform_layout drops its compare of every header's k and
-    trusts the first. Every wire the encoder writes has one k, so every
+    """CodedCell.from_wire_stream drops its compare of the later headers' k
+    and trusts the first. Every wire the encoder writes has one k, so every
     transfer and trial comes out as before; a hand-made stream whose cells
     of k = 2, 1 and 3 span three cells of k = 2, with the first row's bytes
     where each such row would lie, is unpacked as three k = 2 cells. The
-    checks that catch it are in tests/test_codec.py::TestBatchedParse:
-    test_a_stream_with_mixed_k_parses_by_each_header,
-    test_a_malformed_stream_raises_its_framing_error[later-k-zero] and
-    [later-k-wider], whose streams of two equal-length cells now parse, and
-    test_the_fast_path_takes_only_a_stream_it_frames_whole[later-k-zero],
-    [later-k-wider] and [mixed-k]."""
+    checks that catch it are in tests/test_codec.py:
+    - TestBatchedParse::test_a_malformed_stream_raises_its_framing_error
+      [later-k-zero], [later-k-wider] and [mixed-k], whose streams of whole
+      cells of their first k now parse;
+    - test_from_wire_round_trips_or_rejects, whose explicit example is that
+      mixed stream."""
     cells = [codec.CodedCell(*fields) for fields in mixed_k_cells()]
     stream = b"".join(map(to_wire, cells))
     params = CodeParams(10, 6, 4)
     message = random.Random(16).randbytes(20_000)
     circuits = build_circuits([f"b{i}" for i in range(10)], random.Random(0))
     before = [run_transfer(circuits, CodedMessage(params, message), message, blocked) for blocked in (set(), {0, 5})]
-    assert codec.CodedCell.from_wire_stream(stream) == cells
+    with pytest.raises(ValueError, match="is not whole cells of k=2"):
+        codec.CodedCell.from_wire_stream(stream)
 
-    monkeypatch.setattr(codec, "_uniform_layout", uniform_layout_mutant(check_k=False, accept_k_zero=False))
+    monkeypatch.setattr(codec.CodedCell, "from_wire_stream", from_wire_stream_mutant(check_k=False, accept_k_zero=False))
     assert [run_transfer(circuits, CodedMessage(params, message), message, blocked) for blocked in (set(), {0, 5})] == before
     misframed = codec.CodedCell.from_wire_stream(stream)
     assert [len(cell.coefficients) for cell in misframed] == [2, 2, 2]
@@ -392,18 +396,21 @@ def test_a_fast_path_trusting_the_first_k_misframes_a_mixed_stream(monkeypatch):
 
 
 def test_a_fast_path_accepting_k_zero_parses_rows_of_nothing(monkeypatch):
-    """codec._uniform_layout drops its k >= 1 test, so a stream of k = 0 cells
-    is unpacked into cells with empty rows instead of raising. Nothing the
-    encoder writes has k = 0, so no transfer moves; the checks that catch
-    it are in tests/test_codec.py: TestWireFormat::
-    test_from_wire_rejects_k_zero_short_and_long_cells, whose one k = 0 cell
-    of exactly 518 bytes now parses, and TestBatchedParse::
-    test_a_malformed_stream_raises_its_framing_error[every-k-zero] and
-    test_the_fast_path_takes_only_a_stream_it_frames_whole[every-k-zero]."""
+    """CodedCell.from_wire_stream drops its k >= 1 test, so a stream of k = 0
+    cells is unpacked into cells with empty rows instead of raising. Nothing
+    the encoder writes has k = 0, so no transfer moves; the checks that
+    catch it are in tests/test_codec.py:
+    - TestWireFormat::test_from_wire_rejects_k_zero_short_and_long_cells,
+      whose one k = 0 cell of exactly 518 bytes now parses;
+    - TestWireFormat::test_a_cell_outside_the_field_ranges_never_crosses_the_wire[empty-row];
+    - TestBatchedParse::test_a_malformed_stream_raises_its_framing_error
+      [first-k-zero] and [every-k-zero];
+    - test_from_wire_round_trips_or_rejects, whose explicit example is a
+      whole 518-byte k = 0 cell."""
     zero_k = bytes(4) + b"\x01\x00" + bytes(CELL_SIZE)
     with pytest.raises(ValueError, match="got 0"):
         codec.CodedCell.from_wire_stream(zero_k * 2)
 
-    monkeypatch.setattr(codec, "_uniform_layout", uniform_layout_mutant(check_k=True, accept_k_zero=True))
+    monkeypatch.setattr(codec.CodedCell, "from_wire_stream", from_wire_stream_mutant(check_k=True, accept_k_zero=True))
     parsed = codec.CodedCell.from_wire_stream(zero_k * 2)
     assert [(cell.coefficients, len(cell.payload)) for cell in parsed] == [(b"", CELL_SIZE)] * 2

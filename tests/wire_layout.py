@@ -2,15 +2,32 @@
 
 ctorsim writes wires a whole sub-flow at a time (codec.encode_subflows) and
 reads them back with CodedCell.from_wire_stream. Tests that feed the parser
-single or hand-made cells serialise them here, without the codec's header
-struct, so a change to the layout on either side shows as a mismatch.
+single or hand-made cells serialise them here, and check what it parses
+against a reader here, both without the codec's structs, so a change to
+the layout on either side shows as a mismatch.
 """
+
+CELL_SIZE = 512
 
 
 def to_wire(cell) -> bytes:
     """generation_id (4B BE) | subflow_index (1B) | k (1B) | k coefficients | payload."""
     generation_id, subflow_index, coefficients, payload = cell
     return generation_id.to_bytes(4, "big") + bytes([subflow_index, len(coefficients)]) + coefficients + payload
+
+
+def from_wire(stream: bytes) -> list[tuple]:
+    """Each whole cell of a stream as (generation id, sub-flow index, row,
+    payload), read field by field by the k in its own header."""
+    cells, pos = [], 0
+    while pos < len(stream):
+        k = stream[pos + 5]
+        end = pos + 6 + k + CELL_SIZE
+        assert end <= len(stream), "the stream ends inside a cell"
+        row = stream[pos + 6 : pos + 6 + k]
+        cells.append((int.from_bytes(stream[pos : pos + 4], "big"), stream[pos + 4], row, stream[pos + 6 + k : end]))
+        pos = end
+    return cells
 
 
 def subflow_wires(generations) -> list[bytes]:
