@@ -535,6 +535,21 @@ class TestBatchedParse:
         for data in (stream, bytearray(stream), memoryview(stream)):
             assert CodedCell.from_wire_stream(data) == cells
 
+    def test_a_stream_with_mixed_k_parses_by_each_header(self):
+        # three cells with k = 2, 1 and 3 span exactly three cells of k = 2,
+        # and the bytes where a k = 2 row would lie in each repeat the first
+        # row: only the k in every header tells this stream from a wire of
+        # one k, and the parser reads it there and rejects the stream
+        cells = [CodedCell(*fields) for fields in mixed_k_cells()]
+        stream = b"".join(map(to_wire, cells))
+        size = len(to_wire(cells[0]))
+        assert len(stream) == 3 * size
+        assert [stream[start + 6 : start + 8] for start in range(0, len(stream), size)] == [cells[0].coefficients] * 3
+        assert [CodedCell(*fields) for fields in from_wire(stream)] == cells
+        for data in (stream, bytearray(stream), memoryview(stream)):
+            with pytest.raises(ValueError, match=f"^{re.escape(not_whole_cells(len(stream), 2))}$"):
+                CodedCell.from_wire_stream(data)
+
     @pytest.mark.parametrize("k", [1, 2, 127, 254, MAX_N])
     def test_a_uniform_wire_of_any_k_matches_the_per_cell_parse(self, k):
         # up to the widest row a header's k byte can give, each k unpacked
@@ -554,6 +569,30 @@ class TestBatchedParse:
         # whole number of cells of its first k, whose later headers differ
         with pytest.raises(ValueError, match=f"^{re.escape(MALFORMED[fault])}$"):
             CodedCell.from_wire_stream(malformed_wire(fault))
+
+    @pytest.mark.parametrize("fault", MALFORMED)
+    def test_the_fast_path_takes_only_a_stream_it_frames_whole(self, fault, monkeypatch):
+        # the one unpack pass runs only once the framing rule holds: no cell
+        # is unpacked from a malformed stream, and the wire it was made from
+        # is unpacked whole, once
+        unpacked = []
+
+        class RecordedLayout:
+            def __init__(self, layout):
+                self.layout, self.size = layout, layout.size
+
+            def iter_unpack(self, stream):
+                unpacked.append(len(stream))
+                return self.layout.iter_unpack(stream)
+
+        wire_cell = codec._wire_cell
+        monkeypatch.setattr(codec, "_wire_cell", lambda k: RecordedLayout(wire_cell(k)))
+        with pytest.raises(ValueError):
+            CodedCell.from_wire_stream(malformed_wire(fault))
+        assert unpacked == []
+        wire = default_shape_wires(CodeParams(5, 3, 2), 2)[4]
+        assert CodedCell.from_wire_stream(wire) == [CodedCell(*fields) for fields in from_wire(wire)]
+        assert unpacked == [len(wire)]
 
 
 class TestRecords:
