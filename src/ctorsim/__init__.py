@@ -5,7 +5,6 @@ single-circuit (otor), multi-circuit (mtor), and coded multi-circuit
 from .analytics import (
     ResourceLimitError,
     SweepRow,
-    binomial,
     blocked_counts,
     enumerate_oracle,
     p_block_lnc,

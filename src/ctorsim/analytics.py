@@ -38,13 +38,6 @@ class ResourceLimitError(RuntimeError):
     """An enumeration request exceeds the subset guard."""
 
 
-def binomial(a: int, b: int) -> int:
-    """C(a, b); zero outside 0 <= b <= a."""
-    if b < 0 or b > a:
-        return 0
-    return math.comb(a, b)
-
-
 def _check_pool(unknown: int, known: int, circuits: int) -> None:
     if unknown < 0 or known < 0:
         raise ValueError("bridge counts must be non-negative")
@@ -88,7 +81,7 @@ def enumerate_oracle(unknown: int, known: int, circuits: int) -> list[int]:
     at most ORACLE_SUBSET_LIMIT subsets.
     """
     _check_pool(unknown, known, circuits)
-    if binomial(unknown + known, circuits) > ORACLE_SUBSET_LIMIT:
+    if math.comb(unknown + known, circuits) > ORACLE_SUBSET_LIMIT:
         raise ResourceLimitError(
             f"C({unknown + known}, {circuits}) subsets exceed the {ORACLE_SUBSET_LIMIT} guard"
         )

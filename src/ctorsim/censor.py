@@ -54,47 +54,26 @@ def _bridge_ids(prefix: str, count: int) -> frozenset[str]:
     return frozenset([f"{prefix}{i:03d}" for i in range(count)])
 
 
-class _BridgePoolFields(NamedTuple):
-    unknown: frozenset[str]
-    known: frozenset[str]
-    ordered: tuple[str, ...]
-
-
-class BridgePool(_BridgePoolFields):
+class BridgePool(NamedTuple):
     """Disjoint sets of bridges the censor does not / does know about, and
     `ordered`, every id of the pool in the canonical selection order, so
     sampling is reproducible. Every pipeline trial reads `ordered`, so it
     is sorted once, when the pool is built.
 
-    BridgePool(unknown, known) checks the two sets in __new__; _make, and
-    so _replace, build through it and sort `ordered` afresh, dropping any
-    order they are given.
+    build is the one constructor: its `u…` and `k…` ids keep the two sets
+    disjoint, and len(pool.ordered) is the pool's size.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, unknown: frozenset[str], known: frozenset[str]):
-        unknown, known = frozenset(unknown), frozenset(known)
-        if unknown & known:
-            raise ValueError("a bridge cannot be both known and unknown to the censor")
-        return tuple.__new__(cls, (unknown, known, tuple(sorted(unknown | known))))
-
-    @classmethod
-    def _make(cls, fields) -> "BridgePool":
-        unknown, known, _ = fields
-        return cls(unknown, known)
-
-    def __getnewargs__(self) -> tuple[frozenset[str], frozenset[str]]:
-        return self[0], self[1]
+    unknown: frozenset[str]
+    known: frozenset[str]
+    ordered: tuple[str, ...]
 
     @classmethod
     def build(cls, num_unknown: int, num_known: int) -> "BridgePool":
         if num_unknown < 0 or num_known < 0:
             raise ValueError("bridge counts must be non-negative")
-        return cls(unknown=_bridge_ids("u", num_unknown), known=_bridge_ids("k", num_known))
-
-    def __len__(self) -> int:
-        return len(self.unknown) + len(self.known)
+        unknown, known = _bridge_ids("u", num_unknown), _bridge_ids("k", num_known)
+        return cls(unknown, known, tuple(sorted(unknown | known)))
 
     def blocked(self, chosen: list[str]) -> frozenset[int]:
         """Indices of the chosen bridges the censor knows: the circuits it blocks."""
@@ -115,8 +94,8 @@ class CensorScenario(_CensorScenarioFields):
     __slots__ = ()
 
     def __new__(cls, pool: BridgePool, params: CodeParams):
-        if params.n > len(pool):
-            raise ValueError(f"cannot select {params.n} bridges from a pool of {len(pool)}")
+        if params.n > len(pool.ordered):
+            raise ValueError(f"cannot select {params.n} bridges from a pool of {len(pool.ordered)}")
         return tuple.__new__(cls, (pool, params))
 
     @classmethod
@@ -209,7 +188,7 @@ def run_campaign(
     rng = derive_rng(seed, "bridge-selection")
     params = scenario.params
     pool = scenario.pool
-    counts = _fast_blocked_counts(rng, len(pool), len(pool.known), params.n, trials)
+    counts = _fast_blocked_counts(rng, len(pool.ordered), len(pool.known), params.n, trials)
     # the rule is asked only of the bins some trial fell in
     interruptions = sum(count for b, count in enumerate(counts) if count and interrupted_by_rule(b, params))
     checks = round(trials * full_pipeline_fraction)

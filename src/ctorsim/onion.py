@@ -39,7 +39,9 @@ records, and a CircuitSet is the tuple of its circuits: the pipeline builds
 each from values it has just made, and their invariants are tested on what
 build_circuits and run_transfer return. build_circuits checks the bridge
 ids it is given; the middles and the exit it draws are distinct by
-construction. A CodedMessage is a small immutable class.
+construction. A CodedMessage is a small immutable class: the trials of a
+code shape share one by identity, so it defines no equality or hash of its
+own, and its guard against setting a field also refuses copy and pickle.
 """
 
 from __future__ import annotations
@@ -242,8 +244,8 @@ class CodedMessage:
     keeps `subflows[i]`, wire i as the little-endian int circuit i wraps,
     `subflow_size`, the byte size all the wires share, and `cells[i]`, what
     circuit i's exit parses from wire i; the wires themselves are dropped.
-    It is immutable, equal and hashed by its params, sub-flows and size,
-    and iterating gives each sub-flow's cells.
+    It is immutable, so the trials of a code shape share one instance by
+    identity, and iterating gives each sub-flow's cells.
     """
 
     __slots__ = ("params", "subflows", "subflow_size", "cells")
@@ -265,22 +267,6 @@ class CodedMessage:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"CodedMessage is immutable: cannot delete {name!r}")
-
-    def __setstate__(self, state: tuple[None, dict]) -> None:
-        # copy and pickle restore the slots here, past __setattr__
-        for name, value in state[1].items():
-            object.__setattr__(self, name, value)
-
-    def _key(self) -> tuple[CodeParams, tuple[int, ...], int]:
-        return self.params, self.subflows, self.subflow_size
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not CodedMessage:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __iter__(self) -> Iterator[tuple[CodedCell, ...]]:
         return iter(self.cells)

@@ -14,7 +14,6 @@ import pytest
 
 from ctorsim import gf256
 from ctorsim.analytics import (
-    binomial,
     blocked_counts,
     enumerate_oracle,
     p_block_lnc,
@@ -60,7 +59,7 @@ def test_criterion_1_oracle_equivalence_exact():
                     continue
                 counts = enumerate_oracle(unknown, known, n)
                 assert blocked_counts(unknown, known, n) == counts, (unknown, known, n)
-                assert sum(counts) == binomial(unknown + known, n), (unknown, known, n)
+                assert sum(counts) == math.comb(unknown + known, n), (unknown, known, n)
                 for r in range(0, n):
                     oracle_r = Fraction(sum(counts[r + 1 :]), sum(counts))
                     assert p_block_lnc(unknown, known, n, r) == oracle_r, (unknown, known, n, r)
@@ -73,7 +72,7 @@ def test_criterion_2_identity_checks_exact():
     for known in range(0, 26):
         for n in (1, 4, 5, 8, 10):
             p = p_block_lnc(25, known, n, 0)
-            assert p == 1 - Fraction(binomial(25, n), binomial(25 + known, n))
+            assert p == 1 - Fraction(math.comb(25, n), math.comb(25 + known, n))
         for n, r in ((5, 2), (10, 4)):
             if known <= r:
                 assert p_block_lnc(25, known, n, r) == 0

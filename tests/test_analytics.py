@@ -1,5 +1,6 @@
 """Exact probability machinery against enumeration and algebraic identities."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,26 +10,12 @@ from ctorsim.analytics import (
     DEFAULT_KNOWN_RANGE,
     DEFAULT_UNKNOWN,
     ResourceLimitError,
-    binomial,
     blocked_counts,
     enumerate_oracle,
     p_block_lnc,
     sweep,
 )
 from ctorsim.codec import CodeParams, Variant
-
-
-class TestBinomial:
-    def test_examples(self):
-        assert binomial(5, 0) == 1
-        assert binomial(30, 4) == 27405
-        assert binomial(4, 5) == 0
-        assert binomial(5, -1) == 0
-
-    def test_pascal_recurrence(self):
-        for a in range(1, 25):
-            for b in range(1, a + 1):
-                assert binomial(a, b) == binomial(a - 1, b - 1) + binomial(a - 1, b)
 
 
 class TestPlainBlocking:
@@ -47,7 +34,7 @@ class TestPlainBlocking:
         for known in range(0, 26):
             for n in (1, 4, 5, 8, 10):
                 p = p_block_lnc(25, known, n, 0)
-                assert p == 1 - Fraction(binomial(25, n), binomial(25 + known, n))
+                assert p == 1 - Fraction(math.comb(25, n), math.comb(25 + known, n))
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -96,7 +83,7 @@ class TestCodedBlocking:
 
 class TestEnumerationOracle:
     def test_zero_without_known_bridges(self):
-        assert enumerate_oracle(10, 0, 3) == [binomial(10, 3), 0, 0, 0]
+        assert enumerate_oracle(10, 0, 3) == [math.comb(10, 3), 0, 0, 0]
 
     def test_matches_formulas_on_small_grid(self):
         for unknown in range(0, 9):
@@ -106,7 +93,7 @@ class TestEnumerationOracle:
                         continue
                     counts = enumerate_oracle(unknown, known, n)
                     assert blocked_counts(unknown, known, n) == counts
-                    assert sum(counts) == binomial(unknown + known, n)
+                    assert sum(counts) == math.comb(unknown + known, n)
                     for r in range(0, n):
                         # the tail is the share of selections blocking more than r
                         assert p_block_lnc(unknown, known, n, r) == Fraction(sum(counts[r + 1 :]), sum(counts))
@@ -119,10 +106,10 @@ class TestEnumerationOracle:
                     if n > unknown + known:
                         continue
                     total = sum(
-                        binomial(unknown, n - i) * binomial(known, i)
+                        math.comb(unknown, n - i) * math.comb(known, i)
                         for i in range(0, min(n, known) + 1)
                     )
-                    assert total == binomial(unknown + known, n)
+                    assert total == math.comb(unknown + known, n)
 
     def test_subset_guard(self):
         with pytest.raises(ResourceLimitError):

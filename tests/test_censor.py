@@ -9,7 +9,7 @@ import random
 import pytest
 
 from ctorsim import censor, onion
-from ctorsim.analytics import DEFAULT_CONFIGS, DEFAULT_UNKNOWN, blocked_counts, p_block_lnc
+from ctorsim.analytics import DEFAULT_CONFIGS, DEFAULT_KNOWN_RANGE, DEFAULT_UNKNOWN, blocked_counts, p_block_lnc
 from ctorsim.censor import (
     BridgePool,
     CensorScenario,
@@ -33,14 +33,23 @@ def scenario(num_unknown, num_known, n, r=0) -> CensorScenario:
 class TestBridgePool:
     def test_build_counts(self):
         pool = BridgePool.build(25, 5)
-        assert len(pool) == 30
+        assert len(pool.ordered) == 30
         assert len(pool.unknown) == 25
         assert len(pool.known) == 5
         assert not pool.unknown & pool.known
 
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            BridgePool(frozenset({"a"}), frozenset({"a"}))
+    def test_every_grid_pool_is_disjoint_and_ordered(self):
+        # build is the one constructor, so every pool a default grid runs on
+        # is checked here: disjoint sets, the canonical order, mb + m_known ids
+        for m_known in DEFAULT_KNOWN_RANGE:
+            pool = BridgePool.build(DEFAULT_UNKNOWN, m_known)
+            assert not pool.unknown & pool.known
+            assert pool.ordered == tuple(sorted(pool.unknown | pool.known))
+            assert len(pool.ordered) == DEFAULT_UNKNOWN + m_known
+            assert len(pool.known) == m_known
+            # a plain tuple record: _replace and pickle keep its fields as given
+            assert pool._replace(ordered=pool.ordered[::-1]).ordered == pool.ordered[::-1]
+            assert pickle.loads(pickle.dumps(pool)) == pool
 
     def test_ordered_is_canonical(self):
         pool = BridgePool.build(3, 2)
@@ -50,18 +59,6 @@ class TestBridgePool:
         # a grid builds one pool per m_known row; the ids are built once
         assert BridgePool.build(25, 3).unknown is BridgePool.build(25, 7).unknown
         assert BridgePool.build(25, 3).known == frozenset({"k000", "k001", "k002"})
-
-    def test_make_and_replace_build_through_the_check_and_sort_afresh(self):
-        # the constructor takes the two sets and derives `ordered`, so a
-        # rebuilt pool is checked and sorted again, and a given order is dropped
-        pool = BridgePool.build(3, 2)
-        grown = pool._replace(known=frozenset({"k000", "k009"}))
-        assert type(grown) is BridgePool and grown.ordered == ("k000", "k009", "u000", "u001", "u002")
-        assert pool._replace(ordered=()) == pool
-        assert BridgePool._make([["a"], ["b"], ()]) == BridgePool(frozenset({"a"}), frozenset({"b"}))
-        with pytest.raises(ValueError, match="both known and unknown"):
-            pool._replace(known={"u000"})
-        assert pickle.loads(pickle.dumps(pool)) == pool
 
     def test_blocked_are_the_indices_of_chosen_known_bridges(self):
         pool = BridgePool.build(3, 2)
@@ -94,7 +91,7 @@ class TestSelectBridges:
         for _ in range(trials):
             for b in select_bridges(s, rng):
                 counts[b] += 1
-        p = n / len(pool)
+        p = n / len(pool.ordered)
         sigma = math.sqrt(p * (1 - p) * trials)
         for bridge, count in counts.items():
             assert abs(count - p * trials) <= 3 * sigma, bridge
@@ -169,7 +166,10 @@ class TestTrialCells:
     def test_cells_are_a_fresh_encoding(self, params):
         cells = censor._trial_cells(params)
         assert isinstance(cells, CodedMessage)
-        assert cells == CodedMessage(params, censor._DEFAULT_MESSAGE)
+        fresh = CodedMessage(params, censor._DEFAULT_MESSAGE)
+        assert (cells.params, cells.subflows, cells.subflow_size, cells.cells) == (
+            fresh.params, fresh.subflows, fresh.subflow_size, fresh.cells
+        )
         assert censor._trial_cells(params) is cells
         assert all(type(subflow) is tuple for subflow in cells.cells)
 
@@ -424,12 +424,12 @@ class TestFlagSumFastPath:
 
         # one trial per call
         for _ in range(5_000):
-            assert censor._fast_blocked_counts(by_count, len(pool), num_known, n, 1) == histogram_by_id(1)
+            assert censor._fast_blocked_counts(by_count, len(pool.ordered), num_known, n, 1) == histogram_by_id(1)
         # one batch per call, as run_campaign makes them
         for _ in range(3):
             expected = histogram_by_id(1_000)
-            assert censor._fast_blocked_counts(by_count, len(pool), num_known, n, 1_000) == expected
-        assert censor._fast_blocked_counts(by_count, len(pool), num_known, n, 0) == [0] * (n + 1)
+            assert censor._fast_blocked_counts(by_count, len(pool.ordered), num_known, n, 1_000) == expected
+        assert censor._fast_blocked_counts(by_count, len(pool.ordered), num_known, n, 0) == [0] * (n + 1)
         # both drew the same words
         assert by_count.getstate() == by_id.getstate()
 

@@ -452,6 +452,34 @@ class TestChecksBeforeOutput:
         assert list(out_dir.iterdir()) == []
 
 
+class TestPoolRule:
+    """The pool rule has two homes, analytics' and censor's, and every
+    command that takes a pool gives each fault the same message."""
+
+    COMMANDS = {
+        "analytic": ["analytic", "--out", "{out}"],
+        "simulate": ["simulate", "--trials", "5", "--out", "{out}"],
+        "fig2": ["fig2", "--trials", "5", "--out", "{out}"],
+        "e2e": ["e2e", "--scenario-seed", "1"],
+    }
+    FAULTS = {
+        "negative-mb": (["--mb", "-1", "--mknown", "0"], "bridge counts must be non-negative"),
+        "n-above-pool": (["--mb", "1", "--mknown", "2", "--variant", "mtor:4"], "cannot select 4 bridges from a pool of 3"),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_each_command_rejects_with_one_message(self, tmp_path, capsys, command, fault):
+        flags, message = self.FAULTS[fault]
+        out = tmp_path / "out"
+        argv = [arg.format(out=out) for arg in self.COMMANDS[command]]
+        assert main([*argv, *flags]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not out.exists()
+
+
 class TestFailureMidGrid:
     """A grid that fails after some of its rows are computed writes none of them."""
 

@@ -539,8 +539,11 @@ class TestCodedMessage:
                 setattr(coded, name, ())
             with pytest.raises(AttributeError):
                 delattr(coded, name)
-        for copied in (copy.copy(coded), copy.deepcopy(coded), pickle.loads(pickle.dumps(coded))):
-            assert copied == coded and copied.cells == coded.cells
+        # trials share one instance by identity; copy and pickle would restore
+        # the fields by setting them, which the same guard refuses
+        for duplicate in (copy.copy, copy.deepcopy, lambda coded: pickle.loads(pickle.dumps(coded))):
+            with pytest.raises(AttributeError, match="CodedMessage is immutable: cannot set 'params'"):
+                duplicate(coded)
 
     def test_empty_message_rejected(self):
         with pytest.raises(ValueError, match="empty message"):
@@ -561,10 +564,10 @@ class TestCodedMessage:
             with pytest.raises(TypeError):
                 CodedMessage(params, message, **{name: getattr(coded, name)})
         assert not hasattr(coded, "_replace")
-        # a fresh encoding of the same message is equal, and hashes alike
+        # a fresh encoding of the same message holds the same sub-flows and cells
         again = CodedMessage(params, message)
-        assert again == coded and hash(again) == hash(coded)
-        assert CodedMessage(params, message + b"\x00") != coded
+        assert coded_fields(again) == coded_fields(coded)
+        assert coded_fields(CodedMessage(params, message + b"\x00")) != coded_fields(coded)
 
     @pytest.mark.parametrize("params", [CodeParams(1, 1, 0), CodeParams(10, 6, 4)], ids=["otor", "ctor-10-4"])
     def test_the_cells_of_one_subflow_share_one_row(self, params):
@@ -589,6 +592,11 @@ class TestCodedMessage:
         with pytest.raises(ValueError, match="is not whole cells of k=3"):
             run_transfer(circuits_for(4), CodedMessage(CodeParams(4, 3, 1), message), message)
         assert [cache.cache_info().misses for cache in STREAM_CACHES] == [0, 0, 0]
+
+
+def coded_fields(coded: CodedMessage) -> tuple:
+    """What a coded message holds: its sub-flows, their byte size and their cells."""
+    return coded.subflows, coded.subflow_size, coded.cells
 
 
 def message_of(params: CodeParams, generations: int) -> bytes:
