@@ -47,9 +47,13 @@ class TestBridgePool:
             assert pool.ordered == tuple(sorted(pool.unknown | pool.known))
             assert len(pool.ordered) == DEFAULT_UNKNOWN + m_known
             assert len(pool.known) == m_known
-            # a plain tuple record: _replace and pickle keep its fields as given
-            assert pool._replace(ordered=pool.ordered[::-1]).ordered == pool.ordered[::-1]
-            assert pickle.loads(pickle.dumps(pool)) == pool
+
+    def test_make_and_replace_keep_the_fields_as_given(self):
+        # a plain tuple record: nothing is checked or sorted again on rebuild
+        pool = BridgePool.build(3, 2)
+        assert pool._replace(ordered=pool.ordered[::-1]).ordered == pool.ordered[::-1]
+        assert BridgePool._make(pool) == pool and len(pool) == 3
+        assert pickle.loads(pickle.dumps(pool)) == pool
 
     def test_ordered_is_canonical(self):
         pool = BridgePool.build(3, 2)
