@@ -3,9 +3,11 @@
 The censor model is static: a fixed subset of the bridge pool is known to
 the censor, and every circuit whose entry bridge is known gets blocked.
 The client samples bridges uniformly without replacement and cannot tell
-known from unknown. The engine only counts blocked circuits, per fast-path
-batch as a histogram with one bin per count and per pipeline trial as one
-count; codec.interrupted_by_rule alone decides which counts interrupt.
+known from unknown; both draws, the fast path's urn and select_bridges,
+check that the pool holds n. The engine only counts blocked circuits, per
+fast-path batch as a histogram with one bin per count and per pipeline
+trial as one count; codec.interrupted_by_rule alone decides which counts
+interrupt.
 
 Randomness is Python's random.Random (MT19937). A campaign draws from one
 stream, seeded from SHAKE-256 over (seed, "bridge-selection"), so results
@@ -47,33 +49,26 @@ class ConsistencyError(RuntimeError):
     """The transport pipeline and the blocked-count rule disagreed on a trial."""
 
 
-# A grid builds one pool per m_known row from the same id sets, so each is
-# built once and shared; bounded because --mb and --mknown take any count.
-@lru_cache(maxsize=64)
-def _bridge_ids(prefix: str, count: int) -> frozenset[str]:
-    return frozenset([f"{prefix}{i:03d}" for i in range(count)])
-
-
 class BridgePool(NamedTuple):
-    """Disjoint sets of bridges the censor does not / does know about, and
-    `ordered`, every id of the pool in the canonical selection order, so
-    sampling is reproducible. Every pipeline trial reads `ordered`, so it
-    is sorted once, when the pool is built.
+    """The bridges the censor knows, and `ordered`, every id of the pool in
+    the canonical selection order, sorted once because every pipeline trial
+    reads it; len(pool.ordered) is the pool's size.
 
-    build is the one constructor: its `u…` and `k…` ids keep the two sets
-    disjoint, and len(pool.ordered) is the pool's size.
+    build is the one constructor, its `k…` ids the known ones. It is cached
+    (bounded: --mb and --mknown take any count), so equal counts give one
+    pool object and a grid builds one pool per m_known.
     """
 
-    unknown: frozenset[str]
     known: frozenset[str]
     ordered: tuple[str, ...]
 
     @classmethod
+    @lru_cache(maxsize=64)
     def build(cls, num_unknown: int, num_known: int) -> "BridgePool":
         if num_unknown < 0 or num_known < 0:
             raise ValueError("bridge counts must be non-negative")
-        unknown, known = _bridge_ids("u", num_unknown), _bridge_ids("k", num_known)
-        return cls(unknown, known, tuple(sorted(unknown | known)))
+        known = frozenset([f"k{i:03d}" for i in range(num_known)])
+        return cls(known, tuple(sorted(known.union([f"u{i:03d}" for i in range(num_unknown)]))))
 
     def blocked(self, chosen: list[str]) -> frozenset[int]:
         """Indices of the chosen bridges the censor knows: the circuits it blocks."""
@@ -81,26 +76,12 @@ class BridgePool(NamedTuple):
         return frozenset(i for i, bridge in enumerate(chosen) if bridge in known)
 
 
-class _CensorScenarioFields(NamedTuple):
+class CensorScenario(NamedTuple):
+    """One experiment point: a bridge pool plus the code shape the client
+    runs. Nothing is checked here: the draws check that the pool holds n."""
+
     pool: BridgePool
     params: CodeParams
-
-
-class CensorScenario(_CensorScenarioFields):
-    """One experiment point: a bridge pool plus the code shape the client
-    runs. A tuple record that checks its fields in __new__, as _make and
-    _replace do through it."""
-
-    __slots__ = ()
-
-    def __new__(cls, pool: BridgePool, params: CodeParams):
-        if params.n > len(pool.ordered):
-            raise ValueError(f"cannot select {params.n} bridges from a pool of {len(pool.ordered)}")
-        return tuple.__new__(cls, (pool, params))
-
-    @classmethod
-    def _make(cls, fields) -> "CensorScenario":
-        return cls(*fields)
 
     @property
     def variant(self) -> Variant:
@@ -131,11 +112,19 @@ def derive_rng(seed: int, label: str) -> random.Random:
     return random.Random(derive_seed(seed, label))
 
 
+def _check_pool_size(n: int, size: int) -> None:
+    """The rule of both draws: n bridges without replacement need a pool of at least n."""
+    if n > size:
+        raise ValueError(f"cannot select {n} bridges from a pool of {size}")
+
+
 def select_bridges(scenario: CensorScenario, rng: random.Random) -> list[str]:
     """Uniform sample of the scenario's n bridges without replacement over
-    its whole pool, drawn with ``rng.sample`` over `pool.ordered`; the
-    scenario has checked that the pool holds n."""
-    return rng.sample(scenario.pool.ordered, scenario.params.n)
+    its whole pool, drawn with ``rng.sample`` over `pool.ordered`; raises
+    ValueError if the pool holds fewer than n."""
+    ordered, n = scenario.pool.ordered, scenario.params.n
+    _check_pool_size(n, len(ordered))
+    return rng.sample(ordered, n)
 
 
 def run_trial(scenario: CensorScenario, rng: random.Random) -> TrialOutcome:
@@ -179,7 +168,8 @@ def run_campaign(
     none is counted. The empirical fraction comes with the Wald 95%
     half-width 1.96 * sqrt(p(1 - p) / trials), which is 0 whenever no trial
     or every trial is interrupted, even where the exact p lies strictly
-    between 0 and 1 (ROADMAP item 3).
+    between 0 and 1 (ROADMAP item 3). A pool smaller than n raises
+    ValueError from the fast path, before any trial runs.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -208,8 +198,10 @@ def _fast_blocked_counts(rng: random.Random, size: int, known: int, n: int, coun
     with the `known` censor-known bridges kept in front: the pick below m
     (m = size, size - 1, ...) is j = getrandbits(m.bit_length()), redrawn
     while j >= m, and is a known bridge when j is below the known bridges
-    left. Only the two counts matter, so no bridge id is drawn.
+    left. Only the two counts matter, so no bridge id is drawn. Raises
+    ValueError if n exceeds `size`: the urn would reach m = 0 and spin.
     """
+    _check_pool_size(n, size)
     getrandbits = rng.getrandbits
     draws = [(m, m.bit_length()) for m in range(size, size - n, -1)]
     counts = [0] * (n + 1)

@@ -213,12 +213,8 @@ def _simulated_rows(cfg: ExperimentConfig) -> Iterator[list]:
     # yielded, so each row becomes CSV text as soon as it is computed and no
     # list of rows stays alive across the campaigns
     trials, seed, fraction = cfg.trials, cfg.seed, cfg.full_pipeline_fraction
-    pool = None
     for m_known, params in grid_points(cfg.mknown, cfg.variant):
-        # grid_points runs one m_known row at a time, so its variants share one pool
-        if pool is None or len(pool.known) != m_known:
-            pool = BridgePool.build(cfg.mb, m_known)
-        scenario = CensorScenario(pool, params)
+        scenario = CensorScenario(BridgePool.build(cfg.mb, m_known), params)
         variant, n, r = scenario.variant.value, params.n, params.r
         result = run_campaign(
             scenario, trials, derive_seed(seed, f"point:{m_known}:{variant}:{n}:{r}"), full_pipeline_fraction=fraction

@@ -5,10 +5,13 @@ import itertools
 import math
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from ctorsim import censor, onion
+from ctorsim import censor, cli, onion
 from ctorsim.analytics import DEFAULT_CONFIGS, DEFAULT_KNOWN_RANGE, DEFAULT_UNKNOWN, blocked_counts, p_block_lnc
 from ctorsim.censor import (
     BridgePool,
@@ -33,18 +36,19 @@ def scenario(num_unknown, num_known, n, r=0) -> CensorScenario:
 class TestBridgePool:
     def test_build_counts(self):
         pool = BridgePool.build(25, 5)
-        assert len(pool.ordered) == 30
-        assert len(pool.unknown) == 25
+        assert len(pool.ordered) == len(set(pool.ordered)) == 30
+        assert len(set(pool.ordered) - pool.known) == 25
         assert len(pool.known) == 5
-        assert not pool.unknown & pool.known
+        assert pool.known <= set(pool.ordered)
 
     def test_every_grid_pool_is_disjoint_and_ordered(self):
         # build is the one constructor, so every pool a default grid runs on
-        # is checked here: disjoint sets, the canonical order, mb + m_known ids
+        # is checked here: known ids among the pool's, the canonical order,
+        # mb + m_known distinct ids
         for m_known in DEFAULT_KNOWN_RANGE:
             pool = BridgePool.build(DEFAULT_UNKNOWN, m_known)
-            assert not pool.unknown & pool.known
-            assert pool.ordered == tuple(sorted(pool.unknown | pool.known))
+            assert pool.known <= set(pool.ordered)
+            assert pool.ordered == tuple(sorted(set(pool.ordered)))
             assert len(pool.ordered) == DEFAULT_UNKNOWN + m_known
             assert len(pool.known) == m_known
 
@@ -52,17 +56,26 @@ class TestBridgePool:
         # a plain tuple record: nothing is checked or sorted again on rebuild
         pool = BridgePool.build(3, 2)
         assert pool._replace(ordered=pool.ordered[::-1]).ordered == pool.ordered[::-1]
-        assert BridgePool._make(pool) == pool and len(pool) == 3
+        assert BridgePool._make(pool) == pool and len(pool) == 2
         assert pickle.loads(pickle.dumps(pool)) == pool
 
     def test_ordered_is_canonical(self):
         pool = BridgePool.build(3, 2)
-        assert pool.ordered == tuple(sorted(pool.unknown | pool.known))
+        assert pool.ordered == ("k000", "k001", "u000", "u001", "u002")
+        assert pool.known == frozenset({"k000", "k001"})
 
-    def test_pools_share_their_id_sets(self):
-        # a grid builds one pool per m_known row; the ids are built once
-        assert BridgePool.build(25, 3).unknown is BridgePool.build(25, 7).unknown
+    def test_pools_share_their_id_sets(self, tmp_path):
+        # build is cached: equal counts give one pool object, so a default
+        # grid builds one pool per m_known row in any point order
+        assert BridgePool.build(25, 3) is BridgePool.build(25, 3)
         assert BridgePool.build(25, 3).known == frozenset({"k000", "k001", "k002"})
+        assert BridgePool.build.cache_info().maxsize == 64
+        BridgePool.build.cache_clear()
+        argv = ["simulate", "--trials", "1", "--full-pipeline-fraction", "0", "--out", str(tmp_path / "grid.csv")]
+        assert cli.main(argv) == cli.EXIT_OK
+        info = BridgePool.build.cache_info()
+        assert info.misses == info.currsize == len(DEFAULT_KNOWN_RANGE) == 26
+        assert info.hits == len(DEFAULT_KNOWN_RANGE) * (len(DEFAULT_CONFIGS) - 1)
 
     def test_blocked_are_the_indices_of_chosen_known_bridges(self):
         pool = BridgePool.build(3, 2)
@@ -101,6 +114,26 @@ class TestSelectBridges:
             assert abs(count - p * trials) <= 3 * sigma, bridge
 
 
+NO_HANG_PROGRAM = """
+import random, sys
+sys.path.insert(0, sys.argv[1])
+from ctorsim import censor
+from ctorsim.censor import BridgePool, CensorScenario, run_campaign, run_trial, select_bridges
+from ctorsim.codec import CodeParams
+s = CensorScenario(BridgePool.build(2, 1), CodeParams(4, 3, 1))
+for call in (
+    lambda: censor._fast_blocked_counts(random.Random(1), 3, 0, 4, 1),
+    lambda: select_bridges(s, random.Random(1)),
+    lambda: run_trial(s, random.Random(1)),
+    lambda: run_campaign(s, 10, 1),
+):
+    try:
+        call()
+    except ValueError as error:
+        print(f"ValueError: {error}")
+"""
+
+
 class TestScenario:
     def test_variant_named_from_params(self):
         assert scenario(25, 5, 1).variant is Variant.OTOR
@@ -108,16 +141,22 @@ class TestScenario:
         assert scenario(25, 5, 4, 1).variant is Variant.CTOR
 
     def test_pool_too_small_rejected(self):
-        # the one pool check on the draw path: select_bridges takes a scenario
-        with pytest.raises(ValueError, match="cannot select 4 bridges from a pool of 3"):
-            scenario(2, 1, 4)
-
-    def test_replace_checks_the_pool_against_n(self):
-        s = scenario(3, 2, 5)
-        with pytest.raises(ValueError, match="cannot select 5 bridges from a pool of 4"):
-            s._replace(pool=BridgePool.build(3, 1))
-        assert s._replace(params=CodeParams(5, 3, 2)).variant is Variant.CTOR
+        # the scenario checks nothing; the draws check the pool against n
+        s = scenario(2, 1, 4)
+        assert s._replace(params=CodeParams(3, 2, 1)).variant is Variant.CTOR
         assert pickle.loads(pickle.dumps(s)) == s
+        for draw in (select_bridges, run_trial):
+            with pytest.raises(ValueError, match="cannot select 4 bridges from a pool of 3"):
+                draw(s, random.Random(0))
+
+    def test_no_draw_spins_on_a_pool_smaller_than_n(self):
+        # run apart under a timeout, so an urn that redraws forever fails
+        # in seconds instead of hanging the suite
+        result = subprocess.run(
+            [sys.executable, "-c", NO_HANG_PROGRAM, str(Path(censor.__file__).resolve().parents[1])],
+            capture_output=True, text=True, timeout=20, check=True,
+        )
+        assert result.stdout == "ValueError: cannot select 4 bridges from a pool of 3\n" * 4
 
     def test_rule(self):
         params = CodeParams(4, 3, 1)
@@ -204,7 +243,8 @@ class TestExitStreamMemory:
         assert info.currsize == info.misses == len(derived)  # nothing evicted
         assert all(depth == 1 and size <= onion._SHORT_SUBFLOW for _, depth, size in derived)
         # known bridges are always blocked, so they never carry a sub-flow
-        assert {cid for cid, _, _ in derived} <= BridgePool.build(DEFAULT_UNKNOWN, 0).unknown
+        pool = BridgePool.build(DEFAULT_UNKNOWN, 0)
+        assert {cid for cid, _, _ in derived} <= set(pool.ordered) - pool.known
         exits = default_registry()[1]
         assert info.currsize <= len(exits) * DEFAULT_UNKNOWN * len(DEFAULT_CONFIGS)
         # an e2e-sized transfer (86 generations, 45 KB sub-flows) adds nothing
@@ -377,7 +417,7 @@ def urn_draw(population: list[str], n: int, rng: random.Random) -> list[str]:
 
 def known_first(pool: BridgePool) -> list[str]:
     """The pool's ids with the known bridges in front, as the fast path's urn keeps them."""
-    return sorted(pool.known) + sorted(pool.unknown)
+    return sorted(pool.known) + sorted(set(pool.ordered) - pool.known)
 
 
 def reference_fast_path(s: CensorScenario, trials: int, seed: int) -> int:

@@ -430,7 +430,7 @@ class TestChecksBeforeOutput:
         "n-above-smallest-pool": ["--mb", "1", "--mknown", "0..3", "--variant", "mtor:4"],
         # mtor:1 is otor's shape, so both would write the same CSV keys
         "repeated-shape": ["--variant", "otor", "--variant", "mtor:1", "--mknown", "5"],
-        # rejected by run_campaign, CensorScenario or BridgePool.build, not by the CLI
+        # rejected by run_campaign, the bridge draws or BridgePool.build, not by the CLI
         "trials-zero": ["--trials", "0", "--variant", "mtor:4", "--mknown", "5"],
         "fraction-above-one": ["--full-pipeline-fraction", "1.5", "--variant", "mtor:4", "--mknown", "5"],
         "negative-mb": ["--mb", "-1", "--variant", "mtor:4", "--mknown", "5"],

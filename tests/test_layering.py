@@ -210,7 +210,7 @@ def test_a_record_that_checks_its_fields_is_built_only_through_its_new():
     # that check nothing, where a trial builds many
     paths = sorted(PACKAGE.glob("*.py"))
     checked = {name: path.stem for path in paths for name in classes_defining_new(path)}
-    assert checked == {"CodeParams": "codec", "CensorScenario": "censor"}
+    assert checked == {"CodeParams": "codec"}
     assert [site for path in paths for site in tuple_new_bypasses(path, set(checked))] == []
 
 

@@ -5,8 +5,10 @@ which results move and which check catches it.
 """
 
 import functools
+import itertools
 import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -305,6 +307,33 @@ def test_fast_path_counting_unknown_picks_is_uncaught_at_run_time(monkeypatch):
 
     monkeypatch.setattr(censor, "_fast_blocked_counts", counts_unknown)
     assert run_campaign(s, 20, 0, full_pipeline_fraction=0.05).p_empirical == 1.0
+
+
+def test_fast_path_sized_by_the_pool_tuple_raises_instead_of_spinning(monkeypatch):
+    """censor._fast_blocked_counts is handed len(pool), the BridgePool's
+    field count 2, as the pool size instead of len(pool.ordered). For
+    ctor:4:1 at 25 + 5 the urn would then reach m = 0, where getrandbits(0)
+    is always 0 and `while j >= m` never ends. The check that catches it is
+    the pool-size rule at the top of the urn (censor._check_pool_size): the
+    campaign raises at once. The mutant's draws are bounded, so a lost rule
+    fails this test instead of hanging it."""
+    s = CensorScenario(BridgePool.build(25, 5), CodeParams(4, 3, 1))
+    assert run_campaign(s, 20, 0).trials == 20
+    fast = censor._fast_blocked_counts
+
+    def sized_by_the_tuple(rng, size, known, n, count):
+        spins = itertools.count()
+
+        def getrandbits(bits):
+            if next(spins) == 10_000:
+                pytest.fail("the urn redrew 10,000 times")
+            return rng.getrandbits(bits)
+
+        return fast(types.SimpleNamespace(getrandbits=getrandbits), len(s.pool), known, n, count)
+
+    monkeypatch.setattr(censor, "_fast_blocked_counts", sized_by_the_tuple)
+    with pytest.raises(ValueError, match="cannot select 4 bridges from a pool of 2"):
+        run_campaign(s, 20, 0)
 
 
 def test_fast_path_redrawing_only_above_m_is_uncaught_at_run_time(monkeypatch):

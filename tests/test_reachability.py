@@ -22,7 +22,6 @@ UNREACHED = {
     "analytics.p_block_lnc": "library API: the exact tail of one (n, r) point",
     "analytics.enumerate_oracle": "reference oracle the closed form is tested against",
     "codec.CodeParams._make": "checked _replace: builds through CodeParams.__new__",
-    "censor.CensorScenario._make": "checked _replace: builds through CensorScenario.__new__",
     "cli.run": "console entry point; the calls here go through cli.main",
     "codec.encode_generation": "bound by the benchmark tracer (ROADMAP items 5 and 9)",
     "codec.decode_generation": "bound by the benchmark tracer (ROADMAP items 5 and 9)",
