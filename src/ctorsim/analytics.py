@@ -4,9 +4,9 @@ Selecting n bridges uniformly without replacement from a pool with
 `known` censor-known members, C(unknown, n-b) * C(known, b) of the
 C(unknown+known, n) selections block b circuits (blocked_counts). A
 probability is the share of selections whose blocked count interrupts
-the transfer, and codec.interrupted_by_rule alone says which counts do.
-Everything is computed in exact rational arithmetic (fractions.Fraction);
-floats appear only when callers convert at the output boundary.
+the transfer (count_interrupted, which censor's campaigns share with the
+pool checks); codec.interrupted_by_rule alone says which counts do. All
+arithmetic is exact (fractions.Fraction); callers convert to floats at output.
 """
 
 from __future__ import annotations
@@ -38,15 +38,23 @@ class ResourceLimitError(RuntimeError):
     """An enumeration request exceeds the subset guard."""
 
 
-def _check_pool(unknown: int, known: int, circuits: int) -> None:
+def check_bridge_counts(unknown: int, known: int) -> None:
+    """A pool's unknown and known bridge counts must be non-negative."""
     if unknown < 0 or known < 0:
         raise ValueError("bridge counts must be non-negative")
+
+
+def check_pool_size(n: int, size: int) -> None:
+    """n bridges drawn without replacement need a pool of at least n."""
+    if n > size:
+        raise ValueError(f"cannot select {n} bridges from a pool of {size}")
+
+
+def _check_pool(unknown: int, known: int, circuits: int) -> None:
+    check_bridge_counts(unknown, known)
     if circuits < 1:
         raise ValueError("at least one circuit is required")
-    if circuits > unknown + known:
-        raise ValueError(
-            f"cannot select {circuits} bridges from a pool of {unknown + known}"
-        )
+    check_pool_size(circuits, unknown + known)
 
 
 def blocked_counts(unknown: int, known: int, circuits: int) -> list[int]:
@@ -64,13 +72,15 @@ def p_block_lnc(unknown: int, known: int, circuits: int, redundancy: int) -> Fra
     the censor knows at most r bridges in total. For the uncoded variants
     (r = 0) one blocked circuit already kills the transfer. CodeParams checks r.
     """
-    return _p_block(unknown, known, CodeParams(circuits, circuits - redundancy, redundancy))
+    params = CodeParams(circuits, circuits - redundancy, redundancy)
+    law = blocked_counts(unknown, known, circuits)
+    return Fraction(count_interrupted(law, params), sum(law))
 
 
-def _p_block(unknown: int, known: int, params: CodeParams) -> Fraction:
-    counts = blocked_counts(unknown, known, params.n)
-    hits = sum(count for b, count in enumerate(counts) if interrupted_by_rule(b, params))
-    return Fraction(hits, sum(counts))
+def count_interrupted(law: Sequence[int], params: CodeParams) -> int:
+    """Σ_b law[b] over the blocked counts b the rule interrupts, for a law per
+    blocked count: blocked_counts' selections or a campaign's histogram."""
+    return sum(count for b, count in enumerate(law) if interrupted_by_rule(b, params))
 
 
 def enumerate_oracle(unknown: int, known: int, circuits: int) -> list[int]:
@@ -110,6 +120,6 @@ def sweep(unknown: int, known_range: Iterable[int], configs: Sequence[CodeParams
     """Exact probability grid over known-bridge counts and code shapes, in
     grid_points order."""
     return [
-        SweepRow(m_known, params, _p_block(unknown, m_known, params))
+        SweepRow(m_known, params, p_block_lnc(unknown, m_known, params.n, params.r))
         for m_known, params in grid_points(known_range, configs)
     ]

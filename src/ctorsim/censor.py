@@ -3,11 +3,11 @@
 The censor model is static: a fixed subset of the bridge pool is known to
 the censor, and every circuit whose entry bridge is known gets blocked.
 The client samples bridges uniformly without replacement and cannot tell
-known from unknown; both draws, the fast path's urn and select_bridges,
-check that the pool holds n. The engine only counts blocked circuits, per
-fast-path batch as a histogram with one bin per count and per pipeline
-trial as one count; codec.interrupted_by_rule alone decides which counts
-interrupt.
+known from unknown; BridgePool.build and both draws, the fast path's urn
+and select_bridges, check the pool with analytics' pool rule. The engine
+only counts blocked circuits, per fast-path batch as a histogram with one
+bin per count and per pipeline trial as one count; analytics.count_interrupted
+sums a histogram's bins where codec.interrupted_by_rule interrupts.
 
 Randomness is Python's random.Random (MT19937). A campaign draws from one
 stream, seeded from SHAKE-256 over (seed, "bridge-selection"), so results
@@ -27,6 +27,7 @@ import random
 from functools import lru_cache
 from typing import NamedTuple
 
+from .analytics import check_bridge_counts, check_pool_size, count_interrupted
 from .codec import CodeParams, Variant, interrupted_by_rule
 from .onion import CodedMessage, build_circuits, run_transfer
 
@@ -65,8 +66,7 @@ class BridgePool(NamedTuple):
     @classmethod
     @lru_cache(maxsize=64)
     def build(cls, num_unknown: int, num_known: int) -> "BridgePool":
-        if num_unknown < 0 or num_known < 0:
-            raise ValueError("bridge counts must be non-negative")
+        check_bridge_counts(num_unknown, num_known)
         known = frozenset([f"k{i:03d}" for i in range(num_known)])
         return cls(known, tuple(sorted(known.union([f"u{i:03d}" for i in range(num_unknown)]))))
 
@@ -112,18 +112,12 @@ def derive_rng(seed: int, label: str) -> random.Random:
     return random.Random(derive_seed(seed, label))
 
 
-def _check_pool_size(n: int, size: int) -> None:
-    """The rule of both draws: n bridges without replacement need a pool of at least n."""
-    if n > size:
-        raise ValueError(f"cannot select {n} bridges from a pool of {size}")
-
-
 def select_bridges(scenario: CensorScenario, rng: random.Random) -> list[str]:
     """Uniform sample of the scenario's n bridges without replacement over
     its whole pool, drawn with ``rng.sample`` over `pool.ordered`; raises
     ValueError if the pool holds fewer than n."""
     ordered, n = scenario.pool.ordered, scenario.params.n
-    _check_pool_size(n, len(ordered))
+    check_pool_size(n, len(ordered))
     return rng.sample(ordered, n)
 
 
@@ -159,9 +153,9 @@ def run_campaign(
     """Estimate the interruption probability over many independent trials.
 
     The fast path (an urn count of the known bridges each trial draws; see
-    _fast_blocked_counts) runs all `trials`, and the estimate counts the
-    trials in the bins of its blocked-count histogram where the rule
-    interrupts. Then round(trials * full_pipeline_fraction) full
+    _fast_blocked_counts) runs all `trials`; analytics.count_interrupted
+    counts the trials in the bins of its blocked-count histogram where the
+    rule interrupts. Then round(trials * full_pipeline_fraction) full
     select/encode/transmit/decode trials, at least one when the fraction is
     positive, run on the rest of the same stream as a cross-check: each
     raises ConsistencyError if the pipeline disagrees with the rule, and
@@ -179,8 +173,7 @@ def run_campaign(
     params = scenario.params
     pool = scenario.pool
     counts = _fast_blocked_counts(rng, len(pool.ordered), len(pool.known), params.n, trials)
-    # the rule is asked only of the bins some trial fell in
-    interruptions = sum(count for b, count in enumerate(counts) if count and interrupted_by_rule(b, params))
+    interruptions = count_interrupted(counts, params)
     checks = round(trials * full_pipeline_fraction)
     if full_pipeline_fraction > 0:
         checks = max(checks, 1)
@@ -199,9 +192,10 @@ def _fast_blocked_counts(rng: random.Random, size: int, known: int, n: int, coun
     (m = size, size - 1, ...) is j = getrandbits(m.bit_length()), redrawn
     while j >= m, and is a known bridge when j is below the known bridges
     left. Only the two counts matter, so no bridge id is drawn. Raises
-    ValueError if n exceeds `size`: the urn would reach m = 0 and spin.
+    ValueError if n exceeds `size` (analytics.check_pool_size; the counts
+    were checked when the pool was built): the urn would reach m = 0 and spin.
     """
-    _check_pool_size(n, size)
+    check_pool_size(n, size)
     getrandbits = rng.getrandbits
     draws = [(m, m.bit_length()) for m in range(size, size - n, -1)]
     counts = [0] * (n + 1)

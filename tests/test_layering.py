@@ -1,12 +1,14 @@
 """Module graph: each ctorsim module imports only the layers below it.
 
 gf256 is the field, codec the erasure code, onion the relays and transport,
-censor the trial engine and analytics the exact tails; cli wires them
-together. Pinning the relative imports keeps a concern from drifting into a
-module that does not own it (the relay pool back into censor, say). The
-same source scan checks that every functools cache is bounded, that a
-record whose class checks its fields in __new__ is never built around it,
-and that the wire header has one writer and one reader.
+analytics the exact tails, and censor the trial engine, which takes the pool
+rule and the interruption count from analytics; cli wires them together.
+Pinning the relative imports keeps a concern from drifting into a module
+that does not own it (the relay pool back into censor, say). The same
+source scan checks that every functools cache is bounded, that a record
+whose class checks its fields in __new__ is never built around it, that the
+wire header has one writer and one reader, and that each rule the exact
+tails and the campaigns share has one home.
 """
 
 import ast
@@ -20,7 +22,7 @@ EXPECTED_IMPORTS = {
     "gf256": set(),
     "codec": {"gf256"},
     "onion": {"codec", "gf256"},
-    "censor": {"codec", "onion"},
+    "censor": {"analytics", "codec", "onion"},
     "analytics": {"codec"},
     "cli": {"analytics", "censor", "codec", "onion"},
 }
@@ -273,3 +275,65 @@ def test_the_wire_header_has_one_writer_and_one_reader():
     uses = [use for path in sorted(PACKAGE.glob("*.py")) for use in struct_uses(path.read_text(), path.stem)]
     assert sorted({site for kind, site in uses if kind == "pack"}) == ["codec.encode_subflows"]
     assert [site for kind, site in uses if kind == "unpack"] == ["codec.from_wire_stream"]
+
+
+POOL_RULE_TEXTS = ("bridge counts must be non-negative", "bridges from a pool of")
+
+
+def rule_sites(source: str, module: str) -> list[tuple[str, str]]:
+    """Each place in a module's source that holds a pool-rule text or calls
+    interrupted_by_rule, as (the text or "interrupted_by_rule",
+    "module.qualname"). A text counts in a string or in an f-string's
+    literal part, but not in a docstring; a call counts by the name it is
+    made through, bare or as an attribute."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}"
+        elif isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            return
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.extend((text, scope) for text in POOL_RULE_TEXTS if text in node.value)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == "interrupted_by_rule":
+                found.append(("interrupted_by_rule", scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_rule_sites_find_f_string_parts_and_calls_but_not_docstrings():
+    source = (
+        'def check(n, size):\n'
+        '    """Raises cannot select n bridges from a pool of size."""\n'
+        '    raise ValueError(f"cannot select {n} bridges from a pool of {size}")\n'
+        "class Pool:\n"
+        "    def build(cls, a, b):\n"
+        '        raise ValueError("bridge counts must be non-negative")\n'
+        "def count(law, params):\n"
+        "    return [interrupted_by_rule(b, params) for b in law], codec.interrupted_by_rule(0, params)\n"
+    )
+    assert rule_sites(source, "m") == [
+        ("bridges from a pool of", "m.check"),
+        ("bridge counts must be non-negative", "m.Pool.build"),
+        ("interrupted_by_rule", "m.count"),
+        ("interrupted_by_rule", "m.count"),
+    ]
+
+
+def test_each_rule_the_two_models_share_has_one_home():
+    # the exact tail and the campaign check the same pool rule and count the
+    # same interrupted blocked counts, so each has one function in analytics
+    # that censor calls; run_trial asks the rule itself, for one trial's check
+    sites = [site for path in sorted(PACKAGE.glob("*.py")) for site in rule_sites(path.read_text(), path.stem)]
+    homes = {text: [scope for found, scope in sites if found == text] for text in POOL_RULE_TEXTS}
+    assert homes == {
+        "bridge counts must be non-negative": ["analytics.check_bridge_counts"],
+        "bridges from a pool of": ["analytics.check_pool_size"],
+    }
+    callers = sorted(scope for found, scope in sites if found == "interrupted_by_rule")
+    assert callers == ["analytics.count_interrupted", "censor.run_trial"]

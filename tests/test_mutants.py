@@ -31,9 +31,11 @@ def fresh_trial_cells():
 
 
 def test_rule_as_b_at_least_r_moves_every_law_and_fails_the_pipeline(monkeypatch):
-    """The blocked-count rule has one home: with the bound off by one where
-    analytics and censor import it, the exact tail, the campaign count and the
-    pipeline check all move with it."""
+    """The blocked-count rule has one home and one count: with the bound off
+    by one where analytics imports it, the exact tail and the campaign count
+    both move, since both count through analytics.count_interrupted, while
+    run_trial's check still agrees with the pipeline. It asks censor's own
+    import of the rule, so it fails once that is off by one too."""
     params = CodeParams(4, 3, 1)
     s = CensorScenario(BridgePool.build(25, 5), params)
     trials, seed = 2_000, 11
@@ -49,10 +51,12 @@ def test_rule_as_b_at_least_r_moves_every_law_and_fails_the_pipeline(monkeypatch
         return blocked_count >= params.r
 
     monkeypatch.setattr(analytics, "interrupted_by_rule", mutant)
-    monkeypatch.setattr(censor, "interrupted_by_rule", mutant)
     assert p_block_lnc(25, 5, 4, 1) == tail_from_1 == Fraction(14755, 27405)
     mutated = run_campaign(s, trials, seed, full_pipeline_fraction=0).interruptions
     assert mutated == interruptions + counts[1]
+    assert not run_trial(at_r, random.Random(0)).interrupted
+
+    monkeypatch.setattr(censor, "interrupted_by_rule", mutant)
     with pytest.raises(ConsistencyError, match="interrupted=False but blocked_count=1"):
         run_trial(at_r, random.Random(0))
 

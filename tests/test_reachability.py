@@ -19,7 +19,6 @@ import ctorsim
 PACKAGE = Path(ctorsim.__file__).resolve().parent
 
 UNREACHED = {
-    "analytics.p_block_lnc": "library API: the exact tail of one (n, r) point",
     "analytics.enumerate_oracle": "reference oracle the closed form is tested against",
     "codec.CodeParams._make": "checked _replace: builds through CodeParams.__new__",
     "cli.run": "console entry point; the calls here go through cli.main",
