@@ -18,7 +18,7 @@ these ints moves no output byte; little-endian is the cheaper conversion.
 A message is coded once, by building a CodedMessage(params, message): the
 constructor splits the message, has the encoder write its sub-flow wires in
 one batch, keeps the CodeParams that built it, and holds the message once
-per sub-flow: the int its circuit wraps, and the cells an exit parses from
+per sub-flow: the int its circuit wraps, and the cells parsed from
 its wire. No cells can be passed in, so every CodedMessage has the shape
 its code gives. run_transfer sends a CodedMessage and decodes by the params
 it carries. The censor sends one fixed message per code shape, so a
@@ -29,10 +29,10 @@ exit relay, the bridge and the sub-flow, so both are cached across
 transfers (exit streams only for short sub-flows such as a trial's); middle
 streams, and the exit streams of long sub-flows, are derived per transfer.
 wrap_layers and peel_layer call the cache of each hop's stream themselves.
-The exit compares the peeled int and size with the sub-flow that was sent:
-equal ones give the cells the message parsed from that same wire, which is
-what a parse at the exit would give, and any other value is turned back
-into bytes and parsed in full.
+As in the paper's model, a sub-flow arrives whole or not at all: the exit
+checks that its layers cancel, comparing the peeled int and size with the
+sub-flow that was sent, raises ValueError if they do not, and hands on the
+cells the message parsed from that same wire.
 
 OnionRouter, Circuit, LayeredCell and TransferResult are plain tuple
 records, and a CircuitSet is the tuple of its circuits: the pipeline builds
@@ -242,8 +242,8 @@ class CodedMessage:
     params.k cells and has the encoder write its params.n sub-flow wires in
     one batch, wire i holding coded cell i of every generation in order. It
     keeps `subflows[i]`, wire i as the little-endian int circuit i wraps,
-    `subflow_size`, the byte size all the wires share, and `cells[i]`, what
-    circuit i's exit parses from wire i; the wires themselves are dropped.
+    `subflow_size`, the byte size all the wires share, and `cells[i]`, the
+    parse of wire i that circuit i's exit hands on; the wires are dropped.
     It is immutable, so the trials of a code shape share one instance by
     identity, and iterating gives each sub-flow's cells.
     """
@@ -280,15 +280,13 @@ def transmit(
     """Carry a coded message across the circuit set; sub-flow i rides circuit i.
 
     The circuits whose indices are in `blocked` drop their whole sub-flow
-    silently. Each surviving sub-flow's int is wrapped once and peeled by
-    three peel_layer calls (entry, middle, exit), and the peeled int and
-    size are compared with the sub-flow that was sent: equal ones give the
-    cells CodedMessage parsed from that same wire, and any other value is
-    turned back into bytes and parsed under the one framing rule of a wire,
-    so the returned cells are exactly what the exit relay can see.
-    They come back sub-flow by sub-flow, in circuit order, each sub-flow's
-    in the order its exit read them, so a sub-flow that arrives short
-    loses only its own missing cells.
+    silently; every other sub-flow arrives whole. Its int is wrapped once
+    and peeled by three peel_layer calls (entry, middle, exit), and the
+    exit checks that the peeled int and size (an int drops trailing zero
+    bytes) are the sub-flow that was sent, raising ValueError naming it
+    otherwise, and hands on the cells CodedMessage parsed from that wire.
+    They come back sub-flow by sub-flow, in circuit order, each in
+    generation order.
     The message has its code's shape, so only its code's n against the
     circuit count and the blocked indices are checked here, before anything
     is wrapped: each index goes through operator.index, like CodeParams'
@@ -310,10 +308,9 @@ def transmit(
         entry, middle, exit = circuit
         sent = subflows[idx]
         value, peeled, _, _ = peel_layer(peel_layer(peel_layer(wrap_layers(sent, size, circuit), entry), middle), exit)
-        if value == sent and peeled == size:
-            arrived += cells[idx]
-        else:
-            arrived += CodedCell.from_wire_stream(value.to_bytes(peeled, "little"))
+        if value != sent or peeled != size:
+            raise ValueError(f"sub-flow {idx} did not peel back to the wire that was sent")
+        arrived += cells[idx]
     return arrived
 
 
@@ -337,31 +334,21 @@ def run_transfer(
 
     `coded` is CodedMessage(params, message) for the code the circuits
     run; transmit checks it against the circuit count and `blocked`, and
-    decoding uses its params. The arrived cells are grouped by their
-    generation id, each generation's in circuit order, for the G
-    generations each of its sub-flows carries, and a generation with fewer
-    than k of them fails. Success means every generation decoded
+    decoding uses its params. Every arrived sub-flow is whole, G cells in
+    generation order, so generation g's cells are every G-th arrived cell
+    from the g-th, in circuit order, and every generation receives the
+    same count. Below k the G generations all fail undecoded; otherwise
+    those that do not decode fail. Success means every generation decoded
     and the reassembled bytes equal `message`; for otor and mtor that
     reduces to no circuit in `blocked`.
     """
-    params = coded.params
     arrived = transmit(circuits, coded, blocked)
-
-    by_generation: dict[int, list[CodedCell]] = {}
-    for cell in arrived:
-        by_generation.setdefault(cell.generation_id, []).append(cell)
-
-    decodable: list[list[CodedCell]] = []
-    failed: list[int] = []
-    counts: list[int] = []
-    for generation_id in range(len(coded.cells[0])):
-        cells = by_generation.get(generation_id, [])
-        counts.append(len(cells))
-        if len(cells) < params.k:
-            failed.append(generation_id)
-        else:
-            decodable.append(cells)
-    decoded, unrecoverable = decode_generations(decodable, params)
-    if failed or unrecoverable:
-        return TransferResult(False, tuple(sorted(failed + unrecoverable)), tuple(counts))
-    return TransferResult(reassemble_message(decoded) == bytes(message), (), tuple(counts))
+    generations = len(coded.cells[0])
+    received = len(arrived) // generations
+    counts = (received,) * generations
+    if received < coded.params.k:
+        return TransferResult(False, tuple(range(generations)), counts)
+    decoded, failed = decode_generations([arrived[g::generations] for g in range(generations)], coded.params)
+    if failed:
+        return TransferResult(False, tuple(failed), counts)
+    return TransferResult(reassemble_message(decoded) == bytes(message), (), counts)

@@ -7,8 +7,9 @@ Pinning the relative imports keeps a concern from drifting into a module
 that does not own it (the relay pool back into censor, say). The same
 source scan checks that every functools cache is bounded, that a record
 whose class checks its fields in __new__ is never built around it, that the
-wire header has one writer and one reader, and that each rule the exact
-tails and the campaigns share has one home.
+wire header has one writer and one reader, that the pipeline parses a wire
+only where a message is coded, and that each rule the exact tails and the
+campaigns share has one home.
 """
 
 import ast
@@ -275,6 +276,35 @@ def test_the_wire_header_has_one_writer_and_one_reader():
     uses = [use for path in sorted(PACKAGE.glob("*.py")) for use in struct_uses(path.read_text(), path.stem)]
     assert sorted({site for kind, site in uses if kind == "pack"}) == ["codec.encode_subflows"]
     assert [site for kind, site in uses if kind == "unpack"] == ["codec.from_wire_stream"]
+
+
+def parser_uses(source: str, module: str) -> list[str]:
+    """Each place in a module's source that names from_wire_stream, as an
+    attribute or bare, so an alias counts as well as a call, as
+    "module.qualname"."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}"
+        elif (isinstance(node, ast.Attribute) and node.attr == "from_wire_stream") or (
+            isinstance(node, ast.Name) and node.id == "from_wire_stream"
+        ):
+            found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_the_parser_is_called_only_where_a_message_is_coded():
+    # a sub-flow arrives whole or not at all, so the exit hands on the cells
+    # CodedMessage parsed from the wire it sent and never parses; the other
+    # use is encode_generation's, the one-generation codec call outside the
+    # pipeline
+    uses = [use for path in sorted(PACKAGE.glob("*.py")) for use in parser_uses(path.read_text(), path.stem)]
+    assert uses == ["codec.encode_generation", "onion.CodedMessage.__init__"]
 
 
 POOL_RULE_TEXTS = ("bridge counts must be non-negative", "bridges from a pool of")

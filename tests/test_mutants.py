@@ -64,7 +64,7 @@ def test_rule_as_b_at_least_r_moves_every_law_and_fails_the_pipeline(monkeypatch
 def test_wire_cells_with_the_last_byte_flipped_fail_every_transfer(monkeypatch, fresh_trial_cells):
     """The sub-flow writer flips the last payload byte of every cell. The
     wire is the encoder's only output, so the message still builds, and each
-    exit parses exactly the altered cells it is sent. The check that
+    exit hands on the parse of exactly the altered wire it is sent. The check that
     catches it is the transfer's comparison of the decoded bytes with the
     message: run_transfer fails with no failed generation, and run_trial and
     a fraction-1 run_campaign raise ConsistencyError where the rule says a
@@ -92,7 +92,7 @@ def test_wire_cells_with_the_last_byte_flipped_fail_every_transfer(monkeypatch, 
     monkeypatch.setattr(onion, "encode_subflows", flipped)
     censor._trial_cells.cache_clear()
     coded = CodedMessage(params, message)
-    # it builds, holding the altered cells each exit parses from its wire
+    # it builds, holding the altered cells parsed from each wire
     for cells, clean_cells in zip(coded.cells, clean.cells, strict=True):
         assert [cell.payload[-1] ^ 1 for cell in cells] == [cell.payload[-1] for cell in clean_cells]
     for blocked in (set(), {1}):
@@ -104,14 +104,14 @@ def test_wire_cells_with_the_last_byte_flipped_fail_every_transfer(monkeypatch, 
         run_campaign(campaign, 10, 1, full_pipeline_fraction=1)
 
 
-def test_entry_and_middle_peeled_in_swapped_order_fail_the_exit_parse(monkeypatch, parser_calls):
+def test_entry_and_middle_peeled_in_swapped_order_fail_the_exit_check(monkeypatch):
     """onion.peel_layer peels the entry and middle hops in swapped order: the
     entry's stream is removed at the middle's layer position and the
     middle's at the entry's, the bytes that peeling the middle first gives.
     The layer position is bound into each stream, so the peeled bytes differ
-    from the sub-flow sent, the exit parses them in full, and the check that
-    catches it is that parse: run_trial raises ValueError within a seeded
-    budget of trials."""
+    from the sub-flow sent; the check that catches it is the exit's compare
+    of the peeled int and size with that sub-flow: run_trial raises
+    ValueError within a seeded budget of trials."""
     s = CensorScenario(BridgePool.build(25, 5), CodeParams(4, 3, 1))
     budget = 5
     rng = random.Random(0)
@@ -126,20 +126,19 @@ def test_entry_and_middle_peeled_in_swapped_order_fail_the_exit_parse(monkeypatc
         return peel(cell._replace(layers_remaining=5 - depth), router)._replace(layers_remaining=depth - 1)
 
     monkeypatch.setattr(onion, "peel_layer", swapped)
-    parser_calls.clear()
     rng = random.Random(0)
-    with pytest.raises(ValueError, match="is not whole cells of k="):
+    with pytest.raises(ValueError, match="did not peel back to the wire that was sent"):
         for _ in range(budget):
             run_trial(s, rng)
-    assert "transmit" in parser_calls[-1][1]
 
 
-def test_middle_stream_wrapped_at_the_entry_depth_fails_the_exit_parse(monkeypatch, parser_calls):
+def test_middle_stream_wrapped_at_the_entry_depth_fails_the_exit_check(monkeypatch):
     """onion.wrap_layers XORs the middle hop's stream at layer position 3,
     the entry's, instead of 2. The middle's peel removes its depth-2 stream,
-    so the exit is handed bytes that differ from the sub-flow sent and
-    parses them in full; the check that catches it is that parse: run_trial
-    raises ValueError within a seeded budget of trials."""
+    so the exit is handed bytes that differ from the sub-flow sent; the
+    check that catches it is the exit's compare of the peeled int and size
+    with that sub-flow: run_trial raises ValueError within a seeded budget
+    of trials."""
     s = CensorScenario(BridgePool.build(25, 5), CodeParams(10, 6, 4))
     budget = 5
     rng = random.Random(0)
@@ -154,12 +153,45 @@ def test_middle_stream_wrapped_at_the_entry_depth_fails_the_exit_parse(monkeypat
         return onion.LayeredCell(value, size, 3, cid)
 
     monkeypatch.setattr(onion, "wrap_layers", middle_at_depth_3)
-    parser_calls.clear()
     rng = random.Random(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="did not peel back to the wire that was sent"):
         for _ in range(budget):
             run_trial(s, rng)
-    assert "transmit" in parser_calls[-1][1]
+
+
+def test_generations_sliced_one_stride_off_mix_generations(monkeypatch):
+    """onion.run_transfer slices generation g's cells as arrived[g::G + 1]
+    instead of arrived[g::G], where G is the number of generations each
+    sub-flow carries. On a message of G >= 2 every slice then steps from one
+    generation into the next; the check that catches it is
+    decode_generations' refusal of a cell list whose generation ids differ
+    ("coded cells from mixed generations"): every transfer that receives
+    k sub-flows raises ValueError, blocked or not."""
+    params = CodeParams(4, 3, 1)
+    message = random.Random(17).randbytes(4000)
+    coded = CodedMessage(params, message)
+    assert len(coded.cells[0]) == 3
+    circuits = build_circuits([f"b{i}" for i in range(4)], random.Random(0))
+    blockings = (set(), {1}, {0, 3})
+    assert [run_transfer(circuits, coded, message, blocked).success for blocked in blockings] == [True, True, False]
+
+    def sliced_one_stride_off(circuits, coded, message, blocked=frozenset()):
+        arrived = onion.transmit(circuits, coded, blocked)
+        generations = len(coded.cells[0])
+        received = len(arrived) // generations
+        counts = (received,) * generations
+        if received < coded.params.k:
+            return onion.TransferResult(False, tuple(range(generations)), counts)
+        slices = [arrived[g :: generations + 1] for g in range(generations)]
+        decoded, failed = codec.decode_generations(slices, coded.params)
+        if failed:
+            return onion.TransferResult(False, tuple(failed), counts)
+        return onion.TransferResult(codec.reassemble_message(decoded) == message, (), counts)
+
+    monkeypatch.setattr(onion, "run_transfer", sliced_one_stride_off)
+    for blocked in (set(), {1}):
+        with pytest.raises(ValueError, match="^coded cells from mixed generations$"):
+            onion.run_transfer(circuits, coded, message, blocked)
 
 
 @pytest.mark.parametrize("params", [CodeParams(4, 3, 1), CodeParams(10, 6, 4)], ids=["ctor-4-1", "ctor-10-4"])
@@ -269,7 +301,7 @@ def test_transmit_dropping_the_circuit_after_each_blocked_one_fails_the_rule(mon
 def test_parity_subflows_written_with_the_next_parity_row_fail_the_rule(monkeypatch, fresh_trial_cells, params, caught):
     """The sub-flow writer puts the next parity row's coefficients (the
     last takes the first's) in the header of each parity cell, over the
-    payload its own row made. The exit parses well-formed cells, so a trial
+    payload its own row made. The wires parse to well-formed cells, so a trial
     that decodes through a parity cell rebuilds the wrong bytes; the check
     that catches it is run_trial's comparison with the blocked-count rule:
     it raises ConsistencyError within a seeded budget of trials. With one
@@ -318,8 +350,8 @@ def test_fast_path_sized_by_the_pool_tuple_raises_instead_of_spinning(monkeypatc
     field count 2, as the pool size instead of len(pool.ordered). For
     ctor:4:1 at 25 + 5 the urn would then reach m = 0, where getrandbits(0)
     is always 0 and `while j >= m` never ends. The check that catches it is
-    the pool-size rule at the top of the urn (censor._check_pool_size): the
-    campaign raises at once. The mutant's draws are bounded, so a lost rule
+    the pool-size rule, analytics.check_pool_size, called at the top of the
+    urn in censor._fast_blocked_counts: the campaign raises at once. The mutant's draws are bounded, so a lost rule
     fails this test instead of hanging it."""
     s = CensorScenario(BridgePool.build(25, 5), CodeParams(4, 3, 1))
     assert run_campaign(s, 20, 0).trials == 20

@@ -495,7 +495,7 @@ class TestCodedMessage:
         "params", [CodeParams(1, 1, 0), CodeParams(4, 4, 0), CodeParams(10, 6, 4)], ids=["otor", "mtor-4", "ctor-10-4"]
     )
     def test_each_subflow_parses_to_its_column_of_the_batch_encoding(self, params):
-        # the round trip of record: what each exit parses from its wire is
+        # the round trip of record: what each sub-flow's wire parses to is
         # exactly coded cell i of each generation, encoded one at a time
         message = message_of(params, 3)
         coded = CodedMessage(params, message)
@@ -688,8 +688,8 @@ class TestSubflowStreams:
         # one k = 1 generation (519-byte wire cells), then one k = 2 generation
         # (520 bytes); a CodedMessage holds one k, so each unblocked circuit's
         # stream is wrapped and peeled directly, as transmit does. The bytes
-        # come back intact, and the exit's parse rejects them: a circuit
-        # carries one code's cells, so a wire of two k is not a sub-flow
+        # come back intact, and the parser rejects them: a circuit carries
+        # one code's cells, so a wire of two k is not a sub-flow
         rng = random.Random(30)
         narrow, wide = CodeParams(2, 1, 1), CodeParams(2, 2, 0)
         coded = [
@@ -709,7 +709,8 @@ class TestSubflowStreams:
 
 
 class TestExitParse:
-    """The exit hands back an unaltered sub-flow's own cells and parses any other bytes in full."""
+    """The exit hands on an unaltered sub-flow's own cells, parsing nothing,
+    and raises on any other bytes: a sub-flow arrives whole or not at all."""
 
     PARAMS = CodeParams(10, 6, 4)
     BLOCKED = {1, 4}
@@ -735,9 +736,9 @@ class TestExitParse:
         assert delivered == [cell for cells in arrived for cell in cells]
         assert len(delivered) == 8 * generations
 
-    def test_a_subflow_cut_short_loses_only_its_own_cells(self, monkeypatch):
-        # circuit 0's exit loses the last wire cell of its two; every other
-        # cell arrives, so generation 1 still has 9 >= k cells and decodes
+    def test_a_subflow_cut_short_raises_at_the_exit(self, parser_calls, monkeypatch):
+        # circuit 3's exit loses the last wire cell of its two: the sub-flow
+        # is not whole, so the transfer raises instead of decoding what came
         message = message_of(self.PARAMS, 2)
         coded = CodedMessage(self.PARAMS, message)
         circuits = circuits_for(10)
@@ -745,14 +746,17 @@ class TestExitParse:
 
         def cutting_peel(cell, router):
             cell = peel_layer(cell, router)
-            if cell.layers_remaining or cell.circuit_id != circuits[0].circuit_id:
+            if cell.layers_remaining or cell.circuit_id != circuits[3].circuit_id:
                 return cell
             size = cell.size - cell_size
             return cell._replace(value=cell.value & ((1 << 8 * size) - 1), size=size)
 
         monkeypatch.setattr(onion, "peel_layer", cutting_peel)
-        assert transmit(circuits, coded) == [coded.cells[0][0]] + [cell for cells in coded.cells[1:] for cell in cells]
-        assert run_transfer(circuits, coded, message) == onion.TransferResult(True, (), (10, 9))
+        parser_calls.clear()
+        for send in (transmit, lambda circuits, coded: run_transfer(circuits, coded, message)):
+            with pytest.raises(ValueError, match="^sub-flow 3 did not peel back to the wire that was sent$"):
+                send(circuits, coded)
+        assert parser_calls == []
 
     @pytest.mark.parametrize("fault", ["cut-payload", "cut-header", "k-zero"])
     @pytest.mark.parametrize("generations", [1, 86])
@@ -771,11 +775,11 @@ class TestExitParse:
 
         monkeypatch.setattr(onion, "peel_layer", malforming_peel)
         parser_calls.clear()
-        for attempt in (1, 2, 3):
-            # none of the three is whole cells of the sub-flow's k
-            with pytest.raises(ValueError, match="is not whole cells of k=6"):
+        for _ in range(3):
+            # the exit's check rejects the bytes before anything parses them
+            with pytest.raises(ValueError, match="^sub-flow 0 did not peel back to the wire that was sent$"):
                 transmit(circuits, coded, self.BLOCKED)
-            assert [wire for wire, _ in parser_calls] == [malformed] * attempt
+        assert parser_calls == []
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -874,21 +878,23 @@ class TestRunTransfer:
         ],
     )
     def test_success_iff_blocking_within_redundancy(self, variant, params):
-        # every blocked-subset pattern, not just single losses
+        # every blocked-subset pattern, not just single losses, on a message
+        # of one generation for each coded shape and on one of at least three
         assert Variant.of(params) is variant
-        message = random.Random(22).randbytes(1500)
         circuits = circuits_for(params.n)
-        coded = CodedMessage(params, message)
-        for size in range(params.n + 1):
-            for blocked in itertools.combinations(range(params.n), size):
-                result = run_transfer(circuits, coded, message, blocked)
-                assert result.success == (size <= params.r), blocked
-                # the record's invariants, on every result the library returns
-                success, failed, counts = result
-                assert type(success) is bool
-                assert type(failed) is tuple and list(failed) == sorted(failed)
-                assert set(failed) <= set(range(len(counts)))
-                assert not (success and failed)
+        for length in (1500, 3 * params.k * CELL_SIZE):
+            message = random.Random(22).randbytes(length)
+            coded = CodedMessage(params, message)
+            generations = len(coded.cells[0])
+            assert length == 1500 or generations >= 3
+            for size in range(params.n + 1):
+                for blocked in itertools.combinations(range(params.n), size):
+                    result = run_transfer(circuits, coded, message, blocked)
+                    assert result.success == (size <= params.r), blocked
+                    # every generation receives the same cells, so all or none fail
+                    assert result.failed_generations == (() if size <= params.r else tuple(range(generations)))
+                    assert result.delivered_counts == (params.n - size,) * generations
+                    assert type(result.success) is bool
 
     @pytest.mark.parametrize("blocked", [(), (1,), (1, 4), (0, 2, 5, 9)])
     def test_decode_scales_each_missing_original_once_per_transfer(self, blocked, scale_calls):
