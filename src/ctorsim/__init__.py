@@ -18,7 +18,9 @@ from .censor import (
     TrialOutcome,
     derive_rng,
     derive_seed,
+    pipeline_checks,
     run_campaign,
+    run_pipeline_checks,
     run_trial,
     select_bridges,
 )

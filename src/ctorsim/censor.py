@@ -9,14 +9,17 @@ only counts blocked circuits, per fast-path batch as a histogram with one
 bin per count and per pipeline trial as one count; analytics.count_interrupted
 sums a histogram's bins where codec.interrupted_by_rule interrupts.
 
-Randomness is Python's random.Random (MT19937). A campaign draws from one
-stream, seeded from SHAKE-256 over (seed, "bridge-selection"), so results
-are bit-reproducible for a fixed seed. The fast path makes the whole
-estimate from that stream's first draws; the full-pipeline trials run after
-it on the rest of the stream, as checks that count for nothing, so the
-estimate cannot move with the full-pipeline fraction. The fast path draws
-with getrandbits alone, so a CSV is the same bytes on any interpreter;
-select_bridges calls random.sample.
+Randomness is Python's random.Random (MT19937), each stream seeded from
+SHAKE-256 over (seed, label), so results are bit-reproducible for a fixed
+seed. A campaign is the estimate alone: the fast path draws all of it from
+the "bridge-selection" stream of the point's seed. The full-pipeline trials
+are a phase of their own that runs after every estimate of a grid, one code
+shape at a time on that shape's "pipeline-checks" stream, as checks that
+count for nothing; so neither the estimate nor the checks can move with the
+other's draws. pipeline_checks is the one home of the fraction's range and
+of how many checks a point gets. The fast path draws with getrandbits
+alone, so a CSV is the same bytes on any interpreter; select_bridges calls
+random.sample.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import hashlib
 import math
 import random
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .analytics import check_bridge_counts, check_pool_size, count_interrupted
 from .codec import CodeParams, Variant, interrupted_by_rule
@@ -143,45 +146,62 @@ def run_trial(scenario: CensorScenario, rng: random.Random) -> TrialOutcome:
     return TrialOutcome(blocked_count, interrupted)
 
 
-def run_campaign(
-    scenario: CensorScenario,
-    trials: int,
-    seed: int,
-    *,
-    full_pipeline_fraction: float = DEFAULT_FULL_PIPELINE_FRACTION,
-) -> CampaignResult:
+def run_campaign(scenario: CensorScenario, trials: int, seed: int) -> CampaignResult:
     """Estimate the interruption probability over many independent trials.
 
     The fast path (an urn count of the known bridges each trial draws; see
-    _fast_blocked_counts) runs all `trials`; analytics.count_interrupted
-    counts the trials in the bins of its blocked-count histogram where the
-    rule interrupts. Then round(trials * full_pipeline_fraction) full
-    select/encode/transmit/decode trials, at least one when the fraction is
-    positive, run on the rest of the same stream as a cross-check: each
-    raises ConsistencyError if the pipeline disagrees with the rule, and
-    none is counted. The empirical fraction comes with the Wald 95%
-    half-width 1.96 * sqrt(p(1 - p) / trials), which is 0 whenever no trial
-    or every trial is interrupted, even where the exact p lies strictly
-    between 0 and 1 (ROADMAP item 3). A pool smaller than n raises
-    ValueError from the fast path, before any trial runs.
+    _fast_blocked_counts) runs all `trials` on the point's "bridge-selection"
+    stream; analytics.count_interrupted counts the trials in the bins of its
+    blocked-count histogram where the rule interrupts. No pipeline trial runs
+    here: run_pipeline_checks cross-checks a grid after its estimates. The
+    empirical fraction comes with the Wald 95% half-width
+    1.96 * sqrt(p(1 - p) / trials), which is 0 whenever no trial or every
+    trial is interrupted, even where the exact p lies strictly between 0 and
+    1 (ROADMAP item 3). A pool smaller than n raises ValueError from the fast
+    path, before any trial runs.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not 0.0 <= full_pipeline_fraction <= 1.0:
-        raise ValueError("full_pipeline_fraction must be in [0, 1]")
     rng = derive_rng(seed, "bridge-selection")
     params = scenario.params
     pool = scenario.pool
     counts = _fast_blocked_counts(rng, len(pool.ordered), len(pool.known), params.n, trials)
     interruptions = count_interrupted(counts, params)
-    checks = round(trials * full_pipeline_fraction)
-    if full_pipeline_fraction > 0:
-        checks = max(checks, 1)
-    for _ in range(checks):
-        run_trial(scenario, rng)
     p = interruptions / trials
     ci95 = 1.96 * math.sqrt(p * (1.0 - p) / trials)
     return CampaignResult(trials, interruptions, p, ci95)
+
+
+def pipeline_checks(trials: int, full_pipeline_fraction: float) -> int:
+    """How many full-pipeline checks a point of `trials` estimate trials
+    gets: round(trials * full_pipeline_fraction), and at least one when the
+    fraction is positive. Raises ValueError unless the fraction is in [0, 1]."""
+    if not 0.0 <= full_pipeline_fraction <= 1.0:
+        raise ValueError("full_pipeline_fraction must be in [0, 1]")
+    checks = round(trials * full_pipeline_fraction)
+    return max(checks, 1) if full_pipeline_fraction > 0 else checks
+
+
+def run_pipeline_checks(grid: Iterable[CensorScenario], checks: int, seed: int) -> None:
+    """Cross-check a grid's estimates with `checks` full select/encode/
+    transmit/decode trials per point, after every estimate has run.
+
+    The points are taken one code shape at a time, in the order the shapes
+    first appear in `grid`. Each shape draws from its own stream,
+    derive_rng(seed, "pipeline-checks:<variant>:<n>:<r>"), which its points
+    use one after another in grid order, m_known order for a grid_points
+    grid; so the checks draw nothing from an estimate's stream, and no
+    estimate's draw count moves them. Each trial raises ConsistencyError if
+    the pipeline disagrees with the rule; none is counted.
+    """
+    shapes: dict[CodeParams, list[CensorScenario]] = {}
+    for scenario in grid:
+        shapes.setdefault(scenario.params, []).append(scenario)
+    for params, points in shapes.items():
+        rng = derive_rng(seed, f"pipeline-checks:{Variant.of(params).value}:{params.n}:{params.r}")
+        for scenario in points:
+            for _ in range(checks):
+                run_trial(scenario, rng)
 
 
 def _fast_blocked_counts(rng: random.Random, size: int, known: int, n: int, count: int) -> list[int]:

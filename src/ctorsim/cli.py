@@ -49,7 +49,9 @@ from .censor import (
     CensorScenario,
     derive_rng,
     derive_seed,
+    pipeline_checks,
     run_campaign,
+    run_pipeline_checks,
     select_bridges,
 )
 from .codec import MAX_N, CodeParams, Variant
@@ -209,21 +211,28 @@ def _analytic_csv(rows: Sequence[SweepRow]) -> str:
     )
 
 
-def _simulated_rows(cfg: ExperimentConfig) -> Iterator[list]:
+def _simulated_rows(grid: Sequence[CensorScenario], trials: int, seed: int) -> Iterator[list]:
     # yielded, so each row becomes CSV text as soon as it is computed and no
     # list of rows stays alive across the campaigns
-    trials, seed, fraction = cfg.trials, cfg.seed, cfg.full_pipeline_fraction
-    for m_known, params in grid_points(cfg.mknown, cfg.variant):
-        scenario = CensorScenario(BridgePool.build(cfg.mb, m_known), params)
-        variant, n, r = scenario.variant.value, params.n, params.r
-        result = run_campaign(
-            scenario, trials, derive_seed(seed, f"point:{m_known}:{variant}:{n}:{r}"), full_pipeline_fraction=fraction
-        )
+    for scenario in grid:
+        params = scenario.params
+        m_known, variant, n, r = len(scenario.pool.known), scenario.variant.value, params.n, params.r
+        result = run_campaign(scenario, trials, derive_seed(seed, f"point:{m_known}:{variant}:{n}:{r}"))
         yield [m_known, variant, n, r, repr(result.p_empirical), repr(result.ci95), trials, seed]
 
 
 def _simulated_csv(cfg: ExperimentConfig) -> str:
-    return _csv_text(["m_known", "variant", "n", "r", "p_empirical", "ci95", "trials", "seed"], _simulated_rows(cfg))
+    """Every point's estimate, then the grid's pipeline checks, then the CSV
+    text; the check count is computed first, so a bad fraction draws nothing."""
+    checks = pipeline_checks(cfg.trials, cfg.full_pipeline_fraction)
+    grid = [
+        CensorScenario(BridgePool.build(cfg.mb, m_known), params)
+        for m_known, params in grid_points(cfg.mknown, cfg.variant)
+    ]
+    header = ["m_known", "variant", "n", "r", "p_empirical", "ci95", "trials", "seed"]
+    text = _csv_text(header, _simulated_rows(grid, cfg.trials, cfg.seed))
+    run_pipeline_checks(grid, checks, cfg.seed)
+    return text
 
 
 def cmd_analytic(args: argparse.Namespace) -> int:
@@ -382,9 +391,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    # the parser is a cyclic structure: unreferenced before the command
+    # runs, it is freed at the next young collection instead of being
+    # promoted with the command's objects to wait for a full one
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -19,11 +19,14 @@ from ctorsim.analytics import (
     p_block_lnc,
 )
 from ctorsim.censor import (
+    DEFAULT_FULL_PIPELINE_FRACTION,
     BridgePool,
     CensorScenario,
     derive_rng,
     derive_seed,
+    pipeline_checks,
     run_campaign,
+    run_pipeline_checks,
     run_trial,
 )
 from ctorsim.cli import main
@@ -127,9 +130,11 @@ MONTE_CARLO_POINTS = [
 
 
 def test_criterion_4_monte_carlo_convergence():
-    """10^5-trial campaigns land within 3 binomial sigma of the exact values."""
+    """10^5-trial campaigns land within 3 binomial sigma of the exact values,
+    and the default share of pipeline checks agrees with every point."""
     assert len(MONTE_CARLO_POINTS) == 12
     trials = 100_000
+    grid = []
     for m_known, variant, n, r in MONTE_CARLO_POINTS:
         exact = float(p_block_lnc(25, m_known, n, r))
         scenario = CensorScenario(BridgePool.build(25, m_known), CodeParams(n, n - r, r))
@@ -139,6 +144,9 @@ def test_criterion_4_monte_carlo_convergence():
         assert abs(result.p_empirical - exact) <= 3 * sigma, (
             m_known, variant, n, r, result.p_empirical, exact,
         )
+        grid.append(scenario)
+    # run_trial raises ConsistencyError on any disagreement
+    run_pipeline_checks(grid, pipeline_checks(trials, DEFAULT_FULL_PIPELINE_FRACTION), 0)
     report(4, "Monte Carlo convergence", f"12 points x {trials} trials, 3 sigma")
 
 

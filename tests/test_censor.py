@@ -21,7 +21,9 @@ from ctorsim.censor import (
     derive_rng,
     derive_seed,
     interrupted_by_rule,
+    pipeline_checks,
     run_campaign,
+    run_pipeline_checks,
     run_trial,
     select_bridges,
 )
@@ -237,7 +239,7 @@ class TestExitStreamMemory:
         for m_known in (0, 12, 25):
             pool = BridgePool.build(DEFAULT_UNKNOWN, m_known)
             for params in DEFAULT_CONFIGS:
-                run_campaign(CensorScenario(pool, params), 30, m_known, full_pipeline_fraction=1)
+                run_pipeline_checks([CensorScenario(pool, params)], 30, m_known)
         info = cache.cache_info()
         assert info.hits > 0
         assert info.currsize == info.misses == len(derived)  # nothing evicted
@@ -258,7 +260,7 @@ class TestExitStreamMemory:
         for m_known in (0, 12, 25):
             pool = BridgePool.build(DEFAULT_UNKNOWN, m_known)
             for params in DEFAULT_CONFIGS:
-                run_campaign(CensorScenario(pool, params), 30, m_known, full_pipeline_fraction=1)
+                run_pipeline_checks([CensorScenario(pool, params)], 30, m_known)
         # encoding a shape's trial message parses each of its sub-flows back
         # once; every trial's exit peels those same bytes and gets the
         # checked cells, so it parses nothing
@@ -307,12 +309,13 @@ class TestRunCampaign:
         assert run_campaign(s, 5000, seed=11) == run_campaign(s, 5000, seed=11)
 
     def test_selection_stream_independent_of_pipeline_fraction(self):
-        # the pipeline checks draw only after the estimate's draws, so the
+        # the pipeline checks draw from streams of their own, so the
         # estimate must not move when the cross-check fraction changes
         s = scenario(25, 5, 4)
-        a = run_campaign(s, 4000, seed=2, full_pipeline_fraction=0.0)
-        b = run_campaign(s, 4000, seed=2, full_pipeline_fraction=0.05)
-        assert a.interruptions == b.interruptions
+        a = run_campaign(s, 4000, seed=2)
+        for fraction in (0.0, 0.05):
+            run_pipeline_checks([s], pipeline_checks(4000, fraction), 2)
+            assert run_campaign(s, 4000, seed=2) == a
 
     def test_matches_exact_value_within_three_sigma(self):
         exact = float(p_block_lnc(25, 5, 4, 0))
@@ -334,10 +337,11 @@ class TestRunCampaign:
 
     def test_rejects_bad_arguments(self):
         s = scenario(25, 5, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
             run_campaign(s, 0, seed=0)
-        with pytest.raises(ValueError):
-            run_campaign(s, 10, seed=0, full_pipeline_fraction=1.5)
+        for fraction in (1.5, -0.01, math.nan):
+            with pytest.raises(ValueError, match=r"^full_pipeline_fraction must be in \[0, 1\]$"):
+                pipeline_checks(10, fraction)
 
     @pytest.mark.parametrize(
         "trials,fraction,expected",
@@ -351,37 +355,76 @@ class TestRunCampaign:
             return run_trial(*args, **kwargs)
 
         monkeypatch.setattr(censor, "run_trial", counting_run_trial)
-        run_campaign(scenario(25, 5, 1), trials, seed=1, full_pipeline_fraction=fraction)
+        run_pipeline_checks([scenario(25, 5, 1)], pipeline_checks(trials, fraction), seed=1)
         assert len(calls) == expected
 
 
 class TestCrossCheckStream:
+    # a two-shape grid of three points each; ctor sorts before mtor
+    GRID = ["--mknown", "3..5", "--variant", "mtor:4", "--variant", "ctor:5:2", "--seed", "9"]
+    SHAPES = [("pipeline-checks:ctor:5:2", CodeParams(5, 3, 2)), ("pipeline-checks:mtor:4:0", CodeParams(4, 4, 0))]
+
+    def grid_run(self, monkeypatch, capsys, trials, fraction) -> tuple[list[tuple], list[tuple]]:
+        """Run `simulate` on GRID, checking that each check is handed its
+        shape's stream. Return its events in call order, each estimate as
+        ("estimate", m_known, params), each stream censor derives as
+        ("stream", label), and each check as ("check", m_known, params);
+        and, for each check, its params and its stream's state on entry."""
+        events, entries, streams = [], [], {}
+
+        def recording_run_campaign(s, *args):
+            events.append(("estimate", len(s.pool.known), s.params))
+            return run_campaign(s, *args)
+
+        def recording_derive_rng(seed, label):
+            events.append(("stream", label))
+            streams[label] = derive_rng(seed, label)
+            return streams[label]
+
+        def recording_run_trial(s, rng):
+            events.append(("check", len(s.pool.known), s.params))
+            entries.append((rng, rng.getstate()))
+            return run_trial(s, rng)
+
+        monkeypatch.setattr(cli, "run_campaign", recording_run_campaign)
+        monkeypatch.setattr(censor, "derive_rng", recording_derive_rng)
+        monkeypatch.setattr(censor, "run_trial", recording_run_trial)
+        argv = ["simulate", *self.GRID, "--trials", str(trials), "--full-pipeline-fraction", str(fraction)]
+        assert cli.main(argv) == cli.EXIT_OK
+        capsys.readouterr()
+        shapes = [(label, params) for label, params in self.SHAPES for _ in range(len(entries) // 2)]
+        assert [rng for rng, _ in entries] == [streams[label] for label, _ in shapes]
+        return events, [(params, state) for (_, params), (_, state) in zip(shapes, entries)]
+
     @pytest.mark.parametrize(
         "trials,fraction", [(7, 0.3), (10, 0.25), (1, 0.01), (3, 1.0), (250, 0.013), (500, 0)]
     )
-    def test_checks_run_after_the_estimate_on_its_stream(self, monkeypatch, trials, fraction):
-        s = scenario(25, 5, 4, r=1)
-        fast = derive_rng(9, "bridge-selection")
-        expected = sum(censor._fast_blocked_counts(fast, 30, 5, 4, trials)[2:])
-        derived, entries = [], []
+    def test_checks_run_after_every_estimate_on_one_stream_per_shape(self, monkeypatch, capsys, trials, fraction):
+        events, states = self.grid_run(monkeypatch, capsys, trials, fraction)
+        expected = [
+            event
+            for m_known in (3, 4, 5)
+            for _, params in self.SHAPES
+            for event in (("estimate", m_known, params), ("stream", "bridge-selection"))
+        ]
+        per_point = pipeline_checks(trials, fraction)
+        for label, params in self.SHAPES:
+            expected.append(("stream", label))
+            expected += [("check", m_known, params) for m_known in (3, 4, 5) for _ in range(per_point)]
+        assert events == expected
+        # each shape's first check starts its fresh stream
+        for (label, params), first in zip(self.SHAPES, states[:: max(1, 3 * per_point)]):
+            assert first == (params, derive_rng(9, label).getstate())
 
-        def recording_derive_rng(seed, label):
-            derived.append((derive_rng(seed, label), label))
-            return derived[-1][0]
+        # an estimate that draws one more word moves no check's draws
+        fast = censor._fast_blocked_counts
 
-        def recording_run_trial(trial_scenario, rng):
-            entries.append((rng, rng.getstate()))
-            return run_trial(trial_scenario, rng)
+        def one_word_more(rng, *args):
+            rng.getrandbits(32)
+            return fast(rng, *args)
 
-        monkeypatch.setattr(censor, "derive_rng", recording_derive_rng)
-        monkeypatch.setattr(censor, "run_trial", recording_run_trial)
-        assert run_campaign(s, trials, 9, full_pipeline_fraction=fraction).interruptions == expected
-        [(stream, label)] = derived
-        assert label == "bridge-selection"
-        assert all(rng is stream for rng, _ in entries)
-        if entries:
-            # the first check starts where the fast path's `trials` draws end
-            assert entries[0][1] == fast.getstate()
+        monkeypatch.setattr(censor, "_fast_blocked_counts", one_word_more)
+        assert self.grid_run(monkeypatch, capsys, trials, fraction) == (events, states)
 
     def test_a_disagreeing_check_fails_the_campaign(self, monkeypatch):
         # a pipeline that loses every transfer disagrees with the rule on a
@@ -394,10 +437,11 @@ class TestCrossCheckStream:
             return onion.TransferResult(False, (0,), (0,))
 
         monkeypatch.setattr(censor, "run_transfer", failing_run_transfer)
-        assert run_campaign(s, 200, seed=4, full_pipeline_fraction=0).interruptions == 0
+        assert run_campaign(s, 200, seed=4).interruptions == 0
+        run_pipeline_checks([s], pipeline_checks(200, 0), 4)
         assert calls == []
         with pytest.raises(ConsistencyError, match="interrupted=True but blocked_count=0"):
-            run_campaign(s, 200, seed=4, full_pipeline_fraction=0.01)
+            run_pipeline_checks([s], pipeline_checks(200, 0.01), 4)
         assert calls == [set()]
 
 
@@ -487,7 +531,7 @@ class TestFlagSumFastPath:
     @pytest.mark.parametrize("num_unknown,num_known,n", POOLS)
     def test_campaign_matches_reference_fast_path(self, num_unknown, num_known, n):
         s = scenario(num_unknown, num_known, n, r=n // 3)
-        result = run_campaign(s, 3000, seed=8, full_pipeline_fraction=0)
+        result = run_campaign(s, 3000, seed=8)
         assert result.interruptions == reference_fast_path(s, 3000, 8)
 
 
@@ -566,7 +610,7 @@ class TestUrnLaw:
 
 class TestOneDrawRule:
     """The fast path never calls random.sample, and the pipeline checks draw
-    only after it, so no sample() can move the estimate."""
+    from streams of their own, so no sample() can move the estimate."""
 
     def test_a_changed_sample_cannot_move_the_estimate(self, monkeypatch):
         # an interpreter whose sample() draws otherwise: pipeline checks still
@@ -577,10 +621,12 @@ class TestOneDrawRule:
             return list(population)[::-1][:k]
 
         s = scenario(25, 5, 4, r=1)
-        expected = run_campaign(s, 400, seed=3, full_pipeline_fraction=0).interruptions
+        expected = run_campaign(s, 400, seed=3).interruptions
         monkeypatch.setattr(random.Random, "sample", changed_sample)
         for fraction in (0, 0.1, 1):
-            assert run_campaign(s, 400, seed=3, full_pipeline_fraction=fraction).interruptions == expected
+            assert run_campaign(s, 400, seed=3).interruptions == expected
+            run_pipeline_checks([s], pipeline_checks(400, fraction), 3)
+            assert run_campaign(s, 400, seed=3).interruptions == expected
 
 
 class TestSeedDerivation:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ctorsim import cli
+from ctorsim import censor, cli, onion
 from ctorsim.analytics import DEFAULT_CONFIGS, DEFAULT_KNOWN_RANGE, DEFAULT_UNKNOWN, sweep
 from ctorsim.censor import ConsistencyError, run_campaign
 from ctorsim.cli import (
@@ -430,7 +430,7 @@ class TestChecksBeforeOutput:
         "n-above-smallest-pool": ["--mb", "1", "--mknown", "0..3", "--variant", "mtor:4"],
         # mtor:1 is otor's shape, so both would write the same CSV keys
         "repeated-shape": ["--variant", "otor", "--variant", "mtor:1", "--mknown", "5"],
-        # rejected by run_campaign, the bridge draws or BridgePool.build, not by the CLI
+        # rejected by censor (pipeline_checks, run_campaign, the bridge draws) or BridgePool.build, not by the CLI
         "trials-zero": ["--trials", "0", "--variant", "mtor:4", "--mknown", "5"],
         "fraction-above-one": ["--full-pipeline-fraction", "1.5", "--variant", "mtor:4", "--mknown", "5"],
         "negative-mb": ["--mb", "-1", "--variant", "mtor:4", "--mknown", "5"],
@@ -521,6 +521,24 @@ class TestFailureMidGrid:
         with pytest.raises(ConsistencyError):
             main(["fig2", *self.ARGV, "--out", str(fresh_dir)])
         assert not fresh_dir.exists()
+
+    def test_a_failing_check_surfaces_after_every_estimate(self, tmp_path, monkeypatch):
+        # a pipeline that loses every transfer disagrees with the rule at
+        # m_known 0; the checks run only once all 14 estimates are in
+        campaigns = []
+
+        def counted(*args):
+            campaigns.append(args)
+            return run_campaign(*args)
+
+        monkeypatch.setattr(cli, "run_campaign", counted)
+        monkeypatch.setattr(censor, "run_transfer", lambda *args: onion.TransferResult(False, (0,), (0,)))
+        out = tmp_path / "earlier.csv"
+        out.write_bytes(b"earlier,results\n")
+        with pytest.raises(ConsistencyError, match="interrupted=True but blocked_count=0"):
+            main(["simulate", *self.ARGV, "--out", str(out)])
+        assert len(campaigns) == 14
+        assert out.read_bytes() == b"earlier,results\n"
 
 
 

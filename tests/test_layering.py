@@ -8,8 +8,9 @@ that does not own it (the relay pool back into censor, say). The same
 source scan checks that every functools cache is bounded, that a record
 whose class checks its fields in __new__ is never built around it, that the
 wire header has one writer and one reader, that the pipeline parses a wire
-only where a message is coded, and that each rule the exact tails and the
-campaigns share has one home.
+only where a message is coded, that a pipeline trial runs only in a grid's
+check phase, and that each rule the exact tails and the campaigns share has
+one home.
 """
 
 import ast
@@ -278,17 +279,16 @@ def test_the_wire_header_has_one_writer_and_one_reader():
     assert [site for kind, site in uses if kind == "unpack"] == ["codec.from_wire_stream"]
 
 
-def parser_uses(source: str, module: str) -> list[str]:
-    """Each place in a module's source that names from_wire_stream, as an
-    attribute or bare, so an alias counts as well as a call, as
-    "module.qualname"."""
+def name_uses(source: str, module: str, name: str) -> list[str]:
+    """Each place in a module's source that names `name`, as an attribute
+    or bare, so an alias counts as well as a call, as "module.qualname"."""
     found = []
 
     def visit(node: ast.AST, scope: str) -> None:
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = f"{scope}.{node.name}"
-        elif (isinstance(node, ast.Attribute) and node.attr == "from_wire_stream") or (
-            isinstance(node, ast.Name) and node.id == "from_wire_stream"
+        elif (isinstance(node, ast.Attribute) and node.attr == name) or (
+            isinstance(node, ast.Name) and node.id == name
         ):
             found.append(scope)
         for child in ast.iter_child_nodes(node):
@@ -303,8 +303,19 @@ def test_the_parser_is_called_only_where_a_message_is_coded():
     # CodedMessage parsed from the wire it sent and never parses; the other
     # use is encode_generation's, the one-generation codec call outside the
     # pipeline
-    uses = [use for path in sorted(PACKAGE.glob("*.py")) for use in parser_uses(path.read_text(), path.stem)]
+    uses = [
+        use for path in sorted(PACKAGE.glob("*.py")) for use in name_uses(path.read_text(), path.stem, "from_wire_stream")
+    ]
     assert uses == ["codec.encode_generation", "onion.CodedMessage.__init__"]
+
+
+def test_a_pipeline_trial_runs_only_in_the_check_phase():
+    # a grid's pipeline checks run after every estimate, shape by shape on
+    # streams of their own, so no campaign or command runs a trial itself
+    uses = [
+        use for path in sorted(PACKAGE.glob("*.py")) for use in name_uses(path.read_text(), path.stem, "run_trial")
+    ]
+    assert uses == ["censor.run_pipeline_checks"]
 
 
 POOL_RULE_TEXTS = ("bridge counts must be non-negative", "bridges from a pool of")

@@ -15,7 +15,16 @@ import pytest
 
 from ctorsim import analytics, censor, codec, onion
 from ctorsim.analytics import p_block_lnc
-from ctorsim.censor import BridgePool, CensorScenario, ConsistencyError, derive_rng, run_campaign, run_trial
+from ctorsim.censor import (
+    BridgePool,
+    CensorScenario,
+    ConsistencyError,
+    derive_rng,
+    pipeline_checks,
+    run_campaign,
+    run_pipeline_checks,
+    run_trial,
+)
 from ctorsim.codec import CELL_SIZE, CodeParams
 from ctorsim.onion import CodedMessage, build_circuits, run_transfer
 from wire_layout import mixed_k_cells, to_wire
@@ -41,7 +50,7 @@ def test_rule_as_b_at_least_r_moves_every_law_and_fails_the_pipeline(monkeypatch
     trials, seed = 2_000, 11
     counts = censor._fast_blocked_counts(derive_rng(seed, "bridge-selection"), 30, 5, 4, trials)
     tail_from_1 = p_block_lnc(25, 5, 4, 0)
-    interruptions = run_campaign(s, trials, seed, full_pipeline_fraction=0).interruptions
+    interruptions = run_campaign(s, trials, seed).interruptions
     assert interruptions == sum(counts[2:])
     # every bridge of this pool is chosen, and exactly one is known: b = r
     at_r = CensorScenario(BridgePool.build(3, 1), params)
@@ -52,7 +61,7 @@ def test_rule_as_b_at_least_r_moves_every_law_and_fails_the_pipeline(monkeypatch
 
     monkeypatch.setattr(analytics, "interrupted_by_rule", mutant)
     assert p_block_lnc(25, 5, 4, 1) == tail_from_1 == Fraction(14755, 27405)
-    mutated = run_campaign(s, trials, seed, full_pipeline_fraction=0).interruptions
+    mutated = run_campaign(s, trials, seed).interruptions
     assert mutated == interruptions + counts[1]
     assert not run_trial(at_r, random.Random(0)).interrupted
 
@@ -67,7 +76,7 @@ def test_wire_cells_with_the_last_byte_flipped_fail_every_transfer(monkeypatch, 
     exit hands on the parse of exactly the altered wire it is sent. The check that
     catches it is the transfer's comparison of the decoded bytes with the
     message: run_transfer fails with no failed generation, and run_trial and
-    a fraction-1 run_campaign raise ConsistencyError where the rule says a
+    a point's pipeline checks raise ConsistencyError where the rule says a
     transfer succeeds."""
     params = CodeParams(4, 3, 1)
     message = random.Random(14).randbytes(1000)
@@ -77,7 +86,7 @@ def test_wire_cells_with_the_last_byte_flipped_fail_every_transfer(monkeypatch, 
     clean = CodedMessage(params, message)
     assert run_transfer(circuits, clean, message, {1}).success
     assert not run_trial(at_r, random.Random(0)).interrupted
-    run_campaign(campaign, 10, 1, full_pipeline_fraction=1)
+    run_pipeline_checks([campaign], 10, 1)
 
     encode = onion.encode_subflows
 
@@ -101,7 +110,7 @@ def test_wire_cells_with_the_last_byte_flipped_fail_every_transfer(monkeypatch, 
     with pytest.raises(ConsistencyError, match="interrupted=True but blocked_count=1"):
         run_trial(at_r, random.Random(0))
     with pytest.raises(ConsistencyError, match="interrupted=True"):
-        run_campaign(campaign, 10, 1, full_pipeline_fraction=1)
+        run_pipeline_checks([campaign], 10, 1)
 
 
 def test_entry_and_middle_peeled_in_swapped_order_fail_the_exit_check(monkeypatch):
@@ -222,7 +231,7 @@ def test_keystreams_that_ignore_the_circuit_id_are_uncaught_at_run_time(monkeypa
     assert [run_transfer(circuits, coded, message, blocked) for blocked in (set(), {1}, {0, 2})] == before
     rng = random.Random(0)
     assert [run_trial(s, rng) for _ in range(5)] == trials
-    run_campaign(s, 20, 3, full_pipeline_fraction=1)
+    run_pipeline_checks([s], 20, 3)
     assert onion.wrap_layers(coded.subflows[0], coded.subflow_size, circuits[0]) != wrapped
 
 
@@ -329,20 +338,22 @@ def test_fast_path_counting_unknown_picks_is_uncaught_at_run_time(monkeypatch):
     """censor._fast_blocked_counts is handed size - known as its known count,
     so each trial counts the unknown bridges it picks. A ctor:10:4 campaign
     at 25 + 5 then reports p = 1 against the exact 0.00177, and nothing
-    raises: the pipeline checks run on the rest of the stream and compare
+    raises: the pipeline checks run on streams of their own and compare
     each trial with the rule, never the fast path's count with the exact
     tail (expected-uncaught until ROADMAP item 7)."""
     s = CensorScenario(BridgePool.build(25, 5), CodeParams(10, 6, 4))
     exact = p_block_lnc(25, 5, 10, 4)
     assert float(exact) == pytest.approx(0.00177, abs=1e-5)
-    assert run_campaign(s, 20, 0, full_pipeline_fraction=0.05).p_empirical == 0.0
+    assert run_campaign(s, 20, 0).p_empirical == 0.0
+    run_pipeline_checks([s], pipeline_checks(20, 0.05), 0)
     fast = censor._fast_blocked_counts
 
     def counts_unknown(rng, size, known, n, count):
         return fast(rng, size, size - known, n, count)
 
     monkeypatch.setattr(censor, "_fast_blocked_counts", counts_unknown)
-    assert run_campaign(s, 20, 0, full_pipeline_fraction=0.05).p_empirical == 1.0
+    assert run_campaign(s, 20, 0).p_empirical == 1.0
+    run_pipeline_checks([s], pipeline_checks(20, 0.05), 0)
 
 
 def test_fast_path_sized_by_the_pool_tuple_raises_instead_of_spinning(monkeypatch):
@@ -378,8 +389,8 @@ def test_fast_path_redrawing_only_above_m_is_uncaught_at_run_time(monkeypatch):
     unknown bridge: each pick is known with chance left / (m + 1), not
     left / m. Over 20,000 seeded trials of ctor:10:4 at 25 + 10 the estimate
     falls from within 1σ of the exact 0.0890 to about 5σ below it (the
-    mutant's own law gives 0.0789, −5.0σ), and nothing raises: every
-    pipeline check still agrees with the rule, which never sees the fast
+    mutant's own law gives 0.0789, −5.0σ), and nothing raises: the
+    pipeline checks compare each trial with the rule and never see the fast
     path's count (expected-uncaught until ROADMAP item 7's `check`, whose
     test of each histogram bin against blocked_counts is what will catch
     it)."""
