@@ -15,11 +15,12 @@ whole column in one call, however many generations the batch holds. The
 encoder writes each column straight into the wire its sub-flow's circuit
 carries, a header, a row and a payload per generation, and the parser
 reads that wire back into cells: the wire layout has one writer and one
-reader. The per-generation functions are the batch of one. The decoder
-groups a batch's generations by their received coefficient rows and
-memoizes one inverse per set of rows, so a transfer whose circuits drop
-the same sub-flows in every generation inverts once and combines each
-missing column once.
+reader. The per-generation functions are the batch of one. A blocked
+circuit drops its whole sub-flow, so every generation of a transfer
+arrives with the same coefficient rows: the decoder takes a batch of one
+row set, refuses a batch whose generations arrived with other rows, and
+memoizes one inverse per set of rows, so a transfer inverts once and
+combines each missing column once.
 
 Every record is a tuple record (a NamedTuple), compared and hashed by its
 fields. CodeParams checks its shape in its __new__, and the parser, which
@@ -299,26 +300,26 @@ def _decode_plan(rows: tuple[bytes, ...]) -> tuple[tuple[int, ...], tuple[int | 
     return None
 
 
-def decode_generations(
-    received: Sequence[Sequence[CodedCell]], params: CodeParams
-) -> tuple[list[Generation], list[int]]:
-    """Recover each generation from any k independent coded cells of it.
+def decode_generations(received: Sequence[Sequence[CodedCell]], params: CodeParams) -> list[Generation]:
+    """Recover each generation of a batch that arrived over one set of
+    sub-flows from any k independent coded cells of it.
 
-    `received` holds one non-empty list of cells per generation. The
-    generations are grouped by the coefficient rows they arrived with, and
-    each group takes one cached inverse of its first k independent rows.
-    A unit row of the inverse copies a payload, so when the k original
-    cells arrive first every cell is a copy; any other row forms its
-    original column once, as one GF(2^8) combination of the group's picked
-    columns, and slices it back into the group's generations. A malformed
-    cell list (empty, mixed generations, rows of another length than k)
-    raises ValueError before anything is decoded.
+    `received` holds one non-empty list of cells per generation, every one
+    with the coefficient rows of the first, and the batch takes one cached
+    inverse of their first k independent rows. A unit row of the inverse
+    copies a payload, so when the k original cells arrive first every cell
+    is a copy; any other row forms its original column once, as one GF(2^8)
+    combination of the picked columns, and slices it back into the
+    generations. A malformed batch (an empty cell list, mixed generations,
+    rows of another length than k, a generation with other rows than the
+    first) raises ValueError before anything is decoded, and rows of rank
+    below k raise UnrecoverableGeneration for the first generation.
 
-    Returns the decoded generations and the ids of those whose rows have
-    rank below k, group by group in the order each group first appears.
+    Returns the decoded generations in the order given.
     """
-    k = params.k
-    groups: dict[tuple[bytes, ...], list[Sequence[CodedCell]]] = {}
+    if not received:
+        return []
+    rows = [cell.coefficients for cell in received[0]]
     for cells in received:
         if not cells:
             raise ValueError("decode needs at least one coded cell")
@@ -326,47 +327,42 @@ def decode_generations(
         for cell in cells:
             if cell.generation_id != generation_id:
                 raise ValueError("coded cells from mixed generations")
-        groups.setdefault(tuple([cell.coefficients for cell in cells]), []).append(cells)
-    # a row length is checked once per set of rows: a transfer repeats one set
-    for rows in groups:
-        for row in rows:
-            if len(row) != k:
-                raise ValueError(f"coefficient vector length {len(row)}, expected {k}")
+        # a wire's cells share its row object, so this compares identities
+        if [cell.coefficients for cell in cells] != rows:
+            raise ValueError("generations of one batch arrived with other coefficient rows")
+    k = params.k
+    for row in rows:
+        if len(row) != k:
+            raise ValueError(f"coefficient vector length {len(row)}, expected {k}")
 
+    plan = _decode_plan(tuple(rows))
+    if plan is None:
+        raise UnrecoverableGeneration(received[0][0].generation_id, received=len(rows))
+    picks, originals, combines = plan
+    if combines:
+        columns = [b"".join([cells[pick].payload for cells in received]) for pick in picks]
+        # a position to copy, or a combined column to slice
+        originals = [source if type(source) is int else _combine(source, columns) for source in originals]
     decoded: list[Generation] = []
-    failed: list[int] = []
-    for rows, members in groups.items():
-        plan = _decode_plan(rows)
-        if plan is None:
-            failed.extend([cells[0].generation_id for cells in members])
-            continue
-        picks, originals, combines = plan
-        if combines:
-            columns = [b"".join([cells[pick].payload for cells in members]) for pick in picks]
-            # a position to copy, or a combined column to slice
-            originals = [source if type(source) is int else _combine(source, columns) for source in originals]
-        lo = 0
-        for cells in members:
-            hi = lo + CELL_SIZE
-            decoded.append(Generation(cells[0].generation_id, tuple([
-                cells[original].payload if type(original) is int else original[lo:hi] for original in originals
-            ])))
-            lo = hi
-    return decoded, failed
+    lo = 0
+    for cells in received:
+        hi = lo + CELL_SIZE
+        decoded.append(Generation(cells[0].generation_id, tuple([
+            cells[original].payload if type(original) is int else original[lo:hi] for original in originals
+        ])))
+        lo = hi
+    return decoded
 
 
 def decode_generation(received: Sequence[CodedCell], params: CodeParams) -> Generation:
     """Recover the original k cells from any k independent coded cells: the
-    batch of one of decode_generations.
+    batch of one of decode_generations, with its contract.
 
     When the k original cells arrive first, every decoded cell is the
     received payload itself. A set of rank below k raises
     UnrecoverableGeneration; a malformed one raises ValueError.
     """
-    decoded, failed = decode_generations([received], params)
-    if failed:
-        raise UnrecoverableGeneration(failed[0], received=len(received))
-    return decoded[0]
+    return decode_generations([received], params)[0]
 
 
 def split_message(message: bytes, params: CodeParams) -> list[Generation]:

@@ -337,10 +337,10 @@ def run_transfer(
     decoding uses its params. Every arrived sub-flow is whole, G cells in
     generation order, so generation g's cells are every G-th arrived cell
     from the g-th, in circuit order, and every generation receives the
-    same count. Below k the G generations all fail undecoded; otherwise
-    those that do not decode fail. Success means every generation decoded
-    and the reassembled bytes equal `message`; for otor and mtor that
-    reduces to no circuit in `blocked`.
+    same cells of the same sub-flows. Below k the G generations all fail
+    undecoded; otherwise they decode as one batch, and success means the
+    reassembled bytes equal `message`; for otor and mtor that reduces to
+    no circuit in `blocked`.
     """
     arrived = transmit(circuits, coded, blocked)
     generations = len(coded.cells[0])
@@ -348,7 +348,5 @@ def run_transfer(
     counts = (received,) * generations
     if received < coded.params.k:
         return TransferResult(False, tuple(range(generations)), counts)
-    decoded, failed = decode_generations([arrived[g::generations] for g in range(generations)], coded.params)
-    if failed:
-        return TransferResult(False, tuple(failed), counts)
+    decoded = decode_generations([arrived[g::generations] for g in range(generations)], coded.params)
     return TransferResult(reassemble_message(decoded) == bytes(message), (), counts)

@@ -615,8 +615,8 @@ class TestRecords:
         message = random.Random(params.n).randbytes(20_000)
         split = split_message(message, params)
         received = [list(cells) for cells in zip(*map(CodedCell.from_wire_stream, encode_subflows(split, build_generator(params))))]
-        decoded, failed = decode_generations([cells[params.r :] for cells in received], params)
-        assert failed == [] and decoded == split
+        decoded = decode_generations([cells[params.r :] for cells in received], params)
+        assert decoded == split
         for generation in split + decoded:
             assert type(generation.generation_id) is int and generation.generation_id >= 0
             assert type(generation.cells) is tuple and len(generation.cells) == params.k
@@ -932,7 +932,7 @@ class TestDecodePlanCache:
         result = run_transfer(circuits, CodedMessage(params, message), message, blocked={0, 3, 7})
         assert result.success
         # the generations share one set of received rows, so the transfer
-        # decodes them as one group: one inversion and no other lookup
+        # decodes them as one batch: one inversion and no other lookup
         assert generations > 1
         info = _decode_plan.cache_info()
         assert (info.misses, info.hits) == (1, 0)
@@ -1018,16 +1018,19 @@ def reference_decode(received, params: CodeParams) -> Generation | None:
 
 
 def check_batch_against_reference(received, params: CodeParams, originals: dict[int, Generation]) -> None:
-    # the batch returns its generations group by group, so compare them by
-    # their ids, which are distinct
-    decoded, failed = decode_generations(received, params)
-    expected = {cells[0].generation_id: reference_decode(cells, params) for cells in received}
-    assert len(decoded) + len(failed) == len(expected) == len(received)
-    assert {generation.generation_id: generation for generation in decoded} == {
-        generation_id: generation for generation_id, generation in expected.items() if generation is not None
-    }
-    assert sorted(failed) == sorted(generation_id for generation_id, generation in expected.items() if generation is None)
-    assert all(generation == originals[generation.generation_id] for generation in decoded)
+    # the generations arrived over one set of sub-flows, so the reference
+    # decodes all of them or none; the batch returns them in the order given,
+    # or raises for the first
+    expected = [reference_decode(cells, params) for cells in received]
+    if expected[0] is None:
+        assert expected == [None] * len(received)
+        with pytest.raises(UnrecoverableGeneration) as exc:
+            decode_generations(received, params)
+        assert (exc.value.generation_id, exc.value.received) == (received[0][0].generation_id, len(received[0]))
+    else:
+        decoded = decode_generations(received, params)
+        assert decoded == expected
+        assert all(generation == originals[generation.generation_id] for generation in decoded)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -1041,9 +1044,10 @@ def check_batch_against_reference(received, params: CodeParams, originals: dict[
 )
 def test_batched_codec_matches_per_generation_reference(k, r, count, cauchy, seed, data):
     # parity rows are Cauchy rows or arbitrary bytes (zeros, repeats and
-    # singular subsets occur); a few survivor patterns, each an ordered list
-    # of sub-flows with repeats, are shared among generations given in any
-    # order, so a batch mixes groups, rank-deficient ones and ones below k
+    # singular subsets occur); one survivor pattern, an ordered list of
+    # sub-flows with repeats, is shared by generations given in any order,
+    # so a batch decodes whole, or raises when its rows are rank-deficient
+    # or below k
     params = CodeParams(k + r, k, r)
     if cauchy:
         matrix = build_generator(params)
@@ -1057,9 +1061,8 @@ def test_batched_codec_matches_per_generation_reference(k, r, count, cauchy, see
     assert encode_subflows(generations, matrix) == subflow_wires(coded)
 
     index = st.integers(0, params.n - 1)
-    patterns = data.draw(st.lists(st.lists(index, min_size=1, max_size=params.n + 1), min_size=1, max_size=3))
-    received = [[cells[i] for i in patterns[data.draw(st.integers(0, len(patterns) - 1))]] for cells in coded]
-    received = data.draw(st.permutations(received))
+    pattern = data.draw(st.lists(index, min_size=1, max_size=params.n + 1))
+    received = data.draw(st.permutations([[cells[i] for i in pattern] for cells in coded]))
     check_batch_against_reference(received, params, {generation.generation_id: generation for generation in generations})
 
 
@@ -1067,7 +1070,7 @@ class TestColumnWise:
     """A batch of generations is coded column by column: one scale per
     coefficient and column, whatever the number of generations."""
 
-    def test_one_call_mixes_survivor_sets_rank_deficiency_and_short_generations(self):
+    def test_each_survivor_pattern_is_one_call_and_a_mixed_call_raises(self):
         matrix = hand_made_matrix()
         params = matrix.params
         rng = random.Random(27)
@@ -1091,13 +1094,15 @@ class TestColumnWise:
             lambda cells: [cells[3], cells[4], mix(cells)],  # rank-deficient
             lambda cells: [cells[2], cells[4]],  # below k
         ]
-        received = [patterns[g % len(patterns)](cells) for g, cells in enumerate(coded)]
-        assert reference_decode(received[3], params) is None
-        decoded, failed = decode_generations(received, params)
-        # group by group: generations g and g + 5 share a survivor pattern
-        assert [generation.generation_id for generation in decoded] == [0, 5, 1, 6, 2, 7]
-        assert failed == [3, 8, 4]
-        check_batch_against_reference(received, params, dict(enumerate(generations)))
+        originals = dict(enumerate(generations))
+        for pattern in patterns:
+            # the generations in reverse, so the batch keeps the order given
+            received = [pattern(cells) for cells in reversed(coded)]
+            check_batch_against_reference(received, params, originals)
+        assert reference_decode(patterns[3](coded[0]), params) is None  # rank-deficient, not only short
+        # one batch of two survivor patterns is refused before any decode
+        with pytest.raises(ValueError, match="^generations of one batch arrived with other coefficient rows$"):
+            decode_generations([pattern(cells) for pattern, cells in zip(patterns, coded)], params)
 
     @pytest.mark.parametrize("shape", [(4, 3, 1), (10, 6, 4), (5, 5, 0)])
     def test_encode_scales_each_coefficient_once_per_message(self, shape, scale_calls):
@@ -1117,15 +1122,15 @@ class TestColumnWise:
         assert cells == CodedCell.from_wire_stream(b"".join(encode_subflows([generation], matrix)))
         assert subflow_wires([cells]) == encode_subflows([generation], matrix)
         for received in ([cells[0], cells[3], cells[4]], cells[:3]):
-            assert decode_generations([received], params) == ([decode_generation(received, params)], [])
-        assert decode_generations([cells[3:]], params) == ([], [7])
-        with pytest.raises(UnrecoverableGeneration) as exc:
-            decode_generation(cells[3:], params)
-        assert (exc.value.generation_id, exc.value.received) == (7, 2)
+            assert decode_generations([received], params) == [decode_generation(received, params)] == [generation]
+        for decode in (decode_generation, lambda received, params: decode_generations([received], params)):
+            with pytest.raises(UnrecoverableGeneration) as exc:
+                decode(cells[3:], params)
+            assert (exc.value.generation_id, exc.value.received) == (7, 2)
 
     def test_empty_batch(self):
         assert encode_subflows([], hand_made_matrix()) == [b""] * 5
-        assert decode_generations([], CodeParams(5, 3, 2)) == ([], [])
+        assert decode_generations([], CodeParams(5, 3, 2)) == []
 
     @pytest.mark.parametrize("fault", ["empty", "mixed", "wide"])
     def test_a_malformed_generation_fails_the_whole_batch(self, fault):
@@ -1139,11 +1144,11 @@ class TestColumnWise:
         with pytest.raises(ValueError):
             decode_generations([good[:3], bad], params)
 
-    @pytest.mark.parametrize("fault", ["empty", "mixed", "short-row", "long-row"])
+    @pytest.mark.parametrize("fault", ["empty", "mixed", "short-row", "long-row", "mixed-rows"])
     def test_a_malformed_cell_list_raises_before_any_decode(self, fault, monkeypatch):
-        # row lengths are checked once per set of rows, but every set is
-        # checked before the first is decoded, so a fault in the last
-        # generation stops the whole batch before any plan is looked up
+        # every generation is checked before the one plan is looked up, so a
+        # fault in the last generation stops the whole batch; a row of
+        # another length there is also another row than the first's
         params = CodeParams(5, 3, 2)
         matrix = build_generator(params)
         rng = random.Random(32)
@@ -1153,11 +1158,12 @@ class TestColumnWise:
             "mixed": [last[0], second[1], last[2]],
             "short-row": [last[0], last[1], last[3]._replace(coefficients=last[3].coefficients[:2])],
             "long-row": [last[0], last[1], last[4]._replace(coefficients=last[4].coefficients + b"\x01")],
+            "mixed-rows": last[2:],
         }[fault]
         planned = []
         monkeypatch.setattr(codec, "_decode_plan", planned.append)
         with pytest.raises(ValueError):
-            decode_generations([first[:3], second[2:], bad], params)
+            decode_generations([first[:3], second[:3], bad], params)
         assert planned == []
 
     def test_encode_rejects_a_generation_of_another_width(self):

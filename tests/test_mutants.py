@@ -191,16 +191,45 @@ def test_generations_sliced_one_stride_off_mix_generations(monkeypatch):
         counts = (received,) * generations
         if received < coded.params.k:
             return onion.TransferResult(False, tuple(range(generations)), counts)
-        slices = [arrived[g :: generations + 1] for g in range(generations)]
-        decoded, failed = codec.decode_generations(slices, coded.params)
-        if failed:
-            return onion.TransferResult(False, tuple(failed), counts)
+        decoded = codec.decode_generations([arrived[g :: generations + 1] for g in range(generations)], coded.params)
         return onion.TransferResult(codec.reassemble_message(decoded) == message, (), counts)
 
     monkeypatch.setattr(onion, "run_transfer", sliced_one_stride_off)
     for blocked in (set(), {1}):
         with pytest.raises(ValueError, match="^coded cells from mixed generations$"):
             onion.run_transfer(circuits, coded, message, blocked)
+
+
+def test_first_parity_cell_written_with_the_second_parity_row_mixes_row_sets(monkeypatch):
+    """The sub-flow writer puts the second parity row's coefficients in the
+    header of generation 0's cell of the first parity sub-flow, over the
+    payload the first row made. That wire's cells then carry two rows, so
+    generation 0 arrives with other rows than the rest of its transfer; the
+    check that catches it is decode_generations' refusal of a batch whose
+    generations arrived with other rows: every transfer of G >= 2 that
+    receives that sub-flow raises ValueError, blocked or not. A decoder that
+    took each generation's own rows would rebuild generation 0 wrong, or
+    not at all, and only when a data sub-flow is lost."""
+    params = CodeParams(5, 3, 2)
+    message = random.Random(18).randbytes(4000)
+    circuits = build_circuits([f"b{i}" for i in range(5)], random.Random(0))
+    assert len(CodedMessage(params, message).cells[0]) == 3
+    encode = onion.encode_subflows
+
+    def first_cell_with_the_next_row(generations, matrix):
+        k, rows = matrix.params.k, matrix.rows
+        wires = encode(generations, matrix)
+        wires[k] = wires[k][:6] + rows[k + 1] + wires[k][6 + k :]
+        return wires
+
+    monkeypatch.setattr(onion, "encode_subflows", first_cell_with_the_next_row)
+    coded = CodedMessage(params, message)
+    second_parity_row = codec.build_generator(params).rows[4]
+    assert [cells[0].coefficients for cells in coded.cells[3:]] == [second_parity_row] * 2
+    for blocked in (set(), {1}, {4}):
+        with pytest.raises(ValueError, match="^generations of one batch arrived with other coefficient rows$"):
+            run_transfer(circuits, coded, message, blocked)
+    assert run_transfer(circuits, coded, message, {3}).success  # the altered sub-flow is lost whole
 
 
 @pytest.mark.parametrize("params", [CodeParams(4, 3, 1), CodeParams(10, 6, 4)], ids=["ctor-4-1", "ctor-10-4"])

@@ -24,7 +24,7 @@ UNREACHED = {
     "cli.run": "console entry point; the calls here go through cli.main",
     "codec.encode_generation": "bound by the benchmark tracer (ROADMAP items 5 and 9)",
     "codec.decode_generation": "bound by the benchmark tracer (ROADMAP items 5 and 9)",
-    "codec.UnrecoverableGeneration.__init__": "raised by decode_generation, which the tracer binds",
+    "codec.UnrecoverableGeneration.__init__": "raised by decode_generations on rows of rank below k, which Cauchy rows never give",
     "gf256.xor_bytes": "bound by the benchmark tracer (ROADMAP items 5 and 9)",
     "onion.CodedMessage.__iter__": "the tracer's transmit wrapper iterates a coded message",
     "onion.CodedMessage.__setattr__": "immutability guard",
