@@ -304,10 +304,10 @@ def cmd_e2e(args: argparse.Namespace) -> int:
         print(f"bridges: {', '.join(bridges)}")
         print(f"censor-known among them: {known_chosen if known_chosen else 'none'}")
     print(f"blocked circuits: {sorted(blocked) if blocked else 'none'}")
-    print(f"message: {len(message)} bytes in {len(result.delivered_counts)} generation(s)")
-    for gid, delivered in enumerate(result.delivered_counts):
-        status = "unrecoverable" if gid in result.failed_generations else "decoded"
-        print(f"generation {gid}: delivered {delivered}/{params.n} coded cells, {status}")
+    print(f"message: {len(message)} bytes in {result.generations} generation(s)")
+    status = "decoded" if result.success else "unrecoverable"
+    for gid in range(result.generations):
+        print(f"generation {gid}: delivered {result.delivered}/{params.n} coded cells, {status}")
     if result.success:
         print(f"reassembled {len(message)} bytes, byte-identical: yes")
         print("outcome: SUCCESS")

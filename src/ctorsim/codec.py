@@ -42,7 +42,7 @@ import functools
 import struct
 from enum import Enum
 from itertools import repeat
-from operator import attrgetter, index
+from operator import index
 from typing import NamedTuple, Sequence
 
 from . import gf256
@@ -390,18 +390,15 @@ def split_message(message: bytes, params: CodeParams) -> list[Generation]:
     ]
 
 
-_generation_id = attrgetter("generation_id")
-
-
 def reassemble_message(generations: Sequence[Generation]) -> bytes:
-    """Exact inverse of split_message over fully decoded generations."""
+    """Exact inverse of split_message over fully decoded generations, given
+    in order: their ids must run 0, 1, 2, ..., or ValueError is raised."""
     if not generations:
         raise ValueError("no generations to reassemble")
-    ordered = sorted(generations, key=_generation_id)
-    ids = [g.generation_id for g in ordered]
+    ids = [g.generation_id for g in generations]
     if ids != list(range(len(ids))):
         raise ValueError(f"generation ids must be contiguous from 0, got {ids}")
-    cells = [cell for g in ordered for cell in g.cells]
+    cells = [cell for g in generations for cell in g.cells]
     end = _LENGTH_PREFIX + int.from_bytes(cells[0][:_LENGTH_PREFIX], "big")
     if end > len(cells) * CELL_SIZE:
         raise ValueError("length prefix exceeds the decoded stream")

@@ -61,8 +61,6 @@ _SCALE = _build_scale()
 
 def scale_bytes(data: bytes, c: int) -> bytes:
     """Multiply every byte of data by the scalar c."""
-    if c == 0:
-        return bytes(len(data))
     if c == 1:
         return bytes(data)
     return data.translate(_SCALE[c])

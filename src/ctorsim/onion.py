@@ -315,13 +315,13 @@ def transmit(
 
 
 class TransferResult(NamedTuple):
-    """A transfer's outcome: whether the message came back, the sorted ids
-    of the generations that did not decode, and how many cells each
-    generation received."""
+    """A transfer's outcome: whether the message came back, how many
+    generations it was cut into, and how many sub-flows arrived, which is
+    how many cells every generation received."""
 
     success: bool
-    failed_generations: tuple[int, ...]
-    delivered_counts: tuple[int, ...]
+    generations: int
+    delivered: int
 
 
 def run_transfer(
@@ -337,16 +337,15 @@ def run_transfer(
     decoding uses its params. Every arrived sub-flow is whole, G cells in
     generation order, so generation g's cells are every G-th arrived cell
     from the g-th, in circuit order, and every generation receives the
-    same cells of the same sub-flows. Below k the G generations all fail
-    undecoded; otherwise they decode as one batch, and success means the
+    same cells of the same sub-flows. Below k nothing decodes; otherwise
+    the G generations decode as one batch, and success means the
     reassembled bytes equal `message`; for otor and mtor that reduces to
     no circuit in `blocked`.
     """
     arrived = transmit(circuits, coded, blocked)
     generations = len(coded.cells[0])
-    received = len(arrived) // generations
-    counts = (received,) * generations
-    if received < coded.params.k:
-        return TransferResult(False, tuple(range(generations)), counts)
+    delivered = len(arrived) // generations
+    if delivered < coded.params.k:
+        return TransferResult(False, generations, delivered)
     decoded = decode_generations([arrived[g::generations] for g in range(generations)], coded.params)
-    return TransferResult(reassemble_message(decoded) == bytes(message), (), counts)
+    return TransferResult(reassemble_message(decoded) == bytes(message), generations, delivered)

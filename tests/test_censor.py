@@ -434,7 +434,7 @@ class TestCrossCheckStream:
 
         def failing_run_transfer(circuits, coded, message, blocked):
             calls.append(blocked)
-            return onion.TransferResult(False, (0,), (0,))
+            return onion.TransferResult(False, 1, 0)
 
         monkeypatch.setattr(censor, "run_transfer", failing_run_transfer)
         assert run_campaign(s, 200, seed=4).interruptions == 0

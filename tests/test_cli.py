@@ -532,7 +532,7 @@ class TestFailureMidGrid:
             return run_campaign(*args)
 
         monkeypatch.setattr(cli, "run_campaign", counted)
-        monkeypatch.setattr(censor, "run_transfer", lambda *args: onion.TransferResult(False, (0,), (0,)))
+        monkeypatch.setattr(censor, "run_transfer", lambda *args: onion.TransferResult(False, 1, 0))
         out = tmp_path / "earlier.csv"
         out.write_bytes(b"earlier,results\n")
         with pytest.raises(ConsistencyError, match="interrupted=True but blocked_count=0"):

@@ -25,6 +25,7 @@ from ctorsim.censor import (
     run_pipeline_checks,
     run_trial,
 )
+from ctorsim.cli import EXIT_USAGE, main
 from ctorsim.codec import CELL_SIZE, CodeParams
 from ctorsim.onion import CodedMessage, build_circuits, run_transfer
 from wire_layout import mixed_k_cells, to_wire
@@ -75,9 +76,9 @@ def test_wire_cells_with_the_last_byte_flipped_fail_every_transfer(monkeypatch, 
     wire is the encoder's only output, so the message still builds, and each
     exit hands on the parse of exactly the altered wire it is sent. The check that
     catches it is the transfer's comparison of the decoded bytes with the
-    message: run_transfer fails with no failed generation, and run_trial and
-    a point's pipeline checks raise ConsistencyError where the rule says a
-    transfer succeeds."""
+    message: run_transfer fails though every generation received k cells or
+    more, and run_trial and a point's pipeline checks raise ConsistencyError
+    where the rule says a transfer succeeds."""
     params = CodeParams(4, 3, 1)
     message = random.Random(14).randbytes(1000)
     circuits = build_circuits([f"b{i}" for i in range(4)], random.Random(0))
@@ -105,8 +106,7 @@ def test_wire_cells_with_the_last_byte_flipped_fail_every_transfer(monkeypatch, 
     for cells, clean_cells in zip(coded.cells, clean.cells, strict=True):
         assert [cell.payload[-1] ^ 1 for cell in cells] == [cell.payload[-1] for cell in clean_cells]
     for blocked in (set(), {1}):
-        result = run_transfer(circuits, coded, message, blocked)
-        assert (result.success, result.failed_generations) == (False, ())
+        assert run_transfer(circuits, coded, message, blocked) == (False, 1, 4 - len(blocked))
     with pytest.raises(ConsistencyError, match="interrupted=True but blocked_count=1"):
         run_trial(at_r, random.Random(0))
     with pytest.raises(ConsistencyError, match="interrupted=True"):
@@ -187,17 +187,45 @@ def test_generations_sliced_one_stride_off_mix_generations(monkeypatch):
     def sliced_one_stride_off(circuits, coded, message, blocked=frozenset()):
         arrived = onion.transmit(circuits, coded, blocked)
         generations = len(coded.cells[0])
-        received = len(arrived) // generations
-        counts = (received,) * generations
-        if received < coded.params.k:
-            return onion.TransferResult(False, tuple(range(generations)), counts)
+        delivered = len(arrived) // generations
+        if delivered < coded.params.k:
+            return onion.TransferResult(False, generations, delivered)
         decoded = codec.decode_generations([arrived[g :: generations + 1] for g in range(generations)], coded.params)
-        return onion.TransferResult(codec.reassemble_message(decoded) == message, (), counts)
+        return onion.TransferResult(codec.reassemble_message(decoded) == message, generations, delivered)
 
     monkeypatch.setattr(onion, "run_transfer", sliced_one_stride_off)
     for blocked in (set(), {1}):
         with pytest.raises(ValueError, match="^coded cells from mixed generations$"):
             onion.run_transfer(circuits, coded, message, blocked)
+
+
+def test_generations_decoded_in_reverse_fail_reassembly(monkeypatch, capsys):
+    """onion.run_transfer hands decode_generations its generations in
+    reverse, g = G - 1 down to 0. The decoder returns them in the order
+    given, so the check that catches it is reassemble_message's refusal of
+    ids that do not run 0, 1, 2, ...: every transfer of G >= 2 that receives
+    k sub-flows raises ValueError, blocked or not, such as every unblocked
+    otor trial (the trial message is three generations of one cell) and an
+    e2e run. A message of one generation comes back as before."""
+    params = CodeParams(4, 3, 1)
+    message = random.Random(19).randbytes(4000)
+    coded = CodedMessage(params, message)
+    assert len(coded.cells[0]) == 3
+    circuits = build_circuits([f"b{i}" for i in range(4)], random.Random(0))
+    otor = CensorScenario(BridgePool.build(25, 0), CodeParams(1, 1, 0))
+    assert not run_trial(otor, random.Random(0)).interrupted
+    decode = onion.decode_generations
+    monkeypatch.setattr(onion, "decode_generations", lambda received, params: decode(received[::-1], params))
+    for blocked in (set(), {1}):
+        with pytest.raises(ValueError, match=r"^generation ids must be contiguous from 0, got \[2, 1, 0\]$"):
+            run_transfer(circuits, coded, message, blocked)
+    assert run_transfer(circuits, coded, message, {0, 3}) == (False, 3, 2)
+    assert run_transfer(circuits, CodedMessage(params, message[:1000]), message[:1000], {1}) == (True, 1, 3)
+    with pytest.raises(ValueError, match=r"^generation ids must be contiguous from 0, got \[2, 1, 0\]$"):
+        run_trial(otor, random.Random(0))
+    capsys.readouterr()
+    assert main(["e2e", "--variant", "ctor:4:1", "--block", "2", "--message-size", "2000"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: generation ids must be contiguous from 0, got [1, 0]\n"
 
 
 def test_first_parity_cell_written_with_the_second_parity_row_mixes_row_sets(monkeypatch):
