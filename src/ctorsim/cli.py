@@ -365,7 +365,8 @@ def _build_parser() -> argparse.ArgumentParser:
     monte.add_argument("--trials", help=f"Monte Carlo trials per grid point (default {defaults.trials})")
     monte.add_argument(
         "--full-pipeline-fraction",
-        help=f"fraction of trials running the byte pipeline (default {defaults.full_pipeline_fraction})",
+        help=f"pipeline checks per point, as a fraction of --trials, run after the estimates"
+        f" (default {defaults.full_pipeline_fraction})",
     )
 
     parser = _Parser(prog="ctorsim", description="bridge-blocking resilience experiments")
@@ -405,9 +406,5 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
 
 
-def run() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    run()
+    sys.exit(main())

@@ -7,9 +7,9 @@ rows taken from a column-normalized Cauchy block, which makes every k-row
 subset of the generator invertible. Any k surviving coded cells therefore
 rebuild the generation exactly; with k-1 or fewer the generation is lost.
 
-Encoder and decoder are pure functions of (params, matrix) and their
-cells. Every generation of a message is coded with the same rows, so both
-work column-wise: a column is one sub-flow's payloads across all the
+Encoder and decoder are pure functions of their rows and their cells.
+Every generation of a message is coded with the same rows, so both work
+column-wise: a column is one sub-flow's payloads across all the
 generations of a batch, joined once, and each GF(2^8) coefficient scales a
 whole column in one call, however many generations the batch holds. The
 encoder writes each column straight into the wire its sub-flow's circuit
@@ -72,8 +72,8 @@ class _CodeParamsFields(NamedTuple):
 class CodeParams(_CodeParamsFields):
     """Code shape: n coded cells per generation, k of them data, r parity.
 
-    A tuple record that checks its fields in __new__; _make, and so
-    _replace, build through it too.
+    A tuple record that checks its fields in __new__. Build one by calling
+    the class: the inherited _make and _replace skip the checks.
     """
 
     __slots__ = ()
@@ -91,10 +91,6 @@ class CodeParams(_CodeParamsFields):
         if n > MAX_N:
             raise ValueError(f"n must be <= {MAX_N} (field size bound), got {n}")
         return tuple.__new__(cls, (n, k, r))
-
-    @classmethod
-    def _make(cls, fields) -> "CodeParams":
-        return cls(*fields)
 
 
 def interrupted_by_rule(blocked_count: int, params: CodeParams) -> bool:
@@ -179,21 +175,15 @@ def _wire_cell(k: int) -> struct.Struct:
     return struct.Struct(f"{_HEADER.format}{k}s{CELL_SIZE}s")
 
 
-class GeneratorMatrix(NamedTuple):
-    """n coefficient rows of length k; rows 0..k-1 are the identity."""
-
-    params: CodeParams
-    rows: tuple[bytes, ...]
-
-
 def _unit_row(k: int, i: int) -> bytes:
     row = bytearray(k)
     row[i] = 1
     return bytes(row)
 
 
-def build_generator(params: CodeParams) -> GeneratorMatrix:
-    """Deterministic systematic generator whose every k-row subset is invertible.
+def build_generator(params: CodeParams) -> tuple[bytes, ...]:
+    """Deterministic systematic generator: n coefficient rows of length k,
+    rows 0..k-1 the identity, whose every k-row subset is invertible.
 
     Parity rows come from the Cauchy block 1/(x_i + y_j) on the distinct
     points x_i = i, y_j = r + j, with each column scaled so the first parity
@@ -210,7 +200,7 @@ def build_generator(params: CodeParams) -> GeneratorMatrix:
             for i in range(r):
                 block[i][j] = gf256.mul(block[i][j], s)
         rows.extend(bytes(row) for row in block)
-    return GeneratorMatrix(params, tuple(rows))
+    return tuple(rows)
 
 
 def _combine(coefficients: Sequence[int], payloads: Sequence[bytes]) -> bytes:
@@ -224,8 +214,9 @@ def _combine(coefficients: Sequence[int], payloads: Sequence[bytes]) -> bytes:
     return acc.to_bytes(len(payloads[0]), "little")
 
 
-def encode_subflows(generations: Sequence[Generation], matrix: GeneratorMatrix) -> list[bytes]:
-    """Expand each generation's k original cells into n coded cells, and
+def encode_subflows(generations: Sequence[Generation], rows: Sequence[bytes]) -> list[bytes]:
+    """Expand each generation's k original cells into n coded cells, one
+    per row of a generator whose first k rows are the identity, and
     write coded cell i of every generation, in the order the generations
     are given, into wire i: the sub-flow circuit i carries.
 
@@ -234,13 +225,12 @@ def encode_subflows(generations: Sequence[Generation], matrix: GeneratorMatrix) 
     is joined once, and each parity column is one combination of the joined
     data columns, written slice by slice into its wire.
     """
-    params = matrix.params
-    k, rows = params.k, matrix.rows
+    k = len(rows[0])
     for generation in generations:
         if len(generation.cells) != k:
             raise ValueError(f"generation has {len(generation.cells)} cells, code expects {k}")
     columns = [[generation.cells[j] for generation in generations] for j in range(k)]
-    if params.r:
+    if len(rows) > k:
         joined = [b"".join(column) for column in columns]
         for row in rows[k:]:
             parity = memoryview(_combine(row, joined))
@@ -256,10 +246,10 @@ def encode_subflows(generations: Sequence[Generation], matrix: GeneratorMatrix) 
     return wires
 
 
-def encode_generation(generation: Generation, matrix: GeneratorMatrix) -> list[CodedCell]:
+def encode_generation(generation: Generation, rows: Sequence[bytes]) -> list[CodedCell]:
     """Expand k original cells into n coded cells, originals first: the
     parse of the one-generation wires of encode_subflows."""
-    return CodedCell.from_wire_stream(b"".join(encode_subflows([generation], matrix)))
+    return CodedCell.from_wire_stream(b"".join(encode_subflows([generation], rows)))
 
 
 # One inverse per set of received coefficient rows: a blocked circuit drops

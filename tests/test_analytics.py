@@ -142,3 +142,51 @@ class TestSweep:
             sweep(2, [1], [CodeParams(4, 3, 1)])
         with pytest.raises(ValueError):
             sweep(25, [-1], [CodeParams(1, 1, 0)])
+
+
+def kl_divergence(a: float, p: float) -> float:
+    """Binary Kullback-Leibler divergence D(a ‖ p), for 0 < a <= 1 and 0 <= p < a."""
+    if p == 0:
+        return math.inf
+    divergence = a * math.log(a / p)
+    if a < 1:
+        divergence += (1 - a) * math.log((1 - a) / (1 - p))
+    return divergence
+
+
+class TestFixedRateLaw:
+    """When does coding help? A shape that survives r blocked circuits of n
+    is interrupted with probability at most exp(-n·D((r + 1)/n ‖ π)) wherever
+    (r + 1)/n exceeds the censor's share π = known / pool (Hoeffding 1963,
+    whose binomial bounds hold for sampling without replacement). So at a
+    fixed rate r/n, p falls exponentially in n when π lies below the rate."""
+
+    # the bound is exact at n = 1, where p = π, and the float bound can
+    # round an ulp under the exact tail there
+    REL_TOL = 1e-12
+
+    def test_exact_tail_is_under_the_bound(self):
+        points = 0
+        for pool in (20, 50):
+            for n in range(1, min(40, pool) + 1):
+                for r in range(n):
+                    for known in range(pool + 1):
+                        if (r + 1) * pool <= known * n:
+                            continue  # (r + 1)/n <= π: the bound says nothing
+                        bound = math.exp(-n * kl_divergence((r + 1) / n, known / pool))
+                        p = p_block_lnc(pool - known, known, n, r)
+                        assert p <= bound * (1 + self.REL_TOL), (pool, known, n, r, float(p), bound)
+                        points += 1
+        assert points == 24_215
+
+    @pytest.mark.parametrize("known,five,ten", [(18, 0.2413, 0.2506), (19, 0.2749, 0.3012)])
+    def test_more_circuits_at_one_rate_can_raise_p(self, known, five, ten):
+        # ctor:5:2 and ctor:10:4 share the rate 2/5, and π = known/50 lies
+        # below it, so p falls exponentially as n grows at that rate; yet
+        # the step from n = 5 to n = 10 raises it, since the bound's
+        # threshold is (r + 1)/n, 0.6 and 0.5 here, and nears 2/5 only as n grows
+        small, large = p_block_lnc(50 - known, known, 5, 2), p_block_lnc(50 - known, known, 10, 4)
+        assert Fraction(known, 50) < Fraction(2, 5)
+        assert float(small) == pytest.approx(five, abs=5e-5)
+        assert float(large) == pytest.approx(ten, abs=5e-5)
+        assert small < large

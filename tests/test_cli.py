@@ -1,6 +1,7 @@
 """CLI behavior: CSV schemas, determinism, config handling, exit codes."""
 
 import csv
+import importlib.metadata
 import os
 import re
 import shutil
@@ -313,6 +314,15 @@ class TestHelp:
         lines = [" ".join(line.split()) for line in help_text(command, capsys, monkeypatch).splitlines()]
         assert [line for line in lines if line.startswith(("--mb ", "--mknown ", "--variant "))] == self.GRID_HELP
 
+    @pytest.mark.parametrize("command", ["simulate", "fig2"])
+    def test_full_pipeline_fraction_says_the_checks_come_after_the_estimates(self, capsys, monkeypatch, command):
+        # the option and its help do not fit one line, so the text is read as one
+        text = " ".join(help_text(command, capsys, monkeypatch).split())
+        assert (
+            "--full-pipeline-fraction FULL_PIPELINE_FRACTION pipeline checks per point,"
+            " as a fraction of --trials, run after the estimates (default 0.01)"
+        ) in text
+
 
 class TestE2E:
     def test_tolerated_block_succeeds(self, capsys):
@@ -555,6 +565,33 @@ class TestUsageErrors:
     def test_bad_mknown(self):
         assert main(["analytic", "--mknown", "5..2"]) == EXIT_USAGE
         assert main(["analytic", "--mknown", "abc"]) == EXIT_USAGE
+
+
+class TestConsoleScript:
+    """The `ctorsim` command an install makes: the entry point pyproject.toml
+    names, called as a console script calls it, sys.exit(entry())."""
+
+    @pytest.fixture
+    def entry(self):
+        tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
+        pyproject = Path(cli.__file__).resolve().parents[2] / "pyproject.toml"
+        value = tomllib.loads(pyproject.read_text())["project"]["scripts"]["ctorsim"]
+        return importlib.metadata.EntryPoint(name="ctorsim", value=value, group="console_scripts").load()
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["e2e", "--variant", "ctor:4:1", "--block", "2", "--message-size", "600"], EXIT_OK),
+            (["e2e", "--variant", "mtor:4", "--block", "2", "--message-size", "600"], EXIT_INTERRUPTED),
+            (["analytic", "--bogus"], EXIT_USAGE),
+        ],
+        ids=["ok", "interrupted", "usage"],
+    )
+    def test_exit_status_is_the_command_exit_code(self, entry, monkeypatch, capsys, argv, code):
+        monkeypatch.setattr(sys, "argv", ["ctorsim", *argv])
+        with pytest.raises(SystemExit) as exc:
+            sys.exit(entry())
+        assert exc.value.code == code
 
 
 def other_interpreters() -> list[str]:

@@ -19,7 +19,6 @@ from ctorsim.codec import (
     CodedCell,
     CodeParams,
     Generation,
-    GeneratorMatrix,
     UnrecoverableGeneration,
     _decode_plan,
     build_generator,
@@ -94,24 +93,19 @@ class TestCodeParams:
         assert repr(p) == "CodeParams(n=4, k=3, r=1)"
         assert p == CodeParams(4, 3, 1) and hash(p) == hash(CodeParams(4, 3, 1))
 
-    def test_make_and_replace_check_the_shape(self):
+    def test_pickle_round_trips(self):
         p = CodeParams(4, 3, 1)
-        assert p._replace(n=5, k=4) == CodeParams(5, 4, 1) and type(p._replace(r=1)) is CodeParams
-        with pytest.raises(ValueError, match=re.escape("n must equal k + r, got n=4, k=2, r=1")):
-            p._replace(k=2)
-        with pytest.raises(TypeError):
-            CodeParams._make([4, 3.0, 1])
         assert pickle.loads(pickle.dumps(p)) == p
 
 
 class TestBuildGenerator:
     def test_no_redundancy_is_identity(self):
-        m = build_generator(CodeParams(3, 3, 0))
-        assert m.rows == (b"\x01\x00\x00", b"\x00\x01\x00", b"\x00\x00\x01")
+        rows = build_generator(CodeParams(3, 3, 0))
+        assert rows == (b"\x01\x00\x00", b"\x00\x01\x00", b"\x00\x00\x01")
 
     def test_single_parity_row_is_all_ones(self):
-        m = build_generator(CodeParams(4, 3, 1))
-        assert m.rows[3] == b"\x01\x01\x01"
+        rows = build_generator(CodeParams(4, 3, 1))
+        assert rows[3] == b"\x01\x01\x01"
 
     def test_deterministic(self):
         p = CodeParams(10, 6, 4)
@@ -119,9 +113,9 @@ class TestBuildGenerator:
 
     @pytest.mark.parametrize("n,k", [(4, 3), (5, 3), (10, 6), (9, 4)])
     def test_every_k_row_subset_invertible(self, n, k):
-        m = build_generator(CodeParams(n, k, n - k))
+        rows = build_generator(CodeParams(n, k, n - k))
         for subset in itertools.combinations(range(n), k):
-            assert rank_of([m.rows[i] for i in subset], k) == k, subset
+            assert rank_of([rows[i] for i in subset], k) == k, subset
 
     def test_field_size_bound(self):
         with pytest.raises(ValueError):
@@ -139,9 +133,9 @@ def test_every_generator_up_to_40_circuits_is_systematic_with_invertible_k_subse
         for k in range(1, n + 1):
             params = CodeParams(n, k, n - k)
             matrix = build_generator(params)
-            assert matrix.params == params and len(matrix.rows) == n
-            assert matrix.rows[:k] == unit_rows(k)
-            assert all(type(row) is bytes and len(row) == k for row in matrix.rows)
+            assert len(matrix) == n
+            assert matrix[:k] == unit_rows(k)
+            assert all(type(row) is bytes and len(row) == k for row in matrix)
             if math.comb(n, k) <= 10:
                 subsets = list(itertools.combinations(range(n), k))
             else:
@@ -149,7 +143,7 @@ def test_every_generator_up_to_40_circuits_is_systematic_with_invertible_k_subse
             for subset in subsets:
                 parity = [i for i in subset if i >= k]
                 missing = sorted(set(range(k)) - set(subset))
-                cut = [bytes(matrix.rows[i][col] for col in missing) for i in parity]
+                cut = [bytes(matrix[i][col] for col in missing) for i in parity]
                 assert rank_of(cut, len(missing)) == len(missing), (params, subset)
 
 
@@ -269,18 +263,18 @@ class TestDecode:
             assert decode_generation(list(subset), params).cells == gen.cells
 
 
-def hand_made_matrix() -> GeneratorMatrix:
-    """A (5, 3, 2) generator whose parity rows are random bytes, not Cauchy rows."""
+def hand_made_rows() -> tuple[bytes, ...]:
+    """The rows of a (5, 3, 2) generator whose parity rows are random bytes, not Cauchy rows."""
     rng = random.Random(13)
     parity = tuple(bytes(rng.randrange(256) for _ in range(3)) for _ in range(2))
-    return GeneratorMatrix(CodeParams(5, 3, 2), (b"\x01\x00\x00", b"\x00\x01\x00", b"\x00\x00\x01") + parity)
+    return (b"\x01\x00\x00", b"\x00\x01\x00", b"\x00\x00\x01") + parity
 
 
 class TestRandomCoefficientMode:
     def test_decodes_from_full_rank_subsets(self):
         # elimination is not tied to the Cauchy rows: any full-rank subset decodes
-        matrix = hand_made_matrix()
-        params = matrix.params
+        matrix = hand_made_rows()
+        params = CodeParams(5, 3, 2)
         gen = random_generation(3, random.Random(14))
         cells = encode_generation(gen, matrix)
         decoded = decode_generation([cells[0], cells[3], cells[4]], params)
@@ -289,9 +283,7 @@ class TestRandomCoefficientMode:
     def test_singular_subset_reports_failure_instead_of_misdecoding(self):
         # a legal but degenerate matrix: both parity rows identical
         params = CodeParams(4, 2, 2)
-        matrix = GeneratorMatrix(
-            params, (b"\x01\x00", b"\x00\x01", b"\x05\x07", b"\x05\x07")
-        )
+        matrix = (b"\x01\x00", b"\x00\x01", b"\x05\x07", b"\x05\x07")
         gen = random_generation(2, random.Random(15))
         cells = encode_generation(gen, matrix)
         with pytest.raises(UnrecoverableGeneration):
@@ -313,8 +305,8 @@ class TestWireFormat:
                 cell = wire[t * size : (t + 1) * size]
                 assert cell[:4] == generation.generation_id.to_bytes(4, "big")
                 assert cell[4:6] == bytes([i, 3])
-                assert cell[6:9] == matrix.rows[i]
-                assert cell[9:] == (generation.cells[i] if i < 3 else reference_combine(matrix.rows[i], generation.cells))
+                assert cell[6:9] == matrix[i]
+                assert cell[9:] == (generation.cells[i] if i < 3 else reference_combine(matrix[i], generation.cells))
         assert wires[0][:4] == b"\x01\x02\x03\x04"
         # the tests' own writer spells out the same layout
         assert wires == subflow_wires([reference_encode(generation, matrix) for generation in generations])
@@ -596,9 +588,9 @@ class TestBatchedParse:
 
 
 class TestRecords:
-    """CodedCell, Generation and GeneratorMatrix are plain records: the parser,
-    the decoder, split_message and build_generator build every instance the
-    pipeline uses, and what those return is checked here and above."""
+    """CodedCell and Generation are plain records: the parser, the decoder
+    and split_message build every instance the pipeline uses, and what those
+    return is checked here and above."""
 
     def test_decoded_generation_equals_public_one(self):
         params = CodeParams(5, 3, 2)
@@ -896,7 +888,7 @@ def test_cached_inverse_matches_elimination(k, r, seed, data):
     params = CodeParams(k + r, k, r)
     parity = data.draw(st.lists(st.binary(min_size=k, max_size=k), min_size=r, max_size=r))
     generation = random_generation(k, random.Random(seed), generation_id=seed % 1000)
-    coded = encode_generation(generation, GeneratorMatrix(params, unit_rows(k) + tuple(parity)))
+    coded = encode_generation(generation, unit_rows(k) + tuple(parity))
     # up to r + 1 erased sub-flows, duplicated survivors, and cells that
     # depend on two coded cells
     index = st.integers(0, params.n - 1)
@@ -944,7 +936,7 @@ class TestDecodePlanCache:
         # codes of one shape lose the same sub-flows, one of them singularly
         params = CodeParams(4, 2, 2)
         gen = random_generation(2, random.Random(19))
-        singular = GeneratorMatrix(params, unit_rows(2) + (b"\x05\x07", b"\x05\x07"))
+        singular = unit_rows(2) + (b"\x05\x07", b"\x05\x07")
         for first, second in ((build_generator(params), singular), (singular, build_generator(params))):
             for matrix in (first, second):
                 cells = encode_generation(gen, matrix)
@@ -971,7 +963,7 @@ class TestDecodePlanCache:
         assert info.currsize == info.misses == survivor_sets <= info.maxsize
 
     def test_one_shared_plan_per_row_set(self):
-        rows = build_generator(CodeParams(10, 6, 4)).rows[4:]
+        rows = build_generator(CodeParams(10, 6, 4))[4:]
         assert _decode_plan(rows) is _decode_plan(rows)
         assert _decode_plan(rows) == _decode_plan.__wrapped__(rows)
 
@@ -1001,12 +993,12 @@ def reference_combine(coefficients, payloads) -> bytes:
     return acc.to_bytes(CELL_SIZE, "little")
 
 
-def reference_encode(generation: Generation, matrix: GeneratorMatrix) -> list[CodedCell]:
+def reference_encode(generation: Generation, rows: tuple[bytes, ...]) -> list[CodedCell]:
     """Per-generation encoder: each parity cell combines the generation's own cells."""
-    k = matrix.params.k
+    k = len(rows[0])
     return [
         CodedCell(generation.generation_id, idx, row, generation.cells[idx] if idx < k else reference_combine(row, generation.cells))
-        for idx, row in enumerate(matrix.rows)
+        for idx, row in enumerate(rows)
     ]
 
 
@@ -1055,7 +1047,7 @@ def test_batched_codec_matches_per_generation_reference(k, r, count, cauchy, see
         matrix = build_generator(params)
     else:
         parity = data.draw(st.lists(st.binary(min_size=k, max_size=k), min_size=r, max_size=r))
-        matrix = GeneratorMatrix(params, unit_rows(k) + tuple(parity))
+        matrix = unit_rows(k) + tuple(parity)
     ids = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=count, max_size=count, unique=True))
     rng = random.Random(seed)
     generations = [random_generation(k, rng, generation_id) for generation_id in ids]
@@ -1073,8 +1065,8 @@ class TestColumnWise:
     coefficient and column, whatever the number of generations."""
 
     def test_each_survivor_pattern_is_one_call_and_a_mixed_call_raises(self):
-        matrix = hand_made_matrix()
-        params = matrix.params
+        matrix = hand_made_rows()
+        params = CodeParams(5, 3, 2)
         rng = random.Random(27)
         generations = [random_generation(3, rng, generation_id) for generation_id in range(9)]
         coded = [reference_encode(generation, matrix) for generation in generations]
@@ -1117,8 +1109,8 @@ class TestColumnWise:
         assert set(scale_calls) <= {len(coded.cells[0]) * CELL_SIZE}
 
     def test_per_generation_functions_are_the_batch_of_one(self):
-        matrix = hand_made_matrix()
-        params = matrix.params
+        matrix = hand_made_rows()
+        params = CodeParams(5, 3, 2)
         generation = random_generation(3, random.Random(28), generation_id=7)
         cells = encode_generation(generation, matrix)
         assert cells == CodedCell.from_wire_stream(b"".join(encode_subflows([generation], matrix)))
@@ -1131,7 +1123,7 @@ class TestColumnWise:
             assert (exc.value.generation_id, exc.value.received) == (7, 2)
 
     def test_empty_batch(self):
-        assert encode_subflows([], hand_made_matrix()) == [b""] * 5
+        assert encode_subflows([], hand_made_rows()) == [b""] * 5
         assert decode_generations([], CodeParams(5, 3, 2)) == []
 
     @pytest.mark.parametrize("fault", ["empty", "mixed", "short-row", "long-row", "mixed-rows"])
@@ -1159,11 +1151,11 @@ class TestColumnWise:
     def test_encode_rejects_a_generation_of_another_width(self):
         rng = random.Random(30)
         with pytest.raises(ValueError, match="generation has 2 cells, code expects 3"):
-            encode_subflows([random_generation(3, rng, 0), random_generation(2, rng, 1)], hand_made_matrix())
+            encode_subflows([random_generation(3, rng, 0), random_generation(2, rng, 1)], hand_made_rows())
 
     def test_encode_rejects_an_id_its_header_cannot_hold(self):
         # the header packs the id into 4 bytes, so a larger one never reaches a wire
         rng = random.Random(31)
         with pytest.raises(struct.error):
-            encode_subflows([random_generation(3, rng, 0), random_generation(3, rng, 2**32)], hand_made_matrix())
+            encode_subflows([random_generation(3, rng, 0), random_generation(3, rng, 2**32)], hand_made_rows())
 

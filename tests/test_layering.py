@@ -4,7 +4,8 @@ gf256 is the field, codec the erasure code, onion the relays and transport,
 analytics the exact tails, and censor the trial engine, which takes the pool
 rule and the interruption count from analytics; cli wires them together.
 Pinning the relative imports keeps a concern from drifting into a module
-that does not own it (the relay pool back into censor, say). The same
+that does not own it (the relay pool back into censor, say), and the
+package's __init__ imports nothing, so each name has one import path. The same
 source scan checks that every functools cache is bounded, that a record
 whose class checks its fields in __new__ is never built around it, that the
 wire header has one writer and one reader, that the pipeline parses a wire
@@ -52,6 +53,13 @@ def test_each_module_imports_exactly_its_layers():
         if path.stem != "__init__"
     }
     assert graph == EXPECTED_IMPORTS
+
+
+def test_the_package_init_imports_nothing():
+    # every caller imports the submodule that owns a name, so each name has
+    # one import path and `import ctorsim` loads no submodule
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))] == []
 
 
 def test_no_module_imports_a_private_name_of_another():

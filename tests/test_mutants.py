@@ -91,9 +91,9 @@ def test_wire_cells_with_the_last_byte_flipped_fail_every_transfer(monkeypatch, 
 
     encode = onion.encode_subflows
 
-    def flipped(generations, matrix):
-        cell_size = 4 + 1 + 1 + matrix.params.k + CELL_SIZE
-        wires = [bytearray(wire) for wire in encode(generations, matrix)]
+    def flipped(generations, rows):
+        cell_size = 4 + 1 + 1 + len(rows[0]) + CELL_SIZE
+        wires = [bytearray(wire) for wire in encode(generations, rows)]
         for wire in wires:
             for last in range(cell_size - 1, len(wire), cell_size):
                 wire[last] ^= 1
@@ -244,15 +244,15 @@ def test_first_parity_cell_written_with_the_second_parity_row_mixes_row_sets(mon
     assert len(CodedMessage(params, message).cells[0]) == 3
     encode = onion.encode_subflows
 
-    def first_cell_with_the_next_row(generations, matrix):
-        k, rows = matrix.params.k, matrix.rows
-        wires = encode(generations, matrix)
+    def first_cell_with_the_next_row(generations, rows):
+        k = len(rows[0])
+        wires = encode(generations, rows)
         wires[k] = wires[k][:6] + rows[k + 1] + wires[k][6 + k :]
         return wires
 
     monkeypatch.setattr(onion, "encode_subflows", first_cell_with_the_next_row)
     coded = CodedMessage(params, message)
-    second_parity_row = codec.build_generator(params).rows[4]
+    second_parity_row = codec.build_generator(params)[4]
     assert [cells[0].coefficients for cells in coded.cells[3:]] == [second_parity_row] * 2
     for blocked in (set(), {1}, {4}):
         with pytest.raises(ValueError, match="^generations of one batch arrived with other coefficient rows$"):
@@ -375,10 +375,10 @@ def test_parity_subflows_written_with_the_next_parity_row_fail_the_rule(monkeypa
     assert first_failing_trial(params) is None
     encode = onion.encode_subflows
 
-    def next_parity_rows(generations, matrix):
-        k, rows = matrix.params.k, matrix.rows
+    def next_parity_rows(generations, rows):
+        k = len(rows[0])
         cell_size = 4 + 1 + 1 + k + CELL_SIZE
-        wires = encode(generations, matrix)
+        wires = encode(generations, rows)
         for i, row in enumerate(rows[k + 1 :] + rows[k : k + 1]):
             wire = bytearray(wires[k + i])
             for start in range(6, len(wire), cell_size):

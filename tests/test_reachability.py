@@ -20,8 +20,6 @@ PACKAGE = Path(ctorsim.__file__).resolve().parent
 
 UNREACHED = {
     "analytics.enumerate_oracle": "reference oracle the closed form is tested against",
-    "codec.CodeParams._make": "checked _replace: builds through CodeParams.__new__",
-    "cli.run": "console entry point; the calls here go through cli.main",
     "codec.encode_generation": "bound by the benchmark tracer (ROADMAP items 5 and 9)",
     "codec.decode_generation": "bound by the benchmark tracer (ROADMAP items 5 and 9)",
     "codec.UnrecoverableGeneration.__init__": "raised by decode_generations on rows of rank below k, which Cauchy rows never give",
