@@ -125,8 +125,8 @@ def select_bridges(scenario: CensorScenario, rng: random.Random) -> list[str]:
 
 
 def run_trial(scenario: CensorScenario, rng: random.Random) -> TrialOutcome:
-    """One full trial: select bridges, then build circuits over the default
-    relay pool, both from `rng`, and carry the fixed trial message through
+    """One full trial: select bridges, then build circuits over the relay
+    pool, both from `rng`, and carry the fixed trial message through
     the byte pipeline; the transfer decodes it and compares the result with
     the message.
 

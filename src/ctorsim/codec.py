@@ -364,7 +364,7 @@ def split_message(message: bytes, params: CodeParams) -> list[Generation]:
     if not message:
         raise ValueError("cannot split an empty message")
     k = params.k
-    framed = len(message).to_bytes(_LENGTH_PREFIX, "big") + bytes(message)
+    framed = len(message).to_bytes(_LENGTH_PREFIX, "big") + message
     cells = -(-len(framed) // CELL_SIZE)
     cells = -(-cells // k) * k
     padded = framed.ljust(cells * CELL_SIZE, b"\x00")

@@ -5,15 +5,18 @@ The single-circuit (otor), multi-circuit (mtor), and coded multi-circuit
 (ctor) variants share one code path and differ only in their CodeParams:
 otor is (n=1, k=1, r=0), mtor is (n=k, r=0), ctor has r >= 1.
 
-Layer encryption is a keyed pseudorandom stream XOR, not real cryptography:
-the keystream is SHAKE-256 over (router key, circuit id, layer position).
-Binding the layer position is what makes out-of-order peeling detectable;
-bare XOR layers would commute. As with Tor's per-hop counter-mode cipher,
-transmit runs each hop's stream across a whole sub-flow: the cells a
-circuit carries are wrapped and peeled as one wire string. From wrap to
-the last peel a sub-flow is one little-endian int plus its byte size, so
-each layer is a single int XOR. XOR acts byte by byte, so the byte order of
-these ints moves no output byte; little-endian is the cheaper conversion.
+A relay is its id string: the censor blocks only entry bridges, so the
+relays a circuit draws never decide an outcome, and no per-hop key
+exchange is modelled. Layer encryption is a pseudorandom stream XOR, not
+real cryptography: the keystream is SHAKE-256 over (relay id, circuit id,
+layer position). Binding the layer position is what makes out-of-order
+peeling detectable; bare XOR layers would commute. As with Tor's per-hop
+counter-mode cipher, transmit runs each hop's stream across a whole
+sub-flow: the cells a circuit carries are wrapped and peeled as one wire
+string. From wrap to the last peel a sub-flow is one little-endian int
+plus its byte size, so each layer is a single int XOR. XOR acts byte by
+byte, so the byte order of these ints moves no output byte; little-endian
+is the cheaper conversion.
 
 A message is coded once, by building a CodedMessage(params, message): the
 constructor splits the message, has the encoder write its sub-flow wires in
@@ -34,9 +37,9 @@ checks that its layers cancel, comparing the peeled int and size with the
 sub-flow that was sent, raises ValueError if they do not, and hands on the
 cells the message parsed from that same wire.
 
-OnionRouter, Circuit, LayeredCell and TransferResult are plain tuple
-records, and a CircuitSet is the tuple of its circuits: the pipeline builds
-each from values it has just made, and their invariants are tested on what
+Circuit, LayeredCell and TransferResult are plain tuple records, and a
+CircuitSet is the tuple of its circuits: the pipeline builds each from
+values it has just made, and their invariants are tested on what
 build_circuits and run_transfer return. build_circuits checks the bridge
 ids it is given; the middles and the exit it draws are distinct by
 construction. A CodedMessage is a small immutable class: the trials of a
@@ -72,59 +75,23 @@ from .codec import decode_generation, encode_generation  # noqa: F401
 from .gf256 import xor_bytes  # noqa: F401
 
 
-class OnionRouter(NamedTuple):
-    router_id: str
-    layer_key: bytes
-
-
-def derive_layer_key(router_id: str) -> bytes:
-    """Deterministic per-router key material; stands in for real key exchange."""
-    return hashlib.shake_256(b"layer-key:" + router_id.encode()).digest(16)
-
-
-# OnionRouter is an immutable tuple record, so every circuit that names a
-# relay can share one instance; bounded because bridge ids grow with --mb.
-@functools.lru_cache(maxsize=1024)
-def relay(router_id: str) -> OnionRouter:
-    """A bridge or pool relay, keyed by its id."""
-    return OnionRouter(router_id, derive_layer_key(router_id))
-
-
-@functools.cache
-def default_registry() -> tuple[tuple[OnionRouter, ...], tuple[OnionRouter, ...]]:
-    """The one relay pool of the process, as (middles, exits), built on first
-    use. The censor blocks only entry bridges, so the middles and exit a
-    circuit draws never decide an outcome; the pool only needs enough middles
-    for any legal code. The pool sizes are an operational stand-in, not a
-    measured topology."""
-    return (
-        tuple(relay(f"middle-{i:03d}") for i in range(MAX_N)),
-        tuple(relay(f"exit-{i:02d}") for i in range(10)),
-    )
-
+# The one relay pool, as ids: enough middles for any legal code (MAX_N) and
+# 10 exits, an operational stand-in, not a measured topology
+MIDDLES = tuple(f"middle-{i:03d}" for i in range(MAX_N))
+EXITS = tuple(f"exit-{i:02d}" for i in range(10))
+_POOL_IDS = frozenset(MIDDLES + EXITS)
 
 # A trial builds n circuits and four layered cells per surviving circuit, so
 # those skip the NamedTuple's generated Python __new__ for the C one
 _new_tuple = tuple.__new__
 
 
-@functools.cache
-def _pool_relay_ids() -> frozenset[str]:
-    middles, exits = default_registry()
-    return frozenset(router.router_id for router in middles + exits)
-
-
 class Circuit(NamedTuple):
-    """entry -> middle -> exit relay chain."""
+    """entry -> middle -> exit relay ids; the entry id names the circuit."""
 
-    entry: OnionRouter
-    middle: OnionRouter
-    exit: OnionRouter
-
-    @property
-    def circuit_id(self) -> str:
-        # entries are unique within a circuit set, so the entry id names the circuit
-        return self[0].router_id
+    entry: str
+    middle: str
+    exit: str
 
 
 # n disjoint circuits sharing exactly one exit, 2n+1 distinct relays: the
@@ -134,7 +101,7 @@ CircuitSet = tuple[Circuit, ...]
 
 def build_circuits(bridge_ids: Sequence[str], rng: random.Random) -> CircuitSet:
     """Build one circuit per chosen bridge, middles and the shared exit drawn
-    uniformly without replacement from the default relay pool.
+    uniformly without replacement from the relay pool.
 
     The draws are distinct by construction, so only the bridge ids are
     checked, whatever the seed would draw: 1..MAX_N of them, so the pool
@@ -146,12 +113,11 @@ def build_circuits(bridge_ids: Sequence[str], rng: random.Random) -> CircuitSet:
     distinct = set(bridge_ids)
     if len(distinct) != n:
         raise ValueError("bridge ids must be distinct")
-    if not _pool_relay_ids().isdisjoint(distinct):
+    if not _POOL_IDS.isdisjoint(distinct):
         raise ValueError("relay roles must not overlap within a circuit set")
-    pool_middles, pool_exits = default_registry()
-    middles = rng.sample(pool_middles, n)
-    shared_exit = rng.choice(pool_exits)
-    hops = zip(map(relay, bridge_ids), middles, repeat(shared_exit, n))
+    middles = rng.sample(MIDDLES, n)
+    shared_exit = rng.choice(EXITS)
+    hops = zip(bridge_ids, middles, repeat(shared_exit, n))
     return tuple(map(_new_tuple, repeat(Circuit, n), hops))
 
 
@@ -159,8 +125,7 @@ class LayeredCell(NamedTuple):
     """Wire bytes under 0..3 encryption layers, tagged with routing context.
 
     The bytes are held as one little-endian int of `size` bytes, so a layer
-    is one int XOR; `payload` gives them back as bytes, trailing zeros
-    included.
+    is one int XOR.
     """
 
     value: int
@@ -168,16 +133,12 @@ class LayeredCell(NamedTuple):
     layers_remaining: int
     circuit_id: str
 
-    @property
-    def payload(self) -> bytes:
-        return self.value.to_bytes(self.size, "little")
 
-
-def _derive_keystream(key: bytes, circuit_id: str, depth: int, size: int) -> int:
+def _derive_keystream(relay_id: str, circuit_id: str, depth: int, size: int) -> int:
     """One layer stream, as the little-endian int both wrap and peel XOR in."""
-    cid = circuit_id.encode()
+    rid, cid = relay_id.encode(), circuit_id.encode()
     return int.from_bytes(hashlib.shake_256(b"%b%b%b%b%c" % (
-        len(key).to_bytes(2, "big"), key, len(cid).to_bytes(2, "big"), cid, depth
+        len(rid).to_bytes(2, "big"), rid, len(cid).to_bytes(2, "big"), cid, depth
     )).digest(size), "little")
 
 
@@ -214,24 +175,23 @@ def wrap_layers(value: int, size: int, circuit: Circuit) -> LayeredCell:
     the `size` bytes held as the little-endian int `value`, so that peeling
     proceeds entry -> middle -> exit."""
     entry, middle, exit = circuit
-    cid = entry.router_id
     value ^= (
-        (_exit_keystream if size <= _SHORT_SUBFLOW else _keystream)(exit.layer_key, cid, 1, size)
-        ^ _keystream(middle.layer_key, cid, 2, size)
-        ^ _entry_keystream(entry.layer_key, cid, 3, size)
+        (_exit_keystream if size <= _SHORT_SUBFLOW else _keystream)(exit, entry, 1, size)
+        ^ _keystream(middle, entry, 2, size)
+        ^ _entry_keystream(entry, entry, 3, size)
     )
-    return _new_tuple(LayeredCell, (value, size, 3, cid))
+    return _new_tuple(LayeredCell, (value, size, 3, entry))
 
 
-def peel_layer(cell: LayeredCell, router: OnionRouter) -> LayeredCell:
-    """Remove one layer with the router's key."""
+def peel_layer(cell: LayeredCell, relay_id: str) -> LayeredCell:
+    """Remove one layer with the relay's stream."""
     value, size, depth, cid = cell
     if depth == 3:
-        stream = _entry_keystream(router.layer_key, cid, 3, size)
+        stream = _entry_keystream(relay_id, cid, 3, size)
     elif depth == 1 and size <= _SHORT_SUBFLOW:
-        stream = _exit_keystream(router.layer_key, cid, 1, size)
+        stream = _exit_keystream(relay_id, cid, 1, size)
     else:
-        stream = _keystream(router.layer_key, cid, depth, size)
+        stream = _keystream(relay_id, cid, depth, size)
     return _new_tuple(LayeredCell, (value ^ stream, size, depth - 1, cid))
 
 
@@ -348,4 +308,4 @@ def run_transfer(
     if delivered < coded.params.k:
         return TransferResult(False, generations, delivered)
     decoded = decode_generations([arrived[g::generations] for g in range(generations)], coded.params)
-    return TransferResult(reassemble_message(decoded) == bytes(message), generations, delivered)
+    return TransferResult(reassemble_message(decoded) == message, generations, delivered)

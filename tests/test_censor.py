@@ -28,7 +28,7 @@ from ctorsim.censor import (
     select_bridges,
 )
 from ctorsim.codec import CodeParams, Variant
-from ctorsim.onion import CodedMessage, build_circuits, default_registry, transmit
+from ctorsim.onion import EXITS, CodedMessage, build_circuits, transmit
 
 
 def scenario(num_unknown, num_known, n, r=0) -> CensorScenario:
@@ -230,9 +230,9 @@ class TestExitStreamMemory:
     def test_grid_trials_keep_only_short_streams_of_unknown_bridges(self, monkeypatch):
         derived = []
 
-        def recording(key, circuit_id, depth, size):
+        def recording(relay_id, circuit_id, depth, size):
             derived.append((circuit_id, depth, size))
-            return onion._derive_keystream(key, circuit_id, depth, size)
+            return onion._derive_keystream(relay_id, circuit_id, depth, size)
 
         cache = functools.lru_cache(maxsize=onion._exit_keystream.cache_info().maxsize)(recording)
         monkeypatch.setattr(onion, "_exit_keystream", cache)
@@ -247,8 +247,7 @@ class TestExitStreamMemory:
         # known bridges are always blocked, so they never carry a sub-flow
         pool = BridgePool.build(DEFAULT_UNKNOWN, 0)
         assert {cid for cid, _, _ in derived} <= set(pool.ordered) - pool.known
-        exits = default_registry()[1]
-        assert info.currsize <= len(exits) * DEFAULT_UNKNOWN * len(DEFAULT_CONFIGS)
+        assert info.currsize <= len(EXITS) * DEFAULT_UNKNOWN * len(DEFAULT_CONFIGS)
         # an e2e-sized transfer (86 generations, 45 KB sub-flows) adds nothing
         coded = CodedMessage(CodeParams(10, 6, 4), bytes(256 * 1024))
         assert len(coded.cells[0]) == 86
@@ -275,14 +274,14 @@ class TestExitStreamMemory:
         peel = onion.peel_layer
         flipped = []
 
-        def corrupting_peel(cell, router):
+        def corrupting_peel(cell, relay_id):
             # the first exit peel flips byte 100 of its first cell's payload,
             # past the 6-byte header and the k = 4 row
-            peeled = peel(cell, router)
+            peeled = peel(cell, relay_id)
             if peeled.layers_remaining or flipped:
                 return peeled
             peeled = peeled._replace(value=peeled.value ^ (1 << 8 * (6 + 4 + 100)))
-            flipped.append(peeled.payload)
+            flipped.append(peeled.value.to_bytes(peeled.size, "little"))
             return peeled
 
         monkeypatch.setattr(onion, "peel_layer", corrupting_peel)

@@ -128,11 +128,11 @@ def test_entry_and_middle_peeled_in_swapped_order_fail_the_exit_check(monkeypatc
         run_trial(s, rng)
     peel = onion.peel_layer
 
-    def swapped(cell, router):
+    def swapped(cell, relay_id):
         depth = cell.layers_remaining
         if depth not in (2, 3):
-            return peel(cell, router)
-        return peel(cell._replace(layers_remaining=5 - depth), router)._replace(layers_remaining=depth - 1)
+            return peel(cell, relay_id)
+        return peel(cell._replace(layers_remaining=5 - depth), relay_id)._replace(layers_remaining=depth - 1)
 
     monkeypatch.setattr(onion, "peel_layer", swapped)
     rng = random.Random(0)
@@ -156,10 +156,9 @@ def test_middle_stream_wrapped_at_the_entry_depth_fails_the_exit_check(monkeypat
 
     def middle_at_depth_3(value, size, circuit):
         entry, middle, exit = circuit
-        cid = entry.router_id
-        for key, depth in ((exit.layer_key, 1), (middle.layer_key, 3), (entry.layer_key, 3)):
-            value ^= onion._derive_keystream(key, cid, depth, size)
-        return onion.LayeredCell(value, size, 3, cid)
+        for relay_id, depth in ((exit, 1), (middle, 3), (entry, 3)):
+            value ^= onion._derive_keystream(relay_id, entry, depth, size)
+        return onion.LayeredCell(value, size, 3, entry)
 
     monkeypatch.setattr(onion, "wrap_layers", middle_at_depth_3)
     rng = random.Random(0)
@@ -279,8 +278,8 @@ def test_keystreams_that_ignore_the_circuit_id_are_uncaught_at_run_time(monkeypa
 
     derive = onion._derive_keystream
 
-    def without_circuit_id(key, circuit_id, depth, size):
-        return derive(key, "", depth, size)
+    def without_circuit_id(relay_id, circuit_id, depth, size):
+        return derive(relay_id, "", depth, size)
 
     for cache in ("_keystream", "_entry_keystream", "_exit_keystream"):
         maxsize = getattr(onion, cache).cache_info().maxsize

@@ -28,15 +28,14 @@ from ctorsim.codec import (
 )
 from ctorsim.gf256 import xor_bytes
 from ctorsim.onion import (
+    EXITS,
+    MIDDLES,
     CircuitSet,
     Circuit,
     CodedMessage,
     LayeredCell,
-    OnionRouter,
     build_circuits,
-    default_registry,
     peel_layer,
-    relay,
     run_transfer,
     transmit,
     wrap_layers,
@@ -53,24 +52,26 @@ def wrap_bytes(wire: bytes, circuit: Circuit) -> LayeredCell:
     return wrap_layers(int.from_bytes(wire, "little"), len(wire), circuit)
 
 
+def payload(cell: LayeredCell) -> bytes:
+    """A layered cell's bytes, trailing zeros included."""
+    return cell.value.to_bytes(cell.size, "little")
+
+
 def wire_of(coded: CodedMessage, idx: int) -> bytes:
     """Sub-flow idx of a coded message as the bytes its circuit carries."""
     return coded.subflows[idx].to_bytes(coded.subflow_size, "little")
 
 
-def distinct_router_ids(cs: CircuitSet) -> set[str]:
-    ids = set()
-    for c in cs:
-        ids.update((c.entry.router_id, c.middle.router_id, c.exit.router_id))
-    return ids
+def distinct_relay_ids(cs: CircuitSet) -> set[str]:
+    return {relay_id for c in cs for relay_id in c}
 
 
 class TestBuildCircuits:
     def test_single_circuit_uses_three_relays(self):
-        assert len(distinct_router_ids(circuits_for(1))) == 3
+        assert len(distinct_relay_ids(circuits_for(1))) == 3
 
     def test_four_circuits_use_nine_relays(self):
-        assert len(distinct_router_ids(circuits_for(4))) == 2 * 4 + 1
+        assert len(distinct_relay_ids(circuits_for(4))) == 2 * 4 + 1
 
     def test_same_seed_same_circuits(self):
         assert circuits_for(4, seed=5) == circuits_for(4, seed=5)
@@ -85,19 +86,18 @@ class TestBuildCircuits:
 
     def test_shared_exit(self):
         cs = circuits_for(6)
-        assert len({c.exit.router_id for c in cs}) == 1
+        assert len({c.exit for c in cs}) == 1
 
     def test_circuits_are_frozen(self):
         # a tuple record: its fields cannot be set
         circuit = circuits_for(1)[0]
         with pytest.raises(AttributeError):
-            circuit.entry = relay("other")
+            circuit.entry = "other"
 
     def test_a_circuit_is_a_record_named_by_its_entry(self):
         circuit = circuits_for(1)[0]
         assert type(circuit) is Circuit
-        assert circuit.circuit_id == circuit.entry.router_id
-        assert circuit._replace(entry=relay("b9")) == Circuit(relay("b9"), circuit.middle, circuit.exit)
+        assert circuit._replace(entry="b9") == Circuit("b9", circuit.middle, circuit.exit)
 
     @pytest.mark.parametrize(
         "bridge_ids",
@@ -111,46 +111,33 @@ class TestBuildCircuits:
                 build_circuits(bridge_ids, random.Random(seed))
 
 
-class TestDefaultRegistry:
+class TestRelayPool:
     def test_one_pool_covers_every_legal_code(self):
-        assert default_registry() is default_registry()
-        middles, exits = default_registry()
-        assert len(middles) == MAX_N
-        assert len(exits) == 10
+        assert type(MIDDLES) is tuple and len(MIDDLES) == MAX_N
+        assert type(EXITS) is tuple and len(EXITS) == 10
+        assert len(set(MIDDLES + EXITS)) == MAX_N + 10
+        assert all(type(relay_id) is str for relay_id in MIDDLES + EXITS)
 
-    def test_pool_holds_the_cached_routers(self):
-        # rebuild, so relays other tests churned through the bounded cache cannot matter
-        default_registry.cache_clear()
-        middles, exits = default_registry()
-        for router in middles + exits:
-            assert relay(router.router_id) is router
-            assert len(router.layer_key) == 16
-
-    def test_importing_the_cli_builds_no_relay(self):
-        # the benchmark's setup_s times this import, so the caches must fill on first use
+    def test_importing_the_cli_derives_no_keystream(self):
+        # the benchmark's setup_s times this import, so the streams must be derived on first use
         probe = (
             "import sys\n"
             "sys.path.insert(0, sys.argv[1])\n"
             "import ctorsim.cli\n"
             "from ctorsim import onion\n"
-            "print(onion.default_registry.cache_info().currsize, onion.relay.cache_info().currsize)"
+            "print(*(cache.cache_info().currsize for cache in"
+            " (onion._keystream, onion._exit_keystream, onion._entry_keystream)))"
         )
         src = str(Path(onion.__file__).resolve().parents[1])
         done = subprocess.run([sys.executable, "-c", probe, src], capture_output=True, text=True, check=True)
-        assert done.stdout.split() == ["0", "0"]
-
-
-def test_relay_shares_one_router_per_id_from_a_bounded_cache():
-    assert relay("bridge-07") is relay("bridge-07")
-    assert relay("bridge-07") == OnionRouter("bridge-07", onion.derive_layer_key("bridge-07"))
-    assert relay.cache_info().maxsize is not None
+        assert done.stdout.split() == ["0", "0", "0"]
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 10))
 def test_circuit_sets_always_disjoint(seed, n):
     cs = build_circuits([f"b{i}" for i in range(n)], random.Random(seed))
-    assert len(distinct_router_ids(cs)) == 2 * n + 1
+    assert len(distinct_relay_ids(cs)) == 2 * n + 1
     assert type(cs) is tuple and len(cs) == n
 
 
@@ -160,18 +147,17 @@ DRAWN_SIZES = (1, 4, 5, 8, 10, 40, MAX_N)
 @pytest.mark.parametrize("first_seed,n", enumerate(DRAWN_SIZES), ids=[f"n{n}" for n in DRAWN_SIZES])
 def test_every_drawn_circuit_set_is_n_disjoint_circuits_sharing_one_exit(first_seed, n):
     # the topology of the model, over 1,000 seeds in all, each size taking
-    # every 7th: n circuits of three routers, entry i the i-th bridge, no
+    # every 7th: n circuits of three relays, entry i the i-th bridge, no
     # relay in two roles or two circuits, and one exit shared by all
-    pool_middles, pool_exits = default_registry()
     for seed in range(first_seed, 1000, len(DRAWN_SIZES)):
         bridges = [f"b{i}" for i in range(n)]
         cs = build_circuits(bridges, random.Random(seed))
         assert type(cs) is tuple and len(cs) == n
-        assert all(type(c) is Circuit and all(type(hop) is OnionRouter for hop in c) for c in cs)
-        assert [c.entry.router_id for c in cs] == bridges
-        assert len({c.exit for c in cs}) == 1 and cs[0].exit in pool_exits
-        assert len({c.middle for c in cs}) == n and all(c.middle in pool_middles for c in cs)
-        assert len(distinct_router_ids(cs)) == 2 * n + 1
+        assert all(type(c) is Circuit and all(type(hop) is str for hop in c) for c in cs)
+        assert [c.entry for c in cs] == bridges
+        assert len({c.exit for c in cs}) == 1 and cs[0].exit in EXITS
+        assert len({c.middle for c in cs}) == n and all(c.middle in MIDDLES for c in cs)
+        assert len(distinct_relay_ids(cs)) == 2 * n + 1
 
 
 class TestLayering:
@@ -180,11 +166,11 @@ class TestLayering:
         wire = random.Random(1).randbytes(520)
         cell = wrap_bytes(wire, circuit)
         assert cell.layers_remaining == 3
-        assert cell.payload != wire
-        for router in (circuit.entry, circuit.middle, circuit.exit):
-            cell = peel_layer(cell, router)
+        assert payload(cell) != wire
+        for relay_id in (circuit.entry, circuit.middle, circuit.exit):
+            cell = peel_layer(cell, relay_id)
         assert cell.layers_remaining == 0
-        assert cell.payload == wire
+        assert payload(cell) == wire
 
     def test_wrap_and_peel_return_layered_cells(self):
         circuit = circuits_for(1)[0]
@@ -192,7 +178,7 @@ class TestLayering:
         peeled = peel_layer(cell, circuit.entry)
         for layered, depth in ((cell, 3), (peeled, 2)):
             assert type(layered) is LayeredCell
-            assert (layered.layers_remaining, layered.circuit_id, layered.size) == (depth, circuit.circuit_id, 520)
+            assert (layered.layers_remaining, layered.circuit_id, layered.size) == (depth, circuit.entry, 520)
 
     def test_wrap_is_deterministic(self):
         circuit = circuits_for(1)[0]
@@ -203,27 +189,28 @@ class TestLayering:
         circuit = circuits_for(1)[0]
         wire = random.Random(2).randbytes(520)
         cell = wrap_bytes(wire, circuit)
-        for router in (circuit.middle, circuit.entry, circuit.exit):  # wrong order
-            cell = peel_layer(cell, router)
-        assert cell.payload != wire
+        for relay_id in (circuit.middle, circuit.entry, circuit.exit):  # wrong order
+            cell = peel_layer(cell, relay_id)
+        assert payload(cell) != wire
 
-    def test_wrong_router_key_garbles_bytes(self):
+    def test_wrong_relay_garbles_bytes(self):
         circuit = circuits_for(1)[0]
-        imposter = relay("someone-else")
+        imposter = "someone-else"
         wire = random.Random(3).randbytes(520)
         cell = wrap_bytes(wire, circuit)
         cell = peel_layer(cell, imposter)
-        for router in (circuit.middle, circuit.exit):
-            cell = peel_layer(cell, router)
-        assert cell.payload != wire
+        for relay_id in (circuit.middle, circuit.exit):
+            cell = peel_layer(cell, relay_id)
+        assert payload(cell) != wire
 
 
 
-def reference_keystream(key: bytes, circuit_id: str, depth: int, size: int) -> bytes:
+def reference_keystream(relay_id: str, circuit_id: str, depth: int, size: int) -> bytes:
     """Uncached layer stream, absorbed field by field."""
     h = hashlib.shake_256()
-    h.update(len(key).to_bytes(2, "big"))
-    h.update(key)
+    rid = relay_id.encode()
+    h.update(len(rid).to_bytes(2, "big"))
+    h.update(rid)
     cid = circuit_id.encode()
     h.update(len(cid).to_bytes(2, "big"))
     h.update(cid)
@@ -234,8 +221,8 @@ def reference_keystream(key: bytes, circuit_id: str, depth: int, size: int) -> b
 def reference_wrap(cell_bytes: bytes, circuit: Circuit) -> bytes:
     """wrap_layers as three bytes-domain XORs over uncached streams."""
     data = bytes(cell_bytes)
-    for depth, router in ((1, circuit.exit), (2, circuit.middle), (3, circuit.entry)):
-        data = xor_bytes(data, reference_keystream(router.layer_key, circuit.circuit_id, depth, len(data)))
+    for depth, relay_id in ((1, circuit.exit), (2, circuit.middle), (3, circuit.entry)):
+        data = xor_bytes(data, reference_keystream(relay_id, circuit.entry, depth, len(data)))
     return data
 
 
@@ -267,8 +254,8 @@ def test_wrap_matches_reference(cell, seed, n, data):
     circuits = build_circuits([f"b{i}" for i in range(n)], random.Random(seed))
     circuit = circuits[data.draw(st.integers(0, n - 1))]
     layered = wrap_bytes(cell, circuit)
-    assert layered.payload == reference_wrap(cell, circuit)
-    assert (layered.layers_remaining, layered.circuit_id) == (3, circuit.circuit_id)
+    assert payload(layered) == reference_wrap(cell, circuit)
+    assert (layered.layers_remaining, layered.circuit_id) == (3, circuit.entry)
 
 
 @pytest.mark.parametrize(
@@ -281,10 +268,10 @@ def test_int_layers_keep_every_byte(wire):
     # the size kept beside the int must bring them back
     circuit = circuits_for(1)[0]
     cell = wrap_bytes(wire, circuit)
-    assert cell.payload == reference_wrap(wire, circuit)
-    for router in (circuit.entry, circuit.middle, circuit.exit):
-        cell = peel_layer(cell, router)
-    assert cell.payload == wire
+    assert payload(cell) == reference_wrap(wire, circuit)
+    for relay_id in (circuit.entry, circuit.middle, circuit.exit):
+        cell = peel_layer(cell, relay_id)
+    assert payload(cell) == wire
 
 
 class TestKeystreamCache:
@@ -296,42 +283,42 @@ class TestKeystreamCache:
         wire = random.Random(4).randbytes(520)
         a = wrap_bytes(wire, first)
         b = wrap_bytes(wire, second)
-        assert a.payload != b.payload
-        assert a.payload == reference_wrap(wire, first)
-        assert b.payload == reference_wrap(wire, second)
+        assert payload(a) != payload(b)
+        assert payload(a) == reference_wrap(wire, first)
+        assert payload(b) == reference_wrap(wire, second)
 
-    def test_peeling_with_the_other_circuits_routers_garbles(self):
+    def test_peeling_with_the_other_circuits_relays_garbles(self):
         first, second = circuits_for(2)
         wire = random.Random(5).randbytes(520)
         wrap_bytes(wire, second)  # leave the other circuit's streams cached
         cell = wrap_bytes(wire, first)
-        for router in (second.entry, second.middle, second.exit):
-            cell = peel_layer(cell, router)
-        assert cell.payload != wire
+        for relay_id in (second.entry, second.middle, second.exit):
+            cell = peel_layer(cell, relay_id)
+        assert payload(cell) != wire
 
     def test_out_of_order_and_wrong_key_peels_garble_right_after_wrap(self):
         circuit = circuits_for(1)[0]
         wire = random.Random(6).randbytes(520)
         cell = wrap_bytes(wire, circuit)
-        for router in (circuit.exit, circuit.middle, circuit.entry):  # reversed
-            cell = peel_layer(cell, router)
-        assert cell.payload != wire
+        for relay_id in (circuit.exit, circuit.middle, circuit.entry):  # reversed
+            cell = peel_layer(cell, relay_id)
+        assert payload(cell) != wire
         cell = wrap_bytes(wire, circuit)
-        cell = peel_layer(cell, relay("someone-else"))
-        for router in (circuit.middle, circuit.exit):
-            cell = peel_layer(cell, router)
-        assert cell.payload != wire
+        cell = peel_layer(cell, "someone-else")
+        for relay_id in (circuit.middle, circuit.exit):
+            cell = peel_layer(cell, relay_id)
+        assert payload(cell) != wire
 
     def test_peel_streams_match_reference(self):
         circuit = circuits_for(1)[0]
         wire = random.Random(7).randbytes(520)
         cell = wrap_bytes(wire, circuit)
-        expected = cell.payload
-        for depth, router in ((3, circuit.entry), (2, circuit.middle), (1, circuit.exit)):
-            expected = xor_bytes(expected, reference_keystream(router.layer_key, circuit.circuit_id, depth, 520))
-            cell = peel_layer(cell, router)
-            assert cell.payload == expected
-        assert cell.payload == wire
+        expected = payload(cell)
+        for depth, relay_id in ((3, circuit.entry), (2, circuit.middle), (1, circuit.exit)):
+            expected = xor_bytes(expected, reference_keystream(relay_id, circuit.entry, depth, 520))
+            cell = peel_layer(cell, relay_id)
+            assert payload(cell) == expected
+        assert payload(cell) == wire
 
     def test_results_survive_cache_clear(self):
         params = CodeParams(4, 3, 1)
@@ -368,17 +355,17 @@ class TestKeystreamCache:
             c for seed in range(1, 50) for c in circuits_for(1, seed=seed)
             if c.middle != first.middle and c.exit != first.exit
         )
-        assert first.entry is second.entry
+        assert first.entry == second.entry
         wire = random.Random(10).randbytes(524)
         clear_stream_caches()
         a = wrap_bytes(wire, first)
         b = wrap_bytes(wire, second)
         assert stream_traffic() == {"inner": (2, 0), "exit": (2, 0), "entry": (1, 1)}
-        assert a.payload == reference_wrap(wire, first)
-        assert b.payload == reference_wrap(wire, second)
+        assert payload(a) == reference_wrap(wire, first)
+        assert payload(b) == reference_wrap(wire, second)
         for depth, hop in ((3, "entry"), (2, "middle"), (1, "exit")):
             streams = {
-                reference_keystream(getattr(c, hop).layer_key, c.circuit_id, depth, len(wire))
+                reference_keystream(getattr(c, hop), c.entry, depth, len(wire))
                 for c in (first, second)
             }
             assert len(streams) == (1 if hop == "entry" else 2), hop
@@ -394,9 +381,9 @@ class TestKeystreamCache:
         a = wrap_bytes(wire, first)
         b = wrap_bytes(wire, second)
         assert stream_traffic() == {"inner": (2, 0), "exit": (1, 1), "entry": (1, 1)}
-        assert a.payload == reference_wrap(wire, first)
-        assert b.payload == reference_wrap(wire, second)
-        assert a.payload != b.payload
+        assert payload(a) == reference_wrap(wire, first)
+        assert payload(b) == reference_wrap(wire, second)
+        assert payload(a) != payload(b)
 
 
 class TestTransmit:
@@ -461,17 +448,17 @@ class TestTransmit:
         circuits = circuits_for(4)
         peels = []
 
-        def recording_peel(cell, router):
-            peels.append((cell.circuit_id, cell.layers_remaining, router))
-            return peel_layer(cell, router)
+        def recording_peel(cell, relay_id):
+            peels.append((cell.circuit_id, cell.layers_remaining, relay_id))
+            return peel_layer(cell, relay_id)
 
         monkeypatch.setattr(onion, "peel_layer", recording_peel)
         transmit(circuits, coded, {2})
         assert peels == [
-            (c.circuit_id, depth, router)
+            (c.entry, depth, relay_id)
             for idx, c in enumerate(circuits)
             if idx != 2
-            for depth, router in ((3, c.entry), (2, c.middle), (1, c.exit))
+            for depth, relay_id in ((3, c.entry), (2, c.middle), (1, c.exit))
         ]
 
     def test_generation_width_mismatch_rejected(self):
@@ -702,11 +689,11 @@ class TestSubflowStreams:
             if idx in blocked:
                 continue
             layered = wrap_bytes(wires[idx], circuit)
-            for router in (circuit.entry, circuit.middle, circuit.exit):
-                layered = peel_layer(layered, router)
-            assert layered.payload == wires[idx]
+            for relay_id in (circuit.entry, circuit.middle, circuit.exit):
+                layered = peel_layer(layered, relay_id)
+            assert payload(layered) == wires[idx]
             with pytest.raises(ValueError, match="^wire of 1039 bytes is not whole cells of k=1, "):
-                CodedCell.from_wire_stream(layered.payload)
+                CodedCell.from_wire_stream(payload(layered))
 
 
 class TestExitParse:
@@ -722,10 +709,10 @@ class TestExitParse:
         assert (coded.subflow_size <= onion._SHORT_SUBFLOW) == (generations == 1)
         peeled = []
 
-        def recording_peel(cell, router):
-            cell = peel_layer(cell, router)
+        def recording_peel(cell, relay_id):
+            cell = peel_layer(cell, relay_id)
             if not cell.layers_remaining:
-                peeled.append(cell.payload)
+                peeled.append(payload(cell))
             return cell
 
         monkeypatch.setattr(onion, "peel_layer", recording_peel)
@@ -745,9 +732,9 @@ class TestExitParse:
         circuits = circuits_for(10)
         cell_size = coded.subflow_size // 2
 
-        def cutting_peel(cell, router):
-            cell = peel_layer(cell, router)
-            if cell.layers_remaining or cell.circuit_id != circuits[3].circuit_id:
+        def cutting_peel(cell, relay_id):
+            cell = peel_layer(cell, relay_id)
+            if cell.layers_remaining or cell.circuit_id != circuits[3].entry:
                 return cell
             size = cell.size - cell_size
             return cell._replace(value=cell.value & ((1 << 8 * size) - 1), size=size)
@@ -767,10 +754,10 @@ class TestExitParse:
         malformed = {"cut-payload": wire[:-1], "cut-header": wire + bytes(3), "k-zero": wire + bytes(600)}[fault]
         circuits = circuits_for(10)
 
-        def malforming_peel(cell, router):
+        def malforming_peel(cell, relay_id):
             # circuit 0's exit peel hands the exit the malformed bytes
-            cell = peel_layer(cell, router)
-            if cell.layers_remaining or cell.circuit_id != circuits[0].circuit_id:
+            cell = peel_layer(cell, relay_id)
+            if cell.layers_remaining or cell.circuit_id != circuits[0].entry:
                 return cell
             return cell._replace(value=int.from_bytes(malformed, "little"), size=len(malformed))
 
@@ -864,6 +851,23 @@ class TestRunTransfer:
         result = run_transfer(circuits_for(4), other, message, blocked)
         assert result == (False, 2, 4 - len(blocked))
         assert run_transfer(circuits_for(4), CodedMessage(params, message), message, blocked).success
+
+    @pytest.mark.parametrize("kind", [bytearray, memoryview])
+    def test_a_bytes_like_message_codes_and_compares_as_its_bytes(self, kind):
+        # neither the framing nor the final comparison converts the message
+        # to bytes, so a bytearray or a memoryview must code to the same
+        # sub-flows and compare equal to the decoded bytes
+        params = CodeParams(10, 6, 4)
+        message = random.Random(26).randbytes(5000)
+        coded = CodedMessage(params, kind(message))
+        assert coded_fields(coded) == coded_fields(CodedMessage(params, message))
+        circuits = circuits_for(params.n)
+        blocked_sets = (set(), {0, 5}, {0, 1, 2, 3}, {0, 1, 2, 3, 4})
+        results = [run_transfer(circuits, coded, kind(message), blocked) for blocked in blocked_sets]
+        assert results == [run_transfer(circuits, coded, message, blocked) for blocked in blocked_sets]
+        assert [result.success for result in results] == [True, True, True, False]
+        other = kind(random.Random(27).randbytes(5000))
+        assert not run_transfer(circuits, coded, other).success
 
     @pytest.mark.parametrize(
         "params", (*DEFAULT_CONFIGS, CodeParams(4, 3, 1)), ids=lambda params: f"{params.n}-{params.k}-{params.r}"

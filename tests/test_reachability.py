@@ -27,8 +27,6 @@ UNREACHED = {
     "onion.CodedMessage.__iter__": "the tracer's transmit wrapper iterates a coded message",
     "onion.CodedMessage.__setattr__": "immutability guard",
     "onion.CodedMessage.__delattr__": "immutability guard",
-    "onion.Circuit.circuit_id": "view the tests read the pipeline through",
-    "onion.LayeredCell.payload": "view the tests read the pipeline through",
 }
 
 # Each call with the exit code it must give, so every path below really runs.
