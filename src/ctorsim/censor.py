@@ -91,14 +91,6 @@ class CensorScenario(NamedTuple):
         return Variant.of(self.params)
 
 
-class TrialOutcome(NamedTuple):
-    """One pipeline trial: how many chosen bridges the censor knew, and
-    whether the transfer was interrupted."""
-
-    blocked_count: int
-    interrupted: bool
-
-
 class CampaignResult(NamedTuple):
     trials: int
     interruptions: int
@@ -115,27 +107,27 @@ def derive_rng(seed: int, label: str) -> random.Random:
     return random.Random(derive_seed(seed, label))
 
 
-def select_bridges(scenario: CensorScenario, rng: random.Random) -> list[str]:
-    """Uniform sample of the scenario's n bridges without replacement over
-    its whole pool, drawn with ``rng.sample`` over `pool.ordered`; raises
-    ValueError if the pool holds fewer than n."""
-    ordered, n = scenario.pool.ordered, scenario.params.n
+def select_bridges(pool: BridgePool, n: int, rng: random.Random) -> list[str]:
+    """Uniform sample of n bridges without replacement over the whole pool,
+    drawn with ``rng.sample`` over `pool.ordered`; raises ValueError if the
+    pool holds fewer than n."""
+    ordered = pool.ordered
     check_pool_size(n, len(ordered))
     return rng.sample(ordered, n)
 
 
-def run_trial(scenario: CensorScenario, rng: random.Random) -> TrialOutcome:
-    """One full trial: select bridges, then build circuits over the relay
-    pool, both from `rng`, and carry the fixed trial message through
-    the byte pipeline; the transfer decodes it and compares the result with
-    the message.
+def run_trial(scenario: CensorScenario, rng: random.Random) -> None:
+    """One full trial, a check that returns nothing: select bridges, then
+    build circuits over the relay pool, both from `rng`, and carry the fixed
+    trial message through the byte pipeline; the transfer decodes it and
+    compares the result with the message.
 
     Raises ConsistencyError if the transport outcome ever disagrees with
     the blocked-count rule; the two models must be interchangeable.
     """
-    params = scenario.params
-    chosen = select_bridges(scenario, rng)
-    blocked = scenario.pool.blocked(chosen)
+    pool, params = scenario.pool, scenario.params
+    chosen = select_bridges(pool, params.n, rng)
+    blocked = pool.blocked(chosen)
     circuits = build_circuits(chosen, rng)
     interrupted = not run_transfer(circuits, _trial_cells(params), _DEFAULT_MESSAGE, blocked).success
     blocked_count = len(blocked)
@@ -143,7 +135,6 @@ def run_trial(scenario: CensorScenario, rng: random.Random) -> TrialOutcome:
         raise ConsistencyError(
             f"pipeline interrupted={interrupted} but blocked_count={blocked_count} with r={params.r}"
         )
-    return TrialOutcome(blocked_count, interrupted)
 
 
 def run_campaign(scenario: CensorScenario, trials: int, seed: int) -> CampaignResult:

@@ -57,11 +57,6 @@ _WIRE_HEADER = _HEADER.size
 class UnrecoverableGeneration(Exception):
     """Raised when fewer than k independent coded cells survive for a generation."""
 
-    def __init__(self, generation_id: int, received: int):
-        self.generation_id = generation_id
-        self.received = received
-        super().__init__(f"generation {generation_id} cannot be recovered ({received} cells received)")
-
 
 class _CodeParamsFields(NamedTuple):
     n: int
@@ -327,7 +322,9 @@ def decode_generations(received: Sequence[Sequence[CodedCell]], params: CodePara
 
     plan = _decode_plan(tuple(rows))
     if plan is None:
-        raise UnrecoverableGeneration(received[0][0].generation_id, received=len(rows))
+        raise UnrecoverableGeneration(
+            f"generation {received[0][0].generation_id} cannot be recovered ({len(rows)} cells received)"
+        )
     picks, originals, combines = plan
     if combines:
         columns = [b"".join([cells[pick].payload for cells in received]) for pick in picks]

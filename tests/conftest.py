@@ -1,10 +1,10 @@
-"""Fixtures shared by the codec, onion and censor tests."""
+"""Fixtures shared by the codec, onion, censor and acceptance tests."""
 
 import traceback
 
 import pytest
 
-from ctorsim import gf256
+from ctorsim import censor, gf256
 from ctorsim.codec import CodedCell
 
 
@@ -36,3 +36,19 @@ def scale_calls(monkeypatch):
 
     monkeypatch.setattr(gf256, "scale_bytes", spy)
     return calls
+
+
+@pytest.fixture
+def trial_transfers(monkeypatch):
+    """Record the blocked circuits and the success of every transfer a
+    pipeline trial makes, and let the transfer run as usual."""
+    transfers = []
+    transfer = censor.run_transfer
+
+    def spy(circuits, coded, message, blocked):
+        result = transfer(circuits, coded, message, blocked)
+        transfers.append((blocked, result.success))
+        return result
+
+    monkeypatch.setattr(censor, "run_transfer", spy)
+    return transfers

@@ -150,7 +150,7 @@ def test_criterion_4_monte_carlo_convergence():
     report(4, "Monte Carlo convergence", f"12 points x {trials} trials, 3 sigma")
 
 
-def test_criterion_5_pipeline_combinatorics_consistency():
+def test_criterion_5_pipeline_combinatorics_consistency(trial_transfers):
     """Transport success equals the blocked-count rule on every single trial."""
     scenarios = [
         CensorScenario(BridgePool.build(25, 5), CodeParams(1, 1, 0)),
@@ -160,15 +160,16 @@ def test_criterion_5_pipeline_combinatorics_consistency():
         CensorScenario(BridgePool.build(25, 12), CodeParams(10, 6, 4)),
     ]
     per_scenario = 10_000 // len(scenarios)
-    interrupted = 0
     for idx, scenario in enumerate(scenarios):
         rng = derive_rng(idx, "acceptance-5-select")
         for _ in range(per_scenario):
             # run_trial itself raises ConsistencyError on any disagreement
-            outcome = run_trial(scenario, rng)
-            assert outcome.interrupted == (outcome.blocked_count > scenario.params.r)
-            interrupted += outcome.interrupted
+            run_trial(scenario, rng)
+        shape = trial_transfers[-per_scenario:]
+        assert all(success == (len(blocked) <= scenario.params.r) for blocked, success in shape)
     total = per_scenario * len(scenarios)
+    assert len(trial_transfers) == total
+    interrupted = sum(not success for _, success in trial_transfers)
     assert 0 < interrupted < total  # the mix exercised both outcomes
     report(5, "pipeline/combinatorics consistency", f"{total} full-pipeline trials")
 

@@ -12,14 +12,15 @@ import importlib
 import importlib.util
 import json
 import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from ctorsim import censor
-from ctorsim.codec import CodeParams
+from ctorsim import censor, onion
+from ctorsim.codec import CELL_SIZE, CodeParams, Generation, UnrecoverableGeneration, build_generator, encode_generation
 from ctorsim.onion import CodedMessage, build_circuits
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -123,12 +124,30 @@ def test_tracer_counts_one_coded_transfer():
     assert tracer.fired["onion.peel_layer"] == 9
 
 
+def test_tracer_counts_an_unrecoverable_generation():
+    # the tracer's decode wrapper catches UnrecoverableGeneration by class and
+    # raises it on, so the caller still gets the class with its message
+    params = CodeParams(3, 2, 1)
+    generation = Generation(4, (bytes(CELL_SIZE), random.Random(42).randbytes(CELL_SIZE)))
+    parity = encode_generation(generation, build_generator(params))[2]
+    tracer = load_tracer().Tracer()
+    with tracer.installed():
+        with pytest.raises(UnrecoverableGeneration, match=r"^generation 4 cannot be recovered \(2 cells received\)$"):
+            onion.decode_generation([parity, parity], params)
+    assert tracer.counters["unrecoverable"] == 1
+
+
 @pytest.mark.parametrize("workload", sorted(EXPECTED_UNFIRED))
-def test_workload_runs_traced(workload):
+def test_workload_runs_traced(workload, tmp_path):
+    # the harness runs from a bare copy of what it reads, so the outputs and
+    # fingerprints that the checkout's own runs left in .bench_out/ play no part
+    for tree in ("src", "benchmarks"):
+        shutil.copytree(ROOT / tree, tmp_path / tree, ignore=shutil.ignore_patterns("__pycache__", ".bench_out"))
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
     done = subprocess.run(
         [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", "5",
          "--seconds", "1", "--trace", "1", "--tiny"],
-        cwd=ROOT, capture_output=True, text=True, timeout=300,
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr[-2000:]
     lines = done.stdout.strip().splitlines()
@@ -136,4 +155,4 @@ def test_workload_runs_traced(workload):
     assert result["correct"] is True
     assert result["failed"] == 0
     details = next(line for line in lines if line.startswith("details: ")).removeprefix("details: ")
-    assert json.loads((ROOT / details).read_text())["unfired_bindings"] == EXPECTED_UNFIRED[workload]
+    assert json.loads((tmp_path / details).read_text())["unfired_bindings"] == EXPECTED_UNFIRED[workload]

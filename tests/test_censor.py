@@ -17,7 +17,6 @@ from ctorsim.censor import (
     BridgePool,
     CensorScenario,
     ConsistencyError,
-    TrialOutcome,
     derive_rng,
     derive_seed,
     interrupted_by_rule,
@@ -87,28 +86,26 @@ class TestBridgePool:
 
 class TestSelectBridges:
     def test_selecting_whole_pool(self):
-        s = scenario(3, 2, 5)
-        assert set(select_bridges(s, random.Random(0))) == set(s.pool.ordered)
+        pool = BridgePool.build(3, 2)
+        assert set(select_bridges(pool, 5, random.Random(0))) == set(pool.ordered)
 
     def test_deterministic_for_fixed_seed(self):
-        s = scenario(25, 5, 4)
-        assert select_bridges(s, random.Random(9)) == select_bridges(s, random.Random(9))
+        pool = BridgePool.build(25, 5)
+        assert select_bridges(pool, 4, random.Random(9)) == select_bridges(pool, 4, random.Random(9))
 
     def test_draw_is_a_sample_of_the_ordered_pool(self):
-        # the scenario only supplies the pool and n, so the draw is the
-        # same bytes as a plain sample of the canonical order
-        s = scenario(25, 5, 4, 1)
-        assert select_bridges(s, random.Random(9)) == random.Random(9).sample(s.pool.ordered, 4)
+        # the draw is the same bytes as a plain sample of the canonical order
+        pool = BridgePool.build(25, 5)
+        assert select_bridges(pool, 4, random.Random(9)) == random.Random(9).sample(pool.ordered, 4)
 
     def test_per_bridge_inclusion_is_uniform(self):
         # every bridge should appear with frequency n / pool within 3 sigma
-        s = scenario(25, 5, 4)
-        pool = s.pool
+        pool = BridgePool.build(25, 5)
         n, trials = 4, 100_000
         rng = derive_rng(0, "uniformity-check")
         counts = {b: 0 for b in pool.ordered}
         for _ in range(trials):
-            for b in select_bridges(s, rng):
+            for b in select_bridges(pool, n, rng):
                 counts[b] += 1
         p = n / len(pool.ordered)
         sigma = math.sqrt(p * (1 - p) * trials)
@@ -125,7 +122,7 @@ from ctorsim.codec import CodeParams
 s = CensorScenario(BridgePool.build(2, 1), CodeParams(4, 3, 1))
 for call in (
     lambda: censor._fast_blocked_counts(random.Random(1), 3, 0, 4, 1),
-    lambda: select_bridges(s, random.Random(1)),
+    lambda: select_bridges(s.pool, 4, random.Random(1)),
     lambda: run_trial(s, random.Random(1)),
     lambda: run_campaign(s, 10, 1),
 ):
@@ -147,9 +144,10 @@ class TestScenario:
         s = scenario(2, 1, 4)
         assert s._replace(params=CodeParams(3, 2, 1)).variant is Variant.CTOR
         assert pickle.loads(pickle.dumps(s)) == s
-        for draw in (select_bridges, run_trial):
-            with pytest.raises(ValueError, match="cannot select 4 bridges from a pool of 3"):
-                draw(s, random.Random(0))
+        with pytest.raises(ValueError, match="cannot select 4 bridges from a pool of 3"):
+            select_bridges(s.pool, 4, random.Random(0))
+        with pytest.raises(ValueError, match="cannot select 4 bridges from a pool of 3"):
+            run_trial(s, random.Random(0))
 
     def test_no_draw_spins_on_a_pool_smaller_than_n(self):
         # run apart under a timeout, so an urn that redraws forever fails
@@ -168,40 +166,37 @@ class TestScenario:
 
 
 class TestRunTrial:
-    def test_no_known_bridges_never_interrupts(self):
+    """A trial returns nothing; trial_transfers reads what its transfer gave."""
+
+    def test_no_known_bridges_never_interrupts(self, trial_transfers):
         s = scenario(10, 0, 4)
         for i in range(20):
-            assert not run_trial(s, derive_rng(i, "t")).interrupted
+            assert run_trial(s, derive_rng(i, "t")) is None
+        assert trial_transfers == [(frozenset(), True)] * 20
 
-    def test_all_known_bridges_always_interrupt(self):
+    def test_all_known_bridges_always_interrupt(self, trial_transfers):
         s = scenario(0, 10, 4)
         for i in range(20):
-            outcome = run_trial(s, derive_rng(i, "t"))
-            assert outcome.interrupted
-            assert outcome.blocked_count == 4
+            run_trial(s, derive_rng(i, "t"))
+        assert trial_transfers == [(frozenset(range(4)), False)] * 20
 
-    def test_ctor_tolerates_exactly_one_known_bridge(self):
+    def test_ctor_tolerates_exactly_one_known_bridge(self, trial_transfers):
         s = scenario(25, 5, 4, 1)
         rng = derive_rng(1, "hunt")
-        seen_single = 0
         for _ in range(200):
-            outcome = run_trial(s, rng)
-            if outcome.blocked_count == 1:
-                seen_single += 1
-                assert not outcome.interrupted
-        assert seen_single > 0  # the hunt actually exercised the case
+            run_trial(s, rng)
+        singles = [success for blocked, success in trial_transfers if len(blocked) == 1]
+        assert singles and all(singles)  # the hunt actually exercised the case
 
-    def test_outcome_fields(self):
+    def test_the_transfer_is_blocked_at_the_chosen_known_bridges(self, trial_transfers):
         s = scenario(25, 5, 4)
         # run_trial selects with select_bridges before it builds circuits, so
         # a twin stream names its bridges
-        chosen = select_bridges(s, derive_rng(3, "t"))
-        outcome = run_trial(s, derive_rng(3, "t"))
-        assert isinstance(outcome, TrialOutcome)
-        assert outcome.blocked_count == sum(1 for b in chosen if b in s.pool.known)
-        assert outcome.interrupted == (outcome.blocked_count >= 1)
-        assert type(outcome.blocked_count) is int
-        assert type(outcome.interrupted) is bool
+        chosen = select_bridges(s.pool, 4, derive_rng(3, "t"))
+        blocked = frozenset(i for i, b in enumerate(chosen) if b in s.pool.known)
+        assert blocked
+        run_trial(s, derive_rng(3, "t"))
+        assert trial_transfers == [(blocked, False)]
 
 
 class TestTrialCells:

@@ -566,6 +566,25 @@ class TestUsageErrors:
         assert main(["analytic", "--mknown", "5..2"]) == EXIT_USAGE
         assert main(["analytic", "--mknown", "abc"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["e2e", "--message-file", "{tmp}/missing.bin"],
+            ["simulate", "--mknown", "1", "--trials", "5", "--variant", "otor", "--out", "{tmp}/missing/x.csv"],
+            ["fig2", "--mknown", "1", "--trials", "5", "--variant", "otor", "--out", "{tmp}/taken"],
+        ],
+        ids=["e2e-missing-message-file", "simulate-out-in-missing-dir", "fig2-out-is-a-file"],
+    )
+    def test_an_os_error_exits_1_and_writes_nothing(self, tmp_path, capsys, argv):
+        taken = tmp_path / "taken"
+        taken.write_bytes(b"a file, not a directory\n")
+        assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == [taken]
+        assert taken.read_bytes() == b"a file, not a directory\n"
+
 
 class TestConsoleScript:
     """The `ctorsim` command an install makes: the entry point pyproject.toml

@@ -22,7 +22,6 @@ UNREACHED = {
     "analytics.enumerate_oracle": "reference oracle the closed form is tested against",
     "codec.encode_generation": "bound by the benchmark tracer (ROADMAP items 5 and 9)",
     "codec.decode_generation": "bound by the benchmark tracer (ROADMAP items 5 and 9)",
-    "codec.UnrecoverableGeneration.__init__": "raised by decode_generations on rows of rank below k, which Cauchy rows never give",
     "gf256.xor_bytes": "bound by the benchmark tracer (ROADMAP items 5 and 9)",
     "onion.CodedMessage.__iter__": "the tracer's transmit wrapper iterates a coded message",
     "onion.CodedMessage.__setattr__": "immutability guard",
