@@ -30,9 +30,8 @@ passed. A circuit carries one code's cells, so a wire holds cells of one
 k, and the parser has one framing rule: the first header's k is at least
 1, the stream is a whole number of cells of that k, and every header gives
 it. Such a stream is read in one unpack by a struct of its cell layout,
-cached per k, and when its cells all carry one row, as every sub-flow the
-encoder writes does, they share that row object; any other stream raises
-ValueError.
+and when its cells all carry one row, as every sub-flow the encoder writes
+does, they share that row object; any other stream raises ValueError.
 Payloads are combined as little-endian ints, one int XOR per term.
 """
 
@@ -162,8 +161,6 @@ class CodedCell(NamedTuple):
         return list(map(_new_tuple, repeat(cls), zip(generation_ids, subflow_indices, rows, payloads)))
 
 
-# One per k a wire holds; k never exceeds 255, the most its header byte holds.
-@functools.lru_cache(maxsize=255)
 def _wire_cell(k: int) -> struct.Struct:
     """The layout of one wire cell with k coefficients: the header, the
     row, the payload."""

@@ -26,16 +26,11 @@ its wire. No cells can be passed in, so every CodedMessage has the shape
 its code gives. run_transfer sends a CodedMessage and decodes by the params
 it carries. The censor sends one fixed message per code shape, so a
 pipeline trial pays only for what differs between trials: the circuits, the
-blocked set, the wrap and peels and the decode. An entry hop's stream
-depends only on the bridge and the sub-flow, and an exit hop's only on the
-exit relay, the bridge and the sub-flow, so both are cached across
-transfers (exit streams only for short sub-flows such as a trial's); middle
-streams, and the exit streams of long sub-flows, are derived per transfer.
-wrap_layers and peel_layer call the cache of each hop's stream themselves.
-As in the paper's model, a sub-flow arrives whole or not at all: the exit
-checks that its layers cancel, comparing the peeled int and size with the
-sub-flow that was sent, raises ValueError if they do not, and hands on the
-cells the message parsed from that same wire.
+blocked set, the wrap and peels and the decode. As in the paper's model, a
+sub-flow arrives whole or not at all: the exit checks that its layers
+cancel, comparing the peeled int and size with the sub-flow that was sent,
+raises ValueError if they do not, and hands on the cells the message parsed
+from that same wire.
 
 Circuit, LayeredCell and TransferResult are plain tuple records, and a
 CircuitSet is the tuple of its circuits: the pipeline builds each from
@@ -142,32 +137,18 @@ def _derive_keystream(relay_id: str, circuit_id: str, depth: int, size: int) -> 
     )).digest(size), "little")
 
 
-# The middle stream (depth 2) of a wrapped payload (one cell, or a whole
-# sub-flow in transmit), and the exit stream (depth 1) of a long one, are
-# derived in wrap_layers and consumed again by the peel_layer calls that
-# follow it, so a cache of two streams makes that one SHAKE call per
-# (payload, hop). A middle stream names the middle a circuit drew (~44k keys
-# on the default grid), so keeping it longer would reuse little and hold much.
-_keystream = functools.lru_cache(maxsize=2)(_derive_keystream)
-
-# The entry stream (depth 3) is keyed by the bridge, whose id is also the
-# circuit id, and the sub-flow's size: every pipeline trial that draws a
-# bridge for a code shape derives the same one. The default grid has 50
-# bridges and 7 shapes, whose trial sub-flows differ in size; a known bridge
-# is always blocked, so only the 25 unknown bridges' 175 streams are ever
-# derived, well within 350 entries. A stream is as long as its sub-flow, so
-# a large e2e message keeps up to n of them.
-_entry_keystream = functools.lru_cache(maxsize=350)(_derive_keystream)
-
-# The exit stream (depth 1) is keyed by the exit relay, the bridge and the
-# sub-flow, so trials that draw the same exit for a bridge and shape share
-# it: the default grid derives 10 exits x 25 unknown bridges x 7 shapes =
-# 1,750 of them, about 1.2 MB of ints. Only sub-flows of at most
-# _SHORT_SUBFLOW bytes are kept (a 1 KiB trial message's longest, otor's,
-# is 1,557 bytes), so the 45 KB sub-flows of an e2e transfer stay in
-# _keystream and hold no memory after it.
+# Two stream caches. Pipeline trials redraw the entry stream (depth 3), keyed
+# by the bridge (also the circuit id) and the sub-flow size, and the exit
+# stream (depth 1), keyed also by the exit relay, so _kept_keystream keeps
+# them across transfers: the default grid derives 25 unknown bridges x
+# (1 entry + 10 exits) x 7 shapes = 1,925. It keeps exit streams only of
+# sub-flows of at most _SHORT_SUBFLOW bytes (a 1 KiB trial's longest is 1,557),
+# so an e2e transfer keeps just its entry streams. A middle stream (depth 2)
+# names one of ~44k middles a grid draws, so it, and a long exit stream, only
+# ride _keystream from the wrap to the peels that follow.
 _SHORT_SUBFLOW = 4096
-_exit_keystream = functools.lru_cache(maxsize=2048)(_derive_keystream)
+_keystream = functools.lru_cache(maxsize=2)(_derive_keystream)
+_kept_keystream = functools.lru_cache(maxsize=2048)(_derive_keystream)
 
 
 def wrap_layers(value: int, size: int, circuit: Circuit) -> LayeredCell:
@@ -176,9 +157,9 @@ def wrap_layers(value: int, size: int, circuit: Circuit) -> LayeredCell:
     proceeds entry -> middle -> exit."""
     entry, middle, exit = circuit
     value ^= (
-        (_exit_keystream if size <= _SHORT_SUBFLOW else _keystream)(exit, entry, 1, size)
+        (_kept_keystream if size <= _SHORT_SUBFLOW else _keystream)(exit, entry, 1, size)
         ^ _keystream(middle, entry, 2, size)
-        ^ _entry_keystream(entry, entry, 3, size)
+        ^ _kept_keystream(entry, entry, 3, size)
     )
     return _new_tuple(LayeredCell, (value, size, 3, entry))
 
@@ -186,13 +167,8 @@ def wrap_layers(value: int, size: int, circuit: Circuit) -> LayeredCell:
 def peel_layer(cell: LayeredCell, relay_id: str) -> LayeredCell:
     """Remove one layer with the relay's stream."""
     value, size, depth, cid = cell
-    if depth == 3:
-        stream = _entry_keystream(relay_id, cid, 3, size)
-    elif depth == 1 and size <= _SHORT_SUBFLOW:
-        stream = _exit_keystream(relay_id, cid, 1, size)
-    else:
-        stream = _keystream(relay_id, cid, depth, size)
-    return _new_tuple(LayeredCell, (value ^ stream, size, depth - 1, cid))
+    cache = _kept_keystream if depth == 3 or depth == 1 and size <= _SHORT_SUBFLOW else _keystream
+    return _new_tuple(LayeredCell, (value ^ cache(relay_id, cid, depth, size), size, depth - 1, cid))
 
 
 class CodedMessage:

@@ -217,10 +217,10 @@ class TestTrialCells:
         assert censor._trial_cells.cache_info().maxsize == 32
 
 
-class TestExitStreamMemory:
-    """Pipeline trials keep short exit streams across transfers and parse
-    each trial message only when it is encoded; what they keep is bounded by
-    the grid, and a long transfer keeps nothing."""
+class TestKeptStreamMemory:
+    """Pipeline trials keep entry and short exit streams across transfers and
+    parse each trial message only when it is encoded; what they keep is
+    bounded by the grid, and a long transfer keeps only its entry streams."""
 
     def test_grid_trials_keep_only_short_streams_of_unknown_bridges(self, monkeypatch):
         derived = []
@@ -229,8 +229,9 @@ class TestExitStreamMemory:
             derived.append((circuit_id, depth, size))
             return onion._derive_keystream(relay_id, circuit_id, depth, size)
 
-        cache = functools.lru_cache(maxsize=onion._exit_keystream.cache_info().maxsize)(recording)
-        monkeypatch.setattr(onion, "_exit_keystream", cache)
+        maxsize = onion._kept_keystream.cache_info().maxsize
+        cache = functools.lru_cache(maxsize=maxsize)(recording)
+        monkeypatch.setattr(onion, "_kept_keystream", cache)
         for m_known in (0, 12, 25):
             pool = BridgePool.build(DEFAULT_UNKNOWN, m_known)
             for params in DEFAULT_CONFIGS:
@@ -238,16 +239,20 @@ class TestExitStreamMemory:
         info = cache.cache_info()
         assert info.hits > 0
         assert info.currsize == info.misses == len(derived)  # nothing evicted
-        assert all(depth == 1 and size <= onion._SHORT_SUBFLOW for _, depth, size in derived)
+        assert all(depth == 3 or depth == 1 and size <= onion._SHORT_SUBFLOW for _, depth, size in derived)
         # known bridges are always blocked, so they never carry a sub-flow
         pool = BridgePool.build(DEFAULT_UNKNOWN, 0)
         assert {cid for cid, _, _ in derived} <= set(pool.ordered) - pool.known
-        assert info.currsize <= len(EXITS) * DEFAULT_UNKNOWN * len(DEFAULT_CONFIGS)
-        # an e2e-sized transfer (86 generations, 45 KB sub-flows) adds nothing
+        # one entry and one stream per exit for each unknown bridge and shape
+        assert info.currsize <= (1 + len(EXITS)) * DEFAULT_UNKNOWN * len(DEFAULT_CONFIGS) == 1925 <= maxsize
+        # an e2e-sized transfer (86 generations, 45 KB sub-flows) adds its 8
+        # surviving circuits' entry streams and no exit stream
         coded = CodedMessage(CodeParams(10, 6, 4), bytes(256 * 1024))
         assert len(coded.cells[0]) == 86
+        derived.clear()
         transmit(build_circuits([f"u{i:03d}" for i in range(10)], random.Random(0)), coded, {1, 4})
-        assert cache.cache_info() == info
+        assert derived == [(f"u{i:03d}", 3, coded.subflow_size) for i in range(10) if i not in (1, 4)]
+        assert cache.cache_info() == (info.hits + 8, info.misses + 8, maxsize, info.currsize + 8)
 
     def test_grid_trials_parse_each_short_subflow_once(self, parser_calls):
         censor._trial_cells.cache_clear()

@@ -280,7 +280,7 @@ def test_keystreams_that_ignore_the_circuit_id_are_uncaught_at_run_time(monkeypa
     def without_circuit_id(relay_id, circuit_id, depth, size):
         return derive(relay_id, "", depth, size)
 
-    for cache in ("_keystream", "_entry_keystream", "_exit_keystream"):
+    for cache in ("_keystream", "_kept_keystream"):
         maxsize = getattr(onion, cache).cache_info().maxsize
         monkeypatch.setattr(onion, cache, functools.lru_cache(maxsize=maxsize)(without_circuit_id))
     assert [run_transfer(circuits, coded, message, blocked) for blocked in (set(), {1}, {0, 2})] == before

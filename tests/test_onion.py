@@ -125,12 +125,11 @@ class TestRelayPool:
             "sys.path.insert(0, sys.argv[1])\n"
             "import ctorsim.cli\n"
             "from ctorsim import onion\n"
-            "print(*(cache.cache_info().currsize for cache in"
-            " (onion._keystream, onion._exit_keystream, onion._entry_keystream)))"
+            "print(*(cache.cache_info().currsize for cache in (onion._keystream, onion._kept_keystream)))"
         )
         src = str(Path(onion.__file__).resolve().parents[1])
         done = subprocess.run([sys.executable, "-c", probe, src], capture_output=True, text=True, check=True)
-        assert done.stdout.split() == ["0", "0", "0"]
+        assert done.stdout.split() == ["0", "0"]
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -226,7 +225,7 @@ def reference_wrap(cell_bytes: bytes, circuit: Circuit) -> bytes:
     return data
 
 
-STREAM_CACHES = (onion._keystream, onion._exit_keystream, onion._entry_keystream)
+STREAM_CACHES = (onion._keystream, onion._kept_keystream)
 
 
 def clear_stream_caches() -> None:
@@ -236,10 +235,10 @@ def clear_stream_caches() -> None:
 
 
 def stream_traffic() -> dict[str, tuple[int, int]]:
-    """(misses, hits) of each stream cache: per transfer, exit, entry."""
+    """(misses, hits) of each stream cache: per transfer, kept across transfers."""
     return {
         name: (info.misses, info.hits)
-        for name, info in zip(("inner", "exit", "entry"), (cache.cache_info() for cache in STREAM_CACHES))
+        for name, info in zip(("inner", "kept"), (cache.cache_info() for cache in STREAM_CACHES))
     }
 
 
@@ -339,13 +338,10 @@ class TestKeystreamCache:
 
     def test_cache_is_bounded(self):
         assert onion._keystream.cache_info().maxsize == 2
-        # room for one entry stream per (bridge, shape) on the default grid,
-        # 50 x 7; only the 25 unknown bridges are ever drawn unblocked, so
-        # trials derive 25 x 7 = 175 of them
-        assert onion._entry_keystream.cache_info().maxsize == 350
-        # the default grid's trials derive 10 exits x 25 unknown bridges x 7
-        # shapes = 1,750 exit streams; only sub-flows of at most 4 KiB are kept
-        assert onion._exit_keystream.cache_info().maxsize == 2048
+        # the default grid's trials derive 25 unknown bridges x (1 entry + 10
+        # exits) x 7 shapes = 1,925 kept streams (tests/test_censor.py counts
+        # them); only exit streams of sub-flows of at most 4 KiB are kept
+        assert onion._kept_keystream.cache_info().maxsize == 2048
         assert onion._SHORT_SUBFLOW == 4096
 
     def test_circuits_on_one_bridge_share_only_the_entry_stream(self):
@@ -360,7 +356,7 @@ class TestKeystreamCache:
         clear_stream_caches()
         a = wrap_bytes(wire, first)
         b = wrap_bytes(wire, second)
-        assert stream_traffic() == {"inner": (2, 0), "exit": (2, 0), "entry": (1, 1)}
+        assert stream_traffic() == {"inner": (2, 0), "kept": (3, 1)}  # two exits, one entry
         assert payload(a) == reference_wrap(wire, first)
         assert payload(b) == reference_wrap(wire, second)
         for depth, hop in ((3, "entry"), (2, "middle"), (1, "exit")):
@@ -380,7 +376,7 @@ class TestKeystreamCache:
         clear_stream_caches()
         a = wrap_bytes(wire, first)
         b = wrap_bytes(wire, second)
-        assert stream_traffic() == {"inner": (2, 0), "exit": (1, 1), "entry": (1, 1)}
+        assert stream_traffic() == {"inner": (2, 0), "kept": (2, 2)}  # one exit, one entry
         assert payload(a) == reference_wrap(wire, first)
         assert payload(b) == reference_wrap(wire, second)
         assert payload(a) != payload(b)
@@ -579,7 +575,7 @@ class TestCodedMessage:
         message = random.Random(14).randbytes(1000)
         with pytest.raises(ValueError, match="is not whole cells of k=3"):
             run_transfer(circuits_for(4), CodedMessage(CodeParams(4, 3, 1), message), message)
-        assert [cache.cache_info().misses for cache in STREAM_CACHES] == [0, 0, 0]
+        assert [cache.cache_info().misses for cache in STREAM_CACHES] == [0, 0]
 
 
 def coded_fields(coded: CodedMessage) -> tuple:
@@ -608,39 +604,27 @@ class TestSubflowStreams:
         surviving = 10 - len(self.BLOCKED)
         if generations == 1:
             # 524-byte sub-flows: each stream is derived by the wrap and
-            # reused by the peels; the exit streams are kept across transfers
+            # reused by the peels; the entry and exit streams are kept across transfers
             assert coded.subflow_size <= onion._SHORT_SUBFLOW
-            assert stream_traffic() == {
-                "inner": (surviving, surviving), "exit": (surviving, surviving), "entry": (surviving, surviving)
-            }
+            assert stream_traffic() == {"inner": (surviving, surviving), "kept": (2 * surviving, 2 * surviving)}
             # a second transfer over the same exit and bridges, other middles, derives only the middles'
             same_exit = circuits_for(10, seed=4)
             assert same_exit[0].exit == circuits[0].exit and same_exit[0].middle != circuits[0].middle
             transmit(same_exit, coded, self.BLOCKED)
-            assert stream_traffic() == {
-                "inner": (2 * surviving, 2 * surviving),
-                "exit": (surviving, 3 * surviving),
-                "entry": (surviving, 3 * surviving),
-            }
+            assert stream_traffic() == {"inner": (2 * surviving, 2 * surviving), "kept": (2 * surviving, 6 * surviving)}
             # a transfer over another exit derives one exit stream per surviving circuit
             transmit(circuits_for(10, seed=1), coded, self.BLOCKED)
-            assert stream_traffic() == {
-                "inner": (3 * surviving, 3 * surviving),
-                "exit": (2 * surviving, 4 * surviving),
-                "entry": (surviving, 5 * surviving),
-            }
+            assert stream_traffic() == {"inner": (3 * surviving, 3 * surviving), "kept": (3 * surviving, 9 * surviving)}
             return
         assert coded.subflow_size > onion._SHORT_SUBFLOW
-        inner = onion._keystream.cache_info()
-        entry = onion._entry_keystream.cache_info()
-        # the exit and middle streams: derived by the wrap, reused by the peels
-        assert (inner.misses, inner.hits) == (2 * surviving, 2 * surviving)
-        assert (entry.misses, entry.hits) == (surviving, surviving)
+        # the exit and middle streams: derived by the wrap, reused by the
+        # peels; only the entry streams are kept
+        assert stream_traffic() == {"inner": (2 * surviving, 2 * surviving), "kept": (surviving, surviving)}
         # a second transfer over other middles and exits derives only theirs
         transmit(circuits_for(10, seed=1), coded, self.BLOCKED)
-        assert onion._entry_keystream.cache_info().misses == surviving
+        assert onion._kept_keystream.cache_info().misses == surviving
         assert onion._keystream.cache_info().misses == 4 * surviving
-        assert onion._exit_keystream.cache_info().currsize == 0
+        assert onion._kept_keystream.cache_info().currsize == surviving  # no long exit stream
 
     @pytest.mark.parametrize("generations", [1, 86])
     def test_each_subflow_is_the_int_of_its_wire(self, generations):
@@ -839,7 +823,7 @@ class TestRunTransfer:
         clear_stream_caches()
         with pytest.raises(ValueError, match="message coded for n=4 circuits, got 3 circuits"):
             run_transfer(circuits_for(3), coded, bytes(10))
-        assert [cache.cache_info().misses for cache in STREAM_CACHES] == [0, 0, 0]
+        assert [cache.cache_info().misses for cache in STREAM_CACHES] == [0, 0]
 
     @pytest.mark.parametrize("blocked", [set(), {2}], ids=["unblocked", "circuit-2-blocked"])
     def test_success_is_the_byte_comparison(self, blocked):
